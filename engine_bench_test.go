@@ -2,8 +2,8 @@
 // differ in: host wall-clock for a campaign of communication-heavy
 // simulations. The workload is deliberately machine-layer-dominated (ring
 // exchange plus a dissemination barrier every round, almost no compute) so
-// the cost being compared is scheduling — goroutine handoffs and condvar
-// wakeups under the goroutine engine vs run-queue handoffs under coop.
+// the cost being compared is scheduling — wake-channel handoffs through the
+// Go scheduler under the goroutine engine vs run-queue handoffs under coop.
 //
 // Every (P, engine) cell runs the same jobs, and the benchmark asserts the
 // virtual makespans are identical across engines before trusting the host

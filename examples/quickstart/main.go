@@ -8,7 +8,7 @@
 //
 // Run with: go run ./examples/quickstart
 // (add -engine coop to run on the cooperative execution engine, or
-// -engine coop:4 for the sharded multi-worker scheduler; add -p 4096 to
+// -engine coop:4 for the same scheduler on four host workers; add -p 4096 to
 // grow the machine — the "many" subgroup absorbs the extra processors and
 // the gathered array is unchanged, only host time moves)
 package main

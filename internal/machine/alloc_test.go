@@ -6,7 +6,7 @@ import (
 )
 
 // Allocation guards for the scale-tier machine core: the panics bookkeeping
-// must cost nothing on a clean run, the SPSC mailbox must recycle its nodes
+// must cost nothing on a clean run, the mailbox must reuse its backing array
 // at steady state, and whole-run allocations must stay proportional to P
 // (flat per processor) so a P=1M machine is P=16K times a constant, not
 // something worse.
@@ -58,31 +58,32 @@ func TestPanicRecorderCapturesAndSorts(t *testing.T) {
 	}
 }
 
-// TestSPSCMailboxSteadyStateAllocFree: after the chain has grown to a
-// cycle's depth once, a send/receive cycle through a multi-worker coop
-// mailbox recycles consumed nodes instead of allocating — the lock-free
-// representation keeps the slice representation's zero-alloc steady state.
-func TestSPSCMailboxSteadyStateAllocFree(t *testing.T) {
-	m := New(2, testCost())
-	m.SetEngine(Coop(2))
-	p0 := &Proc{m: m, id: 0}
-	p1 := &Proc{m: m, id: 1}
-	cycle := func() {
-		for i := 0; i < 3; i++ {
-			p0.Send(1, nil, 8)
-		}
-		for i := 0; i < 3; i++ {
-			if _, ok := p1.TryRecv(0); !ok {
-				t.Fatal("deposited message missing")
+// TestMailboxSteadyStateAllocFree: after the queue has grown to a cycle's
+// depth once, a send/receive cycle through the mailbox reuses the drained
+// backing array instead of allocating — under every engine family, since
+// they all share the one mailbox.
+func TestMailboxSteadyStateAllocFree(t *testing.T) {
+	for _, e := range []Engine{Goroutine(), Coop(1), Coop(2)} {
+		t.Run(e.Name(), func(t *testing.T) {
+			m := New(2, testCost())
+			m.SetEngine(e)
+			p0 := &Proc{m: m, id: 0}
+			p1 := &Proc{m: m, id: 1}
+			cycle := func() {
+				for i := 0; i < 3; i++ {
+					p0.Send(1, nil, 8)
+				}
+				for i := 0; i < 3; i++ {
+					if _, ok := p1.TryRecv(0); !ok {
+						t.Fatal("deposited message missing")
+					}
+				}
 			}
-		}
-	}
-	cycle() // warmup: grow the chain to the cycle's max depth
-	if !m.mailboxFor(1, 0).spsc {
-		t.Fatal("multi-worker coop mailbox did not use the SPSC representation")
-	}
-	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-		t.Errorf("SPSC steady-state send/receive cycle allocates %.1f, want 0", allocs)
+			cycle() // warmup: grow the queue to the cycle's max depth
+			if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+				t.Errorf("steady-state send/receive cycle allocates %.1f, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -9,12 +9,13 @@ import (
 
 // Engine is a pluggable execution core: the strategy that runs the simulated
 // processors of a Machine on the host. The virtual-time semantics — clock
-// advancement, the timestamp max-rule, per-pair FIFO delivery — live in the
-// Machine/Proc layer and are identical under every engine, so two engines
-// running the same program produce byte-identical traces, metrics, and
-// RunStats; an engine only decides *how* the host executes the processors
-// (one goroutine each vs a cooperative run queue) and therefore only changes
-// host wall-clock.
+// advancement, the timestamp max-rule, per-pair FIFO delivery — and the
+// mailboxes themselves live in the Machine/Proc layer and are identical
+// under every engine, so two engines running the same program produce
+// byte-identical traces, metrics, and RunStats; an engine only decides *how*
+// the host executes the processors (one goroutine each vs a cooperative run
+// queue), i.e. what a blocked receiver does until it is woken, and therefore
+// only changes host wall-clock.
 //
 // Engines are implemented inside this package (the interface has unexported
 // methods); select one with Goroutine, Coop, or EngineByName and install it
@@ -30,38 +31,16 @@ type Engine interface {
 	// processor has finished or panicked.
 	run(m *Machine, procs []Proc, body func(*Proc), rec *panicRecorder)
 
-	// initMailbox equips a zeroed mailbox with the representation and
-	// blocking machinery this engine needs: the goroutine engine attaches a
-	// condvar, the single-worker coop engine uses the bare slice queue, and
-	// the multi-worker coop engine switches it to the lock-free SPSC chain.
-	// The machine layer owns allocation (sparse-directory mailboxes come
-	// from per-shard slabs) and calls this exactly once per mailbox, before
-	// any other goroutine can observe it.
-	initMailbox(mb *mailbox)
+	// park suspends the calling processor p, which has just registered as
+	// the waiter of the empty mailbox from src (Proc.wait), until wake(p, _)
+	// is called. The wake may already have happened when park is entered.
+	park(p *Proc, src int)
 
-	// put deposits msg into mb and wakes a blocked receiver if there is
-	// one. p is the sending processor.
-	put(p *Proc, mb *mailbox, msg Message)
-
-	// wait blocks the calling processor p until mb holds a deposited
-	// message or the sending processor src has terminated. It returns true
-	// if a message is available (not consumed — the machine layer decides
-	// whether to take it) and false if src terminated with mb empty, in
-	// which case no message can ever arrive. Spurious true returns are
-	// allowed; callers loop.
-	wait(p *Proc, mb *mailbox, src int) bool
-
-	// tryGet returns the next message from mb if one is already deposited.
-	tryGet(p *Proc, mb *mailbox) (Message, bool)
-
-	// peek returns a copy of the next message without consuming it.
-	peek(p *Proc, mb *mailbox) (Message, bool)
-
-	// senderTerminated wakes every receiver blocked on a message from p,
-	// whose SPMD body has terminated (the machine marks termination before
-	// calling this). Woken receivers re-check and fail with
-	// DeadSenderError if their mailbox is empty.
-	senderTerminated(p *Proc)
+	// wake resumes a parked (or about-to-park) processor p; at is the
+	// virtual clock p resumes at, which a scheduling engine orders by. It is
+	// called once per registration, by the depositor or terminating sender
+	// that claimed it.
+	wake(p *Proc, at float64)
 }
 
 // EngineNames lists the accepted -engine selector values.

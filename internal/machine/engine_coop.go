@@ -2,51 +2,30 @@ package machine
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
-
-// paddedAtomicU64 is an atomic.Uint64 padded out to a cache line so the
-// per-shard minimum caches of adjacent shards don't false-share.
-type paddedAtomicU64 struct {
-	atomic.Uint64
-	_ [56]byte
-}
 
 // coopEngine is the cooperative, dependency-driven execution core. All
 // simulated processors are multiplexed onto a bounded set of host worker
 // slots (default one): a processor runs uninterrupted until it blocks on an
 // empty mailbox or finishes, then hands its slot directly to the ready
 // processor with the lowest virtual clock — the cooperative analogue of a
-// discrete-event scheduler. Blocked receivers are parked in a central
-// ready/waiting structure instead of per-mailbox condition variables, and a
-// deposit into a mailbox with a parked receiver moves that receiver to the
-// ready heap; there is no per-message Signal and no host wakeup for
-// messages whose receiver is still running.
+// discrete-event scheduler. A blocked receiver parks in the scheduler, and
+// a deposit into its mailbox moves it to the ready heap; there is no host
+// wakeup for messages whose receiver is still running.
 //
-// With one worker slot (the default), at most one processor executes at any
-// host instant and every transfer of control flows through a channel
-// handoff, so mailbox operations need no synchronization at all: a deposit
-// is a plain slice append, and host execution order is fully deterministic
-// — lowest-virtual-clock-first — which also makes BlockTracer callbacks
-// reproducible.
+// The scheduler is one ready heap and two counters under one mutex, at every
+// worker count. With one slot (the default) at most one processor executes
+// at any host instant, the mutex is never contended, and host execution
+// order is fully deterministic — lowest-virtual-clock-first — which also
+// makes BlockTracer callbacks reproducible. With more slots independent
+// processors run in parallel on a multi-core host and the order is no
+// longer fixed; virtual time is, as under every engine.
 //
-// With more slots the engine stays lock-free on the message path: each
-// ordered pair has one producer and one consumer, so mailboxes switch to
-// the SPSC chain representation (spsc.go) and a parked receiver is a single
-// atomic pointer the depositor claims with a Swap. The scheduler shards its
-// ready heap per worker (contiguous processor blocks), with a lock-free
-// minimum-key cache per shard so the lowest-clock handoff scans W atomics
-// instead of taking a global lock; the global mutex guards only slot-count
-// transitions and the deadlock verdict.
-//
-// Virtual time is computed by the same max-rule as every engine, so all
-// traced events, metrics, and RunStats are byte-identical to the goroutine
-// engine's. Unlike the goroutine engine — where a cyclic wait hangs the run
-// forever — the coop scheduler detects the all-blocked state and fails the
-// run with a panic naming the blocked (receiver, sender) pairs.
+// Unlike the goroutine engine — where a cyclic wait hangs the run forever —
+// the coop scheduler detects the all-blocked state and fails the run with a
+// panic naming the blocked (receiver, sender) pairs.
 type coopEngine struct {
 	workers int
 	// shuffled breaks same-clock ready-heap ties by a seeded hash of the
@@ -59,25 +38,18 @@ type coopEngine struct {
 }
 
 // Coop returns the cooperative run-queue engine with the given number of
-// host worker slots; workers < 1 means one. One slot pays no
-// synchronization anywhere; more slots run independent processors in
-// parallel on multi-core hosts (campaign-level parallelism via
+// host worker slots; workers < 1 means one. More slots run independent
+// processors in parallel on multi-core hosts (campaign-level parallelism via
 // internal/sweep remains the alternative when many simulations are in
 // flight).
 func Coop(workers int) Engine {
-	if workers < 1 {
-		workers = 1
-	}
-	return &coopEngine{workers: workers}
+	return &coopEngine{workers: max(workers, 1)}
 }
 
 // CoopShuffled is Coop with seeded tie-breaking of same-clock ready
 // processors (the "coop:N+shuffle@SEED" selector).
 func CoopShuffled(workers int, seed uint64) Engine {
-	if workers < 1 {
-		workers = 1
-	}
-	return &coopEngine{workers: workers, shuffled: true, shuffleSeed: seed}
+	return &coopEngine{workers: max(workers, 1), shuffled: true, shuffleSeed: seed}
 }
 
 func (e *coopEngine) Name() string {
@@ -102,571 +74,192 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Coop mailboxes have no condvar: receivers park in the scheduler. Beyond
-// one worker the slice queue would need a mutex, so the mailbox switches to
-// the lock-free SPSC chain instead. The representation is a property of the
-// mailbox (not of the running processor) so Procs driven outside Run use
-// the same code paths.
-func (e *coopEngine) initMailbox(mb *mailbox) {
-	if e.workers > 1 {
-		mb.spscInit()
-	}
-}
-
-// coopProc is the scheduler's per-processor state.
+// coopProc is the scheduler's per-processor state, guarded by coopRun.mu.
 type coopProc struct {
 	p   *Proc
 	run *coopRun
-	// wake is the processor's parking spot: buffered so a slot grant can
-	// never be lost even if it arrives before the processor parks.
-	wake chan struct{}
 	// readyKey orders the ready heap: the virtual clock the processor will
-	// resume at. Written by the owner before registering as a waiter, or by
-	// the depositor that readied it (ordered by the atomic waiter claim).
+	// resume at.
 	readyKey float64
-	// heapIdx is the position in the (per-shard) ready heap (-1 when not
-	// enqueued).
-	heapIdx int
-	// blockedSrc is the peer a blocked receive waits on (-1 when running).
-	blockedSrc int
-	// shard is the ready-heap shard this processor parks on (multi-worker).
-	shard int32
 	// tie breaks same-readyKey heap comparisons before the id does: 0
 	// normally (id order), a seeded hash of the id in shuffle mode.
 	tie uint64
-	// done marks a finished processor (written under run.mu beyond one
-	// worker).
+	// done marks a finished processor.
 	done bool
 	// poison tells a parked processor to abort: the scheduler found the
 	// machine deadlocked.
 	poison bool
 }
 
-// shardEmpty is the minKey cache value of a shard with nothing ready; it
-// compares greater than every Float64bits of a non-negative readyKey.
-const shardEmpty = ^uint64(0)
-
-// coopShard is one worker's slice of the ready structure: a min-heap under
-// its own mutex plus a lock-free cache of the heap minimum's readyKey, so
-// the cross-shard lowest-clock scan reads one atomic per shard. Padded to a
-// cache line to keep neighbouring shards from false sharing.
-type coopShard struct {
-	mu     sync.Mutex
-	ready  []*coopProc
-	minKey paddedAtomicU64
-}
-
-// updateMin refreshes the shard's minimum-key cache; callers hold sh.mu.
-// Virtual clocks are non-negative, so Float64bits preserves their order and
-// shardEmpty sorts above all of them.
-func (sh *coopShard) updateMin() {
-	if len(sh.ready) == 0 {
-		sh.minKey.Store(shardEmpty)
-	} else {
-		sh.minKey.Store(math.Float64bits(sh.ready[0].readyKey))
-	}
-}
-
 // coopRun is the shared scheduler state of one Machine.Run.
 type coopRun struct {
 	workers int
 
-	// mu guards running/live, the single-worker ready heap, and the
-	// deadlock verdict. With a single worker the wake-channel handoffs
-	// already serialize every scheduler access and the mutex is never
-	// touched.
 	mu      sync.Mutex
-	ready   []*coopProc // single-worker ready min-heap by (readyKey, tie, id)
+	ready   []*coopProc // min-heap by (readyKey, tie, id)
 	running int         // processors currently holding a worker slot
 	live    int         // processors not yet finished
-	// shards is the per-worker sharded ready structure (nil with a single
-	// worker); processor i parks on shard i/shardBlock.
-	shards     []coopShard
-	shardBlock int
-	cps        []coopProc
+	cps     []coopProc
 }
 
 func (e *coopEngine) run(m *Machine, procs []Proc, body func(*Proc), rec *panicRecorder) {
 	n := len(procs)
-	w := e.workers
-	if w > n {
-		w = n
-	}
 	r := &coopRun{
-		workers: w,
+		workers: min(e.workers, n),
 		live:    n,
 		cps:     make([]coopProc, n),
+		ready:   make([]*coopProc, n),
 	}
-	if w > 1 {
-		r.shards = make([]coopShard, w)
-		r.shardBlock = (n + w - 1) / w
-	}
-	parallelFor(n, func(lo, hi int) {
+	// Every processor is ready at clock 0. With all keys equal and ties
+	// broken by ascending id, an id-ordered slice already satisfies the heap
+	// property, so the heap is built by direct placement instead of n
+	// pushes; shuffle mode perturbs the tie keys and sorts by the full
+	// comparator instead — a sorted slice is a valid heap too.
+	parallelFor(n, initGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			cp := &r.cps[i]
 			cp.p = &procs[i]
 			cp.run = r
-			cp.wake = make(chan struct{}, 1)
-			cp.heapIdx = -1
-			cp.blockedSrc = -1
-			if r.shards != nil {
-				cp.shard = int32(i / r.shardBlock)
-			}
 			if e.shuffled {
 				cp.tie = mix64(e.shuffleSeed ^ uint64(i))
 			}
 			procs[i].cp = cp
+			r.ready[i] = cp
 		}
 	})
+	if e.shuffled {
+		sort.Slice(r.ready, func(i, j int) bool { return coopLess(r.ready[i], r.ready[j]) })
+	}
 	var wg sync.WaitGroup
 	wg.Add(n)
-	treeSpawn(n, func(i int) {
+	treeSpawn(n, spawnGrain, func(i int) {
 		cp := &r.cps[i]
 		defer wg.Done()
-		<-cp.wake
+		<-cp.p.wake
 		// finish runs after the capture below (LIFO), so the slot handoff
 		// happens even when the body panics.
 		defer r.finish(cp)
 		defer rec.capture(cp.p.id)
-		if cp.poison {
-			panic(&DeadlockError{Proc: cp.p.id, Src: cp.blockedSrc, Blocked: r.blockedCount()})
-		}
 		body(cp.p)
 	})
-	// Seed: every processor is ready at clock 0. With all keys equal and
-	// ties broken by ascending id, an id-ordered slice already satisfies the
-	// heap property, so the heaps are built by direct placement instead of n
-	// pushes; shuffle mode perturbs the tie keys and sorts instead.
-	r.seedReady(e.shuffled)
-	// Grant the first w slots in heap order (processor 0 first by default).
-	first := make([]*coopProc, 0, w)
+	// Grant the worker slots in heap order (processor 0 first by default);
+	// under the lock, because the first processor granted starts scheduling
+	// at once.
 	r.mu.Lock()
-	for len(first) < w {
-		cp := r.popAny()
-		if cp == nil {
-			break
-		}
-		r.running++
-		first = append(first, cp)
+	for ; r.running < r.workers; r.running++ {
+		grant(heapPop(&r.ready))
 	}
 	r.mu.Unlock()
-	for _, cp := range first {
-		cp.wake <- struct{}{}
-	}
 	wg.Wait()
 }
 
-// seedReady fills the ready structure with every processor at key 0.
-func (r *coopRun) seedReady(shuffled bool) {
-	n := len(r.cps)
-	if r.shards == nil {
-		r.ready = make([]*coopProc, n)
-		for i := range r.cps {
-			r.ready[i] = &r.cps[i]
-		}
-		seedHeap(r.ready, shuffled)
-		return
-	}
-	for s := range r.shards {
-		// Both bounds clamp: when n is not a multiple of the block size the
-		// last shards can start (not just end) past n and must come up empty.
-		lo := s * r.shardBlock
-		if lo > n {
-			lo = n
-		}
-		hi := lo + r.shardBlock
-		if hi > n {
-			hi = n
-		}
-		sh := &r.shards[s]
-		sh.ready = make([]*coopProc, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			sh.ready = append(sh.ready, &r.cps[i])
-		}
-		seedHeap(sh.ready, shuffled)
-		sh.updateMin()
-	}
-}
-
-// seedHeap establishes the heap invariant over a slice of equal-key
-// processors: id order is already a valid min-heap (the tie-break is the
-// id), shuffle mode sorts by the full comparator — a sorted slice is a
-// valid heap too.
-func seedHeap(h []*coopProc, shuffled bool) {
-	if shuffled {
-		sort.Slice(h, func(i, j int) bool { return coopLess(h[i], h[j]) })
-	}
-	for i, cp := range h {
-		cp.heapIdx = i
-	}
-}
-
-func (e *coopEngine) put(p *Proc, mb *mailbox, msg Message) {
-	if mb.spsc {
-		// Multi-worker path: publish the node, then claim any parked
-		// receiver with one atomic Swap. The claim orders the readyKey
-		// write: the receiver stored its clock before registering, and
-		// stops touching its scheduling state until woken.
-		mb.spscPut(msg)
-		if w := mb.waiter.Swap(nil); w != nil {
-			key := w.p.clock
-			if msg.ArriveAt > key {
-				key = msg.ArriveAt
-			}
-			w.readyKey = key
-			w.run.readyProc(w)
-		}
-		return
-	}
-	// Slice path: single-worker scheduling (or a Proc driven outside Run —
-	// cp == nil — where this goroutine is the only actor), so the append
-	// needs no lock.
-	mb.queue = append(mb.queue, msg)
-	if w := mb.waiter.Swap(nil); w != nil {
-		key := w.p.clock
-		if msg.ArriveAt > key {
-			key = msg.ArriveAt
-		}
-		w.readyKey = key
-		w.run.readyProc(w)
-	}
-}
-
-// wait parks the caller until a message is deposited or the sender
-// terminates; it never consumes. Registration is an atomic store of the
-// waiter pointer; the re-check after it closes the race with a concurrent
-// depositor or terminating sender: they claim the registration with a Swap
-// after their own publish, so either we observe their effect on the
-// re-check (and claim ourselves back with a CAS) or they observe our
-// registration and wake us — never neither, and the buffered wake channel
-// makes "both" harmless.
-func (e *coopEngine) wait(p *Proc, mb *mailbox, src int) bool {
+// park gives up p's worker slot and suspends it until a deposit, the
+// sender's termination, or the deadlock verdict reschedules it. A processor
+// that recovered the verdict's panic and blocks again gets it again at once:
+// wake ignores poisoned processors, so it must not wait for one.
+func (e *coopEngine) park(p *Proc, src int) {
 	cp := p.cp
-	if cp == nil {
-		// Proc driven outside Run (tests): only the already-deposited case
-		// can succeed, there is no scheduler to yield to.
-		if mb.spsc {
-			if mb.spscAny() {
-				return true
-			}
-		} else if mb.head < len(mb.queue) {
-			return true
-		}
-		panic(fmt.Sprintf("machine: processor %d blocking Recv from %d outside Run under the coop engine", p.id, src))
+	if !cp.poison {
+		cp.run.yield()
+		<-p.wake
 	}
-	if mb.spsc {
-		if mb.spscAny() {
-			return true
-		}
-		if p.m.terminated(src) {
-			return false
-		}
-		cp.blockedSrc = src
-		cp.readyKey = p.clock
-		mb.waiter.Store(cp)
-		if mb.spscAny() || p.m.terminated(src) {
-			if mb.waiter.CompareAndSwap(cp, nil) {
-				// Claimed ourselves back before anyone saw the
-				// registration; resume without parking.
-				cp.blockedSrc = -1
-				return true
-			}
-			// A depositor or the terminating sender claimed us and is
-			// (or will be) waking us: fall through and park; the
-			// buffered channel holds the grant.
-		}
-	} else {
-		// Single-worker slice path: between the checks below and the yield
-		// nothing else can run, so no re-check is needed.
-		if mb.head < len(mb.queue) {
-			return true
-		}
-		if p.m.terminated(src) {
-			return false
-		}
-		cp.blockedSrc = src
-		cp.readyKey = p.clock
-		mb.waiter.Store(cp)
-	}
-	r := cp.run
-	r.yield(cp)
-	<-cp.wake
 	if cp.poison {
-		panic(&DeadlockError{Proc: cp.p.id, Src: cp.blockedSrc, Blocked: r.blockedCount()})
-	}
-	cp.blockedSrc = -1
-	// A wakeup means a deposit — or the sender's termination — readied us;
-	// the caller re-checks the queue (and calls wait again, which then
-	// reports the termination).
-	return true
-}
-
-func (e *coopEngine) tryGet(_ *Proc, mb *mailbox) (Message, bool) {
-	if mb.spsc {
-		return mb.spscPop()
-	}
-	if mb.head == len(mb.queue) {
-		return Message{}, false
-	}
-	return mb.take(), true
-}
-
-func (e *coopEngine) peek(_ *Proc, mb *mailbox) (Message, bool) {
-	if mb.spsc {
-		return mb.spscPeek()
-	}
-	if mb.head == len(mb.queue) {
-		return Message{}, false
-	}
-	return mb.queue[mb.head], true
-}
-
-// senderTerminated readies every receiver parked on a mailbox sourced at p.
-// Called from p's goroutine after the termination flag is set and before
-// the scheduler's finish step, so the woken waiters reach the ready heap
-// ahead of the all-blocked (deadlock) check that finish may run. The
-// atomic claim mirrors put's: a receiver that registered before our Swap is
-// woken here; one that registers after observed the termination flag on its
-// registration re-check (the flag store precedes this walk).
-func (e *coopEngine) senderTerminated(p *Proc) {
-	cp := p.cp
-	if cp == nil {
-		return
-	}
-	for _, ent := range p.m.mailboxesFrom(p.id) {
-		if w := ent.mb.waiter.Swap(nil); w != nil {
-			// The waiter resumes at its own clock (readyKey was set at
-			// registration): nothing arrived, it will observe the
-			// termination and fail or time out.
-			w.run.readyProc(w)
-		}
+		panic(&DeadlockError{Proc: p.id, Src: src, Blocked: cp.run.blockedCount()})
 	}
 }
 
-// yield releases the caller's worker slot: hand it to the lowest-clock ready
-// processor, or park it free. Called by a processor about to block; the
-// caller parks on its wake channel immediately after.
-func (r *coopRun) yield(cp *coopProc) {
-	if r.shards != nil {
-		// Fast path: direct handoff without the global lock.
-		if next := r.popShards(); next != nil {
-			next.wake <- struct{}{}
-			return
-		}
-		r.mu.Lock()
-		// Re-check under the lock before giving the slot up: a concurrent
-		// slot-holder may have pushed a receiver after the scan above and
-		// found no free slot. Once we hold mu, any processor it pushed is
-		// visible (it released the shard before taking mu, or will take mu
-		// after us and grant then) — and when we are the last slot holder
-		// there is no concurrent pusher at all, so an empty re-check plus
-		// running==1 is a sound deadlock verdict.
-		if next := r.popShards(); next != nil {
-			r.mu.Unlock()
-			next.wake <- struct{}{}
-			return
-		}
-		r.running--
-		if r.running == 0 {
-			next := r.poisonAllLocked()
-			r.mu.Unlock()
-			if next != nil {
-				next.wake <- struct{}{}
-			}
-			return
-		}
-		r.mu.Unlock()
-		return
-	}
-	if next := r.popSW(); next != nil {
-		next.wake <- struct{}{}
-		return
+func (e *coopEngine) wake(p *Proc, at float64) { p.cp.run.readyProc(p.cp, at) }
+
+// releaseLocked gives up the caller's worker slot and returns the processor
+// to grant it to, if any: the lowest-clock ready processor, else nobody (the
+// slot goes free). If that leaves no processor running while some are still
+// live, every one of them is blocked on a receive with no runnable sender —
+// deadlock: they are poisoned and rescheduled so each aborts with a
+// diagnostic instead of hanging forever. The verdict is sound because
+// whoever readies a processor holds a slot itself (depositors and
+// terminating senders run on granted slots): running can only reach zero
+// when no readyProc is in flight. Callers hold r.mu.
+func (r *coopRun) releaseLocked() *coopProc {
+	if next := heapPop(&r.ready); next != nil {
+		return next
 	}
 	r.running--
-	if r.running == 0 {
-		// Every live processor, caller included, is blocked on a receive
-		// with no runnable sender: deadlock. Poison and reschedule all of
-		// them so each aborts with a diagnostic instead of hanging forever.
-		if next := r.poisonAllLocked(); next != nil {
-			next.wake <- struct{}{}
+	if r.running > 0 || r.live == 0 {
+		return nil
+	}
+	// Poison every unfinished processor — all are parked, so their clocks
+	// are stable — and grant one slot, so they unwind one at a time in clock
+	// order (each panic is captured per-processor and reported by Run).
+	for i := range r.cps {
+		if cp := &r.cps[i]; !cp.done {
+			cp.poison = true
+			cp.readyKey = cp.p.clock
+			heapPush(&r.ready, cp)
 		}
 	}
+	r.running++
+	return heapPop(&r.ready)
+}
+
+// grant hands a worker slot (already counted in running) to cp, if any. The
+// buffered wake channel takes it whether or not cp has parked yet.
+func grant(cp *coopProc) {
+	if cp != nil {
+		cp.p.wake <- struct{}{}
+	}
+}
+
+// yield releases the caller's worker slot; the caller, about to block, parks
+// on its wake channel immediately after.
+func (r *coopRun) yield() {
+	r.mu.Lock()
+	next := r.releaseLocked()
+	r.mu.Unlock()
+	grant(next)
 }
 
 // finish retires a completed processor and hands its slot on.
 func (r *coopRun) finish(cp *coopProc) {
-	if r.shards != nil {
-		r.mu.Lock()
-		cp.done = true
-		r.live--
-		r.mu.Unlock()
-		if next := r.popShards(); next != nil {
-			next.wake <- struct{}{}
-			return
-		}
-		r.mu.Lock()
-		if next := r.popShards(); next != nil {
-			r.mu.Unlock()
-			next.wake <- struct{}{}
-			return
-		}
-		r.running--
-		if r.running == 0 && r.live > 0 {
-			next := r.poisonAllLocked()
-			r.mu.Unlock()
-			if next != nil {
-				next.wake <- struct{}{}
-			}
-			return
-		}
-		r.mu.Unlock()
-		return
-	}
+	r.mu.Lock()
 	cp.done = true
 	r.live--
-	if next := r.popSW(); next != nil {
-		next.wake <- struct{}{}
-		return
-	}
-	r.running--
-	if r.running == 0 && r.live > 0 {
-		if next := r.poisonAllLocked(); next != nil {
-			next.wake <- struct{}{}
-		}
-	}
+	next := r.releaseLocked()
+	r.mu.Unlock()
+	grant(next)
 }
 
-// readyProc moves a parked receiver to the ready set: enqueue it on its
-// shard (or the single heap), then grant a free worker slot to the best
-// ready processor if one is available. Callers always hold a worker slot
-// themselves (depositors and terminating senders run on granted slots),
-// which is what makes the deadlock verdict in yield sound: running can only
-// reach zero when no readyProc is in flight.
-func (r *coopRun) readyProc(cp *coopProc) {
-	if r.shards != nil {
-		r.pushShard(cp)
-		r.mu.Lock()
+// readyProc makes a parked receiver runnable at clock at: grant it a free
+// worker slot if there is one (a slot is only ever freed with the heap
+// empty, so it is then the lowest-clock ready processor), else push it on
+// the ready heap. A poisoned processor is already scheduled to unwind; the
+// wake a terminating neighbour sends it is dropped.
+func (r *coopRun) readyProc(cp *coopProc, at float64) {
+	var next *coopProc
+	r.mu.Lock()
+	if !cp.poison {
+		cp.readyKey = at
 		if r.running < r.workers {
-			if next := r.popShards(); next != nil {
-				r.running++
-				r.mu.Unlock()
-				next.wake <- struct{}{}
-				return
-			}
-		}
-		r.mu.Unlock()
-		return
-	}
-	if r.running < r.workers {
-		r.running++
-		cp.wake <- struct{}{}
-		return
-	}
-	heapPush(&r.ready, cp)
-}
-
-// popAny removes the best ready processor from whichever structure this run
-// uses. Callers hold r.mu in the multi-worker case when slot accounting
-// depends on the answer.
-func (r *coopRun) popAny() *coopProc {
-	if r.shards != nil {
-		return r.popShards()
-	}
-	return r.popSW()
-}
-
-// popSW pops the single-worker heap.
-func (r *coopRun) popSW() *coopProc {
-	return heapPop(&r.ready)
-}
-
-// pushShard enqueues cp on its home shard and refreshes the min cache.
-func (r *coopRun) pushShard(cp *coopProc) {
-	sh := &r.shards[cp.shard]
-	sh.mu.Lock()
-	heapPush(&sh.ready, cp)
-	sh.updateMin()
-	sh.mu.Unlock()
-}
-
-// popShards removes and returns the lowest-readyKey ready processor across
-// all shards: scan the per-shard atomic min caches, lock only the best
-// shard, re-check, pop. A stale cache (the shard emptied or its minimum
-// changed between scan and lock) retries the scan; with no concurrent
-// pushers (the case the deadlock verdict relies on) the caches are exact.
-// Equal keys resolve to the lowest shard index, i.e. the lowest processor
-// id under the default tie-break — matching the single-heap order.
-func (r *coopRun) popShards() *coopProc {
-	for {
-		best := -1
-		bestKey := shardEmpty
-		for s := range r.shards {
-			if k := r.shards[s].minKey.Load(); k < bestKey {
-				best, bestKey = s, k
-			}
-		}
-		if best < 0 {
-			return nil
-		}
-		sh := &r.shards[best]
-		sh.mu.Lock()
-		if len(sh.ready) == 0 || math.Float64bits(sh.ready[0].readyKey) != bestKey {
-			sh.updateMin()
-			sh.mu.Unlock()
-			continue
-		}
-		cp := heapPop(&sh.ready)
-		sh.updateMin()
-		sh.mu.Unlock()
-		return cp
-	}
-}
-
-// poisonAllLocked marks every unfinished processor as deadlocked and
-// requeues it, then grants one slot so the poisoned processors unwind
-// sequentially (each panic is captured per-processor and reported by Run).
-// Returns the processor to wake, if any. The caller holds r.mu (or is the
-// single worker); running is zero, so no heap operation is concurrent.
-func (r *coopRun) poisonAllLocked() *coopProc {
-	for i := range r.cps {
-		cp := &r.cps[i]
-		if !cp.done && cp.heapIdx < 0 {
-			cp.poison = true
-			if r.shards != nil {
-				r.pushShard(cp)
-			} else {
-				heapPush(&r.ready, cp)
-			}
+			r.running++
+			next = cp
+		} else {
+			heapPush(&r.ready, cp)
 		}
 	}
-	next := r.popAny()
-	if next != nil {
-		r.running++
-	}
-	return next
+	r.mu.Unlock()
+	grant(next)
 }
 
 // blockedCount reports how many processors had not finished when the
 // deadlock verdict was reached (for the DeadlockError diagnostic). The
-// poisoned unwind is sequential (one granted slot), so by the time a
-// poisoned processor builds its diagnostic the done flags are quiescent;
-// the mutex still brackets the reads beyond one worker for the benefit of
-// the race detector.
+// poisoned unwind is sequential (one granted slot), so the count each
+// poisoned processor reports is deterministic.
 func (r *coopRun) blockedCount() int {
-	if r.shards != nil {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-	}
-	blocked := 0
-	for i := range r.cps {
-		if !r.cps[i].done {
-			blocked++
-		}
-	}
-	return blocked
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.live
 }
 
-// --- ready heaps: min-heap by (readyKey, tie, id) --------------------------
+// --- the ready heap: a min-heap by (readyKey, tie, id) ---------------------
 
 func coopLess(a, b *coopProc) bool {
 	if a.readyKey != b.readyKey {
@@ -682,15 +275,12 @@ func heapPush(h *[]*coopProc, cp *coopProc) {
 	heap := append(*h, cp)
 	*h = heap
 	i := len(heap) - 1
-	cp.heapIdx = i
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !coopLess(heap[i], heap[parent]) {
 			break
 		}
 		heap[i], heap[parent] = heap[parent], heap[i]
-		heap[i].heapIdx = i
-		heap[parent].heapIdx = parent
 		i = parent
 	}
 }
@@ -706,10 +296,8 @@ func heapPop(h *[]*coopProc) *coopProc {
 	heap[n-1] = nil
 	heap = heap[:n-1]
 	*h = heap
-	top.heapIdx = -1
 	if n > 1 {
 		heap[0] = last
-		last.heapIdx = 0
 		i := 0
 		for {
 			l, rt := 2*i+1, 2*i+2
@@ -724,8 +312,6 @@ func heapPop(h *[]*coopProc) *coopProc {
 				break
 			}
 			heap[i], heap[small] = heap[small], heap[i]
-			heap[i].heapIdx = i
-			heap[small].heapIdx = small
 			i = small
 		}
 	}

@@ -5,11 +5,11 @@ import (
 )
 
 // goroutineEngine is the preemptive execution core: one host goroutine per
-// simulated processor, with blocked receivers parked on a per-mailbox
-// condition variable and woken by the sender's Signal. The Go runtime
-// schedules the processors; host execution order is arbitrary (virtual-time
-// results are deterministic regardless). This is the original machine
-// semantics and the default engine.
+// simulated processor, with a blocked receiver parked on its own wake
+// channel until the depositor sends to it. The Go runtime schedules the
+// processors; host execution order is arbitrary (virtual-time results are
+// deterministic regardless). This is the original machine semantics and the
+// default engine.
 type goroutineEngine struct{}
 
 var goroutineSingleton Engine = goroutineEngine{}
@@ -19,67 +19,14 @@ func Goroutine() Engine { return goroutineSingleton }
 
 func (goroutineEngine) Name() string { return "goroutine" }
 
-func (goroutineEngine) initMailbox(mb *mailbox) {
-	mb.cond = sync.NewCond(&mb.mu)
-}
+func (goroutineEngine) park(p *Proc, _ int) { <-p.wake }
 
-func (goroutineEngine) put(_ *Proc, mb *mailbox, msg Message) {
-	mb.mu.Lock()
-	mb.queue = append(mb.queue, msg)
-	mb.mu.Unlock()
-	mb.cond.Signal()
-}
-
-func (goroutineEngine) wait(p *Proc, mb *mailbox, src int) bool {
-	mb.mu.Lock()
-	for mb.head == len(mb.queue) && !p.m.terminated(src) {
-		mb.cond.Wait()
-	}
-	avail := mb.head < len(mb.queue)
-	mb.mu.Unlock()
-	return avail
-}
-
-func (goroutineEngine) tryGet(_ *Proc, mb *mailbox) (Message, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if mb.head == len(mb.queue) {
-		return Message{}, false
-	}
-	return mb.take(), true
-}
-
-func (goroutineEngine) peek(_ *Proc, mb *mailbox) (Message, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if mb.head == len(mb.queue) {
-		return Message{}, false
-	}
-	return mb.queue[mb.head], true
-}
-
-// senderTerminated broadcasts on every existing mailbox sourced at p: a
-// receiver parked in wait re-checks and sees the termination flag.
-// Broadcasting under the mailbox mutex orders the wakeup against a receiver
-// that checked the flag just before it was set — by the time we hold the
-// mutex, that receiver has either parked in cond.Wait (and gets the
-// Broadcast) or not yet entered its check (and will see the flag). The
-// per-source registry makes the walk O(out-degree); a mailbox created by a
-// receiver concurrently with this termination is either in the snapshot or
-// registered after it, in which case that receiver's wait observes the
-// termination flag before parking (see Machine.mailboxFor).
-func (goroutineEngine) senderTerminated(p *Proc) {
-	for _, e := range p.m.mailboxesFrom(p.id) {
-		e.mb.mu.Lock()
-		e.mb.cond.Broadcast()
-		e.mb.mu.Unlock()
-	}
-}
+func (goroutineEngine) wake(p *Proc, _ float64) { p.wake <- struct{}{} }
 
 func (goroutineEngine) run(_ *Machine, procs []Proc, body func(*Proc), rec *panicRecorder) {
 	var wg sync.WaitGroup
 	wg.Add(len(procs))
-	treeSpawn(len(procs), func(i int) {
+	treeSpawn(len(procs), spawnGrain, func(i int) {
 		p := &procs[i]
 		defer wg.Done()
 		defer rec.capture(p.id)

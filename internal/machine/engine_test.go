@@ -54,8 +54,8 @@ func TestSetEngineNilKeepsDefault(t *testing.T) {
 }
 
 // engines lists every engine variant a cross-engine test should cover:
-// the default goroutine core, the single-slot coop core (lock-free
-// mailboxes), and a multi-slot coop core (locked mailboxes).
+// the default goroutine core, the single-slot coop core (deterministic host
+// order), and a multi-slot coop core.
 func engines() []Engine {
 	return []Engine{Goroutine(), Coop(1), Coop(3)}
 }
@@ -197,23 +197,41 @@ func TestRecvFromExitedProcFails(t *testing.T) {
 	}
 }
 
-// TestCoopBlockedRecvOutsideRunPanics: a standalone Proc (constructed by
-// tests without Run) has no scheduler to park on; a Recv that would block
-// must fail loudly rather than spin.
-func TestCoopBlockedRecvOutsideRunPanics(t *testing.T) {
-	m := New(2, testCost())
-	m.SetEngine(Coop(1))
-	p := &Proc{m: m, id: 0}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("blocking Recv outside Run did not panic under coop")
+// TestBlockedRecvOutsideRunPanics: a standalone Proc (constructed by tests
+// without Run) has nobody to park it and nobody to wake it; a Recv that
+// would block must fail loudly, with the same message under every engine,
+// rather than spin or wait forever. An already-deposited message is still
+// received.
+func TestBlockedRecvOutsideRunPanics(t *testing.T) {
+	var msgs []string
+	for _, e := range []Engine{Goroutine(), Coop(1), Coop(2)} {
+		t.Run(e.Name(), func(t *testing.T) {
+			m := New(2, testCost())
+			m.SetEngine(e)
+			p0, p1 := &Proc{m: m, id: 0}, &Proc{m: m, id: 1}
+			p1.Send(0, "x", 4)
+			if got := p0.Recv(1); got.Data != "x" {
+				t.Fatalf("deposited message = %+v", got)
+			}
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("blocking Recv outside Run did not panic")
+				}
+				msg := fmt.Sprint(r)
+				if !strings.Contains(msg, "outside Run") {
+					t.Fatalf("panic = %q", msg)
+				}
+				msgs = append(msgs, msg)
+			}()
+			p0.Recv(1)
+		})
+	}
+	for _, msg := range msgs {
+		if msg != msgs[0] {
+			t.Errorf("engines disagree on the panic: %q vs %q", msg, msgs[0])
 		}
-		if !strings.Contains(fmt.Sprint(r), "outside Run") {
-			t.Fatalf("panic = %q", r)
-		}
-	}()
-	p.Recv(1)
+	}
 }
 
 // TestUnconsumedMessageNamesPairs: the drain failure names each offending
@@ -309,4 +327,93 @@ func TestCoopManyProcsFewWorkers(t *testing.T) {
 	if stats.MakespanTime() <= 0 {
 		t.Fatal("ring pipeline produced zero makespan")
 	}
+}
+
+// TestCoopSchedulerSameAtEveryWorkerCount: one worker and four go through
+// the same ready heap and the same release path, so the three things the
+// scheduler does beyond running processors — hand a slot to a receiver the
+// moment its message lands (ping-pong), unwind a kill cascade, and reach the
+// all-blocked verdict on a cyclic wait — must come out byte-identical, the
+// DeadlockError naming the same (receiver, sender) pairs with the same
+// blocked counts. Run it under -race: coop:4 is where the heap is shared.
+func TestCoopSchedulerSameAtEveryWorkerCount(t *testing.T) {
+	const n = 10
+	pingPong := func(p *Proc) {
+		peer := p.ID() ^ 1
+		for round := 0; round < 200; round++ {
+			if (p.ID()+round)%2 == 0 {
+				p.Send(peer, round, 8+p.ID())
+				p.Recv(peer)
+			} else {
+				p.Recv(peer)
+				p.Compute(float64(5 + p.ID()))
+				p.Send(peer, round, 8)
+			}
+		}
+	}
+	// Processors 0-5 wait on each other in a cycle at distinct clocks and
+	// never send; 6-9 exchange a message and finish.
+	cyclic := func(p *Proc) {
+		if p.ID() >= 6 {
+			p.Send(p.ID()^1, nil, 8)
+			p.Recv(p.ID() ^ 1)
+			return
+		}
+		p.Compute(float64(100 * (6 - p.ID())))
+		p.Recv((p.ID() + 1) % 6)
+	}
+	cases := []struct {
+		name string
+		plan func() FaultPlan
+		body func(*Proc)
+		want []string
+	}{
+		{"ping-pong", func() FaultPlan { return nil }, pingPong, nil},
+		{"kill-cascade", func() FaultPlan { return &killTestPlan{victim: n / 2} }, ringBody(n),
+			[]string{"processor 5 died", "proc 6: machine: processor 6 blocked on receive from 5, which failed"}},
+		{"cyclic-wait", func() FaultPlan { return nil }, cyclic, []string{
+			"proc 0: machine: deadlock: processor 0 blocked on receive from 1 with no runnable sender (1 processor(s) blocked)",
+			"proc 5: machine: deadlock: processor 5 blocked on receive from 0 with no runnable sender (6 processor(s) blocked)",
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ref := goldenRun(t, Coop(1), n, c.plan(), c.body)
+			if (ref.failure != "") != (c.want != nil) {
+				t.Fatalf("coop run failure = %q", ref.failure)
+			}
+			for _, want := range c.want {
+				if !strings.Contains(ref.failure, want) {
+					t.Errorf("coop failure %q missing %q", ref.failure, want)
+				}
+			}
+			for round := 0; round < 5; round++ {
+				compareGolden(t, "coop:4", ref, goldenRun(t, Coop(4), n, c.plan(), c.body))
+			}
+		})
+	}
+}
+
+// FuzzEngineByName: no selector string makes EngineByName panic, and every
+// selector it accepts names an engine whose own Name() is a fixed point —
+// the property -engine flag defaults and FXPAR_ENGINE round-trips rely on.
+func FuzzEngineByName(f *testing.F) {
+	for _, seed := range []string{"", "goroutine", "coop", "coop:1", "coop:4", "coop:0", "coop:-3", "coop:x",
+		"coop:4+shuffle@7", "coop+shuffle@18446744073709551615", "coop+shuffle@", "coop+shuffle@-1",
+		"goroutine+shuffle@1", "coop:+4", "coop:04", "coop:4+", "coop:99999999999999999999", "fiber", "+", ":"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		e, err := EngineByName(name)
+		if err != nil {
+			return
+		}
+		again, err := EngineByName(e.Name())
+		if err != nil {
+			t.Fatalf("EngineByName(%q) accepted, but its Name() %q is rejected: %v", name, e.Name(), err)
+		}
+		if again.Name() != e.Name() {
+			t.Fatalf("EngineByName(%q).Name() = %q, which resolves to %q", name, e.Name(), again.Name())
+		}
+	})
 }

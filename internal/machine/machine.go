@@ -43,37 +43,23 @@ type Message struct {
 	Dup bool
 }
 
-// mailbox is an unbounded FIFO queue for one ordered (src,dst) pair, in one
-// of two representations chosen by the engine at creation (initMailbox):
+// mailbox is the unbounded FIFO queue of one ordered (src,dst) pair: the one
+// communication mechanism of the machine, the same under every engine. The
+// consumed prefix is tracked by a head index (rather than re-slicing) so the
+// backing array is reused once drained and a steady-state send/receive cycle
+// allocates nothing.
 //
-//   - Slice (goroutine engine, single-worker coop): queue/head, with the
-//     consumed prefix tracked by a head index (rather than re-slicing) so the
-//     backing array is reused once drained and a steady-state send/receive
-//     cycle allocates nothing. The goroutine engine guards it with mu and
-//     parks receivers on cond; the single-worker coop engine needs neither.
-//
-//   - SPSC chain (multi-worker coop): the lock-free node queue in spsc.go.
-//     Each pair has exactly one producer and one consumer, so deposits and
-//     consumes are single atomic publishes with pooled nodes — the coop
-//     engine's mailboxes stay mutex-free at every worker count.
-//
-// Blocked coop receivers park in the scheduler and register themselves in
-// waiter, claimed atomically (Swap) by the depositor or terminating sender.
+// mu guards queue, head and waiter. Because "is a message queued, has the
+// sender terminated, register as the waiter" is one critical section on the
+// receiver's side (Proc.wait), and "deposit, claim the waiter" is one on the
+// sender's (Machine.put, Machine.senderTerminated), a wake-up cannot be
+// lost: whichever side locks second sees what the first one did.
 type mailbox struct {
 	mu    sync.Mutex
-	cond  *sync.Cond
 	queue []Message
 	head  int
-	// waiter is the parked coop receiver, if any (see coopEngine.wait).
-	waiter atomic.Pointer[coopProc]
-	// spsc selects the chain representation; qhead is the consumer's stub
-	// position, qtail/qfirst the producer's append point and oldest
-	// recyclable node, stub the embedded initial node (see spsc.go).
-	spsc   bool
-	qhead  atomic.Pointer[msgNode]
-	qtail  *msgNode
-	qfirst *msgNode
-	stub   msgNode
+	// waiter is the receiver parked on this pair (see Proc.wait), nil if none.
+	waiter *Proc
 	// sendSeq counts messages sent through this pair, in sender program
 	// order. Written only by the sending processor's goroutine, and only
 	// while a fault plan or a tracer is installed: it is the deterministic
@@ -88,18 +74,94 @@ type mailbox struct {
 	recvSeq int64
 }
 
-// take removes and returns the head message. Callers have exclusive access
-// (engine-dependent: mb.mu or single-slot scheduling) and have checked that
-// the queue is non-empty.
-func (mb *mailbox) take() Message {
-	m := mb.queue[mb.head]
+// tryGet removes and returns the next message if one is already deposited.
+func (mb *mailbox) tryGet() (Message, bool) {
+	mb.mu.Lock()
+	if mb.head == len(mb.queue) {
+		mb.mu.Unlock()
+		return Message{}, false
+	}
+	msg := mb.queue[mb.head]
 	mb.queue[mb.head] = Message{} // release the payload for GC
 	mb.head++
 	if mb.head == len(mb.queue) {
 		mb.queue = mb.queue[:0]
 		mb.head = 0
 	}
-	return m
+	mb.mu.Unlock()
+	return msg, true
+}
+
+// peek returns a copy of the next message without consuming it.
+func (mb *mailbox) peek() (Message, bool) {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	if mb.head == len(mb.queue) {
+		return Message{}, false
+	}
+	return mb.queue[mb.head], true
+}
+
+// put deposits msg into mb and wakes the receiver parked on it, if any. The
+// woken receiver resumes at the later of its own clock and the arrival time
+// (its clock is stable: it stopped touching it before registering).
+func (m *Machine) put(mb *mailbox, msg Message) {
+	mb.mu.Lock()
+	mb.queue = append(mb.queue, msg)
+	w := mb.waiter
+	mb.waiter = nil
+	mb.mu.Unlock()
+	if w != nil {
+		m.eng.wake(w, max(w.clock, msg.ArriveAt))
+	}
+}
+
+// wait blocks p until mb holds a deposited message or the sending processor
+// src has terminated. It returns true if a message may be available (not
+// consumed — the caller decides whether to take it, and loops if a wake-up
+// turns out to be the sender's termination) and false if src terminated
+// with mb empty, in which case no message can ever arrive.
+func (p *Proc) wait(mb *mailbox, src int) bool {
+	mb.mu.Lock()
+	if mb.head < len(mb.queue) {
+		mb.mu.Unlock()
+		return true
+	}
+	if p.m.terminated(src) {
+		mb.mu.Unlock()
+		return false
+	}
+	if p.wake == nil {
+		// A hand-built Proc (tests) has nobody to park it and nobody to
+		// wake it: only the already-deposited case can succeed.
+		mb.mu.Unlock()
+		panic(fmt.Sprintf("machine: processor %d blocking Recv from %d outside Run", p.id, src))
+	}
+	mb.waiter = p
+	mb.mu.Unlock()
+	p.m.eng.park(p, src)
+	return true
+}
+
+// senderTerminated wakes every receiver parked on a mailbox sourced at src,
+// whose SPMD body has terminated (Run stores the termination flag first). A
+// receiver that registered before we lock its mailbox is claimed and woken
+// here — at its own clock: nothing arrived, it will re-check and fail or
+// time out; one that locks after us observes the flag in wait. The
+// per-source registry makes the walk O(out-degree); a mailbox created by a
+// receiver concurrently with this termination is either in the snapshot or
+// registered after it, in which case that receiver's wait sees the flag
+// before parking (see Machine.mailboxFor).
+func (m *Machine) senderTerminated(src int) {
+	for _, e := range m.mailboxesFrom(src) {
+		e.mb.mu.Lock()
+		w := e.mb.waiter
+		e.mb.waiter = nil
+		e.mb.mu.Unlock()
+		if w != nil {
+			m.eng.wake(w, w.clock)
+		}
+	}
 }
 
 // pending returns the number of unconsumed messages. Only valid when no
@@ -108,9 +170,6 @@ func (mb *mailbox) take() Message {
 // pair's real traffic without necessarily touching trailing duplicates, and
 // leftovers of the transport layer are not a protocol bug.
 func (mb *mailbox) pending() int {
-	if mb.spsc {
-		return mb.spscPending()
-	}
 	n := 0
 	for i := mb.head; i < len(mb.queue); i++ {
 		if !mb.queue[i].Dup {
@@ -354,7 +413,6 @@ func (m *Machine) mailboxFor(dst, src int) *mailbox {
 			return mb
 		}
 		mb := &mailbox{}
-		m.eng.initMailbox(mb)
 		if slot.CompareAndSwap(nil, mb) {
 			m.registerMailbox(src, dst, mb)
 			return mb
@@ -373,7 +431,6 @@ func (m *Machine) mailboxFor(dst, src int) *mailbox {
 	}
 	mb := &sh.slab[0]
 	sh.slab = sh.slab[1:]
-	m.eng.initMailbox(mb)
 	if sh.m == nil {
 		sh.m = make(map[int64]*mailbox)
 	}
@@ -425,10 +482,9 @@ func (m *Machine) SetTracer(t Tracer) { m.tracer = t }
 func (m *Machine) SetSampler(s EventSampler) { m.sampler = s }
 
 // SetEngine installs the execution engine Run will use; it must be called
-// before the first Send, Recv, or Run (mailboxes are engine-specific). A nil
-// engine is a no-op, so call sites can thread an optional engine without
-// checking: m.SetEngine(cfg.Engine) leaves the default in place when no
-// override was configured.
+// before Run. A nil engine is a no-op, so call sites can thread an optional
+// engine without checking: m.SetEngine(cfg.Engine) leaves the default in
+// place when no override was configured.
 func (m *Machine) SetEngine(e Engine) {
 	if e != nil {
 		m.eng = e
@@ -506,8 +562,14 @@ type Proc struct {
 	sent  int64
 	recvd int64
 	bytes int64
+	// wake is the processor's parking spot, made by Run: Engine.park receives
+	// from it and Engine.wake (or a coop slot grant) sends. Buffered so a
+	// wake-up that arrives before the processor parks is not lost; each
+	// registration as a mailbox's waiter is claimed, and so woken, exactly
+	// once, so one slot suffices. nil on a hand-built Proc (some tests).
+	wake chan struct{}
 	// cp is the coop engine's scheduling state for this processor; nil under
-	// other engines and for Procs driven outside Run (some tests).
+	// other engines.
 	cp *coopProc
 	// seq numbers every recorded event; spans is the stack of open span
 	// labels. Both are touched only while a tracer is installed, so the
@@ -813,12 +875,12 @@ func (p *Proc) Send(dst int, data any, bytes int) {
 		Bytes:    bytes,
 		ArriveAt: p.clock + wire,
 	}
-	p.m.eng.put(p, mb, msg)
+	p.m.put(mb, msg)
 	if mf.Duplicate {
 		p.marker(EvFault, dst, bytes, FaultDup)
 		dup := msg
 		dup.Dup = true
-		p.m.eng.put(p, mb, dup)
+		p.m.put(mb, dup)
 	}
 	p.sent++
 	p.bytes += int64(bytes)
@@ -853,10 +915,10 @@ func (p *Proc) Recv(src int) Message {
 
 // waitMsg blocks until a message from src is consumed from mb or src's
 // termination proves none is coming (ok == false). The separation between
-// the engine's wait (block until deposit or termination, don't consume) and
-// tryGet (consume) is safe because each mailbox has a single consumer.
+// wait (block until deposit or termination, don't consume) and tryGet
+// (consume) is safe because each mailbox has a single consumer.
 func (p *Proc) waitMsg(mb *mailbox, src int) (Message, bool) {
-	if msg, ok := p.m.eng.tryGet(p, mb); ok {
+	if msg, ok := mb.tryGet(); ok {
 		return msg, true
 	}
 	if bt, ok := p.m.tracer.(BlockTracer); ok {
@@ -866,10 +928,10 @@ func (p *Proc) waitMsg(mb *mailbox, src int) (Message, bool) {
 		bt.RecordBlocked(p.id, src, p.clock)
 	}
 	for {
-		if !p.m.eng.wait(p, mb, src) {
+		if !p.wait(mb, src) {
 			return Message{}, false
 		}
-		if msg, ok := p.m.eng.tryGet(p, mb); ok {
+		if msg, ok := mb.tryGet(); ok {
 			return msg, true
 		}
 	}
@@ -890,7 +952,7 @@ func (p *Proc) TryRecv(src int) (Message, bool) {
 	p.checkAlive()
 	mb := p.mailbox(p.id, src)
 	for {
-		msg, ok := p.m.eng.tryGet(p, mb)
+		msg, ok := mb.tryGet()
 		if !ok {
 			return Message{}, false
 		}
@@ -950,9 +1012,9 @@ func (p *Proc) RecvTimeout(src int, timeout float64) (Message, RecvOutcome) {
 	deadline := p.clock + timeout
 	mb := p.mailbox(p.id, src)
 	for {
-		if msg, ok := p.m.eng.peek(p, mb); ok {
+		if msg, ok := mb.peek(); ok {
 			if msg.Dup {
-				p.m.eng.tryGet(p, mb)
+				mb.tryGet()
 				p.dropDup(src, msg)
 				continue
 			}
@@ -960,11 +1022,11 @@ func (p *Proc) RecvTimeout(src int, timeout float64) (Message, RecvOutcome) {
 				p.timeoutAdvance(src, deadline, timeout)
 				return Message{}, RecvTimedOut
 			}
-			msg, _ = p.m.eng.tryGet(p, mb)
+			msg, _ = mb.tryGet()
 			p.finishRecv(mb, src, msg)
 			return msg, RecvOK
 		}
-		if !p.m.eng.wait(p, mb, src) {
+		if !p.wait(mb, src) {
 			p.timeoutAdvance(src, deadline, timeout)
 			return Message{}, RecvSenderDead
 		}
@@ -1066,10 +1128,11 @@ func (m *Machine) Run(fn func(*Proc)) RunStats {
 	// Engines index into the arena directly and RunStats streams out of it
 	// at the end, so no second O(P) pointer structure ever exists.
 	procs := make([]Proc, m.n)
-	parallelFor(m.n, func(lo, hi int) {
+	parallelFor(m.n, initGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			procs[i].m = m
 			procs[i].id = i
+			procs[i].wake = make(chan struct{}, 1)
 		}
 	})
 	m.applyProcFaults(procs)
@@ -1079,7 +1142,7 @@ func (m *Machine) Run(fn func(*Proc)) RunStats {
 		// processor — whether the body returns or panics; the re-panic
 		// preserves the engine's per-processor capture. The ordering
 		// matters under the coop engine: waiters must reach the ready
-		// queue before the scheduler's finish step runs its all-blocked
+		// heap before the scheduler's finish step runs its all-blocked
 		// (deadlock) check.
 		defer func() {
 			r := recover()
@@ -1089,7 +1152,7 @@ func (m *Machine) Run(fn func(*Proc)) RunStats {
 			} else {
 				m.term[p.id].Store(termExited)
 			}
-			m.eng.senderTerminated(p)
+			m.senderTerminated(p.id)
 			if r != nil {
 				panic(r)
 			}
@@ -1115,13 +1178,12 @@ func (m *Machine) Run(fn func(*Proc)) RunStats {
 // applyProcFaults sets the per-processor slowdown and death time from the
 // fault plan. A plan that can enumerate its victims (ProcFaultLister) is
 // asked for exactly those — O(victims + plan scan) instead of 2*P hook
-// probes; other plans fall back to the seed probe loop. serialCore forces
-// the probe loop so the golden cross-check exercises both paths.
+// probes; other plans fall back to the seed probe loop.
 func (m *Machine) applyProcFaults(procs []Proc) {
 	if m.faults == nil {
 		return
 	}
-	if fl, ok := m.faults.(ProcFaultLister); ok && !serialCore {
+	if fl, ok := m.faults.(ProcFaultLister); ok {
 		fl.ProcFaults(m.n, func(i int, slow, deathAt float64) {
 			if slow > 1 {
 				procs[i].slow = slow
@@ -1147,7 +1209,7 @@ func (m *Machine) applyProcFaults(procs []Proc) {
 // seed's serial copy loop.
 func (m *Machine) foldStats(procs []Proc) RunStats {
 	stats := RunStats{Procs: make([]ProcStats, m.n)}
-	parallelFor(m.n, func(lo, hi int) {
+	parallelFor(m.n, initGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			p := &procs[i]
 			stats.Procs[i] = ProcStats{
@@ -1174,7 +1236,7 @@ func (m *Machine) drainReport() string {
 	total := 0
 	var pairs []leftover
 	var mu sync.Mutex
-	parallelFor(m.n, func(lo, hi int) {
+	parallelFor(m.n, initGrain, func(lo, hi int) {
 		sub := 0
 		var local []leftover
 		for src := lo; src < hi; src++ {

@@ -17,15 +17,9 @@ import (
 // replaced: the work items are index-addressed (arena[i], stats.Procs[i]),
 // so the split order cannot change any output, and the one aggregation that
 // is order-sensitive (the drain report) sorts its collected pairs exactly
-// as the serial walk did. The serial reference implementations are retained
-// behind the serialCore switch and a golden cross-check test
-// (TestTreeCoreMatchesSerialReference) proves the equivalence run for run.
-
-// serialCore selects the retained seed-loop reference implementations of
-// Run's setup and teardown passes (and the engines' serial spawn loops)
-// instead of the spawn/fold trees. It exists for the golden cross-check
-// test; production code never sets it.
-var serialCore bool
+// as the serial walk did. Both functions take their grain as an argument so
+// treecore_test.go can check "every index exactly once" at grains small
+// enough to fork on tiny ranges; production passes the constants below.
 
 const (
 	// initGrain is the subrange width below which setup/teardown passes
@@ -39,18 +33,18 @@ const (
 )
 
 // parallelFor runs fn over disjoint subranges tiling [0, n), splitting
-// binary-tree style until ranges fall below initGrain, and returns when all
-// of [0, n) has been processed. fn must not depend on subrange order. With
-// serialCore set (or small n) it degenerates to the seed loop fn(0, n).
-func parallelFor(n int, fn func(lo, hi int)) {
-	if serialCore || n <= initGrain {
+// binary-tree style until ranges fall to grain or below, and returns when
+// all of [0, n) has been processed. fn must not depend on subrange order.
+// With n <= grain it degenerates to the seed loop fn(0, n).
+func parallelFor(n, grain int, fn func(lo, hi int)) {
+	if n <= grain {
 		fn(0, n)
 		return
 	}
 	var wg sync.WaitGroup
 	var split func(lo, hi int)
 	split = func(lo, hi int) {
-		for hi-lo > initGrain {
+		for hi-lo > grain {
 			mid := int(uint(lo+hi) >> 1)
 			wg.Add(1)
 			go func(l, h int) {
@@ -67,11 +61,11 @@ func parallelFor(n int, fn func(lo, hi int)) {
 
 // treeSpawn starts one goroutine per index in [0, n) running leaf(i),
 // forking interior spawner goroutines binary-tree style so the launch takes
-// O(log(n/spawnGrain)) sequential steps on the critical path instead of an
-// O(n) serial loop. It does not wait for the leaves (callers sequence on
-// their own WaitGroup); with serialCore set it is the seed spawn loop.
-func treeSpawn(n int, leaf func(i int)) {
-	if serialCore || n <= spawnGrain {
+// O(log(n/grain)) sequential steps on the critical path instead of an O(n)
+// serial loop. It does not wait for the leaves (callers sequence on their
+// own WaitGroup); with n <= grain it is the seed spawn loop.
+func treeSpawn(n, grain int, leaf func(i int)) {
+	if n <= grain {
 		for i := 0; i < n; i++ {
 			go leaf(i)
 		}
@@ -79,7 +73,7 @@ func treeSpawn(n int, leaf func(i int)) {
 	}
 	var spawn func(lo, hi int)
 	spawn = func(lo, hi int) {
-		for hi-lo > spawnGrain {
+		for hi-lo > grain {
 			mid := int(uint(lo+hi) >> 1)
 			go spawn(mid, hi)
 			hi = mid

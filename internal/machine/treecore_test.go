@@ -5,19 +5,57 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // This file is the golden cross-check of the machine core's parallel
-// setup/teardown machinery (tree.go): every spawn/fold tree, the arena proc
-// state, the fault pre-scan via ProcFaultLister, and the SPSC mailbox
-// representation must produce results byte-identical to the retained
-// seed-loop reference implementations selected by the serialCore switch.
-// "Byte-identical" means: the same RunStats, the same traced event values
-// (compared after a canonical (proc, seq) sort — arrival order at the tracer
-// is host-dependent, content is not), and the same failure text when a run
+// setup/teardown machinery (tree.go) and of its executors. The two tree
+// functions are unit-tested directly — every index exactly once, at grains
+// small enough to fork on tiny ranges. Whole runs are then compared across
+// executors at the same P: the reference is the one-worker coop engine,
+// which runs the processors serially in lowest-clock order, and the
+// goroutine engine and the four-worker coop engine must be byte-identical
+// to it; the fault pre-scan via ProcFaultLister is compared against the
+// probe loop by hiding the lister from the reference run. "Byte-identical"
+// means: the same RunStats, the same traced event values (compared after a
+// canonical (proc, seq) sort — arrival order at the tracer is
+// host-dependent, content is not), and the same failure text when a run
 // panics (drain reports, RunError aggregates).
+
+// TestTreeFunctionsVisitEveryIndexOnce: parallelFor's subranges tile [0, n)
+// and treeSpawn starts exactly one leaf per index, at every grain — the
+// property that makes the index-addressed setup and teardown passes
+// independent of how the tree split.
+func TestTreeFunctionsVisitEveryIndexOnce(t *testing.T) {
+	for grain := 1; grain <= 8; grain++ {
+		for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 64, 100, 257} {
+			visits := make([]atomic.Int32, n)
+			parallelFor(n, grain, func(lo, hi int) {
+				if hi-lo > grain {
+					t.Errorf("parallelFor(%d, %d): subrange [%d,%d) wider than the grain", n, grain, lo, hi)
+				}
+				for i := lo; i < hi; i++ {
+					visits[i].Add(1)
+				}
+			})
+			var wg sync.WaitGroup
+			wg.Add(n)
+			treeSpawn(n, grain, func(i int) {
+				visits[i].Add(1)
+				wg.Done()
+			})
+			wg.Wait()
+			for i := range visits {
+				if got := visits[i].Load(); got != 2 {
+					t.Fatalf("n=%d grain=%d: index %d visited %d times by parallelFor+treeSpawn, want once each",
+						n, grain, i, got)
+				}
+			}
+		}
+	}
+}
 
 // golden is one run's complete observable output.
 type golden struct {
@@ -27,14 +65,9 @@ type golden struct {
 }
 
 // goldenRun executes body on a fresh machine and captures everything a
-// caller can observe. serial selects the seed-loop reference implementations
-// for the duration of the run.
-func goldenRun(t *testing.T, e Engine, n int, serial bool, fp FaultPlan, body func(*Proc)) golden {
+// caller can observe.
+func goldenRun(t *testing.T, e Engine, n int, fp FaultPlan, body func(*Proc)) golden {
 	t.Helper()
-	if serial {
-		serialCore = true
-		defer func() { serialCore = false }()
-	}
 	var g golden
 	tr := &sliceTracer{}
 	func() {
@@ -117,18 +150,17 @@ func ringBody(n int) func(*Proc) {
 	}
 }
 
-// treeCheckEngines are the execution cores the tree mode is checked under:
-// the condvar engine, the single-worker coop scheduler (slice mailboxes),
-// and the sharded multi-worker coop scheduler (SPSC mailboxes).
+// treeCheckEngines are the executors checked against the Coop(1) reference:
+// one goroutine per processor, and the coop scheduler on four workers.
 func treeCheckEngines() []Engine {
-	return []Engine{Goroutine(), Coop(1), Coop(4)}
+	return []Engine{Goroutine(), Coop(4)}
 }
 
 // treeCheckSizes is the property test's P sweep: every size in [1, 257] —
 // covering off-by-one splits, odd sizes, and every boundary of the small
-// regime — plus 1<<10 (past spawnGrain, so treeSpawn actually forks) and
-// 1<<14 (past initGrain, so the parallelFor trees and the parallel drain
-// fold actually run parallel). Under the race detector the small range is
+// regime — plus 1<<10 (one full spawn leaf) and 1<<14 (past spawnGrain, so
+// treeSpawn actually forks, and past initGrain, so the parallelFor trees and
+// the parallel drain fold actually run parallel). Under the race detector the small range is
 // decimated (the detector's ~10x slowdown times the CI engine matrix would
 // dominate the suite) while every boundary and both tree-activating sizes
 // are kept.
@@ -146,15 +178,12 @@ func treeCheckSizes() []int {
 }
 
 // TestTreeCoreMatchesSerialReference is the golden cross-check: for every
-// machine size, a run under the spawn/fold trees (each engine) must be
-// byte-identical — events, RunStats — to the seed-loop reference run. The
-// serial spawn loop is also exercised once per size band under the SPSC
-// mailboxes, so both (core mode) x (mailbox representation) combinations
-// hold.
+// machine size, a run under each parallel executor must be byte-identical —
+// events, RunStats — to the serial (one-worker coop) reference run.
 func TestTreeCoreMatchesSerialReference(t *testing.T) {
 	for _, n := range treeCheckSizes() {
 		body := ringBody(n)
-		ref := goldenRun(t, Goroutine(), n, true, nil, body)
+		ref := goldenRun(t, Coop(1), n, nil, body)
 		if ref.failure != "" {
 			t.Fatalf("P=%d: reference run failed: %s", n, ref.failure)
 		}
@@ -162,12 +191,8 @@ func TestTreeCoreMatchesSerialReference(t *testing.T) {
 			t.Fatalf("P=%d: reference run recorded no events", n)
 		}
 		for _, e := range treeCheckEngines() {
-			got := goldenRun(t, e, n, false, nil, body)
-			compareGolden(t, fmt.Sprintf("P=%d %s/tree", n, e.Name()), ref, got)
-		}
-		if n%64 == 1 || n >= 1<<10 {
-			got := goldenRun(t, Coop(4), n, true, nil, body)
-			compareGolden(t, fmt.Sprintf("P=%d coop:4/serial", n), ref, got)
+			got := goldenRun(t, e, n, nil, body)
+			compareGolden(t, fmt.Sprintf("P=%d %s", n, e.Name()), ref, got)
 		}
 	}
 }
@@ -175,7 +200,8 @@ func TestTreeCoreMatchesSerialReference(t *testing.T) {
 // drainBody leaves messages unconsumed: every third processor sends its
 // successor an extra message nobody receives, so Run must panic with the
 // drain report. The report's text (sorted pairs, capped listing, total) must
-// be identical whether the drain walk ran serially or as a parallel fold.
+// be the one wantDrainReport spells out, whether the drain walk ran serially
+// or as a parallel fold.
 func drainBody(n int) func(*Proc) {
 	return func(p *Proc) {
 		next := (p.ID() + 1) % n
@@ -187,6 +213,29 @@ func drainBody(n int) func(*Proc) {
 	}
 }
 
+// wantDrainReport is drainBody's drain report written out independently of
+// drainReport's walk: one leftover per sender 0, 3, 6, ..., listed in
+// (dst, src) order — sender n-1's pair, when it has one, sorts first because
+// its destination is processor 0 — capped at eight pairs.
+func wantDrainReport(n int) string {
+	var srcs []int
+	if (n-1)%3 == 0 {
+		srcs = append(srcs, n-1)
+	}
+	for src := 0; src < n-1; src += 3 {
+		srcs = append(srcs, src)
+	}
+	var list []string
+	for _, src := range srcs[:min(len(srcs), 8)] {
+		list = append(list, fmt.Sprintf("1 from %d to %d", src, (src+1)%n))
+	}
+	msg := fmt.Sprintf("machine: %d unconsumed message(s) at program exit: %s", len(srcs), strings.Join(list, ", "))
+	if len(srcs) > 8 {
+		msg += fmt.Sprintf(", ... (%d more pair(s))", len(srcs)-8)
+	}
+	return msg
+}
+
 func TestTreeDrainReportMatchesSerial(t *testing.T) {
 	sizes := []int{3, 17, 130}
 	if !raceEnabled {
@@ -195,13 +244,13 @@ func TestTreeDrainReportMatchesSerial(t *testing.T) {
 	}
 	for _, n := range sizes {
 		body := drainBody(n)
-		ref := goldenRun(t, Goroutine(), n, true, nil, body)
-		if !strings.Contains(ref.failure, "unconsumed message(s) at program exit") {
-			t.Fatalf("P=%d: reference run did not hit the drain report: %q", n, ref.failure)
+		ref := goldenRun(t, Coop(1), n, nil, body)
+		if want := wantDrainReport(n); ref.failure != want {
+			t.Fatalf("P=%d: drain report\n got: %q\nwant: %q", n, ref.failure, want)
 		}
 		for _, e := range treeCheckEngines() {
-			got := goldenRun(t, e, n, false, nil, body)
-			compareGolden(t, fmt.Sprintf("P=%d %s/tree drain", n, e.Name()), ref, got)
+			got := goldenRun(t, e, n, nil, body)
+			compareGolden(t, fmt.Sprintf("P=%d %s drain", n, e.Name()), ref, got)
 		}
 	}
 }
@@ -245,28 +294,33 @@ func (tp *slowTestPlan) ProcFaults(n int, visit func(proc int, slow, deathAt flo
 	}
 }
 
+// probeOnly hides a plan's ProcFaultLister (embedding the interface promotes
+// only FaultPlan's methods), so Run falls back to the probe loop: the
+// reference the lister path is held to.
+type probeOnly struct{ FaultPlan }
+
 // TestFaultPreScanListerMatchesProbeLoop: a plan that can enumerate its
 // victims must produce exactly the run the 2n-probe loop produces — and Run
-// must actually use the lister (zero probes) in tree mode while the serial
-// reference still probes every processor.
+// must actually use the lister (zero probes) when the plan offers one, while
+// the reference, which hides it, probes every processor.
 func TestFaultPreScanListerMatchesProbeLoop(t *testing.T) {
 	for _, n := range []int{5, 64, 257, 1 << 10} {
 		body := ringBody(n)
 		refPlan := &slowTestPlan{}
-		ref := goldenRun(t, Goroutine(), n, true, refPlan, body)
+		ref := goldenRun(t, Coop(1), n, probeOnly{refPlan}, body)
 		if ref.failure != "" {
 			t.Fatalf("P=%d: reference chaos run failed: %s", n, ref.failure)
 		}
 		if got := refPlan.probes.Load(); got != int64(2*n) {
-			t.Fatalf("P=%d: serial reference made %d hook probes, want %d", n, got, 2*n)
+			t.Fatalf("P=%d: probe-loop reference made %d hook probes, want %d", n, got, 2*n)
 		}
-		for _, e := range treeCheckEngines() {
+		for _, e := range append(treeCheckEngines(), Coop(1)) {
 			plan := &slowTestPlan{}
-			got := goldenRun(t, e, n, false, plan, body)
+			got := goldenRun(t, e, n, plan, body)
 			if p := plan.probes.Load(); p != 0 {
 				t.Errorf("P=%d %s: Run probed the hooks %d times despite the lister", n, e.Name(), p)
 			}
-			compareGolden(t, fmt.Sprintf("P=%d %s/tree lister", n, e.Name()), ref, got)
+			compareGolden(t, fmt.Sprintf("P=%d %s lister", n, e.Name()), ref, got)
 		}
 	}
 }
@@ -304,19 +358,19 @@ func (tp *killTestPlan) ProcFaults(n int, visit func(proc int, slow, deathAt flo
 
 // TestTreeCoreKillCascadeMatchesSerial: the failure path — death marker,
 // panic capture, RunError aggregation and root-cause ordering — must be
-// byte-identical between the tree core and the serial reference on every
-// engine.
+// byte-identical between every parallel executor (victims enumerated by the
+// lister) and the serial reference (victims found by the probe loop).
 func TestTreeCoreKillCascadeMatchesSerial(t *testing.T) {
 	for _, n := range []int{8, 130, 1 << 10} {
 		plan := func() *killTestPlan { return &killTestPlan{victim: n / 2} }
 		body := ringBody(n)
-		ref := goldenRun(t, Goroutine(), n, true, plan(), body)
+		ref := goldenRun(t, Coop(1), n, probeOnly{plan()}, body)
 		if !strings.Contains(ref.failure, "died at virtual time") {
 			t.Fatalf("P=%d: reference kill run did not fail with a death: %q", n, ref.failure)
 		}
 		for _, e := range treeCheckEngines() {
-			got := goldenRun(t, e, n, false, plan(), body)
-			compareGolden(t, fmt.Sprintf("P=%d %s/tree kill", n, e.Name()), ref, got)
+			got := goldenRun(t, e, n, plan(), body)
+			compareGolden(t, fmt.Sprintf("P=%d %s kill", n, e.Name()), ref, got)
 		}
 	}
 }
