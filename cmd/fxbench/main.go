@@ -6,6 +6,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -14,7 +15,6 @@ import (
 
 	"fxpar/internal/apps/barneshut"
 	"fxpar/internal/apps/qsort"
-	"fxpar/internal/benchcmp"
 	"fxpar/internal/experiments"
 	"fxpar/internal/fault"
 	"fxpar/internal/machine"
@@ -33,65 +33,25 @@ type benchFile struct {
 	Rows  []experiments.Table1Row
 }
 
-// writeJSON dumps the Table 1 rows to path as indented JSON.
-func writeJSON(path string, cfg experiments.Table1Config, rows []experiments.Table1Row) error {
+// writeJSON dumps a report to path as indented JSON.
+func writeJSON(path string, v any) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(benchFile{Procs: cfg.Procs, Sets: cfg.Sets, Quick: cfg.Quick, Rows: rows}); err != nil {
+	if err := enc.Encode(v); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
-// reportDiffs prints a benchmark comparison verdict to stderr/stdout.
-func reportDiffs(basePath, curName string, diffs []benchcmp.Diff, tolerancePct float64) {
-	reportDiffsTo(os.Stdout, os.Stderr, basePath, curName, diffs, tolerancePct)
-}
-
-func reportDiffsTo(stdout, stderr io.Writer, basePath, curName string, diffs []benchcmp.Diff, tolerancePct float64) {
-	if len(diffs) == 0 {
-		fmt.Fprintf(stdout, "baseline check: %s vs %s OK (tolerance %g%%)\n", basePath, curName, tolerancePct)
-		return
-	}
-	fmt.Fprintf(stderr, "fxbench: %d regression(s) vs %s (tolerance %g%%):\n", len(diffs), basePath, tolerancePct)
-	for _, d := range diffs {
-		fmt.Fprintf(stderr, "  %s\n", d)
-	}
-}
-
-// compareMain implements the standalone -compare mode and returns the
-// process exit code: 0 when the snapshots match, 1 on regressions, 2 when
-// the comparison itself cannot run — a malformed spec, or a baseline or
-// current file that is missing or not valid JSON. The distinct exit code
-// and a message naming the offending file keep CI failures diagnosable:
-// "baseline missing" must never be conflated with "numbers regressed".
-func compareMain(spec string, tolerance float64, skip string, stdout, stderr io.Writer) int {
-	basePath, curPath, ok := strings.Cut(spec, ":")
-	if !ok {
-		fmt.Fprintln(stderr, "fxbench: -compare wants 'baseline.json:current.json'")
-		return 2
-	}
-	diffs, err := benchcmp.CompareFiles(basePath, curPath, tolerance, skip)
-	if err != nil {
-		fmt.Fprintln(stderr, "fxbench:", err)
-		return 2
-	}
-	reportDiffsTo(stdout, stderr, basePath, curPath, diffs, tolerance)
-	if len(diffs) > 0 {
-		return 1
-	}
-	return 0
-}
-
 // skeletonsMain implements the standalone -skeletons mode: decode two
 // serialized skeletons (content keys verified) and print the per-span
-// regression attribution. Exit codes mirror -compare: 0 identical, 1
-// changed, 2 when the diff itself cannot run.
+// regression attribution. Exit codes: 0 identical, 1 changed, 2 when the
+// diff itself cannot run.
 func skeletonsMain(spec string, stdout, stderr io.Writer) int {
 	basePath, curPath, ok := strings.Cut(spec, ":")
 	if !ok {
@@ -117,57 +77,68 @@ func skeletonsMain(spec string, stdout, stderr io.Writer) int {
 }
 
 func main() {
-	quick := flag.Bool("quick", false, "run reduced-size workloads")
-	jsonPath := flag.String("json", "BENCH_table1.json", "write Table 1 as machine-readable JSON to this file ('' disables)")
-	j := flag.Int("j", 0, "max concurrent simulations (0 = all host cores); output is identical for every value")
-	cache := flag.String("cache", "", "directory for the on-disk cost-table cache ('' disables)")
-	baseline := flag.String("baseline", "", "compare the Table 1 snapshot against this committed BENCH_*.json and exit non-zero on regression")
-	tolerance := flag.Float64("tolerance", 0, "relative tolerance in percent for -baseline/-compare (virtual times are deterministic: 0 is exact)")
-	skip := flag.String("skip", "", "regexp of snapshot paths to ignore in -baseline/-compare (host-time fields)")
-	compare := flag.String("compare", "", "standalone mode: compare two snapshot files 'baseline.json:current.json' and exit (0 ok, 1 regressions, 2 missing/malformed input)")
-	monitor := flag.String("monitor", "", "serve live campaign progress over HTTP on this address for fxtop ('auto' = "+sweep.DefaultMonitorAddr+")")
-	engine := flag.String("engine", machine.DefaultEngineName(), "execution engine: goroutine, coop, or coop:N; changes host time only, never a simulated number")
-	chaos := flag.String("chaos", "", "inject deterministic faults into the benchmark runs: seed[:profile] (profiles: "+strings.Join(fault.ProfileNames(), " ")+"; default "+fault.DefaultProfile+")")
-	chaosSweep := flag.Int("chaossweep", 0, "standalone mode: fan an FFT-Hist chaos scenario across N seeds (derived from the -chaos seed; profile from -chaos, default havoc) and report survival and latency degradation")
-	chaosJSON := flag.String("chaosjson", "BENCH_chaos.json", "with -chaossweep: write the chaos report as machine-readable JSON to this file ('' disables)")
-	whatIfSweep := flag.Bool("whatifsweep", false, "standalone mode: capture one FFT-Hist pipeline run as a communication skeleton, re-cost it across a machine-parameter grid and per-span virtual speedups, cross-check against full simulations, and report re-cost vs simulation throughput")
-	whatIfJSON := flag.String("whatifjson", "BENCH_whatif.json", "with -whatifsweep: write the what-if report as machine-readable JSON to this file ('' disables)")
-	replay := flag.String("replay", "", "directory for the skeleton store: cost-table cells (and -replaysweep captures) are answered by analytic DAG replay instead of re-simulation whenever the store holds their skeleton ('' keeps the store in-process only)")
-	replaySweep := flag.Bool("replaysweep", false, "standalone mode: one traced FFT-Hist capture (healthy + chaotic), a machine-parameter campaign answered entirely by analytic replay with bitwise cross-checks against fresh simulations, and a replay-backed mapping search across machine variants")
-	replayJSON := flag.String("replayjson", "BENCH_replay.json", "with -replaysweep: write the replay campaign report as machine-readable JSON to this file ('' disables)")
-	skeletons := flag.String("skeletons", "", "standalone mode: diff two serialized skeletons 'baseline.json:current.json' for regression attribution and exit (0 identical, 1 changed, 2 missing/malformed input)")
-	serveURL := flag.String("serve", "", "client mode: run the Table 1 campaigns against a running fxserve daemon at this base URL instead of simulating locally (with -chaossweep N, the chaos campaign runs remotely too)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, runs the selected mode printing
+// to stdout, and returns the process exit code. It creates no file unless
+// -json (or a -cache/-replay directory) asks for one.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fxbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "run reduced-size workloads")
+	jsonPath := fs.String("json", "", "also write the report of whichever mode runs (Table 1, or the -chaossweep/-whatifsweep/-replaysweep report) as machine-readable JSON to this file")
+	j := fs.Int("j", 0, "max concurrent simulations (0 = all host cores); output is identical for every value")
+	cache := fs.String("cache", "", "directory for the on-disk cost-table cache ('' disables)")
+	monitor := fs.String("monitor", "", "serve live campaign progress over HTTP on this address for fxtop ('auto' = "+sweep.DefaultMonitorAddr+")")
+	engine := fs.String("engine", machine.DefaultEngineName(), "execution engine: goroutine, coop, or coop:N; changes host time only, never a simulated number")
+	chaos := fs.String("chaos", "", "inject deterministic faults into the benchmark runs: seed[:profile] (profiles: "+strings.Join(fault.ProfileNames(), " ")+"; default "+fault.DefaultProfile+")")
+	chaosSweep := fs.Int("chaossweep", 0, "standalone mode: fan an FFT-Hist chaos scenario across N seeds (derived from the -chaos seed; profile from -chaos, default havoc) and report survival and latency degradation")
+	whatIfSweep := fs.Bool("whatifsweep", false, "standalone mode: capture one FFT-Hist pipeline run as a communication skeleton, re-cost it across a machine-parameter grid and per-span virtual speedups, cross-check against full simulations, and report re-cost vs simulation throughput")
+	replay := fs.String("replay", "", "directory for the skeleton store: cost-table cells (and -replaysweep captures) are answered by analytic DAG replay instead of re-simulation whenever the store holds their skeleton ('' keeps the store in-process only)")
+	replaySweep := fs.Bool("replaysweep", false, "standalone mode: one traced FFT-Hist capture (healthy + chaotic), a machine-parameter campaign answered entirely by analytic replay with bitwise cross-checks against fresh simulations, and a replay-backed mapping search across machine variants")
+	skeletons := fs.String("skeletons", "", "standalone mode: diff two serialized skeletons 'baseline.json:current.json' for regression attribution and exit (0 identical, 1 changed, 2 missing/malformed input)")
+	serveURL := fs.String("serve", "", "client mode: run the Table 1 campaigns against a running fxserve daemon at this base URL instead of simulating locally (with -chaossweep N, the chaos campaign runs remotely too)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "fxbench:", err)
+		return code
+	}
+	// snapshot writes the mode's report to the -json path, if one was given,
+	// and returns the exit code.
+	snapshot := func(report any) int {
+		if *jsonPath == "" {
+			return 0
+		}
+		if err := writeJSON(*jsonPath, report); err != nil {
+			return fail(1, err)
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", *jsonPath)
+		return 0
+	}
 	eng, err := machine.EngineByName(*engine)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fxbench:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	sweep.SetEngineLabel(eng.Name())
 
-	// Standalone comparison mode: no simulations, just diff two snapshots.
-	// This is how CI checks a regenerated BENCH_sweep.json or
-	// BENCH_chaos.json against the committed one.
-	if *compare != "" {
-		os.Exit(compareMain(*compare, *tolerance, *skip, os.Stdout, os.Stderr))
-	}
-
-	// Standalone skeleton-diff mode: when a benchmark comparison regresses,
-	// this names the spans and edges that moved.
+	// Standalone skeleton-diff mode: when a makespan golden moves, this
+	// names the spans and edges that moved.
 	if *skeletons != "" {
-		os.Exit(skeletonsMain(*skeletons, os.Stdout, os.Stderr))
+		return skeletonsMain(*skeletons, stdout, stderr)
 	}
 
 	// Client mode: the campaigns run inside an fxserve daemon; this process
 	// only posts requests and renders responses.
 	if *serveURL != "" {
-		os.Exit(serveMain(*serveURL, *quick, *chaosSweep, *chaos, os.Stdout, os.Stderr))
+		return serveMain(*serveURL, *quick, *chaosSweep, *chaos, stdout, stderr)
 	}
 
 	plan, err := fault.Parse(*chaos)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fxbench:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	if plan != nil {
 		sweep.SetChaosLabel(plan.String())
@@ -175,7 +146,7 @@ func main() {
 
 	// Standalone chaos-campaign mode: one scenario, N derived seeds, a
 	// deterministic survival/degradation report (identical for every -j and
-	// engine, hence committable as a benchmark artifact).
+	// engine).
 	if *chaosSweep > 0 {
 		ccfg := experiments.DefaultChaos()
 		if *quick {
@@ -186,33 +157,13 @@ func main() {
 			ccfg.Base, ccfg.Prof = plan.Seed, plan.Prof
 		}
 		rep := experiments.Chaos(ccfg)
-		rep.WriteText(os.Stdout)
-		if *chaosJSON != "" {
-			f, err := os.Create(*chaosJSON)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fxbench:", err)
-				os.Exit(1)
-			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err == nil {
-				err = f.Close()
-			} else {
-				f.Close()
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fxbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *chaosJSON)
-		}
-		return
+		rep.WriteText(stdout)
+		return snapshot(rep)
 	}
 
 	// Standalone what-if mode: capture one skeleton, re-cost it across the
 	// parameter grid, cross-check against full simulations. Everything but
-	// the Host* throughput fields is deterministic, so the JSON is a
-	// committable artifact (CI diffs it with -skip '^Host').
+	// the Host* throughput fields is deterministic.
 	if *whatIfSweep {
 		wcfg := experiments.DefaultWhatIf()
 		if *quick {
@@ -221,41 +172,19 @@ func main() {
 		wcfg.Workers, wcfg.Engine = *j, eng
 		rep, err := experiments.WhatIf(wcfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fxbench:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		rep.WriteText(os.Stdout)
+		rep.WriteText(stdout)
 		if !rep.IdentityExact {
-			fmt.Fprintln(os.Stderr, "fxbench: skeleton determinism violated — re-cost at recorded parameters deviates from the recorded makespan")
-			os.Exit(1)
+			return fail(1, errors.New("skeleton determinism violated — re-cost at recorded parameters deviates from the recorded makespan"))
 		}
-		if *whatIfJSON != "" {
-			f, err := os.Create(*whatIfJSON)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fxbench:", err)
-				os.Exit(1)
-			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err == nil {
-				err = f.Close()
-			} else {
-				f.Close()
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fxbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *whatIfJSON)
-		}
-		return
+		return snapshot(rep)
 	}
 
 	// Standalone replay-campaign mode: capture once, answer the whole
 	// machine-parameter campaign and mapping search by analytic DAG replay,
 	// and cross-check a sample of cells against fresh simulations bitwise.
-	// Everything but the Host* throughput fields is deterministic, so the
-	// JSON is a committable artifact (CI diffs it with -skip '^Host').
+	// Everything but the Host* throughput fields is deterministic.
 	if *replaySweep {
 		rcfg := experiments.DefaultReplay()
 		if *quick {
@@ -267,48 +196,25 @@ func main() {
 		}
 		rep, err := experiments.Replay(rcfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fxbench:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		rep.WriteText(os.Stdout)
+		rep.WriteText(stdout)
 		if !rep.IdentityExact || !rep.ChaosIdentityExact {
-			fmt.Fprintln(os.Stderr, "fxbench: replay determinism violated — identity replay deviates from the recorded run")
-			os.Exit(1)
+			return fail(1, errors.New("replay determinism violated — identity replay deviates from the recorded run"))
 		}
 		if rep.Mismatches > 0 {
-			fmt.Fprintf(os.Stderr, "fxbench: %d replay cross-check(s) deviate bitwise from fresh simulations\n", rep.Mismatches)
-			os.Exit(1)
+			return fail(1, fmt.Errorf("%d replay cross-check(s) deviate bitwise from fresh simulations", rep.Mismatches))
 		}
-		if *replayJSON != "" {
-			f, err := os.Create(*replayJSON)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fxbench:", err)
-				os.Exit(1)
-			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err == nil {
-				err = f.Close()
-			} else {
-				f.Close()
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fxbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *replayJSON)
-		}
-		return
+		return snapshot(rep)
 	}
 
 	url, stopMon, err := sweep.MonitorFromFlag(*monitor)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fxbench:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 	defer stopMon()
 	if url != "" {
-		fmt.Printf("campaign monitor: %s/snapshot (fxtop -url %s)\n", url, url)
+		fmt.Fprintf(stdout, "campaign monitor: %s/snapshot (fxtop -url %s)\n", url, url)
 	}
 
 	t1 := experiments.DefaultTable1()
@@ -328,43 +234,26 @@ func main() {
 		f6.Replay = &mapping.ReplayOptions{Store: st}
 	}
 	if plan != nil {
-		fmt.Printf("chaos: injecting faults with plan %s\n", plan)
+		fmt.Fprintf(stdout, "chaos: injecting faults with plan %s\n", plan)
 	}
 
 	rows := experiments.Table1(t1)
-	experiments.PrintTable1(os.Stdout, rows, t1.Procs)
-	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, t1, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "fxbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
+	experiments.PrintTable1(stdout, rows, t1.Procs)
+	if code := snapshot(benchFile{Procs: t1.Procs, Sets: t1.Sets, Quick: t1.Quick, Rows: rows}); code != 0 {
+		return code
 	}
-	if *baseline != "" {
-		cur := benchFile{Procs: t1.Procs, Sets: t1.Sets, Quick: t1.Quick, Rows: rows}
-		diffs, err := benchcmp.CompareToBaseline(*baseline, cur, *tolerance, *skip)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fxbench:", err)
-			os.Exit(2)
-		}
-		reportDiffs(*baseline, "current run", diffs, *tolerance)
-		if len(diffs) > 0 {
-			os.Exit(1)
-		}
-	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	f5rows, err := experiments.Fig5(f5)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fxbench:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
-	experiments.PrintFig5(os.Stdout, f5rows, f5)
-	fmt.Println()
-	experiments.PrintFig6(os.Stdout, experiments.Fig6(f6))
-	fmt.Println()
+	experiments.PrintFig5(stdout, f5rows, f5)
+	fmt.Fprintln(stdout)
+	experiments.PrintFig6(stdout, experiments.Fig6(f6))
+	fmt.Fprintln(stdout)
 
 	// Section 3.4 / Figure 4: nested task-parallel quicksort scaling.
-	fmt.Println("Quicksort (Figure 4): nested task parallel sort of synthetic keys")
+	fmt.Fprintln(stdout, "Quicksort (Figure 4): nested task parallel sort of synthetic keys")
 	n := 1 << 17
 	procCounts := []int{1, 4, 16, 64}
 	if *quick {
@@ -378,18 +267,18 @@ func main() {
 		qm.SetFaults(plan.Machine())
 		res := qsort.Run(qm, n, 42)
 		if !res.Sorted {
-			fmt.Printf("  %3d procs: SORT FAILED\n", p)
+			fmt.Fprintf(stdout, "  %3d procs: SORT FAILED\n", p)
 			continue
 		}
 		if p == 1 {
 			t1p = res.Makespan
 		}
-		fmt.Printf("  %3d procs: %.4f s  (speedup %.2f)\n", p, res.Makespan, t1p/res.Makespan)
+		fmt.Fprintf(stdout, "  %3d procs: %.4f s  (speedup %.2f)\n", p, res.Makespan, t1p/res.Makespan)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	// Section 5.3 / Figure 7: Barnes-Hut worklist and partial-tree memory.
-	fmt.Println("Barnes-Hut (Figure 7): worklist and partial-tree behaviour, uniform cube")
+	fmt.Fprintln(stdout, "Barnes-Hut (Figure 7): worklist and partial-tree behaviour, uniform cube")
 	bhN, bhK := 8192, 11 // k deep enough that replicated remote cells are ~4 particles
 	bhProcs := []int{1, 8, 64}
 	if *quick {
@@ -402,7 +291,8 @@ func main() {
 		bm.SetEngine(eng)
 		bm.SetFaults(plan.Machine())
 		res := barneshut.Run(bm, cfg)
-		fmt.Printf("  %3d procs: %.4f s, max worklist %d (n=%d), max partial tree %d nodes (full %d)\n",
+		fmt.Fprintf(stdout, "  %3d procs: %.4f s, max worklist %d (n=%d), max partial tree %d nodes (full %d)\n",
 			p, res.Makespan, res.MaxWorklist, bhN, res.MaxPartialNodes, 2*bhN-1)
 	}
+	return 0
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,7 +15,7 @@ import (
 	"fxpar/internal/trace"
 )
 
-// write creates a snapshot file for the compare-mode tests.
+// write creates a file for the standalone-mode tests.
 func write(t *testing.T, dir, name, content string) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
@@ -24,70 +25,66 @@ func write(t *testing.T, dir, name, content string) string {
 	return path
 }
 
-// TestCompareMainExitCodes pins the -compare contract: 0 on match, 1 on
-// regression, 2 with a message naming the offending file when the baseline
-// (or current) snapshot is missing or malformed — CI must be able to tell
-// "setup broke" from "numbers regressed" by exit code alone.
-func TestCompareMainExitCodes(t *testing.T) {
-	dir := t.TempDir()
-	good := write(t, dir, "good.json", `{"Rows":[{"Makespan":1.5}]}`)
-	drift := write(t, dir, "drift.json", `{"Rows":[{"Makespan":2.5}]}`)
-	bad := write(t, dir, "bad.json", `{"Rows": [{"Makespan": `)
-	missing := filepath.Join(dir, "nope.json")
-
-	cases := []struct {
-		name     string
-		spec     string
-		wantCode int
-		wantMsg  string // substring of stderr ("" = stderr must be empty)
-	}{
-		{"match", good + ":" + good, 0, ""},
-		{"regression", good + ":" + drift, 1, "regression"},
-		{"missing baseline", missing + ":" + good, 2, "nope.json"},
-		{"missing current", good + ":" + missing, 2, "nope.json"},
-		{"malformed baseline", bad + ":" + good, 2, "malformed JSON"},
-		{"malformed current", good + ":" + bad, 2, "malformed JSON"},
-		{"bad spec", good, 2, "-compare wants"},
+// TestWritesOnlyTheJSONPath: every simulating mode leaves the working
+// directory untouched unless -json names a file, and then writes exactly that
+// file — valid JSON, announced on stdout.
+func TestWritesOnlyTheJSONPath(t *testing.T) {
+	orig, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var stdout, stderr strings.Builder
-			code := compareMain(tc.spec, 0, "", &stdout, &stderr)
-			if code != tc.wantCode {
-				t.Errorf("exit code = %d, want %d (stderr: %s)", code, tc.wantCode, stderr.String())
+	defer os.Chdir(orig) //nolint:errcheck // restoring the test's own cwd
+	ls := func(dir string) []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	for _, mode := range [][]string{
+		{"-quick"},
+		{"-quick", "-chaossweep", "3"},
+		{"-quick", "-whatifsweep"},
+		{"-quick", "-replaysweep"},
+	} {
+		t.Run(strings.Join(mode, " "), func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.Chdir(dir); err != nil {
+				t.Fatal(err)
 			}
-			if tc.wantMsg == "" {
-				if stderr.Len() != 0 {
-					t.Errorf("unexpected stderr: %s", stderr.String())
-				}
-			} else if !strings.Contains(stderr.String(), tc.wantMsg) {
-				t.Errorf("stderr %q does not contain %q", stderr.String(), tc.wantMsg)
+			var stdout, stderr strings.Builder
+			if code := run(mode, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+			}
+			if got := ls(dir); len(got) != 0 {
+				t.Errorf("without -json the run created %v", got)
+			}
+			if strings.Contains(stdout.String(), "wrote ") {
+				t.Errorf("without -json stdout announces a file:\n%s", stdout.String())
+			}
+
+			stdout.Reset()
+			if code := run(append(mode, "-json", "out.json"), &stdout, &stderr); code != 0 {
+				t.Fatalf("-json: exit code %d, stderr: %s", code, stderr.String())
+			}
+			if got := ls(dir); len(got) != 1 || got[0] != "out.json" {
+				t.Errorf("with -json out.json the directory holds %v", got)
+			}
+			data, err := os.ReadFile("out.json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !json.Valid(data) {
+				t.Errorf("out.json is not valid JSON:\n%s", data)
+			}
+			if !strings.Contains(stdout.String(), "wrote out.json\n") {
+				t.Errorf("stdout does not announce the file:\n%s", stdout.String())
 			}
 		})
-	}
-}
-
-// TestCompareMainRoleInMessage: the error says which side (baseline vs
-// current) is broken, not just which path.
-func TestCompareMainRoleInMessage(t *testing.T) {
-	dir := t.TempDir()
-	good := write(t, dir, "good.json", `{"A":1}`)
-	missing := filepath.Join(dir, "gone.json")
-
-	var stdout, stderr strings.Builder
-	if code := compareMain(missing+":"+good, 0, "", &stdout, &stderr); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "baseline snapshot") {
-		t.Errorf("stderr %q does not name the baseline role", stderr.String())
-	}
-
-	stderr.Reset()
-	if code := compareMain(good+":"+missing, 0, "", &stdout, &stderr); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "current snapshot") {
-		t.Errorf("stderr %q does not name the current role", stderr.String())
 	}
 }
 

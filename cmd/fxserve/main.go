@@ -69,7 +69,7 @@ func run() int {
 	}
 	fmt.Printf("fxserve: listening on http://%s\n", ln.Addr())
 
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: sweep.ReadHeaderTimeout, IdleTimeout: sweep.IdleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

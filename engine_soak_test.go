@@ -12,11 +12,14 @@ import (
 	"testing"
 
 	"fxpar/internal/apps/ffthist"
+	"fxpar/internal/comm"
 	"fxpar/internal/fault"
+	"fxpar/internal/group"
 	"fxpar/internal/machine"
 	"fxpar/internal/metrics"
 	"fxpar/internal/sim"
 	"fxpar/internal/skeleton"
+	"fxpar/internal/sweep"
 	"fxpar/internal/trace"
 )
 
@@ -178,5 +181,79 @@ func TestEngineSoakChaosP256(t *testing.T) {
 		if !bytes.Equal(got.metrics, base.metrics) {
 			t.Errorf("%s: chaotic metrics snapshots diverge (%d vs %d bytes)", eng.Name(), len(got.metrics), len(base.metrics))
 		}
+	}
+}
+
+// ringJob is one machine-layer-dominated simulation: iters rounds of compute
+// (scaled by the job index, so a campaign is heterogeneous), a ring neighbour
+// exchange and, optionally, a dissemination barrier — chains of blocking
+// receives, the handoff-heavy regime the engines differ in on the host.
+func ringJob(procs, job, iters int, barrier bool, eng machine.Engine) float64 {
+	g := group.World(procs)
+	m := machine.New(procs, sim.Paragon())
+	m.SetEngine(eng)
+	st := m.Run(func(p *machine.Proc) {
+		r := p.ID()
+		for it := 0; it < iters; it++ {
+			p.Compute(float64(1+job) * 1e3)
+			comm.Send(p, g, (r+1)%procs, []float64{float64(r)})
+			comm.Recv[float64](p, g, (r+procs-1)%procs)
+			if barrier {
+				comm.Barrier(p, g)
+			}
+		}
+	})
+	return st.MakespanTime()
+}
+
+// TestEngineCampaignMakespans: a campaign of ring+barrier jobs yields the
+// same virtual makespans under goroutine and coop at every P, and job 0's is
+// pinned as a literal so a change to message or barrier costing is named.
+func TestEngineCampaignMakespans(t *testing.T) {
+	jobs := 6
+	if testing.Short() {
+		jobs = 1
+	}
+	for _, tc := range []struct {
+		procs int
+		job0  float64
+	}{
+		{64, 0.01953706666666665},
+		{256, 0.024661333333333302},
+		{1024, 0.029785599999999954},
+	} {
+		for job := 0; job < jobs; job++ {
+			goro := ringJob(tc.procs, job, 16, true, machine.Goroutine())
+			coop := ringJob(tc.procs, job, 16, true, machine.Coop(1))
+			if coop != goro {
+				t.Errorf("P=%d job %d: coop makespan %.17g != goroutine %.17g", tc.procs, job, coop, goro)
+			}
+			if job == 0 && goro != tc.job0 {
+				t.Errorf("P=%d job 0: makespan %.17g, want %.17g", tc.procs, goro, tc.job0)
+			}
+		}
+	}
+}
+
+// TestSweepCampaignMakespans: a heterogeneous campaign of P=256 ring
+// relaxations fanned out by sweep.Map yields the same makespans at -j 1 and
+// -j 4, with job 0's pinned as a literal.
+func TestSweepCampaignMakespans(t *testing.T) {
+	const procs, jobs = 256, 24
+	run := func(workers int) []float64 {
+		vals, err := sweep.Values(sweep.Map(workers, jobs, func(j int) (float64, error) {
+			return ringJob(procs, j, 4, false, nil), nil
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vals
+	}
+	j1, j4 := run(1), run(4)
+	if !reflect.DeepEqual(j1, j4) {
+		t.Errorf("campaign makespans differ between -j 1 and -j 4:\n%v\n%v", j1, j4)
+	}
+	if want := 0.0010410666666666667; j1[0] != want {
+		t.Errorf("job 0 makespan %.17g, want %.17g", j1[0], want)
 	}
 }

@@ -15,23 +15,47 @@ package fxpar_test
 
 import (
 	"testing"
+	"time"
 
 	"fxpar/internal/fault"
 	"fxpar/internal/machine"
 	"fxpar/internal/sim"
 )
 
-// faultBenchRun executes the obsRun neighbour-exchange workload (minus
-// spans) under the given fault plan and returns its makespan.
+// Workload shape: a ring neighbour exchange on ringProcs processors for
+// ringIters rounds — message-heavy, so the per-message fault hooks dominate.
+const (
+	ringProcs = 32
+	ringIters = 100
+)
+
+// timeRuns reports the best-of-3 average host time per run of fn.
+func timeRuns(runs int, fn func()) float64 {
+	best := 0.0
+	for attempt := 0; attempt < 3; attempt++ {
+		start := time.Now()
+		for i := 0; i < runs; i++ {
+			fn()
+		}
+		per := time.Since(start).Seconds() / float64(runs)
+		if attempt == 0 || per < best {
+			best = per
+		}
+	}
+	return best
+}
+
+// faultBenchRun executes the neighbour-exchange workload under the given
+// fault plan and returns its makespan.
 func faultBenchRun(fp machine.FaultPlan) float64 {
-	m := machine.New(obsProcs, sim.Paragon())
+	m := machine.New(ringProcs, sim.Paragon())
 	m.SetFaults(fp)
 	st := m.Run(func(p *machine.Proc) {
 		r := p.ID()
-		for it := 0; it < obsIters; it++ {
+		for it := 0; it < ringIters; it++ {
 			p.Compute(1e3)
-			p.Send((r+1)%obsProcs, it, 8)
-			p.Recv((r + obsProcs - 1) % obsProcs)
+			p.Send((r+1)%ringProcs, it, 8)
+			p.Recv((r + ringProcs - 1) % ringProcs)
 		}
 	})
 	return st.MakespanTime()

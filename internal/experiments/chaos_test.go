@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fxpar/internal/fault"
+	"fxpar/internal/sweep"
 )
 
 // TestChaosCampaignNonLethalAllSurvive: under a non-lethal profile every
@@ -34,12 +35,17 @@ func TestChaosCampaignNonLethalAllSurvive(t *testing.T) {
 
 // TestChaosCampaignLethalTerminates: a lethal profile yields a mix of
 // typed-error failures and verified survivors — and the report is
-// byte-identical across worker counts (determinism across -j).
+// byte-identical across worker counts (determinism across -j) and equal to
+// the committed golden, failure strings included: death times are virtual.
 func TestChaosCampaignLethalTerminates(t *testing.T) {
 	cfg := QuickChaos() // havoc: every fault class including kills
 	cfg.Seeds = 12
 	cfg.Workers = 1
-	want, err := json.Marshal(Chaos(cfg))
+	first := Chaos(cfg)
+	var golden sweep.ChaosReport
+	readGolden(t, "chaos.golden.json", &golden)
+	checkGolden(t, golden, first)
+	want, err := json.Marshal(first)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,146 @@
+package experiments
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"fxpar/internal/sweep"
+)
+
+// The campaign goldens under testdata/ hold the deterministic content of the
+// chaos, what-if and replay reports: virtual times, counts and verdicts that
+// are identical on every host, engine and -j. Regenerate one with the CLI
+// that prints the same report, from the repo root:
+//
+//	go run ./cmd/fxbench -quick -chaossweep 12 -json internal/experiments/testdata/chaos.golden.json
+//	go run ./cmd/fxbench -whatifsweep -json internal/experiments/testdata/whatif.golden.json
+//	go run ./cmd/fxbench -replaysweep -json internal/experiments/testdata/replay.golden.json
+//
+// The Host* throughput lines the CLI also writes are never compared.
+
+// readGolden decodes testdata/name into v.
+func readGolden(t *testing.T, name string, v any) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+}
+
+// flattenJSON records every leaf of a decoded JSON value under its path
+// ("Outcomes[3].Makespan"). Numbers stay in their literal text, so 64-bit
+// seeds and shortest-form floats compare exactly.
+func flattenJSON(path string, v any, out map[string]string) {
+	switch x := v.(type) {
+	case map[string]any:
+		for k, e := range x {
+			flattenJSON(strings.TrimPrefix(path+"."+k, "."), e, out)
+		}
+	case []any:
+		for i, e := range x {
+			flattenJSON(fmt.Sprintf("%s[%d]", path, i), e, out)
+		}
+	default:
+		out[path] = fmt.Sprint(x)
+	}
+}
+
+// leafDiffs reports every JSON leaf at which got differs from want, one
+// "path: want X, got Y" line each, sorted by path. Empty means equal.
+func leafDiffs(t *testing.T, want, got any) []string {
+	t.Helper()
+	flat := func(v any) map[string]string {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.UseNumber()
+		var tree any
+		if err := dec.Decode(&tree); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		flattenJSON("", tree, out)
+		return out
+	}
+	w, g := flat(want), flat(got)
+	var diffs []string
+	for path, wv := range w {
+		if gv, ok := g[path]; !ok {
+			diffs = append(diffs, fmt.Sprintf("%s: want %s, got nothing", path, wv))
+		} else if gv != wv {
+			diffs = append(diffs, fmt.Sprintf("%s: want %s, got %s", path, wv, gv))
+		}
+	}
+	for path, gv := range g {
+		if _, ok := w[path]; !ok {
+			diffs = append(diffs, fmt.Sprintf("%s: want nothing, got %s", path, gv))
+		}
+	}
+	sort.Strings(diffs)
+	return diffs
+}
+
+// checkGolden fails the test with one line per leaf at which the report
+// deviates from its decoded golden.
+func checkGolden(t *testing.T, golden, report any) {
+	t.Helper()
+	if diffs := leafDiffs(t, golden, report); len(diffs) > 0 {
+		t.Errorf("report deviates from its testdata golden at %d leaf(s):\n  %s",
+			len(diffs), strings.Join(diffs, "\n  "))
+	}
+}
+
+// TestGoldensBite: each golden comparison must fail, naming the JSON path,
+// when a single leaf of the report moves — one dropped outcome, one makespan
+// digit, one flipped verdict.
+func TestGoldensBite(t *testing.T) {
+	var chaos sweep.ChaosReport
+	readGolden(t, "chaos.golden.json", &chaos)
+	var whatIf WhatIfBench
+	readGolden(t, "whatif.golden.json", &whatIf)
+	var replay ReplayBench
+	readGolden(t, "replay.golden.json", &replay)
+
+	for _, tc := range []struct {
+		name     string
+		want     any
+		got      func() any // a copy of want with one leaf moved
+		wantPath string
+	}{
+		{"chaos dropped outcome", chaos, func() any {
+			got := chaos
+			got.Outcomes = chaos.Outcomes[:len(chaos.Outcomes)-1]
+			return got
+		}, "Outcomes[11]."},
+		{"what-if grid makespan digit", whatIf, func() any {
+			got := whatIf
+			got.Grid = append([]WhatIfGridPoint(nil), whatIf.Grid...)
+			got.Grid[0].Makespan = math.Nextafter(got.Grid[0].Makespan, 1)
+			return got
+		}, "Grid[0].Makespan: "},
+		{"replay identity flipped", replay, func() any {
+			got := replay
+			got.IdentityExact = false
+			return got
+		}, "IdentityExact: want true, got false"},
+	} {
+		diffs := leafDiffs(t, tc.want, tc.got())
+		if len(diffs) == 0 {
+			t.Errorf("%s: perturbed report compares equal to the golden", tc.name)
+		} else if !strings.HasPrefix(diffs[0], tc.wantPath) {
+			t.Errorf("%s: first diff %q does not name %q", tc.name, diffs[0], tc.wantPath)
+		}
+	}
+}

@@ -27,8 +27,7 @@ import (
 //
 // Everything except the Host* throughput fields is a pure function of
 // (config minus Workers/Engine/StoreDir), so the report is a committable
-// benchmark artifact (BENCH_replay.json, exact-diffed in CI with -skip
-// '^Host').
+// golden (testdata/replay.golden.json, compared exactly with Host* zeroed).
 type ReplayConfig struct {
 	Procs int
 	N     int
@@ -151,7 +150,7 @@ type ReplayBench struct {
 	StoreCaptures   int64
 	// Host-time throughput of replayed campaign jobs vs live-simulated
 	// ones, and their ratio — the campaign's payoff measurement.
-	// Host-dependent: excluded from exact-diff comparisons via -skip.
+	// Host-dependent: zeroed before the golden comparison.
 	HostReplaysPerSecond float64
 	HostSimsPerSecond    float64
 	HostSpeedup          float64

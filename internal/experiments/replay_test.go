@@ -11,7 +11,7 @@ import (
 )
 
 // TestReplayCampaign runs the quick campaign end to end and pins the
-// guarantees the committed BENCH_replay.json artifact rests on: exact
+// guarantees the replay backend rests on: exact
 // identity replays (healthy and chaotic), chaos key isolation, zero
 // bitwise cross-check mismatches, and a full grid.
 func TestReplayCampaign(t *testing.T) {
@@ -56,17 +56,26 @@ func TestReplayCampaign(t *testing.T) {
 	}
 }
 
-// TestReplayCampaignDeterministic: the deterministic report fields are a
-// pure function of the config — identical across engines and worker counts.
-// (Store counters are excluded: the process-global table memo makes them
-// depend on what ran earlier in the same process, by design.)
+// TestReplayCampaignDeterministic: the deterministic report fields of the
+// default campaign are a pure function of the config — identical across
+// engines and worker counts, and equal to the committed golden. (Store
+// counters depend on the process-global table memo, so they are compared
+// only for the first run, which starts from a cleared memo.)
 func TestReplayCampaignDeterministic(t *testing.T) {
-	cfg := QuickReplay()
+	zeroHost := func(rep *ReplayBench) *ReplayBench {
+		rep.HostReplaysPerSecond, rep.HostSimsPerSecond, rep.HostSpeedup, rep.HostSeconds = 0, 0, 0, 0
+		return rep
+	}
+	mapping.ResetTableMemo()
+	cfg := DefaultReplay()
 	cfg.Workers = 1
 	a, err := Replay(cfg)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
+	var golden ReplayBench
+	readGolden(t, "replay.golden.json", &golden)
+	checkGolden(t, zeroHost(&golden), zeroHost(a))
 	coop, err := machine.EngineByName("coop")
 	if err != nil {
 		t.Fatal(err)

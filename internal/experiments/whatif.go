@@ -97,8 +97,8 @@ type WhatIfBench struct {
 	Grid          []WhatIfGridPoint
 	Checks        []WhatIfCheck
 	// Host-time throughput of the analytic re-coster vs the full simulator,
-	// the payoff measurement of skeleton capture. Host-dependent: excluded
-	// from exact-diff comparisons via -skip.
+	// the payoff measurement of skeleton capture. Host-dependent: zeroed
+	// before the golden comparison.
 	HostRecostsPerSecond float64
 	HostSimsPerSecond    float64
 	HostSeconds          float64

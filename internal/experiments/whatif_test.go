@@ -10,26 +10,31 @@ import (
 	"fxpar/internal/machine"
 )
 
-// TestWhatIfCampaignDeterministic: the report's virtual-time content must be
-// identical across worker counts and engines — only the Host* throughput
-// fields may differ. This is what makes BENCH_whatif.json committable.
+// TestWhatIfCampaignDeterministic: the default campaign's virtual-time
+// content must be identical across worker counts and engines, and equal to
+// the committed golden — only the Host* throughput fields may differ.
 func TestWhatIfCampaignDeterministic(t *testing.T) {
+	zeroHost := func(rep *WhatIfBench) *WhatIfBench {
+		rep.HostRecostsPerSecond, rep.HostSimsPerSecond, rep.HostSeconds = 0, 0, 0
+		return rep
+	}
 	run := func(workers int, eng machine.Engine) *WhatIfBench {
-		cfg := QuickWhatIf()
+		cfg := DefaultWhatIf()
 		cfg.Workers, cfg.Engine = workers, eng
 		rep, err := WhatIf(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Zero the host-dependent fields for comparison.
-		rep.HostRecostsPerSecond, rep.HostSimsPerSecond, rep.HostSeconds = 0, 0, 0
-		return rep
+		return zeroHost(rep)
 	}
 	a := run(1, nil)
 	b := run(4, machine.Coop(2))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("what-if campaign not deterministic across -j/engine:\n%+v\nvs\n%+v", a, b)
 	}
+	var golden WhatIfBench
+	readGolden(t, "whatif.golden.json", &golden)
+	checkGolden(t, zeroHost(&golden), a)
 }
 
 // TestWhatIfCampaignInvariants checks the report's semantic content: the

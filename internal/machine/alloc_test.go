@@ -104,9 +104,7 @@ func runMallocs(n int) float64 {
 // TestRunAllocsPerProcFlat: allocations per processor must not grow with P
 // across the sparse-directory regime — the arena proc state, mailbox slabs,
 // inline pair caches, and allocation-free panics bookkeeping exist to make a
-// clean large run cost a flat number of allocations per processor. The 1.25
-// ceiling matches the checkobs -machine gate on the committed benchmark
-// tier.
+// clean large run cost a flat number of allocations per processor.
 func TestRunAllocsPerProcFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation changes allocation counts")

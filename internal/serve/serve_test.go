@@ -85,6 +85,11 @@ func TestOptimizeEndToEnd(t *testing.T) {
 	if res.TaskThroughput <= res.DPThroughput {
 		t.Errorf("task parallelism did not beat data-parallel: %g <= %g", res.TaskThroughput, res.DPThroughput)
 	}
+	// The prediction is virtual time: the same on every host, engine and -j.
+	if res.Best != "2 x data-parallel(8)" || res.PredLatency != 0.0054896 || res.PredThroughput != 364.3252696006995 {
+		t.Errorf("prediction = %q latency %.17g throughput %.17g, want 2 x data-parallel(8), 0.0054896, 364.3252696006995",
+			res.Best, res.PredLatency, res.PredThroughput)
+	}
 
 	code, second := post(t, ts.URL, "/optimize", body)
 	if code != http.StatusOK {

@@ -54,7 +54,7 @@ type Params struct {
 // parameters: a non-positive or non-finite flop rate, a negative alpha or
 // beta, a non-positive net scale or span speedup. Catching these at the
 // seam keeps NaN and Inf out of replayed makespans — and out of the
-// committed campaign artifacts built from them (BENCH_replay.json).
+// committed campaign goldens built from them.
 type ParamError struct {
 	// Field names the offending parameter ("cost.FlopRate", "netscale",
 	// "speedup:<label>", ...).

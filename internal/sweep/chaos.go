@@ -6,8 +6,8 @@ package sweep
 // fault decisions and the simulator's virtual times are deterministic, the
 // whole report — makespans, error strings, survival counts — is a pure
 // function of (scenario, profile, base seed, N), identical for every worker
-// count, engine, and host. That makes a chaos report a committable benchmark
-// artifact (BENCH_chaos.json) that CI can diff exactly.
+// count, engine, and host. That makes a chaos report a committable golden
+// (internal/experiments/testdata/chaos.golden.json) compared exactly.
 
 import (
 	"fmt"

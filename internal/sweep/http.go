@@ -26,6 +26,15 @@ import (
 // without an address.
 const DefaultMonitorAddr = "127.0.0.1:6070"
 
+// Slow-client limits of the HTTP servers this repo starts (the monitor here,
+// the fxserve daemon): a connection must deliver its request headers within
+// ReadHeaderTimeout and may sit idle between requests for IdleTimeout. There
+// is deliberately no write timeout: /events streams live as long as a run.
+const (
+	ReadHeaderTimeout = 5 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
 // ServeMux returns the monitor's HTTP handler, for embedding in an existing
 // server.
 func (m *Monitor) ServeMux() *http.ServeMux {
@@ -111,7 +120,7 @@ func StartMonitor(addr string) (m *Monitor, url string, stop func(), err error) 
 		return nil, "", nil, fmt.Errorf("sweep: monitor listen %s: %w", addr, err)
 	}
 	m = NewMonitor()
-	srv := &http.Server{Handler: m.ServeMux()}
+	srv := &http.Server{Handler: m.ServeMux(), ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
 	go srv.Serve(ln) //nolint:errcheck // closed on stop
 	prev := Activate(m)
 	stop = func() {

@@ -1,11 +1,13 @@
 package sweep
 
-// Regression tests for the monitor HTTP layer's shutdown and bind behaviour:
-// stopping a monitor must end live SSE streams cleanly (no truncated frame,
-// no leaked handler goroutines), and -monitor auto must survive the default
-// port being taken by another driver.
+// Regression tests for the monitor HTTP layer's shutdown, bind and
+// slow-client behaviour: stopping a monitor must end live SSE streams cleanly
+// (no truncated frame, no leaked handler goroutines), -monitor auto must
+// survive the default port being taken by another driver, and a client that
+// never finishes its request is cut off while event streams live on.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -13,6 +15,7 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -100,6 +103,71 @@ func TestStopMonitorEndsSSECleanly(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Errorf("goroutines leaked: %d before, %d after stop", before, runtime.NumGoroutine())
+}
+
+// TestSlowClientCutOffSSELives: a connection that never finishes its request
+// line is closed by the server once ReadHeaderTimeout passes, while an
+// /events stream opened before it keeps delivering frames afterwards — the
+// limits bound request headers and idle keep-alives, never a live stream.
+func TestSlowClientCutOffSSELives(t *testing.T) {
+	_, url, stop, err := StartMonitor("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+
+	resp, err := http.Get(url + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var frames atomic.Int64
+	streamEnded := make(chan struct{})
+	go func() {
+		defer close(streamEnded)
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(nil, 1<<20)
+		for sc.Scan() {
+			if strings.HasPrefix(sc.Text(), "data: ") {
+				frames.Add(1)
+			}
+		}
+	}()
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /snapshot HT")); err != nil {
+		t.Fatal(err)
+	}
+	// ReadAll returns cleanly once the server closes its side; hitting our
+	// own deadline instead means the server would have waited forever.
+	conn.SetReadDeadline(start.Add(ReadHeaderTimeout + 5*time.Second)) //nolint:errcheck // a TCP conn accepts deadlines
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("server kept a stalled connection past ReadHeaderTimeout: %v", err)
+	}
+	if waited := time.Since(start); waited < ReadHeaderTimeout-time.Second {
+		t.Errorf("stalled connection closed after %v, before ReadHeaderTimeout %v", waited, ReadHeaderTimeout)
+	}
+
+	// The stream outlives the cutoff: frames keep arriving (1 s heartbeat).
+	seen := frames.Load()
+	deadline := time.Now().Add(5 * time.Second)
+	for frames.Load() == seen && time.Now().Before(deadline) {
+		select {
+		case <-streamEnded:
+			t.Fatal("/events stream ended with the stalled connection")
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	if frames.Load() == seen {
+		t.Errorf("/events delivered no frame after the cutoff (%d before)", seen)
+	}
+	resp.Body.Close()
+	<-streamEnded
 }
 
 func tail(b []byte, n int) []byte {

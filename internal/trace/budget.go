@@ -4,7 +4,7 @@ package trace
 // attributes its own host cost, and an OverheadBudget aggregates the meters
 // into one report — "observability cost X% of the wall clock, N bytes
 // allocated" — surfaced by fxprof, streamed by the campaign monitor, and
-// gated in CI by tools/checkobs. The meter times one Record in every
+// gated in CI over the benchmark's traced run. The meter times one Record in every
 // meterSampleEvery on each shard (a time.Now pair costs tens of
 // nanoseconds; paying it on every event would itself violate the budget)
 // and scales the sampled time by the full event count, so the estimate

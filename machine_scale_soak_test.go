@@ -26,6 +26,16 @@ import (
 	"fxpar/internal/trace"
 )
 
+const machineSoakProcs = 1 << 20
+
+// machineRun runs the machine-tier workload untraced under the given engine.
+func machineRun(procs int, eng machine.Engine) ffthist.Result {
+	cfg, mp := scaleWorkload(procs, machineSetsPerModule)
+	m := machine.New(procs, sim.Paragon())
+	m.SetEngine(eng)
+	return ffthist.Run(m, cfg, mp)
+}
+
 // soakCollector is a minimal concurrent tracer: it keeps every kept event so
 // the streams can be canonicalised and compared across engines.
 type soakCollector struct {
@@ -48,7 +58,7 @@ func soakRun(t *testing.T, procs int, eng machine.Engine) (ffthist.Result, []mac
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, mp := machineConfig(procs)
+	cfg, mp := scaleWorkload(procs, machineSetsPerModule)
 	m := machine.New(procs, sim.Paragon())
 	m.SetEngine(eng)
 	col := &soakCollector{}
@@ -116,6 +126,11 @@ func TestMachineScaleSoak(t *testing.T) {
 		t.Skip("soak sizes are too large under the race detector")
 	}
 	makespan := soakCompare(t, 4096)
+	// One data set per module: the whole run is one data-set latency of the
+	// telemetry tier, at every P.
+	if makespan != scaleLatency {
+		t.Errorf("P=4096 makespan %.17g, want %.17g", makespan, scaleLatency)
+	}
 
 	if os.Getenv("FXPAR_SCALE_SOAK") != "1" {
 		t.Log("FXPAR_SCALE_SOAK not set; skipping P=65536 cross-engine soak and P=1048576 run")
