@@ -101,24 +101,7 @@ func (a *Array[T]) FillFunc(f func(idx []int) T) {
 // eachLocal visits every local element in row-major local order with its
 // global index.
 func (a *Array[T]) eachLocal(visit func(off int, idx []int)) {
-	nd := len(a.localShape)
-	li := make([]int, nd)
-	gi := make([]int, nd)
-	c := a.l.coordsOfRank(a.rank)
-	total := len(a.data)
-	for off := 0; off < total; off++ {
-		for d := 0; d < nd; d++ {
-			gi[d] = a.l.dims[d].globalOf(c[d], li[d])
-		}
-		visit(off, gi)
-		for d := nd - 1; d >= 0; d-- {
-			li[d]++
-			if li[d] < a.localShape[d] {
-				break
-			}
-			li[d] = 0
-		}
-	}
+	a.l.eachLocalOf(a.rank, visit)
 }
 
 // LocalRow returns the local storage for local row r of a rank-2 array as a
@@ -146,6 +129,5 @@ func (a *Array[T]) NumLocalRows() int {
 // GlobalRowOfLocal returns the global row index of local row r (rank-2,
 // first dimension distributed).
 func (a *Array[T]) GlobalRowOfLocal(r int) int {
-	c := a.l.coordsOfRank(a.rank)
-	return a.l.dims[0].globalOf(c[0], r)
+	return a.l.dims[0].globalOf(a.l.coord(a.rank, 0), r)
 }

@@ -21,11 +21,7 @@ import (
 // elements receive (or copy locally) exactly what they need. Empty messages
 // are never exchanged.
 func Assign[T any](p *machine.Proc, dst, src *Array[T]) {
-	perm := make([]int, dst.l.Rank())
-	for i := range perm {
-		perm[i] = i
-	}
-	remapPerm(p, dst, src, perm)
+	remapPerm(p, dst, src, nil)
 }
 
 // Transpose2D implements dst[i][j] = src[j][i] for rank-2 arrays — the
@@ -36,7 +32,8 @@ func Transpose2D[T any](p *machine.Proc, dst, src *Array[T]) {
 
 // remapPerm implements dst[I] = src[J] where J[perm[d]] = I[d]; that is,
 // dst dimension d ranges over src dimension perm[d]. perm must be a
-// permutation of the dimensions and shapes must agree accordingly.
+// permutation of the dimensions (nil: the identity) and shapes must agree
+// accordingly.
 //
 // Correctness of message matching: both sides enumerate the transferred
 // elements in destination global row-major order. The receiver's local
@@ -46,121 +43,80 @@ func Transpose2D[T any](p *machine.Proc, dst, src *Array[T]) {
 // enumerates its owned source set in the same destination order. Restricted
 // to one (sender, receiver) pair both sequences are the same set in the same
 // order, so per-pair FIFO delivery needs no element indices on the wire.
+//
+// Who exchanges what is never discovered element by element: each side
+// splits its local indices per axis by owning peer coordinate (newSide) and
+// a pair's set is the cross product of one part per axis (commset.go).
 func remapPerm[T any](p *machine.Proc, dst, src *Array[T], perm []int) {
-	if src.l.Rank() != dst.l.Rank() || len(perm) != dst.l.Rank() {
+	nd := dst.l.Rank()
+	if src.l.Rank() != nd || (perm != nil && len(perm) != nd) {
 		panic(fmt.Sprintf("dist: remap rank mismatch: src %v dst %v perm %v", src.l, dst.l, perm))
 	}
-	for d := range perm {
-		if src.l.shape[perm[d]] != dst.l.shape[d] {
+	for d := 0; d < nd; d++ {
+		sd := d
+		if perm != nil {
+			sd = perm[d]
+		}
+		if src.l.shape[sd] != dst.l.shape[d] {
 			panic(fmt.Sprintf("dist: remap shape mismatch: src %v dst %v perm %v", src.l.shape, dst.l.shape, perm))
 		}
 	}
-	isSender := src.rank >= 0
-	isReceiver := dst.rank >= 0
-	if !isSender && !isReceiver {
+	if src.rank < 0 && dst.rank < 0 {
 		return // minimal processor subset: not a participant
 	}
-
+	ident := make([]int, nd)
+	for d := range ident {
+		ident[d] = d
+	}
+	if perm == nil {
+		perm = ident
+	}
 	elemBytes := comm.ElemBytes[T]()
-	myID := p.ID()
 
-	if isSender {
-		// Enumerate my source elements in destination row-major order and
-		// bucket values per destination rank.
-		nd := src.l.Rank()
-		srcCoords := src.l.coordsOfRank(src.rank)
-		// Iterate src dims in order perm[0] (outermost) .. perm[nd-1].
-		counters := make([]int, nd)  // counter for src dim perm[d]
-		srcLocal := make([]int, nd)  // local index per src dim
-		srcGlobal := make([]int, nd) // global index per src dim
-		dstGlobal := make([]int, nd)
-		// Local extent per iterated position.
-		extents := make([]int, nd)
-		for d := 0; d < nd; d++ {
-			extents[d] = src.localShape[perm[d]]
+	var out side
+	if len(src.data) > 0 {
+		// Every source element has exactly one destination owner, so what I
+		// do not keep I send: one buffer holds every outgoing payload, and
+		// messages go in destination-rank order (determinism).
+		out = newSide(src.l, src.rank, src.localShape, perm, dst.l, ident)
+		mine := 0
+		if dst.rank >= 0 {
+			mine = out.peerParts(dst.rank)
 		}
-		total := 1
-		for _, e := range extents {
-			total *= e
-		}
-		buckets := make(map[int][]T)
-		if total > 0 && len(src.data) > 0 {
-			for it := 0; it < total; it++ {
-				for d := 0; d < nd; d++ {
-					sd := perm[d]
-					srcLocal[sd] = counters[d]
-					srcGlobal[sd] = src.l.dims[sd].globalOf(srcCoords[sd], counters[d])
-					dstGlobal[d] = srcGlobal[sd]
-				}
-				dstRank := dst.l.OwnerRank(dstGlobal...)
-				if dst.l.g.Phys(dstRank) != myID {
-					// Local source offset in natural src row-major order.
-					off := 0
-					for sd := 0; sd < nd; sd++ {
-						off = off*src.localShape[sd] + srcLocal[sd]
-					}
-					buckets[dstRank] = append(buckets[dstRank], src.data[off])
-				}
-				for d := nd - 1; d >= 0; d-- {
-					counters[d]++
-					if counters[d] < extents[d] {
-						break
-					}
-					counters[d] = 0
-				}
+		buf := make([]T, len(src.data)-mine)
+		for r, size := 0, dst.l.g.Size(); r < size; r++ {
+			n := out.peerParts(r)
+			if n == 0 || r == dst.rank {
+				continue
 			}
-		}
-		// Send non-empty buckets in destination-rank order (determinism).
-		for r := 0; r < dst.l.g.Size(); r++ {
-			if vals := buckets[r]; len(vals) > 0 {
-				p.Send(dst.l.g.Phys(r), vals, len(vals)*elemBytes)
-			}
+			copyParts(buf[:n], nil, src.data, out.parts, out.idx)
+			p.Send(dst.l.g.Phys(r), buf[:n:n], n*elemBytes)
+			buf = buf[n:]
 		}
 	}
 
-	if isReceiver {
-		// Enumerate my destination elements in local row-major order (=
-		// destination global row-major restricted to my set); resolve each
-		// from local source storage or from the per-sender streams.
-		nd := dst.l.Rank()
-		srcGlobal := make([]int, nd)
-		type pending struct {
-			offsets []int
-		}
-		want := make(map[int]*pending) // src rank -> dst local offsets in order
-		var srcOrder []int
-		dst.eachLocal(func(off int, dstGlobal []int) {
-			for d := 0; d < nd; d++ {
-				srcGlobal[perm[d]] = dstGlobal[d]
-			}
-			sRank := src.l.OwnerRank(srcGlobal...)
-			if src.l.g.Phys(sRank) == myID {
-				// Local copy path (also covers overlapping groups).
-				soff := src.l.localOffset(srcGlobal, src.localShape)
-				dst.data[off] = src.data[soff]
-				return
-			}
-			pd := want[sRank]
-			if pd == nil {
-				pd = &pending{}
-				want[sRank] = pd
-				srcOrder = append(srcOrder, sRank)
-			}
-			pd.offsets = append(pd.offsets, off)
-		})
+	if len(dst.data) > 0 {
 		// Receive from senders in ascending source-rank order. Senders are
 		// distinct physical processors, so per-pair FIFO plus identical
-		// enumeration order guarantees the k-th value from a sender is for
-		// the k-th offset recorded for it.
-		for _, s := range sortedInts(srcOrder) {
+		// enumeration order guarantees a sender's k-th value is the k-th
+		// element of the pair's set.
+		in := newSide(dst.l, dst.rank, dst.localShape, ident, src.l, perm)
+		for s, size := 0, src.l.g.Size(); s < size; s++ {
+			n := in.peerParts(s)
+			if n == 0 {
+				continue
+			}
+			if s == src.rank {
+				// Local copy path (also covers overlapping groups).
+				out.peerParts(dst.rank)
+				copyParts(dst.data, in.parts, src.data, out.parts, in.idx)
+				continue
+			}
 			vals := recvSlice[T](p, src.l.g.Phys(s))
-			offs := want[s].offsets
-			if len(vals) != len(offs) {
-				panic(fmt.Sprintf("dist: processor %d expected %d elements from rank %d, got %d", myID, len(offs), s, len(vals)))
+			if len(vals) != n {
+				panic(fmt.Sprintf("dist: processor %d expected %d elements from rank %d, got %d", p.ID(), n, s, len(vals)))
 			}
-			for i, off := range offs {
-				dst.data[off] = vals[i]
-			}
+			copyParts(dst.data, in.parts, vals, nil, in.idx)
 		}
 	}
 }
@@ -172,16 +128,6 @@ func recvSlice[T any](p *machine.Proc, srcPhys int) []T {
 		panic(fmt.Sprintf("dist: processor %d expected []%T from %d, got %T", p.ID(), *new(T), srcPhys, msg.Data))
 	}
 	return vals
-}
-
-func sortedInts(xs []int) []int {
-	out := append([]int(nil), xs...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // AssignFullGroup is the ablation counterpart of Assign: it performs the
@@ -205,34 +151,11 @@ func GatherGlobal[T any](p *machine.Proc, a *Array[T]) []T {
 	if a.rank < 0 {
 		return nil
 	}
-	g := a.l.g
-	if a.rank != 0 {
-		if len(a.data) > 0 {
-			p.Send(g.Phys(0), append([]T(nil), a.data...), len(a.data)*comm.ElemBytes[T]())
-		}
-		return nil
+	var out []T
+	if a.rank == 0 {
+		out = make([]T, a.l.Size())
 	}
-	out := make([]T, a.l.Size())
-	strides := rowMajorStrides(a.l.shape)
-	place := func(rank int, vals []T) {
-		off := 0
-		for _, v := range vals {
-			gi := a.l.GlobalOfLocal(rank, off)
-			flat := 0
-			for d, x := range gi {
-				flat += x * strides[d]
-			}
-			out[flat] = v
-			off++
-		}
-	}
-	place(0, a.data)
-	for r := 1; r < g.Size(); r++ {
-		if a.l.LocalCount(r) == 0 {
-			continue
-		}
-		place(r, recvSlice[T](p, g.Phys(r)))
-	}
+	Assign(p, rootView(a, out), a)
 	return out
 }
 
@@ -242,37 +165,27 @@ func ScatterGlobal[T any](p *machine.Proc, a *Array[T], full []T) {
 	if a.rank < 0 {
 		return
 	}
-	g := a.l.g
+	if a.rank == 0 && len(full) != a.l.Size() {
+		panic(fmt.Sprintf("dist: ScatterGlobal got %d elements for %v", len(full), a.l))
+	}
+	Assign(p, a, rootView(a, full))
+}
+
+// rootView presents global (row-major, significant at rank 0 of a's group)
+// as an array of a's shape that rank 0 owns whole — every dimension
+// collapsed over the one-processor group — so gathering to and scattering
+// from the root are assignments like any other.
+func rootView[T any](a *Array[T], global []T) *Array[T] {
+	axes := make([]Axis, a.l.Rank()) // the zero Axis is collapsed
+	ones := make([]int, a.l.Rank())
+	for d := range ones {
+		ones[d] = 1
+	}
+	v := &Array[T]{p: a.p, rank: -1, l: MustLayout(a.l.g.Subrange(0, 1), a.l.shape, axes, ones)}
 	if a.rank == 0 {
-		if len(full) != a.l.Size() {
-			panic(fmt.Sprintf("dist: ScatterGlobal got %d elements for %v", len(full), a.l))
-		}
-		strides := rowMajorStrides(a.l.shape)
-		for r := 0; r < g.Size(); r++ {
-			cnt := a.l.LocalCount(r)
-			if cnt == 0 {
-				continue
-			}
-			vals := make([]T, cnt)
-			for off := 0; off < cnt; off++ {
-				gi := a.l.GlobalOfLocal(r, off)
-				flat := 0
-				for d, x := range gi {
-					flat += x * strides[d]
-				}
-				vals[off] = full[flat]
-			}
-			if r == 0 {
-				copy(a.data, vals)
-			} else {
-				p.Send(g.Phys(r), vals, cnt*comm.ElemBytes[T]())
-			}
-		}
-		return
+		v.rank, v.localShape, v.data = 0, a.l.shape, global
 	}
-	if len(a.data) > 0 {
-		copy(a.data, recvSlice[T](p, g.Phys(0)))
-	}
+	return v
 }
 
 func rowMajorStrides(shape []int) []int {

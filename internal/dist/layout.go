@@ -334,22 +334,10 @@ func (l *Layout) Size() int {
 	return n
 }
 
-// coordsOfRank converts a group rank to grid coordinates (row-major).
-func (l *Layout) coordsOfRank(r int) []int {
-	c := make([]int, len(l.grid))
-	for i := range l.grid {
-		c[i] = (r / l.gridStride[i]) % l.grid[i]
-	}
-	return c
-}
-
-// rankOfCoords converts grid coordinates to a group rank.
-func (l *Layout) rankOfCoords(c []int) int {
-	r := 0
-	for i := range c {
-		r += c[i] * l.gridStride[i]
-	}
-	return r
+// coord returns the grid coordinate of group rank r along axis i (ranks
+// number the grid row-major).
+func (l *Layout) coord(r, i int) int {
+	return (r / l.gridStride[i]) % l.grid[i]
 }
 
 // OwnerRank returns the group rank owning the global index.
@@ -364,10 +352,9 @@ func (l *Layout) OwnerRank(idx ...int) int {
 
 // LocalShape returns the local extents on the given group rank.
 func (l *Layout) LocalShape(rank int) []int {
-	c := l.coordsOfRank(rank)
 	out := make([]int, len(l.dims))
 	for i, d := range l.dims {
-		out[i] = d.localCount(c[i])
+		out[i] = d.localCount(l.coord(rank, i))
 	}
 	return out
 }
@@ -375,8 +362,8 @@ func (l *Layout) LocalShape(rank int) []int {
 // LocalCount returns the number of elements the given group rank owns.
 func (l *Layout) LocalCount(rank int) int {
 	n := 1
-	for _, e := range l.LocalShape(rank) {
-		n *= e
+	for i, d := range l.dims {
+		n *= d.localCount(l.coord(rank, i))
 	}
 	return n
 }
@@ -394,15 +381,42 @@ func (l *Layout) localOffset(idx []int, localShape []int) int {
 // GlobalOfLocal converts a rank-local row-major offset back to a global
 // index for the given rank.
 func (l *Layout) GlobalOfLocal(rank, offset int) []int {
-	c := l.coordsOfRank(rank)
-	ls := l.LocalShape(rank)
 	idx := make([]int, len(l.dims))
 	for i := len(l.dims) - 1; i >= 0; i-- {
-		li := offset % ls[i]
-		offset /= ls[i]
-		idx[i] = l.dims[i].globalOf(c[i], li)
+		c := l.coord(rank, i)
+		n := l.dims[i].localCount(c)
+		idx[i] = l.dims[i].globalOf(c, offset%n)
+		offset /= n
 	}
 	return idx
+}
+
+// eachLocalOf visits every element the given group rank owns, in its
+// row-major local order, with the local offset and the global index. The
+// index slice is reused across calls.
+func (l *Layout) eachLocalOf(rank int, visit func(off int, idx []int)) {
+	nd := len(l.dims)
+	scratch := make([]int, 4*nd)
+	li, gi, c, ext := scratch[:nd], scratch[nd:2*nd], scratch[2*nd:3*nd], scratch[3*nd:]
+	total := 1
+	for d, dm := range l.dims {
+		c[d] = l.coord(rank, d)
+		ext[d] = dm.localCount(c[d])
+		total *= ext[d]
+	}
+	for off := 0; off < total; off++ {
+		for d, dm := range l.dims {
+			gi[d] = dm.globalOf(c[d], li[d])
+		}
+		visit(off, gi)
+		for d := nd - 1; d >= 0; d-- {
+			li[d]++
+			if li[d] < ext[d] {
+				break
+			}
+			li[d] = 0
+		}
+	}
 }
 
 func (l *Layout) checkIndex(idx []int) {

@@ -57,27 +57,18 @@ func Remap[T any](p *machine.Proc, dst, src *Array[T], mapIdx func(srcIdx []int,
 	}
 
 	if isReceiver && len(dst.data) > 0 {
-		srcIdx := make([]int, src.l.Rank())
+		var offs []int
 		for s := 0; s < src.l.g.Size(); s++ {
 			if src.l.g.Phys(s) == myID {
 				continue // local path handled on the sender side
 			}
-			cnt := src.l.LocalCount(s)
-			if cnt == 0 {
-				continue
-			}
 			// Destination offsets expected from s, in s's enumeration order.
-			var offs []int
-			for off := 0; off < cnt; off++ {
-				gi := src.l.GlobalOfLocal(s, off)
-				copy(srcIdx, gi)
-				if !mapIdx(srcIdx, dstIdx) {
-					continue
-				}
-				if dst.l.OwnerRank(dstIdx...) == dst.rank {
+			offs = offs[:0]
+			src.l.eachLocalOf(s, func(_ int, srcIdx []int) {
+				if mapIdx(srcIdx, dstIdx) && dst.l.OwnerRank(dstIdx...) == dst.rank {
 					offs = append(offs, dst.l.localOffset(dstIdx, dst.localShape))
 				}
-			}
+			})
 			if len(offs) == 0 {
 				continue
 			}
@@ -100,7 +91,7 @@ func CShift[T any](p *machine.Proc, dst, src *Array[T], axis, shift int) {
 	shift = ((shift % n) + n) % n
 	Remap(p, dst, src, func(srcIdx, dstIdx []int) bool {
 		copy(dstIdx, srcIdx)
-		dstIdx[axis] = ((srcIdx[axis] - shift) % n + n) % n
+		dstIdx[axis] = ((srcIdx[axis]-shift)%n + n) % n
 		return true
 	})
 }
@@ -219,22 +210,20 @@ func ReduceAxis[T any](p *machine.Proc, dst *Array[T], src *Array[T], axis int, 
 	}
 	strides := rowMajorStrides(dst.l.shape)
 	enumerate := func(s int, visit func(flatIdx int, reduced []int)) {
-		cnt := src.l.LocalCount(s)
 		seen := make(map[int]bool)
 		reduced := make([]int, nd-1)
-		for off := 0; off < cnt; off++ {
-			gi := src.l.GlobalOfLocal(s, off)
+		src.l.eachLocalOf(s, func(_ int, gi []int) {
 			reducedOf(gi, reduced)
 			flat := 0
 			for d, x := range reduced {
 				flat += x * strides[d]
 			}
 			if seen[flat] {
-				continue
+				return
 			}
 			seen[flat] = true
 			visit(flat, reduced)
-		}
+		})
 	}
 
 	// seeded tracks, on the receiver, which destination elements have

@@ -1,0 +1,565 @@
+package dist
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"fxpar/internal/comm"
+	"fxpar/internal/group"
+	"fxpar/internal/machine"
+	"fxpar/internal/trace"
+)
+
+// The per-element reference. refRemapPerm, refGatherGlobal and
+// refScatterGlobal are the bodies remapPerm, GatherGlobal and ScatterGlobal
+// had before communication sets were computed in closed form (commset.go),
+// moved here verbatim together with the helpers they called, so the
+// production tree keeps one path and this file keeps the oracle it is
+// checked against: same destination contents, same messages in the same
+// order at the same virtual times.
+
+func refCoordsOfRank(l *Layout, r int) []int {
+	c := make([]int, len(l.grid))
+	for i := range l.grid {
+		c[i] = (r / l.gridStride[i]) % l.grid[i]
+	}
+	return c
+}
+
+func refLocalShape(l *Layout, rank int) []int {
+	c := refCoordsOfRank(l, rank)
+	out := make([]int, len(l.dims))
+	for i, d := range l.dims {
+		out[i] = d.localCount(c[i])
+	}
+	return out
+}
+
+func refLocalCount(l *Layout, rank int) int {
+	n := 1
+	for _, e := range refLocalShape(l, rank) {
+		n *= e
+	}
+	return n
+}
+
+func refGlobalOfLocal(l *Layout, rank, offset int) []int {
+	c := refCoordsOfRank(l, rank)
+	ls := refLocalShape(l, rank)
+	idx := make([]int, len(l.dims))
+	for i := len(l.dims) - 1; i >= 0; i-- {
+		li := offset % ls[i]
+		offset /= ls[i]
+		idx[i] = l.dims[i].globalOf(c[i], li)
+	}
+	return idx
+}
+
+func refEachLocal[T any](a *Array[T], visit func(off int, idx []int)) {
+	nd := len(a.localShape)
+	li := make([]int, nd)
+	gi := make([]int, nd)
+	c := refCoordsOfRank(a.l, a.rank)
+	total := len(a.data)
+	for off := 0; off < total; off++ {
+		for d := 0; d < nd; d++ {
+			gi[d] = a.l.dims[d].globalOf(c[d], li[d])
+		}
+		visit(off, gi)
+		for d := nd - 1; d >= 0; d-- {
+			li[d]++
+			if li[d] < a.localShape[d] {
+				break
+			}
+			li[d] = 0
+		}
+	}
+}
+
+func sortedInts(xs []int) []int {
+	out := append([]int(nil), xs...)
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j] < out[j-1]; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	return out
+}
+
+func refRemapPerm[T any](p *machine.Proc, dst, src *Array[T], perm []int) {
+	if src.l.Rank() != dst.l.Rank() || len(perm) != dst.l.Rank() {
+		panic(fmt.Sprintf("dist: remap rank mismatch: src %v dst %v perm %v", src.l, dst.l, perm))
+	}
+	for d := range perm {
+		if src.l.shape[perm[d]] != dst.l.shape[d] {
+			panic(fmt.Sprintf("dist: remap shape mismatch: src %v dst %v perm %v", src.l.shape, dst.l.shape, perm))
+		}
+	}
+	isSender := src.rank >= 0
+	isReceiver := dst.rank >= 0
+	if !isSender && !isReceiver {
+		return // minimal processor subset: not a participant
+	}
+
+	elemBytes := comm.ElemBytes[T]()
+	myID := p.ID()
+
+	if isSender {
+		// Enumerate my source elements in destination row-major order and
+		// bucket values per destination rank.
+		nd := src.l.Rank()
+		srcCoords := refCoordsOfRank(src.l, src.rank)
+		// Iterate src dims in order perm[0] (outermost) .. perm[nd-1].
+		counters := make([]int, nd)  // counter for src dim perm[d]
+		srcLocal := make([]int, nd)  // local index per src dim
+		srcGlobal := make([]int, nd) // global index per src dim
+		dstGlobal := make([]int, nd)
+		// Local extent per iterated position.
+		extents := make([]int, nd)
+		for d := 0; d < nd; d++ {
+			extents[d] = src.localShape[perm[d]]
+		}
+		total := 1
+		for _, e := range extents {
+			total *= e
+		}
+		buckets := make(map[int][]T)
+		if total > 0 && len(src.data) > 0 {
+			for it := 0; it < total; it++ {
+				for d := 0; d < nd; d++ {
+					sd := perm[d]
+					srcLocal[sd] = counters[d]
+					srcGlobal[sd] = src.l.dims[sd].globalOf(srcCoords[sd], counters[d])
+					dstGlobal[d] = srcGlobal[sd]
+				}
+				dstRank := dst.l.OwnerRank(dstGlobal...)
+				if dst.l.g.Phys(dstRank) != myID {
+					// Local source offset in natural src row-major order.
+					off := 0
+					for sd := 0; sd < nd; sd++ {
+						off = off*src.localShape[sd] + srcLocal[sd]
+					}
+					buckets[dstRank] = append(buckets[dstRank], src.data[off])
+				}
+				for d := nd - 1; d >= 0; d-- {
+					counters[d]++
+					if counters[d] < extents[d] {
+						break
+					}
+					counters[d] = 0
+				}
+			}
+		}
+		// Send non-empty buckets in destination-rank order (determinism).
+		for r := 0; r < dst.l.g.Size(); r++ {
+			if vals := buckets[r]; len(vals) > 0 {
+				p.Send(dst.l.g.Phys(r), vals, len(vals)*elemBytes)
+			}
+		}
+	}
+
+	if isReceiver {
+		// Enumerate my destination elements in local row-major order (=
+		// destination global row-major restricted to my set); resolve each
+		// from local source storage or from the per-sender streams.
+		nd := dst.l.Rank()
+		srcGlobal := make([]int, nd)
+		type pending struct {
+			offsets []int
+		}
+		want := make(map[int]*pending) // src rank -> dst local offsets in order
+		var srcOrder []int
+		refEachLocal(dst, func(off int, dstGlobal []int) {
+			for d := 0; d < nd; d++ {
+				srcGlobal[perm[d]] = dstGlobal[d]
+			}
+			sRank := src.l.OwnerRank(srcGlobal...)
+			if src.l.g.Phys(sRank) == myID {
+				// Local copy path (also covers overlapping groups).
+				soff := src.l.localOffset(srcGlobal, src.localShape)
+				dst.data[off] = src.data[soff]
+				return
+			}
+			pd := want[sRank]
+			if pd == nil {
+				pd = &pending{}
+				want[sRank] = pd
+				srcOrder = append(srcOrder, sRank)
+			}
+			pd.offsets = append(pd.offsets, off)
+		})
+		// Receive from senders in ascending source-rank order. Senders are
+		// distinct physical processors, so per-pair FIFO plus identical
+		// enumeration order guarantees the k-th value from a sender is for
+		// the k-th offset recorded for it.
+		for _, s := range sortedInts(srcOrder) {
+			vals := recvSlice[T](p, src.l.g.Phys(s))
+			offs := want[s].offsets
+			if len(vals) != len(offs) {
+				panic(fmt.Sprintf("dist: processor %d expected %d elements from rank %d, got %d", myID, len(offs), s, len(vals)))
+			}
+			for i, off := range offs {
+				dst.data[off] = vals[i]
+			}
+		}
+	}
+}
+
+func refGatherGlobal[T any](p *machine.Proc, a *Array[T]) []T {
+	if a.rank < 0 {
+		return nil
+	}
+	g := a.l.g
+	if a.rank != 0 {
+		if len(a.data) > 0 {
+			p.Send(g.Phys(0), append([]T(nil), a.data...), len(a.data)*comm.ElemBytes[T]())
+		}
+		return nil
+	}
+	out := make([]T, a.l.Size())
+	strides := rowMajorStrides(a.l.shape)
+	place := func(rank int, vals []T) {
+		off := 0
+		for _, v := range vals {
+			gi := refGlobalOfLocal(a.l, rank, off)
+			flat := 0
+			for d, x := range gi {
+				flat += x * strides[d]
+			}
+			out[flat] = v
+			off++
+		}
+	}
+	place(0, a.data)
+	for r := 1; r < g.Size(); r++ {
+		if refLocalCount(a.l, r) == 0 {
+			continue
+		}
+		place(r, recvSlice[T](p, g.Phys(r)))
+	}
+	return out
+}
+
+func refScatterGlobal[T any](p *machine.Proc, a *Array[T], full []T) {
+	if a.rank < 0 {
+		return
+	}
+	g := a.l.g
+	if a.rank == 0 {
+		if len(full) != a.l.Size() {
+			panic(fmt.Sprintf("dist: ScatterGlobal got %d elements for %v", len(full), a.l))
+		}
+		strides := rowMajorStrides(a.l.shape)
+		for r := 0; r < g.Size(); r++ {
+			cnt := refLocalCount(a.l, r)
+			if cnt == 0 {
+				continue
+			}
+			vals := make([]T, cnt)
+			for off := 0; off < cnt; off++ {
+				gi := refGlobalOfLocal(a.l, r, off)
+				flat := 0
+				for d, x := range gi {
+					flat += x * strides[d]
+				}
+				vals[off] = full[flat]
+			}
+			if r == 0 {
+				copy(a.data, vals)
+			} else {
+				p.Send(g.Phys(r), vals, cnt*comm.ElemBytes[T]())
+			}
+		}
+		return
+	}
+	if len(a.data) > 0 {
+		copy(a.data, recvSlice[T](p, g.Phys(0)))
+	}
+}
+
+// remapOps is one implementation of the three operations under test.
+type remapOps struct {
+	remap   func(p *machine.Proc, dst, src *Array[float64], perm []int)
+	scatter func(p *machine.Proc, a *Array[float64], full []float64)
+	gather  func(p *machine.Proc, a *Array[float64]) []float64
+}
+
+var (
+	refOps = remapOps{refRemapPerm[float64], refScatterGlobal[float64], refGatherGlobal[float64]}
+	// newOps reaches remapPerm the way callers do where it can, so the nil
+	// (identity) perm of Assign is covered too.
+	newOps = remapOps{
+		remap: func(p *machine.Proc, dst, src *Array[float64], perm []int) {
+			switch {
+			case isIdentity(perm):
+				Assign(p, dst, src)
+			case len(perm) == 2:
+				Transpose2D(p, dst, src)
+			default:
+				remapPerm(p, dst, src, perm)
+			}
+		},
+		scatter: ScatterGlobal[float64],
+		gather:  GatherGlobal[float64],
+	}
+)
+
+func isIdentity(perm []int) bool {
+	for d, x := range perm {
+		if d != x {
+			return false
+		}
+	}
+	return true
+}
+
+// oracleCase is one remap dst[I] = src[J], J[perm[d]] = I[d], on a machine
+// of procs processors. Layouts are built inside the run (they hold groups).
+type oracleCase struct {
+	name     string
+	procs    int
+	src, dst func() *Layout
+	perm     []int
+}
+
+// oracleResult is everything a run can show: each processor's destination
+// part, the gathered destination at its rank 0, the trace and the stats.
+type oracleResult struct {
+	local  [][]float64
+	global []float64
+	events []machine.Event
+	stats  machine.RunStats
+}
+
+// runOracleCase scatters a global array of distinct values into src,
+// remaps it into dst and gathers dst, all three through ops.
+func runOracleCase(c oracleCase, ops remapOps, eng machine.Engine) oracleResult {
+	m := testMachine(c.procs)
+	m.SetEngine(eng)
+	var col trace.Collector
+	m.SetTracer(&col)
+	res := oracleResult{local: make([][]float64, c.procs)}
+	res.stats = m.Run(func(p *machine.Proc) {
+		sl, dl := c.src(), c.dst()
+		src, dst := New[float64](p, sl), New[float64](p, dl)
+		var full []float64
+		if src.rank == 0 {
+			full = make([]float64, sl.Size())
+			for i := range full {
+				full[i] = float64(i + 1)
+			}
+		}
+		ops.scatter(p, src, full)
+		ops.remap(p, dst, src, c.perm)
+		res.local[p.ID()] = append([]float64(nil), dst.data...)
+		if out := ops.gather(p, dst); out != nil {
+			res.global = out
+		}
+	})
+	res.events = col.Events()
+	return res
+}
+
+// checkOracleCase requires the reference and the production code to agree
+// on everything under both engines, and the gathered destination to be the
+// permuted source.
+func checkOracleCase(t *testing.T, c oracleCase) {
+	t.Helper()
+	for _, eng := range []machine.Engine{machine.Goroutine(), machine.Coop(1)} {
+		want := runOracleCase(c, refOps, eng)
+		got := runOracleCase(c, newOps, eng)
+		where := fmt.Sprintf("%s under %s", c.name, eng.Name())
+		if !reflect.DeepEqual(got.local, want.local) {
+			t.Errorf("%s: destination parts differ\n got %v\nwant %v", where, got.local, want.local)
+		}
+		if !reflect.DeepEqual(got.global, want.global) {
+			t.Errorf("%s: gathered destination differs\n got %v\nwant %v", where, got.global, want.global)
+		}
+		if !reflect.DeepEqual(got.stats, want.stats) {
+			t.Errorf("%s: RunStats differ\n got %+v\nwant %+v", where, got.stats, want.stats)
+		}
+		if len(got.events) != len(want.events) {
+			t.Errorf("%s: %d events, reference has %d", where, len(got.events), len(want.events))
+		} else {
+			for i := range want.events {
+				if got.events[i] != want.events[i] {
+					t.Errorf("%s: event %d differs\n got %+v\nwant %+v", where, i, got.events[i], want.events[i])
+					break
+				}
+			}
+		}
+		if t.Failed() {
+			t.Logf("%s: src %v over %v, dst %v over %v, perm %v", where, c.src(), c.src().g, c.dst(), c.dst().g, c.perm)
+			return
+		}
+	}
+	// The reference agrees with itself; pin it to the specification once.
+	sl, dl := c.src(), c.dst()
+	got := runOracleCase(c, newOps, machine.Coop(1)).global
+	sstr := rowMajorStrides(sl.shape)
+	idx := make([]int, dl.Rank())
+	for flat := range got {
+		rem, sflat := flat, 0
+		for d := dl.Rank() - 1; d >= 0; d-- {
+			idx[d] = rem % dl.shape[d]
+			rem /= dl.shape[d]
+			sflat += idx[d] * sstr[c.perm[d]]
+		}
+		if got[flat] != float64(sflat+1) {
+			t.Fatalf("%s: dst%v = %v, want src element %d", c.name, idx, got[flat], sflat+1)
+		}
+	}
+}
+
+// genLayout draws a layout of the given shape over g: a random
+// factorization of the group size as the grid, any distribution kind the
+// grid extent allows per axis, and one time in three an ALIGN of the array
+// at random offsets into a larger template.
+func genLayout(rng *rand.Rand, g *group.Group, shape []int) *Layout {
+	nd := len(shape)
+	grid := make([]int, nd)
+	for d := range grid {
+		grid[d] = 1
+	}
+	for rest := g.Size(); rest > 1; {
+		f := 2
+		for rest%f != 0 {
+			f++
+		}
+		grid[rng.Intn(nd)] *= f
+		rest /= f
+	}
+	aligned := rng.Intn(3) == 0
+	axes := make([]Axis, nd)
+	base := make([]int, nd)
+	offs := make([]int, nd)
+	for d := range axes {
+		kinds := []Axis{BlockAxis(), CyclicAxis(), BlockCyclicAxis(1 + rng.Intn(4))}
+		if grid[d] == 1 {
+			kinds = append(kinds, CollapsedAxis())
+		}
+		axes[d] = kinds[rng.Intn(len(kinds))]
+		base[d] = shape[d]
+		if aligned && axes[d].Kind != BlockCyclic {
+			offs[d] = rng.Intn(4)
+			base[d] += offs[d] + rng.Intn(3)
+		}
+	}
+	l := MustLayout(g, base, axes, grid)
+	if !aligned {
+		return l
+	}
+	al, err := NewAligned(l, shape, offs)
+	if err != nil {
+		panic(err)
+	}
+	return al
+}
+
+// genGroups draws the source and destination groups on a machine of procs
+// processors: identical, overlapping, disjoint, or non-contiguous (shuffled
+// ids, so rank order is not physical order and the groups may overlap
+// anywhere).
+func genGroups(rng *rand.Rand, procs int) (src, dst *group.Group, kind string) {
+	world := group.World(procs)
+	sub := func(lo, hi int) *group.Group { return world.Subrange(lo, hi) }
+	switch rng.Intn(4) {
+	case 0:
+		n := 1 + rng.Intn(procs)
+		lo := rng.Intn(procs - n + 1)
+		return sub(lo, lo+n), sub(lo, lo+n), "identical"
+	case 1:
+		hi := 2 + rng.Intn(procs-1)
+		return sub(0, hi), sub(1+rng.Intn(hi-1), procs), "overlapping"
+	case 2:
+		cut := 1 + rng.Intn(procs-1)
+		if rng.Intn(2) == 0 {
+			return sub(0, cut), sub(cut, procs), "disjoint"
+		}
+		return sub(cut, procs), sub(0, cut), "disjoint"
+	default:
+		pick := func() *group.Group {
+			ids := rng.Perm(procs)[:1+rng.Intn(procs)]
+			return group.MustNew(ids)
+		}
+		return pick(), pick(), "shuffled"
+	}
+}
+
+// genCase draws one case from rng. Layouts are rebuilt per run from a
+// replayed seed so every run of the case sees equal layouts.
+func genCase(seed int64, i int) oracleCase {
+	rng := rand.New(rand.NewSource(seed*1000 + int64(i)))
+	procs := 2 + rng.Intn(9)
+	nd := 1 + rng.Intn(3)
+	perm := rng.Perm(nd)
+	if rng.Intn(2) == 0 {
+		for d := range perm {
+			perm[d] = d
+		}
+	}
+	dshape := make([]int, nd)
+	sshape := make([]int, nd)
+	for d := range dshape {
+		dshape[d] = 1 + rng.Intn(13)
+		sshape[perm[d]] = dshape[d]
+	}
+	sg, dg, kind := genGroups(rng, procs)
+	sseed, dseed := rng.Int63(), rng.Int63()
+	return oracleCase{
+		name:  fmt.Sprintf("seed %d case %d (%s groups, rank %d)", seed, i, kind, nd),
+		procs: procs,
+		src:   func() *Layout { return genLayout(rand.New(rand.NewSource(sseed)), sg, sshape) },
+		dst:   func() *Layout { return genLayout(rand.New(rand.NewSource(dseed)), dg, dshape) },
+		perm:  perm,
+	}
+}
+
+// TestRemapMatchesPerElementOracle: on generated layout pairs — rank 1–3,
+// every distribution kind, extents the grid does not divide, ranks that own
+// nothing, aligned arrays, identical / overlapping / disjoint / shuffled
+// groups, identity and permuted dimensions — Scatter, remap and Gather
+// through the closed-form communication sets leave the same data, send the
+// same messages in the same order and finish at the same virtual times as
+// the per-element reference, under both engines.
+func TestRemapMatchesPerElementOracle(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 5, 8} {
+		for i := 0; i < 40; i++ {
+			checkOracleCase(t, genCase(seed, i))
+			if t.Failed() {
+				return
+			}
+		}
+	}
+}
+
+// TestRemapOracleNamedCases: the shapes the applications and the benchmark
+// lean on, and any generated failure once shrunk.
+func TestRemapOracleNamedCases(t *testing.T) {
+	world := func(n int) *group.Group { return group.World(n) }
+	cases := []oracleCase{
+		{name: "row-block to col-block assign", procs: 4,
+			src: func() *Layout { return RowBlock2D(world(4), 8, 8) },
+			dst: func() *Layout { return ColBlock2D(world(4), 8, 8) }, perm: []int{0, 1}},
+		{name: "row-block corner turn", procs: 4,
+			src: func() *Layout { return RowBlock2D(world(4), 8, 6) },
+			dst: func() *Layout { return RowBlock2D(world(4), 6, 8) }, perm: []int{1, 0}},
+		{name: "one element per peer", procs: 8,
+			src: func() *Layout { return RowBlock2D(world(8), 8, 8) },
+			dst: func() *Layout { return ColBlock2D(world(8), 8, 8) }, perm: []int{1, 0}},
+		{name: "pipeline stage hand-off", procs: 6,
+			src: func() *Layout { return RowBlock2D(world(6).Subrange(0, 2), 9, 5) },
+			dst: func() *Layout { return RowBlock2D(world(6).Subrange(2, 6), 9, 5) }, perm: []int{0, 1}},
+		{name: "more processors than rows", procs: 8,
+			src: func() *Layout { return RowBlock2D(world(8), 3, 4) },
+			dst: func() *Layout { return ColBlock2D(world(8), 3, 4) }, perm: []int{0, 1}},
+		{name: "same layout stays local", procs: 4,
+			src: func() *Layout { return MustLayout(world(4), []int{10}, []Axis{BlockCyclicAxis(3)}, []int{4}) },
+			dst: func() *Layout { return MustLayout(world(4), []int{10}, []Axis{BlockCyclicAxis(3)}, []int{4}) }, perm: []int{0}},
+	}
+	for _, c := range cases {
+		checkOracleCase(t, c)
+	}
+}

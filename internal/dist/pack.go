@@ -96,7 +96,7 @@ func PackInto[T any](p *machine.Proc, dst, src *Array[T], dstStart int, keep fun
 			if bHi > dst.l.shape[0] {
 				bHi = dst.l.shape[0]
 			}
-			lo, hi := maxInt(gLo, bLo), minInt(gHi, bHi)
+			lo, hi := max(gLo, bLo), min(gHi, bHi)
 			if lo >= hi {
 				continue
 			}
@@ -119,7 +119,7 @@ func PackInto[T any](p *machine.Proc, dst, src *Array[T], dstStart int, keep fun
 		for s := 0; s < srcSize; s++ {
 			gLo := dstStart + prefix[s]
 			gHi := gLo + counts[s]
-			lo, hi := maxInt(gLo, myLo), minInt(gHi, myHi)
+			lo, hi := max(gLo, myLo), min(gHi, myHi)
 			if lo >= hi {
 				continue
 			}
@@ -154,7 +154,7 @@ func FillRange1D[T any](dst *Array[T], lo, hi int, v T) {
 	if myHi > dst.l.shape[0] {
 		myHi = dst.l.shape[0]
 	}
-	lo, hi = maxInt(lo, myLo), minInt(hi, myHi)
+	lo, hi = max(lo, myLo), min(hi, myHi)
 	for i := lo; i < hi; i++ {
 		dst.data[d.localOf(i)] = v
 	}
@@ -164,18 +164,4 @@ func check1DBlock(l *Layout, what string) {
 	if l.Rank() != 1 || l.dims[0].kind != Block {
 		panic(fmt.Sprintf("dist: %s must be a 1D BLOCK array, got %v", what, l))
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -153,6 +153,17 @@ func (g *Group) Equal(h *Group) bool {
 // physical id. It is used to compute the minimal participating set for
 // parent-scope assignments between arrays mapped to different subgroups.
 func Union(a, b *Group) *Group {
+	// A contiguous group that contains the other contiguous group is the
+	// union already (groups are immutable): the shape of every transfer
+	// between a parent array and a subgroup array.
+	if a.contig && b.contig {
+		if a.base <= b.base && b.base+len(b.phys) <= a.base+len(a.phys) {
+			return a
+		}
+		if b.base <= a.base && a.base+len(a.phys) <= b.base+len(b.phys) {
+			return b
+		}
+	}
 	seen := make(map[int]bool, a.Size()+b.Size())
 	var ids []int
 	for _, id := range a.phys {

@@ -1,6 +1,8 @@
 package group
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -86,6 +88,69 @@ func TestUnion(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("union = %v, want %v", got, want)
+		}
+	}
+}
+
+// refUnion is Union's general path on its own: the sorted, de-duplicated
+// member list as a fresh group.
+func refUnion(a, b *Group) *Group {
+	seen := make(map[int]bool)
+	var ids []int
+	for _, id := range append(a.PhysAll(), b.PhysAll()...) {
+		if !seen[id] {
+			seen[id] = true
+			ids = append(ids, id)
+		}
+	}
+	sort.Ints(ids)
+	return MustNew(ids)
+}
+
+// TestUnionNestedContiguousReturnsContainer: when one contiguous group
+// contains the other, Union returns the containing group itself, which
+// equals what the general path builds; every other input — adjacent,
+// overlapping but not nested, non-contiguous — still gets a fresh group
+// with the same members in physical order.
+func TestUnionNestedContiguousReturnsContainer(t *testing.T) {
+	w := World(16)
+	cases := []struct {
+		name string
+		a, b *Group
+		fast bool
+	}{
+		{"equal", w.Subrange(2, 9), w.Subrange(2, 9), true},
+		{"a contains b", w.Subrange(2, 12), w.Subrange(4, 7), true},
+		{"b contains a", w.Subrange(5, 6), w, true},
+		{"shared low edge", w.Subrange(3, 9), w.Subrange(3, 5), true},
+		{"shared high edge", w.Subrange(6, 9), w.Subrange(3, 9), true},
+		{"contained, built from ids", MustNew([]int{7, 8, 9}), w.Subrange(4, 12), true},
+		{"adjacent", w.Subrange(0, 4), w.Subrange(4, 8), false},
+		{"overlapping, not nested", w.Subrange(0, 6), w.Subrange(4, 10), false},
+		{"disjoint with a gap", w.Subrange(0, 3), w.Subrange(9, 12), false},
+		{"non-contiguous inside contiguous", MustNew([]int{5, 3, 9}), w.Subrange(2, 12), false},
+		{"contiguous inside non-contiguous", w.Subrange(3, 5), MustNew([]int{6, 4, 3, 2}), false},
+		{"both non-contiguous", MustNew([]int{9, 1}), MustNew([]int{1, 5}), false},
+	}
+	for _, c := range cases {
+		for _, swap := range []bool{false, true} {
+			a, b := c.a, c.b
+			if swap {
+				a, b = b, a
+			}
+			u, want := Union(a, b), refUnion(a, b)
+			if !u.Equal(want) || !reflect.DeepEqual(u.PhysAll(), want.PhysAll()) {
+				t.Errorf("%s (swapped %v): Union = %v, general path gives %v", c.name, swap, u, want)
+			}
+			if got := u == a || u == b; got != c.fast {
+				t.Errorf("%s (swapped %v): returned an input group = %v, want %v", c.name, swap, got, c.fast)
+			}
+			for _, id := range want.PhysAll() {
+				r, ok := u.RankOf(id)
+				if wr, _ := want.RankOf(id); !ok || r != wr {
+					t.Errorf("%s: RankOf(%d) = %d, %v; want %d", c.name, id, r, ok, wr)
+				}
+			}
 		}
 	}
 }

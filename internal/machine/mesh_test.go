@@ -19,8 +19,8 @@ func TestMeshHops(t *testing.T) {
 		{0, 0, 0},
 		{0, 1, 1},
 		{0, 3, 3},
-		{0, 4, 1},  // directly below
-		{0, 7, 4},  // opposite corner: 3 across + 1 down
+		{0, 4, 1}, // directly below
+		{0, 7, 4}, // opposite corner: 3 across + 1 down
 		{3, 4, 4},
 	}
 	for _, tc := range cases {

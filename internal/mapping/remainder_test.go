@@ -180,7 +180,7 @@ func randomPipelineModel(rng *rand.Rand, nS, p int) Model {
 func TestPipelineDPExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
-		nS := 2 + rng.Intn(3)  // 2..4 stages
+		nS := 2 + rng.Intn(3)     // 2..4 stages
 		p := nS + rng.Intn(11-nS) // nS..10 processors
 		m := randomPipelineModel(rng, nS, p)
 		goal := 0.0

@@ -92,11 +92,11 @@ type runOut struct {
 // (app, params, P, mapping) — which is what makes responses cacheable and
 // byte-identical across duplicate requests.
 type appAdapter struct {
-	name   string
-	params string           // canonical parameter rendering (for keys and responses)
-	spec   mapping.TableSpec // the content key model tables memoize under
+	name    string
+	params  string            // canonical parameter rendering (for keys and responses)
+	spec    mapping.TableSpec // the content key model tables memoize under
 	nStages int
-	dpCap  int // data-parallel width cap (min(P, rows the app distributes over))
+	dpCap   int // data-parallel width cap (min(P, rows the app distributes over))
 
 	model      func(opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error)
 	runChoice  func(eng machine.Engine, fp machine.FaultPlan, c mapping.Choice) runOut

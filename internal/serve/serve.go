@@ -500,13 +500,13 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 // StatsSnapshot is GET /stats: the serving-layer counters.
 type StatsSnapshot struct {
-	Queued    int   `json:"queued"`
-	Running   int   `json:"running"`
-	Done      int   `json:"done"`
-	Failed    int   `json:"failed"`
-	Campaigns int64 `json:"campaigns"` // jobs created (deduped campaigns run)
-	DedupHits int64 `json:"dedupHits"` // requests answered by an existing job
-	Workers   int   `json:"workers"`
+	Queued    int    `json:"queued"`
+	Running   int    `json:"running"`
+	Done      int    `json:"done"`
+	Failed    int    `json:"failed"`
+	Campaigns int64  `json:"campaigns"` // jobs created (deduped campaigns run)
+	DedupHits int64  `json:"dedupHits"` // requests answered by an existing job
+	Workers   int    `json:"workers"`
 	Engine    string `json:"engine,omitempty"`
 	// Skeletons reports the replay store counters when replay is enabled.
 	Skeletons *skeleton.StoreStats `json:"skeletons,omitempty"`

@@ -189,8 +189,8 @@ func TestBadRequests(t *testing.T) {
 		body string
 	}{
 		{"/optimize", `{"app":"nope","p":8}`},
-		{"/optimize", `{"app":"ffthist"}`},                             // p < 1
-		{"/optimize", `{"app":"ffthist","p":8,"bogusField":1}`},        // unknown field
+		{"/optimize", `{"app":"ffthist"}`},                      // p < 1
+		{"/optimize", `{"app":"ffthist","p":8,"bogusField":1}`}, // unknown field
 		{"/optimize", `not json`},
 		{"/measure", `{"app":"radar","p":4,"quick":true,"mapping":{"modules":1,"stages":[8,8,8,8]}}`}, // oversubscribed
 		{"/measure", `{"app":"radar","p":8,"quick":true,"mapping":{"modules":1,"stages":[2,2]}}`},     // wrong stage count

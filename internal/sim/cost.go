@@ -53,13 +53,13 @@ type CostModel struct {
 // Paragon of the mid 1990s.
 func Paragon() CostModel {
 	return CostModel{
-		FlopRate:     10e6,       // 10 MFLOP/s effective
-		Alpha:        120e-6,     // 120 us message latency
-		Beta:         1 / 30e6,   // 30 MB/s
-		SendOverhead: 40e-6,      // 40 us CPU injection cost
-		MemByte:      1 / 200e6,  // 200 MB/s local copy
-		BarrierAlpha: 80e-6,      // per dissemination round
-		IORate:       5e6,        // 5 MB/s I/O subsystem
+		FlopRate:     10e6,      // 10 MFLOP/s effective
+		Alpha:        120e-6,    // 120 us message latency
+		Beta:         1 / 30e6,  // 30 MB/s
+		SendOverhead: 40e-6,     // 40 us CPU injection cost
+		MemByte:      1 / 200e6, // 200 MB/s local copy
+		BarrierAlpha: 80e-6,     // per dissemination round
+		IORate:       5e6,       // 5 MB/s I/O subsystem
 	}
 }
 

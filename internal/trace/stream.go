@@ -39,20 +39,21 @@ func parallelRanges[T any](n int, f func(lo, hi int) T) []T {
 	if workers < 1 {
 		workers = 1
 	}
+	if n <= 0 {
+		return nil
+	}
 	chunk := (n + workers - 1) / workers
-	parts := make([]T, 0, workers)
+	// Sized before the first goroutine starts: each writes its own slot and
+	// nobody touches the slice header again until Wait returns.
+	parts := make([]T, (n+chunk-1)/chunk)
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		parts = append(parts, *new(T))
+	for slot := range parts {
+		lo := slot * chunk
 		wg.Add(1)
-		go func(slot int, lo, hi int) {
+		go func(slot, lo, hi int) {
 			defer wg.Done()
 			parts[slot] = f(lo, hi)
-		}(len(parts)-1, lo, hi)
+		}(slot, lo, min(lo+chunk, n))
 	}
 	wg.Wait()
 	return parts
