@@ -8,62 +8,31 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
+	"fxpar/internal/cliflags"
 	"fxpar/internal/experiments"
-	"fxpar/internal/fault"
-	"fxpar/internal/machine"
-	"fxpar/internal/mapping"
-	"fxpar/internal/skeleton"
-	"fxpar/internal/sweep"
 )
 
 func main() {
 	quick := flag.Bool("quick", false, "run a reduced-size workload")
-	j := flag.Int("j", 0, "max concurrent simulations (0 = all host cores); output is identical for every value")
-	cache := flag.String("cache", "", "directory for the on-disk cost-table cache ('' disables)")
-	replay := flag.String("replay", "", "directory for the skeleton store; cost-table cells are answered by analytic DAG replay instead of re-simulation whenever the store holds their skeleton ('' disables)")
-	monitor := flag.String("monitor", "", "serve live campaign progress over HTTP on this address for fxtop ('auto' = "+sweep.DefaultMonitorAddr+")")
-	engine := flag.String("engine", machine.DefaultEngineName(), "execution engine: goroutine, coop, or coop:N; changes host time only, never a simulated number")
-	chaos := flag.String("chaos", "", "inject deterministic faults into the measured runs: seed[:profile] (profiles: "+strings.Join(fault.ProfileNames(), " ")+"; default "+fault.DefaultProfile+")")
+	shared := cliflags.Register(flag.CommandLine, "j", "cache", "replay", "monitor", "engine", "chaos")
 	flag.Parse()
-	eng, err := machine.EngineByName(*engine)
+	c, err := shared.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fig5:", err)
 		os.Exit(2)
 	}
-	plan, err := fault.Parse(*chaos)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fig5:", err)
-		os.Exit(2)
-	}
-	sweep.SetEngineLabel(eng.Name())
-	if plan != nil {
-		sweep.SetChaosLabel(plan.String())
-	}
-	url, stopMon, err := sweep.MonitorFromFlag(*monitor)
+	stopMon, err := c.Start(os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fig5:", err)
 		os.Exit(1)
 	}
 	defer stopMon()
-	if url != "" {
-		fmt.Printf("campaign monitor: %s/snapshot (fxtop -url %s)\n", url, url)
-	}
 	cfg := experiments.DefaultFig5()
 	if *quick {
 		cfg = experiments.QuickFig5()
 	}
-	cfg.Workers = *j
-	cfg.CacheDir = *cache
-	cfg.Engine = eng
-	cfg.Faults = plan.Machine()
-	if *replay != "" {
-		cfg.Replay = &mapping.ReplayOptions{Store: skeleton.NewStore(*replay)}
-	}
-	if plan != nil {
-		fmt.Printf("chaos: injecting faults with plan %s\n", plan)
-	}
+	cfg.Workers, cfg.CacheDir, cfg.Engine, cfg.Faults, cfg.Replay = c.Workers, c.CacheDir, c.Engine, c.Plan.Machine(), c.Replay
 	rows, err := experiments.Fig5(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fig5:", err)

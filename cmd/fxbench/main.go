@@ -15,13 +15,11 @@ import (
 
 	"fxpar/internal/apps/barneshut"
 	"fxpar/internal/apps/qsort"
+	"fxpar/internal/cliflags"
 	"fxpar/internal/experiments"
-	"fxpar/internal/fault"
 	"fxpar/internal/machine"
-	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
 	"fxpar/internal/skeleton"
-	"fxpar/internal/sweep"
 )
 
 // benchFile is the machine-readable Table 1 snapshot: enough context to
@@ -88,14 +86,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "run reduced-size workloads")
 	jsonPath := fs.String("json", "", "also write the report of whichever mode runs (Table 1, or the -chaossweep/-whatifsweep/-replaysweep report) as machine-readable JSON to this file")
-	j := fs.Int("j", 0, "max concurrent simulations (0 = all host cores); output is identical for every value")
-	cache := fs.String("cache", "", "directory for the on-disk cost-table cache ('' disables)")
-	monitor := fs.String("monitor", "", "serve live campaign progress over HTTP on this address for fxtop ('auto' = "+sweep.DefaultMonitorAddr+")")
-	engine := fs.String("engine", machine.DefaultEngineName(), "execution engine: goroutine, coop, or coop:N; changes host time only, never a simulated number")
-	chaos := fs.String("chaos", "", "inject deterministic faults into the benchmark runs: seed[:profile] (profiles: "+strings.Join(fault.ProfileNames(), " ")+"; default "+fault.DefaultProfile+")")
+	shared := cliflags.Register(fs, "j", "cache", "replay", "monitor", "engine", "chaos")
 	chaosSweep := fs.Int("chaossweep", 0, "standalone mode: fan an FFT-Hist chaos scenario across N seeds (derived from the -chaos seed; profile from -chaos, default havoc) and report survival and latency degradation")
 	whatIfSweep := fs.Bool("whatifsweep", false, "standalone mode: capture one FFT-Hist pipeline run as a communication skeleton, re-cost it across a machine-parameter grid and per-span virtual speedups, cross-check against full simulations, and report re-cost vs simulation throughput")
-	replay := fs.String("replay", "", "directory for the skeleton store: cost-table cells (and -replaysweep captures) are answered by analytic DAG replay instead of re-simulation whenever the store holds their skeleton ('' keeps the store in-process only)")
 	replaySweep := fs.Bool("replaysweep", false, "standalone mode: one traced FFT-Hist capture (healthy + chaotic), a machine-parameter campaign answered entirely by analytic replay with bitwise cross-checks against fresh simulations, and a replay-backed mapping search across machine variants")
 	skeletons := fs.String("skeletons", "", "standalone mode: diff two serialized skeletons 'baseline.json:current.json' for regression attribution and exit (0 identical, 1 changed, 2 missing/malformed input)")
 	serveURL := fs.String("serve", "", "client mode: run the Table 1 campaigns against a running fxserve daemon at this base URL instead of simulating locally (with -chaossweep N, the chaos campaign runs remotely too)")
@@ -118,11 +111,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote %s\n", *jsonPath)
 		return 0
 	}
-	eng, err := machine.EngineByName(*engine)
+	c, err := shared.Resolve()
 	if err != nil {
 		return fail(2, err)
 	}
-	sweep.SetEngineLabel(eng.Name())
+	eng, plan := c.Engine, c.Plan
 
 	// Standalone skeleton-diff mode: when a makespan golden moves, this
 	// names the spans and edges that moved.
@@ -133,15 +126,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Client mode: the campaigns run inside an fxserve daemon; this process
 	// only posts requests and renders responses.
 	if *serveURL != "" {
-		return serveMain(*serveURL, *quick, *chaosSweep, *chaos, stdout, stderr)
-	}
-
-	plan, err := fault.Parse(*chaos)
-	if err != nil {
-		return fail(2, err)
-	}
-	if plan != nil {
-		sweep.SetChaosLabel(plan.String())
+		return serveMain(*serveURL, *quick, *chaosSweep, plan, stdout, stderr)
 	}
 
 	// Standalone chaos-campaign mode: one scenario, N derived seeds, a
@@ -152,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *quick {
 			ccfg = experiments.QuickChaos()
 		}
-		ccfg.Seeds, ccfg.Workers, ccfg.Engine = *chaosSweep, *j, eng
+		ccfg.Seeds, ccfg.Workers, ccfg.Engine = *chaosSweep, c.Workers, eng
 		if plan != nil {
 			ccfg.Base, ccfg.Prof = plan.Seed, plan.Prof
 		}
@@ -169,7 +154,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *quick {
 			wcfg = experiments.QuickWhatIf()
 		}
-		wcfg.Workers, wcfg.Engine = *j, eng
+		wcfg.Workers, wcfg.Engine = c.Workers, eng
 		rep, err := experiments.WhatIf(wcfg)
 		if err != nil {
 			return fail(1, err)
@@ -190,7 +175,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *quick {
 			rcfg = experiments.QuickReplay()
 		}
-		rcfg.Workers, rcfg.Engine, rcfg.StoreDir = *j, eng, *replay
+		rcfg.Workers, rcfg.Engine = c.Workers, eng
+		if c.Replay != nil {
+			rcfg.StoreDir = c.Replay.Store.Dir()
+		}
 		if plan != nil {
 			rcfg.ChaosSeed, rcfg.ChaosProfile = plan.Seed, plan.Prof.Name
 		}
@@ -208,14 +196,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return snapshot(rep)
 	}
 
-	url, stopMon, err := sweep.MonitorFromFlag(*monitor)
+	stopMon, err := c.Start(stdout)
 	if err != nil {
 		return fail(1, err)
 	}
 	defer stopMon()
-	if url != "" {
-		fmt.Fprintf(stdout, "campaign monitor: %s/snapshot (fxtop -url %s)\n", url, url)
-	}
 
 	t1 := experiments.DefaultTable1()
 	f5 := experiments.DefaultFig5()
@@ -223,19 +208,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *quick {
 		t1, f5, f6 = experiments.QuickTable1(), experiments.QuickFig5(), experiments.QuickFig6()
 	}
-	t1.Workers, t1.CacheDir, t1.Engine = *j, *cache, eng
-	f5.Workers, f5.CacheDir, f5.Engine = *j, *cache, eng
-	f6.Workers, f6.Engine = *j, eng
-	t1.Faults, f5.Faults, f6.Faults = plan.Machine(), plan.Machine(), plan.Machine()
-	if *replay != "" {
-		st := skeleton.NewStore(*replay)
-		t1.Replay = &mapping.ReplayOptions{Store: st}
-		f5.Replay = &mapping.ReplayOptions{Store: st}
-		f6.Replay = &mapping.ReplayOptions{Store: st}
-	}
-	if plan != nil {
-		fmt.Fprintf(stdout, "chaos: injecting faults with plan %s\n", plan)
-	}
+	t1.Workers, t1.CacheDir, t1.Engine, t1.Faults, t1.Replay = c.Workers, c.CacheDir, eng, plan.Machine(), c.Replay
+	f5.Workers, f5.CacheDir, f5.Engine, f5.Faults, f5.Replay = c.Workers, c.CacheDir, eng, plan.Machine(), c.Replay
+	f6.Workers, f6.Engine, f6.Faults, f6.Replay = c.Workers, eng, plan.Machine(), c.Replay
 
 	rows := experiments.Table1(t1)
 	experiments.PrintTable1(stdout, rows, t1.Procs)

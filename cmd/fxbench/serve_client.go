@@ -55,9 +55,9 @@ type serveGoal struct {
 
 // serveMain implements -serve: Table 1 over HTTP against baseURL, or the
 // chaos campaign when chaosN > 0. Returns the process exit code.
-func serveMain(baseURL string, quick bool, chaosN int, chaosSpec string, stdout, stderr io.Writer) int {
+func serveMain(baseURL string, quick bool, chaosN int, plan *fault.Plan, stdout, stderr io.Writer) int {
 	if chaosN > 0 {
-		return serveChaos(baseURL, quick, chaosN, chaosSpec, stdout, stderr)
+		return serveChaos(baseURL, quick, chaosN, plan, stdout, stderr)
 	}
 	procs, sets := 64, 8
 	if quick {
@@ -113,14 +113,9 @@ func serveMain(baseURL string, quick bool, chaosN int, chaosSpec string, stdout,
 
 // serveChaos runs the chaos campaign remotely and renders the report with
 // the same writer the local -chaossweep mode uses.
-func serveChaos(baseURL string, quick bool, seeds int, chaosSpec string, stdout, stderr io.Writer) int {
+func serveChaos(baseURL string, quick bool, seeds int, plan *fault.Plan, stdout, stderr io.Writer) int {
 	req := map[string]any{"quick": quick, "seeds": seeds, "client": "fxbench"}
-	if chaosSpec != "" {
-		plan, err := fault.Parse(chaosSpec)
-		if err != nil {
-			fmt.Fprintln(stderr, "fxbench:", err)
-			return 2
-		}
+	if plan != nil {
 		req["base"] = plan.Seed
 		req["profile"] = plan.Prof.Name
 	}

@@ -37,16 +37,13 @@ import (
 	"strconv"
 	"strings"
 
-	"fxpar/internal/apps/ffthist"
-	"fxpar/internal/apps/radar"
-	"fxpar/internal/apps/stereo"
-	"fxpar/internal/fault"
+	"fxpar/internal/apps/sensor"
+	"fxpar/internal/cliflags"
 	"fxpar/internal/machine"
 	"fxpar/internal/mapping"
 	"fxpar/internal/metrics"
 	"fxpar/internal/sim"
 	"fxpar/internal/skeleton"
-	"fxpar/internal/stats"
 	"fxpar/internal/sweep"
 	"fxpar/internal/trace"
 )
@@ -130,22 +127,17 @@ func main() {
 	width := flag.Int("width", 100, "gantt width in characters")
 	auto := flag.Bool("auto", false, "ignore -modules/-stages and profile the optimizer's mapping for -procs processors (built from measured cost tables)")
 	goal := flag.Float64("goal", 0, "with -auto: throughput constraint in data sets/s (0 = minimize latency only)")
-	j := flag.Int("j", 0, "with -auto: max concurrent cost-table simulations (0 = all host cores)")
-	cache := flag.String("cache", "", "with -auto: directory for the on-disk cost-table cache ('' disables)")
-	replay := flag.String("replay", "", "with -auto: directory for the skeleton store; cost-table cells are answered by analytic DAG replay instead of re-simulation whenever the store holds their skeleton ('' disables)")
-	engine := flag.String("engine", machine.DefaultEngineName(), "execution engine: goroutine, coop, or coop:N; changes host time only, never a simulated number")
-	chaos := flag.String("chaos", "", "inject deterministic faults into the profiled run: seed[:profile] (profiles: "+strings.Join(fault.ProfileNames(), " ")+"; default "+fault.DefaultProfile+"); fault/timeout/retry events land in every view")
+	shared := cliflags.Register(flag.CommandLine, "j", "cache", "replay", "monitor", "engine", "chaos")
 	whatif := flag.Bool("whatif", false, "capture the run as a communication skeleton and print the causal what-if profile (ranked virtual span speedups + machine-parameter sensitivity curves)")
 	factors := flag.String("factors", "1.25,1.5,2,4", "with -whatif: comma-separated virtual speedup factors")
 	senscales := flag.String("senscales", "0.25,0.5,1,2,4", "with -whatif: comma-separated alpha/beta/flop-rate scales for the sensitivity curves")
 	sample := flag.String("sample", "", "deterministic event sampling: rate[:seed][,kind=rate ...] (e.g. 1/64 or 1/64:7,send=1); span/fault/timeout/retry events are always kept, counts are reported with scale factors; incompatible with -whatif")
-	monitor := flag.String("monitor", "", "serve the live monitor (with the telemetry overhead-budget line) over HTTP: listen address, or 'auto' for "+sweep.DefaultMonitorAddr)
 	flag.Parse()
-	eng, err := machine.EngineByName(*engine)
+	c, err := shared.Resolve()
 	if err != nil {
 		fail(err)
 	}
-	plan, err := fault.Parse(*chaos)
+	a, err := sensor.ByName(*app, false, *sets, *n)
 	if err != nil {
 		fail(err)
 	}
@@ -173,11 +165,6 @@ func main() {
 			fail(fmt.Errorf("mapping needs %d processors (modules x stages), -procs gives %d", total, *procs))
 		}
 	}
-	opt := mapping.BuildOptions{Workers: *j, CacheDir: *cache, Engine: eng}
-	if *replay != "" {
-		opt.Replay = &mapping.ReplayOptions{Store: skeleton.NewStore(*replay)}
-	}
-
 	// The full collector drives the post-hoc views (Gantt, critical path,
 	// Chrome export); the streaming sinks aggregate the same run online and
 	// are checked against the post-hoc pipeline byte for byte below. Every
@@ -200,7 +187,7 @@ func main() {
 	comm := trace.NewCommMatrix(*procs)
 	util := trace.NewUtilSink(*procs)
 	m := machine.New(*procs, sim.Paragon())
-	m.SetEngine(eng)
+	m.SetEngine(c.Engine)
 	m.SetTracer(trace.Tee(
 		budget.Meter("collector", col),
 		budget.Meter("metrics", sink),
@@ -212,15 +199,8 @@ func main() {
 		budget.SetSampler(sampler)
 		fmt.Printf("sampling: deterministic, seed %d — recorded counts are samples; unsampled estimate = count / rate\n", sampler.Snapshot().Seed)
 	}
-	m.SetFaults(plan.Machine())
-	if plan != nil {
-		fmt.Printf("chaos: injecting faults with plan %s\n", plan)
-	}
+	m.SetFaults(c.Plan.Machine())
 
-	sweep.SetEngineLabel(eng.Name())
-	if plan != nil {
-		sweep.SetChaosLabel(plan.String())
-	}
 	sweep.SetTelemetrySource(func() sweep.TelemetrySnapshot {
 		r := budget.Report()
 		ts := sweep.TelemetrySnapshot{Line: r.Line(), SinkSharePct: r.SinkSharePct}
@@ -230,18 +210,17 @@ func main() {
 		}
 		return ts
 	})
-	monURL, stopMon, err := sweep.MonitorFromFlag(*monitor)
+	stopMon, err := c.Start(os.Stdout)
 	if err != nil {
 		fail(err)
 	}
 	defer stopMon()
-	if monURL != "" {
-		fmt.Printf("monitor: %s\n", monURL)
-	}
 
-	// pick runs the optimizer against measured cost tables (the -auto path)
-	// and reports the winning mapping and where its tables came from.
-	pick := func(model mapping.Model, src mapping.TableSource, err error) mapping.Choice {
+	mp := sensor.Mapping{Modules: *modules, Stages: stages}
+	if *auto {
+		// Profile the optimizer's pick against measured cost tables.
+		opt := mapping.BuildOptions{Workers: c.Workers, CacheDir: c.CacheDir, Engine: c.Engine, Replay: c.Replay}
+		model, src, err := a.Model(sim.Paragon(), *procs, opt)
 		if err != nil {
 			fail(err)
 		}
@@ -251,47 +230,12 @@ func main() {
 		}
 		fmt.Printf("auto: chose %s for %d procs, goal %g sets/s (cost tables: %s)\n\n",
 			choice, *procs, *goal, src)
-		return choice
+		mp = sensor.FromChoice(choice)
 	}
-
-	var stream stats.Result
-	var label string
-	switch *app {
-	case "ffthist":
-		cfg := ffthist.Config{N: *n, Sets: *sets, Bins: 64}
-		mp := ffthist.Mapping{Modules: *modules, Stages: stages}
-		if *auto {
-			mp = ffthist.ChoiceToMapping(pick(ffthist.MeasuredModel(sim.Paragon(), cfg, *procs, opt)))
-		}
-		budget.Start()
-		res := ffthist.Run(m, cfg, mp)
-		budget.Finish()
-		stream, label = res.Stream, mp.String()
-	case "radar":
-		cfg := radar.DefaultConfig()
-		cfg.Gates, cfg.Sets = *n, *sets
-		mp := radar.Mapping{Modules: *modules, Stages: stages}
-		if *auto {
-			mp = radar.ChoiceToMapping(pick(radar.MeasuredModel(sim.Paragon(), cfg, *procs, opt)))
-		}
-		budget.Start()
-		res := radar.Run(m, cfg, mp)
-		budget.Finish()
-		stream, label = res.Stream, mp.String()
-	case "stereo":
-		cfg := stereo.DefaultConfig()
-		cfg.W, cfg.Sets = *n, *sets
-		mp := stereo.Mapping{Modules: *modules, Stages: stages}
-		if *auto {
-			mp = stereo.ChoiceToMapping(pick(stereo.MeasuredModel(sim.Paragon(), cfg, *procs, opt)))
-		}
-		budget.Start()
-		res := stereo.Run(m, cfg, mp)
-		budget.Finish()
-		stream, label = res.Stream, mp.String()
-	default:
-		fail(fmt.Errorf("unknown app %q", *app))
-	}
+	budget.Start()
+	stream := a.Run(m, mp).Stream
+	budget.Finish()
+	label := a.MappingString(mp)
 
 	fmt.Printf("=== %s %s on %d procs: %s ===\n\n", *app, label, *procs, stream)
 
@@ -381,8 +325,8 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if plan != nil {
-			sk.Chaos = plan.String()
+		if c.Plan != nil {
+			sk.Chaos = c.Plan.String()
 		}
 
 		// Determinism self-check: the analytic re-cost at recorded parameters

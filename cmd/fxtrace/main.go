@@ -12,7 +12,7 @@ import (
 	"strings"
 
 	"fxpar/internal/apps/ffthist"
-	"fxpar/internal/fault"
+	"fxpar/internal/cliflags"
 	"fxpar/internal/machine"
 	"fxpar/internal/sim"
 	"fxpar/internal/trace"
@@ -43,19 +43,14 @@ func main() {
 	sets := flag.Int("sets", 6, "stream length")
 	width := flag.Int("width", 100, "gantt width in characters")
 	chrome := flag.String("chrome", "", "also write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto)")
-	engine := flag.String("engine", machine.DefaultEngineName(), "execution engine: goroutine, coop, or coop:N; changes host time only, never a simulated number")
-	chaos := flag.String("chaos", "", "inject deterministic faults into both runs: seed[:profile] (profiles: "+strings.Join(fault.ProfileNames(), " ")+"; default "+fault.DefaultProfile+"); faults render as F/t/R glyphs")
+	shared := cliflags.Register(flag.CommandLine, "engine", "chaos")
 	flag.Parse()
-	eng, err := machine.EngineByName(*engine)
+	c, err := shared.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fxtrace:", err)
 		os.Exit(2)
 	}
-	plan, err := fault.Parse(*chaos)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fxtrace:", err)
-		os.Exit(2)
-	}
+	eng, plan := c.Engine, c.Plan
 
 	cfg := ffthist.Config{N: *n, Sets: *sets, Bins: 32}
 	procs := 6

@@ -8,7 +8,6 @@ import (
 	"fxpar/internal/machine"
 	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
-	"fxpar/internal/skeleton"
 	"fxpar/internal/stats"
 )
 
@@ -32,137 +31,36 @@ func stageBody(cfg Config, s int) func(*fx.Proc) {
 	}
 }
 
-// measureStage simulates stage s of FFT-Hist in isolation on p processors
-// for one data set and returns the virtual makespan — one cell of the
-// measured cost table t(s, p). The simulation is deterministic in virtual
-// time, so the result is a pure function of (cost, cfg, s, p).
-func measureStage(cost sim.CostModel, cfg Config, s, p int, eng machine.Engine) float64 {
-	if p > cfg.N {
-		p = cfg.N // stages distribute over the N matrix rows
-	}
-	mach := machine.New(p, cost)
-	mach.SetEngine(eng)
-	st := fx.Run(mach, stageBody(cfg, s))
-	return st.MakespanTime()
+// ident is the content identity FFT-Hist's cost tables and cell skeletons
+// are filed under.
+func ident(cfg Config) mapping.Ident {
+	return mapping.Ident{App: "ffthist", Params: fmt.Sprintf("N=%d,Bins=%d", cfg.N, cfg.Bins)}
 }
 
-// captureStage runs the same isolated stage simulation under a skeleton sink
-// and returns the folded communication skeleton alongside the live makespan:
-// the traced half of the replay backend's miss path.
-func captureStage(cost sim.CostModel, cfg Config, s, p int, eng machine.Engine) (*skeleton.Skeleton, float64, error) {
-	if p > cfg.N {
-		p = cfg.N
-	}
-	mach := machine.New(p, cost)
-	mach.SetEngine(eng)
-	sink := skeleton.NewSink(cost, "")
-	mach.SetTracer(sink)
-	st := fx.Run(mach, stageBody(cfg, s))
-	sk, err := sink.Skeleton()
-	return sk, st.MakespanTime(), err
-}
-
-// measureDP simulates the whole program data-parallel on p processors for a
-// single data set and returns the per-set latency.
-func measureDP(cost sim.CostModel, cfg Config, p int, eng machine.Engine) float64 {
-	if p > cfg.N {
-		p = cfg.N
-	}
+// cells describes FFT-Hist to the cost-table measurer. The simulation is
+// deterministic in virtual time, so every cell is a pure function of
+// (cost, cfg, s, p).
+func cells(cfg Config) mapping.Cells {
 	one := cfg
 	one.Sets = 1
-	mach := machine.New(p, cost)
-	mach.SetEngine(eng)
-	res := Run(mach, one, DataParallel(p))
-	return res.Stream.Latency
-}
-
-// captureDP is the traced variant of measureDP. Its live value is a stream
-// latency, not a DAG makespan, so ReplayOptions.Eval will detect the
-// mismatch and keep these cells on the live path — the capture exists so
-// that detection is automatic rather than hard-coded per app.
-func captureDP(cost sim.CostModel, cfg Config, p int, eng machine.Engine) (*skeleton.Skeleton, float64, error) {
-	if p > cfg.N {
-		p = cfg.N
+	return mapping.Cells{
+		Ident: ident(cfg),
+		DPCap: cfg.N, // the program distributes over the N matrix rows
+		Stage: func(m *machine.Machine, s int) float64 { return fx.Run(m, stageBody(cfg, s)).MakespanTime() },
+		DP:    func(m *machine.Machine) float64 { return Run(m, one, DataParallel(m.N())).Stream.Latency },
 	}
-	one := cfg
-	one.Sets = 1
-	mach := machine.New(p, cost)
-	mach.SetEngine(eng)
-	sink := skeleton.NewSink(cost, "")
-	mach.SetTracer(sink)
-	res := Run(mach, one, DataParallel(p))
-	sk, err := sink.Skeleton()
-	return sk, res.Stream.Latency, err
-}
-
-// replayCells rewrites the BuildTables measurement closures replay-first:
-// each cell consults the skeleton store and answers by analytic re-cost when
-// it can, falling back to the live simulation otherwise. Shared verbatim in
-// shape by the radar and stereo packages.
-func replayCells(r *mapping.ReplayOptions, cost sim.CostModel, cfg Config, eng machine.Engine,
-	stage func(s, p int) float64, dp func(p int) float64) (func(s, p int) float64, func(p int) float64) {
-	params := fmt.Sprintf("N=%d,Bins=%d", cfg.N, cfg.Bins)
-	rStage := func(s, p int) float64 {
-		key := skeleton.StoreKey{App: "ffthist.stage", Params: fmt.Sprintf("%s,s=%d", params, s),
-			Mapping: "isolated", P: p}
-		if v, ok := r.Eval(key, cost, func(base sim.CostModel) (*skeleton.Skeleton, float64, error) {
-			return captureStage(base, cfg, s, p, eng)
-		}); ok {
-			return v
-		}
-		return stage(s, p)
-	}
-	rDP := func(p int) float64 {
-		key := skeleton.StoreKey{App: "ffthist.dp", Params: params, Mapping: "dp", P: p}
-		if v, ok := r.Eval(key, cost, func(base sim.CostModel) (*skeleton.Skeleton, float64, error) {
-			return captureDP(base, cfg, p, eng)
-		}); ok {
-			return v
-		}
-		return dp(p)
-	}
-	return rStage, rDP
 }
 
 // Spec returns the content-keyed table spec MeasuredModel memoizes its cost
 // tables under. It is exported so the serving layer (internal/serve) can
-// dedupe identical optimize requests on exactly the key the cache uses —
-// the stream length (Sets) is deliberately absent, so requests differing
-// only in stream length share one table build.
+// dedupe identical optimize requests on exactly the key the cache uses.
 func Spec(cost sim.CostModel, cfg Config, maxP int, opt mapping.BuildOptions) mapping.TableSpec {
-	return mapping.TableSpec{
-		App:    "ffthist",
-		Params: fmt.Sprintf("N=%d,Bins=%d", cfg.N, cfg.Bins) + opt.Replay.SpecSuffix(cost),
-		P:      maxP,
-		Stages: BuildModel(cost, cfg, maxP).StageNames,
-		Cost:   cost,
-	}
+	return ident(cfg).Spec(cost, maxP, stageNames, opt.Replay)
 }
 
-// MeasuredModel builds the mapper's cost model for FFT-Hist by simulating
-// every stage at every candidate processor count (and the data-parallel
-// whole program), instead of using BuildModel's closed forms. The
-// measurement campaign fans out over opt.Workers host workers and is
-// memoized under a content key of (app, parameters, machine size, cost
-// constants) — see mapping.BuildTables — so repeated builds, in-process or
-// across process invocations with opt.CacheDir set, skip the simulations
-// entirely. The returned source says where the tables came from.
-//
-// With opt.Replay set, each cell is answered replay-first from the skeleton
-// store: a hit costs one analytic DAG evaluation instead of a simulation,
-// and a miss runs one live traced simulation that populates the store for
-// every build after it.
+// MeasuredModel builds the mapper's cost model for FFT-Hist from isolated
+// stage simulations instead of BuildModel's closed forms, memoized by
+// content key and replay-first under opt.Replay; see mapping.Cells.Measure.
 func MeasuredModel(cost sim.CostModel, cfg Config, maxP int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
-	closed := BuildModel(cost, cfg, maxP) // reuse caps and transfer-cost structure
-	spec := Spec(cost, cfg, maxP, opt)
-	stage := func(s, p int) float64 { return measureStage(cost, cfg, s, p, opt.Engine) }
-	dp := func(p int) float64 { return measureDP(cost, cfg, p, opt.Engine) }
-	if opt.Replay != nil && opt.Replay.Store != nil {
-		stage, dp = replayCells(opt.Replay, cost, cfg, opt.Engine, stage, dp)
-	}
-	tab, src, err := mapping.BuildTables(spec, opt, stage, dp)
-	if err != nil {
-		return mapping.Model{}, src, err
-	}
-	return tab.Model(spec, maxP, closed.Caps, closed.Xfer), src, nil
+	return cells(cfg).Measure(cost, BuildModel(cost, cfg, maxP), opt)
 }

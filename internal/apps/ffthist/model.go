@@ -8,6 +8,10 @@ import (
 	"fxpar/internal/sim"
 )
 
+// stageNames are the pipeline stages in order; shared (read-only) by every
+// model and table spec of the program.
+var stageNames = []string{"cffts", "rffts", "hist"}
+
 // BuildModel constructs the mapper's cost model for FFT-Hist on a machine of
 // maxP processors with the given cost model. The tables are closed forms
 // over the same constants the simulator charges (flop counts, alpha/beta,
@@ -43,7 +47,7 @@ func BuildModel(cost sim.CostModel, cfg Config, maxP int) mapping.Model {
 
 	m := mapping.Model{
 		P:          maxP,
-		StageNames: []string{"cffts", "rffts", "hist"},
+		StageNames: stageNames,
 		StageT:     make([][]float64, 3),
 		DPT:        make([]float64, maxP+1),
 		Caps:       []int{n, n, n},

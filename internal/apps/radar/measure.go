@@ -8,7 +8,6 @@ import (
 	"fxpar/internal/machine"
 	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
-	"fxpar/internal/skeleton"
 	"fxpar/internal/stats"
 )
 
@@ -46,121 +45,34 @@ func stageBody(cfg Config, s int) func(*fx.Proc) {
 	}
 }
 
-// stageProcs clamps a requested processor count to stage s's cap.
-func stageProcs(cfg Config, s, p int) int {
-	caps := []int{cfg.Gates, cfg.Rows, cfg.Rows, cfg.Rows}
-	if p > caps[s] {
-		return caps[s]
-	}
-	return p
+// ident is the content identity the radar cost tables and cell skeletons are
+// filed under.
+func ident(cfg Config) mapping.Ident {
+	return mapping.Ident{App: "radar",
+		Params: fmt.Sprintf("Gates=%d,Rows=%d,Scale=%g,Thr=%g", cfg.Gates, cfg.Rows, cfg.Scale, cfg.Threshold)}
 }
 
-// measureStage simulates stage s of the radar program in isolation on p
-// processors for one data set and returns the virtual makespan.
-func measureStage(cost sim.CostModel, cfg Config, s, p int, eng machine.Engine) float64 {
-	mach := machine.New(stageProcs(cfg, s, p), cost)
-	mach.SetEngine(eng)
-	st := fx.Run(mach, stageBody(cfg, s))
-	return st.MakespanTime()
-}
-
-// captureStage runs the same isolated stage simulation under a skeleton sink
-// and returns the folded communication skeleton alongside the live makespan.
-func captureStage(cost sim.CostModel, cfg Config, s, p int, eng machine.Engine) (*skeleton.Skeleton, float64, error) {
-	mach := machine.New(stageProcs(cfg, s, p), cost)
-	mach.SetEngine(eng)
-	sink := skeleton.NewSink(cost, "")
-	mach.SetTracer(sink)
-	st := fx.Run(mach, stageBody(cfg, s))
-	sk, err := sink.Skeleton()
-	return sk, st.MakespanTime(), err
-}
-
-// measureDP simulates the whole radar program data-parallel on p processors
-// for a single data set and returns the per-set latency.
-func measureDP(cost sim.CostModel, cfg Config, p int, eng machine.Engine) float64 {
-	if p > cfg.Rows {
-		p = cfg.Rows // the data-parallel program cannot use more than Rows
-	}
+// cells describes the radar program to the cost-table measurer.
+func cells(cfg Config) mapping.Cells {
 	one := cfg
 	one.Sets = 1
-	mach := machine.New(p, cost)
-	mach.SetEngine(eng)
-	res := Run(mach, one, DataParallel(p))
-	return res.Stream.Latency
-}
-
-// captureDP is the traced variant of measureDP; its live value is a stream
-// latency, so ReplayOptions.Eval keeps these cells on the live path.
-func captureDP(cost sim.CostModel, cfg Config, p int, eng machine.Engine) (*skeleton.Skeleton, float64, error) {
-	if p > cfg.Rows {
-		p = cfg.Rows
+	return mapping.Cells{
+		Ident: ident(cfg),
+		DPCap: cfg.Rows, // the data-parallel program cannot use more than Rows
+		Stage: func(m *machine.Machine, s int) float64 { return fx.Run(m, stageBody(cfg, s)).MakespanTime() },
+		DP:    func(m *machine.Machine) float64 { return Run(m, one, DataParallel(m.N())).Stream.Latency },
 	}
-	one := cfg
-	one.Sets = 1
-	mach := machine.New(p, cost)
-	mach.SetEngine(eng)
-	sink := skeleton.NewSink(cost, "")
-	mach.SetTracer(sink)
-	res := Run(mach, one, DataParallel(p))
-	sk, err := sink.Skeleton()
-	return sk, res.Stream.Latency, err
-}
-
-// replayCells rewrites the measurement closures replay-first; see
-// ffthist.replayCells for the pattern.
-func replayCells(r *mapping.ReplayOptions, cost sim.CostModel, cfg Config, eng machine.Engine,
-	stage func(s, p int) float64, dp func(p int) float64) (func(s, p int) float64, func(p int) float64) {
-	params := fmt.Sprintf("Gates=%d,Rows=%d,Scale=%g,Thr=%g", cfg.Gates, cfg.Rows, cfg.Scale, cfg.Threshold)
-	rStage := func(s, p int) float64 {
-		key := skeleton.StoreKey{App: "radar.stage", Params: fmt.Sprintf("%s,s=%d", params, s),
-			Mapping: "isolated", P: p}
-		if v, ok := r.Eval(key, cost, func(base sim.CostModel) (*skeleton.Skeleton, float64, error) {
-			return captureStage(base, cfg, s, p, eng)
-		}); ok {
-			return v
-		}
-		return stage(s, p)
-	}
-	rDP := func(p int) float64 {
-		key := skeleton.StoreKey{App: "radar.dp", Params: params, Mapping: "dp", P: p}
-		if v, ok := r.Eval(key, cost, func(base sim.CostModel) (*skeleton.Skeleton, float64, error) {
-			return captureDP(base, cfg, p, eng)
-		}); ok {
-			return v
-		}
-		return dp(p)
-	}
-	return rStage, rDP
 }
 
 // Spec returns the content-keyed table spec MeasuredModel memoizes its cost
-// tables under; exported for the serving layer's request dedupe (see
-// ffthist.Spec).
+// tables under; exported for the serving layer's request dedupe.
 func Spec(cost sim.CostModel, cfg Config, maxP int, opt mapping.BuildOptions) mapping.TableSpec {
-	return mapping.TableSpec{
-		App:    "radar",
-		Params: fmt.Sprintf("Gates=%d,Rows=%d,Scale=%g,Thr=%g", cfg.Gates, cfg.Rows, cfg.Scale, cfg.Threshold) + opt.Replay.SpecSuffix(cost),
-		P:      maxP,
-		Stages: BuildModel(cost, cfg, maxP).StageNames,
-		Cost:   cost,
-	}
+	return ident(cfg).Spec(cost, maxP, stageNames, opt.Replay)
 }
 
-// MeasuredModel builds the radar cost model from isolated stage simulations
-// memoized by content key; see ffthist.MeasuredModel for the contract
-// (including the replay-first path under opt.Replay).
+// MeasuredModel builds the radar cost model from isolated stage simulations,
+// memoized by content key and replay-first under opt.Replay; see
+// mapping.Cells.Measure.
 func MeasuredModel(cost sim.CostModel, cfg Config, maxP int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
-	closed := BuildModel(cost, cfg, maxP)
-	spec := Spec(cost, cfg, maxP, opt)
-	stage := func(s, p int) float64 { return measureStage(cost, cfg, s, p, opt.Engine) }
-	dp := func(p int) float64 { return measureDP(cost, cfg, p, opt.Engine) }
-	if opt.Replay != nil && opt.Replay.Store != nil {
-		stage, dp = replayCells(opt.Replay, cost, cfg, opt.Engine, stage, dp)
-	}
-	tab, src, err := mapping.BuildTables(spec, opt, stage, dp)
-	if err != nil {
-		return mapping.Model{}, src, err
-	}
-	return tab.Model(spec, maxP, closed.Caps, closed.Xfer), src, nil
+	return cells(cfg).Measure(cost, BuildModel(cost, cfg, maxP), opt)
 }

@@ -8,6 +8,10 @@ import (
 	"fxpar/internal/sim"
 )
 
+// stageNames are the pipeline stages in order; shared (read-only) by every
+// model and table spec of the program.
+var stageNames = []string{"input", "fft", "scale", "threshold"}
+
 // BuildModel constructs the mapper's cost model for the radar program.
 // The compute stages are capped at cfg.Rows processors — the parallelism
 // limit "because of the structure of parallelization" that kept the paper's
@@ -42,7 +46,7 @@ func BuildModel(cost sim.CostModel, cfg Config, maxP int) mapping.Model {
 
 	m := mapping.Model{
 		P:          maxP,
-		StageNames: []string{"input", "fft", "scale", "threshold"},
+		StageNames: stageNames,
 		StageT:     make([][]float64, 4),
 		DPT:        make([]float64, maxP+1),
 		Caps:       []int{cfg.Gates, cfg.Rows, cfg.Rows, cfg.Rows},
@@ -68,11 +72,4 @@ func ChoiceToMapping(c mapping.Choice) Mapping {
 		Modules: c.Modules, Stages: append([]int(nil), c.StageProcs...),
 		WideModules: c.WideModules, WideStages: append([]int(nil), c.WideStageProcs...),
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

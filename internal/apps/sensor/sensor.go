@@ -1,0 +1,200 @@
+// Package sensor describes the paper's three sensor programs (Table 1:
+// FFT-Hist, radar, stereo) once, for every layer that runs them as a
+// campaign: a program is a chain of data-parallel stages with a measured
+// cost model, a mapping is modules x per-stage processors, and the Table 1
+// cell is App.Optimize. experiments.Table1, the serving layer and fxprof all
+// go through App; each program's typed Config stays inside its closures.
+package sensor
+
+import (
+	"fmt"
+
+	"fxpar/internal/apps/ffthist"
+	"fxpar/internal/apps/radar"
+	"fxpar/internal/apps/stereo"
+	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
+	"fxpar/internal/sim"
+	"fxpar/internal/stats"
+)
+
+// Mapping is the module/stage split the three programs' Mapping types share
+// field for field (it struct-converts to each) and the serving layer's wire
+// shape. The first WideModules modules run with WideStages, not Stages.
+type Mapping struct {
+	Modules     int   `json:"modules,omitempty"`
+	Stages      []int `json:"stages,omitempty"`
+	WideModules int   `json:"wideModules,omitempty"`
+	WideStages  []int `json:"wideStages,omitempty"`
+}
+
+// DataParallel is the one-module data-parallel mapping on p processors.
+func DataParallel(p int) Mapping { return Mapping{Modules: 1, Stages: []int{p}} }
+
+// FromChoice converts an optimizer Choice into a runnable Mapping.
+// Processors the choice leaves unused simply idle.
+func FromChoice(c mapping.Choice) Mapping {
+	return Mapping{
+		Modules: c.Modules, Stages: append([]int(nil), c.StageProcs...),
+		WideModules: c.WideModules, WideStages: append([]int(nil), c.WideStageProcs...),
+	}
+}
+
+// Out is the simulated outcome of one run.
+type Out struct {
+	Stream   stats.Result
+	Makespan float64
+}
+
+// App is one sensor program at one workload size. Every simulated number it
+// produces is deterministic in virtual time — a pure function of (program,
+// parameters, P, mapping).
+type App struct {
+	Name   string // "ffthist" | "radar" | "stereo"
+	Size   string // Table 1's size column
+	Params string // canonical parameters, stream length included
+	Rows   int    // rows the program distributes over: its data-parallel width cap
+
+	// Spec is the content key the cost tables for a p-processor machine are
+	// memoized under, and Model builds them (see mapping.Cells.Measure).
+	Spec  func(cost sim.CostModel, p int, opt mapping.BuildOptions) mapping.TableSpec
+	Model func(cost sim.CostModel, p int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error)
+	// Run streams the data sets through m under mp.
+	Run func(m *machine.Machine, mp Mapping) Out
+	// MappingString renders mp the way the program's own Mapping type does.
+	MappingString func(mp Mapping) string
+}
+
+// FFTHist is the FFT-Hist program under cfg.
+func FFTHist(cfg ffthist.Config) App {
+	return App{
+		Name: "ffthist", Size: fmt.Sprintf("%dx%d", cfg.N, cfg.N), Rows: cfg.N,
+		Params: fmt.Sprintf("N=%d,Bins=%d,Sets=%d", cfg.N, cfg.Bins, cfg.Sets),
+		Spec: func(cost sim.CostModel, p int, opt mapping.BuildOptions) mapping.TableSpec {
+			return ffthist.Spec(cost, cfg, p, opt)
+		},
+		Model: func(cost sim.CostModel, p int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
+			return ffthist.MeasuredModel(cost, cfg, p, opt)
+		},
+		Run: func(m *machine.Machine, mp Mapping) Out {
+			res := ffthist.Run(m, cfg, ffthist.Mapping(mp))
+			return Out{res.Stream, res.Makespan}
+		},
+		MappingString: func(mp Mapping) string { return ffthist.Mapping(mp).String() },
+	}
+}
+
+// Radar is the radar program under cfg.
+func Radar(cfg radar.Config) App {
+	return App{
+		Name: "radar", Size: fmt.Sprintf("%dx%d", cfg.Gates, cfg.Rows), Rows: cfg.Rows,
+		Params: fmt.Sprintf("Gates=%d,Rows=%d,Scale=%g,Thr=%g,Sets=%d", cfg.Gates, cfg.Rows, cfg.Scale, cfg.Threshold, cfg.Sets),
+		Spec: func(cost sim.CostModel, p int, opt mapping.BuildOptions) mapping.TableSpec {
+			return radar.Spec(cost, cfg, p, opt)
+		},
+		Model: func(cost sim.CostModel, p int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
+			return radar.MeasuredModel(cost, cfg, p, opt)
+		},
+		Run: func(m *machine.Machine, mp Mapping) Out {
+			res := radar.Run(m, cfg, radar.Mapping(mp))
+			return Out{res.Stream, res.Makespan}
+		},
+		MappingString: func(mp Mapping) string { return radar.Mapping(mp).String() },
+	}
+}
+
+// Stereo is the stereo program under cfg.
+func Stereo(cfg stereo.Config) App {
+	return App{
+		Name: "stereo", Size: fmt.Sprintf("%dx%d", cfg.W, cfg.H), Rows: cfg.H,
+		Params: fmt.Sprintf("W=%d,H=%d,D=%d,Win=%d,Sets=%d", cfg.W, cfg.H, cfg.Disparities, cfg.Window, cfg.Sets),
+		Spec: func(cost sim.CostModel, p int, opt mapping.BuildOptions) mapping.TableSpec {
+			return stereo.Spec(cost, cfg, p, opt)
+		},
+		Model: func(cost sim.CostModel, p int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
+			return stereo.MeasuredModel(cost, cfg, p, opt)
+		},
+		Run: func(m *machine.Machine, mp Mapping) Out {
+			res := stereo.Run(m, cfg, stereo.Mapping(mp))
+			return Out{res.Stream, res.Makespan}
+		},
+		MappingString: func(mp Mapping) string { return stereo.Mapping(mp).String() },
+	}
+}
+
+// ByName returns the named program streaming sets data sets at the paper's
+// Table 1 size — FFT-Hist 256x256, radar 512x10x4, stereo 256x240 — or,
+// with quick, at the reduced size of the same structure that answers in well
+// under a second (32x32, 64x8, 64x24). n > 0 overrides the leading extent:
+// the FFT-Hist edge, the radar gate count, the stereo image width.
+func ByName(name string, quick bool, sets, n int) (App, error) {
+	switch name {
+	case "ffthist":
+		cfg := ffthist.Config{N: 256, Sets: sets, Bins: 64}
+		if quick {
+			cfg.N = 32
+		}
+		if n > 0 {
+			cfg.N = n
+		}
+		return FFTHist(cfg), nil
+	case "radar":
+		cfg := radar.DefaultConfig()
+		if quick {
+			cfg = radar.Config{Gates: 64, Rows: 8, Scale: 1.0 / 64, Threshold: 0.05}
+		}
+		if n > 0 {
+			cfg.Gates = n
+		}
+		cfg.Sets = sets
+		return Radar(cfg), nil
+	case "stereo":
+		cfg := stereo.DefaultConfig()
+		if quick {
+			cfg = stereo.Config{W: 64, H: 24, Disparities: 8, Window: 2}
+		}
+		if n > 0 {
+			cfg.W = n
+		}
+		cfg.Sets = sets
+		return Stereo(cfg), nil
+	}
+	return App{}, fmt.Errorf("unknown app %q (have: ffthist, radar, stereo)", name)
+}
+
+// Optimized is one Table 1 cell: what Optimize found and measured.
+type Optimized struct {
+	ModelSource string         // where the cost tables came from; "" if the build failed
+	Goal        float64        // the throughput goal the optimizer was given
+	DP          Out            // the data-parallel baseline run
+	Choice      mapping.Choice // the latency-optimal mapping meeting Goal
+	Task        Out            // the run under Choice
+}
+
+// Optimize runs the campaign behind one Table 1 cell on a p-processor
+// machine: build the measured cost model, simulate the data-parallel
+// baseline, pick the latency-optimal mapping meeting the throughput goal and
+// simulate it. goal is absolute (data sets per simulated second); when it is
+// 0, goalRatio x the model's data-parallel throughput is used — the paper's
+// relative-goal formulation — and both zero optimizes latency alone.
+// newMachine must return a fresh p-processor machine at cost for each run.
+// On a "model: ..." or "infeasible: ..." error the fields filled so far stand.
+func (a App) Optimize(cost sim.CostModel, p int, goal, goalRatio float64, opt mapping.BuildOptions,
+	newMachine func() *machine.Machine) (Optimized, error) {
+	var r Optimized
+	model, src, err := a.Model(cost, p, opt)
+	if err != nil {
+		return r, fmt.Errorf("model: %w", err)
+	}
+	r.ModelSource = src.String()
+	r.DP = a.Run(newMachine(), DataParallel(min(p, a.Rows)))
+	r.Goal = goal
+	if goal == 0 && goalRatio > 0 {
+		r.Goal = goalRatio / model.DPT[p]
+	}
+	if r.Choice, err = mapping.Optimize(model, r.Goal); err != nil {
+		return r, fmt.Errorf("infeasible: %w", err)
+	}
+	r.Task = a.Run(newMachine(), FromChoice(r.Choice))
+	return r, nil
+}

@@ -7,6 +7,10 @@ import (
 	"fxpar/internal/sim"
 )
 
+// stageNames are the pipeline stages in order; shared (read-only) by every
+// model and table spec of the program.
+var stageNames = []string{"diff", "error", "depth"}
+
 // BuildModel constructs the mapper's cost model for the stereo program.
 func BuildModel(cost sim.CostModel, cfg Config, maxP int) mapping.Model {
 	pixels := cfg.H * cfg.W
@@ -45,7 +49,7 @@ func BuildModel(cost sim.CostModel, cfg Config, maxP int) mapping.Model {
 
 	m := mapping.Model{
 		P:          maxP,
-		StageNames: []string{"diff", "error", "depth"},
+		StageNames: stageNames,
 		StageT:     make([][]float64, 3),
 		DPT:        make([]float64, maxP+1),
 		Caps:       []int{cfg.H, cfg.H, cfg.H},

@@ -16,9 +16,7 @@ import (
 	"fmt"
 	"io"
 
-	"fxpar/internal/apps/ffthist"
-	"fxpar/internal/apps/radar"
-	"fxpar/internal/apps/stereo"
+	"fxpar/internal/apps/sensor"
 	"fxpar/internal/machine"
 	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
@@ -124,21 +122,36 @@ func newMachine(n int, cost sim.CostModel, eng machine.Engine, fp machine.FaultP
 // tables are themselves measured in parallel. Every simulated number is
 // byte-identical to a Workers=1 run.
 func Table1(cfg Table1Config) []Table1Row {
-	cost := cfg.cost()
-	// FFT-Hist 256x256 and 512x512 (quick: 32/64), Radar 512x10x4
-	// (quick: 64x8), Stereo 256x240 (quick: 64x24); paper numbers inline.
-	n1, n2 := 256, 512
+	// The second FFT-Hist row doubles the edge of the first (sensor.ByName
+	// holds every other size).
+	n2 := 512
 	if cfg.Quick {
-		n1, n2 = 32, 64
+		n2 = 64
 	}
-	builders := []func() Table1Row{
-		func() Table1Row { return ffthistRow("FFT-Hist", n1, cfg, 3.90, .256, 8, 13.3, .293, cost) },
-		func() Table1Row { return ffthistRow("FFT-Hist", n2, cfg, 1.99, .502, 2, 2.48, .807, cost) },
-		func() Table1Row { return radarRow(cfg, cost) },
-		func() Table1Row { return stereoRow(cfg, cost) },
+	// The paper's rows: program, size override, then its Table 1 numbers
+	// (DP throughput and latency, goal, task throughput and latency).
+	paper := []struct {
+		name, app                          string
+		n                                  int
+		dp, dpLat, goal, task, taskLatency float64
+	}{
+		{"FFT-Hist", "ffthist", 0, 3.90, .256, 8, 13.3, .293},
+		{"FFT-Hist", "ffthist", n2, 1.99, .502, 2, 2.48, .807},
+		{"Radar", "radar", 0, 23.4, .043, 50, 70.2, .043},
+		{"Stereo", "stereo", 0, 3.64, .275, 10, 11.67, .514},
 	}
-	res := sweep.MapNamed("table1", cfg.Workers, len(builders), func(i int) (Table1Row, error) {
-		return builders[i](), nil
+	res := sweep.MapNamed("table1", cfg.Workers, len(paper), func(i int) (Table1Row, error) {
+		r := paper[i]
+		a, err := sensor.ByName(r.app, cfg.Quick, cfg.Sets, r.n)
+		if err != nil {
+			return Table1Row{}, err
+		}
+		return table1Row(cfg, a, Table1Row{
+			Name: r.name, Size: a.Size,
+			PaperDPThroughput: r.dp, PaperDPLatency: r.dpLat, PaperGoal: r.goal,
+			PaperTaskThroughput: r.task, PaperTaskLatency: r.taskLatency,
+			GoalRatio: r.goal / r.dp,
+		}), nil
 	})
 	rows := make([]Table1Row, len(res))
 	for i, r := range res {
@@ -151,108 +164,23 @@ func Table1(cfg Table1Config) []Table1Row {
 	return rows
 }
 
-func ffthistRow(name string, n int, cfg Table1Config,
-	pDP, pDPLat, pGoal, pTask, pTaskLat float64, cost sim.CostModel) Table1Row {
-	appCfg := ffthist.Config{N: n, Sets: cfg.Sets, Bins: 64}
-	row := Table1Row{
-		Name: name, Size: fmt.Sprintf("%dx%d", n, n),
-		PaperDPThroughput: pDP, PaperDPLatency: pDPLat, PaperGoal: pGoal,
-		PaperTaskThroughput: pTask, PaperTaskLatency: pTaskLat,
-		GoalRatio: pGoal / pDP,
-	}
-	model, src, err := ffthist.MeasuredModel(cost, appCfg, cfg.Procs, cfg.buildOptions())
+// table1Row fills row's measured columns with program a's Table 1 cell. A
+// failed row keeps the columns measured before the failure and carries the
+// error in Best.
+func table1Row(cfg Table1Config, a sensor.App, row Table1Row) Table1Row {
+	cost := cfg.cost()
+	r, err := a.Optimize(cost, cfg.Procs, 0, row.GoalRatio, cfg.buildOptions(), func() *machine.Machine {
+		return newMachine(cfg.Procs, cost, cfg.Engine, cfg.Faults)
+	})
+	row.ModelSource = r.ModelSource
+	row.DPThroughput, row.DPLatency = r.DP.Stream.Throughput, r.DP.Stream.Latency
+	row.Goal = r.Goal
+	row.TaskThroughput, row.TaskLatency = r.Task.Stream.Throughput, r.Task.Stream.Latency
 	if err != nil {
-		row.Best = "model: " + err.Error()
+		row.Best = err.Error()
 		return row
 	}
-	row.ModelSource = src.String()
-	dpCap := cfg.Procs
-	if dpCap > n {
-		dpCap = n
-	}
-	dp := ffthist.Run(newMachine(cfg.Procs, cost, cfg.Engine, cfg.Faults), appCfg, ffthist.DataParallel(dpCap))
-	row.DPThroughput, row.DPLatency = dp.Stream.Throughput, dp.Stream.Latency
-	row.Goal = row.GoalRatio / model.DPT[cfg.Procs]
-	choice, err := mapping.Optimize(model, row.Goal)
-	if err != nil {
-		row.Best = "infeasible: " + err.Error()
-		return row
-	}
-	row.Best = choice.String()
-	task := ffthist.Run(newMachine(cfg.Procs, cost, cfg.Engine, cfg.Faults), appCfg, ffthist.ChoiceToMapping(choice))
-	row.TaskThroughput, row.TaskLatency = task.Stream.Throughput, task.Stream.Latency
-	return row
-}
-
-func radarRow(cfg Table1Config, cost sim.CostModel) Table1Row {
-	appCfg := radar.DefaultConfig()
-	appCfg.Sets = cfg.Sets
-	if cfg.Quick {
-		appCfg = radar.Config{Gates: 64, Rows: 8, Sets: cfg.Sets, Scale: 1.0 / 64, Threshold: 0.05}
-	}
-	row := Table1Row{
-		Name: "Radar", Size: fmt.Sprintf("%dx%d", appCfg.Gates, appCfg.Rows),
-		PaperDPThroughput: 23.4, PaperDPLatency: .043, PaperGoal: 50,
-		PaperTaskThroughput: 70.2, PaperTaskLatency: .043,
-		GoalRatio: 50.0 / 23.4,
-	}
-	model, src, err := radar.MeasuredModel(cost, appCfg, cfg.Procs, cfg.buildOptions())
-	if err != nil {
-		row.Best = "model: " + err.Error()
-		return row
-	}
-	row.ModelSource = src.String()
-	dpCap := cfg.Procs
-	if dpCap > appCfg.Rows {
-		dpCap = appCfg.Rows
-	}
-	dp := radar.Run(newMachine(cfg.Procs, cost, cfg.Engine, cfg.Faults), appCfg, radar.DataParallel(dpCap))
-	row.DPThroughput, row.DPLatency = dp.Stream.Throughput, dp.Stream.Latency
-	row.Goal = row.GoalRatio / model.DPT[cfg.Procs]
-	choice, err := mapping.Optimize(model, row.Goal)
-	if err != nil {
-		row.Best = "infeasible: " + err.Error()
-		return row
-	}
-	row.Best = choice.String()
-	task := radar.Run(newMachine(cfg.Procs, cost, cfg.Engine, cfg.Faults), appCfg, radar.ChoiceToMapping(choice))
-	row.TaskThroughput, row.TaskLatency = task.Stream.Throughput, task.Stream.Latency
-	return row
-}
-
-func stereoRow(cfg Table1Config, cost sim.CostModel) Table1Row {
-	appCfg := stereo.DefaultConfig()
-	appCfg.Sets = cfg.Sets
-	if cfg.Quick {
-		appCfg = stereo.Config{W: 64, H: 24, Disparities: 8, Window: 2, Sets: cfg.Sets}
-	}
-	row := Table1Row{
-		Name: "Stereo", Size: fmt.Sprintf("%dx%d", appCfg.W, appCfg.H),
-		PaperDPThroughput: 3.64, PaperDPLatency: .275, PaperGoal: 10,
-		PaperTaskThroughput: 11.67, PaperTaskLatency: .514,
-		GoalRatio: 10.0 / 3.64,
-	}
-	model, src, err := stereo.MeasuredModel(cost, appCfg, cfg.Procs, cfg.buildOptions())
-	if err != nil {
-		row.Best = "model: " + err.Error()
-		return row
-	}
-	row.ModelSource = src.String()
-	dpCap := cfg.Procs
-	if dpCap > appCfg.H {
-		dpCap = appCfg.H
-	}
-	dp := stereo.Run(newMachine(cfg.Procs, cost, cfg.Engine, cfg.Faults), appCfg, stereo.DataParallel(dpCap))
-	row.DPThroughput, row.DPLatency = dp.Stream.Throughput, dp.Stream.Latency
-	row.Goal = row.GoalRatio / model.DPT[cfg.Procs]
-	choice, err := mapping.Optimize(model, row.Goal)
-	if err != nil {
-		row.Best = "infeasible: " + err.Error()
-		return row
-	}
-	row.Best = choice.String()
-	task := stereo.Run(newMachine(cfg.Procs, cost, cfg.Engine, cfg.Faults), appCfg, stereo.ChoiceToMapping(choice))
-	row.TaskThroughput, row.TaskLatency = task.Stream.Throughput, task.Stream.Latency
+	row.Best = r.Choice.String()
 	return row
 }
 

@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -94,8 +95,8 @@ type BuildOptions struct {
 	// Replay, when non-nil, enables the skeleton-replay backend for the
 	// measurement closures: each table cell is answered by re-costing a
 	// stored communication skeleton instead of running a simulation
-	// whenever the store has one (see ReplayOptions). The apps' measure
-	// functions consult it; BuildTables itself only threads it through.
+	// whenever the store has one (see ReplayOptions). Cells.Measure consults
+	// it; BuildTables itself only threads it through.
 	Replay *ReplayOptions
 }
 
@@ -139,6 +140,10 @@ func (r *ReplayOptions) SpecSuffix(target sim.CostModel) string {
 	return fmt.Sprintf("|replay-base=%+v", r.Base)
 }
 
+// errNotMakespan marks a capture whose live value is not its skeleton's
+// makespan: the cell cannot be answered by re-costing a DAG.
+var errNotMakespan = errors.New("mapping: cell value is not a skeleton makespan")
+
 // Eval answers one table cell replay-first and reports whether it could:
 // a false return means the caller must fall back to a live simulation at
 // target (which is also the only path that can answer non-makespan cells).
@@ -148,6 +153,8 @@ func (r *ReplayOptions) SpecSuffix(target sim.CostModel) string {
 // folded skeleton together with the cell's live value at Base; the
 // skeleton is stored only if its makespan IS that value — the guard that
 // keeps metrics which are not pure DAG makespans from ever being replayed.
+// The store is filled through its one fill path, GetOrCapture, so concurrent
+// builds that share a cell capture it once and Stats().Captured counts it.
 func (r *ReplayOptions) Eval(key skeleton.StoreKey, target sim.CostModel,
 	capture func(base sim.CostModel) (*skeleton.Skeleton, float64, error)) (float64, bool) {
 	if r == nil || r.Store == nil {
@@ -162,36 +169,33 @@ func (r *ReplayOptions) Eval(key skeleton.StoreKey, target sim.CostModel,
 	if _, bad := r.skip.Load(ks); bad {
 		return 0, false
 	}
-	recost := func(sk *skeleton.Skeleton) (float64, bool) {
-		if target == base {
-			return sk.Makespan, true
-		}
-		mk, err := sk.Recost(skeleton.Params{Cost: &target})
+	var live float64
+	ran := false // this call ran the capture itself (it did not join another's)
+	sk, _, err := r.Store.GetOrCapture(key, func() (*skeleton.Skeleton, error) {
+		sk, v, err := capture(base)
 		if err != nil {
-			return 0, false
+			return nil, err
 		}
-		return mk, true
-	}
-	if sk, _, ok := r.Store.Get(key); ok {
-		return recost(sk)
-	}
-	sk, live, err := capture(base)
-	if err != nil || sk == nil {
-		return 0, false
-	}
-	if sk.Makespan != live {
+		if sk == nil || sk.Makespan != v {
+			live, ran = v, true
+			return nil, errNotMakespan
+		}
+		return sk, nil
+	})
+	if errors.Is(err, errNotMakespan) {
 		r.skip.Store(ks, struct{}{})
-		if target == base {
-			// The capture was the live run; its value stands even though
-			// the cell cannot be replayed at other cost models.
-			return live, true
-		}
+		// The capture was the live run; at the base model its value stands
+		// even though the cell cannot be replayed at other cost models.
+		return live, ran && target == base
+	}
+	if err != nil {
 		return 0, false
 	}
-	if err := r.Store.Put(key, sk); err != nil {
-		return 0, false
+	if target == base {
+		return sk.Makespan, true
 	}
-	return recost(sk)
+	mk, err := sk.Recost(skeleton.Params{Cost: &target})
+	return mk, err == nil
 }
 
 // tableMemo is the in-process cache, shared by every build in the process.

@@ -12,6 +12,7 @@ import (
 	"io"
 	"strings"
 
+	"fxpar/internal/sketch"
 	"fxpar/internal/trace"
 )
 
@@ -20,13 +21,13 @@ type UtilDist struct {
 	Procs int `json:"procs"`
 	// Compute/Send/Wait/IO are distributions of per-processor virtual
 	// seconds in each activity.
-	Compute Sketch `json:"compute"`
-	Send    Sketch `json:"send"`
-	Wait    Sketch `json:"wait"`
-	IO      Sketch `json:"io"`
+	Compute sketch.Sketch `json:"compute"`
+	Send    sketch.Sketch `json:"send"`
+	Wait    sketch.Sketch `json:"wait"`
+	IO      sketch.Sketch `json:"io"`
 	// Busy is the distribution of per-processor busy fraction
 	// ((compute+send+io) / trace extent), in [0, 1].
-	Busy Sketch `json:"busy"`
+	Busy sketch.Sketch `json:"busy"`
 }
 
 // UtilDistribution folds a utilization snapshot, processors in ascending id
@@ -51,10 +52,10 @@ func UtilDistribution(snap trace.UtilSnapshot) UtilDist {
 func (d UtilDist) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "utilization distribution over %d procs (per-proc virtual seconds)\n", d.Procs)
 	var sb strings.Builder
-	WriteSketchText(&sb, "compute", &d.Compute)
-	WriteSketchText(&sb, "send", &d.Send)
-	WriteSketchText(&sb, "wait", &d.Wait)
-	WriteSketchText(&sb, "io", &d.IO)
-	WriteSketchText(&sb, "busy-frac", &d.Busy)
+	sketch.WriteSketchText(&sb, "compute", &d.Compute)
+	sketch.WriteSketchText(&sb, "send", &d.Send)
+	sketch.WriteSketchText(&sb, "wait", &d.Wait)
+	sketch.WriteSketchText(&sb, "io", &d.IO)
+	sketch.WriteSketchText(&sb, "busy-frac", &d.Busy)
 	io.WriteString(w, sb.String()) //nolint:errcheck // best-effort rendering
 }

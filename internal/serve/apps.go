@@ -1,40 +1,32 @@
 package serve
 
-// The app adapters translate wire requests into the sensor-program
-// campaigns the rest of the repo already knows how to run: each adapter
-// owns one application's config resolution, content-keyed table spec,
-// model build and simulated runs. The adapter's spec key — the same key
-// mapping.BuildTables memoizes under — is what request dedupe hangs off,
-// so "same campaign" means exactly "same cost tables" with no second
-// definition to drift.
+// Wire requests resolve to the sensor-program campaigns the rest of the repo
+// already knows how to run (internal/apps/sensor): the program at its paper or
+// quick size, plus the content-keyed table spec of its cost model. That spec
+// key — the same key mapping.BuildTables memoizes under — is what request
+// dedupe hangs off, so "same campaign" means exactly "same cost tables" with
+// no second definition to drift.
 
 import (
 	"fmt"
 
-	"fxpar/internal/apps/ffthist"
-	"fxpar/internal/apps/radar"
-	"fxpar/internal/apps/stereo"
+	"fxpar/internal/apps/sensor"
 	"fxpar/internal/machine"
 	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
 	"fxpar/internal/skeleton"
 )
 
-// MappingSpec is the wire shape of an explicit mapping (see the app Mapping
-// types it mirrors). The zero value means "data-parallel on all processors".
-type MappingSpec struct {
-	Modules     int   `json:"modules,omitempty"`
-	Stages      []int `json:"stages,omitempty"`
-	WideModules int   `json:"wideModules,omitempty"`
-	WideStages  []int `json:"wideStages,omitempty"`
-}
+// MappingSpec is the wire shape of an explicit mapping. The zero value means
+// "data-parallel on all processors".
+type MappingSpec = sensor.Mapping
 
-func (ms MappingSpec) isZero() bool {
+func isZero(ms MappingSpec) bool {
 	return ms.Modules == 0 && len(ms.Stages) == 0 && ms.WideModules == 0 && len(ms.WideStages) == 0
 }
 
 // usesProcs totals the processors the spec occupies.
-func (ms MappingSpec) usesProcs() int {
+func usesProcs(ms MappingSpec) int {
 	sum := func(procs []int) int {
 		s := 0
 		for _, p := range procs {
@@ -47,7 +39,7 @@ func (ms MappingSpec) usesProcs() int {
 
 // validate checks the spec against an app with nStages pipeline stages on a
 // p-processor machine.
-func (ms MappingSpec) validate(nStages, p int) error {
+func validate(ms MappingSpec, nStages, p int) error {
 	if ms.Modules < 1 {
 		return fmt.Errorf("mapping: modules must be >= 1")
 	}
@@ -74,35 +66,17 @@ func (ms MappingSpec) validate(nStages, p int) error {
 	} else if len(ms.WideStages) != 0 {
 		return fmt.Errorf("mapping: wideStages set but wideModules is 0")
 	}
-	if u := ms.usesProcs(); u > p {
+	if u := usesProcs(ms); u > p {
 		return fmt.Errorf("mapping: uses %d processors but the machine has %d", u, p)
 	}
 	return nil
 }
 
-// runOut is the simulated outcome every adapter run reports.
-type runOut struct {
-	Throughput float64
-	Latency    float64
-	Makespan   float64
-}
-
-// appAdapter binds one application's campaign operations. All simulated
-// numbers are deterministic in virtual time — pure functions of
-// (app, params, P, mapping) — which is what makes responses cacheable and
-// byte-identical across duplicate requests.
+// appAdapter is one resolved request: the program and the content key its
+// model tables memoize under.
 type appAdapter struct {
-	name    string
-	params  string            // canonical parameter rendering (for keys and responses)
-	spec    mapping.TableSpec // the content key model tables memoize under
-	nStages int
-	dpCap   int // data-parallel width cap (min(P, rows the app distributes over))
-
-	model      func(opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error)
-	runChoice  func(eng machine.Engine, fp machine.FaultPlan, c mapping.Choice) runOut
-	runDP      func(eng machine.Engine, fp machine.FaultPlan) runOut
-	runMapping func(eng machine.Engine, fp machine.FaultPlan, ms MappingSpec) runOut
-	mappingStr func(ms MappingSpec) string
+	sensor.App
+	spec mapping.TableSpec
 }
 
 func newMachine(p int, cost sim.CostModel, eng machine.Engine, fp machine.FaultPlan) *machine.Machine {
@@ -112,9 +86,9 @@ func newMachine(p int, cost sim.CostModel, eng machine.Engine, fp machine.FaultP
 	return m
 }
 
-// resolveApp builds the adapter for (app, p, sets, quick). Quick sizes
-// mirror experiments.QuickTable1: same structure, reduced data so a request
-// answers in well under a second.
+// resolveApp resolves (app, p, sets, quick) to its program and table spec.
+// It runs on every request, dedupe hits included, so it builds the key and
+// nothing else (TestResolveAppAllocs).
 func resolveApp(app string, p, sets int, quick bool, cost sim.CostModel, replay *mapping.ReplayOptions) (*appAdapter, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("p must be >= 1")
@@ -122,109 +96,11 @@ func resolveApp(app string, p, sets int, quick bool, cost sim.CostModel, replay 
 	if sets < 1 {
 		return nil, fmt.Errorf("sets must be >= 1")
 	}
-	buildOpt := mapping.BuildOptions{Replay: replay}
-	switch app {
-	case "ffthist":
-		n := 256
-		if quick {
-			n = 32
-		}
-		cfg := ffthist.Config{N: n, Sets: sets, Bins: 64}
-		a := &appAdapter{
-			name:   "ffthist",
-			params: fmt.Sprintf("N=%d,Bins=%d,Sets=%d", cfg.N, cfg.Bins, cfg.Sets),
-			spec:   ffthist.Spec(cost, cfg, p, buildOpt),
-			dpCap:  min(p, cfg.N),
-		}
-		a.nStages = len(a.spec.Stages)
-		a.model = func(opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
-			return ffthist.MeasuredModel(cost, cfg, p, opt)
-		}
-		run := func(eng machine.Engine, fp machine.FaultPlan, mp ffthist.Mapping) runOut {
-			res := ffthist.Run(newMachine(p, cost, eng, fp), cfg, mp)
-			return runOut{res.Stream.Throughput, res.Stream.Latency, res.Makespan}
-		}
-		a.runChoice = func(eng machine.Engine, fp machine.FaultPlan, c mapping.Choice) runOut {
-			return run(eng, fp, ffthist.ChoiceToMapping(c))
-		}
-		a.runDP = func(eng machine.Engine, fp machine.FaultPlan) runOut {
-			return run(eng, fp, ffthist.DataParallel(a.dpCap))
-		}
-		a.runMapping = func(eng machine.Engine, fp machine.FaultPlan, ms MappingSpec) runOut {
-			return run(eng, fp, ffthist.Mapping{Modules: ms.Modules, Stages: ms.Stages, WideModules: ms.WideModules, WideStages: ms.WideStages})
-		}
-		a.mappingStr = func(ms MappingSpec) string {
-			return ffthist.Mapping{Modules: ms.Modules, Stages: ms.Stages, WideModules: ms.WideModules, WideStages: ms.WideStages}.String()
-		}
-		return a, nil
-	case "radar":
-		cfg := radar.DefaultConfig()
-		if quick {
-			cfg = radar.Config{Gates: 64, Rows: 8, Scale: 1.0 / 64, Threshold: 0.05}
-		}
-		cfg.Sets = sets
-		a := &appAdapter{
-			name:   "radar",
-			params: fmt.Sprintf("Gates=%d,Rows=%d,Scale=%g,Thr=%g,Sets=%d", cfg.Gates, cfg.Rows, cfg.Scale, cfg.Threshold, cfg.Sets),
-			spec:   radar.Spec(cost, cfg, p, buildOpt),
-			dpCap:  min(p, cfg.Rows),
-		}
-		a.nStages = len(a.spec.Stages)
-		a.model = func(opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
-			return radar.MeasuredModel(cost, cfg, p, opt)
-		}
-		run := func(eng machine.Engine, fp machine.FaultPlan, mp radar.Mapping) runOut {
-			res := radar.Run(newMachine(p, cost, eng, fp), cfg, mp)
-			return runOut{res.Stream.Throughput, res.Stream.Latency, res.Makespan}
-		}
-		a.runChoice = func(eng machine.Engine, fp machine.FaultPlan, c mapping.Choice) runOut {
-			return run(eng, fp, radar.ChoiceToMapping(c))
-		}
-		a.runDP = func(eng machine.Engine, fp machine.FaultPlan) runOut {
-			return run(eng, fp, radar.DataParallel(a.dpCap))
-		}
-		a.runMapping = func(eng machine.Engine, fp machine.FaultPlan, ms MappingSpec) runOut {
-			return run(eng, fp, radar.Mapping{Modules: ms.Modules, Stages: ms.Stages, WideModules: ms.WideModules, WideStages: ms.WideStages})
-		}
-		a.mappingStr = func(ms MappingSpec) string {
-			return radar.Mapping{Modules: ms.Modules, Stages: ms.Stages, WideModules: ms.WideModules, WideStages: ms.WideStages}.String()
-		}
-		return a, nil
-	case "stereo":
-		cfg := stereo.DefaultConfig()
-		if quick {
-			cfg = stereo.Config{W: 64, H: 24, Disparities: 8, Window: 2}
-		}
-		cfg.Sets = sets
-		a := &appAdapter{
-			name:   "stereo",
-			params: fmt.Sprintf("W=%d,H=%d,D=%d,Win=%d,Sets=%d", cfg.W, cfg.H, cfg.Disparities, cfg.Window, cfg.Sets),
-			spec:   stereo.Spec(cost, cfg, p, buildOpt),
-			dpCap:  min(p, cfg.H),
-		}
-		a.nStages = len(a.spec.Stages)
-		a.model = func(opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
-			return stereo.MeasuredModel(cost, cfg, p, opt)
-		}
-		run := func(eng machine.Engine, fp machine.FaultPlan, mp stereo.Mapping) runOut {
-			res := stereo.Run(newMachine(p, cost, eng, fp), cfg, mp)
-			return runOut{res.Stream.Throughput, res.Stream.Latency, res.Makespan}
-		}
-		a.runChoice = func(eng machine.Engine, fp machine.FaultPlan, c mapping.Choice) runOut {
-			return run(eng, fp, stereo.ChoiceToMapping(c))
-		}
-		a.runDP = func(eng machine.Engine, fp machine.FaultPlan) runOut {
-			return run(eng, fp, stereo.DataParallel(a.dpCap))
-		}
-		a.runMapping = func(eng machine.Engine, fp machine.FaultPlan, ms MappingSpec) runOut {
-			return run(eng, fp, stereo.Mapping{Modules: ms.Modules, Stages: ms.Stages, WideModules: ms.WideModules, WideStages: ms.WideStages})
-		}
-		a.mappingStr = func(ms MappingSpec) string {
-			return stereo.Mapping{Modules: ms.Modules, Stages: ms.Stages, WideModules: ms.WideModules, WideStages: ms.WideStages}.String()
-		}
-		return a, nil
+	a, err := sensor.ByName(app, quick, sets, 0)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("unknown app %q (have: ffthist, radar, stereo)", app)
+	return &appAdapter{App: a, spec: a.Spec(cost, p, mapping.BuildOptions{Replay: replay})}, nil
 }
 
 // measureKey renders the measure request's content key. It reuses
@@ -233,9 +109,9 @@ func resolveApp(app string, p, sets int, quick bool, cost sim.CostModel, replay 
 // campaign.
 func measureKey(a *appAdapter, ms MappingSpec, p int, chaos string, cost sim.CostModel) string {
 	return skeleton.StoreKey{
-		App:     "serve." + a.name,
-		Params:  a.params,
-		Mapping: a.mappingStr(ms),
+		App:     "serve." + a.Name,
+		Params:  a.Params,
+		Mapping: a.MappingString(ms),
 		P:       p,
 		Chaos:   chaos,
 		Cost:    cost,

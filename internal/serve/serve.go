@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"fxpar/internal/apps/sensor"
 	"fxpar/internal/experiments"
 	"fxpar/internal/fault"
 	"fxpar/internal/machine"
@@ -244,30 +245,23 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The key is the cost-table content key plus everything else that
-	// shapes the response — Sets rides in a.params.
+	// shapes the response — Sets rides in a.Params.
 	key := fmt.Sprintf("optimize|%s|sets=%d|goal=%g|goalRatio=%g", a.spec.Key(), req.Sets, req.Goal, req.GoalRatio)
 	s.submit(w, r, "optimize", key, req.reqMeta, func() ([]byte, error) {
-		model, src, err := a.model(s.buildOptions())
+		// The Table 1 cell, by the call experiments.Table1 makes per row.
+		res, err := a.Optimize(s.cost, req.P, req.Goal, req.GoalRatio, s.buildOptions(), func() *machine.Machine {
+			return newMachine(req.P, s.cost, s.eng, nil)
+		})
 		if err != nil {
-			return nil, fmt.Errorf("model: %w", err)
+			return nil, err
 		}
-		goal := req.Goal
-		if goal == 0 && req.GoalRatio > 0 {
-			goal = req.GoalRatio / model.DPT[req.P]
-		}
-		choice, err := mapping.Optimize(model, goal)
-		if err != nil {
-			return nil, fmt.Errorf("infeasible: %w", err)
-		}
-		dp := a.runDP(s.eng, nil)
-		task := a.runChoice(s.eng, nil, choice)
 		return canonical(OptimizeResult{
-			App: a.name, Params: a.params, P: req.P, Sets: req.Sets,
-			Goal: goal, Best: choice.String(),
-			PredLatency: choice.PredLatency, PredThroughput: choice.PredThroughput,
-			DPThroughput: dp.Throughput, DPLatency: dp.Latency,
-			TaskThroughput: task.Throughput, TaskLatency: task.Latency,
-			ModelSource: src.String(),
+			App: a.Name, Params: a.Params, P: req.P, Sets: req.Sets,
+			Goal: res.Goal, Best: res.Choice.String(),
+			PredLatency: res.Choice.PredLatency, PredThroughput: res.Choice.PredThroughput,
+			DPThroughput: res.DP.Stream.Throughput, DPLatency: res.DP.Stream.Latency,
+			TaskThroughput: res.Task.Stream.Throughput, TaskLatency: res.Task.Stream.Latency,
+			ModelSource: res.ModelSource,
 		})
 	})
 }
@@ -311,10 +305,10 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Mapping.isZero() {
-		req.Mapping = MappingSpec{Modules: 1, Stages: []int{a.dpCap}}
+	if isZero(req.Mapping) {
+		req.Mapping = sensor.DataParallel(min(req.P, a.Rows))
 	}
-	if err := req.Mapping.validate(a.nStages, req.P); err != nil {
+	if err := validate(req.Mapping, len(a.spec.Stages), req.P); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -329,11 +323,11 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	}
 	key := measureKey(a, req.Mapping, req.P, chaos, s.cost)
 	s.submit(w, r, "measure", key, req.reqMeta, func() ([]byte, error) {
-		out := a.runMapping(s.eng, plan.Machine(), req.Mapping)
+		out := a.Run(newMachine(req.P, s.cost, s.eng, plan.Machine()), req.Mapping)
 		return canonical(MeasureResult{
-			App: a.name, Params: a.params, P: req.P, Sets: req.Sets,
-			Mapping: a.mappingStr(req.Mapping), Chaos: chaos,
-			Throughput: out.Throughput, Latency: out.Latency, Makespan: out.Makespan,
+			App: a.Name, Params: a.Params, P: req.P, Sets: req.Sets,
+			Mapping: a.MappingString(req.Mapping), Chaos: chaos,
+			Throughput: out.Stream.Throughput, Latency: out.Stream.Latency, Makespan: out.Makespan,
 		})
 	})
 }

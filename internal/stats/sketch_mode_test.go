@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"fxpar/internal/metrics"
+	"fxpar/internal/sketch"
 )
 
 // feedBoth records the same (inject, complete) schedule into a retaining and
@@ -53,7 +53,7 @@ func TestSketchModeMatchesExactWithinOneBin(t *testing.T) {
 		name   string
 		ex, sk float64
 	}{{"p50", re.LatencyP50, rs.LatencyP50}, {"p99", re.LatencyP99, rs.LatencyP99}} {
-		if !metrics.SameBin(q.ex, q.sk) && relErr(q.ex, q.sk) > 0.07 {
+		if !sketch.SameBin(q.ex, q.sk) && relErr(q.ex, q.sk) > 0.07 {
 			t.Errorf("%s: exact %g, sketch %g — more than one bin apart", q.name, q.ex, q.sk)
 		}
 	}
