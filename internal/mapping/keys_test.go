@@ -1,6 +1,7 @@
 package mapping_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -115,6 +116,65 @@ func TestContentKeysPinned(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestParentCacheFilesHit pins the disk formats across commits: the fxtab-
+// and fxskel- files in testdata/cache were written by an earlier commit for
+// quick FFT-Hist at maxP 4. Both must be disk hits that measure nothing, and
+// filing their values again must write the same names and bytes — so cache
+// directories written before a change to the store cost zero misses after it.
+func TestParentCacheFilesHit(t *testing.T) {
+	cost := sim.Paragon()
+	spec := ffthist.Spec(cost, ffthist.Config{N: 32, Sets: 1, Bins: 64}, 4, mapping.BuildOptions{})
+	cell := skeleton.StoreKey{App: "ffthist.stage", Params: "N=32,Bins=64,s=0", Mapping: "isolated", P: 2, Cost: cost}
+	names := []string{"fxtab-68b3e57f74e4b4b0.json", "fxskel-1d8e50f1409900e8.json"}
+	dir := t.TempDir()
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join("testdata", "cache", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	mapping.ResetTableMemo()
+	tab, src, err := mapping.BuildTables(spec, mapping.BuildOptions{CacheDir: dir},
+		func(s, p int) float64 { t.Errorf("measured stage %d on %d procs", s, p); return 0 },
+		func(p int) float64 { t.Errorf("measured data-parallel on %d procs", p); return 0 })
+	if err != nil || src != mapping.SourceDisk {
+		t.Fatalf("tables: source %v, err %v; want a disk hit", src, err)
+	}
+	store := skeleton.NewStore(dir)
+	sk, ssrc, ok := store.Get(cell)
+	if !ok || ssrc != skeleton.SourceDisk || store.Stats() != (skeleton.StoreStats{Disk: 1}) {
+		t.Fatalf("skeleton: ok %v, source %v, stats %+v; want one disk hit", ok, ssrc, store.Stats())
+	}
+
+	out := t.TempDir()
+	mapping.ResetTableMemo()
+	if _, src, err := mapping.BuildTables(spec, mapping.BuildOptions{CacheDir: out},
+		func(s, p int) float64 { return tab.StageT[s][p] },
+		func(p int) float64 { return tab.DPT[p] }); err != nil || src != mapping.SourceComputed {
+		t.Fatalf("re-filing tables: source %v, err %v", src, err)
+	}
+	if err := skeleton.NewStore(out).Put(cell, sk); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		want, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(out, name))
+		if err != nil {
+			t.Fatalf("re-filed value is not named %s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: re-filed bytes differ\n got %s\nwant %s", name, got, want)
 		}
 	}
 }

@@ -4,12 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"os"
-	"path/filepath"
 	"sync"
 
-	"fxpar/internal/fsatomic"
+	"fxpar/internal/cas"
 	"fxpar/internal/machine"
 	"fxpar/internal/sim"
 	"fxpar/internal/skeleton"
@@ -55,28 +52,16 @@ type Tables struct {
 }
 
 // TableSource says where BuildTables found the tables.
-type TableSource int
+type TableSource = cas.Source
 
 const (
 	// SourceComputed: the tables were built by running simulations.
-	SourceComputed TableSource = iota
+	SourceComputed = cas.SourceComputed
 	// SourceMemory: in-process cache hit, no simulation ran.
-	SourceMemory
+	SourceMemory = cas.SourceMemory
 	// SourceDisk: on-disk cache hit, no simulation ran.
-	SourceDisk
+	SourceDisk = cas.SourceDisk
 )
-
-func (s TableSource) String() string {
-	switch s {
-	case SourceComputed:
-		return "computed"
-	case SourceMemory:
-		return "memory"
-	case SourceDisk:
-		return "disk"
-	}
-	return fmt.Sprintf("TableSource(%d)", int(s))
-}
 
 // BuildOptions configures a table build campaign.
 type BuildOptions struct {
@@ -198,74 +183,31 @@ func (r *ReplayOptions) Eval(key skeleton.StoreKey, target sim.CostModel,
 	return mk, err == nil
 }
 
-// tableMemo is the in-process cache, shared by every build in the process.
-var tableMemo sync.Map // key string -> Tables
+// tables is the process-wide cost-table store: every build in the process
+// shares its memory tier and its flight (a serving process fielding many
+// simultaneous requests over one application runs one measurement campaign),
+// and BuildOptions.CacheDir names its disk tier per build.
+var tables = cas.New(cas.Codec[Tables]{
+	Prefix: "fxtab-",
+	Encode: func(_ string, t Tables) ([]byte, error) {
+		data, err := json.Marshal(t)
+		return append(data, '\n'), err
+	},
+	Decode: func(data []byte) (string, Tables, error) {
+		var t Tables
+		err := json.Unmarshal(data, &t)
+		return t.Key, t, err
+	},
+})
 
-// tableFlight dedupes concurrent in-flight builds of the same spec: when a
-// serving process fields many simultaneous requests over one application,
-// only the first runs the measurement campaign — the rest wait for its
-// tables instead of each re-simulating the full nStages·P grid.
-var (
-	tableFlightMu sync.Mutex
-	tableFlight   = map[string]*tableCall{}
-)
+// errShape rejects stored tables whose dimensions do not match their spec.
+var errShape = errors.New("mapping: stored tables do not fit the spec")
 
-// tableCall is one in-flight build; done closes when the leader finishes.
-type tableCall struct {
-	done chan struct{}
-	t    Tables
-	err  error
-}
-
-// cachePath maps a spec key to its cache file. FNV-64a keeps filenames
-// short; the stored Key field guards against collisions.
-func cachePath(dir, key string) string {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return filepath.Join(dir, fmt.Sprintf("fxtab-%016x.json", h.Sum64()))
-}
-
-// readDiskCache loads and verifies a cached table file. Any failure — file
-// absent, malformed JSON, key mismatch, wrong shape — is a miss.
-func readDiskCache(path, key string, nStages, p int) (Tables, bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Tables{}, false
-	}
-	var t Tables
-	if err := json.Unmarshal(data, &t); err != nil || t.Key != key {
-		return Tables{}, false
-	}
-	if len(t.StageT) != nStages || len(t.DPT) != p+1 {
-		return Tables{}, false
-	}
-	for _, tab := range t.StageT {
-		if len(tab) != p+1 {
-			return Tables{}, false
-		}
-	}
-	return t, true
-}
-
-// writeDiskCache persists tables best-effort: a cache write failure never
-// fails the build. The write goes through fsatomic — the temp file lives in
-// the cache directory itself, never os.TempDir, so the rename is atomic
-// even when concurrent -j campaign workers share one cache dir (rename is
-// only atomic within a filesystem, and a cross-device fallback could expose
-// half-written JSON under the final name).
-func writeDiskCache(path string, t Tables) {
-	data, err := json.Marshal(t)
-	if err != nil {
-		return
-	}
-	_ = fsatomic.WriteFile(path, append(data, '\n'))
-}
-
-// BuildTables returns the cost tables for spec, consulting the in-process
-// memo and then the optional disk cache before measuring. A miss fans the
+// BuildTables returns the cost tables for spec from the process-wide store —
+// in memory, then in opt.CacheDir — measuring them on a miss. A miss fans the
 // nStages·P stage measurements and P data-parallel measurements out over a
 // sweep worker pool — each job is one isolated simulation — and the
-// assembled tables are stored in both caches.
+// assembled tables are stored in both tiers.
 //
 // stage(s, p) must return the per-set time of stage s on p processors and
 // dp(p) the whole-program data-parallel per-set time; both must be pure
@@ -279,92 +221,50 @@ func BuildTables(spec TableSpec, opt BuildOptions,
 	if nStages == 0 || spec.P < 1 {
 		return Tables{}, SourceComputed, fmt.Errorf("mapping: bad table spec %q", key)
 	}
-	if v, ok := tableMemo.Load(key); ok {
-		return v.(Tables), SourceMemory, nil
-	}
-
-	// Singleflight on the content key: join an in-flight build of the same
-	// spec rather than duplicating its simulation campaign. Joiners report
-	// SourceMemory — they did not compute anything.
-	tableFlightMu.Lock()
-	if c, ok := tableFlight[key]; ok {
-		tableFlightMu.Unlock()
-		<-c.done
-		if c.err != nil {
-			return Tables{}, SourceComputed, c.err
+	shape := func(t Tables) error {
+		if len(t.StageT) != nStages || len(t.DPT) != spec.P+1 {
+			return errShape
 		}
-		return c.t, SourceMemory, nil
-	}
-	call := &tableCall{done: make(chan struct{})}
-	tableFlight[key] = call
-	tableFlightMu.Unlock()
-
-	t, src, err := buildTablesUncached(key, spec, opt, stage, dp)
-	call.t, call.err = t, err
-	tableFlightMu.Lock()
-	delete(tableFlight, key)
-	tableFlightMu.Unlock()
-	close(call.done)
-	return t, src, err
-}
-
-// buildTablesUncached is the memo-miss path of BuildTables: disk cache, then
-// the measurement campaign. Exactly one caller per content key runs it at a
-// time (the flight group above).
-func buildTablesUncached(key string, spec TableSpec, opt BuildOptions,
-	stage func(s, p int) float64, dp func(p int) float64) (Tables, TableSource, error) {
-	nStages := len(spec.Stages)
-	// Re-check the memo now that this call holds the flight slot: a
-	// previous leader may have stored the tables between our memo miss and
-	// flight acquisition.
-	if v, ok := tableMemo.Load(key); ok {
-		return v.(Tables), SourceMemory, nil
-	}
-	var path string
-	if opt.CacheDir != "" {
-		path = cachePath(opt.CacheDir, key)
-		if t, ok := readDiskCache(path, key, nStages, spec.P); ok {
-			tableMemo.Store(key, t)
-			return t, SourceDisk, nil
-		}
-	}
-
-	// One job per (stage, procs) cell plus one per DP processor count,
-	// indexed so results land in deterministic submission order.
-	n := nStages*spec.P + spec.P
-	results := sweep.MapNamed("cost-tables", opt.Workers, n, func(i int) (float64, error) {
-		if i < nStages*spec.P {
-			s, p := i/spec.P, i%spec.P+1
-			return stage(s, p), nil
-		}
-		return dp(i - nStages*spec.P + 1), nil
-	})
-
-	t := Tables{Key: key, StageT: make([][]float64, nStages), DPT: make([]float64, spec.P+1)}
-	for s := range t.StageT {
-		t.StageT[s] = make([]float64, spec.P+1)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			if i < nStages*spec.P {
-				return Tables{}, SourceComputed, fmt.Errorf("mapping: stage %s on %d procs: %w",
-					spec.Stages[i/spec.P], i%spec.P+1, r.Err)
+		for _, tab := range t.StageT {
+			if len(tab) != spec.P+1 {
+				return errShape
 			}
-			return Tables{}, SourceComputed, fmt.Errorf("mapping: data-parallel on %d procs: %w",
-				i-nStages*spec.P+1, r.Err)
 		}
-		if i < nStages*spec.P {
-			t.StageT[i/spec.P][i%spec.P+1] = r.Value
-		} else {
-			t.DPT[i-nStages*spec.P+1] = r.Value
-		}
+		return nil
 	}
+	return tables.GetOrCompute(opt.CacheDir, key, shape, func() (Tables, error) {
+		// One job per (stage, procs) cell plus one per DP processor count,
+		// indexed so results land in deterministic submission order.
+		n := nStages*spec.P + spec.P
+		results := sweep.MapNamed("cost-tables", opt.Workers, n, func(i int) (float64, error) {
+			if i < nStages*spec.P {
+				s, p := i/spec.P, i%spec.P+1
+				return stage(s, p), nil
+			}
+			return dp(i - nStages*spec.P + 1), nil
+		})
 
-	tableMemo.Store(key, t)
-	if path != "" {
-		writeDiskCache(path, t)
-	}
-	return t, SourceComputed, nil
+		t := Tables{Key: key, StageT: make([][]float64, nStages), DPT: make([]float64, spec.P+1)}
+		for s := range t.StageT {
+			t.StageT[s] = make([]float64, spec.P+1)
+		}
+		for i, r := range results {
+			if r.Err != nil {
+				if i < nStages*spec.P {
+					return Tables{}, fmt.Errorf("mapping: stage %s on %d procs: %w",
+						spec.Stages[i/spec.P], i%spec.P+1, r.Err)
+				}
+				return Tables{}, fmt.Errorf("mapping: data-parallel on %d procs: %w",
+					i-nStages*spec.P+1, r.Err)
+			}
+			if i < nStages*spec.P {
+				t.StageT[i/spec.P][i%spec.P+1] = r.Value
+			} else {
+				t.DPT[i-nStages*spec.P+1] = r.Value
+			}
+		}
+		return t, nil
+	})
 }
 
 // Model assembles a mapper Model from the tables plus the structural pieces
@@ -381,11 +281,9 @@ func (t Tables) Model(spec TableSpec, p int, caps []int, xfer func(s, a, b int) 
 	}
 }
 
-// ResetTableMemo clears the in-process cache. Tests use it to exercise the
-// disk-cache path.
-func ResetTableMemo() {
-	tableMemo.Range(func(k, _ any) bool {
-		tableMemo.Delete(k)
-		return true
-	})
-}
+// ResetTableMemo clears the in-process tier of the cost-table store. Tests
+// use it to exercise the disk tier.
+func ResetTableMemo() { tables.Forget() }
+
+// TableStats snapshots the process-wide cost-table store's lookup counters.
+func TableStats() cas.Stats { return tables.Stats() }

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"fxpar/internal/apps/sensor"
+	"fxpar/internal/cas"
 	"fxpar/internal/experiments"
 	"fxpar/internal/fault"
 	"fxpar/internal/machine"
@@ -502,6 +503,8 @@ type StatsSnapshot struct {
 	DedupHits int64  `json:"dedupHits"` // requests answered by an existing job
 	Workers   int    `json:"workers"`
 	Engine    string `json:"engine,omitempty"`
+	// Tables reports the process-wide cost-table store's lookup counters.
+	Tables cas.Stats `json:"tables"`
 	// Skeletons reports the replay store counters when replay is enabled.
 	Skeletons *skeleton.StoreStats `json:"skeletons,omitempty"`
 }
@@ -513,6 +516,7 @@ func (s *Server) Stats() StatsSnapshot {
 		Queued: q, Running: run, Done: done, Failed: failed,
 		Campaigns: s.reg.campaigns.Load(), DedupHits: s.reg.dedupHits.Load(),
 		Workers: sweep.Workers(s.opts.Workers), Engine: s.opts.Engine,
+		Tables: mapping.TableStats(),
 	}
 	if s.replay != nil {
 		ss := s.replay.Store.Stats()

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 
@@ -350,22 +351,60 @@ func TestServerCloseRejectsNewWork(t *testing.T) {
 	s.Close() // idempotent
 }
 
-// TestStatsShape: /stats returns the counters as JSON.
+// TestStatsShape: /stats returns the counters as JSON, the cost-table
+// store's among them: an /optimize whose tables an earlier request built is
+// a memory hit. The store is process-wide, so only deltas are asserted.
 func TestStatsShape(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{Workers: 1, ReplayDir: "mem"})
-	code, body := get(t, ts.URL, "/stats")
-	if code != http.StatusOK {
-		t.Fatalf("stats: %d %s", code, body)
+	stats := func() (serve.StatsSnapshot, string) {
+		code, body := get(t, ts.URL, "/stats")
+		if code != http.StatusOK {
+			t.Fatalf("stats: %d %s", code, body)
+		}
+		var st serve.StatsSnapshot
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st, string(body)
 	}
-	var st serve.StatsSnapshot
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
+	st, body := stats()
 	if st.Workers < 1 {
 		t.Errorf("stats %+v", st)
 	}
 	if st.Skeletons == nil {
 		t.Errorf("replay enabled but no skeleton stats: %s", body)
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &raw); err != nil {
+		t.Fatal(err)
+	}
+	for block, keys := range map[string]string{"tables": "Computed Disk Memory", "skeletons": "Captured Disk Memory"} {
+		var counters map[string]int64
+		if err := json.Unmarshal(raw[block], &counters); err != nil {
+			t.Fatalf("%s block: %v", block, err)
+		}
+		var got []string
+		for k := range counters {
+			got = append(got, k)
+		}
+		sort.Strings(got)
+		if strings.Join(got, " ") != keys {
+			t.Errorf("%s block keys %v, want %s", block, got, keys)
+		}
+	}
+
+	// Same program and size, different goal: a new campaign over the same
+	// cost tables.
+	for i, ratio := range []float64{2.05, 1.5} {
+		before, _ := stats()
+		body := map[string]any{"app": "ffthist", "p": 4, "sets": 2, "quick": true, "goalRatio": ratio}
+		if code, out := post(t, ts.URL, "/optimize", body); code != http.StatusOK {
+			t.Fatalf("optimize: %d %s", code, out)
+		}
+		after, _ := stats()
+		if i == 1 && after.Tables.Memory <= before.Tables.Memory {
+			t.Errorf("repeated /optimize: tables.Memory %d -> %d, want a memory hit", before.Tables.Memory, after.Tables.Memory)
+		}
 	}
 }
 

@@ -1,11 +1,11 @@
 package skeleton
 
-// Canonical content-keyed serialization, following the internal/mapping memo
-// conventions: a deterministic byte encoding, an FNV-64a content key stored
-// inside the file and verified on read (so corruption and hand edits fail
-// loudly), and temp-file + rename writes. Identical runs — across engines,
-// worker counts and hosts — produce byte-identical files, which makes
-// skeletons cacheable (key-addressed) and diffable (line-oriented ops).
+// Canonical content-keyed serialization: a deterministic byte encoding, an
+// FNV-64a content key stored inside the file and verified on read (so
+// corruption and hand edits fail loudly), and temp-file + rename writes.
+// Identical runs — across engines, worker counts and hosts — produce
+// byte-identical files, which makes skeletons cacheable (key-addressed) and
+// diffable (line-oriented ops).
 //
 // Each op serializes to one compact string: the kind name followed by
 // key=value tokens in a fixed order, with zero/absent fields omitted under a
@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -88,11 +89,12 @@ func formatOp(op Op) string {
 	return b.String()
 }
 
-// kindByName maps EventKind.String() names back to kinds.
+// kindByName maps EventKind.String() names back to the kinds an Op can have
+// (never EvWait: waits are re-derived, not stored).
 var kindByName = func() map[string]machine.EventKind {
 	m := map[string]machine.EventKind{}
 	for _, k := range []machine.EventKind{
-		machine.EvCompute, machine.EvSend, machine.EvWait, machine.EvIO,
+		machine.EvCompute, machine.EvSend, machine.EvIO,
 		machine.EvRecv, machine.EvSpanBegin, machine.EvSpanEnd,
 		machine.EvFault, machine.EvTimeout, machine.EvRetry,
 	} {
@@ -141,6 +143,11 @@ func parseOp(s string) (Op, error) {
 		if err != nil {
 			return Op{}, fmt.Errorf("skeleton: bad op token %q: %v", tok, err)
 		}
+	}
+	// No capture records a negative or non-finite time; replaying one would
+	// yield a NaN or infinite makespan.
+	if !(op.Dur >= 0 && op.Dur <= math.MaxFloat64 && op.Wire >= 0 && op.Wire <= math.MaxFloat64) {
+		return Op{}, fmt.Errorf("skeleton: op %q has a negative or non-finite time", s)
 	}
 	return op, nil
 }

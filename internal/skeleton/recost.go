@@ -362,6 +362,9 @@ func (s *Skeleton) replay(p Params, withEvents bool) (*Result, error) {
 			res.Makespan = clock[i]
 		}
 	}
+	if !finite(res.Makespan) {
+		return nil, fmt.Errorf("skeleton: re-costed makespan overflows to %g", res.Makespan)
+	}
 	if withEvents {
 		total := 0
 		for _, b := range evBuf {

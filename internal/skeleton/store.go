@@ -2,14 +2,13 @@ package skeleton
 
 // The skeleton store promotes captured skeletons from one-off profiler
 // artifacts into a first-class replay backend: a content-addressed cache —
-// in-process map plus optional on-disk directory, following the
-// internal/mapping table-memo conventions — keyed on everything that
-// determines a recorded run's DAG: the application, its parameters, the
-// mapping, the machine size, the chaos plan identity, and the recorded cost
-// model. Campaign jobs that vary only machine parameters (alpha, beta, flop
-// rate, net scale) hit the store and re-cost the stored skeleton
-// analytically instead of re-simulating; a miss falls back to one live
-// traced run, which populates the store for every job after it.
+// in-process tier plus optional on-disk directory (internal/cas) — keyed on
+// everything that determines a recorded run's DAG: the application, its
+// parameters, the mapping, the machine size, the chaos plan identity, and
+// the recorded cost model. Campaign jobs that vary only machine parameters
+// (alpha, beta, flop rate, net scale) hit the store and re-cost the stored
+// skeleton analytically instead of re-simulating; a miss falls back to one
+// live traced run, which populates the store for every job after it.
 //
 // The chaos plan label is part of the key on purpose: a skeleton captured
 // under one fault seed/profile bakes that plan's delays, retries and drops
@@ -21,13 +20,8 @@ package skeleton
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"os"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
 
-	"fxpar/internal/fsatomic"
+	"fxpar/internal/cas"
 	"fxpar/internal/sim"
 )
 
@@ -63,28 +57,16 @@ func (k StoreKey) Key() string {
 }
 
 // Source says where a store lookup found (or produced) a skeleton.
-type Source int
+type Source = cas.Source
 
 const (
 	// SourceCaptured: the skeleton was captured by a live traced run.
-	SourceCaptured Source = iota
+	SourceCaptured = cas.SourceComputed
 	// SourceMemory: in-process hit, no simulation ran.
-	SourceMemory
+	SourceMemory = cas.SourceMemory
 	// SourceDisk: on-disk hit, no simulation ran.
-	SourceDisk
+	SourceDisk = cas.SourceDisk
 )
-
-func (s Source) String() string {
-	switch s {
-	case SourceCaptured:
-		return "captured"
-	case SourceMemory:
-		return "memory"
-	case SourceDisk:
-		return "disk"
-	}
-	return fmt.Sprintf("Source(%d)", int(s))
-}
 
 // StoreStats counts lookups by outcome; a campaign report can cite them to
 // show how much simulation the store displaced.
@@ -94,35 +76,18 @@ type StoreStats struct {
 	Captured int64 // misses resolved by a live traced run
 }
 
-// Store is a content-addressed skeleton cache: an in-process map owned by
-// this Store plus an optional on-disk directory shared with concurrent
-// processes (temp-in-dir + rename writes, content keys verified on read).
-// Safe for concurrent use.
+// Store is a content-addressed skeleton cache (internal/cas): an in-process
+// tier owned by this Store plus an optional on-disk directory shared with
+// concurrent processes. Every skeleton it serves or stores is admissible for
+// its key. Safe for concurrent use.
 type Store struct {
-	dir string
-	mem sync.Map // key string -> *Skeleton
-
-	// flight dedupes concurrent GetOrCapture misses on one key: the first
-	// caller runs the traced simulation, the rest wait for its skeleton.
-	flightMu sync.Mutex
-	flight   map[string]*captureCall
-
-	memHits  atomic.Int64
-	diskHits atomic.Int64
-	captures atomic.Int64
-}
-
-// captureCall is one in-flight capture; done closes when the leader's traced
-// run finishes (successfully or not).
-type captureCall struct {
-	done chan struct{}
-	sk   *Skeleton
-	err  error
+	dir  string
+	vals *cas.Store[*Skeleton]
 }
 
 // NewStore returns a store. dir is the on-disk cache directory; "" keeps
 // the store purely in-process.
-func NewStore(dir string) *Store { return &Store{dir: dir} }
+func NewStore(dir string) *Store { return &Store{dir: dir, vals: cas.New(storeCodec)} }
 
 // Dir returns the on-disk cache directory ("" when in-process only).
 func (st *Store) Dir() string {
@@ -134,11 +99,8 @@ func (st *Store) Dir() string {
 
 // Stats snapshots the lookup counters.
 func (st *Store) Stats() StoreStats {
-	return StoreStats{
-		Memory:   st.memHits.Load(),
-		Disk:     st.diskHits.Load(),
-		Captured: st.captures.Load(),
-	}
+	s := st.vals.Stats()
+	return StoreStats{Memory: s.Memory, Disk: s.Disk, Captured: s.Computed}
 }
 
 // storeFile is the on-disk envelope: the store key for collision/staleness
@@ -148,19 +110,33 @@ type storeFile struct {
 	Skeleton json.RawMessage `json:"skeleton"`
 }
 
-// path maps a store key to its cache file. FNV-64a keeps filenames short;
-// the StoreKey field inside the file guards against collisions.
-func (st *Store) path(key string) string {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return filepath.Join(st.dir, fmt.Sprintf("fxskel-%016x.json", h.Sum64()))
+// storeCodec files a skeleton as its storeFile envelope; decoding verifies
+// the skeleton's own content key (Decode).
+var storeCodec = cas.Codec[*Skeleton]{
+	Prefix: "fxskel-",
+	Encode: func(key string, sk *Skeleton) ([]byte, error) {
+		inner, err := sk.Encode()
+		if err != nil {
+			return nil, err
+		}
+		data, err := json.MarshalIndent(&storeFile{StoreKey: key, Skeleton: inner}, "", " ")
+		return append(data, '\n'), err
+	},
+	Decode: func(data []byte) (string, *Skeleton, error) {
+		var f storeFile
+		if err := json.Unmarshal(data, &f); err != nil {
+			return "", nil, err
+		}
+		sk, err := Decode(f.Skeleton)
+		return f.StoreKey, sk, err
+	},
 }
 
 // admissible verifies a skeleton against the key it is stored or served
 // under. The Chaos and Cost cross-checks are deliberately redundant with
 // the key string: they turn a mis-keyed Put (a caller bug) into a loud
 // failure instead of a silent wrong-answer replay.
-func admissible(k StoreKey, sk *Skeleton) error {
+func admissible(k *StoreKey, sk *Skeleton) error {
 	if sk.Chaos != k.Chaos {
 		return fmt.Errorf("skeleton: store key says chaos %q but skeleton was captured under %q", k.Chaos, sk.Chaos)
 	}
@@ -174,29 +150,7 @@ func admissible(k StoreKey, sk *Skeleton) error {
 // file absent, malformed JSON, envelope key mismatch, content-key mismatch,
 // chaos/cost stamp mismatch — is a miss.
 func (st *Store) Get(k StoreKey) (*Skeleton, Source, bool) {
-	key := k.Key()
-	if v, ok := st.mem.Load(key); ok {
-		st.memHits.Add(1)
-		return v.(*Skeleton), SourceMemory, true
-	}
-	if st.dir == "" {
-		return nil, SourceCaptured, false
-	}
-	data, err := os.ReadFile(st.path(key))
-	if err != nil {
-		return nil, SourceCaptured, false
-	}
-	var f storeFile
-	if err := json.Unmarshal(data, &f); err != nil || f.StoreKey != key {
-		return nil, SourceCaptured, false
-	}
-	sk, err := Decode(f.Skeleton)
-	if err != nil || admissible(k, sk) != nil {
-		return nil, SourceCaptured, false
-	}
-	st.mem.Store(key, sk)
-	st.diskHits.Add(1)
-	return sk, SourceDisk, true
+	return st.vals.Get(st.dir, k.Key(), func(sk *Skeleton) error { return admissible(&k, sk) })
 }
 
 // Put stores a captured skeleton under k, in memory always and on disk
@@ -204,26 +158,7 @@ func (st *Store) Get(k StoreKey) (*Skeleton, Source, bool) {
 // is still served from memory). A skeleton whose chaos or cost stamp
 // contradicts the key is rejected.
 func (st *Store) Put(k StoreKey, sk *Skeleton) error {
-	if err := admissible(k, sk); err != nil {
-		return err
-	}
-	key := k.Key()
-	st.mem.Store(key, sk)
-	if st.dir == "" {
-		return nil
-	}
-	inner, err := sk.Encode()
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(&storeFile{StoreKey: key, Skeleton: inner}, "", " ")
-	if err != nil {
-		return err
-	}
-	// Best-effort, atomic: concurrent campaign workers sharing one cache
-	// directory each rename a complete temp file into place.
-	_ = fsatomic.WriteFile(st.path(key), append(data, '\n'))
-	return nil
+	return st.vals.Put(st.dir, k.Key(), sk, func(sk *Skeleton) error { return admissible(&k, sk) })
 }
 
 // GetOrCapture returns the stored skeleton for k, or runs capture — one
@@ -232,51 +167,5 @@ func (st *Store) Put(k StoreKey, sk *Skeleton) error {
 // are deterministic, so this changes no result, only the work); the others
 // wait for its skeleton and report SourceMemory.
 func (st *Store) GetOrCapture(k StoreKey, capture func() (*Skeleton, error)) (*Skeleton, Source, error) {
-	if sk, src, ok := st.Get(k); ok {
-		return sk, src, nil
-	}
-	key := k.Key()
-	st.flightMu.Lock()
-	if st.flight == nil {
-		st.flight = make(map[string]*captureCall)
-	}
-	if c, ok := st.flight[key]; ok {
-		st.flightMu.Unlock()
-		<-c.done
-		if c.err != nil {
-			return nil, SourceCaptured, c.err
-		}
-		return c.sk, SourceMemory, nil
-	}
-	c := &captureCall{done: make(chan struct{})}
-	st.flight[key] = c
-	st.flightMu.Unlock()
-
-	c.sk, c.err = st.captureLocked(k, capture)
-	st.flightMu.Lock()
-	delete(st.flight, key)
-	st.flightMu.Unlock()
-	close(c.done)
-	if c.err != nil {
-		return nil, SourceCaptured, c.err
-	}
-	return c.sk, SourceCaptured, nil
-}
-
-// captureLocked is the flight leader's miss path: re-check the store (an
-// earlier leader may have filled it), then run the traced simulation and
-// store its skeleton.
-func (st *Store) captureLocked(k StoreKey, capture func() (*Skeleton, error)) (*Skeleton, error) {
-	if sk, _, ok := st.Get(k); ok {
-		return sk, nil
-	}
-	sk, err := capture()
-	if err != nil {
-		return nil, err
-	}
-	if err := st.Put(k, sk); err != nil {
-		return nil, err
-	}
-	st.captures.Add(1)
-	return sk, nil
+	return st.vals.GetOrCompute(st.dir, k.Key(), func(sk *Skeleton) error { return admissible(&k, sk) }, capture)
 }
