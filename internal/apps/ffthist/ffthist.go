@@ -48,6 +48,15 @@ type Config struct {
 // DefaultConfig returns the 256x256 workload of Table 1 with a short stream.
 func DefaultConfig() Config { return Config{N: 256, Sets: 8, Bins: 64} }
 
+// Validate rejects an N the distributed FFT cannot transform: it must be a
+// positive power of two.
+func (cfg Config) Validate() error {
+	if cfg.N <= 0 || cfg.N&(cfg.N-1) != 0 {
+		return fmt.Errorf("ffthist: N must be a positive power of two, got %d", cfg.N)
+	}
+	return nil
+}
+
 // Mapping selects how processors are applied to the stream.
 type Mapping struct {
 	// Modules is the replication factor: the machine is divided into this
@@ -196,8 +205,8 @@ func Run(mach *machine.Machine, cfg Config, mp Mapping) Result {
 	if err := mp.Validate(mach.N()); err != nil {
 		panic(err)
 	}
-	if cfg.N <= 0 || cfg.N&(cfg.N-1) != 0 {
-		panic(fmt.Sprintf("ffthist: N must be a positive power of two, got %d", cfg.N))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	meter := stats.NewStream()
 	if cfg.SketchStats {

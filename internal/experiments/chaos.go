@@ -1,38 +1,32 @@
 package experiments
 
 import (
-	"fmt"
+	"errors"
+	"maps"
+	"slices"
 
-	"fxpar/internal/apps/ffthist"
 	"fxpar/internal/fault"
-	"fxpar/internal/machine"
 	"fxpar/internal/sim"
 	"fxpar/internal/sweep"
 )
 
-// ChaosConfig scopes a chaos campaign: one FFT-Hist pipeline scenario fanned
-// across Seeds decorrelated fault seeds (derived from Base; see fault.Seeds),
-// each run verified bin-for-bin against the healthy run's histograms. The
-// whole report is deterministic — a pure function of (config minus
-// Workers/Engine) — so it doubles as a committable benchmark artifact.
+// ChaosConfig scopes a chaos campaign: the scenario fanned across Seeds
+// decorrelated fault seeds (derived from Base; see fault.Seeds), each run
+// verified bin-for-bin against the healthy run's histograms. The whole
+// report is deterministic, so it doubles as a committable benchmark
+// artifact.
 type ChaosConfig struct {
-	Procs int
-	N     int
-	Sets  int
+	Scenario
 	Seeds int
 	Base  uint64
 	Prof  fault.Profile
-	// Workers bounds host parallelism (0 = GOMAXPROCS); Engine selects the
-	// execution engine (nil: package default). Neither changes the report.
-	Workers int
-	Engine  machine.Engine
 }
 
 // DefaultChaos exercises every fault class (havoc: delays, drops, dups,
-// slowdowns, and kills) on a 16-processor pipeline across 16 seeds.
+// slowdowns, and kills) on the default scenario across 16 seeds.
 func DefaultChaos() ChaosConfig {
 	prof, _ := fault.ProfileByName("havoc")
-	return ChaosConfig{Procs: 16, N: 64, Sets: 6, Seeds: 16, Base: 1, Prof: prof}
+	return ChaosConfig{Scenario: defaultScenario, Seeds: 16, Base: 1, Prof: prof}
 }
 
 // QuickChaos is a reduced variant.
@@ -40,17 +34,6 @@ func QuickChaos() ChaosConfig {
 	cfg := DefaultChaos()
 	cfg.Procs, cfg.N, cfg.Seeds = 8, 32, 8
 	return cfg
-}
-
-// chaosMapping splits p processors into the 3-stage pipeline the campaign
-// runs: cross-group sends on every data set, so message faults bite.
-func chaosMapping(p int) ffthist.Mapping {
-	pc := p / 4
-	if pc < 1 {
-		pc = 1
-	}
-	ph := pc
-	return ffthist.Pipeline(pc, p-pc-ph, ph)
 }
 
 // Chaos runs the campaign: a healthy reference run first (its histograms are
@@ -61,39 +44,13 @@ func chaosMapping(p int) ffthist.Mapping {
 // hang, so the campaign always terminates with a full report.
 func Chaos(cfg ChaosConfig) sweep.ChaosReport {
 	cost := sim.Paragon()
-	appCfg := ffthist.Config{N: cfg.N, Sets: cfg.Sets, Bins: 64}
-	mp := chaosMapping(cfg.Procs)
-	healthy := ffthist.Run(newMachine(cfg.Procs, cost, cfg.Engine, nil), appCfg, mp)
-	name := fmt.Sprintf("chaos-%s", cfg.Prof.Name)
-	return sweep.ChaosCampaign(name, cfg.Workers, cfg.Prof, cfg.Base, cfg.Seeds,
+	healthy := cfg.run(cost, nil, nil)
+	return sweep.ChaosCampaign("chaos-"+cfg.Prof.Name, cfg.Workers, cfg.Prof, cfg.Base, cfg.Seeds,
 		healthy.Makespan, func(pl *fault.Plan) (float64, error) {
-			res := ffthist.Run(newMachine(cfg.Procs, cost, cfg.Engine, pl.Machine()), appCfg, mp)
-			if err := histsMatch(healthy.Hists, res.Hists); err != nil {
-				return 0, err
+			res := cfg.run(cost, pl.Machine(), nil)
+			if !maps.EqualFunc(healthy.Hists, res.Hists, slices.Equal[[]int64]) {
+				return 0, errors.New("chaos: histograms differ from the healthy run's (chaos corrupted output)")
 			}
 			return res.Makespan, nil
 		})
-}
-
-// histsMatch verifies a chaotic run's histograms bin-for-bin against the
-// healthy reference.
-func histsMatch(want, got map[int][]int64) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("chaos: run produced %d histograms, healthy run %d", len(got), len(want))
-	}
-	for set, w := range want {
-		g, ok := got[set]
-		if !ok {
-			return fmt.Errorf("chaos: data set %d missing from chaotic run", set)
-		}
-		if len(g) != len(w) {
-			return fmt.Errorf("chaos: data set %d has %d bins, want %d", set, len(g), len(w))
-		}
-		for b := range w {
-			if g[b] != w[b] {
-				return fmt.Errorf("chaos: data set %d bin %d = %d, want %d (chaos corrupted output)", set, b, g[b], w[b])
-			}
-		}
-	}
-	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -102,6 +103,31 @@ func checkGolden(t *testing.T, golden, report any) {
 	}
 }
 
+// TestSkeletonGoldensShareOneScenario: the what-if and replay goldens are
+// recorded from one capture of the default scenario, so they must agree on
+// its skeleton identity, baseline and every grid point the two grids share.
+// Neither golden can move without the other.
+func TestSkeletonGoldensShareOneScenario(t *testing.T) {
+	var whatIf WhatIfBench
+	readGolden(t, "whatif.golden.json", &whatIf)
+	var replay ReplayBench
+	readGolden(t, "replay.golden.json", &replay)
+	w, r := whatIf.skeletonHead, replay.skeletonHead
+	w.Name, r.Name = "", ""
+	if w != r {
+		t.Errorf("goldens describe different captures:\nwhat-if %+v\nreplay  %+v", w, r)
+	}
+	var shared []GridPoint
+	for _, g := range replay.Grid {
+		if g.Param != "netscale" {
+			shared = append(shared, g)
+		}
+	}
+	if len(shared) != 15 || !reflect.DeepEqual(whatIf.Grid, shared) {
+		t.Errorf("grids disagree:\nwhat-if %v\nreplay  %v", whatIf.Grid, shared)
+	}
+}
+
 // TestGoldensBite: each golden comparison must fail, naming the JSON path,
 // when a single leaf of the report moves — one dropped outcome, one makespan
 // digit, one flipped verdict.
@@ -126,7 +152,7 @@ func TestGoldensBite(t *testing.T) {
 		}, "Outcomes[11]."},
 		{"what-if grid makespan digit", whatIf, func() any {
 			got := whatIf
-			got.Grid = append([]WhatIfGridPoint(nil), whatIf.Grid...)
+			got.Grid = append([]GridPoint(nil), whatIf.Grid...)
 			got.Grid[0].Makespan = math.Nextafter(got.Grid[0].Makespan, 1)
 			return got
 		}, "Grid[0].Makespan: "},

@@ -3,35 +3,24 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"fxpar/internal/apps/ffthist"
 	"fxpar/internal/fault"
-	"fxpar/internal/machine"
 	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
 	"fxpar/internal/skeleton"
-	"fxpar/internal/sweep"
 )
 
-// ReplayConfig scopes a skeleton-replay campaign: one FFT-Hist pipeline run
-// is captured once into the skeleton store — plus one chaotic capture under
-// a deterministic fault plan — and a sweep of campaign jobs varying only
-// machine parameters (alpha, beta, flop rate, net scale) answers every job
-// by one analytic DAG evaluation against the store instead of a full
-// re-simulation. A sampled fraction of replayed jobs is cross-checked by
-// re-simulating at the same parameters and asserting bitwise-equal
-// makespans. The campaign closes with a replay-first mapping search: cost
-// tables for several machine variants are built through the store, so the
-// whole search costs one traced simulation per cell plus cheap re-costs.
-//
-// Everything except the Host* throughput fields is a pure function of
-// (config minus Workers/Engine/StoreDir), so the report is a committable
-// golden (testdata/replay.golden.json, compared exactly with Host* zeroed).
+// ReplayConfig scopes a skeleton-replay campaign. The scenario is captured
+// once into the skeleton store, healthy and under one deterministic fault
+// plan; a grid of jobs that each scale one machine parameter is answered by
+// analytic DAG evaluation against the store instead of re-simulation, and a
+// sample of jobs is re-simulated and must match bitwise. A replay-first
+// mapping search through the store closes the campaign. Everything but the
+// Host* fields is a pure function of the config minus StoreDir, so the
+// report is a committable golden (testdata/replay.golden.json).
 type ReplayConfig struct {
-	Procs int
-	N     int
-	Sets  int
+	Scenario
 	// Scales are the per-parameter multipliers of the sweep grid. Powers of
 	// two keep the analytic re-cost bitwise equal to a fresh simulation
 	// (scaling by 2^k is exact in IEEE-754), which is what lets the
@@ -47,22 +36,15 @@ type ReplayConfig struct {
 	// search: for each, FFT-Hist cost tables are built through the store
 	// and the optimizer picks the latency-optimal mapping.
 	SearchScales []float64
-	// Workers bounds host parallelism (0 = GOMAXPROCS); Engine selects the
-	// execution engine (nil: package default); StoreDir persists the
-	// skeleton store on disk ("" = in-process). None of them changes a
-	// deterministic report field.
-	Workers  int
-	Engine   machine.Engine
+	// StoreDir persists the skeleton store on disk ("" = in-process).
 	StoreDir string
 }
 
-// DefaultReplay captures a 16-processor three-stage pipeline and sweeps a
-// 4-parameter power-of-two grid.
+// DefaultReplay captures the default scenario and sweeps a 4-parameter
+// power-of-two grid.
 func DefaultReplay() ReplayConfig {
 	return ReplayConfig{
-		Procs:        16,
-		N:            64,
-		Sets:         6,
+		Scenario:     defaultScenario,
 		Scales:       []float64{0.25, 0.5, 1, 2, 4},
 		CheckEvery:   4,
 		ChaosSeed:    42,
@@ -80,55 +62,31 @@ func QuickReplay() ReplayConfig {
 	return cfg
 }
 
-// replayParams are the swept machine parameters. "netscale" is a uniform
-// wire-time multiplier (skeleton.Params.NetScale); the others scale one
-// sim.CostModel field.
+// replayParams are the swept machine parameters (see replayCost).
 var replayParams = []string{"alpha", "beta", "floprate", "netscale"}
-
-// ReplayGridPoint is one campaign job: one analytic re-cost of the stored
-// skeleton under one scaled machine parameter.
-type ReplayGridPoint struct {
-	Param    string
-	Scale    float64
-	Makespan float64
-}
 
 // ReplayCheck is one sampled grid job re-simulated at the same parameters.
 // Exact records bitwise equality — the campaign's correctness currency; a
 // false here is a Mismatch.
 type ReplayCheck struct {
-	Param  string
-	Scale  float64
-	Recost float64
-	Sim    float64
-	Exact  bool
+	crossCheck
+	Exact bool
 }
 
-// ReplaySearchRow is one cost variant of the replay-first mapping search.
+// ReplaySearchRow is one cost variant of the replay-first mapping search:
+// the machine's label ("base", "comm x2", ...), the latency-optimal mapping
+// the optimizer chose from the replay-built tables, and its predicted
+// latency.
 type ReplaySearchRow struct {
-	// Variant labels the machine ("base", "alpha x2", ...).
 	Variant string
-	// Best is the latency-optimal mapping the optimizer chose from the
-	// replay-built tables.
-	Best string
-	// Latency is the model-predicted latency of that mapping.
+	Best    string
 	Latency float64
 }
 
 // ReplayBench is the campaign report. All fields except the Host* block are
 // deterministic.
 type ReplayBench struct {
-	Name  string
-	Procs int
-	N     int
-	Sets  int
-	// SkeletonKey/Ops identify the healthy capture; Baseline is its
-	// recorded makespan and IdentityExact whether re-costing at recorded
-	// parameters reproduced it bitwise (false = determinism regression).
-	SkeletonKey   string
-	SkeletonOps   int
-	Baseline      float64
-	IdentityExact bool
+	skeletonHead
 	// Chaos identifies the chaotic capture ("seed:profile"). The chaotic
 	// skeleton lives under its own store key — ChaosDistinctKey must be
 	// true — and replays exactly at identity (ChaosIdentityExact).
@@ -138,7 +96,7 @@ type ReplayBench struct {
 	ChaosDistinctKey   bool
 	// Grid is the sweep, param-major, scale-minor; Checks the sampled
 	// cross-checks; Mismatches counts inexact checks (must be zero).
-	Grid       []ReplayGridPoint
+	Grid       []GridPoint
 	Checks     []ReplayCheck
 	Mismatches int
 	// Search is the replay-first mapping search across cost variants.
@@ -157,49 +115,11 @@ type ReplayBench struct {
 	HostSeconds          float64
 }
 
-// replayCost returns the campaign cost model with one parameter scaled;
-// "netscale" is expressed through Params.NetScale instead, so the cost is
-// returned unchanged.
-func replayCost(base sim.CostModel, param string, scale float64) (sim.CostModel, skeleton.Params) {
-	c := base
-	switch param {
-	case "alpha":
-		c.Alpha *= scale
-	case "beta":
-		c.Beta *= scale
-	case "floprate":
-		c.FlopRate *= scale
-	case "netscale":
-		return c, skeleton.Params{NetScale: scale}
-	default:
-		panic("experiments: unknown replay parameter " + param)
-	}
-	return c, skeleton.Params{Cost: &c}
-}
-
-// simCost returns the cost model a live simulation needs to reproduce one
-// grid point. A net scale s multiplies every wire time, which a simulation
-// expresses by scaling alpha, beta and per-hop together (exact for
-// power-of-two s).
-func simCost(base sim.CostModel, param string, scale float64) sim.CostModel {
-	if param != "netscale" {
-		c, _ := replayCost(base, param, scale)
-		return c
-	}
-	c := base
-	c.Alpha *= scale
-	c.Beta *= scale
-	c.PerHop *= scale
-	return c
-}
-
 // Replay runs the campaign: capture once (healthy and chaotic), replay
 // everywhere, cross-check a sample, then drive a mapping search through the
 // store.
 func Replay(cfg ReplayConfig) (*ReplayBench, error) {
 	base := sim.Paragon()
-	appCfg := ffthist.Config{N: cfg.N, Sets: cfg.Sets, Bins: 64}
-	mp := chaosMapping(cfg.Procs)
 	store := skeleton.NewStore(cfg.StoreDir)
 	prof, err := fault.ProfileByName(cfg.ChaosProfile)
 	if err != nil {
@@ -207,26 +127,12 @@ func Replay(cfg ReplayConfig) (*ReplayBench, error) {
 	}
 	plan := fault.New(cfg.ChaosSeed, prof)
 
-	rep := &ReplayBench{
-		Name: "replay-ffthist", Procs: cfg.Procs, N: cfg.N, Sets: cfg.Sets,
-		Chaos: plan.String(),
-	}
-
-	// capture runs one live traced pipeline simulation under fp.
-	capture := func(fp machine.FaultPlan) func() (*skeleton.Skeleton, error) {
-		return func() (*skeleton.Skeleton, error) {
-			m := newMachine(cfg.Procs, base, cfg.Engine, fp)
-			sink := skeleton.NewSink(base, chaosLabel(fp))
-			m.SetTracer(sink)
-			ffthist.Run(m, appCfg, mp)
-			return sink.Skeleton()
-		}
-	}
+	rep := &ReplayBench{Chaos: plan.String()}
 	pipelineKey := func(chaos string) skeleton.StoreKey {
 		return skeleton.StoreKey{
 			App:     "ffthist.pipeline",
-			Params:  fmt.Sprintf("N=%d,Sets=%d,Bins=%d", cfg.N, cfg.Sets, appCfg.Bins),
-			Mapping: fmt.Sprintf("%+v", mp),
+			Params:  fmt.Sprintf("N=%d,Sets=%d,Bins=%d", cfg.N, cfg.Sets, cfg.app().Bins),
+			Mapping: fmt.Sprintf("%+v", cfg.mapping()),
 			P:       cfg.Procs,
 			Chaos:   chaos,
 			Cost:    base,
@@ -236,86 +142,52 @@ func Replay(cfg ReplayConfig) (*ReplayBench, error) {
 	// Healthy capture: one traced run populates the store; every campaign
 	// job after this line is an analytic DAG evaluation.
 	healthyKey := pipelineKey("")
-	sk, _, err := store.GetOrCapture(healthyKey, capture(nil))
+	sk, _, err := store.GetOrCapture(healthyKey, func() (*skeleton.Skeleton, error) { return cfg.capture(nil) })
 	if err != nil {
 		return nil, err
 	}
-	skey, err := sk.Key()
-	if err != nil {
+	if rep.skeletonHead, err = cfg.head("replay-ffthist", sk); err != nil {
 		return nil, err
 	}
-	rep.SkeletonKey, rep.SkeletonOps, rep.Baseline = skey, sk.Ops(), sk.Makespan
-	identity, err := sk.Recost(skeleton.Params{})
-	if err != nil {
-		return nil, err
-	}
-	rep.IdentityExact = identity == sk.Makespan
 
 	// Chaotic capture: same scenario under the fault plan. The plan's
 	// identity is part of the store key, so the two skeletons never alias;
 	// replay at identity is exact because the baked-in fault schedule is
 	// part of the recorded DAG.
 	chaosKey := pipelineKey(plan.String())
-	csk, _, err := store.GetOrCapture(chaosKey, capture(plan.Machine()))
+	csk, _, err := store.GetOrCapture(chaosKey, func() (*skeleton.Skeleton, error) { return cfg.capture(plan.Machine()) })
 	if err != nil {
 		return nil, err
 	}
+	chaosIdentity, err := csk.Recost(skeleton.Params{})
+	if err != nil {
+		return nil, err
+	}
+	rep.ChaosBaseline, rep.ChaosIdentityExact = csk.Makespan, chaosIdentity == csk.Makespan
 	rep.ChaosDistinctKey = chaosKey.Key() != healthyKey.Key()
-	rep.ChaosBaseline = csk.Makespan
-	cid, err := csk.Recost(skeleton.Params{})
-	if err != nil {
-		return nil, err
-	}
-	rep.ChaosIdentityExact = cid == csk.Makespan
 
 	// The sweep: every job consults the store and re-costs analytically.
-	// Param-major, scale-minor — a deterministic order for every -j.
-	type cell struct {
-		param string
-		scale float64
-	}
-	var cells []cell
-	for _, p := range replayParams {
-		for _, s := range cfg.Scales {
-			cells = append(cells, cell{p, s})
-		}
-	}
-	grid := sweep.MapNamed("replay-grid", cfg.Workers, len(cells), func(i int) (ReplayGridPoint, error) {
+	rep.Grid, err = cfg.recostGrid("replay-grid", replayParams, cfg.Scales, func() (*skeleton.Skeleton, error) {
 		ssk, _, ok := store.Get(healthyKey)
 		if !ok {
-			return ReplayGridPoint{}, fmt.Errorf("experiments: skeleton store lost the campaign capture")
+			return nil, fmt.Errorf("experiments: skeleton store lost the campaign capture")
 		}
-		_, p := replayCost(base, cells[i].param, cells[i].scale)
-		mk, err := ssk.Recost(p)
-		if err != nil {
-			return ReplayGridPoint{}, err
-		}
-		return ReplayGridPoint{Param: cells[i].param, Scale: cells[i].scale, Makespan: mk}, nil
+		return ssk, nil
 	})
-	for _, r := range grid {
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		rep.Grid = append(rep.Grid, r.Value)
+	if err != nil {
+		return nil, err
 	}
 
 	// Cross-checks: every CheckEvery-th grid job re-simulated at the same
 	// parameters. Power-of-two scales make the analytic re-cost perform the
 	// exact rounding a fresh simulation performs, so the comparison is
 	// bitwise, not approximate.
-	if cfg.CheckEvery > 0 {
-		for i := 0; i < len(cells); i += cfg.CheckEvery {
-			c := simCost(base, cells[i].param, cells[i].scale)
-			res := ffthist.Run(newMachine(cfg.Procs, c, cfg.Engine, nil), appCfg, mp)
-			simMk := res.Stats.MakespanTime()
-			re := rep.Grid[i].Makespan
-			chk := ReplayCheck{Param: cells[i].param, Scale: cells[i].scale,
-				Recost: re, Sim: simMk, Exact: re == simMk}
-			if !chk.Exact {
-				rep.Mismatches++
-			}
-			rep.Checks = append(rep.Checks, chk)
+	for i := 0; cfg.CheckEvery > 0 && i < len(rep.Grid); i += cfg.CheckEvery {
+		chk := ReplayCheck{crossCheck: cfg.resimulate(rep.Grid[i])}
+		if chk.Exact = chk.Recost == chk.Sim; !chk.Exact {
+			rep.Mismatches++
 		}
+		rep.Checks = append(rep.Checks, chk)
 	}
 
 	// Replay-first mapping search: cost tables for each machine variant are
@@ -331,7 +203,7 @@ func Replay(cfg ReplayConfig) (*ReplayBench, error) {
 		if s != 1 {
 			label = fmt.Sprintf("comm x%g", s)
 		}
-		model, _, err := ffthist.MeasuredModel(variant, appCfg, cfg.Procs,
+		model, _, err := ffthist.MeasuredModel(variant, cfg.app(), cfg.Procs,
 			mapping.BuildOptions{Workers: cfg.Workers, Engine: cfg.Engine, Replay: ropt})
 		if err != nil {
 			return nil, err
@@ -347,45 +219,21 @@ func Replay(cfg ReplayConfig) (*ReplayBench, error) {
 	stats := store.Stats()
 	rep.StoreMemoryHits, rep.StoreDiskHits, rep.StoreCaptures = stats.Memory, stats.Disk, stats.Captured
 
-	// Host-time throughput: replayed campaign jobs vs live-simulated ones.
-	// The ratio is the backend's payoff — the acceptance bar is >= 20x.
-	const replayReps, simReps = 64, 4
-	t0 := time.Now()
-	for i := 0; i < replayReps; i++ {
-		_, p := replayCost(base, replayParams[i%len(replayParams)], 2)
-		if _, err := sk.Recost(p); err != nil {
-			return nil, err
-		}
-	}
-	replayDur := time.Since(t0)
-	t1 := time.Now()
-	for i := 0; i < simReps; i++ {
-		ffthist.Run(newMachine(cfg.Procs, base, cfg.Engine, nil), appCfg, mp)
-	}
-	simDur := time.Since(t1)
-	if replayDur > 0 {
-		rep.HostReplaysPerSecond = replayReps / replayDur.Seconds()
-	}
-	if simDur > 0 {
-		rep.HostSimsPerSecond = simReps / simDur.Seconds()
+	// The acceptance bar on the host speedup is >= 20x.
+	rep.HostReplaysPerSecond, rep.HostSimsPerSecond, rep.HostSeconds, err = cfg.hostThroughput(sk, replayParams)
+	if err != nil {
+		return nil, err
 	}
 	if rep.HostSimsPerSecond > 0 {
 		rep.HostSpeedup = rep.HostReplaysPerSecond / rep.HostSimsPerSecond
 	}
-	rep.HostSeconds = time.Since(t0).Seconds()
 	return rep, nil
 }
 
 // WriteText prints the campaign report; the layout is deterministic apart
 // from the final host-throughput block.
 func (r *ReplayBench) WriteText(w io.Writer) {
-	fmt.Fprintf(w, "=== %s: P=%d N=%d Sets=%d ===\n", r.Name, r.Procs, r.N, r.Sets)
-	fmt.Fprintf(w, "skeleton %s, %d ops, baseline makespan %.6f s\n", r.SkeletonKey, r.SkeletonOps, r.Baseline)
-	if r.IdentityExact {
-		fmt.Fprintf(w, "determinism: replay at recorded parameters reproduces the makespan exactly\n")
-	} else {
-		fmt.Fprintf(w, "determinism: VIOLATED — replay at recorded parameters deviates\n")
-	}
+	r.skeletonHead.writeText(w, "replay")
 	fmt.Fprintf(w, "chaos capture %s: makespan %.6f s, identity exact: %v, distinct store key: %v\n",
 		r.Chaos, r.ChaosBaseline, r.ChaosIdentityExact, r.ChaosDistinctKey)
 	fmt.Fprintf(w, "\nreplay grid (scaled machine parameters, no re-simulation):\n")

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"fxpar/internal/forkjoin"
 )
 
 // coopEngine is the cooperative, dependency-driven execution core. All
@@ -115,7 +117,7 @@ func (e *coopEngine) run(m *Machine, procs []Proc, body func(*Proc), rec *panicR
 	// property, so the heap is built by direct placement instead of n
 	// pushes; shuffle mode perturbs the tie keys and sorts by the full
 	// comparator instead — a sorted slice is a valid heap too.
-	parallelFor(n, initGrain, func(lo, hi int) {
+	forkjoin.For(n, initGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			cp := &r.cps[i]
 			cp.p = &procs[i]

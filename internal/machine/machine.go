@@ -22,6 +22,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"fxpar/internal/forkjoin"
 	"fxpar/internal/sim"
 )
 
@@ -1128,7 +1129,7 @@ func (m *Machine) Run(fn func(*Proc)) RunStats {
 	// Engines index into the arena directly and RunStats streams out of it
 	// at the end, so no second O(P) pointer structure ever exists.
 	procs := make([]Proc, m.n)
-	parallelFor(m.n, initGrain, func(lo, hi int) {
+	forkjoin.For(m.n, initGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			procs[i].m = m
 			procs[i].id = i
@@ -1209,7 +1210,7 @@ func (m *Machine) applyProcFaults(procs []Proc) {
 // seed's serial copy loop.
 func (m *Machine) foldStats(procs []Proc) RunStats {
 	stats := RunStats{Procs: make([]ProcStats, m.n)}
-	parallelFor(m.n, initGrain, func(lo, hi int) {
+	forkjoin.For(m.n, initGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			p := &procs[i]
 			stats.Procs[i] = ProcStats{
@@ -1236,7 +1237,7 @@ func (m *Machine) drainReport() string {
 	total := 0
 	var pairs []leftover
 	var mu sync.Mutex
-	parallelFor(m.n, initGrain, func(lo, hi int) {
+	forkjoin.For(m.n, initGrain, func(lo, hi int) {
 		sub := 0
 		var local []leftover
 		for src := lo; src < hi; src++ {

@@ -11,13 +11,14 @@ import (
 // perform (proc init, fault pre-scan, goroutine spawn, drain walk, stats
 // fold), following Hanlon & Hollis, "Fast Distributed Process Creation" —
 // a spawner that creates two sub-spawners reaches P leaves in O(log P)
-// sequential steps instead of O(P).
+// sequential steps instead of O(P). The loops run on forkjoin.For; the
+// spawn tree, whose leaves outlive it, is treeSpawn below.
 //
 // Every tree produces results byte-identical to the serial loops it
 // replaced: the work items are index-addressed (arena[i], stats.Procs[i]),
 // so the split order cannot change any output, and the one aggregation that
 // is order-sensitive (the drain report) sorts its collected pairs exactly
-// as the serial walk did. Both functions take their grain as an argument so
+// as the serial walk did. treeSpawn takes its grain as an argument so
 // treecore_test.go can check "every index exactly once" at grains small
 // enough to fork on tiny ranges; production passes the constants below.
 
@@ -31,33 +32,6 @@ const (
 	// fall below it.
 	spawnGrain = 1024
 )
-
-// parallelFor runs fn over disjoint subranges tiling [0, n), splitting
-// binary-tree style until ranges fall to grain or below, and returns when
-// all of [0, n) has been processed. fn must not depend on subrange order.
-// With n <= grain it degenerates to the seed loop fn(0, n).
-func parallelFor(n, grain int, fn func(lo, hi int)) {
-	if n <= grain {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	var split func(lo, hi int)
-	split = func(lo, hi int) {
-		for hi-lo > grain {
-			mid := int(uint(lo+hi) >> 1)
-			wg.Add(1)
-			go func(l, h int) {
-				defer wg.Done()
-				split(l, h)
-			}(mid, hi)
-			hi = mid
-		}
-		fn(lo, hi)
-	}
-	split(0, n)
-	wg.Wait()
-}
 
 // treeSpawn starts one goroutine per index in [0, n) running leaf(i),
 // forking interior spawner goroutines binary-tree style so the launch takes

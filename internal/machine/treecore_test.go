@@ -11,8 +11,8 @@ import (
 )
 
 // This file is the golden cross-check of the machine core's parallel
-// setup/teardown machinery (tree.go) and of its executors. The two tree
-// functions are unit-tested directly — every index exactly once, at grains
+// setup/teardown machinery (tree.go) and of its executors. The spawn tree
+// is unit-tested directly — every index exactly once, at grains
 // small enough to fork on tiny ranges. Whole runs are then compared across
 // executors at the same P: the reference is the one-worker coop engine,
 // which runs the processors serially in lowest-clock order, and the
@@ -24,22 +24,14 @@ import (
 // host-dependent, content is not), and the same failure text when a run
 // panics (drain reports, RunError aggregates).
 
-// TestTreeFunctionsVisitEveryIndexOnce: parallelFor's subranges tile [0, n)
-// and treeSpawn starts exactly one leaf per index, at every grain — the
-// property that makes the index-addressed setup and teardown passes
-// independent of how the tree split.
+// TestTreeFunctionsVisitEveryIndexOnce: treeSpawn starts exactly one leaf
+// per index, at every grain — the property that makes the index-addressed
+// spawn independent of how the tree split. (The loop half of the tree
+// machinery, forkjoin.For, carries the same contract in its own package.)
 func TestTreeFunctionsVisitEveryIndexOnce(t *testing.T) {
 	for grain := 1; grain <= 8; grain++ {
 		for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 64, 100, 257} {
 			visits := make([]atomic.Int32, n)
-			parallelFor(n, grain, func(lo, hi int) {
-				if hi-lo > grain {
-					t.Errorf("parallelFor(%d, %d): subrange [%d,%d) wider than the grain", n, grain, lo, hi)
-				}
-				for i := lo; i < hi; i++ {
-					visits[i].Add(1)
-				}
-			})
 			var wg sync.WaitGroup
 			wg.Add(n)
 			treeSpawn(n, grain, func(i int) {
@@ -48,9 +40,8 @@ func TestTreeFunctionsVisitEveryIndexOnce(t *testing.T) {
 			})
 			wg.Wait()
 			for i := range visits {
-				if got := visits[i].Load(); got != 2 {
-					t.Fatalf("n=%d grain=%d: index %d visited %d times by parallelFor+treeSpawn, want once each",
-						n, grain, i, got)
+				if got := visits[i].Load(); got != 1 {
+					t.Fatalf("n=%d grain=%d: index %d spawned %d times, want once", n, grain, i, got)
 				}
 			}
 		}
@@ -159,7 +150,7 @@ func treeCheckEngines() []Engine {
 // treeCheckSizes is the property test's P sweep: every size in [1, 257] —
 // covering off-by-one splits, odd sizes, and every boundary of the small
 // regime — plus 1<<10 (one full spawn leaf) and 1<<14 (past spawnGrain, so
-// treeSpawn actually forks, and past initGrain, so the parallelFor trees and
+// treeSpawn actually forks, and past initGrain, so the forkjoin.For loops and
 // the parallel drain fold actually run parallel). Under the race detector the small range is
 // decimated (the detector's ~10x slowdown times the CI engine matrix would
 // dominate the suite) while every boundary and both tree-activating sizes

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"fxpar/internal/forkjoin"
 	"fxpar/internal/machine"
 	"fxpar/internal/trace"
 )
@@ -195,7 +196,8 @@ const (
 	// mergeChunk is the leaf width: partials per sequential leaf fold.
 	mergeChunk = 8
 	// mergeParallelMin is the leaf count above which tree levels fan out to
-	// goroutines; below it the coordination costs more than the merges.
+	// one goroutine per pair; below it the coordination costs more than the
+	// merges.
 	mergeParallelMin = 16
 )
 
@@ -253,21 +255,15 @@ func mergeTree(leaves []*Registry) *Registry {
 	for len(leaves) > 1 {
 		next := make([]*Registry, 0, (len(leaves)+1)/2)
 		pairs := len(leaves) / 2
+		grain := pairs // a narrow level merges inline
 		if pairs >= mergeParallelMin/2 {
-			var wg sync.WaitGroup
-			wg.Add(pairs)
-			for i := 0; i < pairs; i++ {
-				go func(i int) {
-					defer wg.Done()
-					mergeRegistries(leaves[2*i], leaves[2*i+1])
-				}(i)
-			}
-			wg.Wait()
-		} else {
-			for i := 0; i < pairs; i++ {
+			grain = 1
+		}
+		forkjoin.For(pairs, grain, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
 				mergeRegistries(leaves[2*i], leaves[2*i+1])
 			}
-		}
+		})
 		for i := 0; i < pairs; i++ {
 			next = append(next, leaves[2*i])
 		}

@@ -379,6 +379,10 @@ func (s *Server) handleChaosSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		cfg.Prof = prof
 	}
+	if err := cfg.Validate(); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	cfg.Workers, cfg.Engine = s.opts.Workers, s.eng
 	// Workers and Engine change host time only, so they stay out of the key.
 	key := fmt.Sprintf("chaossweep|procs=%d|n=%d|sets=%d|seeds=%d|base=%d|profile=%s",

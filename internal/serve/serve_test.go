@@ -197,6 +197,9 @@ func TestBadRequests(t *testing.T) {
 		{"/measure", `{"app":"radar","p":8,"quick":true,"mapping":{"modules":1,"stages":[2,2]}}`},     // wrong stage count
 		{"/measure", `{"app":"radar","p":8,"quick":true,"chaos":"x:y"}`},                              // bad chaos spec
 		{"/chaossweep", `{"profile":"nope"}`},
+		{"/chaossweep", `{"quick":true,"procs":2}`}, // a pipeline stage gets no processor
+		{"/chaossweep", `{"quick":true,"procs":1}`},
+		{"/chaossweep", `{"quick":true,"n":48}`}, // N not a power of two
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))

@@ -122,20 +122,24 @@ func ParseSampleSpec(spec string) (SampleConfig, error) {
 	return cfg, nil
 }
 
+// parseRate parses a keep rate, a float or a fraction "a/b", and checks
+// that it lies in [0, 1] whichever form it took.
 func parseRate(s string) (float64, error) {
+	var r float64
 	if i := strings.IndexByte(s, '/'); i >= 0 {
 		num, err1 := strconv.ParseFloat(s[:i], 64)
 		den, err2 := strconv.ParseFloat(s[i+1:], 64)
 		if err1 != nil || err2 != nil || den <= 0 {
 			return 0, fmt.Errorf("trace: bad sample fraction %q", s)
 		}
-		return num / den, nil
+		r = num / den
+	} else {
+		var err error
+		if r, err = strconv.ParseFloat(s, 64); err != nil {
+			return 0, fmt.Errorf("trace: bad sample rate %q: %v", s, err)
+		}
 	}
-	r, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("trace: bad sample rate %q: %v", s, err)
-	}
-	if r < 0 || r > 1 || math.IsNaN(r) {
+	if !(r >= 0 && r <= 1) {
 		return 0, fmt.Errorf("trace: sample rate %g outside [0, 1]", r)
 	}
 	return r, nil

@@ -154,6 +154,26 @@ func TestParseSampleSpec(t *testing.T) {
 	}
 }
 
+// FuzzParseSampleSpec: no spec panics the parser, and every spec it accepts
+// yields rates that are finite and in [0, 1]. The seeds are fractions the
+// parser once let through with rates of NaN, +Inf, 2 and -0.5.
+func FuzzParseSampleSpec(f *testing.F) {
+	for _, s := range []string{"NaN/1", "Inf/2", "2/1", "-1/2", "1/64:7,send=1", "0.1,recv=1/8"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseSampleSpec(spec)
+		if err != nil {
+			return
+		}
+		for k, r := range cfg.Rates {
+			if !(r >= 0 && r <= 1) {
+				t.Fatalf("ParseSampleSpec(%q) accepted kind %d rate %v", spec, k, r)
+			}
+		}
+	})
+}
+
 func TestSampleSnapshotRendering(t *testing.T) {
 	s := NewSampler(4, UniformSampleConfig(0.5, 3))
 	for i := 1; i <= 100; i++ {

@@ -18,45 +18,30 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"fxpar/internal/forkjoin"
 	"fxpar/internal/machine"
 )
 
-// parallelSnapshotMin is the processor count above which sink snapshots
-// fold their per-processor cells with a parallel range merge. All folded
-// quantities are integers or min/max, so the grouping cannot change the
-// result — parallelism here is free of determinism risk.
+// parallelSnapshotMin is the processor count from which sink snapshots fold
+// their per-processor cells in parallel. All folded quantities are integers
+// or min/max, so the grouping cannot change the result — parallelism here
+// is free of determinism risk.
 const parallelSnapshotMin = 4096
 
-// parallelRanges splits [0, n) into one contiguous chunk per worker, runs f
-// on each chunk concurrently, and returns the partial results in ascending
-// range order (so callers that fold them sequentially keep a fixed fold
-// topology).
-func parallelRanges[T any](n int, f func(lo, hi int) T) []T {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 16 {
-		workers = 16
+// snapshotRanges runs fn over contiguous chunks tiling [0, n): one inline
+// chunk below parallelSnapshotMin, else one concurrent chunk per core (at
+// most 16).
+func snapshotRanges(n int, fn func(lo, hi int)) {
+	chunks := 1
+	if n >= parallelSnapshotMin {
+		chunks = min(max(runtime.GOMAXPROCS(0), 1), 16)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if n <= 0 {
-		return nil
-	}
-	chunk := (n + workers - 1) / workers
-	// Sized before the first goroutine starts: each writes its own slot and
-	// nobody touches the slice header again until Wait returns.
-	parts := make([]T, (n+chunk-1)/chunk)
-	var wg sync.WaitGroup
-	for slot := range parts {
-		lo := slot * chunk
-		wg.Add(1)
-		go func(slot, lo, hi int) {
-			defer wg.Done()
-			parts[slot] = f(lo, hi)
-		}(slot, lo, min(lo+chunk, n))
-	}
-	wg.Wait()
-	return parts
+	size := (n + chunks - 1) / chunks
+	forkjoin.For(chunks, 1, func(a, b int) {
+		for c := a; c < b; c++ {
+			fn(min(c*size, n), min((c+1)*size, n))
+		}
+	})
 }
 
 // ProcUtil is one processor's accumulated virtual time per activity.
@@ -161,11 +146,13 @@ func (a *utilExtent) fold(b utilExtent) {
 // Snapshot merges the per-processor cells in processor order. Safe to call
 // mid-run; a mid-run snapshot is internally consistent per processor. At
 // parallelSnapshotMin processors and beyond the per-cell copies run as a
-// parallel range merge — each processor's row is independent and the
-// trace extent is a min/max fold, so the result is identical either way.
+// parallel range merge — each processor's row is independent and the trace
+// extent is a min/max fold, so the result is identical either way.
 func (s *UtilSink) Snapshot() UtilSnapshot {
 	out := UtilSnapshot{PerProc: make([]ProcUtil, len(s.cells)), Dropped: s.dropped.Load()}
-	copyRange := func(lo, hi int) utilExtent {
+	var mu sync.Mutex
+	var total utilExtent
+	snapshotRanges(len(s.cells), func(lo, hi int) {
 		var ext utilExtent
 		for i := lo; i < hi; i++ {
 			c := &s.cells[i]
@@ -174,16 +161,10 @@ func (s *UtilSink) Snapshot() UtilSnapshot {
 			ext.fold(utilExtent{start: c.start, end: c.end, seen: c.seen})
 			c.mu.Unlock()
 		}
-		return ext
-	}
-	var total utilExtent
-	if len(s.cells) >= parallelSnapshotMin {
-		for _, ext := range parallelRanges(len(s.cells), copyRange) {
-			total.fold(ext)
-		}
-	} else {
-		total = copyRange(0, len(s.cells))
-	}
+		mu.Lock()
+		total.fold(ext)
+		mu.Unlock()
+	})
 	if total.seen {
 		out.Start, out.End = total.start, total.end
 	}
@@ -339,35 +320,34 @@ func (sh *commShard) mergeInto(procs, owner int, merged map[[2]int]*CommEdge) {
 // Snapshot merges the shards into edges sorted by (src, dst). Counts are
 // integers, so the result is exact regardless of recording interleaving —
 // and regardless of merge grouping, which lets large matrices merge their
-// shards as a parallel range tree (each worker folds a contiguous shard
-// range, the partial maps fold pairwise) with no effect on the output.
+// shards in parallel (each goroutine folds a contiguous shard range into a
+// partial map, the partials fold into one) with no effect on the output.
 func (m *CommMatrix) Snapshot() []CommEdge {
-	merged := map[[2]int]*CommEdge{}
-	if len(m.shards) >= parallelSnapshotMin {
-		for _, part := range parallelRanges(len(m.shards), func(lo, hi int) map[[2]int]*CommEdge {
-			local := map[[2]int]*CommEdge{}
-			for i := lo; i < hi; i++ {
-				m.shards[i].mergeInto(m.procs, i, local)
-			}
-			return local
-		}) {
-			for key, c := range part {
-				e := merged[key]
-				if e == nil {
-					merged[key] = c
-					continue
-				}
-				e.MsgsSent += c.MsgsSent
-				e.BytesSent += c.BytesSent
-				e.MsgsRecvd += c.MsgsRecvd
-				e.BytesRecvd += c.BytesRecvd
-			}
+	var mu sync.Mutex
+	var merged map[[2]int]*CommEdge
+	snapshotRanges(len(m.shards), func(lo, hi int) {
+		part := map[[2]int]*CommEdge{}
+		for i := lo; i < hi; i++ {
+			m.shards[i].mergeInto(m.procs, i, part)
 		}
-	} else {
-		for i := range m.shards {
-			m.shards[i].mergeInto(m.procs, i, merged)
+		mu.Lock()
+		defer mu.Unlock()
+		if merged == nil {
+			merged = part
+			return
 		}
-	}
+		for key, c := range part {
+			e := merged[key]
+			if e == nil {
+				merged[key] = c
+				continue
+			}
+			e.MsgsSent += c.MsgsSent
+			e.BytesSent += c.BytesSent
+			e.MsgsRecvd += c.MsgsRecvd
+			e.BytesRecvd += c.BytesRecvd
+		}
+	})
 	out := make([]CommEdge, 0, len(merged))
 	for _, e := range merged {
 		out = append(out, *e)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -98,6 +99,41 @@ func TestCommMatrixMatchesPostHoc(t *testing.T) {
 	WriteCommMatrix(&buf, live)
 	if !strings.Contains(buf.String(), "p0000 p0001") {
 		t.Errorf("rendered matrix:\n%s", buf.String())
+	}
+}
+
+// TestSnapshotsParallel: past parallelSnapshotMin processors the sinks fold
+// their cells on parallel chunks, and the result must be exactly the
+// per-processor truth — every cell copied once, the extent and every ring
+// edge merged once.
+func TestSnapshotsParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3)) // an uneven chunk split
+	const procs = 3*parallelSnapshotMin + 7
+	util, comm := NewUtilSink(procs), NewCommMatrix(procs)
+	for i := 0; i < procs; i++ {
+		next, at := (i+1)%procs, float64(i)
+		util.Record(machine.Event{Proc: i, Kind: machine.EvCompute, Start: at, End: at + 0.5})
+		comm.Record(machine.Event{Proc: i, Kind: machine.EvSend, Peer: next, Bytes: i%5 + 1})
+		comm.Record(machine.Event{Proc: next, Kind: machine.EvRecv, Peer: i, Bytes: i%5 + 1})
+	}
+	us := util.Snapshot()
+	if us.Start != 0 || us.End != procs-0.5 {
+		t.Errorf("extent [%g, %g], want [0, %g]", us.Start, us.End, procs-0.5)
+	}
+	for i, u := range us.PerProc {
+		if u != (ProcUtil{Compute: 0.5, Events: 1}) {
+			t.Fatalf("proc %d: %+v", i, u)
+		}
+	}
+	edges := comm.Snapshot()
+	if len(edges) != procs {
+		t.Fatalf("%d edges, want %d", len(edges), procs)
+	}
+	for i, e := range edges {
+		b := int64(i%5 + 1)
+		if want := (CommEdge{Src: i, Dst: (i + 1) % procs, MsgsSent: 1, BytesSent: b, MsgsRecvd: 1, BytesRecvd: b}); e != want {
+			t.Fatalf("edge %d = %+v, want %+v", i, e, want)
+		}
 	}
 }
 
