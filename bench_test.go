@@ -22,6 +22,7 @@ import (
 	"fxpar/internal/fx"
 	"fxpar/internal/group"
 	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
 )
 
@@ -40,12 +41,12 @@ func BenchmarkTable1FFTHist(b *testing.B) {
 	cfg := ffthist.Config{N: 64, Sets: 8, Bins: 64}
 	for _, tc := range []struct {
 		name string
-		mp   ffthist.Mapping
+		mp   mapping.Mapping
 	}{
-		{"DataParallel", ffthist.DataParallel(16)},
+		{"DataParallel", mapping.DataParallel(16)},
 		{"Pipeline", ffthist.Pipeline(8, 5, 3)},
-		{"Replicated2xDP", ffthist.Mapping{Modules: 2, Stages: []int{8}}},
-		{"Replicated2xPipeline", ffthist.Mapping{Modules: 2, Stages: []int{4, 3, 1}}},
+		{"Replicated2xDP", mapping.Mapping{Modules: 2, Stages: []int{8}}},
+		{"Replicated2xPipeline", mapping.Mapping{Modules: 2, Stages: []int{4, 3, 1}}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var thr, lat float64
@@ -65,10 +66,10 @@ func BenchmarkTable1Radar(b *testing.B) {
 	cfg := radar.Config{Gates: 128, Rows: 8, Sets: 8, Scale: 1.0 / 128, Threshold: 0.05}
 	for _, tc := range []struct {
 		name string
-		mp   radar.Mapping
+		mp   mapping.Mapping
 	}{
-		{"DataParallelCapped", radar.DataParallel(8)}, // 8 of 16 procs usable
-		{"Replicated2xDP", radar.Mapping{Modules: 2, Stages: []int{8}}},
+		{"DataParallelCapped", mapping.DataParallel(8)}, // 8 of 16 procs usable
+		{"Replicated2xDP", mapping.Mapping{Modules: 2, Stages: []int{8}}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var thr, lat float64
@@ -86,11 +87,11 @@ func BenchmarkTable1Stereo(b *testing.B) {
 	cfg := stereo.Config{W: 64, H: 48, Disparities: 8, Window: 2, Sets: 8}
 	for _, tc := range []struct {
 		name string
-		mp   stereo.Mapping
+		mp   mapping.Mapping
 	}{
-		{"DataParallel", stereo.DataParallel(16)},
-		{"Pipeline", stereo.Mapping{Modules: 1, Stages: []int{8, 4, 4}}},
-		{"Replicated2xDP", stereo.Mapping{Modules: 2, Stages: []int{8}}},
+		{"DataParallel", mapping.DataParallel(16)},
+		{"Pipeline", mapping.Mapping{Modules: 1, Stages: []int{8, 4, 4}}},
+		{"Replicated2xDP", mapping.Mapping{Modules: 2, Stages: []int{8}}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var thr, lat float64

@@ -17,13 +17,14 @@ import (
 	"fxpar/internal/apps/ffthist"
 	"fxpar/internal/fault"
 	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
 )
 
 // chaosSoakRun executes one FFT-Hist run under the plan, converting a
 // processor-failure panic into its *machine.RunError. Any other panic value
 // is re-raised: only typed failures are acceptable.
-func chaosSoakRun(procs int, cfg ffthist.Config, mp ffthist.Mapping, pl *fault.Plan) (res ffthist.Result, runErr *machine.RunError) {
+func chaosSoakRun(procs int, cfg ffthist.Config, mp mapping.Mapping, pl *fault.Plan) (res ffthist.Result, runErr *machine.RunError) {
 	defer func() {
 		if r := recover(); r != nil {
 			re, ok := r.(*machine.RunError)
@@ -49,7 +50,7 @@ func TestChaosSoakP256AllProfiles(t *testing.T) {
 	if testing.Short() {
 		cfg.Sets = 4
 	}
-	mp := ffthist.Mapping{Modules: 2, Stages: []int{64, 32, 32}}
+	mp := mapping.Mapping{Modules: 2, Stages: []int{64, 32, 32}}
 	healthy, herr := chaosSoakRun(procs, cfg, mp, nil)
 	if herr != nil {
 		t.Fatalf("healthy run failed: %v", herr)

@@ -10,6 +10,7 @@ import (
 
 	"fxpar/internal/apps/ffthist"
 	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
 	"fxpar/internal/skeleton"
 	"fxpar/internal/trace"
@@ -99,7 +100,7 @@ func TestSkeletonsMainExitCodes(t *testing.T) {
 		m := machine.New(8, sim.Paragon())
 		m.SetTracer(col)
 		ffthist.Run(m, ffthist.Config{N: 32, Sets: sets, Bins: 16},
-			ffthist.Mapping{Modules: 1, Stages: []int{4, 2, 2}})
+			mapping.Mapping{Modules: 1, Stages: []int{4, 2, 2}})
 		sk, err := skeleton.FromEvents(sim.Paragon(), col.Events())
 		if err != nil {
 			t.Fatal(err)

@@ -142,27 +142,22 @@ func main() {
 		fail(err)
 	}
 
-	var stages []int
+	var mp mapping.Mapping
 	if *auto {
 		if *procs <= 0 {
 			fail(fmt.Errorf("-auto needs an explicit -procs (the machine the optimizer maps onto)"))
 		}
 	} else {
-		var err error
-		stages, err = parseStages(*stagesFlag)
+		stages, err := parseStages(*stagesFlag)
 		if err != nil {
 			fail(err)
 		}
-		total := 0
-		for _, q := range stages {
-			total += q
-		}
-		total *= *modules
+		mp = mapping.Mapping{Modules: *modules, Stages: stages}
 		if *procs == 0 {
-			*procs = total
+			*procs = mp.Procs()
 		}
-		if *procs < total {
-			fail(fmt.Errorf("mapping needs %d processors (modules x stages), -procs gives %d", total, *procs))
+		if err := a.Validate(mp, *procs); err != nil {
+			fail(err)
 		}
 	}
 	// The full collector drives the post-hoc views (Gantt, critical path,
@@ -216,7 +211,6 @@ func main() {
 	}
 	defer stopMon()
 
-	mp := sensor.Mapping{Modules: *modules, Stages: stages}
 	if *auto {
 		// Profile the optimizer's pick against measured cost tables.
 		opt := mapping.BuildOptions{Workers: c.Workers, CacheDir: c.CacheDir, Engine: c.Engine, Replay: c.Replay}
@@ -230,14 +224,13 @@ func main() {
 		}
 		fmt.Printf("auto: chose %s for %d procs, goal %g sets/s (cost tables: %s)\n\n",
 			choice, *procs, *goal, src)
-		mp = sensor.FromChoice(choice)
+		mp = choice.Mapping
 	}
 	budget.Start()
 	stream := a.Run(m, mp).Stream
 	budget.Finish()
-	label := a.MappingString(mp)
 
-	fmt.Printf("=== %s %s on %d procs: %s ===\n\n", *app, label, *procs, stream)
+	fmt.Printf("=== %s %s on %d procs: %s ===\n\n", *app, mp, *procs, stream)
 
 	// sampled marks every view computed from a thinned event stream, so no
 	// reader mistakes a sampled count for an exhaustive one.

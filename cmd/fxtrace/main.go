@@ -14,6 +14,7 @@ import (
 	"fxpar/internal/apps/ffthist"
 	"fxpar/internal/cliflags"
 	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
 	"fxpar/internal/trace"
 )
@@ -57,9 +58,9 @@ func main() {
 
 	for _, tc := range []struct {
 		label string
-		mp    ffthist.Mapping
+		mp    mapping.Mapping
 	}{
-		{"data-parallel(6)", ffthist.DataParallel(procs)},
+		{"data-parallel(6)", mapping.DataParallel(procs)},
 		{"pipeline(2,2,2)", ffthist.Pipeline(2, 2, 2)},
 	} {
 		// The Gantt needs the full event log (Collector); utilization comes

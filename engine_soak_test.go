@@ -16,6 +16,7 @@ import (
 	"fxpar/internal/fault"
 	"fxpar/internal/group"
 	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
 	"fxpar/internal/metrics"
 	"fxpar/internal/sim"
 	"fxpar/internal/skeleton"
@@ -31,11 +32,11 @@ type soakOutputs struct {
 	metrics []byte // metrics.FromTrace snapshot JSON
 }
 
-func runEngineSoak(t *testing.T, eng machine.Engine, cfg ffthist.Config, mp ffthist.Mapping) soakOutputs {
+func runEngineSoak(t *testing.T, eng machine.Engine, cfg ffthist.Config, mp mapping.Mapping) soakOutputs {
 	return runEngineSoakFaults(t, eng, cfg, mp, 1024, nil)
 }
 
-func runEngineSoakFaults(t *testing.T, eng machine.Engine, cfg ffthist.Config, mp ffthist.Mapping,
+func runEngineSoakFaults(t *testing.T, eng machine.Engine, cfg ffthist.Config, mp mapping.Mapping,
 	procs int, fp machine.FaultPlan) soakOutputs {
 	t.Helper()
 	col := &trace.Collector{}
@@ -61,7 +62,7 @@ func TestEngineSoakP1024(t *testing.T) {
 	if testing.Short() {
 		cfg.Sets = 8
 	}
-	mp := ffthist.Mapping{Modules: 8, Stages: []int{64, 32, 32}}
+	mp := mapping.Mapping{Modules: 8, Stages: []int{64, 32, 32}}
 
 	base := runEngineSoak(t, machine.Goroutine(), cfg, mp)
 	if len(base.events) == 0 {
@@ -102,7 +103,7 @@ func TestEngineSoakP1024(t *testing.T) {
 // canonical form.
 func TestEngineSkeletonIdentityP64(t *testing.T) {
 	cfg := ffthist.Config{N: 64, Sets: 8, Bins: 64}
-	mp := ffthist.Mapping{Modules: 2, Stages: []int{16, 8, 8}}
+	mp := mapping.Mapping{Modules: 2, Stages: []int{16, 8, 8}}
 
 	capture := func(eng machine.Engine) []byte {
 		t.Helper()
@@ -144,7 +145,7 @@ func TestEngineSkeletonIdentityP64(t *testing.T) {
 // the per-pair message sequence.
 func TestEngineSoakChaosP256(t *testing.T) {
 	cfg := ffthist.Config{N: 64, Sets: 8, Bins: 64}
-	mp := ffthist.Mapping{Modules: 2, Stages: []int{64, 32, 32}}
+	mp := mapping.Mapping{Modules: 2, Stages: []int{64, 32, 32}}
 	prof, err := fault.ProfileByName("flaky")
 	if err != nil {
 		t.Fatal(err)

@@ -12,13 +12,14 @@ import (
 
 	"fxpar/internal/apps/ffthist"
 	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
 )
 
 func main() {
 	cfg := ffthist.Config{N: 64, Sets: 10, Bins: 32}
-	mappings := []ffthist.Mapping{
-		ffthist.DataParallel(12),
+	mappings := []mapping.Mapping{
+		mapping.DataParallel(12),
 		ffthist.Pipeline(6, 4, 2),
 		{Modules: 2, Stages: []int{6}},
 		{Modules: 2, Stages: []int{3, 2, 1}},

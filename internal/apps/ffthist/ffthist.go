@@ -27,6 +27,7 @@ import (
 	"fxpar/internal/fft"
 	"fxpar/internal/fx"
 	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
 	"fxpar/internal/stats"
 )
 
@@ -57,119 +58,19 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// Mapping selects how processors are applied to the stream.
-type Mapping struct {
-	// Modules is the replication factor: the machine is divided into this
-	// many modules processing alternate data sets (Section 3.3).
-	Modules int
-	// Stages gives processors per pipeline stage within one module
-	// (Figure 2(c)); len 3 for the cffts/rffts/hist pipeline. A single
-	// entry means the module runs all phases data-parallel on that many
-	// processors (Figure 2(a)).
-	Stages []int
-	// WideModules of the Modules (the first ones) run with WideStages
-	// instead of Stages — how the optimizer spends the P mod Modules
-	// leftover processors. Zero for homogeneous mappings.
-	WideModules int
-	// WideStages gives processors per stage of each wide module; nil when
-	// WideModules == 0.
-	WideStages []int
-}
+// Mapping, DataParallel and ChoiceToMapping forward to package mapping for
+// the benchmark module; code in this module names package mapping directly.
+type Mapping = mapping.Mapping
 
-// DataParallel returns the pure data-parallel mapping on p processors.
-func DataParallel(p int) Mapping { return Mapping{Modules: 1, Stages: []int{p}} }
+// DataParallel forwards to mapping.DataParallel.
+func DataParallel(p int) Mapping { return mapping.DataParallel(p) }
+
+// ChoiceToMapping returns the mapping c selected.
+func ChoiceToMapping(c mapping.Choice) Mapping { return c.Mapping }
 
 // Pipeline returns a single-module 3-stage pipeline mapping.
-func Pipeline(pc, pr, ph int) Mapping { return Mapping{Modules: 1, Stages: []int{pc, pr, ph}} }
-
-// ModuleStages returns the per-stage processor counts of module i (the
-// first WideModules modules are the wide ones).
-func (mp Mapping) ModuleStages(i int) []int {
-	if i < mp.WideModules {
-		return mp.WideStages
-	}
-	return mp.Stages
-}
-
-// ModuleSizes returns the total processors of each module, in module order.
-func (mp Mapping) ModuleSizes() []int {
-	sizes := make([]int, mp.Modules)
-	for i := range sizes {
-		for _, q := range mp.ModuleStages(i) {
-			sizes[i] += q
-		}
-	}
-	return sizes
-}
-
-// Procs returns the total processors the mapping uses.
-func (mp Mapping) Procs() int {
-	s := 0
-	for _, sz := range mp.ModuleSizes() {
-		s += sz
-	}
-	return s
-}
-
-// Validate checks the mapping against a machine size.
-func (mp Mapping) Validate(total int) error {
-	if mp.Modules < 1 {
-		return fmt.Errorf("ffthist: Modules = %d", mp.Modules)
-	}
-	if mp.WideModules < 0 || (mp.WideModules > 0 && mp.WideModules >= mp.Modules) {
-		return fmt.Errorf("ffthist: WideModules = %d of %d", mp.WideModules, mp.Modules)
-	}
-	checkStages := func(stages []int) error {
-		if len(stages) != 1 && len(stages) != 3 {
-			return fmt.Errorf("ffthist: need 1 or 3 stage sizes, got %v", stages)
-		}
-		for _, q := range stages {
-			if q < 1 {
-				return fmt.Errorf("ffthist: non-positive stage size in %v", stages)
-			}
-		}
-		return nil
-	}
-	if err := checkStages(mp.Stages); err != nil {
-		return err
-	}
-	if mp.WideModules > 0 {
-		if err := checkStages(mp.WideStages); err != nil {
-			return err
-		}
-		if len(mp.WideStages) != len(mp.Stages) {
-			return fmt.Errorf("ffthist: wide stages %v mismatch narrow %v", mp.WideStages, mp.Stages)
-		}
-	} else if mp.WideStages != nil {
-		return fmt.Errorf("ffthist: WideStages %v with zero WideModules", mp.WideStages)
-	}
-	if mp.Procs() > total {
-		return fmt.Errorf("ffthist: mapping uses %d processors, machine has only %d", mp.Procs(), total)
-	}
-	return nil
-}
-
-func (mp Mapping) String() string {
-	shape := func(stages []int) string {
-		if len(stages) == 1 {
-			return fmt.Sprintf("dp %d", stages[0])
-		}
-		return fmt.Sprintf("pipeline(%d,%d,%d)", stages[0], stages[1], stages[2])
-	}
-	if mp.WideModules > 0 {
-		return fmt.Sprintf("replicated(%d x %s + %d x %s)",
-			mp.WideModules, shape(mp.WideStages), mp.Modules-mp.WideModules, shape(mp.Stages))
-	}
-	if len(mp.Stages) == 1 {
-		if mp.Modules == 1 {
-			return fmt.Sprintf("data-parallel(%d)", mp.Stages[0])
-		}
-		return fmt.Sprintf("replicated(%d modules x dp %d)", mp.Modules, mp.Stages[0])
-	}
-	if mp.Modules == 1 {
-		return fmt.Sprintf("pipeline(%d,%d,%d)", mp.Stages[0], mp.Stages[1], mp.Stages[2])
-	}
-	return fmt.Sprintf("replicated(%d modules x pipeline(%d,%d,%d))", mp.Modules, mp.Stages[0], mp.Stages[1], mp.Stages[2])
+func Pipeline(pc, pr, ph int) mapping.Mapping {
+	return mapping.Mapping{Modules: 1, Stages: []int{pc, pr, ph}}
 }
 
 // Result of a run.
@@ -200,10 +101,10 @@ func sample(s, i, j, n int) complex128 {
 func histMax(n int) float64 { return float64(n) }
 
 // Run executes the stream under the given mapping and returns metered
-// results. The mapping must exactly cover the machine.
-func Run(mach *machine.Machine, cfg Config, mp Mapping) Result {
-	if err := mp.Validate(mach.N()); err != nil {
-		panic(err)
+// results. Processors the mapping leaves unused idle.
+func Run(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
+	if err := mp.Validate(mach.N(), len(stageNames)); err != nil {
+		panic(fmt.Errorf("ffthist: %w", err))
 	}
 	if err := cfg.Validate(); err != nil {
 		panic(err)

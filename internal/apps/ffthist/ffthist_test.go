@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
 )
 
 func smallConfig() Config { return Config{N: 16, Sets: 6, Bins: 8} }
 
-func run(t *testing.T, procs int, cfg Config, mp Mapping) Result {
+func run(t *testing.T, procs int, cfg Config, mp mapping.Mapping) Result {
 	t.Helper()
 	m := machine.New(procs, sim.Paragon())
 	return Run(m, cfg, mp)
@@ -17,43 +18,44 @@ func run(t *testing.T, procs int, cfg Config, mp Mapping) Result {
 
 func TestMappingValidate(t *testing.T) {
 	cases := []struct {
-		mp    Mapping
+		mp    mapping.Mapping
 		procs int
 		ok    bool
 	}{
-		{DataParallel(8), 8, true},
+		{mapping.DataParallel(8), 8, true},
 		{Pipeline(2, 4, 2), 8, true},
-		{Mapping{Modules: 2, Stages: []int{4}}, 8, true},
-		{Mapping{Modules: 2, Stages: []int{2, 1, 1}}, 8, true},
-		{DataParallel(8), 9, true}, // one idle processor is allowed
-		{DataParallel(9), 8, false},
-		{Mapping{Modules: 0, Stages: []int{8}}, 8, false},
-		{Mapping{Modules: 1, Stages: []int{4, 4}}, 8, false},
-		{Mapping{Modules: 1, Stages: []int{0, 4, 4}}, 8, false},
+		{mapping.Mapping{Modules: 2, Stages: []int{4}}, 8, true},
+		{mapping.Mapping{Modules: 2, Stages: []int{2, 1, 1}}, 8, true},
+		{mapping.DataParallel(8), 9, true}, // one idle processor is allowed
+		{mapping.DataParallel(9), 8, false},
+		{mapping.Mapping{Modules: 0, Stages: []int{8}}, 8, false},
+		{mapping.Mapping{Modules: 1, Stages: []int{4, 4}}, 8, false},
+		{mapping.Mapping{Modules: 1, Stages: []int{0, 4, 4}}, 8, false},
 	}
 	for _, tc := range cases {
-		err := tc.mp.Validate(tc.procs)
+		err := tc.mp.Validate(tc.procs, len(stageNames))
 		if (err == nil) != tc.ok {
 			t.Errorf("%v on %d procs: err=%v, want ok=%v", tc.mp, tc.procs, err, tc.ok)
 		}
 	}
 }
 
+// TestMappingString: FFT-Hist's mappings render in the optimizer's spelling.
 func TestMappingString(t *testing.T) {
-	if got := DataParallel(64).String(); got != "data-parallel(64)" {
+	if got := mapping.DataParallel(64).String(); got != "data-parallel(64)" {
 		t.Errorf("got %q", got)
 	}
-	if got := Pipeline(1, 2, 3).String(); got != "pipeline(1,2,3)" {
+	if got := Pipeline(1, 2, 3).String(); got != "pipeline[1 2 3]" {
 		t.Errorf("got %q", got)
 	}
-	if got := (Mapping{Modules: 2, Stages: []int{4}}).String(); got != "replicated(2 modules x dp 4)" {
+	if got := (mapping.Mapping{Modules: 2, Stages: []int{4}}).String(); got != "2 x data-parallel(4)" {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestDataParallelCompletesAllSets(t *testing.T) {
 	cfg := smallConfig()
-	res := run(t, 4, cfg, DataParallel(4))
+	res := run(t, 4, cfg, mapping.DataParallel(4))
 	if res.Stream.Sets != cfg.Sets {
 		t.Fatalf("completed %d sets, want %d", res.Stream.Sets, cfg.Sets)
 	}
@@ -75,17 +77,17 @@ func TestDataParallelCompletesAllSets(t *testing.T) {
 // assertions, not semantics (Section 2.2).
 func TestMappingsAgree(t *testing.T) {
 	cfg := smallConfig()
-	ref := run(t, 4, cfg, DataParallel(4))
+	ref := run(t, 4, cfg, mapping.DataParallel(4))
 	mappings := []struct {
 		procs int
-		mp    Mapping
+		mp    mapping.Mapping
 	}{
-		{1, DataParallel(1)},
+		{1, mapping.DataParallel(1)},
 		{6, Pipeline(2, 3, 1)},
 		{3, Pipeline(1, 1, 1)},
-		{8, Mapping{Modules: 2, Stages: []int{4}}},
-		{8, Mapping{Modules: 2, Stages: []int{2, 1, 1}}},
-		{6, Mapping{Modules: 3, Stages: []int{2}}},
+		{8, mapping.Mapping{Modules: 2, Stages: []int{4}}},
+		{8, mapping.Mapping{Modules: 2, Stages: []int{2, 1, 1}}},
+		{6, mapping.Mapping{Modules: 3, Stages: []int{2}}},
 	}
 	for _, tc := range mappings {
 		res := run(t, tc.procs, cfg, tc.mp)
@@ -113,7 +115,7 @@ func TestPipelineImprovesThroughput(t *testing.T) {
 	// With the serial per-set input on stage 1, a pipeline must beat the
 	// data-parallel mapping on throughput for a long enough stream.
 	cfg := Config{N: 32, Sets: 10, Bins: 16}
-	dp := run(t, 6, cfg, DataParallel(6))
+	dp := run(t, 6, cfg, mapping.DataParallel(6))
 	pl := run(t, 6, cfg, Pipeline(2, 2, 2))
 	if pl.Stream.Throughput <= dp.Stream.Throughput {
 		t.Errorf("pipeline throughput %.2f <= data-parallel %.2f",
@@ -128,8 +130,8 @@ func TestPipelineImprovesThroughput(t *testing.T) {
 
 func TestReplicationScalesThroughput(t *testing.T) {
 	cfg := Config{N: 32, Sets: 12, Bins: 16}
-	one := run(t, 4, cfg, DataParallel(4))
-	two := run(t, 8, cfg, Mapping{Modules: 2, Stages: []int{4}})
+	one := run(t, 4, cfg, mapping.DataParallel(4))
+	two := run(t, 8, cfg, mapping.Mapping{Modules: 2, Stages: []int{4}})
 	if two.Stream.Throughput < one.Stream.Throughput*1.5 {
 		t.Errorf("2 modules throughput %.2f not ~2x single %.2f",
 			two.Stream.Throughput, one.Stream.Throughput)
@@ -154,5 +156,5 @@ func TestBadConfigPanics(t *testing.T) {
 			t.Fatal("expected panic for non-power-of-two N")
 		}
 	}()
-	run(t, 2, Config{N: 12, Sets: 1, Bins: 4}, DataParallel(2))
+	run(t, 2, Config{N: 12, Sets: 1, Bins: 4}, mapping.DataParallel(2))
 }

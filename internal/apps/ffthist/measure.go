@@ -47,7 +47,7 @@ func cells(cfg Config) mapping.Cells {
 		Ident: ident(cfg),
 		DPCap: cfg.N, // the program distributes over the N matrix rows
 		Stage: func(m *machine.Machine, s int) float64 { return fx.Run(m, stageBody(cfg, s)).MakespanTime() },
-		DP:    func(m *machine.Machine) float64 { return Run(m, one, DataParallel(m.N())).Stream.Latency },
+		DP:    func(m *machine.Machine) float64 { return Run(m, one, mapping.DataParallel(m.N())).Stream.Latency },
 	}
 }
 

@@ -12,14 +12,14 @@ import (
 // just finishes its share faster.
 func TestHeterogeneousModulesAgree(t *testing.T) {
 	cfg := smallConfig()
-	ref := run(t, 4, cfg, DataParallel(4))
+	ref := run(t, 4, cfg, mapping.DataParallel(4))
 	cases := []struct {
 		procs int
-		mp    Mapping
+		mp    mapping.Mapping
 	}{
-		{7, Mapping{Modules: 2, Stages: []int{3}, WideModules: 1, WideStages: []int{4}}},
-		{9, Mapping{Modules: 2, Stages: []int{1, 2, 1}, WideModules: 1, WideStages: []int{2, 2, 1}}},
-		{10, Mapping{Modules: 3, Stages: []int{3}, WideModules: 1, WideStages: []int{4}}},
+		{7, mapping.Mapping{Modules: 2, Stages: []int{3}, WideModules: 1, WideStages: []int{4}}},
+		{9, mapping.Mapping{Modules: 2, Stages: []int{1, 2, 1}, WideModules: 1, WideStages: []int{2, 2, 1}}},
+		{10, mapping.Mapping{Modules: 3, Stages: []int{3}, WideModules: 1, WideStages: []int{4}}},
 	}
 	for _, tc := range cases {
 		res := run(t, tc.procs, cfg, tc.mp)

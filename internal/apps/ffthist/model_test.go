@@ -41,8 +41,8 @@ func TestModelOptimizeAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp := ChoiceToMapping(c)
-	if err := mp.Validate(12); err != nil {
+	mp := c.Mapping
+	if err := mp.Validate(12, len(stageNames)); err != nil {
 		t.Fatalf("invalid mapping %v: %v", mp, err)
 	}
 	// A tight goal must produce a different mapping with more predicted

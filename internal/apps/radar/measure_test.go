@@ -11,8 +11,8 @@ import (
 // the same detections per data set as the reference.
 func TestHeterogeneousModulesAgree(t *testing.T) {
 	cfg := smallConfig()
-	ref := run(t, 1, cfg, DataParallel(1))
-	mp := Mapping{Modules: 2, Stages: []int{2}, WideModules: 1, WideStages: []int{3}}
+	ref := run(t, 1, cfg, mapping.DataParallel(1))
+	mp := mapping.Mapping{Modules: 2, Stages: []int{2}, WideModules: 1, WideStages: []int{3}}
 	res := run(t, 5, cfg, mp)
 	if res.Stream.Sets != cfg.Sets {
 		t.Fatalf("%v: completed %d of %d sets", mp, res.Stream.Sets, cfg.Sets)

@@ -39,7 +39,7 @@ func TestModelPrefersReplicationWithIdleProcs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Modules == 1 && len(c.StageProcs) == 1 {
+	if c.Modules == 1 && len(c.Stages) == 1 {
 		t.Errorf("goal 2x DP chose plain data parallelism: %v", c)
 	}
 	if c.PredThroughput < 2*dpThr {

@@ -22,6 +22,7 @@ import (
 	"fxpar/internal/fx"
 	"fxpar/internal/group"
 	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
 	"fxpar/internal/stats"
 )
 
@@ -42,109 +43,29 @@ func DefaultConfig() Config {
 	return Config{Gates: 512, Rows: 40, Sets: 8, Scale: 1.0 / 512, Threshold: 0.05}
 }
 
-// Mapping mirrors ffthist.Mapping: Modules replicas, each either
-// data-parallel (one stage size) or a 4-stage pipeline
-// (input/corner-turn, FFT, scale, threshold). The first WideModules
-// modules run with WideStages instead of Stages — the optimizer's way of
-// spending the P mod Modules leftover processors.
-type Mapping struct {
-	Modules     int
-	Stages      []int
-	WideModules int
-	WideStages  []int
-}
+// DataParallel and ChoiceToMapping forward to package mapping for the
+// benchmark module; code in this module names package mapping directly.
+func DataParallel(p int) mapping.Mapping { return mapping.DataParallel(p) }
 
-// DataParallel returns the data-parallel mapping on p processors.
-func DataParallel(p int) Mapping { return Mapping{Modules: 1, Stages: []int{p}} }
+// ChoiceToMapping returns the mapping c selected.
+func ChoiceToMapping(c mapping.Choice) mapping.Mapping { return c.Mapping }
 
-// ModuleStages returns the per-stage processor counts of module i.
-func (mp Mapping) ModuleStages(i int) []int {
-	if i < mp.WideModules {
-		return mp.WideStages
+// ValidateMapping checks mp on a total-processor machine: the shape check
+// for a 4-stage pipeline (input/corner-turn, FFT, scale, threshold), and no
+// stage wider than the Rows the program distributes — except the pipeline's
+// input stage, which scatters Gates rows.
+func (cfg Config) ValidateMapping(mp mapping.Mapping, total int) error {
+	if err := mp.Validate(total, len(stageNames)); err != nil {
+		return fmt.Errorf("radar: %w", err)
 	}
-	return mp.Stages
-}
-
-// ModuleSizes returns the total processors of each module, in module order.
-func (mp Mapping) ModuleSizes() []int {
-	sizes := make([]int, mp.Modules)
-	for i := range sizes {
-		for _, q := range mp.ModuleStages(i) {
-			sizes[i] += q
-		}
-	}
-	return sizes
-}
-
-// Procs returns the processors the mapping occupies.
-func (mp Mapping) Procs() int {
-	s := 0
-	for _, sz := range mp.ModuleSizes() {
-		s += sz
-	}
-	return s
-}
-
-// Validate checks the mapping against the machine and workload: pipelines
-// have 4 stages, and compute stages cannot exceed the row cap.
-func (mp Mapping) Validate(total int, cfg Config) error {
-	if mp.Modules < 1 {
-		return fmt.Errorf("radar: Modules = %d", mp.Modules)
-	}
-	if mp.WideModules < 0 || (mp.WideModules > 0 && mp.WideModules >= mp.Modules) {
-		return fmt.Errorf("radar: WideModules = %d of %d", mp.WideModules, mp.Modules)
-	}
-	checkStages := func(stages []int) error {
-		if len(stages) != 1 && len(stages) != 4 {
-			return fmt.Errorf("radar: need 1 or 4 stage sizes, got %v", stages)
-		}
+	for _, stages := range [][]int{mp.Stages, mp.WideStages} {
 		for i, q := range stages {
-			if q < 1 {
-				return fmt.Errorf("radar: non-positive stage size in %v", stages)
-			}
 			if (len(stages) == 1 || i > 0) && q > cfg.Rows {
 				return fmt.Errorf("radar: stage %d uses %d processors but only %d rows exist", i, q, cfg.Rows)
 			}
 		}
-		return nil
-	}
-	if err := checkStages(mp.Stages); err != nil {
-		return err
-	}
-	if mp.WideModules > 0 {
-		if err := checkStages(mp.WideStages); err != nil {
-			return err
-		}
-		if len(mp.WideStages) != len(mp.Stages) {
-			return fmt.Errorf("radar: wide stages %v mismatch narrow %v", mp.WideStages, mp.Stages)
-		}
-	} else if mp.WideStages != nil {
-		return fmt.Errorf("radar: WideStages %v with zero WideModules", mp.WideStages)
-	}
-	if mp.Procs() > total {
-		return fmt.Errorf("radar: mapping uses %d processors, machine has %d", mp.Procs(), total)
 	}
 	return nil
-}
-
-func (mp Mapping) String() string {
-	shape := func(stages []int) string {
-		if len(stages) == 1 {
-			return fmt.Sprintf("dp %d", stages[0])
-		}
-		return fmt.Sprintf("pipeline%v", stages)
-	}
-	if mp.WideModules > 0 {
-		return fmt.Sprintf("replicated(%d x %s + %d x %s)",
-			mp.WideModules, shape(mp.WideStages), mp.Modules-mp.WideModules, shape(mp.Stages))
-	}
-	if len(mp.Stages) == 1 {
-		if mp.Modules == 1 {
-			return fmt.Sprintf("data-parallel(%d)", mp.Stages[0])
-		}
-		return fmt.Sprintf("replicated(%d x dp %d)", mp.Modules, mp.Stages[0])
-	}
-	return fmt.Sprintf("replicated(%d x pipeline%v)", mp.Modules, mp.Stages)
 }
 
 // Result of a run. Kept maps data set index to the number of
@@ -172,8 +93,8 @@ func sample(s, gate, row, gates int) complex128 {
 }
 
 // Run executes the stream under the mapping.
-func Run(mach *machine.Machine, cfg Config, mp Mapping) Result {
-	if err := mp.Validate(mach.N(), cfg); err != nil {
+func Run(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
+	if err := cfg.ValidateMapping(mp, mach.N()); err != nil {
 		panic(err)
 	}
 	if cfg.Gates&(cfg.Gates-1) != 0 || cfg.Gates <= 0 {

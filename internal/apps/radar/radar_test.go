@@ -12,7 +12,7 @@ func smallConfig() Config {
 	return Config{Gates: 32, Rows: 8, Sets: 6, Scale: 1.0 / 32, Threshold: 0.05}
 }
 
-func run(t *testing.T, procs int, cfg Config, mp Mapping) Result {
+func run(t *testing.T, procs int, cfg Config, mp mapping.Mapping) Result {
 	t.Helper()
 	m := machine.New(procs, sim.Paragon())
 	return Run(m, cfg, mp)
@@ -21,19 +21,19 @@ func run(t *testing.T, procs int, cfg Config, mp Mapping) Result {
 func TestValidate(t *testing.T) {
 	cfg := smallConfig()
 	cases := []struct {
-		mp    Mapping
+		mp    mapping.Mapping
 		procs int
 		ok    bool
 	}{
-		{DataParallel(4), 4, true},
-		{DataParallel(8), 16, true}, // idle procs allowed
-		{Mapping{Modules: 2, Stages: []int{1, 2, 1, 1}}, 10, true},
-		{Mapping{Modules: 1, Stages: []int{1, 9, 1, 1}}, 16, false}, // fft stage over row cap
-		{Mapping{Modules: 1, Stages: []int{1, 2}}, 4, false},        // wrong stage count
-		{DataParallel(9), 16, false},                                // dp over row cap
+		{mapping.DataParallel(4), 4, true},
+		{mapping.DataParallel(8), 16, true}, // idle procs allowed
+		{mapping.Mapping{Modules: 2, Stages: []int{1, 2, 1, 1}}, 10, true},
+		{mapping.Mapping{Modules: 1, Stages: []int{1, 9, 1, 1}}, 16, false}, // fft stage over row cap
+		{mapping.Mapping{Modules: 1, Stages: []int{1, 2}}, 4, false},        // wrong stage count
+		{mapping.DataParallel(9), 16, false},                                // dp over row cap
 	}
 	for _, tc := range cases {
-		err := tc.mp.Validate(tc.procs, cfg)
+		err := cfg.ValidateMapping(tc.mp, tc.procs)
 		if (err == nil) != tc.ok {
 			t.Errorf("%v on %d: err=%v want ok=%v", tc.mp, tc.procs, err, tc.ok)
 		}
@@ -42,7 +42,7 @@ func TestValidate(t *testing.T) {
 
 func TestDataParallelCompletes(t *testing.T) {
 	cfg := smallConfig()
-	res := run(t, 4, cfg, DataParallel(4))
+	res := run(t, 4, cfg, mapping.DataParallel(4))
 	if res.Stream.Sets != cfg.Sets {
 		t.Fatalf("completed %d sets", res.Stream.Sets)
 	}
@@ -55,15 +55,15 @@ func TestDataParallelCompletes(t *testing.T) {
 
 func TestMappingsAgree(t *testing.T) {
 	cfg := smallConfig()
-	ref := run(t, 1, cfg, DataParallel(1))
+	ref := run(t, 1, cfg, mapping.DataParallel(1))
 	for _, tc := range []struct {
 		procs int
-		mp    Mapping
+		mp    mapping.Mapping
 	}{
-		{4, DataParallel(4)},
-		{6, Mapping{Modules: 1, Stages: []int{1, 3, 1, 1}}},
-		{8, Mapping{Modules: 2, Stages: []int{4}}},
-		{12, Mapping{Modules: 2, Stages: []int{1, 3, 1, 1}}},
+		{4, mapping.DataParallel(4)},
+		{6, mapping.Mapping{Modules: 1, Stages: []int{1, 3, 1, 1}}},
+		{8, mapping.Mapping{Modules: 2, Stages: []int{4}}},
+		{12, mapping.Mapping{Modules: 2, Stages: []int{1, 3, 1, 1}}},
 	} {
 		res := run(t, tc.procs, cfg, tc.mp)
 		if res.Stream.Sets != cfg.Sets {
@@ -82,8 +82,8 @@ func TestIdleProcessorsCapDataParallel(t *testing.T) {
 	// With more processors than rows, the data-parallel program must leave
 	// the excess idle: a 16-proc DP run is no faster than an 8-proc one.
 	cfg := smallConfig()
-	eight := run(t, 8, cfg, DataParallel(8))
-	sixteen := run(t, 16, cfg, DataParallel(8)) // 8 idle
+	eight := run(t, 8, cfg, mapping.DataParallel(8))
+	sixteen := run(t, 16, cfg, mapping.DataParallel(8)) // 8 idle
 	ratio := sixteen.Stream.Throughput / eight.Stream.Throughput
 	if ratio > 1.05 || ratio < 0.95 {
 		t.Errorf("idle processors changed throughput: %.3f vs %.3f", sixteen.Stream.Throughput, eight.Stream.Throughput)
@@ -95,8 +95,8 @@ func TestReplicationUsesIdleProcessors(t *testing.T) {
 	// processors data parallelism cannot, raising throughput at ~equal
 	// latency.
 	cfg := Config{Gates: 64, Rows: 8, Sets: 12, Scale: 1.0 / 64, Threshold: 0.05}
-	dp := run(t, 16, cfg, DataParallel(8))
-	rep := run(t, 16, cfg, Mapping{Modules: 2, Stages: []int{8}})
+	dp := run(t, 16, cfg, mapping.DataParallel(8))
+	rep := run(t, 16, cfg, mapping.Mapping{Modules: 2, Stages: []int{8}})
 	if rep.Stream.Throughput < dp.Stream.Throughput*1.5 {
 		t.Errorf("replication throughput %.2f not ~2x data-parallel %.2f",
 			rep.Stream.Throughput, dp.Stream.Throughput)
@@ -114,8 +114,8 @@ func TestModelOptimizeFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp := ChoiceToMapping(c)
-	if err := mp.Validate(16, cfg); err != nil {
+	mp := c.Mapping
+	if err := cfg.ValidateMapping(mp, 16); err != nil {
 		t.Fatalf("mapper produced invalid mapping %v: %v", mp, err)
 	}
 	res := run(t, 16, cfg, mp)
@@ -130,5 +130,5 @@ func TestBadGatesPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	run(t, 2, Config{Gates: 33, Rows: 4, Sets: 1}, DataParallel(2))
+	run(t, 2, Config{Gates: 33, Rows: 4, Sets: 1}, mapping.DataParallel(2))
 }

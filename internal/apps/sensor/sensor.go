@@ -18,28 +18,6 @@ import (
 	"fxpar/internal/stats"
 )
 
-// Mapping is the module/stage split the three programs' Mapping types share
-// field for field (it struct-converts to each) and the serving layer's wire
-// shape. The first WideModules modules run with WideStages, not Stages.
-type Mapping struct {
-	Modules     int   `json:"modules,omitempty"`
-	Stages      []int `json:"stages,omitempty"`
-	WideModules int   `json:"wideModules,omitempty"`
-	WideStages  []int `json:"wideStages,omitempty"`
-}
-
-// DataParallel is the one-module data-parallel mapping on p processors.
-func DataParallel(p int) Mapping { return Mapping{Modules: 1, Stages: []int{p}} }
-
-// FromChoice converts an optimizer Choice into a runnable Mapping.
-// Processors the choice leaves unused simply idle.
-func FromChoice(c mapping.Choice) Mapping {
-	return Mapping{
-		Modules: c.Modules, Stages: append([]int(nil), c.StageProcs...),
-		WideModules: c.WideModules, WideStages: append([]int(nil), c.WideStageProcs...),
-	}
-}
-
 // Out is the simulated outcome of one run.
 type Out struct {
 	Stream   stats.Result
@@ -59,10 +37,12 @@ type App struct {
 	// memoized under, and Model builds them (see mapping.Cells.Measure).
 	Spec  func(cost sim.CostModel, p int, opt mapping.BuildOptions) mapping.TableSpec
 	Model func(cost sim.CostModel, p int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error)
-	// Run streams the data sets through m under mp.
-	Run func(m *machine.Machine, mp Mapping) Out
-	// MappingString renders mp the way the program's own Mapping type does.
-	MappingString func(mp Mapping) string
+	// Run streams the data sets through m under mp; it panics on a mapping
+	// Validate rejects.
+	Run func(m *machine.Machine, mp mapping.Mapping) Out
+	// Validate checks mp on a p-processor machine: its shape for the
+	// program's stage count and the program's own stage-width caps.
+	Validate func(mp mapping.Mapping, p int) error
 }
 
 // FFTHist is the FFT-Hist program under cfg.
@@ -76,11 +56,17 @@ func FFTHist(cfg ffthist.Config) App {
 		Model: func(cost sim.CostModel, p int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
 			return ffthist.MeasuredModel(cost, cfg, p, opt)
 		},
-		Run: func(m *machine.Machine, mp Mapping) Out {
-			res := ffthist.Run(m, cfg, ffthist.Mapping(mp))
+		Run: func(m *machine.Machine, mp mapping.Mapping) Out {
+			res := ffthist.Run(m, cfg, mp)
 			return Out{res.Stream, res.Makespan}
 		},
-		MappingString: func(mp Mapping) string { return ffthist.Mapping(mp).String() },
+		// FFT-Hist has no width cap: the shape check for its 3 stages is all.
+		Validate: func(mp mapping.Mapping, p int) error {
+			if err := mp.Validate(p, 3); err != nil {
+				return fmt.Errorf("ffthist: %w", err)
+			}
+			return nil
+		},
 	}
 }
 
@@ -95,11 +81,11 @@ func Radar(cfg radar.Config) App {
 		Model: func(cost sim.CostModel, p int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
 			return radar.MeasuredModel(cost, cfg, p, opt)
 		},
-		Run: func(m *machine.Machine, mp Mapping) Out {
-			res := radar.Run(m, cfg, radar.Mapping(mp))
+		Run: func(m *machine.Machine, mp mapping.Mapping) Out {
+			res := radar.Run(m, cfg, mp)
 			return Out{res.Stream, res.Makespan}
 		},
-		MappingString: func(mp Mapping) string { return radar.Mapping(mp).String() },
+		Validate: func(mp mapping.Mapping, p int) error { return cfg.ValidateMapping(mp, p) },
 	}
 }
 
@@ -114,11 +100,11 @@ func Stereo(cfg stereo.Config) App {
 		Model: func(cost sim.CostModel, p int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
 			return stereo.MeasuredModel(cost, cfg, p, opt)
 		},
-		Run: func(m *machine.Machine, mp Mapping) Out {
-			res := stereo.Run(m, cfg, stereo.Mapping(mp))
+		Run: func(m *machine.Machine, mp mapping.Mapping) Out {
+			res := stereo.Run(m, cfg, mp)
 			return Out{res.Stream, res.Makespan}
 		},
-		MappingString: func(mp Mapping) string { return stereo.Mapping(mp).String() },
+		Validate: func(mp mapping.Mapping, p int) error { return cfg.ValidateMapping(mp, p) },
 	}
 }
 
@@ -187,7 +173,7 @@ func (a App) Optimize(cost sim.CostModel, p int, goal, goalRatio float64, opt ma
 		return r, fmt.Errorf("model: %w", err)
 	}
 	r.ModelSource = src.String()
-	r.DP = a.Run(newMachine(), DataParallel(min(p, a.Rows)))
+	r.DP = a.Run(newMachine(), mapping.DataParallel(min(p, a.Rows)))
 	r.Goal = goal
 	if goal == 0 && goalRatio > 0 {
 		r.Goal = goalRatio / model.DPT[p]
@@ -195,6 +181,6 @@ func (a App) Optimize(cost sim.CostModel, p int, goal, goalRatio float64, opt ma
 	if r.Choice, err = mapping.Optimize(model, r.Goal); err != nil {
 		return r, fmt.Errorf("infeasible: %w", err)
 	}
-	r.Task = a.Run(newMachine(), FromChoice(r.Choice))
+	r.Task = a.Run(newMachine(), r.Choice.Mapping)
 	return r, nil
 }

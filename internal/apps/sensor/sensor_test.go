@@ -1,6 +1,12 @@
 package sensor
 
-import "testing"
+import (
+	"testing"
+
+	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
+	"fxpar/internal/sim"
+)
 
 // TestByNameSizes pins the workload sizes ByName is the only place to hold:
 // Table 1's paper sizes, the quick sizes, and the leading-extent override.
@@ -36,22 +42,71 @@ func TestByNameSizes(t *testing.T) {
 	}
 }
 
-// TestMappingRendersAsTheProgramDoes: one Mapping value renders through
-// each program's own Mapping type, whose spellings differ.
+// TestMappingRendersAsTheProgramDoes: one Mapping value is accepted and run
+// by every program, and renders one way for all of them — as the optimizer's
+// Choice selecting it does.
 func TestMappingRendersAsTheProgramDoes(t *testing.T) {
-	mp := Mapping{Modules: 2, Stages: []int{4}}
-	want := map[string]string{
-		"ffthist": "replicated(2 modules x dp 4)",
-		"radar":   "replicated(2 x dp 4)",
-		"stereo":  "replicated(2 x dp 4)",
-	}
-	for app, w := range want {
-		a, err := ByName(app, true, 6, 0)
+	mp := mapping.Mapping{Modules: 2, Stages: []int{4}}
+	const want = "2 x data-parallel(4)"
+	for _, app := range []string{"ffthist", "radar", "stereo"} {
+		a, err := ByName(app, true, 2, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := a.MappingString(mp); got != w {
-			t.Errorf("%s renders %+v as %q, want %q", app, mp, got, w)
+		if err := a.Validate(mp, 8); err != nil {
+			t.Fatalf("%s rejects %+v on 8 processors: %v", app, mp, err)
+		}
+		if out := a.Run(machine.New(8, sim.Paragon()), mp); out.Stream.Sets != 2 {
+			t.Errorf("%s under %v completed %d of 2 sets", app, mp, out.Stream.Sets)
+		}
+		if got := mp.String(); got != want {
+			t.Errorf("%s renders %+v as %q, want %q", app, mp, got, want)
+		}
+		if got := (mapping.Choice{Mapping: mp}).String(); got != want {
+			t.Errorf("%s: Choice renders %+v as %q, want %q", app, mp, got, want)
 		}
 	}
+}
+
+// FuzzMappingValidate checks App.Validate against App.Run: a mapping the
+// check accepts on a p-processor machine must run every quick program to
+// completion without panicking. The seeds are /measure bodies that passed
+// the serving layer's former, weaker check and then panicked the campaign.
+func FuzzMappingValidate(f *testing.F) {
+	f.Add(uint8(8), int8(2), []byte{4}, int8(2), []byte{4})     // wide modules == modules
+	f.Add(uint8(30), int8(1), []byte{30}, int8(0), []byte(nil)) // over stereo's image rows
+	f.Add(uint8(12), int8(1), []byte{12}, int8(0), []byte(nil)) // over radar's rows
+	f.Add(uint8(12), int8(1), []byte{1, 9, 1, 1}, int8(0), []byte(nil))
+	f.Fuzz(func(t *testing.T, p uint8, modules int8, stages []byte, wideModules int8, wide []byte) {
+		if p < 1 || p > 32 {
+			t.Skip()
+		}
+		sizes := func(bs []byte) []int {
+			var out []int
+			for _, b := range bs {
+				out = append(out, int(int8(b)))
+			}
+			return out
+		}
+		mp := mapping.Mapping{Modules: int(modules), Stages: sizes(stages), WideModules: int(wideModules), WideStages: sizes(wide)}
+		for _, name := range []string{"ffthist", "radar", "stereo"} {
+			a, err := ByName(name, true, 2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Validate(mp, int(p)) != nil {
+				continue
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s accepted %+v on %d processors, then Run panicked: %v", name, mp, p, r)
+					}
+				}()
+				if out := a.Run(machine.New(int(p), sim.Paragon()), mp); out.Stream.Sets != 2 {
+					t.Fatalf("%s under %+v on %d processors completed %d of 2 sets", name, mp, p, out.Stream.Sets)
+				}
+			}()
+		}
+	})
 }

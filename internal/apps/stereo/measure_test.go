@@ -11,8 +11,8 @@ import (
 // the same depth checksums as the reference mapping.
 func TestHeterogeneousModulesAgree(t *testing.T) {
 	cfg := smallConfig()
-	ref := run(t, 4, cfg, DataParallel(4))
-	mp := Mapping{Modules: 2, Stages: []int{3}, WideModules: 1, WideStages: []int{4}}
+	ref := run(t, 4, cfg, mapping.DataParallel(4))
+	mp := mapping.Mapping{Modules: 2, Stages: []int{3}, WideModules: 1, WideStages: []int{4}}
 	res := run(t, 7, cfg, mp)
 	if res.Stream.Sets != cfg.Sets {
 		t.Fatalf("%v: completed %d of %d sets", mp, res.Stream.Sets, cfg.Sets)

@@ -70,11 +70,3 @@ func BuildModel(cost sim.CostModel, cfg Config, maxP int) mapping.Model {
 	}
 	return m
 }
-
-// ChoiceToMapping converts a mapper Choice into a runnable Mapping.
-func ChoiceToMapping(c mapping.Choice) Mapping {
-	return Mapping{
-		Modules: c.Modules, Stages: append([]int(nil), c.StageProcs...),
-		WideModules: c.WideModules, WideStages: append([]int(nil), c.WideStageProcs...),
-	}
-}

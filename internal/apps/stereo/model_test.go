@@ -30,7 +30,7 @@ func TestModelFindsTaskMappingForPaperGoalRatio(t *testing.T) {
 	if err != nil {
 		t.Fatalf("paper's stereo goal infeasible: %v", err)
 	}
-	if c.Modules == 1 && len(c.StageProcs) == 1 {
+	if c.Modules == 1 && len(c.Stages) == 1 {
 		t.Errorf("2.75x DP goal met by plain data parallelism: %v", c)
 	}
 }

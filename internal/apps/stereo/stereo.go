@@ -20,6 +20,7 @@ import (
 	"fxpar/internal/fx"
 	"fxpar/internal/group"
 	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
 	"fxpar/internal/stats"
 )
 
@@ -37,107 +38,32 @@ func DefaultConfig() Config {
 	return Config{W: 256, H: 240, Disparities: 16, Window: 2, Sets: 8}
 }
 
-// Mapping: Modules replicas of either a data-parallel module (one entry) or
-// a 3-stage pipeline (diff, error, depth). The first WideModules modules
-// run with WideStages instead of Stages — the optimizer's way of spending
-// the P mod Modules leftover processors.
-type Mapping struct {
-	Modules     int
-	Stages      []int
-	WideModules int
-	WideStages  []int
-}
+// DataParallel and ChoiceToMapping forward to package mapping for the
+// benchmark module; code in this module names package mapping directly.
+func DataParallel(p int) mapping.Mapping { return mapping.DataParallel(p) }
 
-// DataParallel returns the data-parallel mapping on p processors.
-func DataParallel(p int) Mapping { return Mapping{Modules: 1, Stages: []int{p}} }
+// ChoiceToMapping returns the mapping c selected.
+func ChoiceToMapping(c mapping.Choice) mapping.Mapping { return c.Mapping }
 
-// ModuleStages returns the per-stage processor counts of module i.
-func (mp Mapping) ModuleStages(i int) []int {
-	if i < mp.WideModules {
-		return mp.WideStages
+// ValidateMapping checks mp on a total-processor machine: the shape check
+// for a 3-stage pipeline (diff, error, depth), no stage wider than the H
+// image rows every stage distributes, and an error stage whose row blocks
+// are at least a window deep — its halo exchange reaches one neighbour only.
+func (cfg Config) ValidateMapping(mp mapping.Mapping, total int) error {
+	if err := mp.Validate(total, len(stageNames)); err != nil {
+		return fmt.Errorf("stereo: %w", err)
 	}
-	return mp.Stages
-}
-
-// ModuleSizes returns the total processors of each module, in module order.
-func (mp Mapping) ModuleSizes() []int {
-	sizes := make([]int, mp.Modules)
-	for i := range sizes {
-		for _, q := range mp.ModuleStages(i) {
-			sizes[i] += q
-		}
-	}
-	return sizes
-}
-
-// Procs returns the processors the mapping occupies.
-func (mp Mapping) Procs() int {
-	s := 0
-	for _, sz := range mp.ModuleSizes() {
-		s += sz
-	}
-	return s
-}
-
-// Validate checks the mapping.
-func (mp Mapping) Validate(total int, cfg Config) error {
-	if mp.Modules < 1 {
-		return fmt.Errorf("stereo: Modules = %d", mp.Modules)
-	}
-	if mp.WideModules < 0 || (mp.WideModules > 0 && mp.WideModules >= mp.Modules) {
-		return fmt.Errorf("stereo: WideModules = %d of %d", mp.WideModules, mp.Modules)
-	}
-	checkStages := func(stages []int) error {
-		if len(stages) != 1 && len(stages) != 3 {
-			return fmt.Errorf("stereo: need 1 or 3 stage sizes, got %v", stages)
-		}
-		for _, q := range stages {
-			if q < 1 {
-				return fmt.Errorf("stereo: non-positive stage size in %v", stages)
-			}
+	for _, stages := range [][]int{mp.Stages, mp.WideStages} {
+		for i, q := range stages {
 			if q > cfg.H {
 				return fmt.Errorf("stereo: stage of %d processors exceeds %d image rows", q, cfg.H)
 			}
+			if rows := (cfg.H + q - 1) / q; (len(stages) == 1 || i == 1) && rows < cfg.Window && rows < cfg.H {
+				return fmt.Errorf("stereo: error stage of %d processors holds %d rows per block, under the window's %d", q, rows, cfg.Window)
+			}
 		}
-		return nil
-	}
-	if err := checkStages(mp.Stages); err != nil {
-		return err
-	}
-	if mp.WideModules > 0 {
-		if err := checkStages(mp.WideStages); err != nil {
-			return err
-		}
-		if len(mp.WideStages) != len(mp.Stages) {
-			return fmt.Errorf("stereo: wide stages %v mismatch narrow %v", mp.WideStages, mp.Stages)
-		}
-	} else if mp.WideStages != nil {
-		return fmt.Errorf("stereo: WideStages %v with zero WideModules", mp.WideStages)
-	}
-	if mp.Procs() > total {
-		return fmt.Errorf("stereo: mapping uses %d processors, machine has %d", mp.Procs(), total)
 	}
 	return nil
-}
-
-func (mp Mapping) String() string {
-	shape := func(stages []int) string {
-		if len(stages) == 1 {
-			return fmt.Sprintf("dp %d", stages[0])
-		}
-		return fmt.Sprintf("pipeline%v", stages)
-	}
-	if mp.WideModules > 0 {
-		return fmt.Sprintf("replicated(%d x %s + %d x %s)",
-			mp.WideModules, shape(mp.WideStages), mp.Modules-mp.WideModules, shape(mp.Stages))
-	}
-	if len(mp.Stages) == 1 {
-		if mp.Modules == 1 {
-			return fmt.Sprintf("data-parallel(%d)", mp.Stages[0])
-		}
-		return fmt.Sprintf("replicated(%d x dp %d)", mp.Modules, mp.Stages[0])
-	}
-	return fmt.Sprintf("replicated(%d x pipeline%v)", mp.Modules, mp.Stages)
 }
 
 // Result of a run. DepthSum maps data set index to the sum of the depth
@@ -183,8 +109,8 @@ func matchPixel(s, m, i, j, disparities int) float64 {
 }
 
 // Run executes the stream under the mapping.
-func Run(mach *machine.Machine, cfg Config, mp Mapping) Result {
-	if err := mp.Validate(mach.N(), cfg); err != nil {
+func Run(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
+	if err := cfg.ValidateMapping(mp, mach.N()); err != nil {
 		panic(err)
 	}
 	meter := stats.NewStream()

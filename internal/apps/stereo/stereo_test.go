@@ -12,7 +12,7 @@ func smallConfig() Config {
 	return Config{W: 32, H: 24, Disparities: 4, Window: 2, Sets: 5}
 }
 
-func run(t *testing.T, procs int, cfg Config, mp Mapping) Result {
+func run(t *testing.T, procs int, cfg Config, mp mapping.Mapping) Result {
 	t.Helper()
 	m := machine.New(procs, sim.Paragon())
 	return Run(m, cfg, mp)
@@ -21,19 +21,22 @@ func run(t *testing.T, procs int, cfg Config, mp Mapping) Result {
 func TestValidate(t *testing.T) {
 	cfg := smallConfig()
 	cases := []struct {
-		mp    Mapping
+		mp    mapping.Mapping
 		procs int
 		ok    bool
 	}{
-		{DataParallel(4), 4, true},
-		{Mapping{Modules: 1, Stages: []int{2, 2, 2}}, 6, true},
-		{Mapping{Modules: 2, Stages: []int{3}}, 8, true},
-		{Mapping{Modules: 1, Stages: []int{2, 2}}, 4, false},
-		{DataParallel(25), 32, false}, // exceeds H rows
-		{DataParallel(5), 4, false},
+		{mapping.DataParallel(4), 4, true},
+		{mapping.Mapping{Modules: 1, Stages: []int{2, 2, 2}}, 6, true},
+		{mapping.Mapping{Modules: 2, Stages: []int{3}}, 8, true},
+		{mapping.Mapping{Modules: 1, Stages: []int{2, 2}}, 4, false},
+		{mapping.DataParallel(25), 32, false}, // exceeds H rows
+		{mapping.DataParallel(24), 32, false}, // 1-row blocks under the 2-row window
+		{mapping.Mapping{Modules: 1, Stages: []int{2, 24, 2}}, 32, false},
+		{mapping.Mapping{Modules: 1, Stages: []int{24, 12, 2}}, 38, true}, // only the error stage exchanges halos
+		{mapping.DataParallel(5), 4, false},
 	}
 	for _, tc := range cases {
-		err := tc.mp.Validate(tc.procs, cfg)
+		err := cfg.ValidateMapping(tc.mp, tc.procs)
 		if (err == nil) != tc.ok {
 			t.Errorf("%v on %d: err=%v want ok=%v", tc.mp, tc.procs, err, tc.ok)
 		}
@@ -80,16 +83,17 @@ func fxRunCapture(m *machine.Machine, cfg Config, out *[]int32) {
 
 func TestMappingsAgree(t *testing.T) {
 	cfg := smallConfig()
-	ref := run(t, 1, cfg, DataParallel(1))
+	ref := run(t, 1, cfg, mapping.DataParallel(1))
 	for _, tc := range []struct {
 		procs int
-		mp    Mapping
+		mp    mapping.Mapping
 	}{
-		{4, DataParallel(4)},
-		{6, Mapping{Modules: 1, Stages: []int{2, 2, 2}}},
-		{8, Mapping{Modules: 2, Stages: []int{4}}},
-		{10, Mapping{Modules: 2, Stages: []int{2, 2, 1}}},
-		{3, DataParallel(3)}, // uneven rows
+		{4, mapping.DataParallel(4)},
+		{6, mapping.Mapping{Modules: 1, Stages: []int{2, 2, 2}}},
+		{8, mapping.Mapping{Modules: 2, Stages: []int{4}}},
+		{10, mapping.Mapping{Modules: 2, Stages: []int{2, 2, 1}}},
+		{3, mapping.DataParallel(3)},                                // uneven rows
+		{38, mapping.Mapping{Modules: 1, Stages: []int{24, 12, 2}}}, // 1-row blocks outside the error stage
 	} {
 		res := run(t, tc.procs, cfg, tc.mp)
 		if res.Stream.Sets != cfg.Sets {
@@ -106,9 +110,9 @@ func TestMappingsAgree(t *testing.T) {
 
 func TestPipelineAndReplicationImproveThroughput(t *testing.T) {
 	cfg := Config{W: 64, H: 24, Disparities: 8, Window: 2, Sets: 10}
-	dp := run(t, 8, cfg, DataParallel(8))
-	pl := run(t, 8, cfg, Mapping{Modules: 1, Stages: []int{4, 2, 2}})
-	rep := run(t, 8, cfg, Mapping{Modules: 2, Stages: []int{4}})
+	dp := run(t, 8, cfg, mapping.DataParallel(8))
+	pl := run(t, 8, cfg, mapping.Mapping{Modules: 1, Stages: []int{4, 2, 2}})
+	rep := run(t, 8, cfg, mapping.Mapping{Modules: 2, Stages: []int{4}})
 	if pl.Stream.Throughput <= dp.Stream.Throughput &&
 		rep.Stream.Throughput <= dp.Stream.Throughput {
 		t.Errorf("neither pipeline (%.2f) nor replication (%.2f) beat DP (%.2f)",
@@ -127,8 +131,8 @@ func TestModelOptimizeFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp := ChoiceToMapping(c)
-	if err := mp.Validate(8, cfg); err != nil {
+	mp := c.Mapping
+	if err := cfg.ValidateMapping(mp, 8); err != nil {
 		t.Fatalf("mapper produced invalid mapping %v: %v", mp, err)
 	}
 	res := run(t, 8, cfg, mp)

@@ -283,10 +283,3 @@ func TestElemBytes(t *testing.T) {
 		t.Errorf("int32 size = %d", got)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -80,13 +80,13 @@ func TestFig5QuickShapes(t *testing.T) {
 	}
 	// No constraint: latency-optimal is the pure data-parallel mapping
 	// (Figure 5, left).
-	if len(rows[0].Choice.StageProcs) != 1 || rows[0].Choice.Modules != 1 {
+	if len(rows[0].Choice.Stages) != 1 || rows[0].Choice.Modules != 1 {
 		t.Errorf("unconstrained choice = %v, want data-parallel", rows[0].Choice)
 	}
 	// Tighter constraints cannot decrease measured throughput or decrease
 	// latency.
 	for i := 1; i < len(rows); i++ {
-		if rows[i].Choice.StageProcs == nil {
+		if rows[i].Choice.Stages == nil {
 			t.Errorf("row %d infeasible", i)
 			continue
 		}
@@ -97,7 +97,7 @@ func TestFig5QuickShapes(t *testing.T) {
 	}
 	// The tightest constraint must change the mapping away from pure DP.
 	last := rows[len(rows)-1].Choice
-	if len(last.StageProcs) == 1 && last.Modules == 1 {
+	if len(last.Stages) == 1 && last.Modules == 1 {
 		t.Errorf("tight constraint still chose pure data-parallel: %v", last)
 	}
 	var buf bytes.Buffer

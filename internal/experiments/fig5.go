@@ -18,7 +18,6 @@ type Fig5Row struct {
 	Constraint string  // human-readable constraint
 	Goal       float64 // sets/s (0 = none)
 	Choice     mapping.Choice
-	Mapping    ffthist.Mapping
 	Throughput float64 // measured
 	Latency    float64 // measured
 	// Pipeline is the best single-module pipeline meeting the same goal
@@ -90,13 +89,12 @@ func Fig5(cfg Fig5Config) ([]Fig5Row, error) {
 			return row, nil
 		}
 		row.Choice = choice
-		row.Mapping = ffthist.ChoiceToMapping(choice)
-		r := ffthist.Run(newMachine(cfg.Procs, cost, cfg.Engine, cfg.Faults), appCfg, row.Mapping)
+		r := ffthist.Run(newMachine(cfg.Procs, cost, cfg.Engine, cfg.Faults), appCfg, choice.Mapping)
 		row.Throughput = r.Stream.Throughput
 		row.Latency = r.Stream.Latency
 		if pc, err := mapping.OptimizePipeline(model, c.goal); err == nil {
 			row.Pipeline = pc
-			pres := ffthist.Run(newMachine(cfg.Procs, cost, cfg.Engine, cfg.Faults), appCfg, ffthist.ChoiceToMapping(pc))
+			pres := ffthist.Run(newMachine(cfg.Procs, cost, cfg.Engine, cfg.Faults), appCfg, pc.Mapping)
 			row.PipelineThroughput = pres.Stream.Throughput
 			row.PipelineLatency = pres.Stream.Latency
 		}
@@ -119,7 +117,7 @@ func PrintFig5(w io.Writer, rows []Fig5Row, cfg Fig5Config) {
 		cfg.N, cfg.N, cfg.Procs)
 	for _, r := range rows {
 		fmt.Fprintf(w, "Constraint: %s\n", r.Constraint)
-		if r.Choice.StageProcs == nil {
+		if r.Choice.Stages == nil {
 			fmt.Fprintln(w)
 			continue
 		}
@@ -130,7 +128,7 @@ func PrintFig5(w io.Writer, rows []Fig5Row, cfg Fig5Config) {
 		for m := 0; m < r.Choice.Modules; m++ {
 			// Wide modules (the ones absorbing P mod r leftover processors)
 			// have their own stage widths.
-			procs := r.Choice.ModuleStageProcs(m)
+			procs := r.Choice.ModuleStages(m)
 			if len(procs) == 1 {
 				fmt.Fprintf(w, "    module %d: [%s] all stages x %d procs\n",
 					m+1, strings.Repeat("#", min(procs[0], 64)), procs[0])
@@ -141,17 +139,10 @@ func PrintFig5(w io.Writer, rows []Fig5Row, cfg Fig5Config) {
 					m+1, stageNames[s], strings.Repeat("#", min(q, 64)), q)
 			}
 		}
-		if r.Pipeline.StageProcs != nil {
+		if r.Pipeline.Stages != nil {
 			fmt.Fprintf(w, "  best single pipeline for comparison: %s -> %.3f sets/s, latency %.4f s\n",
 				r.Pipeline, r.PipelineThroughput, r.PipelineLatency)
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -7,6 +7,7 @@ import (
 	"fxpar/internal/apps/radar"
 	"fxpar/internal/apps/stereo"
 	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
 )
 
@@ -33,7 +34,7 @@ func TestFFTHistModelTracksSimulation(t *testing.T) {
 	cfg := ffthist.Config{N: 64, Sets: 6, Bins: 32}
 	model := ffthist.BuildModel(cost, cfg, 16)
 	for _, p := range []int{1, 4, 16} {
-		res := ffthist.Run(machine.New(p, cost), cfg, ffthist.DataParallel(p))
+		res := ffthist.Run(machine.New(p, cost), cfg, mapping.DataParallel(p))
 		checkBand(t, "ffthist", model.DPT[p], res.Stream.Latency)
 	}
 }
@@ -43,7 +44,7 @@ func TestRadarModelTracksSimulation(t *testing.T) {
 	cfg := radar.Config{Gates: 128, Rows: 16, Sets: 6, Scale: 1.0 / 128, Threshold: 0.05}
 	model := radar.BuildModel(cost, cfg, 16)
 	for _, p := range []int{1, 4, 16} {
-		res := radar.Run(machine.New(p, cost), cfg, radar.DataParallel(min(p, cfg.Rows)))
+		res := radar.Run(machine.New(p, cost), cfg, mapping.DataParallel(min(p, cfg.Rows)))
 		checkBand(t, "radar", model.DPT[p], res.Stream.Latency)
 	}
 }
@@ -53,7 +54,7 @@ func TestStereoModelTracksSimulation(t *testing.T) {
 	cfg := stereo.Config{W: 64, H: 32, Disparities: 8, Window: 2, Sets: 6}
 	model := stereo.BuildModel(cost, cfg, 16)
 	for _, p := range []int{1, 4, 16} {
-		res := stereo.Run(machine.New(p, cost), cfg, stereo.DataParallel(min(p, cfg.H)))
+		res := stereo.Run(machine.New(p, cost), cfg, mapping.DataParallel(min(p, cfg.H)))
 		checkBand(t, "stereo", model.DPT[p], res.Stream.Latency)
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"fxpar/internal/apps/ffthist"
+	"fxpar/internal/apps/sensor"
 	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
 	"fxpar/internal/skeleton"
 	"fxpar/internal/sweep"
@@ -34,7 +36,7 @@ var defaultScenario = Scenario{Procs: 16, N: 64, Sets: 6}
 // Validate rejects a scenario that cannot run: too few processors for one
 // per pipeline stage, or an N that is not a positive power of two.
 func (s Scenario) Validate() error {
-	if err := s.mapping().Validate(s.Procs); err != nil {
+	if err := sensor.FFTHist(s.app()).Validate(s.mapping(), s.Procs); err != nil {
 		return err
 	}
 	return s.app().Validate()
@@ -43,7 +45,7 @@ func (s Scenario) Validate() error {
 // mapping splits the processors into the pipeline: a quarter each on the
 // column-FFT and histogram stages, the rest on the row-FFT stage, so every
 // data set crosses two group boundaries and message faults bite.
-func (s Scenario) mapping() ffthist.Mapping {
+func (s Scenario) mapping() mapping.Mapping {
 	pc := max(s.Procs/4, 1)
 	return ffthist.Pipeline(pc, s.Procs-2*pc, pc)
 }

@@ -75,7 +75,7 @@ func bruteForce(m Model, goal float64) (Choice, bool) {
 		if !ok {
 			continue
 		}
-		c := Choice{Modules: r, StageProcs: procs, PredLatency: lat, PredThroughput: float64(r) / period}
+		c := Choice{Mapping: Mapping{Modules: r, Stages: procs}, PredLatency: lat, PredThroughput: float64(r) / period}
 		if rem := m.P % r; rem > 0 {
 			wProcs, wLat, wPeriod, wOK := bruteModuleBest(m, per+1, moduleGoal)
 			if wOK && wLat <= lat && !sameProcs(wProcs, procs) {
@@ -83,7 +83,7 @@ func bruteForce(m Model, goal float64) (Choice, bool) {
 				if wPeriod > maxPeriod {
 					maxPeriod = wPeriod
 				}
-				c.WideModules, c.WideStageProcs = rem, wProcs
+				c.WideModules, c.WideStages = rem, wProcs
 				c.PredLatency = (float64(rem)*wLat + float64(r-rem)*lat) / float64(r)
 				c.PredThroughput = float64(r) / maxPeriod
 			}
@@ -142,7 +142,7 @@ func TestOptimizeNeverExceedsMachine(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		return c.UsesProcs() <= p && c.PredThroughput+1e-12 >= goal
+		return c.Procs() <= p && c.PredThroughput+1e-12 >= goal
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -159,7 +159,7 @@ func TestCostModelChangesDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c1.StageProcs) != 1 {
+	if len(c1.Stages) != 1 {
 		t.Errorf("with 0.5s transfers the latency optimum should be DP, got %v", c1)
 	}
 	// A throughput goal that DP cannot meet forces replication even at high
@@ -169,7 +169,7 @@ func TestCostModelChangesDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.Modules < 2 && len(c2.StageProcs) == 1 {
+	if c2.Modules < 2 && len(c2.Stages) == 1 {
 		t.Errorf("goal above DP max should not yield single DP: %v", c2)
 	}
 }

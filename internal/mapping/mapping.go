@@ -82,41 +82,51 @@ func (m Model) dpCap(p int) int {
 	return c
 }
 
-// Choice is a selected mapping. When P mod r processors are left over by a
-// replication factor r, the first WideModules modules run on one processor
-// more than the rest; the remaining Modules-WideModules modules use
-// StageProcs. A homogeneous choice has WideModules == 0.
-type Choice struct {
+// Mapping is how a streaming program's processors are applied (Section
+// 3.3): Modules replicas process alternate data sets, and each module is
+// either data-parallel (one stage size) or a pipeline with one processor
+// count per stage. When P mod Modules processors are left over, the first
+// WideModules modules run with WideStages instead of Stages. It is also the
+// serving layer's wire shape.
+type Mapping struct {
 	// Modules is the replication factor (total module count).
-	Modules int
-	// StageProcs is processors per stage within one narrow module; a single
+	Modules int `json:"modules,omitempty"`
+	// Stages is processors per stage within one narrow module; a single
 	// entry means the module runs data-parallel.
-	StageProcs []int
-	// WideModules is how many of the Modules use the wider assignment
-	// (0 when the machine divides evenly or the leftover is not worth using).
-	WideModules int
-	// WideStageProcs is processors per stage of each wide module; nil when
+	Stages []int `json:"stages,omitempty"`
+	// WideModules is how many of the Modules use WideStages (0 for a
+	// homogeneous mapping).
+	WideModules int `json:"wideModules,omitempty"`
+	// WideStages is processors per stage of each wide module; nil when
 	// WideModules == 0.
-	WideStageProcs []int
-	// PredLatency is the model-predicted per-set latency (module-count
-	// weighted mean over wide and narrow modules).
-	PredLatency float64
-	// PredThroughput is the model-predicted steady-state throughput
-	// (modules / bottleneck module period).
-	PredThroughput float64
+	WideStages []int `json:"wideStages,omitempty"`
 }
 
-// ModuleStageProcs returns the per-stage processor counts of module i; the
+// DataParallel is the one-module data-parallel mapping on p processors.
+func DataParallel(p int) Mapping { return Mapping{Modules: 1, Stages: []int{p}} }
+
+// ModuleStages returns the per-stage processor counts of module i; the
 // first WideModules modules are the wide ones.
-func (c Choice) ModuleStageProcs(i int) []int {
-	if i < c.WideModules {
-		return c.WideStageProcs
+func (mp Mapping) ModuleStages(i int) []int {
+	if i < mp.WideModules {
+		return mp.WideStages
 	}
-	return c.StageProcs
+	return mp.Stages
 }
 
-// UsesProcs returns the total processors the choice occupies.
-func (c Choice) UsesProcs() int {
+// ModuleSizes returns the total processors of each module, in module order.
+func (mp Mapping) ModuleSizes() []int {
+	sizes := make([]int, mp.Modules)
+	for i := range sizes {
+		for _, q := range mp.ModuleStages(i) {
+			sizes[i] += q
+		}
+	}
+	return sizes
+}
+
+// Procs returns the total processors the mapping occupies.
+func (mp Mapping) Procs() int {
 	sum := func(procs []int) int {
 		s := 0
 		for _, p := range procs {
@@ -124,26 +134,83 @@ func (c Choice) UsesProcs() int {
 		}
 		return s
 	}
-	return sum(c.StageProcs)*(c.Modules-c.WideModules) + sum(c.WideStageProcs)*c.WideModules
+	return sum(mp.Stages)*(mp.Modules-mp.WideModules) + sum(mp.WideStages)*mp.WideModules
 }
 
-func (c Choice) String() string {
+// Validate checks the mapping's shape for a program of the given number of
+// pipeline stages on a total-processor machine; processors it leaves unused
+// idle. Programs prefix the error with their name and add their own caps.
+func (mp Mapping) Validate(total, stages int) error {
+	if mp.Modules < 1 {
+		return fmt.Errorf("need at least 1 module, got %d", mp.Modules)
+	}
+	if mp.WideModules < 0 || mp.WideModules >= mp.Modules {
+		return fmt.Errorf("WideModules = %d of %d", mp.WideModules, mp.Modules)
+	}
+	sizes := func(procs []int) error {
+		if len(procs) != 1 && len(procs) != stages {
+			return fmt.Errorf("need 1 or %d stage sizes, got %v", stages, procs)
+		}
+		for _, q := range procs {
+			if q < 1 {
+				return fmt.Errorf("non-positive stage size in %v", procs)
+			}
+			if q > total { // fails the Procs check below too, but cannot overflow it
+				return fmt.Errorf("stage of %d processors exceeds the machine's %d", q, total)
+			}
+		}
+		return nil
+	}
+	if err := sizes(mp.Stages); err != nil {
+		return err
+	}
+	if mp.WideModules > 0 {
+		if err := sizes(mp.WideStages); err != nil {
+			return err
+		}
+		if len(mp.WideStages) != len(mp.Stages) {
+			return fmt.Errorf("wide stages %v mismatch narrow %v", mp.WideStages, mp.Stages)
+		}
+	} else if len(mp.WideStages) != 0 {
+		return fmt.Errorf("WideStages %v with zero WideModules", mp.WideStages)
+	}
+	if mp.Modules > total || mp.Procs() > total {
+		return fmt.Errorf("mapping uses %d processors, machine has %d", mp.Procs(), total)
+	}
+	return nil
+}
+
+// String renders the mapping as Table 1 and Figure 5 print it:
+// "data-parallel(8)", "2 x pipeline[4 2 2]", "1 x data-parallel(22) + 2 x
+// data-parallel(21)".
+func (mp Mapping) String() string {
 	shape := func(procs []int) string {
 		if len(procs) == 1 {
 			return fmt.Sprintf("data-parallel(%d)", procs[0])
 		}
 		return fmt.Sprintf("pipeline%v", procs)
 	}
-	if c.WideModules == 0 {
-		if c.Modules == 1 {
-			return shape(c.StageProcs)
+	if mp.WideModules == 0 {
+		if mp.Modules == 1 {
+			return shape(mp.Stages)
 		}
-		return fmt.Sprintf("%d x %s", c.Modules, shape(c.StageProcs))
+		return fmt.Sprintf("%d x %s", mp.Modules, shape(mp.Stages))
 	}
 	// Heterogeneous modules: always spell out both counts.
 	return fmt.Sprintf("%d x %s + %d x %s",
-		c.WideModules, shape(c.WideStageProcs),
-		c.Modules-c.WideModules, shape(c.StageProcs))
+		mp.WideModules, shape(mp.WideStages),
+		mp.Modules-mp.WideModules, shape(mp.Stages))
+}
+
+// Choice is the mapping the optimizer selected, with its predictions.
+type Choice struct {
+	Mapping
+	// PredLatency is the model-predicted per-set latency (module-count
+	// weighted mean over wide and narrow modules).
+	PredLatency float64
+	// PredThroughput is the model-predicted steady-state throughput
+	// (modules / bottleneck module period).
+	PredThroughput float64
 }
 
 // Optimize returns the latency-minimal mapping whose predicted throughput is
@@ -185,7 +252,7 @@ func (m Model) moduleBest(q int, moduleGoal float64, allowDP bool) (procs []int,
 	}
 	if len(m.StageNames) > 1 && q >= len(m.StageNames) {
 		if c, pipeOK := m.pipelineDP(q, moduleGoal); pipeOK && c.PredLatency < lat {
-			procs, lat, period, ok = c.StageProcs, c.PredLatency, 1/c.PredThroughput, true
+			procs, lat, period, ok = c.Stages, c.PredLatency, 1/c.PredThroughput, true
 		}
 	}
 	return procs, lat, period, ok
@@ -222,7 +289,7 @@ func optimize(m Model, goal float64, maxModules int, allowDP bool) (Choice, erro
 			continue
 		}
 		c := Choice{
-			Modules: r, StageProcs: procs,
+			Mapping:        Mapping{Modules: r, Stages: procs},
 			PredLatency:    lat,
 			PredThroughput: float64(r) / period,
 		}
@@ -239,7 +306,7 @@ func optimize(m Model, goal float64, maxModules int, allowDP bool) (Choice, erro
 				if wPeriod > maxPeriod {
 					maxPeriod = wPeriod
 				}
-				c.WideModules, c.WideStageProcs = rem, wProcs
+				c.WideModules, c.WideStages = rem, wProcs
 				c.PredLatency = (float64(rem)*wLat + float64(r-rem)*lat) / float64(r)
 				c.PredThroughput = float64(r) / maxPeriod
 			}
@@ -359,8 +426,7 @@ func (m Model) pipelineDP(q int, goal float64) (Choice, bool) {
 		}
 	}
 	return Choice{
-		Modules:        1,
-		StageProcs:     procs,
+		Mapping:        Mapping{Modules: 1, Stages: procs},
 		PredLatency:    bestLat,
 		PredThroughput: 1 / period,
 	}, true

@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -53,7 +54,7 @@ func TestLatencyOnlyPicksDataParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.StageProcs) != 1 || c.Modules != 1 || c.StageProcs[0] != 16 {
+	if len(c.Stages) != 1 || c.Modules != 1 || c.Stages[0] != 16 {
 		t.Errorf("latency-only choice = %v, want data-parallel(16)", c)
 	}
 }
@@ -69,7 +70,7 @@ func TestThroughputGoalForcesPipelineOrReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Modules == 1 && len(c.StageProcs) == 1 {
+	if c.Modules == 1 && len(c.Stages) == 1 {
 		t.Errorf("goal %.2f (DP max %.2f): still chose %v", goal, 1/dpT, c)
 	}
 	if c.PredThroughput < goal {
@@ -124,13 +125,13 @@ func TestCapsRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range c.StageProcs {
+	for _, p := range c.Stages {
 		if p > 4 {
 			t.Errorf("choice %v exceeds cap 4", c)
 		}
 	}
 	// DP mode must also respect the smallest cap.
-	if len(c.StageProcs) == 1 && c.StageProcs[0] > 4 {
+	if len(c.Stages) == 1 && c.Stages[0] > 4 {
 		t.Errorf("DP choice %v exceeds cap", c)
 	}
 }
@@ -143,34 +144,98 @@ func TestPipelineDPBalances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.StageProcs) != 3 {
+	if len(c.Stages) != 3 {
 		t.Fatalf("goal 1.95 should force a pipeline, got %v", c)
 	}
-	if c.StageProcs[1] <= c.StageProcs[0] || c.StageProcs[1] <= c.StageProcs[2] {
+	if c.Stages[1] <= c.Stages[0] || c.Stages[1] <= c.Stages[2] {
 		t.Errorf("heavy stage not favored: %v", c)
 	}
 }
 
-func TestUsesProcs(t *testing.T) {
-	c := Choice{Modules: 2, StageProcs: []int{3, 4, 1}}
-	if c.UsesProcs() != 16 {
-		t.Errorf("UsesProcs = %d", c.UsesProcs())
+// TestMappingString pins the one rendering every layer prints: Table 1's and
+// Figure 5's mapping column, /optimize's best, /measure's mapping, fxprof's
+// header.
+func TestMappingString(t *testing.T) {
+	cases := []struct {
+		mp   Mapping
+		want string
+	}{
+		{DataParallel(8), "data-parallel(8)"},
+		{Mapping{Modules: 2, Stages: []int{4}}, "2 x data-parallel(4)"},
+		{Mapping{Modules: 1, Stages: []int{4, 2, 2}}, "pipeline[4 2 2]"},
+		{Mapping{Modules: 2, Stages: []int{1, 2, 3}}, "2 x pipeline[1 2 3]"},
+		{Mapping{Modules: 1, Stages: []int{2, 3, 1, 1}}, "pipeline[2 3 1 1]"},
+		{Mapping{Modules: 3, Stages: []int{21}, WideModules: 1, WideStages: []int{22}},
+			"1 x data-parallel(22) + 2 x data-parallel(21)"},
+		{Mapping{Modules: 3, Stages: []int{2, 2, 2}, WideModules: 1, WideStages: []int{3, 2, 2}},
+			"1 x pipeline[3 2 2] + 2 x pipeline[2 2 2]"},
+	}
+	for _, tc := range cases {
+		if got := tc.mp.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
+		}
 	}
 }
 
+func TestUsesProcs(t *testing.T) {
+	c := Choice{Mapping: Mapping{Modules: 2, Stages: []int{3, 4, 1}}}
+	if c.Procs() != 16 {
+		t.Errorf("Procs = %d", c.Procs())
+	}
+}
+
+// TestChoiceString: a Choice renders as the mapping it selected.
 func TestChoiceString(t *testing.T) {
 	cases := []struct {
 		c    Choice
 		want string
 	}{
-		{Choice{Modules: 1, StageProcs: []int{8}}, "data-parallel(8)"},
-		{Choice{Modules: 2, StageProcs: []int{8}}, "2 x data-parallel(8)"},
-		{Choice{Modules: 1, StageProcs: []int{1, 2, 3}}, "pipeline[1 2 3]"},
-		{Choice{Modules: 2, StageProcs: []int{1, 2, 3}}, "2 x pipeline[1 2 3]"},
+		{Choice{Mapping: Mapping{Modules: 1, Stages: []int{8}}, PredLatency: 1}, "data-parallel(8)"},
+		{Choice{Mapping: Mapping{Modules: 2, Stages: []int{8}}, PredLatency: 1}, "2 x data-parallel(8)"},
+		{Choice{Mapping: Mapping{Modules: 1, Stages: []int{1, 2, 3}}, PredLatency: 1}, "pipeline[1 2 3]"},
+		{Choice{Mapping: Mapping{Modules: 2, Stages: []int{1, 2, 3}}, PredLatency: 1}, "2 x pipeline[1 2 3]"},
 	}
 	for _, tc := range cases {
 		if got := tc.c.String(); got != tc.want {
 			t.Errorf("String() = %q, want %q", got, tc.want)
+		}
+	}
+}
+
+// TestMappingValidate has one case per error branch of the shape check.
+func TestMappingValidate(t *testing.T) {
+	cases := []struct {
+		mp    Mapping
+		procs int
+		want  string // "" = valid; otherwise a substring of the error
+	}{
+		{DataParallel(8), 8, ""},
+		{DataParallel(8), 9, ""}, // idle processors are allowed
+		{Mapping{Modules: 2, Stages: []int{2, 1, 1}}, 8, ""},
+		{Mapping{Modules: 3, Stages: []int{2}, WideModules: 1, WideStages: []int{3}}, 7, ""},
+		{Mapping{Modules: 0, Stages: []int{8}}, 8, "need at least 1 module, got 0"},
+		{Mapping{Modules: 2, Stages: []int{4}, WideModules: 2, WideStages: []int{4}}, 8, "WideModules = 2 of 2"},
+		{Mapping{Modules: 2, Stages: []int{4}, WideModules: -1}, 8, "WideModules = -1 of 2"},
+		{Mapping{Modules: 1, Stages: []int{4, 4}}, 8, "need 1 or 3 stage sizes, got [4 4]"},
+		{Mapping{Modules: 1}, 8, "need 1 or 3 stage sizes, got []"},
+		{Mapping{Modules: 1, Stages: []int{0, 4, 4}}, 8, "non-positive stage size in [0 4 4]"},
+		{Mapping{Modules: 1, Stages: []int{1 << 62, 1 << 62, 2}}, 8, "stage of 4611686018427387904 processors exceeds the machine's 8"},
+		{Mapping{Modules: 2, Stages: []int{2}, WideModules: 1, WideStages: []int{1, 1, 1}}, 8, "wide stages [1 1 1] mismatch narrow [2]"},
+		{Mapping{Modules: 2, Stages: []int{2}, WideModules: 1}, 8, "need 1 or 3 stage sizes, got []"},
+		{Mapping{Modules: 2, Stages: []int{2}, WideStages: []int{3}}, 8, "WideStages [3] with zero WideModules"},
+		{Mapping{Modules: 2, Stages: []int{5}}, 8, "mapping uses 10 processors, machine has 8"},
+		{Mapping{Modules: 1 << 62, Stages: []int{4}}, 8, "machine has 8"}, // Procs overflows to 0
+	}
+	for _, tc := range cases {
+		err := tc.mp.Validate(tc.procs, 3)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%+v on %d procs: unexpected error %v", tc.mp, tc.procs, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v on %d procs: err = %v, want %q", tc.mp, tc.procs, err, tc.want)
 		}
 	}
 }

@@ -25,7 +25,7 @@ func oldOptimize(m Model, goal float64) (Choice, error) {
 		pdp := m.dpCap(per)
 		t := m.DPT[pdp]
 		if t > 0 && (moduleGoal == 0 || 1/t >= moduleGoal) {
-			c := Choice{Modules: r, StageProcs: []int{pdp}, PredLatency: t, PredThroughput: float64(r) / t}
+			c := Choice{Mapping: Mapping{Modules: r, Stages: []int{pdp}}, PredLatency: t, PredThroughput: float64(r) / t}
 			if c.PredLatency < best.PredLatency {
 				best = c
 			}
@@ -61,8 +61,8 @@ func TestRemainderProcessorsUsed(t *testing.T) {
 	if c.Modules != 3 {
 		t.Fatalf("choice = %v, expected 3 modules at goal 25", c)
 	}
-	if c.UsesProcs() != 64 {
-		t.Errorf("choice %v uses %d of 64 processors; remainder not distributed", c, c.UsesProcs())
+	if c.Procs() != 64 {
+		t.Errorf("choice %v uses %d of 64 processors; remainder not distributed", c, c.Procs())
 	}
 	if c.WideModules != 1 {
 		t.Errorf("choice %v: want exactly 64 mod 3 = 1 wide module", c)
@@ -99,8 +99,8 @@ func TestOptimizeNoWorseThanHomogeneous(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		if c.UsesProcs() > p {
-			t.Logf("p=%d goal=%g: %v uses %d procs", p, goal, c, c.UsesProcs())
+		if c.Procs() > p {
+			t.Logf("p=%d goal=%g: %v uses %d procs", p, goal, c, c.Procs())
 			return false
 		}
 		if errOld == nil && c.PredLatency > old.PredLatency+1e-12 {
@@ -116,28 +116,25 @@ func TestOptimizeNoWorseThanHomogeneous(t *testing.T) {
 }
 
 func TestWideChoiceAccessors(t *testing.T) {
-	c := Choice{
-		Modules: 3, StageProcs: []int{2, 2, 2},
-		WideModules: 1, WideStageProcs: []int{3, 2, 2},
+	c := Choice{Mapping: Mapping{
+		Modules: 3, Stages: []int{2, 2, 2},
+		WideModules: 1, WideStages: []int{3, 2, 2},
+	}}
+	if got := c.Procs(); got != 2*6+7 {
+		t.Errorf("Procs = %d, want 19", got)
 	}
-	if got := c.UsesProcs(); got != 2*6+7 {
-		t.Errorf("UsesProcs = %d, want 19", got)
+	if got := c.ModuleSizes(); !sameProcs(got, []int{7, 6, 6}) {
+		t.Errorf("ModuleSizes = %v, want [7 6 6]", got)
 	}
-	if !sameProcs(c.ModuleStageProcs(0), []int{3, 2, 2}) {
-		t.Errorf("module 0 = %v, want wide", c.ModuleStageProcs(0))
+	if !sameProcs(c.ModuleStages(0), []int{3, 2, 2}) {
+		t.Errorf("module 0 = %v, want wide", c.ModuleStages(0))
 	}
-	if !sameProcs(c.ModuleStageProcs(2), []int{2, 2, 2}) {
-		t.Errorf("module 2 = %v, want narrow", c.ModuleStageProcs(2))
+	if !sameProcs(c.ModuleStages(2), []int{2, 2, 2}) {
+		t.Errorf("module 2 = %v, want narrow", c.ModuleStages(2))
 	}
-	if got, want := c.String(), "1 x pipeline[3 2 2] + 2 x pipeline[2 2 2]"; got != want {
-		t.Errorf("String() = %q, want %q", got, want)
-	}
-	dp := Choice{Modules: 5, StageProcs: []int{2}, WideModules: 2, WideStageProcs: []int{3}}
-	if got, want := dp.String(), "2 x data-parallel(3) + 3 x data-parallel(2)"; got != want {
-		t.Errorf("String() = %q, want %q", got, want)
-	}
-	if dp.UsesProcs() != 12 {
-		t.Errorf("UsesProcs = %d, want 12", dp.UsesProcs())
+	dp := Mapping{Modules: 5, Stages: []int{2}, WideModules: 2, WideStages: []int{3}}
+	if got := dp.Procs(); got != 12 {
+		t.Errorf("%v: Procs = %d, want 12", dp, got)
 	}
 }
 
@@ -238,10 +235,10 @@ func TestPipelineDPExhaustive(t *testing.T) {
 		// respect the constraint when recomputed from the tables.
 		lat := 0.0
 		for i := 0; i < nS; i++ {
-			ti := m.StageT[i][c.StageProcs[i]]
+			ti := m.StageT[i][c.Stages[i]]
 			x := 0.0
 			if i > 0 {
-				x = m.Xfer(i-1, c.StageProcs[i-1], c.StageProcs[i])
+				x = m.Xfer(i-1, c.Stages[i-1], c.Stages[i])
 			}
 			if ti+x > limit+1e-12 {
 				t.Fatalf("trial %d: returned assignment %v violates period limit at stage %d", trial, c, i)

@@ -60,7 +60,7 @@ func TestEvalSharesOneCapture(t *testing.T) {
 	m := machine.New(4, cost)
 	sink := skeleton.NewSink(cost, "")
 	m.SetTracer(sink)
-	ffthist.Run(m, ffthist.Config{N: 16, Sets: 1, Bins: 8}, ffthist.DataParallel(4))
+	ffthist.Run(m, ffthist.Config{N: 16, Sets: 1, Bins: 8}, mapping.DataParallel(4))
 	sk, err := sink.Skeleton()
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"fxpar/internal/apps/ffthist"
 	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
 	"fxpar/internal/metrics"
 	"fxpar/internal/sim"
 	"fxpar/internal/trace"
@@ -46,7 +47,7 @@ func TestStreamSinkSnapshotRepeatable(t *testing.T) {
 	sink := metrics.NewStreamSink(2)
 	m := machine.New(2, sim.Paragon())
 	m.SetTracer(sink)
-	ffthist.Run(m, ffthist.Config{N: 16, Sets: 2, Bins: 8}, ffthist.DataParallel(2))
+	ffthist.Run(m, ffthist.Config{N: 16, Sets: 2, Bins: 8}, mapping.DataParallel(2))
 	a, err := sink.Snapshot().JSON()
 	if err != nil {
 		t.Fatal(err)

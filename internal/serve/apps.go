@@ -17,61 +17,6 @@ import (
 	"fxpar/internal/skeleton"
 )
 
-// MappingSpec is the wire shape of an explicit mapping. The zero value means
-// "data-parallel on all processors".
-type MappingSpec = sensor.Mapping
-
-func isZero(ms MappingSpec) bool {
-	return ms.Modules == 0 && len(ms.Stages) == 0 && ms.WideModules == 0 && len(ms.WideStages) == 0
-}
-
-// usesProcs totals the processors the spec occupies.
-func usesProcs(ms MappingSpec) int {
-	sum := func(procs []int) int {
-		s := 0
-		for _, p := range procs {
-			s += p
-		}
-		return s
-	}
-	return sum(ms.Stages)*(ms.Modules-ms.WideModules) + sum(ms.WideStages)*ms.WideModules
-}
-
-// validate checks the spec against an app with nStages pipeline stages on a
-// p-processor machine.
-func validate(ms MappingSpec, nStages, p int) error {
-	if ms.Modules < 1 {
-		return fmt.Errorf("mapping: modules must be >= 1")
-	}
-	if len(ms.Stages) != 1 && len(ms.Stages) != nStages {
-		return fmt.Errorf("mapping: want 1 (data-parallel) or %d stage entries, got %d", nStages, len(ms.Stages))
-	}
-	for _, n := range ms.Stages {
-		if n < 1 {
-			return fmt.Errorf("mapping: stage processor counts must be >= 1")
-		}
-	}
-	if ms.WideModules < 0 || ms.WideModules > ms.Modules {
-		return fmt.Errorf("mapping: wideModules must be in [0, modules]")
-	}
-	if ms.WideModules > 0 {
-		if len(ms.WideStages) != len(ms.Stages) {
-			return fmt.Errorf("mapping: wideStages must match stages in length")
-		}
-		for _, n := range ms.WideStages {
-			if n < 1 {
-				return fmt.Errorf("mapping: wide stage processor counts must be >= 1")
-			}
-		}
-	} else if len(ms.WideStages) != 0 {
-		return fmt.Errorf("mapping: wideStages set but wideModules is 0")
-	}
-	if u := usesProcs(ms); u > p {
-		return fmt.Errorf("mapping: uses %d processors but the machine has %d", u, p)
-	}
-	return nil
-}
-
 // appAdapter is one resolved request: the program and the content key its
 // model tables memoize under.
 type appAdapter struct {
@@ -107,11 +52,11 @@ func resolveApp(app string, p, sets int, quick bool, cost sim.CostModel, replay 
 // skeleton.StoreKey as the canonical renderer — the store's notion of "the
 // same recorded run" is exactly what makes two measure requests the same
 // campaign.
-func measureKey(a *appAdapter, ms MappingSpec, p int, chaos string, cost sim.CostModel) string {
+func measureKey(a *appAdapter, mp mapping.Mapping, p int, chaos string, cost sim.CostModel) string {
 	return skeleton.StoreKey{
 		App:     "serve." + a.Name,
 		Params:  a.Params,
-		Mapping: a.MappingString(ms),
+		Mapping: mp.String(),
 		P:       p,
 		Chaos:   chaos,
 		Cost:    cost,

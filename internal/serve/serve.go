@@ -34,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"fxpar/internal/apps/sensor"
 	"fxpar/internal/cas"
 	"fxpar/internal/experiments"
 	"fxpar/internal/fault"
@@ -271,12 +270,12 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // (default: data-parallel on all processors), optionally under a chaos
 // plan ("seed[:profile]", as the -chaos flags accept).
 type MeasureRequest struct {
-	App     string      `json:"app"`
-	P       int         `json:"p"`
-	Sets    int         `json:"sets"`
-	Quick   bool        `json:"quick"`
-	Mapping MappingSpec `json:"mapping"`
-	Chaos   string      `json:"chaos"`
+	App     string          `json:"app"`
+	P       int             `json:"p"`
+	Sets    int             `json:"sets"`
+	Quick   bool            `json:"quick"`
+	Mapping mapping.Mapping `json:"mapping"`
+	Chaos   string          `json:"chaos"`
 	reqMeta
 }
 
@@ -306,10 +305,10 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if isZero(req.Mapping) {
-		req.Mapping = sensor.DataParallel(min(req.P, a.Rows))
+	if mp := req.Mapping; mp.Modules == 0 && len(mp.Stages) == 0 && mp.WideModules == 0 && len(mp.WideStages) == 0 {
+		req.Mapping = mapping.DataParallel(min(req.P, a.Rows))
 	}
-	if err := validate(req.Mapping, len(a.spec.Stages), req.P); err != nil {
+	if err := a.Validate(req.Mapping, req.P); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -327,7 +326,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		out := a.Run(newMachine(req.P, s.cost, s.eng, plan.Machine()), req.Mapping)
 		return canonical(MeasureResult{
 			App: a.Name, Params: a.Params, P: req.P, Sets: req.Sets,
-			Mapping: a.MappingString(req.Mapping), Chaos: chaos,
+			Mapping: req.Mapping.String(), Chaos: chaos,
 			Throughput: out.Stream.Throughput, Latency: out.Stream.Latency, Makespan: out.Makespan,
 		})
 	})

@@ -188,18 +188,29 @@ func TestBadRequests(t *testing.T) {
 	cases := []struct {
 		path string
 		body string
+		want string // substring of the error, when it matters
 	}{
-		{"/optimize", `{"app":"nope","p":8}`},
-		{"/optimize", `{"app":"ffthist"}`},                      // p < 1
-		{"/optimize", `{"app":"ffthist","p":8,"bogusField":1}`}, // unknown field
-		{"/optimize", `not json`},
-		{"/measure", `{"app":"radar","p":4,"quick":true,"mapping":{"modules":1,"stages":[8,8,8,8]}}`}, // oversubscribed
-		{"/measure", `{"app":"radar","p":8,"quick":true,"mapping":{"modules":1,"stages":[2,2]}}`},     // wrong stage count
-		{"/measure", `{"app":"radar","p":8,"quick":true,"chaos":"x:y"}`},                              // bad chaos spec
-		{"/chaossweep", `{"profile":"nope"}`},
-		{"/chaossweep", `{"quick":true,"procs":2}`}, // a pipeline stage gets no processor
-		{"/chaossweep", `{"quick":true,"procs":1}`},
-		{"/chaossweep", `{"quick":true,"n":48}`}, // N not a power of two
+		{"/optimize", `{"app":"nope","p":8}`, ""},
+		{"/optimize", `{"app":"ffthist"}`, ""},                      // p < 1
+		{"/optimize", `{"app":"ffthist","p":8,"bogusField":1}`, ""}, // unknown field
+		{"/optimize", `not json`, ""},
+		{"/measure", `{"app":"radar","p":4,"quick":true,"mapping":{"modules":1,"stages":[8,8,8,8]}}`, ""}, // oversubscribed
+		{"/measure", `{"app":"radar","p":8,"quick":true,"mapping":{"modules":1,"stages":[2,2]}}`, ""},     // wrong stage count
+		{"/measure", `{"app":"radar","p":8,"quick":true,"chaos":"x:y"}`, ""},                              // bad chaos spec
+		// Shapes only the program's own check rejects: each used to be
+		// scheduled as a campaign that then panicked.
+		{"/measure", `{"app":"ffthist","p":8,"quick":true,"mapping":{"modules":2,"stages":[4],"wideModules":2,"wideStages":[4]}}`,
+			"ffthist: WideModules = 2 of 2"},
+		{"/measure", `{"app":"stereo","p":30,"quick":true,"mapping":{"modules":1,"stages":[30]}}`,
+			"stereo: stage of 30 processors exceeds 24 image rows"},
+		{"/measure", `{"app":"radar","p":12,"quick":true,"mapping":{"modules":1,"stages":[12]}}`,
+			"radar: stage 0 uses 12 processors but only 8 rows exist"},
+		{"/measure", `{"app":"radar","p":12,"quick":true,"mapping":{"modules":1,"stages":[1,9,1,1]}}`,
+			"radar: stage 1 uses 9 processors but only 8 rows exist"},
+		{"/chaossweep", `{"profile":"nope"}`, ""},
+		{"/chaossweep", `{"quick":true,"procs":2}`, ""}, // a pipeline stage gets no processor
+		{"/chaossweep", `{"quick":true,"procs":1}`, ""},
+		{"/chaossweep", `{"quick":true,"n":48}`, ""}, // N not a power of two
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
@@ -213,6 +224,9 @@ func TestBadRequests(t *testing.T) {
 		}
 		if !json.Valid(out) {
 			t.Errorf("%s: non-JSON error body %q", tc.path, out)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("%s %s: error %s, want %q", tc.path, tc.body, out, tc.want)
 		}
 	}
 	if st := s.Stats(); st.Campaigns != 0 {

@@ -8,6 +8,7 @@ import (
 
 	"fxpar/internal/apps/ffthist"
 	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
 	"fxpar/internal/skeleton"
 	"fxpar/internal/trace"
@@ -15,7 +16,7 @@ import (
 
 // captureFFTHist runs a small FFT-Hist pipeline under a collector and a
 // skeleton sink simultaneously and returns both capture paths' views.
-func captureFFTHist(t *testing.T, cost sim.CostModel, cfg ffthist.Config, mp ffthist.Mapping) (*skeleton.Skeleton, *skeleton.Sink, []machine.Event) {
+func captureFFTHist(t *testing.T, cost sim.CostModel, cfg ffthist.Config, mp mapping.Mapping) (*skeleton.Skeleton, *skeleton.Sink, []machine.Event) {
 	t.Helper()
 	col := &trace.Collector{}
 	sink := skeleton.NewSink(cost, "")
@@ -34,7 +35,7 @@ func smallRun(t *testing.T) (*skeleton.Skeleton, *skeleton.Sink, []machine.Event
 	t.Helper()
 	return captureFFTHist(t, sim.Paragon(),
 		ffthist.Config{N: 32, Sets: 6, Bins: 16},
-		ffthist.Mapping{Modules: 1, Stages: []int{4, 2, 2}})
+		mapping.Mapping{Modules: 1, Stages: []int{4, 2, 2}})
 }
 
 // TestRecostIdentity is the determinism guarantee: re-costing a skeleton at
@@ -116,7 +117,7 @@ func relErr(a, b float64) float64 {
 // to floating-point rounding.
 func TestPerturbedRecostMatchesResim(t *testing.T) {
 	cfg := ffthist.Config{N: 32, Sets: 6, Bins: 16}
-	mp := ffthist.Mapping{Modules: 1, Stages: []int{4, 2, 2}}
+	mp := mapping.Mapping{Modules: 1, Stages: []int{4, 2, 2}}
 	sk, _, _ := captureFFTHist(t, sim.Paragon(), cfg, mp)
 
 	perturb := []func(c *sim.CostModel){
@@ -305,7 +306,7 @@ func TestDiff(t *testing.T) {
 
 	cur, _, _ := captureFFTHist(t, sim.Paragon(),
 		ffthist.Config{N: 32, Sets: 8, Bins: 16}, // two more sets
-		ffthist.Mapping{Modules: 1, Stages: []int{4, 2, 2}})
+		mapping.Mapping{Modules: 1, Stages: []int{4, 2, 2}})
 	d := skeleton.Diff(old, cur)
 	if d.Identical() || len(d.Deltas) == 0 {
 		t.Fatal("regressed run diffs as identical")

@@ -14,6 +14,7 @@ import (
 	"fxpar/internal/apps/ffthist"
 	"fxpar/internal/fault"
 	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
 )
 
@@ -28,7 +29,7 @@ func chaosTrace(t *testing.T, seed uint64) *CriticalPath {
 	m.SetTracer(col)
 	m.SetFaults(fault.New(seed, prof))
 	ffthist.Run(m, ffthist.Config{N: 32, Sets: 8, Bins: 16},
-		ffthist.Mapping{Modules: 1, Stages: []int{8, 4, 4}})
+		mapping.Mapping{Modules: 1, Stages: []int{8, 4, 4}})
 	return ComputeCriticalPath(col.Events())
 }
 
@@ -79,7 +80,7 @@ func TestCriticalPathHealthyReportUnchanged(t *testing.T) {
 	m := machine.New(16, sim.Paragon())
 	m.SetTracer(col)
 	ffthist.Run(m, ffthist.Config{N: 32, Sets: 8, Bins: 16},
-		ffthist.Mapping{Modules: 1, Stages: []int{8, 4, 4}})
+		mapping.Mapping{Modules: 1, Stages: []int{8, 4, 4}})
 	cp := ComputeCriticalPath(col.Events())
 	if cp.Faults != 0 || cp.Timeouts != 0 || cp.Retries != 0 {
 		t.Fatalf("healthy run counted fault markers: %d/%d/%d", cp.Faults, cp.Timeouts, cp.Retries)

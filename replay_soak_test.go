@@ -13,6 +13,7 @@ import (
 	"fxpar/internal/apps/ffthist"
 	"fxpar/internal/fault"
 	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
 	"fxpar/internal/skeleton"
 	"fxpar/internal/trace"
@@ -24,7 +25,7 @@ import (
 func replaySoakScenario(t *testing.T, eng machine.Engine, fp machine.FaultPlan, chaos string) ([]machine.Event, *skeleton.Skeleton) {
 	t.Helper()
 	cfg := ffthist.Config{N: 64, Sets: 8, Bins: 64}
-	mp := ffthist.Mapping{Modules: 2, Stages: []int{16, 8, 8}}
+	mp := mapping.Mapping{Modules: 2, Stages: []int{16, 8, 8}}
 	col := &trace.Collector{}
 	sink := skeleton.NewSink(sim.Paragon(), chaos)
 	m := machine.New(64, sim.Paragon())

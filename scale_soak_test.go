@@ -24,6 +24,7 @@ import (
 
 	"fxpar/internal/apps/ffthist"
 	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
 	"fxpar/internal/metrics"
 	"fxpar/internal/sim"
 	"fxpar/internal/trace"
@@ -62,13 +63,13 @@ var scaleSampled = map[int]struct{ kept, dropped int64 }{
 }
 
 // scaleWorkload builds the replicated-module FFT-Hist campaign at a given P.
-func scaleWorkload(procs, setsPerModule int) (ffthist.Config, ffthist.Mapping) {
+func scaleWorkload(procs, setsPerModule int) (ffthist.Config, mapping.Mapping) {
 	modules := procs / scaleModuleProcs
 	cfg := ffthist.Config{
 		N: scaleN, Sets: setsPerModule * modules, Bins: scaleBins,
 		SketchStats: true,
 	}
-	mp := ffthist.Mapping{Modules: modules, Stages: []int{scaleModuleProcs}}
+	mp := mapping.Mapping{Modules: modules, Stages: []int{scaleModuleProcs}}
 	return cfg, mp
 }
 
