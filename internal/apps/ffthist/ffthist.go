@@ -145,16 +145,14 @@ func runModule(p *fx.Proc, cfg Config, stages []int, first, stride int,
 }
 
 // inputSet models reading one data set from the sensor stream: rank 0 of g
-// performs the (serial) I/O, generates the transposed data, and scatters it
-// over the stage-1 array.
-func inputSet(p *fx.Proc, a *dist.Array[complex128], set, n int) {
+// performs the (serial) I/O, generates the transposed data into full (see
+// streams.Frame), and scatters it over the stage-1 array.
+func inputSet(p *fx.Proc, a *dist.Array[complex128], full []complex128, set, n int) {
 	if !a.IsMember() {
 		return
 	}
-	var full []complex128
 	if a.Rank() == 0 {
 		p.IO(n * n * 16)
-		full = make([]complex128, n*n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				// Transposed orientation: local row i holds column i.
@@ -201,11 +199,12 @@ func runDataParallel(p *fx.Proc, cfg Config, first, stride int,
 	// natural row orientation after the corner turn.
 	aT := dist.New[complex128](p.Proc, dist.RowBlock2D(g, cfg.N, cfg.N))
 	b := dist.New[complex128](p.Proc, dist.RowBlock2D(g, cfg.N, cfg.N))
+	full := streams.Frame(aT)
 	for set := first; set < cfg.Sets; set += stride {
 		if aT.Rank() == 0 {
 			meter.Inject(set, p.Now())
 		}
-		inputSet(p, aT, set, cfg.N)
+		inputSet(p, aT, full, set, cfg.N)
 		fftLocalRows(p, aT)             // column FFTs (transposed orientation)
 		dist.Transpose2D(p.Proc, b, aT) // corner turn
 		fftLocalRows(p, b)              // row FFTs
@@ -224,6 +223,7 @@ func runPipeline(p *fx.Proc, cfg Config, stages []int, first, stride int,
 	a1 := dist.New[complex128](p.Proc, dist.RowBlock2D(g1, cfg.N, cfg.N)) // transposed orientation
 	a2 := dist.New[complex128](p.Proc, dist.RowBlock2D(g2, cfg.N, cfg.N))
 	a3 := dist.New[complex128](p.Proc, dist.RowBlock2D(g3, cfg.N, cfg.N))
+	full := streams.Frame(a1)
 	fx.PipelineLoop(p, fx.PipelineSpec{
 		Sets: cfg.Sets, First: first, Stride: stride,
 		Stages: []fx.Stage{
@@ -231,7 +231,7 @@ func runPipeline(p *fx.Proc, cfg Config, stages []int, first, stride int,
 				if a1.Rank() == 0 {
 					meter.Inject(set, p.Now())
 				}
-				inputSet(p, a1, set, cfg.N)
+				inputSet(p, a1, full, set, cfg.N)
 				fftLocalRows(p, a1) // cffts
 			}},
 			{Name: "G2", Procs: stages[1], Body: func(set int) {

@@ -3,6 +3,7 @@ package ffthist
 import (
 	"fmt"
 
+	"fxpar/internal/apps/streams"
 	"fxpar/internal/dist"
 	"fxpar/internal/fx"
 	"fxpar/internal/machine"
@@ -19,7 +20,7 @@ func stageBody(cfg Config, s int) func(*fx.Proc) {
 		a := dist.New[complex128](px.Proc, dist.RowBlock2D(g, cfg.N, cfg.N))
 		switch s {
 		case 0: // cffts: sensor read + scatter + column FFTs
-			inputSet(px, a, 0, cfg.N)
+			inputSet(px, a, streams.Frame(a), 0, cfg.N)
 			fftLocalRows(px, a)
 		case 1: // rffts: row FFTs only
 			fftLocalRows(px, a)

@@ -128,16 +128,14 @@ func runModule(p *fx.Proc, cfg Config, stages []int, first, stride int,
 	runPipeline(p, cfg, stages, first, stride, meter, record)
 }
 
-// inputSet reads one gate-major data set on rank 0 of a's group and
-// scatters it.
-func inputSet(p *fx.Proc, a *dist.Array[complex128], cfg Config, set int) {
+// inputSet reads one gate-major data set into full (see streams.Frame) on
+// rank 0 of a's group and scatters it.
+func inputSet(p *fx.Proc, a *dist.Array[complex128], full []complex128, cfg Config, set int) {
 	if !a.IsMember() {
 		return
 	}
-	var full []complex128
 	if a.Rank() == 0 {
 		p.IO(cfg.Gates * cfg.Rows * 16)
-		full = make([]complex128, cfg.Gates*cfg.Rows)
 		for g := 0; g < cfg.Gates; g++ {
 			for r := 0; r < cfg.Rows; r++ {
 				full[g*cfg.Rows+r] = sample(set, g, r, cfg.Gates)
@@ -190,11 +188,12 @@ func runDataParallel(p *fx.Proc, cfg Config, procs, first, stride int,
 		g := p.Group()
 		a0 := dist.New[complex128](p.Proc, dist.RowBlock2D(g, cfg.Gates, cfg.Rows))
 		a1 := dist.New[complex128](p.Proc, dist.RowBlock2D(g, cfg.Rows, cfg.Gates))
+		full := streams.Frame(a0)
 		for set := first; set < cfg.Sets; set += stride {
 			if a0.Rank() == 0 {
 				meter.Inject(set, p.Now())
 			}
-			inputSet(p, a0, cfg, set)
+			inputSet(p, a0, full, cfg, set)
 			dist.Transpose2D(p.Proc, a1, a0) // corner turn
 			fftRows(p, a1)
 			scaleLocal(p, a1, cfg.Scale)
@@ -221,6 +220,7 @@ func runPipeline(p *fx.Proc, cfg Config, stages []int, first, stride int,
 	a1 := dist.New[complex128](p.Proc, dist.RowBlock2D(subs[1], cfg.Rows, cfg.Gates))
 	a2 := dist.New[complex128](p.Proc, dist.RowBlock2D(subs[2], cfg.Rows, cfg.Gates))
 	a3 := dist.New[complex128](p.Proc, dist.RowBlock2D(subs[3], cfg.Rows, cfg.Gates))
+	full := streams.Frame(a0)
 	fx.PipelineLoop(p, fx.PipelineSpec{
 		Sets: cfg.Sets, First: first, Stride: stride,
 		Stages: []fx.Stage{
@@ -228,7 +228,7 @@ func runPipeline(p *fx.Proc, cfg Config, stages []int, first, stride int,
 				if a0.Rank() == 0 {
 					meter.Inject(set, p.Now())
 				}
-				inputSet(p, a0, cfg, set)
+				inputSet(p, a0, full, cfg, set)
 			}},
 			{Name: "Gfft", Procs: stages[1], Body: func(set int) { fftRows(p, a1) }},
 			{Name: "Gscale", Procs: stages[2], Body: func(set int) { scaleLocal(p, a2, cfg.Scale) }},

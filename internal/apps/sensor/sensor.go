@@ -31,7 +31,7 @@ type App struct {
 	Name   string // "ffthist" | "radar" | "stereo"
 	Size   string // Table 1's size column
 	Params string // canonical parameters, stream length included
-	Rows   int    // rows the program distributes over: its data-parallel width cap
+	Rows   int    // data-parallel width cap: the rows it distributes over (stereo: Config.ErrorCap)
 
 	// Spec is the content key the cost tables for a p-processor machine are
 	// memoized under, and Model builds them (see mapping.Cells.Measure).
@@ -92,7 +92,7 @@ func Radar(cfg radar.Config) App {
 // Stereo is the stereo program under cfg.
 func Stereo(cfg stereo.Config) App {
 	return App{
-		Name: "stereo", Size: fmt.Sprintf("%dx%d", cfg.W, cfg.H), Rows: cfg.H,
+		Name: "stereo", Size: fmt.Sprintf("%dx%d", cfg.W, cfg.H), Rows: cfg.ErrorCap(),
 		Params: fmt.Sprintf("W=%d,H=%d,D=%d,Win=%d,Sets=%d", cfg.W, cfg.H, cfg.Disparities, cfg.Window, cfg.Sets),
 		Spec: func(cost sim.CostModel, p int, opt mapping.BuildOptions) mapping.TableSpec {
 			return stereo.Spec(cost, cfg, p, opt)

@@ -25,9 +25,9 @@ func TestByNameSizes(t *testing.T) {
 		{"radar", false, 0, "512x40", 40, "Gates=512,Rows=40,Scale=0.001953125,Thr=0.05,Sets=8"},
 		{"radar", true, 0, "64x8", 8, "Gates=64,Rows=8,Scale=0.015625,Thr=0.05,Sets=8"},
 		{"radar", false, 64, "64x40", 40, "Gates=64,Rows=40,Scale=0.001953125,Thr=0.05,Sets=8"},
-		{"stereo", false, 0, "256x240", 240, "W=256,H=240,D=16,Win=2,Sets=8"},
-		{"stereo", true, 0, "64x24", 24, "W=64,H=24,D=8,Win=2,Sets=8"},
-		{"stereo", false, 64, "64x240", 240, "W=64,H=240,D=16,Win=2,Sets=8"},
+		{"stereo", false, 0, "256x240", 239, "W=256,H=240,D=16,Win=2,Sets=8"},
+		{"stereo", true, 0, "64x24", 23, "W=64,H=24,D=8,Win=2,Sets=8"},
+		{"stereo", false, 64, "64x240", 239, "W=64,H=240,D=16,Win=2,Sets=8"},
 	} {
 		a, err := ByName(tc.app, tc.quick, 8, tc.n)
 		if err != nil {
@@ -39,6 +39,28 @@ func TestByNameSizes(t *testing.T) {
 	}
 	if _, err := ByName("sonar", false, 8, 0); err == nil {
 		t.Error("unknown app resolved")
+	}
+}
+
+// TestQuickStereoOptimizesPastErrorCap: the Table 1 cell for quick stereo
+// runs on a machine wider than its error stage can use — data-parallel
+// baseline, cost tables and chosen mapping alike.
+func TestQuickStereoOptimizesPastErrorCap(t *testing.T) {
+	a, err := ByName("stereo", true, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p = 32
+	r, err := a.Optimize(sim.Paragon(), p, 0, 2, mapping.BuildOptions{Workers: 2},
+		func() *machine.Machine { return machine.New(p, sim.Paragon()) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Validate(r.Choice.Mapping, p); err != nil {
+		t.Errorf("chose %v: %v", r.Choice, err)
+	}
+	if r.DP.Stream.Sets != 4 || r.Task.Stream.Sets != 4 {
+		t.Errorf("completed %d (DP) and %d (task) of 4 sets", r.DP.Stream.Sets, r.Task.Stream.Sets)
 	}
 }
 

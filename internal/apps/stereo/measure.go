@@ -20,7 +20,7 @@ func stageBody(cfg Config, s int) func(*fx.Proc) {
 		vol := newVolume(px, g, cfg)
 		switch s {
 		case 0: // diff: camera read + scatter + SSD volume
-			diffStage(px, vol, cfg, 0)
+			diffStage(px, vol, newFrames(px, g, cfg), cfg, 0)
 		case 1: // error: window sums with halo exchange
 			errorStage(px, vol, cfg)
 		case 2: // depth: argmin + reduce + depth-image write
@@ -45,7 +45,7 @@ func cells(cfg Config) mapping.Cells {
 	one.Sets = 1
 	return mapping.Cells{
 		Ident: ident(cfg),
-		DPCap: cfg.H, // the program distributes over the H image rows
+		DPCap: cfg.ErrorCap(), // the image rows, as deep blocks as the error window needs
 		Stage: func(m *machine.Machine, s int) float64 { return fx.Run(m, stageBody(cfg, s)).MakespanTime() },
 		DP:    func(m *machine.Machine) float64 { return Run(m, one, mapping.DataParallel(m.N())).Stream.Latency },
 	}

@@ -47,26 +47,24 @@ func BuildModel(cost sim.CostModel, cfg Config, maxP int) mapping.Model {
 		return float64(b)*cost.SendOverhead + cost.Alpha + volBytes/float64(a*b)*cost.Beta
 	}
 
+	errCap := cfg.ErrorCap()
 	m := mapping.Model{
 		P:          maxP,
 		StageNames: stageNames,
 		StageT:     make([][]float64, 3),
 		DPT:        make([]float64, maxP+1),
-		Caps:       []int{cfg.H, cfg.H, cfg.H},
+		Caps:       []int{cfg.H, errCap, cfg.H},
 		Xfer:       func(s, a, b int) float64 { return xfer(a, b) },
 	}
 	for s := range m.StageT {
 		m.StageT[s] = make([]float64, maxP+1)
 	}
 	for p := 1; p <= maxP; p++ {
-		pd := p
-		if pd > cfg.H {
-			pd = cfg.H
-		}
+		pd, pe := min(p, cfg.H), min(p, errCap)
 		m.StageT[0][p] = diff(pd)
-		m.StageT[1][p] = errT(pd)
+		m.StageT[1][p] = errT(pe)
 		m.StageT[2][p] = depth(pd)
-		m.DPT[p] = m.StageT[0][pd] + m.StageT[1][pd] + m.StageT[2][pd]
+		m.DPT[p] = diff(pe) + errT(pe) + depth(pe)
 	}
 	return m
 }

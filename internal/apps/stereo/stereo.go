@@ -45,21 +45,34 @@ func DataParallel(p int) mapping.Mapping { return mapping.DataParallel(p) }
 // ChoiceToMapping returns the mapping c selected.
 func ChoiceToMapping(c mapping.Choice) mapping.Mapping { return c.Mapping }
 
+// ErrorCap is the widest error stage — and so the widest data-parallel
+// module — the program runs: the largest q ≤ H whose ceil(H/q)-row blocks
+// are at least min(Window, H) rows deep, because the halo exchange reaches
+// one neighbour only.
+func (cfg Config) ErrorCap() int {
+	q := cfg.H
+	for q > 1 && (cfg.H+q-1)/q < min(cfg.Window, cfg.H) {
+		q--
+	}
+	return q
+}
+
 // ValidateMapping checks mp on a total-processor machine: the shape check
 // for a 3-stage pipeline (diff, error, depth), no stage wider than the H
-// image rows every stage distributes, and an error stage whose row blocks
-// are at least a window deep — its halo exchange reaches one neighbour only.
+// image rows every stage distributes, and no error stage wider than
+// ErrorCap.
 func (cfg Config) ValidateMapping(mp mapping.Mapping, total int) error {
 	if err := mp.Validate(total, len(stageNames)); err != nil {
 		return fmt.Errorf("stereo: %w", err)
 	}
+	errCap := cfg.ErrorCap()
 	for _, stages := range [][]int{mp.Stages, mp.WideStages} {
 		for i, q := range stages {
 			if q > cfg.H {
 				return fmt.Errorf("stereo: stage of %d processors exceeds %d image rows", q, cfg.H)
 			}
-			if rows := (cfg.H + q - 1) / q; (len(stages) == 1 || i == 1) && rows < cfg.Window && rows < cfg.H {
-				return fmt.Errorf("stereo: error stage of %d processors holds %d rows per block, under the window's %d", q, rows, cfg.Window)
+			if (len(stages) == 1 || i == 1) && q > errCap {
+				return fmt.Errorf("stereo: error stage of %d processors holds %d rows per block, under the window's %d", q, (cfg.H+q-1)/q, cfg.Window)
 			}
 		}
 	}
@@ -87,25 +100,14 @@ func scene(s, i, j, disparities int) int {
 	return ((i/24)*7 + (j/32)*3 + s) % disparities
 }
 
-// refPixel generates the reference image.
+// refPixel generates the reference image. Every pixel is k/4096 — the error
+// stage's exactness rests on it.
 func refPixel(s, i, j int) float64 {
 	h := uint32(s*2654435761) ^ uint32(i*40503+j*9973)
 	h ^= h >> 13
 	h *= 1103515245
 	h ^= h >> 16
 	return float64(h%4096) / 4096
-}
-
-// matchPixel generates match image m: the reference shifted by the scene
-// disparity (per epipolar geometry, match m at disparity d sees pixel
-// (i, j-d*m)); pixels shifted out of range replicate the edge.
-func matchPixel(s, m, i, j, disparities int) float64 {
-	d := scene(s, i, j, disparities)
-	jj := j - d*m
-	if jj < 0 {
-		jj = 0
-	}
-	return refPixel(s, i, jj)
 }
 
 // Run executes the stream under the mapping.
@@ -145,7 +147,7 @@ func RunCaptureDepth(mach *machine.Machine, cfg Config) []int32 {
 		if vol.Rank() == 0 {
 			meter.Inject(0, p.Now())
 		}
-		diffStage(p, vol, cfg, 0)
+		diffStage(p, vol, newFrames(p, g, cfg), cfg, 0)
 		errorStage(p, vol, cfg)
 		depthStage(p, vol, depth, cfg, 0, meter, func(int, int64) {})
 		full := dist.GatherGlobal(p.Proc, depth)
@@ -161,12 +163,13 @@ func runModule(p *fx.Proc, cfg Config, stages []int, first, stride int,
 	if len(stages) == 1 {
 		g := p.Group()
 		vol := newVolume(p, g, cfg)
+		in := newFrames(p, g, cfg)
 		depth := dist.New[int32](p.Proc, dist.RowBlock2D(g, cfg.H, cfg.W))
 		for set := first; set < cfg.Sets; set += stride {
 			if vol.Rank() == 0 {
 				meter.Inject(set, p.Now())
 			}
-			diffStage(p, vol, cfg, set)
+			diffStage(p, vol, in, cfg, set)
 			errorStage(p, vol, cfg)
 			depthStage(p, vol, depth, cfg, set, meter, record)
 		}
@@ -177,6 +180,7 @@ func runModule(p *fx.Proc, cfg Config, stages []int, first, stride int,
 	g2 := g.Subrange(stages[0], stages[0]+stages[1])
 	g3 := g.Subrange(stages[0]+stages[1], stages[0]+stages[1]+stages[2])
 	vol1 := newVolume(p, g1, cfg)
+	in := newFrames(p, g1, cfg)
 	vol2 := newVolume(p, g2, cfg)
 	vol3 := newVolume(p, g3, cfg)
 	depth := dist.New[int32](p.Proc, dist.RowBlock2D(g3, cfg.H, cfg.W))
@@ -187,7 +191,7 @@ func runModule(p *fx.Proc, cfg Config, stages []int, first, stride int,
 				if vol1.Rank() == 0 {
 					meter.Inject(set, p.Now())
 				}
-				diffStage(p, vol1, cfg, set)
+				diffStage(p, vol1, in, cfg, set)
 			}},
 			{Name: "Gerr", Procs: stages[1], Body: func(set int) { errorStage(p, vol2, cfg) }},
 			{Name: "Gdep", Procs: stages[2], Body: func(set int) {
@@ -211,45 +215,63 @@ func newVolume(p *fx.Proc, g *group.Group, cfg Config) *dist.Array[float64] {
 	return dist.New[float64](p.Proc, l)
 }
 
+// frames is one diff stage's camera staging, allocated once per module and
+// overwritten by every data set: the three row-block images and, on the
+// stage's rank 0, the full frames it reads before scattering them.
+type frames struct {
+	ref, m1, m2    *dist.Array[float64]
+	fRef, fM1, fM2 []float64
+}
+
+func newFrames(p *fx.Proc, g *group.Group, cfg Config) *frames {
+	f := &frames{
+		ref: dist.New[float64](p.Proc, dist.RowBlock2D(g, cfg.H, cfg.W)),
+		m1:  dist.New[float64](p.Proc, dist.RowBlock2D(g, cfg.H, cfg.W)),
+		m2:  dist.New[float64](p.Proc, dist.RowBlock2D(g, cfg.H, cfg.W)),
+	}
+	f.fRef, f.fM1, f.fM2 = streams.Frame(f.ref), streams.Frame(f.m1), streams.Frame(f.m2)
+	return f
+}
+
 // diffStage reads the camera images (serial I/O on the stage's rank 0,
-// scattered row-block) and computes the SSD difference volume.
-func diffStage(p *fx.Proc, vol *dist.Array[float64], cfg Config, set int) {
+// scattered row-block into in) and computes the SSD difference volume.
+func diffStage(p *fx.Proc, vol *dist.Array[float64], in *frames, cfg Config, set int) {
 	if !vol.IsMember() {
 		return
 	}
-	g := vol.Layout().Group()
-	// Input: three images; rank 0 reads them, then scatters rows.
-	ref := dist.New[float64](p.Proc, dist.RowBlock2D(g, cfg.H, cfg.W))
-	m1 := dist.New[float64](p.Proc, dist.RowBlock2D(g, cfg.H, cfg.W))
-	m2 := dist.New[float64](p.Proc, dist.RowBlock2D(g, cfg.H, cfg.W))
-	var fRef, fM1, fM2 []float64
+	w := cfg.W
+	// Input: three images; rank 0 reads them, then scatters rows. Match
+	// image m is the reference shifted by the scene disparity (per epipolar
+	// geometry, match m at disparity d sees pixel (i, j-d*m)); pixels shifted
+	// out of range replicate the edge. Both are copied out of the reference.
 	if vol.Rank() == 0 {
-		p.IO(3 * cfg.H * cfg.W * 8)
-		fRef = make([]float64, cfg.H*cfg.W)
-		fM1 = make([]float64, cfg.H*cfg.W)
-		fM2 = make([]float64, cfg.H*cfg.W)
+		p.IO(3 * cfg.H * w * 8)
 		for i := 0; i < cfg.H; i++ {
-			for j := 0; j < cfg.W; j++ {
-				fRef[i*cfg.W+j] = refPixel(set, i, j)
-				fM1[i*cfg.W+j] = matchPixel(set, 1, i, j, cfg.Disparities)
-				fM2[i*cfg.W+j] = matchPixel(set, 2, i, j, cfg.Disparities)
+			ref := in.fRef[i*w : (i+1)*w]
+			m1, m2 := in.fM1[i*w:(i+1)*w], in.fM2[i*w:(i+1)*w]
+			for j := range ref {
+				ref[j] = refPixel(set, i, j)
+			}
+			for j := range ref {
+				d := scene(set, i, j, cfg.Disparities)
+				m1[j] = ref[max(j-d, 0)]
+				m2[j] = ref[max(j-2*d, 0)]
 			}
 		}
 	}
-	dist.ScatterGlobal(p.Proc, ref, fRef)
-	dist.ScatterGlobal(p.Proc, m1, fM1)
-	dist.ScatterGlobal(p.Proc, m2, fM2)
+	dist.ScatterGlobal(p.Proc, in.ref, in.fRef)
+	dist.ScatterGlobal(p.Proc, in.m1, in.fM1)
+	dist.ScatterGlobal(p.Proc, in.m2, in.fM2)
 
 	// vol[d][i][j] = sum over match images m of (ref[i][j-d*m] - match_m[i][j])^2,
-	// following the match geometry of matchPixel (edge-replicated).
-	localRows := ref.LocalShape()[0]
-	w := cfg.W
+	// following the match geometry above (edge-replicated).
+	localRows := in.ref.LocalShape()[0]
 	volLocal := vol.Local()
 	for d := 0; d < cfg.Disparities; d++ {
 		for li := 0; li < localRows; li++ {
-			refRow := ref.Local()[li*w : (li+1)*w]
-			m1Row := m1.Local()[li*w : (li+1)*w]
-			m2Row := m2.Local()[li*w : (li+1)*w]
+			refRow := in.ref.Local()[li*w : (li+1)*w]
+			m1Row := in.m1.Local()[li*w : (li+1)*w]
+			m2Row := in.m2.Local()[li*w : (li+1)*w]
 			out := volLocal[(d*localRows+li)*w : (d*localRows+li+1)*w]
 			for j := 0; j < w; j++ {
 				jd1 := j - d
@@ -270,8 +292,15 @@ func diffStage(p *fx.Proc, vol *dist.Array[float64], cfg Config, set int) {
 }
 
 // errorStage replaces each difference value with the sum over a
-// (2w+1)x(2w+1) window, using separable passes; the vertical pass exchanges
-// halo rows with neighbouring processors of the stage subgroup.
+// (2w+1)x(2w+1) window, using separable running sums; the vertical pass
+// exchanges halo rows with neighbouring processors of the stage subgroup.
+//
+// The sums are exact, so their order cannot change a bit: every pixel is
+// k/4096, each difference value (two squared pixel differences) is a
+// multiple of 2^-24 below 2, and every partial or running window sum — and
+// every difference of two such values — is a multiple of 2^-24 below
+// 2*(2w+1)^2. float64 holds every multiple of 2^-24 below 2^29 exactly,
+// which covers any Window under 8000.
 func errorStage(p *fx.Proc, vol *dist.Array[float64], cfg Config) {
 	if !vol.IsMember() {
 		return
@@ -298,26 +327,20 @@ func errorStage(p *fx.Proc, vol *dist.Array[float64], cfg Config) {
 		panic(fmt.Sprintf("stereo: interior rank %d holds %d rows < window %d; halo exchange would span several processors", rank, localRows, win))
 	}
 
-	// Horizontal pass (in place via temp row).
+	// Horizontal pass: slide the window along each row, through a temp row.
 	tmp := make([]float64, w)
-	for d := 0; d < cfg.Disparities; d++ {
-		for li := 0; li < localRows; li++ {
-			row := local[(d*localRows+li)*w : (d*localRows+li+1)*w]
-			for j := 0; j < w; j++ {
-				s := 0.0
-				for k := -win; k <= win; k++ {
-					jj := j + k
-					if jj < 0 {
-						jj = 0
-					} else if jj >= w {
-						jj = w - 1
-					}
-					s += row[jj]
-				}
-				tmp[j] = s
-			}
-			copy(row, tmp)
+	for r := 0; r < cfg.Disparities*localRows; r++ {
+		row := local[r*w : (r+1)*w]
+		s := 0.0
+		for k := -win; k <= win; k++ {
+			s += row[clamp(k, 0, w-1)]
 		}
+		tmp[0] = s
+		for j := 1; j < w; j++ {
+			s += row[min(j+win, w-1)] - row[max(j-win-1, 0)]
+			tmp[j] = s
+		}
+		copy(row, tmp)
 	}
 
 	// Halo exchange: send my top win rows down to rank-1 and bottom win rows
@@ -359,36 +382,49 @@ func errorStage(p *fx.Proc, vol *dist.Array[float64], cfg Config) {
 		return buf[off : off+w]
 	}
 
-	// Vertical pass.
-	out := make([]float64, len(local))
+	// Vertical pass: slide the window down each column, in place. Row li is
+	// overwritten as soon as its sum is known, so a ring of the last win+1
+	// original rows supplies the rows the sum later drops.
+	ring := make([]float64, (win+1)*w)
+	sum := tmp // the horizontal pass's temp row holds the running sums
 	for d := 0; d < cfg.Disparities; d++ {
-		for li := 0; li < localRows; li++ {
-			dst := out[(d*localRows+li)*w : (d*localRows+li+1)*w]
-			for j := 0; j < w; j++ {
-				dst[j] = 0
+		plane := local[d*localRows*w : (d+1)*localRows*w]
+		// orig returns original row t of plane's column, extended by the
+		// neighbours' halos or, at the global edges, by replication; rows up
+		// to done have been overwritten and come from the ring.
+		orig := func(t, done int) []float64 {
+			switch {
+			case t < 0 && above != nil:
+				return haloRow(above, d, win+t)
+			case t >= localRows && below != nil:
+				return haloRow(below, d, t-localRows)
 			}
-			for k := -win; k <= win; k++ {
-				gi := li + k
-				var src []float64
-				switch {
-				case gi >= 0 && gi < localRows:
-					src = local[(d*localRows+gi)*w : (d*localRows+gi+1)*w]
-				case gi < 0 && above != nil:
-					src = haloRow(above, d, win+gi) // gi in [-win,-1] -> [0,win)
-				case gi >= localRows && below != nil:
-					src = haloRow(below, d, gi-localRows)
-				case gi < 0: // global top edge: replicate
-					src = local[(d*localRows)*w : (d*localRows+1)*w]
-				default: // global bottom edge: replicate
-					src = local[(d*localRows+localRows-1)*w : (d*localRows+localRows)*w]
-				}
-				for j := 0; j < w; j++ {
-					dst[j] += src[j]
+			t = clamp(t, 0, localRows-1)
+			if t <= done {
+				t %= win + 1
+				return ring[t*w : (t+1)*w]
+			}
+			return plane[t*w : (t+1)*w]
+		}
+		clear(sum)
+		for k := -win; k <= win; k++ {
+			for j, v := range orig(k, -1)[:w] {
+				sum[j] += v
+			}
+		}
+		for li := 0; li < localRows; li++ {
+			row := plane[li*w : (li+1)*w]
+			slot := li % (win + 1)
+			copy(ring[slot*w:(slot+1)*w], row)
+			copy(row, sum)
+			if li+1 < localRows {
+				add, drop := orig(li+win+1, li)[:w], orig(li-win, li)[:w]
+				for j := range sum {
+					sum[j] += add[j] - drop[j]
 				}
 			}
 		}
 	}
-	copy(local, out)
 	p.Compute(float64(cfg.Disparities*localRows*w) * ErrorFlops)
 }
 

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 
+	"fxpar/internal/dist"
 	"fxpar/internal/fx"
 	"fxpar/internal/group"
 )
@@ -117,3 +118,13 @@ func Uniform(modules, per int) []int {
 
 // ModuleName returns the subgroup name of module i.
 func ModuleName(i int) string { return fmt.Sprintf("mod%d", i) }
+
+// Frame returns the full-size buffer rank 0 of a's group reads a data set
+// into before scattering it over a, and nil on every other processor. A
+// module allocates its frames once and overwrites them for every data set.
+func Frame[T any](a *dist.Array[T]) []T {
+	if a.Rank() != 0 {
+		return nil
+	}
+	return make([]T, a.Layout().Size())
+}

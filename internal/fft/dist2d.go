@@ -31,27 +31,14 @@ func Dist2D(p *machine.Proc, dst, src, work *dist.Array[complex128], inverse boo
 	// transpose back.
 	if work.IsMember() {
 		copy(work.Local(), src.Local())
-		p.Compute(rowsInPlace(work, inverse))
+		p.Compute(rows(work.Local(), n, inverse))
 	}
 	dist.Transpose2D(p, dst, work)
 	if dst.IsMember() {
-		p.Compute(rowsInPlace(dst, inverse))
+		p.Compute(rows(dst.Local(), n, inverse))
 	}
 	dist.Transpose2D(p, work, dst)
 	if work.IsMember() {
 		copy(dst.Local(), work.Local())
 	}
-}
-
-func rowsInPlace(a *dist.Array[complex128], inverse bool) float64 {
-	local := a.Local()
-	if len(local) == 0 {
-		return 0
-	}
-	w := a.LocalShape()[1]
-	rows := len(local) / w
-	for r := 0; r < rows; r++ {
-		InPlace(local[r*w:(r+1)*w], inverse)
-	}
-	return float64(rows) * Flops(w)
 }

@@ -103,3 +103,30 @@ func TestDist2DRejectsBadShapes(t *testing.T) {
 		Dist2D(p, dst, src, work, false)
 	})
 }
+
+// TestPlanFirstUseConcurrent: processors of the goroutine engine race to
+// build the same, not yet cached plans (length 8192 is used by no other
+// test); every one of them gets the oracle's bits. Run under -race.
+func TestPlanFirstUseConcurrent(t *testing.T) {
+	const n, procs = 8192, 8
+	in := make([]complex128, n)
+	for i := range in {
+		in[i] = complex(math.Sin(float64(i)), math.Cos(float64(3*i)))
+	}
+	want := [2][]complex128{append([]complex128(nil), in...), append([]complex128(nil), in...)}
+	oracleInPlace(want[0], false)
+	oracleInPlace(want[1], true)
+	m := machine.New(procs, sim.Paragon())
+	m.SetEngine(machine.Goroutine())
+	m.Run(func(p *machine.Proc) {
+		inverse := p.ID()%2 == 1
+		x := append([]complex128(nil), in...)
+		InPlace(x, inverse)
+		for i := range x {
+			if !sameBits(x[i], want[p.ID()%2][i]) {
+				t.Errorf("processor %d (inverse=%v): element %d = %v, oracle %v", p.ID(), inverse, i, x[i], want[p.ID()%2][i])
+				return
+			}
+		}
+	})
+}

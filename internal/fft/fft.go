@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
+	"sync"
 )
 
 // Flops returns the standard operation count of one radix-2 FFT of length n:
@@ -21,23 +22,40 @@ func Flops(n int) float64 {
 	return 5 * float64(n) * math.Log2(float64(n))
 }
 
-// InPlace performs an in-place decimation-in-time radix-2 FFT of x, whose
-// length must be a power of two. inverse selects the inverse transform
-// (including the 1/n scaling).
-func InPlace(x []complex128, inverse bool) {
-	n := len(x)
-	if n == 0 {
-		return
+// plan is the length- and direction-dependent part of a radix-2 FFT: the
+// bit-reversal swaps and, per butterfly stage, the twiddle factors
+// w_k = wbase^k built by the same w *= wbase recurrence an unplanned loop
+// runs, so a planned transform is bit-identical to one that recomputes them.
+type plan struct {
+	swaps    [][2]int32     // index pairs i < j exchanged by the bit reversal
+	twiddles [][]complex128 // stage s (span 2<<s): the 1<<s factors w_0..w_{half-1}
+}
+
+// plans caches one plan per (direction, log2 length), built on first use:
+// O(log n) allocations per process, not per call.
+var plans [2][bits.UintSize]struct {
+	once sync.Once
+	p    *plan
+}
+
+// planFor returns the cached plan for a length-n transform; n must be a
+// power of two.
+func planFor(n int, inverse bool) *plan {
+	dir := 0
+	if inverse {
+		dir = 1
 	}
-	if n&(n-1) != 0 {
-		panic(fmt.Sprintf("fft: length %d is not a power of two", n))
-	}
-	// Bit-reversal permutation.
+	e := &plans[dir][bits.Len(uint(n))-1]
+	e.once.Do(func() { e.p = newPlan(n, inverse) })
+	return e.p
+}
+
+func newPlan(n int, inverse bool) *plan {
+	pl := &plan{}
 	shift := 64 - uint(bits.Len(uint(n-1)))
 	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
+		if j := int(bits.Reverse64(uint64(i)) >> shift); j > i {
+			pl.swaps = append(pl.swaps, [2]int32{int32(i), int32(j)})
 		}
 	}
 	sign := -1.0
@@ -45,26 +63,72 @@ func InPlace(x []complex128, inverse bool) {
 		sign = 1.0
 	}
 	for size := 2; size <= n; size <<= 1 {
-		half := size / 2
-		step := sign * 2 * math.Pi / float64(size)
-		wbase := cmplx.Exp(complex(0, step))
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-				w *= wbase
+		wbase := cmplx.Exp(complex(0, sign*2*math.Pi/float64(size)))
+		tw := make([]complex128, size/2)
+		w := complex(1, 0)
+		for k := range tw {
+			tw[k] = w
+			w *= wbase
+		}
+		pl.twiddles = append(pl.twiddles, tw)
+	}
+	return pl
+}
+
+// apply transforms x, whose length is the plan's, in place.
+func (pl *plan) apply(x []complex128, inverse bool) {
+	for _, s := range pl.swaps {
+		x[s[0]], x[s[1]] = x[s[1]], x[s[0]]
+	}
+	for _, tw := range pl.twiddles {
+		half := len(tw)
+		// A stage's butterflies are independent. In the short early stages a
+		// block is one or two butterflies, so those run twiddle-major.
+		if half < 4 {
+			for k, w := range tw {
+				for i := k; i+half < len(x); i += 2 * half {
+					a := x[i]
+					b := x[i+half] * w
+					x[i] = a + b
+					x[i+half] = a - b
+				}
+			}
+			continue
+		}
+		for start := 0; start < len(x); start += 2 * half {
+			lo, hi := x[start:start+half], x[start+half:start+2*half]
+			_, _ = lo[len(tw)-1], hi[len(tw)-1] // one bounds check per block, none per butterfly
+			for k, w := range tw {
+				a := lo[k]
+				b := hi[k] * w
+				lo[k] = a + b
+				hi[k] = a - b
 			}
 		}
 	}
 	if inverse {
-		inv := complex(1/float64(n), 0)
+		inv := complex(1/float64(len(x)), 0)
 		for i := range x {
 			x[i] *= inv
 		}
 	}
+}
+
+func checkLen(n int) {
+	if n&(n-1) != 0 {
+		panic(fmt.Sprintf("fft: length %d is not a power of two", n))
+	}
+}
+
+// InPlace performs an in-place decimation-in-time radix-2 FFT of x, whose
+// length must be a power of two. inverse selects the inverse transform
+// (including the 1/n scaling).
+func InPlace(x []complex128, inverse bool) {
+	if len(x) == 0 {
+		return
+	}
+	checkLen(len(x))
+	planFor(len(x), inverse).apply(x, inverse)
 }
 
 // Forward is InPlace(x, false).
@@ -80,11 +144,21 @@ func Rows(data []complex128, w int) float64 {
 	if w <= 0 || len(data)%w != 0 {
 		panic(fmt.Sprintf("fft: Rows with width %d on %d elements", w, len(data)))
 	}
-	rows := len(data) / w
-	for r := 0; r < rows; r++ {
-		Forward(data[r*w : (r+1)*w])
+	return rows(data, w, false)
+}
+
+// rows transforms each length-w row of data with one plan lookup and
+// returns the flop count.
+func rows(data []complex128, w int, inverse bool) float64 {
+	if len(data) == 0 {
+		return 0
 	}
-	return float64(rows) * Flops(w)
+	checkLen(w)
+	pl := planFor(w, inverse)
+	for r := 0; r+w <= len(data); r += w {
+		pl.apply(data[r:r+w], inverse)
+	}
+	return float64(len(data)/w) * Flops(w)
 }
 
 // HistFlops is the modeled per-element cost of histogramming (magnitude,
