@@ -136,8 +136,9 @@ func TestDynamicProcessorReassignment(t *testing.T) {
 // several processors.
 func TestTracedNestedApplication(t *testing.T) {
 	col := &trace.Collector{}
+	util := trace.NewUtilSink(4)
 	m := machine.New(4, sim.Paragon())
-	m.SetTracer(col)
+	m.SetTracer(trace.Tee(col, util))
 	res := barneshut.Run(m, barneshut.Config{N: 256, Theta: 0.8, Seed: 1, K: 6})
 	if col.Len() == 0 {
 		t.Fatal("no events recorded")
@@ -146,10 +147,9 @@ func TestTracedNestedApplication(t *testing.T) {
 	if end < res.Makespan*0.99 {
 		t.Errorf("trace span %g < makespan %g", end, res.Makespan)
 	}
-	busy := col.BusyByKind(4)
 	computeRows := 0
-	for _, v := range busy[machine.EvCompute] {
-		if v > 0 {
+	for _, u := range util.Snapshot().PerProc {
+		if u.Compute > 0 {
 			computeRows++
 		}
 	}

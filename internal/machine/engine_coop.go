@@ -20,10 +20,9 @@ import (
 // The scheduler is one ready heap and two counters under one mutex, at every
 // worker count. With one slot (the default) at most one processor executes
 // at any host instant, the mutex is never contended, and host execution
-// order is fully deterministic — lowest-virtual-clock-first — which also
-// makes BlockTracer callbacks reproducible. With more slots independent
-// processors run in parallel on a multi-core host and the order is no
-// longer fixed; virtual time is, as under every engine.
+// order is fully deterministic — lowest-virtual-clock-first. With more
+// slots independent processors run in parallel on a multi-core host and the
+// order is no longer fixed; virtual time is, as under every engine.
 //
 // Unlike the goroutine engine — where a cyclic wait hangs the run forever —
 // the coop scheduler detects the all-blocked state and fails the run with a

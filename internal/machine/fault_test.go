@@ -220,58 +220,6 @@ func TestDeathPanicsTyped(t *testing.T) {
 	}
 }
 
-// TestRecvTimeoutSemantics: the three outcomes, decided purely in virtual
-// time, identical across engines.
-func TestRecvTimeoutSemantics(t *testing.T) {
-	type result struct {
-		Outcome RecvOutcome
-		Clock   float64
-	}
-	run := func(e Engine, senderDelay, timeout float64) (res result) {
-		m := New(2, testCost())
-		m.SetEngine(e)
-		m.Run(func(p *Proc) {
-			switch p.ID() {
-			case 0:
-				if senderDelay >= 0 {
-					p.Elapse(senderDelay)
-					p.Send(1, "x", 0)
-				}
-			case 1:
-				_, out := p.RecvTimeout(0, timeout)
-				res = result{Outcome: out, Clock: p.Now()}
-				if out == RecvTimedOut {
-					// The late message is still queued: a plain Recv gets it.
-					p.Recv(0)
-				}
-			}
-		})
-		return res
-	}
-	for _, e := range engines() {
-		// Arrives in time (sender sends at 0.1, alpha 1e-4 => ~0.1001).
-		if got := run(e, 0.1, 1.0); got.Outcome != RecvOK {
-			t.Errorf("%s: early message outcome = %v, want ok", e.Name(), got.Outcome)
-		}
-		// Arrives virtually late: timed out at the deadline, message stays.
-		got := run(e, 0.5, 0.25)
-		if got.Outcome != RecvTimedOut {
-			t.Errorf("%s: late message outcome = %v, want timed-out", e.Name(), got.Outcome)
-		}
-		if math.Abs(got.Clock-0.25) > 1e-12 {
-			t.Errorf("%s: timed-out receiver clock = %g, want the 0.25 deadline", e.Name(), got.Clock)
-		}
-		// Sender exits without sending: dead sender, clock at deadline.
-		got = run(e, -1, 0.25)
-		if got.Outcome != RecvSenderDead {
-			t.Errorf("%s: dead sender outcome = %v, want sender-dead", e.Name(), got.Outcome)
-		}
-		if math.Abs(got.Clock-0.25) > 1e-12 {
-			t.Errorf("%s: dead-sender receiver clock = %g, want the 0.25 deadline", e.Name(), got.Clock)
-		}
-	}
-}
-
 // TestChaosByteIdenticalAcrossEngines: the same scripted fault plan yields
 // identical traces and stats under every engine and under the shuffled
 // coop scheduler — determinism does not depend on host scheduling order.

@@ -93,16 +93,6 @@ func (mb *mailbox) tryGet() (Message, bool) {
 	return msg, true
 }
 
-// peek returns a copy of the next message without consuming it.
-func (mb *mailbox) peek() (Message, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if mb.head == len(mb.queue) {
-		return Message{}, false
-	}
-	return mb.queue[mb.head], true
-}
-
 // put deposits msg into mb and wakes the receiver parked on it, if any. The
 // woken receiver resumes at the later of its own clock and the arrival time
 // (its clock is stable: it stopped touching it before registering).
@@ -147,10 +137,10 @@ func (p *Proc) wait(mb *mailbox, src int) bool {
 // senderTerminated wakes every receiver parked on a mailbox sourced at src,
 // whose SPMD body has terminated (Run stores the termination flag first). A
 // receiver that registered before we lock its mailbox is claimed and woken
-// here — at its own clock: nothing arrived, it will re-check and fail or
-// time out; one that locks after us observes the flag in wait. The
-// per-source registry makes the walk O(out-degree); a mailbox created by a
-// receiver concurrently with this termination is either in the snapshot or
+// here — at its own clock: nothing arrived, it will re-check and fail; one
+// that locks after us observes the flag in wait. The per-source registry
+// makes the walk O(out-degree); a mailbox created by a receiver
+// concurrently with this termination is either in the snapshot or
 // registered after it, in which case that receiver's wait sees the flag
 // before parking (see Machine.mailboxFor).
 func (m *Machine) senderTerminated(src int) {
@@ -193,10 +183,10 @@ const (
 	// EvIO is input/output time.
 	EvIO
 	// EvRecv is a zero-duration marker recorded at the instant a message is
-	// consumed, carrying the peer and byte count. Together with EvSend
-	// events and per-pair FIFO order it lets trace analysis reconstruct the
-	// exact send->recv dependency edges of a run (any time spent blocked is
-	// reported separately as the EvWait interval that precedes the marker).
+	// consumed, carrying the peer, byte count and PairSeq. Together with
+	// EvSend events it lets trace analysis reconstruct the exact send->recv
+	// dependency edges of a run (any time spent blocked is reported
+	// separately as the EvWait interval that precedes the marker).
 	EvRecv
 	// EvSpanBegin and EvSpanEnd are zero-duration markers bracketing a
 	// named span opened with Proc.BeginSpan/EndSpan. Spans on one processor
@@ -208,12 +198,8 @@ const (
 	// Label names it (FaultDelay, FaultDup, FaultDupDrop, FaultSlow,
 	// FaultDeath) and Peer carries the other processor where one applies.
 	EvFault
-	// EvTimeout is the interval a receiver spent waiting before giving up at
-	// its virtual deadline (RecvTimeout); Peer is the awaited sender.
-	EvTimeout
-	// EvRetry is a zero-duration marker for one retransmission or retry
-	// attempt toward Peer: transport-level resends on the send path, or a
-	// comm-layer retry after a timed-out receive.
+	// EvRetry is a zero-duration marker for one transport-level
+	// retransmission toward Peer, recorded on the send path.
 	EvRetry
 )
 
@@ -235,8 +221,6 @@ func (k EventKind) String() string {
 		return "span-end"
 	case EvFault:
 		return "fault"
-	case EvTimeout:
-		return "timeout"
 	case EvRetry:
 		return "retry"
 	}
@@ -269,7 +253,7 @@ type Event struct {
 	// Dur is the charged duration exactly as the cost model produced it,
 	// before the clock addition rounds: End == fl(Start + Dur) where fl is
 	// one float64 rounding. It is recorded for events that advance the clock
-	// by an increment (compute, io, send overhead, timeout) so skeleton
+	// by an increment (compute, io, send overhead) so skeleton
 	// replay (internal/skeleton) can reproduce the machine's clock
 	// arithmetic bitwise; it is zero for instant markers and for EvWait,
 	// whose End is an absolute assignment (the message's arrival time).
@@ -283,7 +267,8 @@ type Event struct {
 	// EvSend or EvRecv event refers to: the k-th message sent through the
 	// (src,dst) pair is consumed by the k-th real receive on it, so
 	// (src, dst, PairSeq) is a stable identity for the dependence edge, used
-	// by skeleton capture and assigned only while a tracer is installed.
+	// by skeleton capture and critical-path analysis and assigned only while
+	// a tracer is installed.
 	PairSeq int64
 }
 
@@ -293,18 +278,6 @@ type Event struct {
 // though arrival order is not.
 type Tracer interface {
 	Record(Event)
-}
-
-// BlockTracer is an optional extension a Tracer may implement to observe a
-// receive at the moment it blocks on the host: RecordBlocked(proc, src, now)
-// is called when Recv finds no deposited message from src and is about to
-// suspend the processor goroutine. Unlike Record events, these callbacks
-// depend on host scheduling (whether the sender's deposit has host-happened
-// yet), so they are NOT part of the deterministic event stream — they exist
-// for flight recorders and stall detectors, which want to see a wait that
-// may never finish. Implementations must be safe for concurrent use.
-type BlockTracer interface {
-	RecordBlocked(proc, src int, now float64)
 }
 
 // EventSampler decides, per event, whether a traced run records it. The
@@ -730,13 +703,6 @@ func (p *Proc) die() {
 	panic(&ProcDeathError{Proc: p.id, At: p.clock})
 }
 
-// MarkRetry records an EvRetry marker: retry machinery in higher layers
-// (comm's timeout-aware collectives) uses it to make attempt boundaries
-// visible in traces. Free when untraced.
-func (p *Proc) MarkRetry(peer, bytes int) {
-	p.marker(EvRetry, peer, bytes, "")
-}
-
 // BeginSpan opens a named span on this processor's timeline; it must be
 // balanced by EndSpan before the SPMD body returns. Spans nest (stack
 // discipline) and carry the nesting depth at which they were opened. With no
@@ -919,21 +885,12 @@ func (p *Proc) Recv(src int) Message {
 // wait (block until deposit or termination, don't consume) and tryGet
 // (consume) is safe because each mailbox has a single consumer.
 func (p *Proc) waitMsg(mb *mailbox, src int) (Message, bool) {
-	if msg, ok := mb.tryGet(); ok {
-		return msg, true
-	}
-	if bt, ok := p.m.tracer.(BlockTracer); ok {
-		// Flight-recorder path: announce the block before suspending, so a
-		// receive that never completes still leaves a trace of what the
-		// processor was waiting for.
-		bt.RecordBlocked(p.id, src, p.clock)
-	}
 	for {
-		if !p.wait(mb, src) {
-			return Message{}, false
-		}
 		if msg, ok := mb.tryGet(); ok {
 			return msg, true
+		}
+		if !p.wait(mb, src) {
+			return Message{}, false
 		}
 	}
 }
@@ -963,91 +920,6 @@ func (p *Proc) TryRecv(src int) (Message, bool) {
 		}
 		p.finishRecv(mb, src, msg)
 		return msg, true
-	}
-}
-
-// RecvOutcome reports how a RecvTimeout completed.
-type RecvOutcome int
-
-const (
-	// RecvOK: a message arrived by the deadline and was consumed.
-	RecvOK RecvOutcome = iota
-	// RecvTimedOut: the next message arrives after the deadline (it stays
-	// queued for a later receive); the clock advanced to the deadline.
-	RecvTimedOut
-	// RecvSenderDead: the sender terminated with nothing deposited; the
-	// clock advanced to the deadline.
-	RecvSenderDead
-)
-
-func (o RecvOutcome) String() string {
-	switch o {
-	case RecvOK:
-		return "ok"
-	case RecvTimedOut:
-		return "timed-out"
-	case RecvSenderDead:
-		return "sender-dead"
-	}
-	return "?"
-}
-
-// RecvTimeout is Recv with a virtual-time deadline of Now() + timeout. The
-// decision is made purely in virtual time, so it is deterministic and
-// engine-independent: the receiver suspends on the host until the next
-// message is deposited or the sender terminates (the only ways to learn the
-// virtual truth), then either consumes the message (ArriveAt <= deadline,
-// RecvOK), leaves it queued and advances the clock to the deadline
-// (RecvTimedOut), or reports the sender gone (RecvSenderDead). A timed-out
-// or dead-sender receive records an EvTimeout interval. Note the host-level
-// blocking means RecvTimeout detects virtual lateness and death — it does
-// not bound host time if the sender neither deposits nor terminates.
-func (p *Proc) RecvTimeout(src int, timeout float64) (Message, RecvOutcome) {
-	if src < 0 || src >= p.m.n {
-		panic(fmt.Sprintf("machine: RecvTimeout from invalid processor %d (machine has %d)", src, p.m.n))
-	}
-	if timeout < 0 {
-		panic("machine: RecvTimeout with negative timeout")
-	}
-	p.checkAlive()
-	deadline := p.clock + timeout
-	mb := p.mailbox(p.id, src)
-	for {
-		if msg, ok := mb.peek(); ok {
-			if msg.Dup {
-				mb.tryGet()
-				p.dropDup(src, msg)
-				continue
-			}
-			if msg.ArriveAt > deadline {
-				p.timeoutAdvance(src, deadline, timeout)
-				return Message{}, RecvTimedOut
-			}
-			msg, _ = mb.tryGet()
-			p.finishRecv(mb, src, msg)
-			return msg, RecvOK
-		}
-		if !p.wait(mb, src) {
-			p.timeoutAdvance(src, deadline, timeout)
-			return Message{}, RecvSenderDead
-		}
-	}
-}
-
-// timeoutAdvance charges the wait-until-deadline of a receive that gave up:
-// an EvTimeout interval and idle time up to the virtual deadline. timeout is
-// the caller's original increment (deadline == fl(clock + timeout)), recorded
-// as the event's Dur.
-func (p *Proc) timeoutAdvance(src int, deadline, timeout float64) {
-	if p.m.tracer != nil && deadline > p.clock {
-		if seq, ok := p.keep(EvTimeout); ok {
-			p.m.tracer.Record(Event{Proc: p.id, Kind: EvTimeout, Start: p.clock,
-				End: deadline, Seq: seq, Peer: src, Dur: timeout})
-		}
-	}
-	if deadline > p.clock {
-		p.idle += deadline - p.clock
-		p.clock = deadline
 	}
 }
 

@@ -7,26 +7,24 @@ import (
 	"fxpar/internal/machine"
 )
 
-// TestChaosEventsCounted: EvFault/EvTimeout/EvRetry events land in the new
-// chaos counters (with the EvTimeout window also counted as wait time), on
-// both the streaming and post-hoc paths — which must stay byte-identical.
+// TestChaosEventsCounted: EvFault/EvRetry events land in the chaos counters
+// of their owning operation and of the totals, on both the streaming and
+// post-hoc paths — which must stay byte-identical.
 func TestChaosEventsCounted(t *testing.T) {
 	evs := []machine.Event{
 		{Proc: 0, Kind: machine.EvSpanBegin, Seq: 1, Label: "bcast:group[0-1]"},
 		{Proc: 0, Kind: machine.EvFault, Seq: 2, Start: 1, End: 1, Peer: 1, Label: machine.FaultDelay},
-		{Proc: 0, Kind: machine.EvTimeout, Seq: 3, Start: 1, End: 3, Peer: 1},
-		{Proc: 0, Kind: machine.EvRetry, Seq: 4, Start: 3, End: 3, Peer: 1},
-		{Proc: 0, Kind: machine.EvSpanEnd, Seq: 5, Start: 4, End: 4, Label: "bcast:group[0-1]"},
+		{Proc: 0, Kind: machine.EvRetry, Seq: 3, Start: 1, End: 1, Peer: 1},
+		{Proc: 0, Kind: machine.EvSpanEnd, Seq: 4, Start: 4, End: 4, Label: "bcast:group[0-1]"},
 		{Proc: 1, Kind: machine.EvFault, Seq: 1, Start: 2, End: 2, Peer: -1, Label: machine.FaultDeath},
 	}
 	reg := FromTrace(evs)
 	snap := reg.Snapshot()
-	if snap.Totals.Faults != 2 || snap.Totals.Timeouts != 1 || snap.Totals.Retries != 1 {
-		t.Errorf("totals faults/timeouts/retries = %d/%d/%d, want 2/1/1",
-			snap.Totals.Faults, snap.Totals.Timeouts, snap.Totals.Retries)
+	if snap.Totals.Faults != 2 || snap.Totals.Retries != 1 {
+		t.Errorf("totals faults/retries = %d/%d, want 2/1", snap.Totals.Faults, snap.Totals.Retries)
 	}
-	if snap.Totals.Wait != 2 {
-		t.Errorf("timed-out window not counted as wait: %g, want 2", snap.Totals.Wait)
+	if snap.Totals.Wait != 0 {
+		t.Errorf("zero-duration markers counted as wait: %g", snap.Totals.Wait)
 	}
 	var bcast *OpMetrics
 	for i := range snap.Ops {
@@ -37,9 +35,8 @@ func TestChaosEventsCounted(t *testing.T) {
 	if bcast == nil {
 		t.Fatal("no bcast op in snapshot")
 	}
-	if bcast.Faults != 1 || bcast.Timeouts != 1 || bcast.Retries != 1 {
-		t.Errorf("bcast faults/timeouts/retries = %d/%d/%d, want 1/1/1",
-			bcast.Faults, bcast.Timeouts, bcast.Retries)
+	if bcast.Faults != 1 || bcast.Retries != 1 {
+		t.Errorf("bcast faults/retries = %d/%d, want 1/1", bcast.Faults, bcast.Retries)
 	}
 
 	sink := NewStreamSink(2)
@@ -70,7 +67,7 @@ func TestHealthySnapshotHasNoChaosFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"faults", "timeouts", "retries"} {
+	for _, field := range []string{"faults", "retries"} {
 		if bytes.Contains(out, []byte(field)) {
 			t.Errorf("healthy snapshot contains %q:\n%s", field, out)
 		}

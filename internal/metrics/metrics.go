@@ -102,13 +102,11 @@ type OpMetrics struct {
 	BytesSent  int64 `json:"bytesSent"`
 	MsgsRecvd  int64 `json:"msgsRecvd"`
 	BytesRecvd int64 `json:"bytesRecvd"`
-	// Faults, Timeouts, Retries count chaos markers attributed to the
-	// operation (fault-plan perturbations, timed-out receive windows, and
-	// retry attempts). omitempty keeps healthy snapshots byte-identical to
-	// pre-chaos baselines; EvTimeout durations also accrue into Wait.
-	Faults   int64 `json:"faults,omitempty"`
-	Timeouts int64 `json:"timeouts,omitempty"`
-	Retries  int64 `json:"retries,omitempty"`
+	// Faults and Retries count chaos markers attributed to the operation
+	// (fault-plan perturbations and transport retransmissions). omitempty
+	// keeps healthy snapshots byte-identical to pre-chaos baselines.
+	Faults  int64 `json:"faults,omitempty"`
+	Retries int64 `json:"retries,omitempty"`
 	// Dur is the histogram of individual span durations.
 	Dur Histogram `json:"dur"`
 }
@@ -127,9 +125,8 @@ type Totals struct {
 	SpanKinds int     `json:"spanKinds"`
 	// Chaos totals (see OpMetrics); zero — and absent from JSON — on
 	// healthy runs.
-	Faults   int64 `json:"faults,omitempty"`
-	Timeouts int64 `json:"timeouts,omitempty"`
-	Retries  int64 `json:"retries,omitempty"`
+	Faults  int64 `json:"faults,omitempty"`
+	Retries int64 `json:"retries,omitempty"`
 }
 
 // Registry accumulates per-(group, operation) metrics. The zero value is
@@ -164,8 +161,8 @@ func keyOf(label string) (group, op string) {
 	return group, op
 }
 
-// FromTrace (see stream.go) builds a registry from a run's events using the
-// same per-processor fold that powers the online StreamSink.
+// FromTrace (see stream.go) builds a registry from a run's events by
+// replaying them into the online StreamSink.
 
 // Snapshot is a deterministic, serializable view of a registry: operations
 // sorted by (group, op).

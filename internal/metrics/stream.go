@@ -8,10 +8,9 @@ package metrics
 // accumulation is per-processor (each processor's events arrive in program
 // order, whether live from its goroutine or post-hoc from a sorted slice),
 // and a snapshot merges the per-processor partial registries in ascending
-// processor order. FromTrace is implemented on exactly this code — it feeds
-// the sorted event slice through the same per-processor fold and the same
-// merge — so the online and post-hoc paths cannot drift apart, down to
-// float-summation associativity.
+// processor order. FromTrace is implemented on exactly this code — it
+// replays the sorted event slice into a StreamSink — so the online and
+// post-hoc paths cannot drift apart, down to float-summation associativity.
 
 import (
 	"sync"
@@ -29,9 +28,10 @@ type frame struct {
 	cell  *OpMetrics
 }
 
-// procState folds one processor's event stream into a partial registry. It
-// is single-writer: only the owning processor goroutine (or the FromTrace
-// loop) feeds it.
+// procState folds one processor's event stream into a partial registry,
+// totals included (Procs is 1 once the processor has an event; SpanKinds is
+// set by the merge). It is single-writer: only the owning processor
+// goroutine (or FromTrace's replay) feeds it.
 type procState struct {
 	reg  *Registry
 	root *OpMetrics
@@ -39,11 +39,6 @@ type procState struct {
 	// re-split labels or re-build map keys (zero allocations per event).
 	cells map[string]*OpMetrics
 	stack []frame
-	seen  bool
-	// Partial totals; Makespan/Events/Procs/SpanKinds are finalized by merge.
-	totals   Totals
-	makespan float64
-	events   int
 }
 
 func newProcState() *procState {
@@ -61,10 +56,11 @@ func (st *procState) rootCell() *OpMetrics {
 
 // feed folds one event. Events must arrive in the processor's program order.
 func (st *procState) feed(e machine.Event) {
-	st.seen = true
-	st.events++
-	if e.End > st.makespan {
-		st.makespan = e.End
+	tot := &st.reg.totals
+	tot.Procs = 1
+	tot.Events++
+	if e.End > tot.Makespan {
+		tot.Makespan = e.End
 	}
 	switch e.Kind {
 	case machine.EvSpanBegin:
@@ -99,85 +95,30 @@ func (st *procState) feed(e machine.Event) {
 		switch e.Kind {
 		case machine.EvCompute:
 			m.Compute += d
-			st.totals.Compute += d
+			tot.Compute += d
 		case machine.EvWait:
 			m.Wait += d
-			st.totals.Wait += d
+			tot.Wait += d
 		case machine.EvSend:
 			m.Send += d
 			m.MsgsSent++
 			m.BytesSent += int64(e.Bytes)
-			st.totals.Send += d
-			st.totals.Msgs++
-			st.totals.Bytes += int64(e.Bytes)
+			tot.Send += d
+			tot.Msgs++
+			tot.Bytes += int64(e.Bytes)
 		case machine.EvRecv:
 			m.MsgsRecvd++
 			m.BytesRecvd += int64(e.Bytes)
 		case machine.EvIO:
 			m.IO += d
-			st.totals.IO += d
+			tot.IO += d
 		case machine.EvFault:
 			m.Faults++
-			st.totals.Faults++
-		case machine.EvTimeout:
-			// A timed-out receive window is wait time that bought nothing;
-			// it accrues into Wait and is counted separately.
-			m.Timeouts++
-			m.Wait += d
-			st.totals.Timeouts++
-			st.totals.Wait += d
+			tot.Faults++
 		case machine.EvRetry:
 			m.Retries++
-			st.totals.Retries++
+			tot.Retries++
 		}
-	}
-}
-
-// mergeInto folds one processor's partial registry into out. Callers merge
-// processors in ascending id order, so per-key field additions happen in a
-// fixed order and the merged floats are a pure function of the partials.
-// Per-key accumulation is independent across keys, so the iteration order of
-// st.reg.ops does not matter.
-func mergeInto(out *Registry, st *procState) {
-	if st == nil || !st.seen {
-		return
-	}
-	for k, m := range st.reg.ops {
-		dst := out.ops[k]
-		if dst == nil {
-			dst = &OpMetrics{Group: m.Group, Op: m.Op}
-			out.ops[k] = dst
-		}
-		dst.Spans += m.Spans
-		dst.Time += m.Time
-		dst.Compute += m.Compute
-		dst.Wait += m.Wait
-		dst.Send += m.Send
-		dst.IO += m.IO
-		dst.MsgsSent += m.MsgsSent
-		dst.BytesSent += m.BytesSent
-		dst.MsgsRecvd += m.MsgsRecvd
-		dst.BytesRecvd += m.BytesRecvd
-		dst.Faults += m.Faults
-		dst.Timeouts += m.Timeouts
-		dst.Retries += m.Retries
-		for i := range dst.Dur.Buckets {
-			dst.Dur.Buckets[i] += m.Dur.Buckets[i]
-		}
-	}
-	out.totals.Compute += st.totals.Compute
-	out.totals.Wait += st.totals.Wait
-	out.totals.Send += st.totals.Send
-	out.totals.IO += st.totals.IO
-	out.totals.Msgs += st.totals.Msgs
-	out.totals.Bytes += st.totals.Bytes
-	out.totals.Faults += st.totals.Faults
-	out.totals.Timeouts += st.totals.Timeouts
-	out.totals.Retries += st.totals.Retries
-	out.totals.Events += st.events
-	out.totals.Procs++
-	if st.makespan > out.totals.Makespan {
-		out.totals.Makespan = st.makespan
 	}
 }
 
@@ -222,7 +163,6 @@ func mergeRegistries(dst, src *Registry) {
 		d.MsgsRecvd += m.MsgsRecvd
 		d.BytesRecvd += m.BytesRecvd
 		d.Faults += m.Faults
-		d.Timeouts += m.Timeouts
 		d.Retries += m.Retries
 		for i := range d.Dur.Buckets {
 			d.Dur.Buckets[i] += m.Dur.Buckets[i]
@@ -235,7 +175,6 @@ func mergeRegistries(dst, src *Registry) {
 	dst.totals.Msgs += src.totals.Msgs
 	dst.totals.Bytes += src.totals.Bytes
 	dst.totals.Faults += src.totals.Faults
-	dst.totals.Timeouts += src.totals.Timeouts
 	dst.totals.Retries += src.totals.Retries
 	dst.totals.Events += src.totals.Events
 	dst.totals.Procs += src.totals.Procs
@@ -273,30 +212,6 @@ func mergeTree(leaves []*Registry) *Registry {
 		leaves = next
 	}
 	return leaves[0]
-}
-
-// mergeStates folds per-processor partial registries (ascending processor
-// order, unseen processors skipped) through the shared merge tree.
-func mergeStates(states []*procState) *Registry {
-	var leaves []*Registry
-	var leaf *Registry
-	inLeaf := 0
-	for _, st := range states {
-		if st == nil || !st.seen {
-			continue
-		}
-		if inLeaf == 0 {
-			leaf = NewRegistry()
-			leaves = append(leaves, leaf)
-		}
-		mergeInto(leaf, st)
-		if inLeaf++; inLeaf == mergeChunk {
-			inLeaf = 0
-		}
-	}
-	out := mergeTree(leaves)
-	out.totals.SpanKinds = len(out.ops)
-	return out
 }
 
 // streamShard pairs a processor's fold state with the mutex that lets
@@ -356,12 +271,12 @@ func (s *StreamSink) Registry() *Registry {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		if sh.st.seen {
+		if sh.st.reg.totals.Events > 0 {
 			if inLeaf == 0 {
 				leaf = NewRegistry()
 				leaves = append(leaves, leaf)
 			}
-			mergeInto(leaf, sh.st)
+			mergeRegistries(leaf, sh.st.reg)
 			if inLeaf++; inLeaf == mergeChunk {
 				inLeaf = 0
 			}
@@ -377,23 +292,21 @@ func (s *StreamSink) Registry() *Registry {
 func (s *StreamSink) Snapshot() Snapshot { return s.Registry().Snapshot() }
 
 // FromTrace builds a registry from a run's events (typically
-// Collector.Events(); any order is accepted, the input is not modified).
+// Collector.Events(); any order is accepted, the input is not modified) by
+// replaying them, sorted into per-processor program order, into a
+// StreamSink — the same way trace.CommFromEvents replays into a CommMatrix.
 // The result is a pure function of the event values, which are virtual-time
-// deterministic — and it is computed by the same per-processor fold and
-// merge as StreamSink, so the two pipelines agree byte for byte.
+// deterministic, and agrees with the online sink byte for byte.
 func FromTrace(evs []machine.Event) *Registry {
 	sorted := append([]machine.Event(nil), evs...)
 	trace.SortEvents(sorted)
-	var states []*procState
-	var cur *procState
-	lastProc := 0
-	for _, e := range sorted {
-		if cur == nil || e.Proc != lastProc {
-			cur = newProcState()
-			states = append(states, cur) // sorted input: ascending proc order
-			lastProc = e.Proc
-		}
-		cur.feed(e)
+	procs := 0
+	if n := len(sorted); n > 0 {
+		procs = max(sorted[n-1].Proc+1, 0)
 	}
-	return mergeStates(states)
+	s := NewStreamSink(procs)
+	for _, e := range sorted {
+		s.Record(e)
+	}
+	return s.Registry()
 }

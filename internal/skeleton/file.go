@@ -96,7 +96,7 @@ var kindByName = func() map[string]machine.EventKind {
 	for _, k := range []machine.EventKind{
 		machine.EvCompute, machine.EvSend, machine.EvIO,
 		machine.EvRecv, machine.EvSpanBegin, machine.EvSpanEnd,
-		machine.EvFault, machine.EvTimeout, machine.EvRetry,
+		machine.EvFault, machine.EvRetry,
 	} {
 		m[k.String()] = k
 	}

@@ -14,14 +14,13 @@ package skeleton
 // arrive = fl(sendEnd + Wire)); the re-costed event stream is therefore
 // bitwise identical to the recorded one. Under perturbed parameters the
 // replay deviates from a real re-simulation only where the recorded control
-// flow would have changed (receive timeouts that would have been beaten,
-// fault schedules keyed on absolute time) — for healthy runs the DAG is
-// parameter-independent and the re-cost matches a real re-run to rounding.
+// flow would have changed (fault schedules keyed on absolute time) — for
+// healthy runs the DAG is parameter-independent and the re-cost matches a
+// real re-run to rounding.
 //
 // Approximations, by construction:
 //   - all EvCompute time scales with the flop-rate ratio, including
 //     modelled Elapse phases and local copies;
-//   - EvTimeout increments are protocol deadlines and do not scale;
 //   - changing PerHop is unsupported (hop counts are folded into Wire).
 
 import (
@@ -323,13 +322,6 @@ func (s *Skeleton) replay(p Params, withEvents bool) (*Result, error) {
 				end := start + d
 				emit(pr, machine.Event{Kind: op.Kind, Start: start, End: end,
 					Peer: -1, Bytes: op.Bytes, Dur: d})
-				clock[pr] = end
-			case machine.EvTimeout:
-				// Protocol deadline: the increment does not scale.
-				start := clock[pr]
-				end := start + op.Dur
-				emit(pr, machine.Event{Kind: machine.EvTimeout, Start: start, End: end,
-					Peer: op.Peer, Dur: op.Dur})
 				clock[pr] = end
 			case machine.EvFault, machine.EvRetry:
 				emit(pr, machine.Event{Kind: op.Kind, Start: clock[pr], End: clock[pr],

@@ -36,15 +36,14 @@ import (
 // arrives after the local clock), so re-costing derives waits instead of
 // replaying them.
 type Op struct {
-	// Kind is the operation class (EvCompute, EvSend, EvRecv, EvIO,
-	// EvTimeout, EvFault, EvRetry, EvSpanBegin, EvSpanEnd; never EvWait).
+	// Kind is the operation class (EvCompute, EvSend, EvRecv, EvIO, EvFault,
+	// EvRetry, EvSpanBegin, EvSpanEnd; never EvWait).
 	Kind machine.EventKind
 	// Dur is the charged local duration exactly as the machine's cost model
-	// produced it (machine.Event.Dur): compute time, io time, send injection
-	// overhead, or a receive-timeout increment. Zero for markers and
-	// receives.
+	// produced it (machine.Event.Dur): compute time, io time or send
+	// injection overhead. Zero for markers and receives.
 	Dur float64
-	// Peer is the other processor of a send/recv/timeout/retry/fault op
+	// Peer is the other processor of a send/recv/retry/fault op
 	// (-1 when there is none).
 	Peer int
 	// Bytes is the payload size of a send/recv op or the byte count of an
@@ -184,8 +183,6 @@ func fold(cost sim.CostModel, evs []machine.Event) (*Skeleton, error) {
 			op.Dur, op.Wire, op.PairSeq = e.Dur, e.Wire, e.PairSeq
 		case machine.EvRecv:
 			op.PairSeq = e.PairSeq
-		case machine.EvTimeout:
-			op.Dur = e.Dur
 		case machine.EvFault, machine.EvRetry:
 			op.Label = intern(e.Label)
 		case machine.EvSpanBegin:

@@ -1,6 +1,7 @@
 package skeleton_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -109,31 +110,47 @@ func TestStoreChaosIdentity(t *testing.T) {
 }
 
 // TestStoreDiskTamperIsMiss: a corrupted or swapped cache file must read as a
-// miss, never as a wrong skeleton.
+// miss, never as a wrong skeleton — and never as a panic.
 func TestStoreDiskTamperIsMiss(t *testing.T) {
 	sk, _, _ := smallRun(t)
-	dir := t.TempDir()
-	st := skeleton.NewStore(dir)
 	k := storeKeyFor(sk, "")
-	if err := st.Put(k, sk); err != nil {
-		t.Fatalf("Put: %v", err)
+	tampers := []struct {
+		name string
+		edit func(data []byte) []byte
+	}{
+		{"flipped byte", func(data []byte) []byte {
+			data[len(data)/2] ^= 0x01
+			return data
+		}},
+		// No op kind is named "timeout": such a row is a decode error.
+		{"timeout op", func(data []byte) []byte {
+			return bytes.Replace(data, []byte(`"compute `), []byte(`"timeout `), 1)
+		}},
 	}
-	ents, err := os.ReadDir(dir)
-	if err != nil || len(ents) != 1 {
-		t.Fatalf("cache dir: %v entries, err %v", len(ents), err)
-	}
-	path := filepath.Join(dir, ents[0].Name())
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip one byte inside the payload.
-	data[len(data)/2] ^= 0x01
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := skeleton.NewStore(dir).Get(k); ok {
-		t.Fatal("tampered cache file served as a hit")
+	for _, tc := range tampers {
+		dir := t.TempDir()
+		if err := skeleton.NewStore(dir).Put(k, sk); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil || len(ents) != 1 {
+			t.Fatalf("cache dir: %v entries, err %v", len(ents), err)
+		}
+		path := filepath.Join(dir, ents[0].Name())
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := tc.edit(bytes.Clone(data))
+		if bytes.Equal(bad, data) {
+			t.Fatalf("%s: tampering left the file unchanged", tc.name)
+		}
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok := skeleton.NewStore(dir).Get(k); ok {
+			t.Errorf("%s: tampered cache file served as a hit", tc.name)
+		}
 	}
 }
 

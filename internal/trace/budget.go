@@ -101,17 +101,6 @@ func (ms *MeteredSink) cost() SinkCost {
 	return out
 }
 
-// meteredBlockSink additionally forwards RecordBlocked so wrapping a
-// flight recorder does not hide its BlockTracer capability from Tee.
-type meteredBlockSink struct {
-	MeteredSink
-	bt machine.BlockTracer
-}
-
-func (ms *meteredBlockSink) RecordBlocked(proc, src int, now float64) {
-	ms.bt.RecordBlocked(proc, src, now)
-}
-
 // OverheadBudget aggregates metered sinks plus run-wide host accounting
 // (wall time, allocation deltas) into one observability-cost report.
 // Typical use: wrap every sink with Meter before building the Tee, call
@@ -134,18 +123,10 @@ type OverheadBudget struct {
 func NewOverheadBudget() *OverheadBudget { return &OverheadBudget{} }
 
 // Meter wraps a sink so its Record cost is accounted under name. A nil sink
-// returns nil, so optional sinks can be threaded without checks. If the
-// sink also implements machine.BlockTracer the wrapper preserves that.
+// returns nil, so optional sinks can be threaded without checks.
 func (b *OverheadBudget) Meter(name string, t machine.Tracer) machine.Tracer {
 	if t == nil || b == nil {
 		return t
-	}
-	if bt, ok := t.(machine.BlockTracer); ok {
-		ms := &meteredBlockSink{MeteredSink: MeteredSink{name: name, inner: t}, bt: bt}
-		b.mu.Lock()
-		b.sinks = append(b.sinks, &ms.MeteredSink)
-		b.mu.Unlock()
-		return ms
 	}
 	ms := &MeteredSink{name: name, inner: t}
 	b.mu.Lock()

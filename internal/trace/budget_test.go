@@ -89,26 +89,6 @@ func TestMeterNilAndNilBudget(t *testing.T) {
 	}
 }
 
-// TestMeterPreservesBlockTracer: wrapping a FlightRecorder must not hide its
-// RecordBlocked capability — the stall diagnostics depend on it.
-func TestMeterPreservesBlockTracer(t *testing.T) {
-	b := NewOverheadBudget()
-	fr := NewFlightRecorder(4, 16)
-	wrapped := b.Meter("flight", fr)
-	bt, ok := wrapped.(machine.BlockTracer)
-	if !ok {
-		t.Fatalf("metered flight recorder lost machine.BlockTracer")
-	}
-	bt.RecordBlocked(1, 0, 2.5)
-	if snap := fr.Snapshot(); len(snap[1]) != 1 || snap[1][0].Peer != 0 {
-		t.Errorf("RecordBlocked did not reach the wrapped recorder: %+v", snap[1])
-	}
-	// A plain sink must NOT grow a BlockTracer face.
-	if _, ok := b.Meter("plain", &countSink{}).(machine.BlockTracer); ok {
-		t.Errorf("metered plain sink spuriously implements BlockTracer")
-	}
-}
-
 // TestBudgetReportLiveDuringRun: Report is safe and meaningful mid-run (the
 // campaign monitor polls it before Finish).
 func TestBudgetReportLiveDuringRun(t *testing.T) {

@@ -2,12 +2,12 @@ package trace
 
 // Critical-path analysis: reconstructs the virtual-time dependency graph of
 // a traced run — program order within each processor plus the send→recv
-// edges recovered from EvSend events and EvRecv markers under per-pair FIFO
-// order — and walks the binding chain backwards from the event that ends at
-// the makespan. Every instant on the path is attributed to an event kind
-// (compute, send, io, network, ...) and to the innermost named span it ran
-// in, which is what explains a pipeline's latency: the path threads through
-// exactly the stages that serialize it.
+// edges, matched by the (src, dst, PairSeq) identity the machine stamps on
+// both ends of every message — and walks the binding chain backwards from
+// the event that ends at the makespan. Every instant on the path is
+// attributed to an event kind (compute, send, io, network, ...) and to the
+// innermost named span it ran in, which is what explains a pipeline's
+// latency: the path threads through exactly the stages that serialize it.
 
 import (
 	"fmt"
@@ -29,15 +29,13 @@ type SpanTime struct {
 	Label string
 	Time  float64
 	Steps int
-	// Faults, Timeouts and Retries count the fault-injection markers on the
-	// path whose innermost owning span has this label. The markers are
-	// zero-duration, so without these counters a chaotic run's critical path
-	// would show *where* time went but hide *why* — a retransmission storm or
-	// a beaten deadline inside a stage leaves its time attributed to the
-	// stage with no visible cause.
-	Faults   int
-	Timeouts int
-	Retries  int
+	// Faults and Retries count the fault-injection markers on the path whose
+	// innermost owning span has this label. The markers are zero-duration, so
+	// without these counters a chaotic run's critical path would show *where*
+	// time went but hide *why* — a retransmission storm inside a stage leaves
+	// its time attributed to the stage with no visible cause.
+	Faults  int
+	Retries int
 }
 
 // CriticalPath is the longest virtual-time dependency chain of a run.
@@ -59,12 +57,11 @@ type CriticalPath struct {
 	// path event ("(network)" for wire time, "(untracked)" outside spans),
 	// sorted by time descending (ties by label).
 	BySpan []SpanTime
-	// Faults, Timeouts and Retries total the fault-injection markers on the
-	// path (EvFault, EvTimeout, EvRetry); the per-span breakdown is in
-	// BySpan. All zero on a healthy run.
-	Faults   int
-	Timeouts int
-	Retries  int
+	// Faults and Retries total the fault-injection markers on the path
+	// (EvFault, EvRetry); the per-span breakdown is in BySpan. Both zero on a
+	// healthy run.
+	Faults  int
+	Retries int
 	// Unattributed is path wall time not covered by any event (gaps);
 	// ~zero in a well-formed trace, reported so it cannot hide.
 	Unattributed float64
@@ -99,43 +96,24 @@ func ComputeCriticalPath(evs []machine.Event) *CriticalPath {
 		procLeaves[e.Proc] = append(procLeaves[e.Proc], i)
 	}
 
-	// Match every EvRecv marker to its send: k-th receive on dst from src
-	// consumes the k-th send on src to dst (per-ordered-pair FIFO).
-	type flow struct{ src, dst int }
-	sends := map[flow][]int{}
-	for _, leaves := range procLeaves {
-		for _, i := range leaves {
-			if e := t.Events[i]; e.Kind == machine.EvSend {
-				f := flow{e.Proc, e.Peer}
-				sends[f] = append(sends[f], i)
-			}
+	// Index every send by its edge identity, so a receive finds exactly the
+	// send of its own message — even in a sampled trace, where counting kept
+	// sends and kept receives would pair different messages.
+	type edge struct {
+		src, dst int
+		seq      int64
+	}
+	sends := map[edge]int{}
+	for i, e := range t.Events {
+		if e.Kind == machine.EvSend {
+			sends[edge{e.Proc, e.Peer, e.PairSeq}] = i
 		}
 	}
-	matchSend := make([]int, n) // recv event index -> send event index (-1 unknown)
-	for i := range matchSend {
-		matchSend[i] = -1
-	}
-	taken := map[flow]int{}
-	// Iterate processors in ascending order for deterministic map use.
 	procIDs := make([]int, 0, len(procLeaves))
 	for pr := range procLeaves {
 		procIDs = append(procIDs, pr)
 	}
 	sort.Ints(procIDs)
-	for _, pr := range procIDs {
-		for _, i := range procLeaves[pr] {
-			e := t.Events[i]
-			if e.Kind != machine.EvRecv {
-				continue
-			}
-			f := flow{e.Peer, e.Proc}
-			k := taken[f]
-			taken[f] = k + 1
-			if k < len(sends[f]) {
-				matchSend[i] = sends[f][k]
-			}
-		}
-	}
 
 	// Terminal event: the leaf with the maximum end time; ties resolved to
 	// the lowest processor, then the latest event in program order.
@@ -183,14 +161,14 @@ func ComputeCriticalPath(evs []machine.Event) *CriticalPath {
 		// matching send on the peer, crossing the wire. The wait's own
 		// duration is covered by the sender's timeline plus network time.
 		if e.Kind == machine.EvWait {
-			// The recv marker for this wait is the next leaf in program
-			// order (machine.Proc.Recv records wait, then the marker).
+			// The recv marker for this wait is the next event in program
+			// order (machine.Proc.Recv records wait, then the marker), so it
+			// is the next leaf and carries the next sequence number.
 			leaves := procLeaves[e.Proc]
 			if p := pos[cur]; p+1 < len(leaves) {
-				recv := leaves[p+1]
-				re := t.Events[recv]
-				if re.Kind == machine.EvRecv && re.Peer == e.Peer && matchSend[recv] >= 0 {
-					send := matchSend[recv]
+				re := t.Events[leaves[p+1]]
+				send, ok := sends[edge{re.Peer, re.Proc, re.PairSeq}]
+				if re.Kind == machine.EvRecv && re.Peer == e.Peer && re.Seq == e.Seq+1 && ok {
 					net := e.End - t.Events[send].End
 					if net < 0 {
 						net = 0
@@ -210,21 +188,16 @@ func ComputeCriticalPath(evs []machine.Event) *CriticalPath {
 		// Fault-injection markers are on the path even when zero-duration:
 		// attribute them to their owning span so a chaotic run's report names
 		// the cause, not just the kinds of time.
-		switch e.Kind {
-		case machine.EvFault, machine.EvTimeout, machine.EvRetry:
+		if e.Kind == machine.EvFault || e.Kind == machine.EvRetry {
 			label := t.OwnerLabel(cur)
 			if label == "" {
 				label = "(untracked)"
 			}
 			st := spanOf(label)
-			switch e.Kind {
-			case machine.EvFault:
+			if e.Kind == machine.EvFault {
 				cp.Faults++
 				st.Faults++
-			case machine.EvTimeout:
-				cp.Timeouts++
-				st.Timeouts++
-			case machine.EvRetry:
+			} else {
 				cp.Retries++
 				st.Retries++
 			}
@@ -285,9 +258,8 @@ func (cp *CriticalPath) WriteReport(w io.Writer) {
 	total := cp.PathTime()
 	fmt.Fprintf(w, "critical path: %.6f s (t=%.6f .. %.6f), %d steps, %d hops, %d processors\n",
 		total, cp.Start, cp.Makespan, cp.Steps, cp.Hops, len(cp.Procs))
-	if cp.Faults > 0 || cp.Timeouts > 0 || cp.Retries > 0 {
-		fmt.Fprintf(w, "  faults on path: %d faults, %d timeouts, %d retries\n",
-			cp.Faults, cp.Timeouts, cp.Retries)
+	if cp.Faults > 0 || cp.Retries > 0 {
+		fmt.Fprintf(w, "  faults on path: %d faults, %d retries\n", cp.Faults, cp.Retries)
 	}
 	pct := func(v float64) float64 {
 		if total <= 0 {
@@ -302,8 +274,8 @@ func (cp *CriticalPath) WriteReport(w io.Writer) {
 	fmt.Fprintf(w, "  by span (innermost attribution):\n")
 	for _, st := range cp.BySpan {
 		fmt.Fprintf(w, "    %-40s %12.6f s %6.1f%%  (%d steps)", st.Label, st.Time, pct(st.Time), st.Steps)
-		if st.Faults > 0 || st.Timeouts > 0 || st.Retries > 0 {
-			fmt.Fprintf(w, "  [%d faults, %d timeouts, %d retries]", st.Faults, st.Timeouts, st.Retries)
+		if st.Faults > 0 || st.Retries > 0 {
+			fmt.Fprintf(w, "  [%d faults, %d retries]", st.Faults, st.Retries)
 		}
 		fmt.Fprintln(w)
 	}

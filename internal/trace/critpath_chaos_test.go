@@ -1,7 +1,7 @@
 package trace
 
 // Regression coverage for critical-path analysis on faulted runs: the
-// injected EvFault/EvTimeout/EvRetry markers are zero-duration, so for a
+// injected EvFault/EvRetry markers are zero-duration, so for a
 // long time they silently fell through the duration gate — a chaotic run's
 // path showed the time but not the cause. The markers must now be counted,
 // attributed to the right span, and surfaced in the report.
@@ -40,7 +40,7 @@ func TestCriticalPathAttributesFaultMarkers(t *testing.T) {
 	var cp *CriticalPath
 	for seed := uint64(1); seed <= 16; seed++ {
 		c := chaosTrace(t, seed)
-		if c.Faults+c.Timeouts+c.Retries > 0 {
+		if c.Faults+c.Retries > 0 {
 			cp = c
 			break
 		}
@@ -50,15 +50,14 @@ func TestCriticalPathAttributesFaultMarkers(t *testing.T) {
 	}
 
 	// Per-span counts must decompose the totals exactly.
-	var f, to, r int
+	var f, r int
 	for _, st := range cp.BySpan {
 		f += st.Faults
-		to += st.Timeouts
 		r += st.Retries
 	}
-	if f != cp.Faults || to != cp.Timeouts || r != cp.Retries {
-		t.Errorf("per-span fault counts (%d,%d,%d) do not decompose totals (%d,%d,%d)",
-			f, to, r, cp.Faults, cp.Timeouts, cp.Retries)
+	if f != cp.Faults || r != cp.Retries {
+		t.Errorf("per-span fault counts (%d,%d) do not decompose totals (%d,%d)",
+			f, r, cp.Faults, cp.Retries)
 	}
 
 	var buf bytes.Buffer
@@ -67,7 +66,7 @@ func TestCriticalPathAttributesFaultMarkers(t *testing.T) {
 	if !strings.Contains(out, "faults on path:") {
 		t.Errorf("chaotic report missing fault summary line:\n%s", out)
 	}
-	if !strings.Contains(out, "retries]") && !strings.Contains(out, "timeouts,") {
+	if !strings.Contains(out, "retries]") {
 		t.Errorf("chaotic report missing per-span fault annotation:\n%s", out)
 	}
 }
@@ -82,8 +81,8 @@ func TestCriticalPathHealthyReportUnchanged(t *testing.T) {
 	ffthist.Run(m, ffthist.Config{N: 32, Sets: 8, Bins: 16},
 		mapping.Mapping{Modules: 1, Stages: []int{8, 4, 4}})
 	cp := ComputeCriticalPath(col.Events())
-	if cp.Faults != 0 || cp.Timeouts != 0 || cp.Retries != 0 {
-		t.Fatalf("healthy run counted fault markers: %d/%d/%d", cp.Faults, cp.Timeouts, cp.Retries)
+	if cp.Faults != 0 || cp.Retries != 0 {
+		t.Fatalf("healthy run counted fault markers: %d/%d", cp.Faults, cp.Retries)
 	}
 	var buf bytes.Buffer
 	cp.WriteReport(&buf)

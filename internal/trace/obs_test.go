@@ -192,6 +192,34 @@ func TestCriticalPathReportDeterministic(t *testing.T) {
 	}
 }
 
+// TestCriticalPathSampledEdgesByIdentity: a sampled trace keeps p0's first
+// send (PairSeq 0) but drops its second, and keeps p1's second receive
+// (PairSeq 1) with its wait but drops the first. The kept send and the kept
+// receive are different messages, so the wait has no recorded sender: the
+// path must stay on p1 instead of hopping to the unrelated send.
+func TestCriticalPathSampledEdgesByIdentity(t *testing.T) {
+	// Unsampled, with intCost: p0 sends [0,1] (arrives 2), computes [1,3],
+	// sends [3,4] (arrives 5); p1 waits [0,2] and receives, then waits [2,5]
+	// and receives.
+	evs := []machine.Event{
+		{Proc: 0, Kind: machine.EvSend, Seq: 1, Start: 0, End: 1, Peer: 1, Bytes: 8, Dur: 1, Wire: 1, PairSeq: 0},
+		{Proc: 1, Kind: machine.EvWait, Seq: 3, Start: 2, End: 5, Peer: 0, Bytes: 8},
+		{Proc: 1, Kind: machine.EvRecv, Seq: 4, Start: 5, End: 5, Peer: 0, Bytes: 8, PairSeq: 1},
+	}
+	cp := ComputeCriticalPath(evs)
+	if cp.Hops != 0 {
+		t.Errorf("hops = %d, want 0 (the kept send is a different message)", cp.Hops)
+	}
+	for _, kt := range cp.ByKind {
+		if kt.Kind == "network" {
+			t.Errorf("network time %g on a path with no matched edge", kt.Time)
+		}
+	}
+	if len(cp.Procs) != 1 || cp.Procs[0] != 1 || !approx(cp.PathTime(), 3) {
+		t.Errorf("path procs %v over %g s, want p1 alone over its 3 s wait", cp.Procs, cp.PathTime())
+	}
+}
+
 func TestComputeCriticalPathEmpty(t *testing.T) {
 	if cp := ComputeCriticalPath(nil); cp != nil {
 		t.Errorf("empty trace path = %+v, want nil", cp)

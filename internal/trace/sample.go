@@ -10,7 +10,7 @@ package trace
 //
 // Rates are per event kind. Structural and diagnostic events — span
 // boundaries (which metrics attribution and critical-path analysis walk),
-// fault/timeout/retry markers (which are rare and are the whole point of a
+// fault and retry markers (which are rare and are the whole point of a
 // chaotic run) — are always kept regardless of the configured rate; only
 // the bulk kinds (compute, send, wait, io, recv) are thinned. The sampler
 // counts kept and dropped events per kind, so consumers can report scaled
@@ -48,11 +48,10 @@ func mix64(x uint64) uint64 {
 }
 
 // alwaysKeep reports whether a kind is exempt from sampling: span
-// boundaries, fault markers, timeouts, and retries are kept at any rate.
+// boundaries, fault markers and retries are kept at any rate.
 func alwaysKeep(k machine.EventKind) bool {
 	switch k {
-	case machine.EvSpanBegin, machine.EvSpanEnd, machine.EvFault,
-		machine.EvTimeout, machine.EvRetry:
+	case machine.EvSpanBegin, machine.EvSpanEnd, machine.EvFault, machine.EvRetry:
 		return true
 	}
 	return false

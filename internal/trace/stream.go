@@ -103,7 +103,7 @@ func (s *UtilSink) Record(e machine.Event) {
 		c.u.Compute += d
 	case machine.EvSend:
 		c.u.Send += d
-	case machine.EvWait, machine.EvTimeout:
+	case machine.EvWait:
 		c.u.Wait += d
 	case machine.EvIO:
 		c.u.IO += d
@@ -171,8 +171,8 @@ func (s *UtilSink) Snapshot() UtilSnapshot {
 	return out
 }
 
-// WriteText renders per-processor busy/wait fractions in the same layout as
-// Utilization, but from the streamed summary instead of the full event log.
+// WriteText renders per-processor busy/wait fractions of the trace's
+// virtual-time extent, one row per processor.
 func (s UtilSnapshot) WriteText(w io.Writer) {
 	total := s.End - s.Start
 	if total <= 0 {

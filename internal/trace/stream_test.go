@@ -34,44 +34,35 @@ func streamedProducerConsumer(t *testing.T) (*Collector, *UtilSink, *CommMatrix)
 	return col, util, comm
 }
 
-// TestUtilSinkMatchesBusyByKind: the streamed utilization must equal the
-// post-hoc BusyByKind fold of the full event log, and the streamed extent
-// must equal Collector.Span().
-func TestUtilSinkMatchesBusyByKind(t *testing.T) {
+// TestUtilSinkProducerConsumer: the streamed utilization holds each
+// processor's exact per-kind time, its extent equals Collector.Span(), and
+// the rendered table is exact under the integer cost model.
+func TestUtilSinkProducerConsumer(t *testing.T) {
 	col, util, _ := streamedProducerConsumer(t)
 	snap := util.Snapshot()
 	if snap.Dropped != 0 {
 		t.Fatalf("UtilSink dropped %d events", snap.Dropped)
 	}
-	byKind := col.BusyByKind(2)
-	pick := func(k machine.EventKind, pr int) float64 {
-		if byKind[k] == nil {
-			return 0
-		}
-		return byKind[k][pr]
+	want := []ProcUtil{
+		{Compute: 10, Send: 1, Events: 4}, // begin, compute, send, end
+		{Compute: 2, Wait: 12, Events: 5}, // begin, wait, recv, compute, end
 	}
-	for pr := 0; pr < 2; pr++ {
-		u := snap.PerProc[pr]
-		if u.Compute != pick(machine.EvCompute, pr) ||
-			u.Send != pick(machine.EvSend, pr) ||
-			u.Wait != pick(machine.EvWait, pr) ||
-			u.IO != pick(machine.EvIO, pr) {
-			t.Errorf("p%d: streamed %+v != post-hoc compute=%g send=%g wait=%g io=%g",
-				pr, u, pick(machine.EvCompute, pr), pick(machine.EvSend, pr),
-				pick(machine.EvWait, pr), pick(machine.EvIO, pr))
+	for pr, w := range want {
+		if snap.PerProc[pr] != w {
+			t.Errorf("p%d: streamed %+v, want %+v", pr, snap.PerProc[pr], w)
 		}
 	}
 	start, end := col.Span()
-	if snap.Start != start || snap.End != end {
-		t.Errorf("streamed extent [%g,%g] != collector span [%g,%g]", snap.Start, snap.End, start, end)
+	if snap.Start != start || snap.End != end || end != 14 {
+		t.Errorf("streamed extent [%g,%g], collector span [%g,%g], want [0,14]", snap.Start, snap.End, start, end)
 	}
-
-	// The rendered table must match Utilization's byte for byte.
-	var live, posthoc bytes.Buffer
-	snap.WriteText(&live)
-	Utilization(&posthoc, col, 2)
-	if live.String() != posthoc.String() {
-		t.Errorf("streamed utilization table differs:\n--- streaming\n%s--- post-hoc\n%s", live.String(), posthoc.String())
+	var buf bytes.Buffer
+	snap.WriteText(&buf)
+	const table = " proc   compute      send      wait        io\n" +
+		"p0000     71.4%      7.1%      0.0%      0.0%\n" +
+		"p0001     14.3%      0.0%     85.7%      0.0%\n"
+	if buf.String() != table {
+		t.Errorf("utilization table:\n%s--- want\n%s", buf.String(), table)
 	}
 }
 
@@ -172,18 +163,5 @@ func TestTeeFanOut(t *testing.T) {
 	}
 	if got := Tee(); got != nil {
 		t.Error("empty Tee should be nil")
-	}
-	// A tee advertises BlockTracer only when a child implements it.
-	if _, ok := Tee(a, b).(machine.BlockTracer); ok {
-		t.Error("tee of plain collectors must not advertise BlockTracer")
-	}
-	fr := NewFlightRecorder(2, 4)
-	bt, ok := Tee(a, fr).(machine.BlockTracer)
-	if !ok {
-		t.Fatal("tee with a FlightRecorder child must advertise BlockTracer")
-	}
-	bt.RecordBlocked(1, 0, 3.5)
-	if peer, since, blocked := fr.OpenWait(1); !blocked || peer != 0 || since != 3.5 {
-		t.Errorf("OpenWait = (%d, %g, %v), want (0, 3.5, true)", peer, since, blocked)
 	}
 }

@@ -1,8 +1,8 @@
 package trace
 
 // Tee fans one machine tracer stream out to several consumers, so a run can
-// feed the full Collector, the streaming sinks and a flight recorder at the
-// same time from a single machine.SetTracer call.
+// feed the full Collector and the streaming sinks at the same time from a
+// single machine.SetTracer call.
 
 import "fxpar/internal/machine"
 
@@ -17,46 +17,21 @@ func (t *tee) Record(e machine.Event) {
 	}
 }
 
-// blockingTee additionally forwards blocked-receive callbacks to the
-// children that understand them. It is a separate type so that a tee with
-// no BlockTracer children does not satisfy machine.BlockTracer — the
-// machine then skips the pre-block bookkeeping entirely.
-type blockingTee struct {
-	tee
-	blocked []machine.BlockTracer
-}
-
-func (t *blockingTee) RecordBlocked(proc, src int, now float64) {
-	for _, bt := range t.blocked {
-		bt.RecordBlocked(proc, src, now)
-	}
-}
-
 // Tee returns a tracer that forwards every event to all of the given
 // tracers, in argument order. Nil entries are skipped; a single non-nil
 // tracer is returned unwrapped; with none, Tee returns nil (tracing off).
-// If any child implements machine.BlockTracer, the returned tracer does too
-// and forwards blocked-receive callbacks to those children.
 func Tee(tracers ...machine.Tracer) machine.Tracer {
 	kept := make([]machine.Tracer, 0, len(tracers))
-	var blocked []machine.BlockTracer
 	for _, tr := range tracers {
-		if tr == nil {
-			continue
-		}
-		kept = append(kept, tr)
-		if bt, ok := tr.(machine.BlockTracer); ok {
-			blocked = append(blocked, bt)
+		if tr != nil {
+			kept = append(kept, tr)
 		}
 	}
-	switch {
-	case len(kept) == 0:
+	switch len(kept) {
+	case 0:
 		return nil
-	case len(kept) == 1:
+	case 1:
 		return kept[0]
-	case len(blocked) > 0:
-		return &blockingTee{tee: tee{tracers: kept}, blocked: blocked}
-	default:
-		return &tee{tracers: kept}
 	}
+	return &tee{tracers: kept}
 }

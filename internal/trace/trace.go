@@ -153,21 +153,6 @@ func (c *Collector) Span() (start, end float64) {
 	return start, end
 }
 
-// BusyByKind sums event durations per kind per processor.
-func (c *Collector) BusyByKind(procs int) map[machine.EventKind][]float64 {
-	out := map[machine.EventKind][]float64{}
-	for _, e := range c.Events() {
-		if e.Proc >= procs {
-			continue
-		}
-		if out[e.Kind] == nil {
-			out[e.Kind] = make([]float64, procs)
-		}
-		out[e.Kind][e.Proc] += e.End - e.Start
-	}
-	return out
-}
-
 // glyph maps an event kind to its Gantt character.
 func glyph(k machine.EventKind) byte {
 	switch k {
@@ -181,8 +166,6 @@ func glyph(k machine.EventKind) byte {
 		return 'I'
 	case machine.EvRecv:
 		return 'r'
-	case machine.EvTimeout:
-		return 't'
 	case machine.EvFault:
 		return 'F'
 	case machine.EvRetry:
@@ -253,28 +236,6 @@ func Gantt(w io.Writer, c *Collector, procs int, width int) {
 	}
 }
 
-// Utilization prints per-processor busy/wait fractions.
-func Utilization(w io.Writer, c *Collector, procs int) {
-	start, end := c.Span()
-	total := end - start
-	if total <= 0 {
-		fmt.Fprintln(w, "trace: no events")
-		return
-	}
-	byKind := c.BusyByKind(procs)
-	fmt.Fprintf(w, "%5s %9s %9s %9s %9s\n", "proc", "compute", "send", "wait", "io")
-	for pr := 0; pr < procs; pr++ {
-		row := make([]float64, 4)
-		for k, series := range byKind {
-			if int(k) < len(row) {
-				row[int(k)] = series[pr] / total
-			}
-		}
-		fmt.Fprintf(w, "p%04d %8.1f%% %8.1f%% %8.1f%% %8.1f%%\n",
-			pr, row[0]*100, row[1]*100, row[2]*100, row[3]*100)
-	}
-}
-
 // chromeEvent is one entry of the Chrome trace-event format
 // (chrome://tracing, Perfetto): complete events ("ph":"X") for leaf
 // intervals and duration events ("ph":"B"/"E") for named spans, with
@@ -313,7 +274,7 @@ func WriteChromeTrace(w io.Writer, c *Collector) error {
 			ce.Name, ce.Ph, ce.Dur = e.Label, "B", 0
 		case machine.EvSpanEnd:
 			ce.Name, ce.Ph, ce.Dur = e.Label, "E", 0
-		case machine.EvSend, machine.EvRecv, machine.EvWait, machine.EvTimeout:
+		case machine.EvSend, machine.EvRecv, machine.EvWait:
 			ce.Args = map[string]int64{"peer": int64(e.Peer), "bytes": int64(e.Bytes)}
 		case machine.EvIO:
 			if e.Bytes != 0 {

@@ -12,12 +12,13 @@ import (
 	"fxpar/internal/sim"
 )
 
-func tracedRun(n int, body func(p *machine.Proc)) *Collector {
+// tracedRun runs body under a Collector, teed with any extra sinks.
+func tracedRun(n int, body func(p *machine.Proc), sinks ...machine.Tracer) *Collector {
 	c := &Collector{}
 	m := machine.New(n, sim.CostModel{
 		FlopRate: 1e6, Alpha: 1e-4, Beta: 1e-7, SendOverhead: 1e-5, IORate: 1e6,
 	})
-	m.SetTracer(c)
+	m.SetTracer(Tee(append([]machine.Tracer{c}, sinks...)...))
 	m.Run(body)
 	return c
 }
@@ -72,22 +73,23 @@ func TestEventsSortedDeterministically(t *testing.T) {
 	}
 }
 
-func TestSpanAndBusyByKind(t *testing.T) {
+func TestSpanAndUtilSink(t *testing.T) {
+	util := NewUtilSink(2)
 	c := tracedRun(2, func(p *machine.Proc) {
 		if p.ID() == 0 {
 			p.Compute(2000) // 2 ms
 			p.IO(1000)      // 1 ms
 		}
-	})
+	}, util)
 	start, end := c.Span()
 	if start != 0 || end < 0.0029 {
 		t.Errorf("span = [%g, %g]", start, end)
 	}
-	busy := c.BusyByKind(2)
-	if got := busy[machine.EvCompute][0]; got < 0.0019 || got > 0.0021 {
+	busy := util.Snapshot().PerProc[0]
+	if got := busy.Compute; got < 0.0019 || got > 0.0021 {
 		t.Errorf("compute busy = %g", got)
 	}
-	if got := busy[machine.EvIO][0]; got < 0.0009 || got > 0.0011 {
+	if got := busy.IO; got < 0.0009 || got > 0.0011 {
 		t.Errorf("io busy = %g", got)
 	}
 }
@@ -131,16 +133,17 @@ func TestGanttEmpty(t *testing.T) {
 }
 
 func TestUtilization(t *testing.T) {
-	c := tracedRun(2, func(p *machine.Proc) {
+	util := NewUtilSink(2)
+	tracedRun(2, func(p *machine.Proc) {
 		if p.ID() == 0 {
 			p.Compute(10000)
 			p.Send(1, 0, 8)
 		} else {
 			p.Recv(0)
 		}
-	})
+	}, util)
 	var buf bytes.Buffer
-	Utilization(&buf, c, 2)
+	util.Snapshot().WriteText(&buf)
 	out := buf.String()
 	if !strings.Contains(out, "p0000") || !strings.Contains(out, "p0001") {
 		t.Errorf("missing rows:\n%s", out)

@@ -116,7 +116,7 @@ func TestReplaySoakP64(t *testing.T) {
 					t.Fatalf("%s: replayed makespan %v != recorded %v", eng.Name(), res.Makespan, sk.Makespan)
 				}
 				// The skeleton keeps compute/send/recv/span structure and
-				// derives waits; faults/timeouts/retries are recorded ops.
+				// derives waits; faults and retries are recorded ops.
 				// Every replayed event must match its recorded counterpart
 				// bitwise in (proc, seq) order.
 				recordedSorted := append([]machine.Event(nil), recorded...)
