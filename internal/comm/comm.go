@@ -1,5 +1,5 @@
 // Package comm implements collective communication scoped to processor
-// groups: subset barriers, broadcast, reduction, gather and scatter. All
+// groups: subset barriers, broadcast, reduction and gather. All
 // collectives are built from the machine layer's point-to-point messages, so
 // their virtual-time cost automatically scales with the *subgroup* size —
 // the "localization" property Section 4 of the paper identifies as critical
@@ -258,29 +258,6 @@ func GatherFlat[T any](p *machine.Proc, g *group.Group, rootRank int, local []T)
 		out = append(out, part...)
 	}
 	return out
-}
-
-// Scatter splits parts (significant at rootRank only, one slice per member
-// in virtual-id order) and returns each member's slice.
-func Scatter[T any](p *machine.Proc, g *group.Group, rootRank int, parts [][]T) []T {
-	n := g.Size()
-	r := rankIn(p, g)
-	if n > 1 && span(p, "scatter", g) {
-		defer p.EndSpan()
-	}
-	if r == rootRank {
-		if len(parts) != n {
-			panic(fmt.Sprintf("comm: Scatter needs %d parts, got %d", n, len(parts)))
-		}
-		for dst := 0; dst < n; dst++ {
-			if dst == rootRank {
-				continue
-			}
-			Send(p, g, dst, parts[dst])
-		}
-		return append([]T(nil), parts[r]...)
-	}
-	return Recv[T](p, g, rootRank)
 }
 
 // AllGather collects every member's slice on every member, ordered by

@@ -147,14 +147,13 @@ func TestReduceSlice(t *testing.T) {
 	})
 }
 
-func TestGatherScatterRoundTrip(t *testing.T) {
+func TestGatherAllSizes(t *testing.T) {
 	for _, n := range groupSizes {
 		m := testMachine(n)
 		m.Run(func(p *machine.Proc) {
 			g := group.World(n)
 			r, _ := g.RankOf(p.ID())
-			local := []int{r, r * 10}
-			parts := Gather(p, g, 0, local)
+			parts := Gather(p, g, 0, []int{r, r * 10})
 			if r == 0 {
 				for i, part := range parts {
 					if len(part) != 2 || part[0] != i || part[1] != i*10 {
@@ -163,10 +162,6 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 				}
 			} else if parts != nil {
 				t.Error("non-root gather result not nil")
-			}
-			back := Scatter(p, g, 0, parts)
-			if len(back) != 2 || back[0] != r || back[1] != r*10 {
-				t.Errorf("n=%d scatter back = %v, want %v", n, back, local)
 			}
 		})
 	}

@@ -69,13 +69,6 @@ func TestCollectivesOnDegenerateGroups(t *testing.T) {
 							t.Errorf("GatherFlat = %v, want %v", flat, want)
 						}
 					}
-					parts := make([][]int, n)
-					for i := range parts {
-						parts[i] = []int{i * 100}
-					}
-					if mine := Scatter(p, g, 0, parts); len(mine) != 1 || mine[0] != r*100 {
-						t.Errorf("rank %d: Scatter = %v, want [%d]", r, mine, r*100)
-					}
 					all := AllGather(p, g, []int{r})
 					for i, part := range all {
 						if len(part) != 1 || part[0] != i {

@@ -33,28 +33,6 @@ func ExampleAllReduce() {
 	// proc 3 sees sum 10
 }
 
-// ExampleScan computes rank-ordered prefix sums — the building block of the
-// parallel packing used by quicksort.
-func ExampleScan() {
-	mach := machine.New(4, sim.Paragon())
-	var mu sync.Mutex
-	var lines []string
-	mach.Run(func(p *machine.Proc) {
-		g := group.World(4)
-		prefix := comm.Scan(p, g, 10, func(a, b int) int { return a + b })
-		mu.Lock()
-		lines = append(lines, fmt.Sprintf("rank %d prefix %d", p.ID(), prefix))
-		mu.Unlock()
-	})
-	sort.Strings(lines)
-	fmt.Println(strings.Join(lines, "\n"))
-	// Output:
-	// rank 0 prefix 10
-	// rank 1 prefix 20
-	// rank 2 prefix 30
-	// rank 3 prefix 40
-}
-
 // ExampleBarrier shows that a subset barrier only synchronizes its group:
 // the outsider keeps a zero clock.
 func ExampleBarrier() {

@@ -63,7 +63,7 @@ func TestBcastReduceScrambledGroup(t *testing.T) {
 	})
 }
 
-func TestGatherScanScrambledGroup(t *testing.T) {
+func TestGatherScrambledGroup(t *testing.T) {
 	m := testMachine(8)
 	g := scrambledGroup()
 	m.Run(func(p *machine.Proc) {
@@ -79,32 +79,6 @@ func TestGatherScanScrambledGroup(t *testing.T) {
 					t.Errorf("gather order = %v, want %v", flat, want)
 					break
 				}
-			}
-		}
-		scan := Scan(p, g, 1, func(a, b int) int { return a + b })
-		if scan != r+1 {
-			t.Errorf("rank %d scan = %d", r, scan)
-		}
-	})
-}
-
-func TestAlltoAllScrambledGroup(t *testing.T) {
-	m := testMachine(8)
-	g := scrambledGroup()
-	m.Run(func(p *machine.Proc) {
-		if !g.Contains(p.ID()) {
-			return
-		}
-		r, _ := g.RankOf(p.ID())
-		n := g.Size()
-		parts := make([][]int, n)
-		for dst := range parts {
-			parts[dst] = []int{r*10 + dst}
-		}
-		out := AlltoAll(p, g, parts)
-		for src := 0; src < n; src++ {
-			if out[src][0] != src*10+r {
-				t.Errorf("rank %d: from %d got %v", r, src, out[src])
 			}
 		}
 	})

@@ -134,14 +134,7 @@ func TestAlignedAssignLocality(t *testing.T) {
 		section := New[float64](p, alLayout)
 		// Copy template[4..12) into the aligned array: every element is
 		// co-located, so no messages may flow.
-		Remap(p, section, template, func(srcIdx, dstIdx []int) bool {
-			j := srcIdx[0] - 4
-			if j < 0 || j >= 8 {
-				return false
-			}
-			dstIdx[0] = j
-			return true
-		})
+		CopySection(p, section, []int{0}, template, []int{4}, []int{8})
 		section.eachLocal(func(off int, idx []int) {
 			if section.Local()[off] != float64(idx[0]+4) {
 				t.Errorf("section[%d] = %v", idx[0], section.Local()[off])

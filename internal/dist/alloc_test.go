@@ -63,7 +63,8 @@ func remapMallocs(n, calls int, op func(p *machine.Proc, rows, cols, rows2 *Arra
 }
 
 // TestRemapAllocsFlatInElements: twenty Transpose2D / Assign / ScatterGlobal
-// calls allocate the same (± 2 per processor) at n = 64 and n = 256, and
+// / CopySection calls (the last with a box that grows with n) allocate the
+// same (± 2 per processor) at n = 64 and n = 256, and
 // per call no more than one allocation per message sent (the payload's
 // interface header) plus the stated slack: the two sides' index and list
 // arrays, the identity permutation, the one send buffer and, for
@@ -81,6 +82,12 @@ func TestRemapAllocsFlatInElements(t *testing.T) {
 		{"Transpose2D", 8, func(p *machine.Proc, rows, _, rows2 *Array[float64], _ []float64) { Transpose2D(p, rows2, rows) }},
 		{"Assign", 8, func(p *machine.Proc, rows, cols, _ *Array[float64], _ []float64) { Assign(p, cols, rows) }},
 		{"ScatterGlobal", 14, func(p *machine.Proc, rows, _, _ *Array[float64], full []float64) { ScatterGlobal(p, rows, full) }},
+		// Assign's slack plus the three offset and box slices passed in.
+		{"CopySection", 11, func(p *machine.Proc, rows, cols, _ *Array[float64], _ []float64) {
+			// The middle half of rows' columns into cols' right half.
+			n := rows.l.shape[0]
+			CopySection(p, cols, []int{0, n / 2}, rows, []int{0, n / 4}, []int{n, n / 2})
+		}},
 	}
 	for _, o := range ops {
 		small, msgs := remapMallocs(64, allocCalls, o.op)

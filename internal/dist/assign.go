@@ -21,19 +21,41 @@ import (
 // elements receive (or copy locally) exactly what they need. Empty messages
 // are never exchanged.
 func Assign[T any](p *machine.Proc, dst, src *Array[T]) {
-	remapPerm(p, dst, src, nil)
+	remap(p, dst, nil, src, nil, nil, nil)
 }
 
 // Transpose2D implements dst[i][j] = src[j][i] for rank-2 arrays — the
 // "corner turn" of the radar benchmark and the middle step of the 2D FFT.
 func Transpose2D[T any](p *machine.Proc, dst, src *Array[T]) {
-	remapPerm(p, dst, src, []int{1, 0})
+	remap(p, dst, nil, src, nil, nil, []int{1, 0})
 }
 
-// remapPerm implements dst[I] = src[J] where J[perm[d]] = I[d]; that is,
-// dst dimension d ranges over src dimension perm[d]. perm must be a
-// permutation of the dimensions (nil: the identity) and shapes must agree
-// accordingly.
+// CopySection copies the box of the given shape starting at srcOff in src
+// to the box starting at dstOff in dst — the array-section assignment
+// multiblock codes use to exchange block boundaries. Boxes must fit in both
+// arrays. It is Assign's communication-set walk restricted to the two boxes.
+func CopySection[T any](p *machine.Proc, dst *Array[T], dstOff []int, src *Array[T], srcOff, shape []int) {
+	nd := src.l.Rank()
+	if dst.l.Rank() != nd || len(dstOff) != nd || len(srcOff) != nd || len(shape) != nd {
+		panic(fmt.Sprintf("dist: CopySection rank mismatch (src rank %d, dst rank %d, offs %d/%d, shape %d)",
+			nd, dst.l.Rank(), len(srcOff), len(dstOff), len(shape)))
+	}
+	for d := 0; d < nd; d++ {
+		if srcOff[d] < 0 || srcOff[d]+shape[d] > src.l.shape[d] ||
+			dstOff[d] < 0 || dstOff[d]+shape[d] > dst.l.shape[d] || shape[d] <= 0 {
+			panic(fmt.Sprintf("dist: CopySection box out of range: srcOff %v dstOff %v shape %v src %v dst %v",
+				srcOff, dstOff, shape, src.l.shape, dst.l.shape))
+		}
+	}
+	remap(p, dst, dstOff, src, srcOff, shape, nil)
+}
+
+// remap implements dst[dstOff+I] = src[srcOff+J] where J[perm[d]] = I[d];
+// that is, dst dimension d ranges over src dimension perm[d]. perm must be a
+// permutation of the dimensions (nil: the identity). I ranges over box,
+// given in destination dimensions, which the caller has checked fits both
+// arrays; a nil box (with nil offsets) means the whole arrays, whose shapes
+// must then agree.
 //
 // Correctness of message matching: both sides enumerate the transferred
 // elements in destination global row-major order. The receiver's local
@@ -47,7 +69,7 @@ func Transpose2D[T any](p *machine.Proc, dst, src *Array[T]) {
 // Who exchanges what is never discovered element by element: each side
 // splits its local indices per axis by owning peer coordinate (newSide) and
 // a pair's set is the cross product of one part per axis (commset.go).
-func remapPerm[T any](p *machine.Proc, dst, src *Array[T], perm []int) {
+func remap[T any](p *machine.Proc, dst *Array[T], dstOff []int, src *Array[T], srcOff, box, perm []int) {
 	nd := dst.l.Rank()
 	if src.l.Rank() != nd || (perm != nil && len(perm) != nd) {
 		panic(fmt.Sprintf("dist: remap rank mismatch: src %v dst %v perm %v", src.l, dst.l, perm))
@@ -57,7 +79,7 @@ func remapPerm[T any](p *machine.Proc, dst, src *Array[T], perm []int) {
 		if perm != nil {
 			sd = perm[d]
 		}
-		if src.l.shape[sd] != dst.l.shape[d] {
+		if box == nil && src.l.shape[sd] != dst.l.shape[d] {
 			panic(fmt.Sprintf("dist: remap shape mismatch: src %v dst %v perm %v", src.l.shape, dst.l.shape, perm))
 		}
 	}
@@ -75,15 +97,19 @@ func remapPerm[T any](p *machine.Proc, dst, src *Array[T], perm []int) {
 
 	var out side
 	if len(src.data) > 0 {
-		// Every source element has exactly one destination owner, so what I
-		// do not keep I send: one buffer holds every outgoing payload, and
-		// messages go in destination-rank order (determinism).
-		out = newSide(src.l, src.rank, src.localShape, perm, dst.l, ident)
+		// Every in-box source element has exactly one destination owner, so
+		// what I do not keep I send: one buffer holds every outgoing payload,
+		// and messages go in destination-rank order (determinism).
+		out = newSide(src.l, src.rank, src.localShape, perm, srcOff, dst.l, ident, dstOff, box)
 		mine := 0
 		if dst.rank >= 0 {
 			mine = out.peerParts(dst.rank)
 		}
-		buf := make([]T, len(src.data)-mine)
+		total := 1
+		for _, offs := range out.offs {
+			total *= len(offs)
+		}
+		buf := make([]T, total-mine)
 		for r, size := 0, dst.l.g.Size(); r < size; r++ {
 			n := out.peerParts(r)
 			if n == 0 || r == dst.rank {
@@ -100,7 +126,7 @@ func remapPerm[T any](p *machine.Proc, dst, src *Array[T], perm []int) {
 		// distinct physical processors, so per-pair FIFO plus identical
 		// enumeration order guarantees a sender's k-th value is the k-th
 		// element of the pair's set.
-		in := newSide(dst.l, dst.rank, dst.localShape, ident, src.l, perm)
+		in := newSide(dst.l, dst.rank, dst.localShape, ident, dstOff, src.l, perm, srcOff, box)
 		for s, size := 0, src.l.g.Size(); s < size; s++ {
 			n := in.peerParts(s)
 			if n == 0 {
@@ -186,14 +212,4 @@ func rootView[T any](a *Array[T], global []T) *Array[T] {
 		v.rank, v.localShape, v.data = 0, a.l.shape, global
 	}
 	return v
-}
-
-func rowMajorStrides(shape []int) []int {
-	strides := make([]int, len(shape))
-	s := 1
-	for i := len(shape) - 1; i >= 0; i-- {
-		strides[i] = s
-		s *= shape[i]
-	}
-	return strides
 }

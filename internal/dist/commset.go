@@ -2,11 +2,12 @@ package dist
 
 // Communication sets in closed form.
 //
-// In dst[I] = src[J] with J[perm[d]] = I[d], ownership is decided one axis
-// at a time (dim.ownerOf), so the elements one (sender, receiver) pair
-// exchanges are a cross product: along destination dimension d, the indices
-// my grid coordinate owns in my layout and the peer's coordinate owns in
-// its layout. A side holds that split for every destination dimension;
+// In dst[dstOff+I] = src[srcOff+J] with J[perm[d]] = I[d] over a box of I,
+// ownership is decided one axis at a time (dim.ownerOf), so the elements one
+// (sender, receiver) pair exchanges are a cross product: along destination
+// dimension d, the in-box indices my grid coordinate owns in my layout and
+// the peer's coordinate owns, shifted by the offset difference, in its
+// layout. A side holds that split for every destination dimension;
 // copyParts walks one pair's cross product in destination row-major order.
 
 // side is one processor's half of a remap: its local indices along every
@@ -15,9 +16,10 @@ package dist
 type side struct {
 	peer     *Layout
 	peerAxis []int // peer axis of destination dimension d
-	// offs[d] lists my local offsets (local index × local stride) along
-	// destination dimension d, stably sorted by owning peer coordinate; the
-	// ones coordinate c owns end at end[d][c] and start where c-1's end.
+	// offs[d] lists my in-box local offsets (local index × local stride)
+	// along destination dimension d, stably sorted by owning peer
+	// coordinate; the ones coordinate c owns end at end[d][c] and start
+	// where c-1's end.
 	offs, end [][]int
 	// parts is the current peer's part per destination dimension (peerParts
 	// sets it) and idx copyParts' odometer, all zeros between calls.
@@ -27,9 +29,12 @@ type side struct {
 
 // newSide splits rank's local index space (extents shape) of layout me
 // against peer. myAxis[d] and peerAxis[d] are the axes of me and peer that
-// destination dimension d ranges over. The cost is O(Σ local extents + Σ
-// peer grid extents) and three allocations, whatever the peer count.
-func newSide(me *Layout, rank int, shape, myAxis []int, peer *Layout, peerAxis []int) side {
+// destination dimension d ranges over. A nil box takes every index; else
+// only global indices in [myOff[a], myOff[a]+box[d]) count, and the peer's
+// index is mine minus myOff[a] plus peerOff[peerAxis[d]]. The cost is
+// O(Σ local extents + Σ peer grid extents) and three allocations, whatever
+// the peer count.
+func newSide(me *Layout, rank int, shape, myAxis, myOff []int, peer *Layout, peerAxis, peerOff, box []int) side {
 	nd := len(myAxis)
 	n := nd
 	for d, a := range myAxis {
@@ -47,21 +52,31 @@ func newSide(me *Layout, rank int, shape, myAxis []int, peer *Layout, peerAxis [
 		for _, e := range shape[a+1:] {
 			stride *= e
 		}
-		end, offs := ints[:pd.q], ints[pd.q:pd.q+shape[a]]
-		ints = ints[pd.q+shape[a]:]
-		// Counting sort of my local indices by owning peer coordinate.
-		for l := range offs {
-			end[pd.ownerOf(md.globalOf(c, l))]++
+		lo, hi, shift := 0, md.n, 0
+		if box != nil {
+			lo, hi, shift = myOff[a], myOff[a]+box[d], peerOff[peerAxis[d]]-myOff[a]
 		}
+		// Counting sort of my in-box local indices by owning peer coordinate.
+		end, in := ints[:pd.q], 0
+		for l := 0; l < shape[a]; l++ {
+			if g := md.globalOf(c, l); g >= lo && g < hi {
+				end[pd.ownerOf(g+shift)]++
+				in++
+			}
+		}
+		offs := ints[pd.q : pd.q+in]
+		ints = ints[pd.q+shape[a]:]
 		sum := 0
 		for k, cnt := range end {
 			end[k] = sum
 			sum += cnt
 		}
-		for l := range offs {
-			k := pd.ownerOf(md.globalOf(c, l))
-			offs[end[k]] = l * stride
-			end[k]++
+		for l := 0; l < shape[a]; l++ {
+			if g := md.globalOf(c, l); g >= lo && g < hi {
+				k := pd.ownerOf(g + shift)
+				offs[end[k]] = l * stride
+				end[k]++
+			}
 		}
 		s.offs[d], s.end[d] = offs, end
 	}

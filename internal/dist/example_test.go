@@ -31,23 +31,6 @@ func ExampleAssign() {
 	// all messages delivered; 4 processors participated
 }
 
-// ExampleCShift shows the HPF CSHIFT intrinsic on a distributed vector.
-func ExampleCShift() {
-	mach := machine.New(2, sim.Paragon())
-	mach.Run(func(p *machine.Proc) {
-		g := group.World(2)
-		src := dist.New[int64](p, dist.MustLayout(g, []int{6}, []dist.Axis{dist.BlockAxis()}, []int{2}))
-		dst := dist.New[int64](p, dist.MustLayout(g, []int{6}, []dist.Axis{dist.BlockAxis()}, []int{2}))
-		src.FillFunc(func(idx []int) int64 { return int64(idx[0]) })
-		dist.CShift(p, dst, src, 0, 2) // dst[i] = src[(i+2) mod 6]
-		if full := dist.GatherGlobal(p, dst); full != nil {
-			fmt.Println(full)
-		}
-	})
-	// Output:
-	// [2 3 4 5 0 1]
-}
-
 // ExampleNewAligned shows HPF ALIGN: an array aligned at offset 4 into a
 // template is co-located with the template elements it aligns with.
 func ExampleNewAligned() {

@@ -13,12 +13,24 @@ import (
 )
 
 // The per-element reference. refRemapPerm, refGatherGlobal and
-// refScatterGlobal are the bodies remapPerm, GatherGlobal and ScatterGlobal
-// had before communication sets were computed in closed form (commset.go),
-// moved here verbatim together with the helpers they called, so the
-// production tree keeps one path and this file keeps the oracle it is
-// checked against: same destination contents, same messages in the same
-// order at the same virtual times.
+// refScatterGlobal are the bodies remap (then remapPerm), GatherGlobal and
+// ScatterGlobal had before communication sets were computed in closed form
+// (commset.go); refRemap and refCopySection are the per-element Remap and
+// the CopySection built on it, from before CopySection became remap over
+// two boxes. They are moved here verbatim together with the helpers they
+// called, so the production tree keeps one path and this file keeps the
+// oracle it is checked against: same destination contents, same messages
+// in the same order at the same virtual times.
+
+func rowMajorStrides(shape []int) []int {
+	strides := make([]int, len(shape))
+	s := 1
+	for i := len(shape) - 1; i >= 0; i-- {
+		strides[i] = s
+		s *= shape[i]
+	}
+	return strides
+}
 
 func refCoordsOfRank(l *Layout, r int) []int {
 	c := make([]int, len(l.grid))
@@ -207,6 +219,111 @@ func refRemapPerm[T any](p *machine.Proc, dst, src *Array[T], perm []int) {
 	}
 }
 
+// refRemap copies elements of src into dst under an arbitrary (partial) index
+// mapping: for every source index S, mapIdx may fill dst index D (returning
+// true) or skip the element (returning false). It generalizes Assign,
+// Transpose2D and the HPF shift/section operations. Unmapped destination
+// elements are left untouched.
+//
+// Matching protocol: the sender enumerates its own source elements in local
+// row-major order; the receiver reproduces, for every source rank, that
+// rank's enumeration from the layout alone. Both therefore agree on the
+// per-pair element sequence without index headers. The receiver pass costs
+// O(global source size / receivers) per receiver in the worst case; the
+// structured operations below keep sections small where it matters.
+//
+// mapIdx must be deterministic and must not retain its argument slices
+// (they are reused across calls). Participation is minimal: processors
+// owning neither source nor destination return immediately.
+func refRemap[T any](p *machine.Proc, dst, src *Array[T], mapIdx func(srcIdx []int, dstIdx []int) bool) {
+	isSender := src.rank >= 0
+	isReceiver := dst.rank >= 0
+	if !isSender && !isReceiver {
+		return
+	}
+	elemBytes := comm.ElemBytes[T]()
+	myID := p.ID()
+	nd := dst.l.Rank()
+	dstIdx := make([]int, nd)
+
+	if isSender {
+		buckets := make(map[int][]T)
+		src.eachLocal(func(off int, srcIdx []int) {
+			if !mapIdx(srcIdx, dstIdx) {
+				return
+			}
+			r := dst.l.OwnerRank(dstIdx...)
+			if dst.l.g.Phys(r) == myID {
+				// Local path: place immediately (the receiver pass below
+				// skips self pairs).
+				dst.data[dst.l.localOffset(dstIdx, dst.localShape)] = src.data[off]
+				return
+			}
+			buckets[r] = append(buckets[r], src.data[off])
+		})
+		for r := 0; r < dst.l.g.Size(); r++ {
+			if vals := buckets[r]; len(vals) > 0 {
+				p.Send(dst.l.g.Phys(r), vals, len(vals)*elemBytes)
+			}
+		}
+	}
+
+	if isReceiver && len(dst.data) > 0 {
+		var offs []int
+		for s := 0; s < src.l.g.Size(); s++ {
+			if src.l.g.Phys(s) == myID {
+				continue // local path handled on the sender side
+			}
+			// Destination offsets expected from s, in s's enumeration order.
+			offs = offs[:0]
+			src.l.eachLocalOf(s, func(_ int, srcIdx []int) {
+				if mapIdx(srcIdx, dstIdx) && dst.l.OwnerRank(dstIdx...) == dst.rank {
+					offs = append(offs, dst.l.localOffset(dstIdx, dst.localShape))
+				}
+			})
+			if len(offs) == 0 {
+				continue
+			}
+			vals := recvSlice[T](p, src.l.g.Phys(s))
+			if len(vals) != len(offs) {
+				panic(fmt.Sprintf("dist: Remap expected %d elements from rank %d, got %d", len(offs), s, len(vals)))
+			}
+			for i, off := range offs {
+				dst.data[off] = vals[i]
+			}
+		}
+	}
+}
+
+// refCopySection copies the box of the given shape starting at srcOff in src
+// to the box starting at dstOff in dst — the array-section assignment
+// multiblock codes use to exchange block boundaries. Boxes must fit in both
+// arrays.
+func refCopySection[T any](p *machine.Proc, dst *Array[T], dstOff []int, src *Array[T], srcOff, shape []int) {
+	nd := src.l.Rank()
+	if dst.l.Rank() != nd || len(dstOff) != nd || len(srcOff) != nd || len(shape) != nd {
+		panic(fmt.Sprintf("dist: CopySection rank mismatch (src rank %d, dst rank %d, offs %d/%d, shape %d)",
+			nd, dst.l.Rank(), len(srcOff), len(dstOff), len(shape)))
+	}
+	for d := 0; d < nd; d++ {
+		if srcOff[d] < 0 || srcOff[d]+shape[d] > src.l.shape[d] ||
+			dstOff[d] < 0 || dstOff[d]+shape[d] > dst.l.shape[d] || shape[d] <= 0 {
+			panic(fmt.Sprintf("dist: CopySection box out of range: srcOff %v dstOff %v shape %v src %v dst %v",
+				srcOff, dstOff, shape, src.l.shape, dst.l.shape))
+		}
+	}
+	refRemap(p, dst, src, func(srcIdx, dstIdx []int) bool {
+		for d := 0; d < nd; d++ {
+			rel := srcIdx[d] - srcOff[d]
+			if rel < 0 || rel >= shape[d] {
+				return false
+			}
+			dstIdx[d] = dstOff[d] + rel
+		}
+		return true
+	})
+}
+
 func refGatherGlobal[T any](p *machine.Proc, a *Array[T]) []T {
 	if a.rank < 0 {
 		return nil
@@ -288,7 +405,7 @@ type remapOps struct {
 
 var (
 	refOps = remapOps{refRemapPerm[float64], refScatterGlobal[float64], refGatherGlobal[float64]}
-	// newOps reaches remapPerm the way callers do where it can, so the nil
+	// newOps reaches remap the way callers do where it can, so the nil
 	// (identity) perm of Assign is covered too.
 	newOps = remapOps{
 		remap: func(p *machine.Proc, dst, src *Array[float64], perm []int) {
@@ -298,7 +415,7 @@ var (
 			case len(perm) == 2:
 				Transpose2D(p, dst, src)
 			default:
-				remapPerm(p, dst, src, perm)
+				remap(p, dst, nil, src, nil, nil, perm)
 			}
 		},
 		scatter: ScatterGlobal[float64],
@@ -362,35 +479,45 @@ func runOracleCase(c oracleCase, ops remapOps, eng machine.Engine) oracleResult 
 	return res
 }
 
+// matchesOracle reports every way a run of the production code differs from
+// the reference run, and whether they agree.
+func matchesOracle(t *testing.T, where string, got, want oracleResult) bool {
+	t.Helper()
+	ok := true
+	fail := func(format string, args ...any) {
+		t.Errorf(where+": "+format, args...)
+		ok = false
+	}
+	if !reflect.DeepEqual(got.local, want.local) {
+		fail("destination parts differ\n got %v\nwant %v", got.local, want.local)
+	}
+	if !reflect.DeepEqual(got.global, want.global) {
+		fail("gathered destination differs\n got %v\nwant %v", got.global, want.global)
+	}
+	if !reflect.DeepEqual(got.stats, want.stats) {
+		fail("RunStats differ\n got %+v\nwant %+v", got.stats, want.stats)
+	}
+	if len(got.events) != len(want.events) {
+		fail("%d events, reference has %d", len(got.events), len(want.events))
+		return ok
+	}
+	for i := range want.events {
+		if got.events[i] != want.events[i] {
+			fail("event %d differs\n got %+v\nwant %+v", i, got.events[i], want.events[i])
+			break
+		}
+	}
+	return ok
+}
+
 // checkOracleCase requires the reference and the production code to agree
 // on everything under both engines, and the gathered destination to be the
 // permuted source.
 func checkOracleCase(t *testing.T, c oracleCase) {
 	t.Helper()
 	for _, eng := range []machine.Engine{machine.Goroutine(), machine.Coop(1)} {
-		want := runOracleCase(c, refOps, eng)
-		got := runOracleCase(c, newOps, eng)
 		where := fmt.Sprintf("%s under %s", c.name, eng.Name())
-		if !reflect.DeepEqual(got.local, want.local) {
-			t.Errorf("%s: destination parts differ\n got %v\nwant %v", where, got.local, want.local)
-		}
-		if !reflect.DeepEqual(got.global, want.global) {
-			t.Errorf("%s: gathered destination differs\n got %v\nwant %v", where, got.global, want.global)
-		}
-		if !reflect.DeepEqual(got.stats, want.stats) {
-			t.Errorf("%s: RunStats differ\n got %+v\nwant %+v", where, got.stats, want.stats)
-		}
-		if len(got.events) != len(want.events) {
-			t.Errorf("%s: %d events, reference has %d", where, len(got.events), len(want.events))
-		} else {
-			for i := range want.events {
-				if got.events[i] != want.events[i] {
-					t.Errorf("%s: event %d differs\n got %+v\nwant %+v", where, i, got.events[i], want.events[i])
-					break
-				}
-			}
-		}
-		if t.Failed() {
+		if !matchesOracle(t, where, runOracleCase(c, newOps, eng), runOracleCase(c, refOps, eng)) {
 			t.Logf("%s: src %v over %v, dst %v over %v, perm %v", where, c.src(), c.src().g, c.dst(), c.dst().g, c.perm)
 			return
 		}
@@ -561,5 +688,139 @@ func TestRemapOracleNamedCases(t *testing.T) {
 	}
 	for _, c := range cases {
 		checkOracleCase(t, c)
+	}
+}
+
+// sectionCase is one CopySection of the box at srcOff in src to dstOff in
+// dst, on a machine of procs processors.
+type sectionCase struct {
+	name           string
+	procs          int
+	src, dst       func() *Layout
+	srcOff, dstOff []int
+	box            []int
+}
+
+// runSectionCase fills src with its flat index + 1 and dst with minus its
+// flat index + 1 (so untouched elements show), copies the section through
+// copySection and gathers dst.
+func runSectionCase(c sectionCase, eng machine.Engine,
+	copySection func(p *machine.Proc, dst *Array[float64], dstOff []int, src *Array[float64], srcOff, shape []int)) oracleResult {
+	m := testMachine(c.procs)
+	m.SetEngine(eng)
+	var col trace.Collector
+	m.SetTracer(&col)
+	res := oracleResult{local: make([][]float64, c.procs)}
+	res.stats = m.Run(func(p *machine.Proc) {
+		src, dst := New[float64](p, c.src()), New[float64](p, c.dst())
+		fill := func(a *Array[float64], sign float64) {
+			strides := rowMajorStrides(a.l.shape)
+			a.FillFunc(func(idx []int) float64 {
+				flat := 0
+				for d, x := range idx {
+					flat += x * strides[d]
+				}
+				return sign * float64(flat+1)
+			})
+		}
+		fill(src, 1)
+		fill(dst, -1)
+		copySection(p, dst, c.dstOff, src, c.srcOff, c.box)
+		res.local[p.ID()] = append([]float64(nil), dst.data...)
+		if out := GatherGlobal(p, dst); out != nil {
+			res.global = out
+		}
+	})
+	res.events = col.Events()
+	return res
+}
+
+// checkSectionCase requires CopySection to agree with the per-element
+// reference on everything under both engines, and the gathered destination
+// to hold the source box inside its own box and its initial values outside.
+func checkSectionCase(t *testing.T, c sectionCase) {
+	t.Helper()
+	for _, eng := range []machine.Engine{machine.Goroutine(), machine.Coop(1)} {
+		where := fmt.Sprintf("%s under %s", c.name, eng.Name())
+		if !matchesOracle(t, where, runSectionCase(c, eng, CopySection[float64]), runSectionCase(c, eng, refCopySection[float64])) {
+			t.Logf("%s: src %v over %v at %v, dst %v over %v at %v, box %v",
+				where, c.src(), c.src().g, c.srcOff, c.dst(), c.dst().g, c.dstOff, c.box)
+			return
+		}
+	}
+	sl, dl := c.src(), c.dst()
+	got := runSectionCase(c, machine.Coop(1), CopySection[float64]).global
+	sstr := rowMajorStrides(sl.shape)
+	idx := make([]int, dl.Rank())
+	for flat := range got {
+		rem, sflat, in := flat, 0, true
+		for d := dl.Rank() - 1; d >= 0; d-- {
+			idx[d] = rem % dl.shape[d]
+			rem /= dl.shape[d]
+			rel := idx[d] - c.dstOff[d]
+			in = in && rel >= 0 && rel < c.box[d]
+			sflat += (c.srcOff[d] + rel) * sstr[d]
+		}
+		want := -float64(flat + 1)
+		if in {
+			want = float64(sflat + 1)
+		}
+		if got[flat] != want {
+			t.Fatalf("%s: dst%v = %v, want %v", c.name, idx, got[flat], want)
+		}
+	}
+}
+
+// genSectionCase draws one case from rng: a box of rank 1–3, and source and
+// destination shapes drawn independently around it with the box at random
+// offsets in each.
+func genSectionCase(seed int64, i int) sectionCase {
+	rng := rand.New(rand.NewSource(seed*1000 + int64(i)))
+	procs := 2 + rng.Intn(9)
+	nd := 1 + rng.Intn(3)
+	box := make([]int, nd)
+	sshape, dshape := make([]int, nd), make([]int, nd)
+	srcOff, dstOff := make([]int, nd), make([]int, nd)
+	for d := range box {
+		box[d] = 1 + rng.Intn(8)
+		sshape[d], dshape[d] = box[d]+rng.Intn(6), box[d]+rng.Intn(6)
+		srcOff[d], dstOff[d] = rng.Intn(sshape[d]-box[d]+1), rng.Intn(dshape[d]-box[d]+1)
+	}
+	sg, dg, kind := genGroups(rng, procs)
+	sseed, dseed := rng.Int63(), rng.Int63()
+	return sectionCase{
+		name:   fmt.Sprintf("seed %d case %d (%s groups, rank %d)", seed, i, kind, nd),
+		procs:  procs,
+		src:    func() *Layout { return genLayout(rand.New(rand.NewSource(sseed)), sg, sshape) },
+		dst:    func() *Layout { return genLayout(rand.New(rand.NewSource(dseed)), dg, dshape) },
+		srcOff: srcOff, dstOff: dstOff, box: box,
+	}
+}
+
+// TestCopySectionMatchesPerElementOracle: on generated boxes — rank 1–3,
+// every distribution kind, aligned arrays, identical / overlapping /
+// disjoint / shuffled groups, independent source and destination shapes
+// with the box at independent offsets — CopySection leaves the same data,
+// sends the same messages in the same order and finishes at the same
+// virtual times as the per-element Remap it replaced, under both engines.
+// Multiblock's interface-column exchange is pinned as a named case.
+func TestCopySectionMatchesPerElementOracle(t *testing.T) {
+	blockA := func() *Layout { return RowBlock2D(group.MustNew([]int{0, 1}), 6, 8) }
+	blockB := func() *Layout { return RowBlock2D(group.MustNew([]int{2, 3}), 6, 10) }
+	for _, c := range []sectionCase{
+		{name: "multiblock: A's last interior column to B's left halo", procs: 4,
+			src: blockA, dst: blockB, srcOff: []int{0, 6}, dstOff: []int{0, 0}, box: []int{6, 1}},
+		{name: "multiblock: B's first interior column to A's right halo", procs: 4,
+			src: blockB, dst: blockA, srcOff: []int{0, 1}, dstOff: []int{0, 7}, box: []int{6, 1}},
+	} {
+		checkSectionCase(t, c)
+	}
+	for _, seed := range []int64{1, 2, 3, 5, 8} {
+		for i := 0; i < 40; i++ {
+			checkSectionCase(t, genSectionCase(seed, i))
+			if t.Failed() {
+				return
+			}
+		}
 	}
 }

@@ -16,9 +16,8 @@ import (
 //
 // Both arrays must be 1D BLOCK-distributed (local order is then global
 // order). Source and destination may live on different — even disjoint —
-// subgroups; processors in neither group return immediately (and must not
-// call in that case a value is still returned: 0 consistent participation is
-// required of union members only).
+// subgroups. Every member of either group must call it; a processor in
+// neither group may call it too, and gets 0 back without communicating.
 func PackInto[T any](p *machine.Proc, dst, src *Array[T], dstStart int, keep func(T) bool) int {
 	check1DBlock(src.l, "PackInto source")
 	check1DBlock(dst.l, "PackInto destination")

@@ -223,7 +223,8 @@ func (pl *Plan) MessageFault(src, dst int, seq int64) machine.MessageFault {
 	return mf
 }
 
-// SlowFactor implements machine.FaultPlan.
+// SlowFactor returns the processor's compute-slowdown multiplier (1 when
+// the plan leaves it healthy).
 func (pl *Plan) SlowFactor(proc int) float64 {
 	pr := &pl.Prof
 	if pr.SlowProb <= 0 || pl.u01(sSlow, uint64(proc), 0, 0) >= pr.SlowProb {
@@ -232,7 +233,8 @@ func (pl *Plan) SlowFactor(proc int) float64 {
 	return 1 + pl.u01(sSlowAmt, uint64(proc), 0, 0)*(pr.SlowMax-1)
 }
 
-// DeathTime implements machine.FaultPlan.
+// DeathTime returns the virtual time at which the plan kills the processor,
+// if it does.
 func (pl *Plan) DeathTime(proc int) (float64, bool) {
 	pr := &pl.Prof
 	if pr.KillProb <= 0 || pl.u01(sKill, uint64(proc), 0, 0) >= pr.KillProb {
@@ -241,13 +243,9 @@ func (pl *Plan) DeathTime(proc int) (float64, bool) {
 	return pr.KillFrom + pl.u01(sKillAt, uint64(proc), 0, 0)*(pr.KillUntil-pr.KillFrom), true
 }
 
-// ProcFaults implements machine.ProcFaultLister: it visits exactly the
-// processors this plan slows or kills, so Run's fault pre-scan skips the
-// 2n hook probes when the profile touches neither class (delay/dup/drop
-// profiles make the scan O(1)) and otherwise reports only the victims. The
-// underlying draws are the same counter-based hashes SlowFactor and
-// DeathTime perform, so the visited set matches the probe loop decision
-// for decision.
+// ProcFaults implements machine.FaultPlan: it visits exactly the processors
+// SlowFactor or DeathTime afflicts, with their draws. Delay/dup/drop
+// profiles touch neither class, so Run's fault pre-scan is then O(1).
 func (pl *Plan) ProcFaults(n int, visit func(proc int, slow, deathAt float64)) {
 	pr := &pl.Prof
 	if pr.SlowProb <= 0 && pr.KillProb <= 0 {

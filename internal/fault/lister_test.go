@@ -1,20 +1,10 @@
 package fault
 
-import (
-	"testing"
+import "testing"
 
-	"fxpar/internal/machine"
-)
-
-// Plan must satisfy the machine's optional fault pre-scan interface: Run
-// skips the 2n SlowFactor/DeathTime probes when the plan can enumerate its
-// victims directly.
-var _ machine.ProcFaultLister = (*Plan)(nil)
-
-// TestProcFaultsMatchesProbes: for every built-in profile, the lister's
-// visited set must be exactly the processors the probe loop would have
-// recorded something for, with the same draws — the contract the machine's
-// golden cross-check holds fault plans to.
+// TestProcFaultsMatchesProbes: for every built-in profile, ProcFaults must
+// visit exactly the processors SlowFactor or DeathTime afflicts, with the
+// same draws.
 func TestProcFaultsMatchesProbes(t *testing.T) {
 	const n = 512
 	type pf struct{ slow, death float64 }

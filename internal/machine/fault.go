@@ -46,26 +46,16 @@ type FaultPlan interface {
 	// MessageFault returns the perturbation for the seq-th message (0-based,
 	// counted per ordered (src,dst) pair in sender program order).
 	MessageFault(src, dst int, seq int64) MessageFault
-	// SlowFactor returns the processor's compute-slowdown multiplier
-	// (>= 1; values <= 1 mean healthy). It scales all local time: compute,
-	// copies, IO, and send injection overhead — but not wire time.
-	SlowFactor(proc int) float64
-	// DeathTime returns the virtual time at which the processor fails, if
-	// the plan kills it. A dead processor panics with *ProcDeathError at its
-	// first operation at or after that time. Death times must be > 0.
-	DeathTime(proc int) (float64, bool)
-}
-
-// ProcFaultLister is an optional interface a FaultPlan may implement to
-// enumerate its per-processor faults directly. Run prefers it over probing
-// SlowFactor and DeathTime for all n processors: visit is called — in any
-// order, from the Run goroutine only — for each processor the plan actually
-// perturbs, with slow <= 1 meaning no slowdown and deathAt <= 0 meaning no
-// death, so a plan whose profile touches neither hook makes Run's fault
-// pre-scan O(1) instead of O(P). The visited set must be exactly the
-// processors for which the probe loop would have recorded something (the
-// golden cross-check test holds implementations to that).
-type ProcFaultLister interface {
+	// ProcFaults enumerates the per-processor faults of a machine of n
+	// processors: visit is called — in any order, from the Run goroutine
+	// only — for each processor the plan slows or kills, so a plan with
+	// neither class makes Run's fault pre-scan O(1) instead of O(P).
+	//
+	// slow is the compute-slowdown multiplier (<= 1 means none). It scales
+	// all local time: compute, copies, IO, and send injection overhead — but
+	// not wire time. deathAt is the virtual time at which the processor
+	// fails (<= 0 means never); a dead processor panics with
+	// *ProcDeathError at its first operation at or after that time.
 	ProcFaults(n int, visit func(proc int, slow, deathAt float64))
 }
 

@@ -22,16 +22,12 @@ func (s *stubPlan) MessageFault(src, dst int, seq int64) MessageFault {
 	return s.msg(src, dst, seq)
 }
 
-func (s *stubPlan) SlowFactor(proc int) float64 {
-	if f, ok := s.slow[proc]; ok {
-		return f
+func (s *stubPlan) ProcFaults(n int, visit func(proc int, slow, deathAt float64)) {
+	for i := 0; i < n; i++ {
+		if slow, deathAt := s.slow[i], s.death[i]; slow > 0 || deathAt > 0 {
+			visit(i, slow, deathAt)
+		}
 	}
-	return 1
-}
-
-func (s *stubPlan) DeathTime(proc int) (float64, bool) {
-	t, ok := s.death[proc]
-	return t, ok
 }
 
 // TestDelayFaultAddsWireTime: injected delay moves a message's arrival and

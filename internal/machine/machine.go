@@ -1048,33 +1048,20 @@ func (m *Machine) Run(fn func(*Proc)) RunStats {
 	return m.foldStats(procs)
 }
 
-// applyProcFaults sets the per-processor slowdown and death time from the
-// fault plan. A plan that can enumerate its victims (ProcFaultLister) is
-// asked for exactly those — O(victims + plan scan) instead of 2*P hook
-// probes; other plans fall back to the seed probe loop.
+// applyProcFaults sets the per-processor slowdown and death time of the
+// processors the fault plan enumerates.
 func (m *Machine) applyProcFaults(procs []Proc) {
 	if m.faults == nil {
 		return
 	}
-	if fl, ok := m.faults.(ProcFaultLister); ok {
-		fl.ProcFaults(m.n, func(i int, slow, deathAt float64) {
-			if slow > 1 {
-				procs[i].slow = slow
-			}
-			if deathAt > 0 {
-				procs[i].deathAt = deathAt
-			}
-		})
-		return
-	}
-	for i := range procs {
-		if s := m.faults.SlowFactor(i); s > 1 {
-			procs[i].slow = s
+	m.faults.ProcFaults(m.n, func(i int, slow, deathAt float64) {
+		if slow > 1 {
+			procs[i].slow = slow
 		}
-		if t, ok := m.faults.DeathTime(i); ok && t > 0 {
-			procs[i].deathAt = t
+		if deathAt > 0 {
+			procs[i].deathAt = deathAt
 		}
-	}
+	})
 }
 
 // foldStats streams RunStats out of the proc arena with a parallel fold.

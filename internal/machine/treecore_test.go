@@ -17,8 +17,7 @@ import (
 // executors at the same P: the reference is the one-worker coop engine,
 // which runs the processors serially in lowest-clock order, and the
 // goroutine engine and the four-worker coop engine must be byte-identical
-// to it; the fault pre-scan via ProcFaultLister is compared against the
-// probe loop by hiding the lister from the reference run. "Byte-identical"
+// to it, with and without a fault plan. "Byte-identical"
 // means: the same RunStats, the same traced event values (compared after a
 // canonical (proc, seq) sort — arrival order at the tracer is
 // host-dependent, content is not), and the same failure text when a run
@@ -246,16 +245,15 @@ func TestTreeDrainReportMatchesSerial(t *testing.T) {
 	}
 }
 
-// slowTestPlan is an in-package fault plan implementing both FaultPlan and
-// ProcFaultLister: processors congruent to 3 mod 11 run 2.5x slow, some
-// messages are delayed or duplicated, nobody dies. probes counts SlowFactor
-// and DeathTime consultations so the test can assert which pre-scan path Run
-// took.
-type slowTestPlan struct {
-	probes atomic.Int64
+// killTestPlan is an in-package fault plan: processors congruent to 3 mod 11
+// run 2.5x slow, some messages are delayed or duplicated, and the victim
+// dies at its first post-compute operation, so its successor fails with
+// DeadSenderError and Run panics with a two-panic RunError.
+type killTestPlan struct {
+	victim int
 }
 
-func (tp *slowTestPlan) MessageFault(src, dst int, seq int64) MessageFault {
+func (tp *killTestPlan) MessageFault(src, dst int, seq int64) MessageFault {
 	var mf MessageFault
 	if (src+dst+int(seq))%5 == 0 {
 		mf.Delay = 3e-4
@@ -264,72 +262,6 @@ func (tp *slowTestPlan) MessageFault(src, dst int, seq int64) MessageFault {
 		mf.Duplicate = true
 	}
 	return mf
-}
-
-func (tp *slowTestPlan) SlowFactor(proc int) float64 {
-	tp.probes.Add(1)
-	if proc%11 == 3 {
-		return 2.5
-	}
-	return 1
-}
-
-func (tp *slowTestPlan) DeathTime(proc int) (float64, bool) {
-	tp.probes.Add(1)
-	return 0, false
-}
-
-func (tp *slowTestPlan) ProcFaults(n int, visit func(proc int, slow, deathAt float64)) {
-	for i := 3; i < n; i += 11 {
-		visit(i, 2.5, 0)
-	}
-}
-
-// probeOnly hides a plan's ProcFaultLister (embedding the interface promotes
-// only FaultPlan's methods), so Run falls back to the probe loop: the
-// reference the lister path is held to.
-type probeOnly struct{ FaultPlan }
-
-// TestFaultPreScanListerMatchesProbeLoop: a plan that can enumerate its
-// victims must produce exactly the run the 2n-probe loop produces — and Run
-// must actually use the lister (zero probes) when the plan offers one, while
-// the reference, which hides it, probes every processor.
-func TestFaultPreScanListerMatchesProbeLoop(t *testing.T) {
-	for _, n := range []int{5, 64, 257, 1 << 10} {
-		body := ringBody(n)
-		refPlan := &slowTestPlan{}
-		ref := goldenRun(t, Coop(1), n, probeOnly{refPlan}, body)
-		if ref.failure != "" {
-			t.Fatalf("P=%d: reference chaos run failed: %s", n, ref.failure)
-		}
-		if got := refPlan.probes.Load(); got != int64(2*n) {
-			t.Fatalf("P=%d: probe-loop reference made %d hook probes, want %d", n, got, 2*n)
-		}
-		for _, e := range append(treeCheckEngines(), Coop(1)) {
-			plan := &slowTestPlan{}
-			got := goldenRun(t, e, n, plan, body)
-			if p := plan.probes.Load(); p != 0 {
-				t.Errorf("P=%d %s: Run probed the hooks %d times despite the lister", n, e.Name(), p)
-			}
-			compareGolden(t, fmt.Sprintf("P=%d %s lister", n, e.Name()), ref, got)
-		}
-	}
-}
-
-// killTestPlan adds a single death to slowTestPlan: the victim dies at its
-// first post-compute operation, so its successor fails with DeadSenderError
-// and Run panics with a two-panic RunError.
-type killTestPlan struct {
-	slowTestPlan
-	victim int
-}
-
-func (tp *killTestPlan) DeathTime(proc int) (float64, bool) {
-	tp.probes.Add(1)
-	if proc == tp.victim {
-		return 1e-7, true
-	}
-	return 0, false
 }
 
 func (tp *killTestPlan) ProcFaults(n int, visit func(proc int, slow, deathAt float64)) {
@@ -349,13 +281,13 @@ func (tp *killTestPlan) ProcFaults(n int, visit func(proc int, slow, deathAt flo
 
 // TestTreeCoreKillCascadeMatchesSerial: the failure path — death marker,
 // panic capture, RunError aggregation and root-cause ordering — must be
-// byte-identical between every parallel executor (victims enumerated by the
-// lister) and the serial reference (victims found by the probe loop).
+// byte-identical between every parallel executor and the serial reference
+// under the same plan.
 func TestTreeCoreKillCascadeMatchesSerial(t *testing.T) {
 	for _, n := range []int{8, 130, 1 << 10} {
 		plan := func() *killTestPlan { return &killTestPlan{victim: n / 2} }
 		body := ringBody(n)
-		ref := goldenRun(t, Coop(1), n, probeOnly{plan()}, body)
+		ref := goldenRun(t, Coop(1), n, plan(), body)
 		if !strings.Contains(ref.failure, "died at virtual time") {
 			t.Fatalf("P=%d: reference kill run did not fail with a death: %q", n, ref.failure)
 		}

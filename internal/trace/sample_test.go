@@ -197,30 +197,6 @@ func TestSampleSnapshotRendering(t *testing.T) {
 	}
 }
 
-// TestCommMatrixDenseSparseEquivalent: the same event stream produces the
-// same snapshot whether the matrix is below (dense arrays) or above (sparse
-// maps) the dense threshold.
-func TestCommMatrixDenseSparseEquivalent(t *testing.T) {
-	var evs []machine.Event
-	for p := 0; p < 32; p++ {
-		for k := 0; k < 4; k++ {
-			peer := (p + k + 1) % 32
-			evs = append(evs,
-				machine.Event{Proc: p, Kind: machine.EvSend, Peer: peer, Bytes: 64 * (k + 1)},
-				machine.Event{Proc: peer, Kind: machine.EvRecv, Peer: p, Bytes: 64 * (k + 1)})
-		}
-	}
-	dense := NewCommMatrix(commDenseProcs)
-	sparse := NewCommMatrix(commDenseProcs + 1)
-	for _, e := range evs {
-		dense.Record(e)
-		sparse.Record(e)
-	}
-	if d, s := dense.Snapshot(), sparse.Snapshot(); !reflect.DeepEqual(d, s) {
-		t.Fatalf("dense and sparse snapshots differ:\n%v\n%v", d, s)
-	}
-}
-
 // TestCommMatrixMemoryGuardP4096 is the satellite guard: a 4096-processor
 // matrix with a bounded set of active pairs must stay within a few MB of
 // allocation. A dense per-shard array (2*4096 cells per recording shard)

@@ -200,23 +200,14 @@ type commCounts struct {
 	msgsSent, bytesSent, msgsRecvd, bytesRecvd int64
 }
 
-// commDenseProcs is the largest machine for which a recording shard uses a
-// dense per-peer array (two commCounts per possible peer — at 128 procs,
-// ~8KB per active shard) instead of a map. The array is faster to record
-// into; above the threshold only the map path is allowed, keeping total
-// matrix memory O(active pairs) instead of O(P^2) — the property the
-// P=4096 memory guard test pins.
-const commDenseProcs = 128
-
 // commShard holds the matrix cells recorded by one processor: sends keyed by
 // (proc, peer), receive markers keyed by (peer, proc). One pair's sent and
 // received counts may live in different shards (sender's and receiver's);
-// Snapshot merges them. Small machines use the dense array (sends at
-// [peer], receives at [procs+peer]); large ones the sparse map.
+// Snapshot merges them. A map keeps total matrix memory O(active pairs)
+// instead of O(P^2) — the property the P=4096 memory guard test pins.
 type commShard struct {
 	mu    sync.Mutex
 	cells map[[2]int]*commCounts
-	dense []commCounts
 }
 
 // CommMatrix streams the (src, dst) communication matrix — message and byte
@@ -246,22 +237,6 @@ func (m *CommMatrix) Record(e machine.Event) {
 	}
 	sh := &m.shards[e.Proc]
 	sh.mu.Lock()
-	if m.procs <= commDenseProcs {
-		if sh.dense == nil {
-			sh.dense = make([]commCounts, 2*m.procs)
-		}
-		if e.Kind == machine.EvSend {
-			c := &sh.dense[e.Peer]
-			c.msgsSent++
-			c.bytesSent += int64(e.Bytes)
-		} else {
-			c := &sh.dense[m.procs+e.Peer]
-			c.msgsRecvd++
-			c.bytesRecvd += int64(e.Bytes)
-		}
-		sh.mu.Unlock()
-		return
-	}
 	var key [2]int
 	if e.Kind == machine.EvSend {
 		key = [2]int{e.Proc, e.Peer}
@@ -287,10 +262,10 @@ func (m *CommMatrix) Record(e machine.Event) {
 }
 
 // mergeInto folds one shard's cells into the accumulator map.
-func (sh *commShard) mergeInto(procs, owner int, merged map[[2]int]*CommEdge) {
+func (sh *commShard) mergeInto(merged map[[2]int]*CommEdge) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	fold := func(key [2]int, c *commCounts) {
+	for key, c := range sh.cells {
 		e := merged[key]
 		if e == nil {
 			e = &CommEdge{Src: key[0], Dst: key[1]}
@@ -300,20 +275,6 @@ func (sh *commShard) mergeInto(procs, owner int, merged map[[2]int]*CommEdge) {
 		e.BytesSent += c.bytesSent
 		e.MsgsRecvd += c.msgsRecvd
 		e.BytesRecvd += c.bytesRecvd
-	}
-	for peer := range sh.dense {
-		c := &sh.dense[peer]
-		if c.msgsSent == 0 && c.msgsRecvd == 0 && c.bytesSent == 0 && c.bytesRecvd == 0 {
-			continue
-		}
-		if peer < procs {
-			fold([2]int{owner, peer}, c)
-		} else {
-			fold([2]int{peer - procs, owner}, c)
-		}
-	}
-	for key, c := range sh.cells {
-		fold(key, c)
 	}
 }
 
@@ -328,7 +289,7 @@ func (m *CommMatrix) Snapshot() []CommEdge {
 	snapshotRanges(len(m.shards), func(lo, hi int) {
 		part := map[[2]int]*CommEdge{}
 		for i := lo; i < hi; i++ {
-			m.shards[i].mergeInto(m.procs, i, part)
+			m.shards[i].mergeInto(part)
 		}
 		mu.Lock()
 		defer mu.Unlock()
