@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"fxpar/internal/mapping"
 	"fxpar/internal/sweep"
 )
 
@@ -23,6 +25,7 @@ import (
 //	go run ./cmd/fxbench -quick -chaossweep 12 -json internal/experiments/testdata/chaos.golden.json
 //	go run ./cmd/fxbench -whatifsweep -json internal/experiments/testdata/whatif.golden.json
 //	go run ./cmd/fxbench -replaysweep -json internal/experiments/testdata/replay.golden.json
+//	go run ./cmd/fxbench -json internal/experiments/testdata/table1.golden.json
 //
 // The Host* throughput lines the CLI also writes are never compared.
 
@@ -100,6 +103,48 @@ func checkGolden(t *testing.T, golden, report any) {
 	if diffs := leafDiffs(t, golden, report); len(diffs) > 0 {
 		t.Errorf("report deviates from its testdata golden at %d leaf(s):\n  %s",
 			len(diffs), strings.Join(diffs, "\n  "))
+	}
+}
+
+// TestTable1PaperGolden pins paper-size Table 1: every column of the four
+// rows, and the bytes of the cost-table file each row's build files under
+// CacheDir (one FNV-64a per file, named by its content key's hash).
+func TestTable1PaperGolden(t *testing.T) {
+	var golden struct {
+		Procs, Sets int
+		Quick       bool
+		Rows        []Table1Row
+	}
+	readGolden(t, "table1.golden.json", &golden)
+	cfg := DefaultTable1()
+	cfg.CacheDir = t.TempDir()
+	mapping.ResetTableMemo()
+	report := golden
+	report.Rows = Table1(cfg)
+	checkGolden(t, golden, report)
+
+	want := map[string]uint64{
+		"fxtab-ec950aa4d27efd08.json": 0x7c9b92328e7cc74e, // FFT-Hist 256x256
+		"fxtab-74319dea272281b3.json": 0x461be0eda27ac2dd, // FFT-Hist 512x512
+		"fxtab-210a996ec209cb5b.json": 0x37bf1b5d5d0f0739, // Radar 512x40
+		"fxtab-7775e4005f80013b.json": 0xf9a030f117303823, // Stereo 256x240
+	}
+	got := map[string]uint64{}
+	files, err := filepath.Glob(filepath.Join(cfg.CacheDir, "fxtab-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(data)
+		got[filepath.Base(f)] = h.Sum64()
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("cost-table files:\n got %#v\nwant %#v", got, want)
 	}
 }
 
