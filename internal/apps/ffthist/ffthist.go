@@ -44,6 +44,11 @@ type Config struct {
 	// of per-set retention — the scale tier's setting for long streams on
 	// large machines.
 	SketchStats bool
+
+	// charge makes every kernel charge its flops from its local shape and
+	// skip the arithmetic: the same messages and virtual times, no values.
+	// Only the cost-table cells set it (see cells).
+	charge bool
 }
 
 // DefaultConfig returns the 256x256 workload of Table 1 with a short stream.
@@ -146,40 +151,56 @@ func runModule(p *fx.Proc, cfg Config, stages []int, first, stride int,
 
 // inputSet models reading one data set from the sensor stream: rank 0 of g
 // performs the (serial) I/O, generates the transposed data into full (see
-// streams.Frame), and scatters it over the stage-1 array.
-func inputSet(p *fx.Proc, a *dist.Array[complex128], full []complex128, set, n int) {
+// streams.Frame) unless cfg.charge is set, and scatters it over the
+// stage-1 array.
+func inputSet(p *fx.Proc, a *dist.Array[complex128], full []complex128, cfg Config, set int) {
 	if !a.IsMember() {
 		return
 	}
 	if a.Rank() == 0 {
+		n := cfg.N
 		p.IO(n * n * 16)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				// Transposed orientation: local row i holds column i.
-				full[i*n+j] = sample(set, j, i, n)
+		if !cfg.charge {
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					// Transposed orientation: local row i holds column i.
+					full[i*n+j] = sample(set, j, i, n)
+				}
 			}
 		}
 	}
 	dist.ScatterGlobal(p.Proc, a, full)
 }
 
-// fftLocalRows runs forward FFTs over every local row and charges the cost.
-func fftLocalRows(p *fx.Proc, a *dist.Array[complex128]) {
-	if !a.IsMember() || len(a.Local()) == 0 {
+// fftLocalRows runs forward FFTs over every local row, unless charge is set,
+// and charges the cost.
+func fftLocalRows(p *fx.Proc, a *dist.Array[complex128], charge bool) {
+	if !a.IsMember() || a.Layout().LocalCount(a.Rank()) == 0 {
 		return
 	}
-	flops := fft.Rows(a.Local(), a.LocalShape()[1])
-	p.Compute(flops)
+	shape := a.LocalShape()
+	if charge {
+		p.Compute(float64(shape[0]) * fft.Flops(shape[1]))
+		return
+	}
+	p.Compute(fft.Rows(a.Local(), shape[1]))
 }
 
-// histSet computes the distributed histogram of a, reduces it to the
-// group's rank 0, which writes it out and records completion.
+// histSet computes the distributed histogram of a (all zeros under
+// cfg.charge), reduces it to the group's rank 0, which writes it out and
+// records completion.
 func histSet(p *fx.Proc, a *dist.Array[complex128], cfg Config, set int,
 	meter *stats.Stream, record func(int, []int64)) {
 	if !a.IsMember() {
 		return
 	}
-	counts, flops := fft.Histogram(a.Local(), cfg.Bins, histMax(cfg.N))
+	var counts []int64
+	flops := float64(a.Layout().LocalCount(a.Rank())) * fft.HistFlops
+	if cfg.charge {
+		counts = make([]int64, cfg.Bins)
+	} else {
+		counts, flops = fft.Histogram(a.Local(), cfg.Bins, histMax(cfg.N))
+	}
 	p.Compute(flops)
 	g := a.Layout().Group()
 	total := comm.ReduceSlice(p.Proc, g, 0, counts, func(x, y int64) int64 { return x + y })
@@ -204,10 +225,10 @@ func runDataParallel(p *fx.Proc, cfg Config, first, stride int,
 		if aT.Rank() == 0 {
 			meter.Inject(set, p.Now())
 		}
-		inputSet(p, aT, full, set, cfg.N)
-		fftLocalRows(p, aT)             // column FFTs (transposed orientation)
+		inputSet(p, aT, full, cfg, set)
+		fftLocalRows(p, aT, cfg.charge) // column FFTs (transposed orientation)
 		dist.Transpose2D(p.Proc, b, aT) // corner turn
-		fftLocalRows(p, b)              // row FFTs
+		fftLocalRows(p, b, cfg.charge)  // row FFTs
 		histSet(p, b, cfg, set, meter, record)
 	}
 }
@@ -231,11 +252,11 @@ func runPipeline(p *fx.Proc, cfg Config, stages []int, first, stride int,
 				if a1.Rank() == 0 {
 					meter.Inject(set, p.Now())
 				}
-				inputSet(p, a1, full, set, cfg.N)
-				fftLocalRows(p, a1) // cffts
+				inputSet(p, a1, full, cfg, set)
+				fftLocalRows(p, a1, cfg.charge) // cffts
 			}},
 			{Name: "G2", Procs: stages[1], Body: func(set int) {
-				fftLocalRows(p, a2) // rffts
+				fftLocalRows(p, a2, cfg.charge) // rffts
 			}},
 			{Name: "G3", Procs: stages[2], Body: func(set int) {
 				histSet(p, a3, cfg, set, meter, record) // hist

@@ -20,10 +20,10 @@ func stageBody(cfg Config, s int) func(*fx.Proc) {
 		a := dist.New[complex128](px.Proc, dist.RowBlock2D(g, cfg.N, cfg.N))
 		switch s {
 		case 0: // cffts: sensor read + scatter + column FFTs
-			inputSet(px, a, streams.Frame(a), 0, cfg.N)
-			fftLocalRows(px, a)
+			inputSet(px, a, streams.Frame(a), cfg, 0)
+			fftLocalRows(px, a, cfg.charge)
 		case 1: // rffts: row FFTs only
-			fftLocalRows(px, a)
+			fftLocalRows(px, a, cfg.charge)
 		case 2: // hist: histogram + reduction + result write
 			histSet(px, a, cfg, 0, stats.NewStream(), func(int, []int64) {})
 		default:
@@ -40,8 +40,11 @@ func ident(cfg Config) mapping.Ident {
 
 // cells describes FFT-Hist to the cost-table measurer. The simulation is
 // deterministic in virtual time, so every cell is a pure function of
-// (cost, cfg, s, p).
+// (cost, cfg, s, p). A cell reads nothing but virtual time, and every
+// kernel's flop charge is a function of shape, so the cells charge instead
+// of computing.
 func cells(cfg Config) mapping.Cells {
+	cfg.charge = true
 	one := cfg
 	one.Sets = 1
 	return mapping.Cells{

@@ -24,10 +24,10 @@ func stageBody(cfg Config, s int) func(*fx.Proc) {
 			inputSet(px, a0, streams.Frame(a0), cfg, 0)
 		case 1: // fft over the corner-turned rows
 			a1 := dist.New[complex128](px.Proc, dist.RowBlock2D(g, cfg.Rows, cfg.Gates))
-			fftRows(px, a1)
+			fftRows(px, a1, cfg.charge)
 		case 2: // scale
 			a1 := dist.New[complex128](px.Proc, dist.RowBlock2D(g, cfg.Rows, cfg.Gates))
-			scaleLocal(px, a1, cfg.Scale)
+			scaleLocal(px, a1, cfg)
 		case 3: // threshold + reduce + detection write-out
 			a1 := dist.New[complex128](px.Proc, dist.RowBlock2D(g, cfg.Rows, cfg.Gates))
 			// The report I/O is data-dependent (detections found); real data
@@ -53,14 +53,19 @@ func ident(cfg Config) mapping.Ident {
 		Params: fmt.Sprintf("Gates=%d,Rows=%d,Scale=%g,Thr=%g", cfg.Gates, cfg.Rows, cfg.Scale, cfg.Threshold)}
 }
 
-// cells describes the radar program to the cost-table measurer.
+// cells describes the radar program to the cost-table measurer. Its stage
+// cells charge instead of computing (see Config.charge); the threshold
+// stage and the data-parallel cell, whose report I/O counts detections,
+// compute.
 func cells(cfg Config) mapping.Cells {
 	one := cfg
 	one.Sets = 1
+	charged := cfg
+	charged.charge = true
 	return mapping.Cells{
 		Ident: ident(cfg),
 		DPCap: cfg.Rows, // the data-parallel program cannot use more than Rows
-		Stage: func(m *machine.Machine, s int) float64 { return fx.Run(m, stageBody(cfg, s)).MakespanTime() },
+		Stage: func(m *machine.Machine, s int) float64 { return fx.Run(m, stageBody(charged, s)).MakespanTime() },
 		DP:    func(m *machine.Machine) float64 { return Run(m, one, mapping.DataParallel(m.N())).Stream.Latency },
 	}
 }

@@ -36,6 +36,13 @@ type Config struct {
 	Sets      int
 	Scale     float64 // scaling factor applied after the FFTs
 	Threshold float64 // detection threshold
+
+	// charge makes the input, FFT and scale kernels charge their flops from
+	// their local shape and skip the arithmetic: the same messages and
+	// virtual times, no values. Thresholding always computes, since the
+	// report it writes is one record per detection. Only the cost-table
+	// cells set it (see cells).
+	charge bool
 }
 
 // DefaultConfig is the paper's 512x10x4 data set.
@@ -74,6 +81,8 @@ type Result struct {
 	Stream   stats.Result
 	Kept     map[int]int
 	Makespan float64
+	// runStats is the raw per-processor machine statistics of the run.
+	runStats machine.RunStats
 }
 
 // sample generates element (gate, row) of data set s: background noise plus
@@ -116,6 +125,7 @@ func Run(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
 	})
 	res.Stream = meter.Summarize()
 	res.Makespan = runStats.MakespanTime()
+	res.runStats = runStats
 	return res
 }
 
@@ -129,34 +139,45 @@ func runModule(p *fx.Proc, cfg Config, stages []int, first, stride int,
 }
 
 // inputSet reads one gate-major data set into full (see streams.Frame) on
-// rank 0 of a's group and scatters it.
+// rank 0 of a's group, unless cfg.charge is set, and scatters it.
 func inputSet(p *fx.Proc, a *dist.Array[complex128], full []complex128, cfg Config, set int) {
 	if !a.IsMember() {
 		return
 	}
 	if a.Rank() == 0 {
 		p.IO(cfg.Gates * cfg.Rows * 16)
-		for g := 0; g < cfg.Gates; g++ {
-			for r := 0; r < cfg.Rows; r++ {
-				full[g*cfg.Rows+r] = sample(set, g, r, cfg.Gates)
+		if !cfg.charge {
+			for g := 0; g < cfg.Gates; g++ {
+				for r := 0; r < cfg.Rows; r++ {
+					full[g*cfg.Rows+r] = sample(set, g, r, cfg.Gates)
+				}
 			}
 		}
 	}
 	dist.ScatterGlobal(p.Proc, a, full)
 }
 
-func fftRows(p *fx.Proc, a *dist.Array[complex128]) {
-	if !a.IsMember() || len(a.Local()) == 0 {
+func fftRows(p *fx.Proc, a *dist.Array[complex128], charge bool) {
+	if !a.IsMember() || a.Layout().LocalCount(a.Rank()) == 0 {
 		return
 	}
-	p.Compute(fft.Rows(a.Local(), a.LocalShape()[1]))
+	shape := a.LocalShape()
+	if charge {
+		p.Compute(float64(shape[0]) * fft.Flops(shape[1]))
+		return
+	}
+	p.Compute(fft.Rows(a.Local(), shape[1]))
 }
 
-func scaleLocal(p *fx.Proc, a *dist.Array[complex128], s float64) {
+func scaleLocal(p *fx.Proc, a *dist.Array[complex128], cfg Config) {
 	if !a.IsMember() {
 		return
 	}
-	p.Compute(fft.Scale(a.Local(), s))
+	if cfg.charge {
+		p.Compute(float64(a.Layout().LocalCount(a.Rank())) * fft.ScaleFlops)
+		return
+	}
+	p.Compute(fft.Scale(a.Local(), cfg.Scale))
 }
 
 // thresholdAndReport thresholds locally, reduces the detection count to
@@ -195,8 +216,8 @@ func runDataParallel(p *fx.Proc, cfg Config, procs, first, stride int,
 			}
 			inputSet(p, a0, full, cfg, set)
 			dist.Transpose2D(p.Proc, a1, a0) // corner turn
-			fftRows(p, a1)
-			scaleLocal(p, a1, cfg.Scale)
+			fftRows(p, a1, cfg.charge)
+			scaleLocal(p, a1, cfg)
 			thresholdAndReport(p, a1, cfg, set, meter, record)
 		}
 	}
@@ -230,8 +251,8 @@ func runPipeline(p *fx.Proc, cfg Config, stages []int, first, stride int,
 				}
 				inputSet(p, a0, full, cfg, set)
 			}},
-			{Name: "Gfft", Procs: stages[1], Body: func(set int) { fftRows(p, a1) }},
-			{Name: "Gscale", Procs: stages[2], Body: func(set int) { scaleLocal(p, a2, cfg.Scale) }},
+			{Name: "Gfft", Procs: stages[1], Body: func(set int) { fftRows(p, a1, cfg.charge) }},
+			{Name: "Gscale", Procs: stages[2], Body: func(set int) { scaleLocal(p, a2, cfg) }},
 			{Name: "Gthr", Procs: stages[3], Body: func(set int) {
 				thresholdAndReport(p, a3, cfg, set, meter, record)
 			}},

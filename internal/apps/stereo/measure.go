@@ -39,8 +39,11 @@ func ident(cfg Config) mapping.Ident {
 		Params: fmt.Sprintf("W=%d,H=%d,D=%d,Win=%d", cfg.W, cfg.H, cfg.Disparities, cfg.Window)}
 }
 
-// cells describes the stereo program to the cost-table measurer.
+// cells describes the stereo program to the cost-table measurer. A cell
+// reads nothing but virtual time, so its stages charge instead of computing
+// (see Config.charge).
 func cells(cfg Config) mapping.Cells {
+	cfg.charge = true
 	one := cfg
 	one.Sets = 1
 	return mapping.Cells{

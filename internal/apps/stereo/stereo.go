@@ -31,6 +31,12 @@ type Config struct {
 	Disparities int // candidate disparities searched
 	Window      int // half-width of the error window (full window 2w+1)
 	Sets        int
+
+	// charge makes every stage charge its flops from its local shape and
+	// skip the arithmetic: the same messages — the halo exchange sends
+	// same-sized zero buffers — and virtual times, no values. Only the
+	// cost-table cells set it (see cells).
+	charge bool
 }
 
 // DefaultConfig is the paper's 256x240 data set.
@@ -85,6 +91,8 @@ type Result struct {
 	Stream   stats.Result
 	DepthSum map[int]int64
 	Makespan float64
+	// runStats is the raw per-processor machine statistics of the run.
+	runStats machine.RunStats
 }
 
 // Cost constants (flops per pixel) for the three phases.
@@ -131,6 +139,7 @@ func Run(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
 	})
 	res.Stream = meter.Summarize()
 	res.Makespan = runStats.MakespanTime()
+	res.runStats = runStats
 	return res
 }
 
@@ -235,6 +244,7 @@ func newFrames(p *fx.Proc, g *group.Group, cfg Config) *frames {
 
 // diffStage reads the camera images (serial I/O on the stage's rank 0,
 // scattered row-block into in) and computes the SSD difference volume.
+// Under cfg.charge it scatters frames it did not fill and computes nothing.
 func diffStage(p *fx.Proc, vol *dist.Array[float64], in *frames, cfg Config, set int) {
 	if !vol.IsMember() {
 		return
@@ -246,16 +256,18 @@ func diffStage(p *fx.Proc, vol *dist.Array[float64], in *frames, cfg Config, set
 	// out of range replicate the edge. Both are copied out of the reference.
 	if vol.Rank() == 0 {
 		p.IO(3 * cfg.H * w * 8)
-		for i := 0; i < cfg.H; i++ {
-			ref := in.fRef[i*w : (i+1)*w]
-			m1, m2 := in.fM1[i*w:(i+1)*w], in.fM2[i*w:(i+1)*w]
-			for j := range ref {
-				ref[j] = refPixel(set, i, j)
-			}
-			for j := range ref {
-				d := scene(set, i, j, cfg.Disparities)
-				m1[j] = ref[max(j-d, 0)]
-				m2[j] = ref[max(j-2*d, 0)]
+		if !cfg.charge {
+			for i := 0; i < cfg.H; i++ {
+				ref := in.fRef[i*w : (i+1)*w]
+				m1, m2 := in.fM1[i*w:(i+1)*w], in.fM2[i*w:(i+1)*w]
+				for j := range ref {
+					ref[j] = refPixel(set, i, j)
+				}
+				for j := range ref {
+					d := scene(set, i, j, cfg.Disparities)
+					m1[j] = ref[max(j-d, 0)]
+					m2[j] = ref[max(j-2*d, 0)]
+				}
 			}
 		}
 	}
@@ -266,6 +278,11 @@ func diffStage(p *fx.Proc, vol *dist.Array[float64], in *frames, cfg Config, set
 	// vol[d][i][j] = sum over match images m of (ref[i][j-d*m] - match_m[i][j])^2,
 	// following the match geometry above (edge-replicated).
 	localRows := in.ref.LocalShape()[0]
+	flops := float64(cfg.Disparities*localRows*w) * DiffFlops * 2
+	if cfg.charge {
+		p.Compute(flops)
+		return
+	}
 	volLocal := vol.Local()
 	for d := 0; d < cfg.Disparities; d++ {
 		for li := 0; li < localRows; li++ {
@@ -288,7 +305,7 @@ func diffStage(p *fx.Proc, vol *dist.Array[float64], in *frames, cfg Config, set
 			}
 		}
 	}
-	p.Compute(float64(cfg.Disparities*localRows*w) * DiffFlops * 2)
+	p.Compute(flops)
 }
 
 // errorStage replaces each difference value with the sum over a
@@ -309,7 +326,6 @@ func errorStage(p *fx.Proc, vol *dist.Array[float64], cfg Config) {
 	w := cfg.W
 	win := cfg.Window
 	localRows := vol.LocalShape()[1]
-	local := vol.Local()
 	rank := vol.Rank()
 	// BLOCK distribution can leave trailing ranks empty (ceil division);
 	// the non-empty ranks form a contiguous prefix that carries the halo
@@ -327,20 +343,12 @@ func errorStage(p *fx.Proc, vol *dist.Array[float64], cfg Config) {
 		panic(fmt.Sprintf("stereo: interior rank %d holds %d rows < window %d; halo exchange would span several processors", rank, localRows, win))
 	}
 
-	// Horizontal pass: slide the window along each row, through a temp row.
-	tmp := make([]float64, w)
-	for r := 0; r < cfg.Disparities*localRows; r++ {
-		row := local[r*w : (r+1)*w]
-		s := 0.0
-		for k := -win; k <= win; k++ {
-			s += row[clamp(k, 0, w-1)]
-		}
-		tmp[0] = s
-		for j := 1; j < w; j++ {
-			s += row[min(j+win, w-1)] - row[max(j-win-1, 0)]
-			tmp[j] = s
-		}
-		copy(row, tmp)
+	// Under cfg.charge local stays nil: neither pass runs, and the halo
+	// exchange sends same-sized zero buffers.
+	var local, tmp []float64
+	if !cfg.charge {
+		local, tmp = vol.Local(), make([]float64, w)
+		rowSums(local, tmp, win)
 	}
 
 	// Halo exchange: send my top win rows down to rank-1 and bottom win rows
@@ -348,6 +356,9 @@ func errorStage(p *fx.Proc, vol *dist.Array[float64], cfg Config) {
 	rowBytes := w * 8
 	packRows := func(fromTop bool) []float64 {
 		buf := make([]float64, 0, cfg.Disparities*win*w)
+		if local == nil {
+			return buf[:cap(buf)]
+		}
 		for d := 0; d < cfg.Disparities; d++ {
 			for k := 0; k < win; k++ {
 				li := k
@@ -377,16 +388,44 @@ func errorStage(p *fx.Proc, vol *dist.Array[float64], cfg Config) {
 			below = p.Recv(g.Phys(rank + 1)).Data.([]float64)
 		}
 	}
+	if local != nil {
+		columnSums(local, tmp, above, below, cfg)
+	}
+	p.Compute(float64(cfg.Disparities*localRows*w) * ErrorFlops)
+}
+
+// rowSums is the horizontal pass: it slides the window along every
+// len(tmp)-wide row of local, in place, through the temp row tmp.
+func rowSums(local, tmp []float64, win int) {
+	w := len(tmp)
+	for r := 0; r < len(local)/w; r++ {
+		row := local[r*w : (r+1)*w]
+		s := 0.0
+		for k := -win; k <= win; k++ {
+			s += row[clamp(k, 0, w-1)]
+		}
+		tmp[0] = s
+		for j := 1; j < w; j++ {
+			s += row[min(j+win, w-1)] - row[max(j-win-1, 0)]
+			tmp[j] = s
+		}
+		copy(row, tmp)
+	}
+}
+
+// columnSums is the vertical pass: it slides the window down each column of
+// every disparity plane of local, in place, keeping the running sums in sum.
+// above and below hold the neighbours' halo rows (nil at the global edges).
+// Row li is overwritten as soon as its sum is known, so a ring of the last
+// win+1 original rows supplies the rows the sum later drops.
+func columnSums(local, sum, above, below []float64, cfg Config) {
+	w, win := cfg.W, cfg.Window
+	localRows := len(local) / (cfg.Disparities * w)
 	haloRow := func(buf []float64, d, k int) []float64 {
 		off := (d*win + k) * w
 		return buf[off : off+w]
 	}
-
-	// Vertical pass: slide the window down each column, in place. Row li is
-	// overwritten as soon as its sum is known, so a ring of the last win+1
-	// original rows supplies the rows the sum later drops.
 	ring := make([]float64, (win+1)*w)
-	sum := tmp // the horizontal pass's temp row holds the running sums
 	for d := 0; d < cfg.Disparities; d++ {
 		plane := local[d*localRows*w : (d+1)*localRows*w]
 		// orig returns original row t of plane's column, extended by the
@@ -425,7 +464,6 @@ func errorStage(p *fx.Proc, vol *dist.Array[float64], cfg Config) {
 			}
 		}
 	}
-	p.Compute(float64(cfg.Disparities*localRows*w) * ErrorFlops)
 }
 
 func clamp(x, lo, hi int) int {
@@ -439,7 +477,8 @@ func clamp(x, lo, hi int) int {
 }
 
 // depthStage computes the per-pixel argmin over disparities, checksums the
-// depth image, and completes the data set on the stage's rank 0.
+// depth image (0 under cfg.charge, which skips the argmin), and completes
+// the data set on the stage's rank 0.
 func depthStage(p *fx.Proc, vol *dist.Array[float64], depth *dist.Array[int32],
 	cfg Config, set int, meter *stats.Stream, record func(int, int64)) {
 	if !vol.IsMember() {
@@ -447,22 +486,24 @@ func depthStage(p *fx.Proc, vol *dist.Array[float64], depth *dist.Array[int32],
 	}
 	w := cfg.W
 	localRows := vol.LocalShape()[1]
-	local := vol.Local()
 	var sum int64
-	for li := 0; li < localRows; li++ {
-		drow := depth.Local()[li*w : (li+1)*w]
-		for j := 0; j < w; j++ {
-			best := local[li*w+j]
-			bestD := 0
-			for d := 1; d < cfg.Disparities; d++ {
-				v := local[(d*localRows+li)*w+j]
-				if v < best {
-					best = v
-					bestD = d
+	if !cfg.charge {
+		local, dlocal := vol.Local(), depth.Local()
+		for li := 0; li < localRows; li++ {
+			drow := dlocal[li*w : (li+1)*w]
+			for j := 0; j < w; j++ {
+				best := local[li*w+j]
+				bestD := 0
+				for d := 1; d < cfg.Disparities; d++ {
+					v := local[(d*localRows+li)*w+j]
+					if v < best {
+						best = v
+						bestD = d
+					}
 				}
+				drow[j] = int32(bestD)
+				sum += int64(bestD)
 			}
-			drow[j] = int32(bestD)
-			sum += int64(bestD)
 		}
 	}
 	p.Compute(float64(cfg.Disparities*localRows*w) * DepthFlops)

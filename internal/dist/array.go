@@ -17,22 +17,33 @@ type Array[T any] struct {
 	rank int
 	// localShape caches LocalShape(rank); nil for non-members.
 	localShape []int
-	// data is the local part in row-major order of local indices.
+	// data is the local part in row-major order of local indices; nil until
+	// local first touches it.
 	data []T
 }
 
-// New allocates a distributed array with the given layout. Members of the
-// layout's group allocate their local part (zero-valued); other processors
-// get a storage-less descriptor, mirroring the Fx compiler's dynamic
-// allocation in SPMD code.
+// New returns a distributed array with the given layout. It records the
+// layout and allocates nothing: a member's local part is allocated, zeroed,
+// the first time an accessor or a data movement touches it, so an array
+// that is never read or written costs no storage. Other processors get a
+// storage-less descriptor, mirroring the Fx compiler's dynamic allocation in
+// SPMD code.
 func New[T any](p *machine.Proc, l *Layout) *Array[T] {
 	a := &Array[T]{l: l, p: p, rank: -1}
 	if r, ok := l.g.RankOf(p.ID()); ok {
 		a.rank = r
 		a.localShape = l.LocalShape(r)
-		a.data = make([]T, l.LocalCount(r))
 	}
 	return a
+}
+
+// local returns the local part, allocating it on a member's first touch;
+// nil on non-members. Every read or write of the storage goes through it.
+func (a *Array[T]) local() []T {
+	if a.data == nil && a.rank >= 0 {
+		a.data = make([]T, a.l.LocalCount(a.rank))
+	}
+	return a.data
 }
 
 // Layout returns the array's layout.
@@ -46,7 +57,7 @@ func (a *Array[T]) Rank() int { return a.rank }
 
 // Local returns this processor's local part (row-major local order); nil on
 // non-members. Mutating it mutates the array.
-func (a *Array[T]) Local() []T { return a.data }
+func (a *Array[T]) Local() []T { return a.local() }
 
 // LocalShape returns this processor's local extents; nil on non-members.
 func (a *Array[T]) LocalShape() []int { return append([]int(nil), a.localShape...) }
@@ -60,12 +71,12 @@ func (a *Array[T]) Has(idx ...int) bool {
 // not the owner (remote access requires explicit communication, as in any
 // distributed-memory model).
 func (a *Array[T]) At(idx ...int) T {
-	return a.data[a.ownedOffset(idx)]
+	return a.local()[a.ownedOffset(idx)]
 }
 
 // Set stores the element at a global index owned by this processor.
 func (a *Array[T]) Set(v T, idx ...int) {
-	a.data[a.ownedOffset(idx)] = v
+	a.local()[a.ownedOffset(idx)] = v
 }
 
 func (a *Array[T]) ownedOffset(idx []int) int {
@@ -93,8 +104,9 @@ func (a *Array[T]) FillFunc(f func(idx []int) T) {
 	if a.rank < 0 {
 		return
 	}
+	data := a.local()
 	a.eachLocal(func(off int, idx []int) {
-		a.data[off] = f(idx)
+		data[off] = f(idx)
 	})
 }
 
@@ -112,7 +124,7 @@ func (a *Array[T]) LocalRow(r int) []T {
 		panic("dist: LocalRow on non-2D array")
 	}
 	w := a.localShape[1]
-	return a.data[r*w : (r+1)*w]
+	return a.local()[r*w : (r+1)*w]
 }
 
 // NumLocalRows returns the number of local rows of a rank-2 array.

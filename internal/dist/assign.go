@@ -94,9 +94,10 @@ func remap[T any](p *machine.Proc, dst *Array[T], dstOff []int, src *Array[T], s
 		perm = ident
 	}
 	elemBytes := comm.ElemBytes[T]()
+	srcData, dstData := src.local(), dst.local()
 
 	var out side
-	if len(src.data) > 0 {
+	if len(srcData) > 0 {
 		// Every in-box source element has exactly one destination owner, so
 		// what I do not keep I send: one buffer holds every outgoing payload,
 		// and messages go in destination-rank order (determinism).
@@ -115,13 +116,13 @@ func remap[T any](p *machine.Proc, dst *Array[T], dstOff []int, src *Array[T], s
 			if n == 0 || r == dst.rank {
 				continue
 			}
-			copyParts(buf[:n], nil, src.data, out.parts, out.idx)
+			copyParts(buf[:n], nil, srcData, out.parts, out.idx)
 			p.Send(dst.l.g.Phys(r), buf[:n:n], n*elemBytes)
 			buf = buf[n:]
 		}
 	}
 
-	if len(dst.data) > 0 {
+	if len(dstData) > 0 {
 		// Receive from senders in ascending source-rank order. Senders are
 		// distinct physical processors, so per-pair FIFO plus identical
 		// enumeration order guarantees a sender's k-th value is the k-th
@@ -135,14 +136,14 @@ func remap[T any](p *machine.Proc, dst *Array[T], dstOff []int, src *Array[T], s
 			if s == src.rank {
 				// Local copy path (also covers overlapping groups).
 				out.peerParts(dst.rank)
-				copyParts(dst.data, in.parts, src.data, out.parts, in.idx)
+				copyParts(dstData, in.parts, srcData, out.parts, in.idx)
 				continue
 			}
 			vals := recvSlice[T](p, src.l.g.Phys(s))
 			if len(vals) != n {
 				panic(fmt.Sprintf("dist: processor %d expected %d elements from rank %d, got %d", p.ID(), n, s, len(vals)))
 			}
-			copyParts(dst.data, in.parts, vals, nil, in.idx)
+			copyParts(dstData, in.parts, vals, nil, in.idx)
 		}
 	}
 }

@@ -24,7 +24,8 @@ func HaloRows[T any](p *machine.Proc, a *Array[T], h int) (above, below []T) {
 	if h <= 0 {
 		panic(fmt.Sprintf("dist: HaloRows with h=%d", h))
 	}
-	if a.rank < 0 || len(a.data) == 0 {
+	data := a.local()
+	if len(data) == 0 {
 		return nil, nil
 	}
 	w := a.localShape[1]
@@ -61,7 +62,7 @@ func HaloRows[T any](p *machine.Proc, a *Array[T], h int) (above, below []T) {
 				r = rows - h + k
 			}
 			r = clampRow(r)
-			buf = append(buf, a.data[r*w:(r+1)*w]...)
+			buf = append(buf, data[r*w:(r+1)*w]...)
 		}
 		return buf
 	}

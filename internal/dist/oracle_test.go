@@ -74,7 +74,7 @@ func refEachLocal[T any](a *Array[T], visit func(off int, idx []int)) {
 	li := make([]int, nd)
 	gi := make([]int, nd)
 	c := refCoordsOfRank(a.l, a.rank)
-	total := len(a.data)
+	total := len(a.local())
 	for off := 0; off < total; off++ {
 		for d := 0; d < nd; d++ {
 			gi[d] = a.l.dims[d].globalOf(c[d], li[d])
@@ -138,7 +138,7 @@ func refRemapPerm[T any](p *machine.Proc, dst, src *Array[T], perm []int) {
 			total *= e
 		}
 		buckets := make(map[int][]T)
-		if total > 0 && len(src.data) > 0 {
+		if total > 0 && len(src.local()) > 0 {
 			for it := 0; it < total; it++ {
 				for d := 0; d < nd; d++ {
 					sd := perm[d]
@@ -153,7 +153,7 @@ func refRemapPerm[T any](p *machine.Proc, dst, src *Array[T], perm []int) {
 					for sd := 0; sd < nd; sd++ {
 						off = off*src.localShape[sd] + srcLocal[sd]
 					}
-					buckets[dstRank] = append(buckets[dstRank], src.data[off])
+					buckets[dstRank] = append(buckets[dstRank], src.local()[off])
 				}
 				for d := nd - 1; d >= 0; d-- {
 					counters[d]++
@@ -191,7 +191,7 @@ func refRemapPerm[T any](p *machine.Proc, dst, src *Array[T], perm []int) {
 			if src.l.g.Phys(sRank) == myID {
 				// Local copy path (also covers overlapping groups).
 				soff := src.l.localOffset(srcGlobal, src.localShape)
-				dst.data[off] = src.data[soff]
+				dst.local()[off] = src.local()[soff]
 				return
 			}
 			pd := want[sRank]
@@ -213,7 +213,7 @@ func refRemapPerm[T any](p *machine.Proc, dst, src *Array[T], perm []int) {
 				panic(fmt.Sprintf("dist: processor %d expected %d elements from rank %d, got %d", myID, len(offs), s, len(vals)))
 			}
 			for i, off := range offs {
-				dst.data[off] = vals[i]
+				dst.local()[off] = vals[i]
 			}
 		}
 	}
@@ -256,10 +256,10 @@ func refRemap[T any](p *machine.Proc, dst, src *Array[T], mapIdx func(srcIdx []i
 			if dst.l.g.Phys(r) == myID {
 				// Local path: place immediately (the receiver pass below
 				// skips self pairs).
-				dst.data[dst.l.localOffset(dstIdx, dst.localShape)] = src.data[off]
+				dst.local()[dst.l.localOffset(dstIdx, dst.localShape)] = src.local()[off]
 				return
 			}
-			buckets[r] = append(buckets[r], src.data[off])
+			buckets[r] = append(buckets[r], src.local()[off])
 		})
 		for r := 0; r < dst.l.g.Size(); r++ {
 			if vals := buckets[r]; len(vals) > 0 {
@@ -268,7 +268,7 @@ func refRemap[T any](p *machine.Proc, dst, src *Array[T], mapIdx func(srcIdx []i
 		}
 	}
 
-	if isReceiver && len(dst.data) > 0 {
+	if isReceiver && len(dst.local()) > 0 {
 		var offs []int
 		for s := 0; s < src.l.g.Size(); s++ {
 			if src.l.g.Phys(s) == myID {
@@ -289,7 +289,7 @@ func refRemap[T any](p *machine.Proc, dst, src *Array[T], mapIdx func(srcIdx []i
 				panic(fmt.Sprintf("dist: Remap expected %d elements from rank %d, got %d", len(offs), s, len(vals)))
 			}
 			for i, off := range offs {
-				dst.data[off] = vals[i]
+				dst.local()[off] = vals[i]
 			}
 		}
 	}
@@ -330,8 +330,8 @@ func refGatherGlobal[T any](p *machine.Proc, a *Array[T]) []T {
 	}
 	g := a.l.g
 	if a.rank != 0 {
-		if len(a.data) > 0 {
-			p.Send(g.Phys(0), append([]T(nil), a.data...), len(a.data)*comm.ElemBytes[T]())
+		if len(a.local()) > 0 {
+			p.Send(g.Phys(0), append([]T(nil), a.local()...), len(a.local())*comm.ElemBytes[T]())
 		}
 		return nil
 	}
@@ -349,7 +349,7 @@ func refGatherGlobal[T any](p *machine.Proc, a *Array[T]) []T {
 			off++
 		}
 	}
-	place(0, a.data)
+	place(0, a.local())
 	for r := 1; r < g.Size(); r++ {
 		if refLocalCount(a.l, r) == 0 {
 			continue
@@ -384,15 +384,15 @@ func refScatterGlobal[T any](p *machine.Proc, a *Array[T], full []T) {
 				vals[off] = full[flat]
 			}
 			if r == 0 {
-				copy(a.data, vals)
+				copy(a.local(), vals)
 			} else {
 				p.Send(g.Phys(r), vals, cnt*comm.ElemBytes[T]())
 			}
 		}
 		return
 	}
-	if len(a.data) > 0 {
-		copy(a.data, recvSlice[T](p, g.Phys(0)))
+	if len(a.local()) > 0 {
+		copy(a.local(), recvSlice[T](p, g.Phys(0)))
 	}
 }
 
@@ -470,7 +470,7 @@ func runOracleCase(c oracleCase, ops remapOps, eng machine.Engine) oracleResult 
 		}
 		ops.scatter(p, src, full)
 		ops.remap(p, dst, src, c.perm)
-		res.local[p.ID()] = append([]float64(nil), dst.data...)
+		res.local[p.ID()] = append([]float64(nil), dst.local()...)
 		if out := ops.gather(p, dst); out != nil {
 			res.global = out
 		}
@@ -726,7 +726,7 @@ func runSectionCase(c sectionCase, eng machine.Engine,
 		fill(src, 1)
 		fill(dst, -1)
 		copySection(p, dst, c.dstOff, src, c.srcOff, c.box)
-		res.local[p.ID()] = append([]float64(nil), dst.data...)
+		res.local[p.ID()] = append([]float64(nil), dst.local()...)
 		if out := GatherGlobal(p, dst); out != nil {
 			res.global = out
 		}

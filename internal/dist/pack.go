@@ -27,6 +27,7 @@ func PackInto[T any](p *machine.Proc, dst, src *Array[T], dstStart int, keep fun
 		return 0
 	}
 	u := group.Union(src.l.g, dst.l.g)
+	srcData, dstData := src.local(), dst.local()
 
 	// Count kept elements per source rank and share the vector with every
 	// participant: gather to the source group's rank 0, then broadcast over
@@ -36,9 +37,9 @@ func PackInto[T any](p *machine.Proc, dst, src *Array[T], dstStart int, keep fun
 	if isSrc {
 		cnt := 0
 		if keep == nil {
-			cnt = len(src.data)
+			cnt = len(srcData)
 		} else {
-			for _, v := range src.data {
+			for _, v := range srcData {
 				if keep(v) {
 					cnt++
 				}
@@ -72,15 +73,15 @@ func PackInto[T any](p *machine.Proc, dst, src *Array[T], dstStart int, keep fun
 			return
 		}
 		lo := dstDim.localOf(gLo)
-		copy(dst.data[lo:lo+len(vals)], vals)
+		copy(dstData[lo:lo+len(vals)], vals)
 	}
 
 	if isSrc && counts[src.rank] > 0 {
 		kept := make([]T, 0, counts[src.rank])
 		if keep == nil {
-			kept = append(kept, src.data...)
+			kept = append(kept, srcData...)
 		} else {
-			for _, v := range src.data {
+			for _, v := range srcData {
 				if keep(v) {
 					kept = append(kept, v)
 				}
@@ -109,7 +110,7 @@ func PackInto[T any](p *machine.Proc, dst, src *Array[T], dstStart int, keep fun
 		}
 	}
 
-	if isDst && len(dst.data) > 0 {
+	if isDst && len(dstData) > 0 {
 		myLo := dst.rank * dstDim.b
 		myHi := myLo + dstDim.b
 		if myHi > dst.l.shape[0] {
@@ -144,7 +145,8 @@ func CopyRange1D[T any](p *machine.Proc, dst *Array[T], dstStart int, src *Array
 // FillRange1D sets dst[lo:hi) to v; owners fill locally, no communication.
 func FillRange1D[T any](dst *Array[T], lo, hi int, v T) {
 	check1DBlock(dst.l, "FillRange1D destination")
-	if dst.rank < 0 || len(dst.data) == 0 {
+	data := dst.local()
+	if len(data) == 0 {
 		return
 	}
 	d := dst.l.dims[0]
@@ -155,7 +157,7 @@ func FillRange1D[T any](dst *Array[T], lo, hi int, v T) {
 	}
 	lo, hi = max(lo, myLo), min(hi, myHi)
 	for i := lo; i < hi; i++ {
-		dst.data[d.localOf(i)] = v
+		data[d.localOf(i)] = v
 	}
 }
 
