@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"fxpar/internal/apps/barneshut"
 	"fxpar/internal/apps/qsort"
@@ -19,7 +18,6 @@ import (
 	"fxpar/internal/experiments"
 	"fxpar/internal/machine"
 	"fxpar/internal/sim"
-	"fxpar/internal/skeleton"
 )
 
 // benchFile is the machine-readable Table 1 snapshot: enough context to
@@ -46,34 +44,6 @@ func writeJSON(path string, v any) error {
 	return f.Close()
 }
 
-// skeletonsMain implements the standalone -skeletons mode: decode two
-// serialized skeletons (content keys verified) and print the per-span
-// regression attribution. Exit codes: 0 identical, 1 changed, 2 when the
-// diff itself cannot run.
-func skeletonsMain(spec string, stdout, stderr io.Writer) int {
-	basePath, curPath, ok := strings.Cut(spec, ":")
-	if !ok {
-		fmt.Fprintln(stderr, "fxbench: -skeletons wants 'baseline.json:current.json'")
-		return 2
-	}
-	base, err := skeleton.ReadFile(basePath)
-	if err != nil {
-		fmt.Fprintln(stderr, "fxbench:", err)
-		return 2
-	}
-	cur, err := skeleton.ReadFile(curPath)
-	if err != nil {
-		fmt.Fprintln(stderr, "fxbench:", err)
-		return 2
-	}
-	d := skeleton.Diff(base, cur)
-	d.WriteReport(stdout)
-	if d.Identical() {
-		return 0
-	}
-	return 1
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -90,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	chaosSweep := fs.Int("chaossweep", 0, "standalone mode: fan an FFT-Hist chaos scenario across N seeds (derived from the -chaos seed; profile from -chaos, default havoc) and report survival and latency degradation")
 	whatIfSweep := fs.Bool("whatifsweep", false, "standalone mode: capture one FFT-Hist pipeline run as a communication skeleton, re-cost it across a machine-parameter grid and per-span virtual speedups, cross-check against full simulations, and report re-cost vs simulation throughput")
 	replaySweep := fs.Bool("replaysweep", false, "standalone mode: one traced FFT-Hist capture (healthy + chaotic), a machine-parameter campaign answered entirely by analytic replay with bitwise cross-checks against fresh simulations, and a replay-backed mapping search across machine variants")
-	skeletons := fs.String("skeletons", "", "standalone mode: diff two serialized skeletons 'baseline.json:current.json' for regression attribution and exit (0 identical, 1 changed, 2 missing/malformed input)")
 	serveURL := fs.String("serve", "", "client mode: run the Table 1 campaigns against a running fxserve daemon at this base URL instead of simulating locally (with -chaossweep N, the chaos campaign runs remotely too)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -116,12 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, err)
 	}
 	eng, plan := c.Engine, c.Plan
-
-	// Standalone skeleton-diff mode: when a makespan golden moves, this
-	// names the spans and edges that moved.
-	if *skeletons != "" {
-		return skeletonsMain(*skeletons, stdout, stderr)
-	}
 
 	// Client mode: the campaigns run inside an fxserve daemon; this process
 	// only posts requests and renders responses.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -104,4 +105,48 @@ func TestParseStages(t *testing.T) {
 			t.Errorf("parseStages(%q) error = %q, want it to contain %q", b.in, err, b.want)
 		}
 	}
+}
+
+// FuzzParseFactors: no input makes parseFactors panic, and an accepted list
+// is non-empty with every factor finite and positive.
+func FuzzParseFactors(f *testing.F) {
+	for _, seed := range []string{"1.25,1.5,2,4", "0.25,0.5,1,2,4", "", ",", "1,,2", "1e308,1e309", "-0", "NaN", "+Inf", "0x1p-2", " 3 ", "1_000"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := parseFactors(s)
+		if err != nil {
+			return
+		}
+		if len(got) == 0 {
+			t.Fatalf("parseFactors(%q) accepted an empty list", s)
+		}
+		for _, v := range got {
+			if !(v > 0) || math.IsInf(v, 0) {
+				t.Fatalf("parseFactors(%q) accepted %v", s, v)
+			}
+		}
+	})
+}
+
+// FuzzParseStages: no input makes parseStages panic, and an accepted list
+// is non-empty with every stage size positive.
+func FuzzParseStages(f *testing.F) {
+	for _, seed := range []string{"2,2,2", "6", "", ",", "2,,2", "0", "-1", "+3", "99999999999999999999", " 4 , 2 "} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := parseStages(s)
+		if err != nil {
+			return
+		}
+		if len(got) == 0 {
+			t.Fatalf("parseStages(%q) accepted an empty list", s)
+		}
+		for _, v := range got {
+			if v < 1 {
+				t.Fatalf("parseStages(%q) accepted %d", s, v)
+			}
+		}
+	})
 }

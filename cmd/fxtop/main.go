@@ -32,19 +32,23 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// fetch pulls one snapshot from the driver's /snapshot endpoint.
-func fetch(client *http.Client, url string) (sweep.MonitorSnapshot, error) {
+// fetch pulls one snapshot from the driver's /snapshot endpoint, returning
+// it both decoded and as the raw body; any status but 200 is an error.
+func fetch(client *http.Client, url string) (sweep.MonitorSnapshot, []byte, error) {
 	var snap sweep.MonitorSnapshot
 	resp, err := client.Get(url + "/snapshot")
 	if err != nil {
-		return snap, err
+		return snap, nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return snap, fmt.Errorf("%s/snapshot: %s", url, resp.Status)
+		return snap, nil, fmt.Errorf("%s/snapshot: %s", url, resp.Status)
 	}
-	err = json.NewDecoder(resp.Body).Decode(&snap)
-	return snap, err
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return snap, nil, err
+	}
+	return snap, raw, json.Unmarshal(raw, &snap)
 }
 
 // allDone reports whether at least one campaign exists and all are finished.
@@ -69,22 +73,16 @@ func main() {
 
 	client := &http.Client{Timeout: 10 * time.Second}
 
-	if *asJSON {
-		resp, err := client.Get(*url + "/snapshot")
-		if err != nil {
-			fail(err)
-		}
-		defer resp.Body.Close()
-		if _, err := io.Copy(os.Stdout, resp.Body); err != nil {
-			fail(err)
-		}
-		return
-	}
-
 	for {
-		snap, err := fetch(client, *url)
+		snap, raw, err := fetch(client, *url)
 		if err != nil {
 			fail(err)
+		}
+		if *asJSON {
+			if _, err := os.Stdout.Write(raw); err != nil {
+				fail(err)
+			}
+			return
 		}
 		if !*once {
 			// Clear the screen and home the cursor, top(1)-style.

@@ -226,3 +226,25 @@ func TestVictims(t *testing.T) {
 		}
 	}
 }
+
+// FuzzFaultParse: no -chaos spec makes Parse panic, and an accepted plan
+// re-parses from its String() to the same String() — the canonical form
+// /measure keys chaotic runs on.
+func FuzzFaultParse(f *testing.F) {
+	for _, seed := range []string{"", "7", "7:flaky", "42:havoc", "007:kill", "0:none", ":", "7:", ":havoc", "x", "-1", "+7", "18446744073709551616", "7:havoc:extra"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		pl, err := Parse(spec)
+		if err != nil || pl == nil {
+			return
+		}
+		again, err := Parse(pl.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its String() %q is rejected: %v", spec, pl.String(), err)
+		}
+		if again.String() != pl.String() {
+			t.Fatalf("Parse(%q).String() = %q, which re-parses to %q", spec, pl.String(), again.String())
+		}
+	})
+}

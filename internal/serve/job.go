@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
+
+	"fxpar/internal/sweep"
 )
 
 // JobState is a job's position in its lifecycle.
@@ -58,11 +60,13 @@ type Job struct {
 	// run executes the campaign; set by the handler that created the job.
 	run func() ([]byte, error)
 
+	// Changes wakes the job's /events streams on every state change.
+	sweep.Changes
+
 	mu     sync.Mutex
 	state  JobState
 	errMsg string
 	result []byte
-	subs   map[chan struct{}]struct{}
 
 	// dedup counts requests beyond the first that attached to this job.
 	dedup atomic.Int64
@@ -109,7 +113,7 @@ func (j *Job) setRunning() {
 	j.mu.Lock()
 	j.state = JobRunning
 	j.mu.Unlock()
-	j.notify()
+	j.Notify()
 }
 
 // finish records the campaign outcome and wakes every waiter and subscriber.
@@ -121,36 +125,8 @@ func (j *Job) finish(result []byte, err error) {
 		j.state, j.result = JobDone, result
 	}
 	j.mu.Unlock()
-	j.notify()
+	j.Notify()
 	close(j.done)
-}
-
-// subscribe registers a state-change listener (buffered, coalescing), for
-// the per-job SSE stream. The returned cancel func must be called.
-func (j *Job) subscribe() (<-chan struct{}, func()) {
-	ch := make(chan struct{}, 1)
-	j.mu.Lock()
-	if j.subs == nil {
-		j.subs = make(map[chan struct{}]struct{})
-	}
-	j.subs[ch] = struct{}{}
-	j.mu.Unlock()
-	return ch, func() {
-		j.mu.Lock()
-		delete(j.subs, ch)
-		j.mu.Unlock()
-	}
-}
-
-func (j *Job) notify() {
-	j.mu.Lock()
-	for ch := range j.subs {
-		select {
-		case ch <- struct{}{}:
-		default: // already pending; the subscriber will see the latest state
-		}
-	}
-	j.mu.Unlock()
 }
 
 // jobID derives the stable job ID from the content key.

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	"fxpar/internal/cas"
 	"fxpar/internal/experiments"
@@ -440,60 +439,15 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobEvents streams one JobSnapshot JSON frame per state change (SSE,
-// coalesced) plus a heartbeat, ending cleanly — final frame, then EOF —
-// when the job finishes or the server shuts down.
+// coalesced) plus a heartbeat, ending with the final frame and a clean EOF
+// when the job finishes, or between frames when the server shuts down.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.reg.get(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("no such job"))
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-
-	changes, cancel := j.subscribe()
-	defer cancel()
-	heartbeat := time.NewTicker(time.Second)
-	defer heartbeat.Stop()
-
-	send := func() bool {
-		data, err := json.Marshal(j.Snapshot())
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "data: %s\n\n", data); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	if !send() {
-		return
-	}
-	for {
-		select {
-		case <-j.Done():
-			send() // final state, then clean EOF
-			return
-		case <-changes:
-			if !send() {
-				return
-			}
-		case <-heartbeat.C:
-			if !send() {
-				return
-			}
-		case <-s.done:
-			return
-		case <-r.Context().Done():
-			return
-		}
-	}
+	j.ServeEvents(w, r, func() any { return j.Snapshot() }, j.Done(), s.done)
 }
 
 // StatsSnapshot is GET /stats: the serving-layer counters.

@@ -7,9 +7,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"fxpar/internal/serve"
 )
@@ -306,6 +308,92 @@ func TestAsyncAndJobEvents(t *testing.T) {
 	code, _ = get(t, ts.URL, "/jobs/j-nope")
 	if code != http.StatusNotFound {
 		t.Errorf("missing job lookup: %d, want 404", code)
+	}
+}
+
+// TestJobEventsDrainOnClose: closing the server while a client streams a
+// running job's events drains the job, and the stream ends on a frame
+// boundary whose last frame says done. No handler goroutine is left.
+func TestJobEventsDrainOnClose(t *testing.T) {
+	s, err := serve.New(serve.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	before := runtime.NumGoroutine()
+	client := &http.Client{Transport: &http.Transport{}}
+
+	// Paper-size FFT-Hist over a long stream: still running when the client
+	// attaches.
+	body, _ := json.Marshal(map[string]any{"app": "ffthist", "p": 8, "sets": 64, "async": true})
+	resp, err := client.Post(ts.URL+"/measure", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap serve.JobSnapshot
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async submit: %d %v", resp.StatusCode, err)
+	}
+
+	events, err := client.Get(ts.URL + "/jobs/" + snap.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(events.Body)
+	first, err := br.ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(first, `"state":"done"`) {
+		t.Fatalf("job finished before the server closed; first frame %q", first)
+	}
+	s.Close()
+	rest, err := io.ReadAll(br)
+	events.Body.Close()
+	if err != nil {
+		t.Fatalf("stream ended with transport error: %v", err)
+	}
+	stream := first + string(rest)
+	if !strings.HasSuffix(stream, "\n\n") {
+		t.Fatalf("stream truncated mid-frame: %q", stream)
+	}
+	frames := strings.Split(strings.TrimSuffix(stream, "\n\n"), "\n\n")
+	var last serve.JobSnapshot
+	if err := json.Unmarshal([]byte(strings.TrimPrefix(frames[len(frames)-1], "data: ")), &last); err != nil || last.State != "done" {
+		t.Fatalf("last frame %q (%v), want state done", frames[len(frames)-1], err)
+	}
+
+	client.CloseIdleConnections()
+	for deadline := time.Now().Add(3 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before the stream, %d after", before, runtime.NumGoroutine())
+		}
+	}
+}
+
+// TestPanickingCampaignFailsOnlyItsJob: a campaign that panics (a chaos plan
+// that kills the run) fails its own job with a 500, is cached like any
+// failure, and leaves the one-worker pool able to run the next request.
+func TestPanickingCampaignFailsOnlyItsJob(t *testing.T) {
+	s, ts := newTestServer(t, serve.Options{Workers: 1})
+	lethal := map[string]any{"app": "ffthist", "p": 8, "sets": 6, "quick": true, "chaos": "53:kill"}
+	code, first := post(t, ts.URL, "/measure", lethal)
+	if code != http.StatusInternalServerError || !strings.Contains(string(first), "campaign panicked") {
+		t.Fatalf("lethal measure: %d %s, want 500 campaign panicked", code, first)
+	}
+	code, second := post(t, ts.URL, "/measure", lethal)
+	if code != http.StatusInternalServerError || !bytes.Equal(first, second) {
+		t.Errorf("duplicate of the failed job: %d %s, want the same bytes", code, second)
+	}
+	if st := s.Stats(); st.Failed != 1 {
+		t.Errorf("stats after the panic: %+v, want Failed 1", st)
+	}
+	healthy := map[string]any{"app": "ffthist", "p": 8, "sets": 6, "quick": true}
+	if code, out := post(t, ts.URL, "/measure", healthy); code != http.StatusOK {
+		t.Fatalf("request after the panic: %d %s", code, out)
 	}
 }
 

@@ -293,40 +293,6 @@ func TestWriteReadFile(t *testing.T) {
 	}
 }
 
-// TestDiff: identical skeletons diff as identical; a run with more work per
-// set must surface the changed spans, sorted by moved time.
-func TestDiff(t *testing.T) {
-	old, _, _ := smallRun(t)
-	same, _, _ := smallRun(t)
-	if d := skeleton.Diff(old, same); !d.Identical() {
-		var buf bytes.Buffer
-		d.WriteReport(&buf)
-		t.Fatalf("identical runs diff as changed:\n%s", buf.String())
-	}
-
-	cur, _, _ := captureFFTHist(t, sim.Paragon(),
-		ffthist.Config{N: 32, Sets: 8, Bins: 16}, // two more sets
-		mapping.Mapping{Modules: 1, Stages: []int{4, 2, 2}})
-	d := skeleton.Diff(old, cur)
-	if d.Identical() || len(d.Deltas) == 0 {
-		t.Fatal("regressed run diffs as identical")
-	}
-	if d.NewMakespan <= d.OldMakespan {
-		t.Fatalf("more sets should raise the makespan: %v -> %v", d.OldMakespan, d.NewMakespan)
-	}
-	var buf bytes.Buffer
-	d.WriteReport(&buf)
-	out := buf.String()
-	if !strings.Contains(out, "skeleton diff: makespan") || !strings.Contains(out, "spans that moved") {
-		t.Fatalf("diff report malformed:\n%s", out)
-	}
-	for i := 1; i < len(d.Deltas); i++ {
-		if d.Deltas[i-1].Magnitude() < d.Deltas[i].Magnitude() {
-			t.Fatalf("deltas not sorted by moved time: %v", d.Deltas)
-		}
-	}
-}
-
 // TestNetScaleAndSpeedupValidation covers the Params error paths.
 func TestNetScaleAndSpeedupValidation(t *testing.T) {
 	sk, _, _ := smallRun(t)

@@ -10,6 +10,10 @@ package sweep
 // StartMonitor binds a listener, installs the monitor as the process-global
 // campaign observer, and returns the base URL — which the -monitor flag of
 // the experiment drivers prints so fxtop can attach.
+//
+// Changes.ServeEvents is the one SSE writer of the repo: /events here and
+// fxserve's /jobs/{id}/events differ only in the snapshot and in how the
+// stream ends.
 
 import (
 	"context"
@@ -19,6 +23,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"sync"
 	"time"
 )
 
@@ -60,6 +65,55 @@ func (m *Monitor) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (m *Monitor) handleEvents(w http.ResponseWriter, r *http.Request) {
+	m.ServeEvents(w, r, func() any { return m.Snapshot() }, nil, m.done)
+}
+
+// Changes is a coalescing change broadcaster: Notify wakes every live
+// subscriber, and a burst of notifications while a subscriber is busy costs
+// it one wakeup. The zero value is ready; the subscriber set is made on the
+// first subscription, so an unwatched owner's Notify allocates nothing.
+type Changes struct {
+	mu   sync.Mutex
+	subs map[chan struct{}]struct{}
+}
+
+// Notify wakes every subscriber; a wakeup already pending absorbs this one.
+func (c *Changes) Notify() {
+	c.mu.Lock()
+	for ch := range c.subs {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+	c.mu.Unlock()
+}
+
+// subscribe registers a one-slot wakeup channel; the returned func
+// unregisters it.
+func (c *Changes) subscribe() (<-chan struct{}, func()) {
+	ch := make(chan struct{}, 1)
+	c.mu.Lock()
+	if c.subs == nil {
+		c.subs = make(map[chan struct{}]struct{})
+	}
+	c.subs[ch] = struct{}{}
+	c.mu.Unlock()
+	return ch, func() {
+		c.mu.Lock()
+		delete(c.subs, ch)
+		c.mu.Unlock()
+	}
+}
+
+// ServeEvents streams snapshot() as server-sent events: one "data: <json>"
+// frame on connect, one per coalesced Notify and one per 1 s heartbeat.
+// When final closes it writes one last frame and returns, so the client
+// reads the end state and then a clean EOF. When stop closes (the server is
+// shutting down) or the client leaves, it returns between frames, so no
+// client ever sees a truncated data: line and http.Server.Shutdown drains
+// instead of waiting on an endless stream. A nil final never fires.
+func (c *Changes) ServeEvents(w http.ResponseWriter, r *http.Request, snapshot func() any, final, stop <-chan struct{}) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -67,12 +121,12 @@ func (m *Monitor) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
-	ch, cancel := m.subscribe()
+	ch, cancel := c.subscribe()
 	defer cancel()
 	heartbeat := time.NewTicker(time.Second)
 	defer heartbeat.Stop()
 	send := func() bool {
-		js, err := json.Marshal(m.Snapshot())
+		js, err := json.Marshal(snapshot())
 		if err != nil {
 			return false
 		}
@@ -82,23 +136,23 @@ func (m *Monitor) handleEvents(w http.ResponseWriter, r *http.Request) {
 		fl.Flush()
 		return true
 	}
-	if !send() {
-		return
-	}
-	for {
+	for send() {
 		select {
-		case <-r.Context().Done():
-			return
-		case <-m.done:
-			// Monitor shutting down: the stream ends here, between frames,
-			// so the client never sees a truncated data: line. Returning
-			// promptly is what lets http.Server.Shutdown drain instead of
-			// timing out on an infinite stream.
-			return
 		case <-ch:
 		case <-heartbeat.C:
-		}
-		if !send() {
+		case <-final:
+			send()
+			return
+		case <-stop:
+			// A stream whose final state arrived with the stop is still
+			// owed its last frame.
+			select {
+			case <-final:
+				send()
+			default:
+			}
+			return
+		case <-r.Context().Done():
 			return
 		}
 	}

@@ -10,9 +10,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -168,6 +170,174 @@ func TestSlowClientCutOffSSELives(t *testing.T) {
 	}
 	resp.Body.Close()
 	<-streamEnded
+}
+
+// sseStream is one Changes.ServeEvents stream over a real connection, with a
+// call counter as its snapshot. Frames arrive whole on frames, which closes
+// at EOF; err then reports a transport error or a body that ended mid-frame.
+type sseStream struct {
+	Changes
+	final, stop chan struct{}
+	// entered closes when the first snapshot is taken; that snapshot returns
+	// only once release closes.
+	entered, release chan struct{}
+	// frames holds more than a 100-notification burst could yield even
+	// without coalescing, so the reader never blocks on the test.
+	frames chan string
+	err    error
+}
+
+// openStream starts a server and a client on one stream. At the end of the
+// test it closes the client's idle connections and checks that no goroutine
+// of the stream is left.
+func openStream(t *testing.T, hold bool) *sseStream {
+	s := &sseStream{
+		final: make(chan struct{}), stop: make(chan struct{}),
+		entered: make(chan struct{}), release: make(chan struct{}),
+		frames: make(chan string, 256),
+	}
+	if !hold {
+		close(s.release)
+	}
+	var calls atomic.Int64
+	snapshot := func() any {
+		n := calls.Add(1)
+		if n == 1 {
+			close(s.entered)
+			<-s.release
+		}
+		return n
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.ServeEvents(w, r, snapshot, s.final, s.stop)
+	}))
+	before := runtime.NumGoroutine()
+	client := &http.Client{Transport: &http.Transport{}}
+	t.Cleanup(func() {
+		client.CloseIdleConnections()
+		defer ts.Close()
+		defer ts.CloseClientConnections()
+		for deadline := time.Now().Add(3 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+			if runtime.NumGoroutine() <= before {
+				return
+			}
+		}
+		t.Errorf("goroutines leaked: %d before the stream, %d after", before, runtime.NumGoroutine())
+	})
+	go func() {
+		defer close(s.frames)
+		resp, err := client.Get(ts.URL)
+		if err != nil {
+			s.err = err
+			return
+		}
+		defer resp.Body.Close()
+		br := bufio.NewReader(resp.Body)
+		var frame []byte
+		for {
+			line, err := br.ReadString('\n')
+			frame = append(frame, line...)
+			if err != nil {
+				if err != io.EOF || len(frame) > 0 {
+					s.err = fmt.Errorf("stream ended mid-frame after %q: %v", frame, err)
+				}
+				return
+			}
+			if line == "\n" {
+				s.frames <- string(frame)
+				frame = frame[:0]
+			}
+		}
+	}()
+	return s
+}
+
+// next returns the stream's next frame.
+func (s *sseStream) next(t *testing.T) string {
+	t.Helper()
+	select {
+	case f, ok := <-s.frames:
+		if !ok {
+			t.Fatalf("stream ended early: %v", s.err)
+		}
+		return f
+	case <-time.After(5 * time.Second):
+		t.Fatal("no frame within 5 s")
+		return ""
+	}
+}
+
+// rest returns every frame up to EOF, failing on a dirty end.
+func (s *sseStream) rest(t *testing.T) []string {
+	t.Helper()
+	var out []string
+	timeout := time.After(5 * time.Second)
+	for {
+		select {
+		case f, ok := <-s.frames:
+			if !ok {
+				if s.err != nil {
+					t.Fatal(s.err)
+				}
+				return out
+			}
+			out = append(out, f)
+		case <-timeout:
+			t.Fatalf("stream did not end within 5 s (%d frames so far)", len(out))
+		}
+	}
+}
+
+// TestServeEventsEndings holds the one SSE writer to its contract: a burst
+// of notifications coalesces, closing final yields exactly one more frame
+// and then a clean EOF, and closing stop ends the stream between frames with
+// no extra frame. No goroutine of a stream outlives it.
+func TestServeEventsEndings(t *testing.T) {
+	t.Run("coalesce", func(t *testing.T) {
+		s := openStream(t, true)
+		<-s.entered // subscribed, taking the first snapshot
+		for i := 0; i < 100; i++ {
+			s.Notify()
+		}
+		close(s.release)
+		got := []string{s.next(t)}
+		// Everything the burst produces arrives well inside 200 ms; the 1 s
+		// heartbeat may add one frame at most.
+		for quiet := time.After(200 * time.Millisecond); quiet != nil; {
+			select {
+			case f, ok := <-s.frames:
+				if !ok {
+					t.Fatalf("stream ended during the burst: %v", s.err)
+				}
+				got = append(got, f)
+			case <-quiet:
+				quiet = nil
+			}
+		}
+		if len(got) > 3 {
+			t.Errorf("100 notifications yielded %d frames, want at most 3: %q", len(got), got)
+		}
+		close(s.final)
+		s.rest(t)
+	})
+	t.Run("final", func(t *testing.T) {
+		s := openStream(t, false)
+		if f := s.next(t); f != "data: 1\n\n" {
+			t.Fatalf("first frame %q", f)
+		}
+		close(s.final)
+		if rest := s.rest(t); len(rest) != 1 || rest[0] != "data: 2\n\n" {
+			t.Errorf("after final: %q, want exactly one frame \"data: 2\"", rest)
+		}
+	})
+	t.Run("stop", func(t *testing.T) {
+		s := openStream(t, false)
+		s.next(t)
+		close(s.stop)
+		if rest := s.rest(t); len(rest) != 0 {
+			t.Errorf("after stop: %q, want no frame", rest)
+		}
+	})
 }
 
 func tail(b []byte, n int) []byte {

@@ -36,7 +36,7 @@ func (c *Campaign) jobStarted() {
 		return
 	}
 	c.started.Add(1)
-	c.mon.notify()
+	c.mon.Notify()
 }
 
 func (c *Campaign) jobFinished(failed bool) {
@@ -47,7 +47,7 @@ func (c *Campaign) jobFinished(failed bool) {
 		c.failed.Add(1)
 	}
 	c.finished.Add(1)
-	c.mon.notify()
+	c.mon.Notify()
 }
 
 func (c *Campaign) finish() {
@@ -56,7 +56,7 @@ func (c *Campaign) finish() {
 	}
 	c.endNanos.Store(time.Now().UnixNano())
 	c.done.Store(true)
-	c.mon.notify()
+	c.mon.Notify()
 }
 
 // CampaignSnapshot is a point-in-time view of one campaign.
@@ -179,6 +179,8 @@ func SetChaosLabel(plan string) { chaosLabel.Store(&plan) }
 // NewMonitor (or StartMonitor, which also serves it over HTTP) and install
 // with Activate.
 type Monitor struct {
+	Changes // wakes /events streams on every campaign state change
+
 	start time.Time
 
 	closeOnce sync.Once
@@ -187,16 +189,11 @@ type Monitor struct {
 	mu        sync.Mutex
 	campaigns []*Campaign
 	keep      int
-	subs      map[chan struct{}]struct{}
 }
 
 // NewMonitor returns an empty monitor.
 func NewMonitor() *Monitor {
-	return &Monitor{
-		start: time.Now(),
-		done:  make(chan struct{}),
-		subs:  make(map[chan struct{}]struct{}),
-	}
+	return &Monitor{start: time.Now(), done: make(chan struct{})}
 }
 
 // Close marks the monitor as shut down: Done()'s channel closes, which tells
@@ -257,7 +254,7 @@ func (m *Monitor) begin(name string, total int) *Campaign {
 	m.campaigns = append(m.campaigns, c)
 	m.pruneLocked()
 	m.mu.Unlock()
-	m.notify()
+	m.Notify()
 	return c
 }
 
@@ -282,36 +279,6 @@ func (m *Monitor) Snapshot() MonitorSnapshot {
 		out.Campaigns = append(out.Campaigns, c.snapshot(now))
 	}
 	return out
-}
-
-// subscribe returns a channel that receives a (coalesced) tick whenever
-// campaign state changes, plus an unsubscribe func.
-func (m *Monitor) subscribe() (<-chan struct{}, func()) {
-	ch := make(chan struct{}, 1)
-	m.mu.Lock()
-	m.subs[ch] = struct{}{}
-	m.mu.Unlock()
-	return ch, func() {
-		m.mu.Lock()
-		delete(m.subs, ch)
-		m.mu.Unlock()
-	}
-}
-
-// notify wakes subscribers; sends coalesce into the buffered slot, so a
-// burst of job completions costs subscribers one wakeup.
-func (m *Monitor) notify() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	for ch := range m.subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-	m.mu.Unlock()
 }
 
 // active is the process-global monitor MapNamed reports to; nil (the
