@@ -61,7 +61,9 @@ func TestPanicRecorderCapturesAndSorts(t *testing.T) {
 // TestMailboxSteadyStateAllocFree: after the queue has grown to a cycle's
 // depth once, a send/receive cycle through the mailbox reuses the drained
 // backing array instead of allocating — under every engine family, since
-// they all share the one mailbox.
+// they all share the one mailbox. On a 4097-processor machine one processor
+// cycles through 20 peers spread over the machine: every lookup there probes
+// a table that has doubled, and must stay allocation-free too.
 func TestMailboxSteadyStateAllocFree(t *testing.T) {
 	for _, e := range []Engine{Goroutine(), Coop(1), Coop(2)} {
 		t.Run(e.Name(), func(t *testing.T) {
@@ -83,6 +85,32 @@ func TestMailboxSteadyStateAllocFree(t *testing.T) {
 			if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 				t.Errorf("steady-state send/receive cycle allocates %.1f, want 0", allocs)
 			}
+			t.Run("P=4097", func(t *testing.T) {
+				m := New(4097, testCost())
+				m.SetEngine(e)
+				hub := &Proc{m: m, id: 0}
+				peers := make([]*Proc, 20)
+				for i := range peers {
+					peers[i] = &Proc{m: m, id: 1 + 204*i}
+				}
+				cycle := func() {
+					for _, q := range peers {
+						hub.Send(q.id, nil, 8)
+						q.Send(hub.id, nil, 8)
+					}
+					for _, q := range peers {
+						_, okQ := q.TryRecv(hub.id)
+						_, okHub := hub.TryRecv(q.id)
+						if !okQ || !okHub {
+							t.Fatal("deposited message missing")
+						}
+					}
+				}
+				cycle() // warmup: create the 40 pairs
+				if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+					t.Errorf("steady-state 20-peer cycle allocates %.1f, want 0", allocs)
+				}
+			})
 		})
 	}
 }
@@ -101,10 +129,11 @@ func runMallocs(n int) float64 {
 	return float64(after.Mallocs - before.Mallocs)
 }
 
-// TestRunAllocsPerProcFlat: allocations per processor must not grow with P
-// across the sparse-directory regime — the arena proc state, mailbox slabs,
-// inline pair caches, and allocation-free panics bookkeeping exist to make a
-// clean large run cost a flat number of allocations per processor.
+// TestRunAllocsPerProcFlat: allocations per processor must not grow with P —
+// the arena proc state, the per-processor pair tables and their mailbox
+// slabs, the mailbox's inline first buffer, and allocation-free panics
+// bookkeeping exist to make a clean large run cost a flat number of
+// allocations per processor.
 func TestRunAllocsPerProcFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation changes allocation counts")

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"testing"
+	"unsafe"
 )
 
 // TestTryRecvEmitsTraceEvents is the regression test for the TryRecv
@@ -94,45 +95,42 @@ func TestTryRecvMatchesRecvAccounting(t *testing.T) {
 }
 
 // TestLargeMachineConstructionIsLazy guards the lazy-mailbox allocation:
-// constructing a 1024-processor machine must not materialize the ~1M
-// per-ordered-pair mailboxes up front. The directory, per-source registry,
-// and termination slices plus the Machine header itself stay within a
-// handful of O(n) allocations.
+// constructing a machine must not materialize any of its n^2 ordered pairs
+// up front, nor anything per pair. The directory and termination slices plus
+// the Machine header stay within a handful of O(n) allocations at every
+// size, and the directory costs each processor at most 48 bytes.
 func TestLargeMachineConstructionIsLazy(t *testing.T) {
-	allocs := testing.AllocsPerRun(10, func() {
-		_ = New(1024, testCost())
-	})
-	if allocs > 5 {
-		t.Errorf("New(1024) performs %.0f allocations, want <= 5 (mailboxes must be lazy)", allocs)
+	for _, n := range []int{8, 1024, 2049, 65536} {
+		allocs := testing.AllocsPerRun(3, func() {
+			_ = New(n, testCost())
+		})
+		if allocs > 5 {
+			t.Errorf("New(%d) performs %.0f allocations, want <= 5 (mailboxes must be lazy)", n, allocs)
+		}
 	}
-	// Above the dense-directory threshold even the O(n^2) pointer slice is
-	// disallowed: a 65536-processor machine must construct in O(n).
-	allocs = testing.AllocsPerRun(3, func() {
-		_ = New(denseMailProcs+1, testCost())
-	})
-	if allocs > 5 {
-		t.Errorf("New(%d) performs %.0f allocations, want <= 5 (sparse directory must be O(n))",
-			denseMailProcs+1, allocs)
+	if size := unsafe.Sizeof(outbox{}); size > 48 {
+		t.Errorf("per-processor directory state is %d B, want <= 48", size)
 	}
 }
 
 // TestLazyMailboxesMaterializeOnlyUsedPairs checks that after a run touching
-// k ordered pairs, exactly those slots are non-nil.
+// k ordered pairs, exactly those pairs have mailboxes.
 func TestLazyMailboxesMaterializeOnlyUsedPairs(t *testing.T) {
-	m := New(8, testCost())
-	m.Run(func(p *Proc) {
-		n := p.Machine().N()
-		p.Send((p.ID()+1)%n, p.ID(), 8)
-		p.Recv((p.ID() - 1 + n) % n)
-	})
-	live := 0
-	for i := range m.mail {
-		if m.mail[i].Load() != nil {
-			live++
+	for _, n := range []int{8, 2049} {
+		m := New(n, testCost())
+		m.Run(ringBody(n))
+		live := 0
+		for src := 0; src < n; src++ {
+			for _, mb := range liveFrom(m, src) {
+				live++
+				if mb.dst != (src+1)%n {
+					t.Errorf("P=%d: mailbox %d->%d materialized outside the ring", n, src, mb.dst)
+				}
+			}
 		}
-	}
-	if live != 8 {
-		t.Errorf("%d mailboxes materialized for an 8-pair ring, want 8", live)
+		if live != n {
+			t.Errorf("P=%d: %d mailboxes materialized for a %d-pair ring", n, live, n)
+		}
 	}
 }
 

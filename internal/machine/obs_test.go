@@ -155,21 +155,23 @@ func TestNilTracerHotPathNoAllocs(t *testing.T) {
 // TestMailboxReusesCapacity pins the head-index mailbox behaviour: a long
 // alternating send/receive stream must not grow the queue.
 func TestMailboxReusesCapacity(t *testing.T) {
-	m := New(2, testCost())
-	p0 := &Proc{m: m, id: 0}
-	p1 := &Proc{m: m, id: 1}
-	for i := 0; i < 1000; i++ {
-		p0.Send(1, i, 8)
-		got := p1.Recv(0)
-		if got.Data.(int) != i {
-			t.Fatalf("message %d: got %v", i, got.Data)
+	for _, n := range []int{8, 2049} {
+		m := New(n, testCost())
+		p0 := &Proc{m: m, id: 0}
+		p1 := &Proc{m: m, id: 1}
+		for i := 0; i < 1000; i++ {
+			p0.Send(1, i, 8)
+			got := p1.Recv(0)
+			if got.Data.(int) != i {
+				t.Fatalf("P=%d: message %d: got %v", n, i, got.Data)
+			}
 		}
-	}
-	mb := m.mail[1*m.n+0].Load()
-	if mb == nil {
-		t.Fatal("mailbox for pair (1,0) never materialized")
-	}
-	if cap(mb.queue) > 4 {
-		t.Errorf("mailbox capacity grew to %d under alternating traffic", cap(mb.queue))
+		mb := m.out[0].tab.Load().find(1)
+		if mb == nil {
+			t.Fatalf("P=%d: mailbox for pair (0,1) never materialized", n)
+		}
+		if cap(mb.queue) > 4 {
+			t.Errorf("P=%d: mailbox capacity grew to %d under alternating traffic", n, cap(mb.queue))
+		}
 	}
 }

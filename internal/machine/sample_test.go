@@ -148,59 +148,60 @@ func sortEventsForTest(evs []Event) {
 	}
 }
 
-// TestSparseMailboxDirectoryRing exercises the sparse pair directory used
-// above denseMailProcs: a full-machine ring must run, drain, and register
-// exactly the touched pairs in the per-source registry.
+// TestSparseMailboxDirectoryRing: a full-machine ring, on 8 and on 2049
+// processors, must run, drain, deliver
+// each payload, and leave exactly one mailbox in every source's table.
 func TestSparseMailboxDirectoryRing(t *testing.T) {
-	n := denseMailProcs + 1
-	m := New(n, testCost())
-	if m.mail != nil {
-		t.Fatalf("machine of %d procs still uses the dense directory", n)
-	}
-	stats := m.Run(func(p *Proc) {
-		nn := p.Machine().N()
-		p.Send((p.ID()+1)%nn, p.ID(), 8)
-		msg := p.Recv((p.ID() + nn - 1) % nn)
-		if msg.Data.(int) != (p.ID()+nn-1)%nn {
-			panic("wrong payload")
+	for _, n := range []int{8, 2049} {
+		m := New(n, testCost())
+		stats := m.Run(func(p *Proc) {
+			nn := p.Machine().N()
+			p.Send((p.ID()+1)%nn, p.ID(), 8)
+			msg := p.Recv((p.ID() + nn - 1) % nn)
+			if msg.Data.(int) != (p.ID()+nn-1)%nn {
+				panic("wrong payload")
+			}
+		})
+		if len(stats.Procs) != n {
+			t.Fatalf("got %d proc stats, want %d", len(stats.Procs), n)
 		}
-	})
-	if len(stats.Procs) != n {
-		t.Fatalf("got %d proc stats, want %d", len(stats.Procs), n)
-	}
-	for src := 0; src < n; src++ {
-		if got := len(m.mailboxesFrom(src)); got != 1 {
-			t.Fatalf("proc %d registered %d mailboxes, want 1 (ring out-degree)", src, got)
+		for src := 0; src < n; src++ {
+			if got := len(liveFrom(m, src)); got != 1 {
+				t.Fatalf("P=%d: proc %d has %d mailboxes, want 1 (ring out-degree)", n, src, got)
+			}
 		}
 	}
 }
 
-// TestSparseDeadSenderCascades pins the registry-based termination broadcast
-// on a sparse machine: a receiver blocked on a processor that exits without
-// sending must fail with DeadSenderError instead of hanging.
+// TestSparseDeadSenderCascades pins the table-walk termination broadcast: a
+// receiver blocked on a processor that exits without sending must fail with
+// DeadSenderError instead of hanging.
 func TestSparseDeadSenderCascades(t *testing.T) {
-	n := denseMailProcs + 1
-	m := New(n, testCost())
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatalf("run completed; want RunError with DeadSenderError")
-		}
-		re, ok := r.(*RunError)
-		if !ok {
-			t.Fatalf("panic value %T, want *RunError", r)
-		}
-		var dead *DeadSenderError
-		if !errors.As(re, &dead) {
-			t.Fatalf("RunError %v does not wrap DeadSenderError", re)
-		}
-		if dead.Src != 0 {
-			t.Errorf("dead sender = %d, want 0", dead.Src)
-		}
-	}()
-	m.Run(func(p *Proc) {
-		if p.ID() == 1 {
-			p.Recv(0) // proc 0 exits immediately; this must fail, not hang
-		}
-	})
+	for _, n := range []int{8, 2049} {
+		func() {
+			m := New(n, testCost())
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("P=%d: run completed; want RunError with DeadSenderError", n)
+				}
+				re, ok := r.(*RunError)
+				if !ok {
+					t.Fatalf("P=%d: panic value %T, want *RunError", n, r)
+				}
+				var dead *DeadSenderError
+				if !errors.As(re, &dead) {
+					t.Fatalf("P=%d: RunError %v does not wrap DeadSenderError", n, re)
+				}
+				if dead.Src != 0 {
+					t.Errorf("P=%d: dead sender = %d, want 0", n, dead.Src)
+				}
+			}()
+			m.Run(func(p *Proc) {
+				if p.ID() == 1 {
+					p.Recv(0) // proc 0 exits immediately; this must fail, not hang
+				}
+			})
+		}()
+	}
 }
