@@ -47,7 +47,7 @@ type Config struct {
 
 	// charge makes every kernel charge its flops from its local shape and
 	// skip the arithmetic: the same messages and virtual times, no values.
-	// Only the cost-table cells set it (see cells).
+	// Only the cost-table cells and Simulate set it.
 	charge bool
 }
 
@@ -127,8 +127,9 @@ func Run(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
 		histMu <- struct{}{}
 	}
 
+	sizes := mp.ModuleSizes()
 	runStats := fx.Run(mach, func(p *fx.Proc) {
-		streams.RunModules(p, mp.ModuleSizes(), func(p *fx.Proc, module int) {
+		streams.RunModules(p, sizes, func(p *fx.Proc, module int) {
 			runModule(p, cfg, mp.ModuleStages(module), module, mp.Modules, meter, record)
 		})
 	})
@@ -136,6 +137,13 @@ func Run(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
 	res.Makespan = runStats.MakespanTime()
 	res.Stats = runStats
 	return res
+}
+
+// Simulate is Run charging every kernel from shape (see Config.charge): the
+// same Stream, Makespan, Stats and events, zero histograms, no data moved.
+func Simulate(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
+	cfg.charge = true
+	return Run(mach, cfg, mp)
 }
 
 // runModule processes data sets first, first+stride, ... < cfg.Sets on the
@@ -220,7 +228,7 @@ func runDataParallel(p *fx.Proc, cfg Config, first, stride int,
 	// natural row orientation after the corner turn.
 	aT := dist.New[complex128](p.Proc, dist.RowBlock2D(g, cfg.N, cfg.N))
 	b := dist.New[complex128](p.Proc, dist.RowBlock2D(g, cfg.N, cfg.N))
-	full := streams.Frame(aT)
+	full := streams.Frame(aT, cfg.charge)
 	for set := first; set < cfg.Sets; set += stride {
 		if aT.Rank() == 0 {
 			meter.Inject(set, p.Now())
@@ -244,7 +252,7 @@ func runPipeline(p *fx.Proc, cfg Config, stages []int, first, stride int,
 	a1 := dist.New[complex128](p.Proc, dist.RowBlock2D(g1, cfg.N, cfg.N)) // transposed orientation
 	a2 := dist.New[complex128](p.Proc, dist.RowBlock2D(g2, cfg.N, cfg.N))
 	a3 := dist.New[complex128](p.Proc, dist.RowBlock2D(g3, cfg.N, cfg.N))
-	full := streams.Frame(a1)
+	full := streams.Frame(a1, cfg.charge)
 	fx.PipelineLoop(p, fx.PipelineSpec{
 		Sets: cfg.Sets, First: first, Stride: stride,
 		Stages: []fx.Stage{

@@ -20,7 +20,7 @@ func stageBody(cfg Config, s int) func(*fx.Proc) {
 		a := dist.New[complex128](px.Proc, dist.RowBlock2D(g, cfg.N, cfg.N))
 		switch s {
 		case 0: // cffts: sensor read + scatter + column FFTs
-			inputSet(px, a, streams.Frame(a), cfg, 0)
+			inputSet(px, a, streams.Frame(a, cfg.charge), cfg, 0)
 			fftLocalRows(px, a, cfg.charge)
 		case 1: // rffts: row FFTs only
 			fftLocalRows(px, a, cfg.charge)

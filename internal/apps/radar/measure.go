@@ -21,7 +21,7 @@ func stageBody(cfg Config, s int) func(*fx.Proc) {
 		switch s {
 		case 0: // input: serial sensor read + scatter of the gate-major matrix
 			a0 := dist.New[complex128](px.Proc, dist.RowBlock2D(g, cfg.Gates, cfg.Rows))
-			inputSet(px, a0, streams.Frame(a0), cfg, 0)
+			inputSet(px, a0, streams.Frame(a0, cfg.charge), cfg, 0)
 		case 1: // fft over the corner-turned rows
 			a1 := dist.New[complex128](px.Proc, dist.RowBlock2D(g, cfg.Rows, cfg.Gates))
 			fftRows(px, a1, cfg.charge)

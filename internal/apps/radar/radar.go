@@ -118,8 +118,9 @@ func Run(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
 		res.Kept[set] = kept
 		mu <- struct{}{}
 	}
+	sizes := mp.ModuleSizes()
 	runStats := fx.Run(mach, func(p *fx.Proc) {
-		streams.RunModules(p, mp.ModuleSizes(), func(p *fx.Proc, module int) {
+		streams.RunModules(p, sizes, func(p *fx.Proc, module int) {
 			runModule(p, cfg, mp.ModuleStages(module), module, mp.Modules, meter, record)
 		})
 	})
@@ -209,7 +210,7 @@ func runDataParallel(p *fx.Proc, cfg Config, procs, first, stride int,
 		g := p.Group()
 		a0 := dist.New[complex128](p.Proc, dist.RowBlock2D(g, cfg.Gates, cfg.Rows))
 		a1 := dist.New[complex128](p.Proc, dist.RowBlock2D(g, cfg.Rows, cfg.Gates))
-		full := streams.Frame(a0)
+		full := streams.Frame(a0, cfg.charge)
 		for set := first; set < cfg.Sets; set += stride {
 			if a0.Rank() == 0 {
 				meter.Inject(set, p.Now())
@@ -241,7 +242,7 @@ func runPipeline(p *fx.Proc, cfg Config, stages []int, first, stride int,
 	a1 := dist.New[complex128](p.Proc, dist.RowBlock2D(subs[1], cfg.Rows, cfg.Gates))
 	a2 := dist.New[complex128](p.Proc, dist.RowBlock2D(subs[2], cfg.Rows, cfg.Gates))
 	a3 := dist.New[complex128](p.Proc, dist.RowBlock2D(subs[3], cfg.Rows, cfg.Gates))
-	full := streams.Frame(a0)
+	full := streams.Frame(a0, cfg.charge)
 	fx.PipelineLoop(p, fx.PipelineSpec{
 		Sets: cfg.Sets, First: first, Stride: stride,
 		Stages: []fx.Stage{

@@ -37,8 +37,10 @@ type App struct {
 	// memoized under, and Model builds them (see mapping.Cells.Measure).
 	Spec  func(cost sim.CostModel, p int, opt mapping.BuildOptions) mapping.TableSpec
 	Model func(cost sim.CostModel, p int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error)
-	// Run streams the data sets through m under mp; it panics on a mapping
-	// Validate rejects.
+	// Run simulates the stream through m under mp for callers that read only
+	// virtual time: FFT-Hist and stereo charge from shape (ffthist.Simulate,
+	// stereo.Simulate), radar computes (one report record per detection).
+	// It panics on a mapping Validate rejects.
 	Run func(m *machine.Machine, mp mapping.Mapping) Out
 	// Validate checks mp on a p-processor machine: its shape for the
 	// program's stage count and the program's own stage-width caps.
@@ -57,7 +59,7 @@ func FFTHist(cfg ffthist.Config) App {
 			return ffthist.MeasuredModel(cost, cfg, p, opt)
 		},
 		Run: func(m *machine.Machine, mp mapping.Mapping) Out {
-			res := ffthist.Run(m, cfg, mp)
+			res := ffthist.Simulate(m, cfg, mp)
 			return Out{res.Stream, res.Makespan}
 		},
 		// FFT-Hist has no width cap: the shape check for its 3 stages is all.
@@ -101,7 +103,7 @@ func Stereo(cfg stereo.Config) App {
 			return stereo.MeasuredModel(cost, cfg, p, opt)
 		},
 		Run: func(m *machine.Machine, mp mapping.Mapping) Out {
-			res := stereo.Run(m, cfg, mp)
+			res := stereo.Simulate(m, cfg, mp)
 			return Out{res.Stream, res.Makespan}
 		},
 		Validate: func(mp mapping.Mapping, p int) error { return cfg.ValidateMapping(mp, p) },

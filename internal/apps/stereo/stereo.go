@@ -33,9 +33,9 @@ type Config struct {
 	Sets        int
 
 	// charge makes every stage charge its flops from its local shape and
-	// skip the arithmetic: the same messages — the halo exchange sends
-	// same-sized zero buffers — and virtual times, no values. Only the
-	// cost-table cells set it (see cells).
+	// skip the arithmetic: the same messages — nil payloads of the same
+	// byte counts — and virtual times, no values. Only the cost-table cells
+	// and Simulate set it.
 	charge bool
 }
 
@@ -132,8 +132,9 @@ func Run(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
 		res.DepthSum[set] = sum
 		mu <- struct{}{}
 	}
+	sizes := mp.ModuleSizes()
 	runStats := fx.Run(mach, func(p *fx.Proc) {
-		streams.RunModules(p, mp.ModuleSizes(), func(p *fx.Proc, module int) {
+		streams.RunModules(p, sizes, func(p *fx.Proc, module int) {
 			runModule(p, cfg, mp.ModuleStages(module), module, mp.Modules, meter, record)
 		})
 	})
@@ -141,6 +142,13 @@ func Run(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
 	res.Makespan = runStats.MakespanTime()
 	res.runStats = runStats
 	return res
+}
+
+// Simulate is Run charging every stage from shape (see Config.charge): the
+// same Stream, Makespan, statistics and events, zero depth sums, no data.
+func Simulate(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
+	cfg.charge = true
+	return Run(mach, cfg, mp)
 }
 
 // RunCaptureDepth processes data set 0 data-parallel on the whole machine
@@ -238,7 +246,7 @@ func newFrames(p *fx.Proc, g *group.Group, cfg Config) *frames {
 		m1:  dist.New[float64](p.Proc, dist.RowBlock2D(g, cfg.H, cfg.W)),
 		m2:  dist.New[float64](p.Proc, dist.RowBlock2D(g, cfg.H, cfg.W)),
 	}
-	f.fRef, f.fM1, f.fM2 = streams.Frame(f.ref), streams.Frame(f.m1), streams.Frame(f.m2)
+	f.fRef, f.fM1, f.fM2 = streams.Frame(f.ref, cfg.charge), streams.Frame(f.m1, cfg.charge), streams.Frame(f.m2, cfg.charge)
 	return f
 }
 
@@ -344,7 +352,7 @@ func errorStage(p *fx.Proc, vol *dist.Array[float64], cfg Config) {
 	}
 
 	// Under cfg.charge local stays nil: neither pass runs, and the halo
-	// exchange sends same-sized zero buffers.
+	// exchange sends nil payloads of the halos' byte counts.
 	var local, tmp []float64
 	if !cfg.charge {
 		local, tmp = vol.Local(), make([]float64, w)
@@ -355,10 +363,10 @@ func errorStage(p *fx.Proc, vol *dist.Array[float64], cfg Config) {
 	// up to rank+1 (all disparities), then receive the neighbours' halos.
 	rowBytes := w * 8
 	packRows := func(fromTop bool) []float64 {
-		buf := make([]float64, 0, cfg.Disparities*win*w)
 		if local == nil {
-			return buf[:cap(buf)]
+			return nil
 		}
+		buf := make([]float64, 0, cfg.Disparities*win*w)
 		for d := 0; d < cfg.Disparities; d++ {
 			for k := 0; k < win; k++ {
 				li := k

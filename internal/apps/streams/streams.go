@@ -7,8 +7,6 @@ package streams
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"fxpar/internal/dist"
@@ -28,22 +26,18 @@ var partCache struct {
 	m map[partKey]*group.Partition
 }
 
+// partKey names sizes by its backing array, which every processor of a run
+// shares and the key keeps alive, so no other slice can take its address.
 type partKey struct {
 	parent *group.Group
-	sizes  string
+	sizes  *int
+	n      int
 }
 
 // sharedPartition returns the (possibly cached) partition of the current
 // group into module subgroups of the given sizes plus an optional idle tail.
 func sharedPartition(p *fx.Proc, sizes []int, idle int) *group.Partition {
-	var b strings.Builder
-	for i, s := range sizes {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(s))
-	}
-	key := partKey{parent: p.Group(), sizes: b.String()}
+	key := partKey{parent: p.Group(), sizes: &sizes[0], n: len(sizes)}
 	partCache.Lock()
 	defer partCache.Unlock()
 	if part, ok := partCache.m[key]; ok {
@@ -71,7 +65,8 @@ func sharedPartition(p *fx.Proc, sizes []int, idle int) *group.Partition {
 // radar could not exploit), and runs body on each module with its index.
 // With one module and no idle processors the body runs directly on the
 // current group, avoiding a needless partition level. The sizes must be
-// positive and sum to at most the current group size.
+// positive and sum to at most the current group size; processors passing
+// the same slice share one partition (see partCache).
 func RunModules(p *fx.Proc, sizes []int, body func(p *fx.Proc, module int)) {
 	np := p.NumberOfProcessors()
 	modules := len(sizes)
@@ -120,10 +115,10 @@ func Uniform(modules, per int) []int {
 func ModuleName(i int) string { return fmt.Sprintf("mod%d", i) }
 
 // Frame returns the full-size buffer rank 0 of a's group reads a data set
-// into before scattering it over a, and nil on every other processor. A
-// module allocates its frames once and overwrites them for every data set.
-func Frame[T any](a *dist.Array[T]) []T {
-	if a.Rank() != 0 {
+// into before scattering it over a; nil on every other processor and under
+// charge. A module allocates its frames once and overwrites them per set.
+func Frame[T any](a *dist.Array[T], charge bool) []T {
+	if a.Rank() != 0 || charge {
 		return nil
 	}
 	return make([]T, a.Layout().Size())

@@ -94,35 +94,42 @@ func remap[T any](p *machine.Proc, dst *Array[T], dstOff []int, src *Array[T], s
 		perm = ident
 	}
 	elemBytes := comm.ElemBytes[T]()
-	srcData, dstData := src.local(), dst.local()
+	// A part nothing has touched is all zeros: it travels as a nil payload
+	// of the same byte count, and leaves an untouched destination untouched.
+	srcData := src.data
 
 	var out side
-	if len(srcData) > 0 {
+	if src.rank >= 0 && src.l.LocalCount(src.rank) > 0 {
 		// Every in-box source element has exactly one destination owner, so
 		// what I do not keep I send: one buffer holds every outgoing payload,
 		// and messages go in destination-rank order (determinism).
 		out = newSide(src.l, src.rank, src.localShape, perm, srcOff, dst.l, ident, dstOff, box)
-		mine := 0
-		if dst.rank >= 0 {
-			mine = out.peerParts(dst.rank)
+		var buf []T
+		if srcData != nil {
+			total := 1
+			for _, offs := range out.offs {
+				total *= len(offs)
+			}
+			if dst.rank >= 0 {
+				total -= out.peerParts(dst.rank) // mine
+			}
+			buf = make([]T, total)
 		}
-		total := 1
-		for _, offs := range out.offs {
-			total *= len(offs)
-		}
-		buf := make([]T, total-mine)
 		for r, size := 0, dst.l.g.Size(); r < size; r++ {
 			n := out.peerParts(r)
 			if n == 0 || r == dst.rank {
 				continue
 			}
-			copyParts(buf[:n], nil, srcData, out.parts, out.idx)
-			p.Send(dst.l.g.Phys(r), buf[:n:n], n*elemBytes)
-			buf = buf[n:]
+			var msg []T
+			if buf != nil {
+				copyParts(buf[:n], nil, srcData, out.parts, out.idx)
+				msg, buf = buf[:n:n], buf[n:]
+			}
+			p.Send(dst.l.g.Phys(r), msg, n*elemBytes)
 		}
 	}
 
-	if len(dstData) > 0 {
+	if dst.rank >= 0 && dst.l.LocalCount(dst.rank) > 0 {
 		// Receive from senders in ascending source-rank order. Senders are
 		// distinct physical processors, so per-pair FIFO plus identical
 		// enumeration order guarantees a sender's k-th value is the k-th
@@ -133,17 +140,20 @@ func remap[T any](p *machine.Proc, dst *Array[T], dstOff []int, src *Array[T], s
 			if n == 0 {
 				continue
 			}
+			vals, sp := srcData, [][]int(nil)
 			if s == src.rank {
 				// Local copy path (also covers overlapping groups).
 				out.peerParts(dst.rank)
-				copyParts(dstData, in.parts, srcData, out.parts, in.idx)
-				continue
-			}
-			vals := recvSlice[T](p, src.l.g.Phys(s))
-			if len(vals) != n {
+				sp = out.parts
+			} else if vals = recvSlice[T](p, src.l.g.Phys(s)); vals != nil && len(vals) != n {
 				panic(fmt.Sprintf("dist: processor %d expected %d elements from rank %d, got %d", p.ID(), n, s, len(vals)))
 			}
-			copyParts(dstData, in.parts, vals, nil, in.idx)
+			switch {
+			case vals != nil:
+				copyParts(dst.local(), in.parts, vals, sp, in.idx)
+			case dst.data != nil: // zeros into a touched destination
+				copyParts(dst.data, in.parts, make([]T, n), nil, in.idx)
+			}
 		}
 	}
 }
@@ -187,12 +197,13 @@ func GatherGlobal[T any](p *machine.Proc, a *Array[T]) []T {
 }
 
 // ScatterGlobal distributes full (global row-major, significant at the
-// owning group's rank 0) into the array. All members must call it.
+// owning group's rank 0) into the array; a nil full scatters zeros, as
+// untouched parts (see remap). All members must call it.
 func ScatterGlobal[T any](p *machine.Proc, a *Array[T], full []T) {
 	if a.rank < 0 {
 		return
 	}
-	if a.rank == 0 && len(full) != a.l.Size() {
+	if a.rank == 0 && full != nil && len(full) != a.l.Size() {
 		panic(fmt.Sprintf("dist: ScatterGlobal got %d elements for %v", len(full), a.l))
 	}
 	Assign(p, a, rootView(a, full))

@@ -7,7 +7,6 @@ import (
 
 	"fxpar/internal/group"
 	"fxpar/internal/machine"
-	"fxpar/internal/trace"
 )
 
 // TestNewDefersStorage: New on a 2^20-element layout allocates no storage,
@@ -40,45 +39,84 @@ func TestNewDefersStorage(t *testing.T) {
 	})
 }
 
-// TestAssignFromUntouchedArray: assigning from an array nothing has touched
-// moves the same messages at the same virtual times, and leaves the same
-// (zero) destination, as assigning from a touched all-zero one.
-func TestAssignFromUntouchedArray(t *testing.T) {
-	const procs = 4
-	run := func(touch bool, eng machine.Engine) oracleResult {
-		m := testMachine(procs)
-		m.SetEngine(eng)
-		var col trace.Collector
-		m.SetTracer(&col)
-		res := oracleResult{local: make([][]float64, procs)}
-		res.stats = m.Run(func(p *machine.Proc) {
-			g := group.World(procs)
-			src := New[float64](p, RowBlock2D(g.Subrange(0, 2), 6, 8))
-			dst := New[float64](p, ColBlock2D(g.Subrange(1, 4), 6, 8))
-			if touch {
-				src.FillFunc(func([]int) float64 { return 0 })
-			}
-			Assign(p, dst, src)
-			res.local[p.ID()] = append([]float64(nil), dst.Local()...)
-			if out := GatherGlobal(p, dst); out != nil {
-				res.global = out
-			}
-		})
-		res.events = col.Events()
-		return res
+// TestUntouchedArraysMoveAsByteCounts: with the source, the destination or
+// both untouched — no storage, all zeros — Assign, Transpose2D, remap and
+// CopySection (into a destination filled outside the box, which survives)
+// leave the same data, and send the same messages at the same virtual
+// times, as the per-element reference moving real zeros, under both
+// engines. The source stays untouched through ScatterGlobal(nil), and an
+// untouched destination stays without storage.
+func TestUntouchedArraysMoveAsByteCounts(t *testing.T) {
+	world := func(n int) *group.Group { return group.World(n) }
+	remaps := []oracleCase{
+		{name: "row-block to col-block assign", procs: 4,
+			src: func() *Layout { return RowBlock2D(world(4), 8, 8) },
+			dst: func() *Layout { return ColBlock2D(world(4), 8, 8) }, perm: []int{0, 1}},
+		{name: "corner turn onto a disjoint subgroup", procs: 6,
+			src: func() *Layout { return RowBlock2D(world(6).Subrange(0, 2), 9, 5) },
+			dst: func() *Layout { return RowBlock2D(world(6).Subrange(2, 6), 5, 9) }, perm: []int{1, 0}},
+		{name: "corner turn, more processors than rows", procs: 8,
+			src: func() *Layout { return RowBlock2D(world(8), 3, 4) },
+			dst: func() *Layout { return RowBlock2D(world(8), 4, 3) }, perm: []int{1, 0}},
 	}
-	for _, eng := range []machine.Engine{machine.Goroutine(), machine.Coop(1)} {
-		got := run(false, eng)
-		matchesOracle(t, "untouched source under "+eng.Name(), got, run(true, eng))
-		if len(got.global) != 48 {
-			t.Fatalf("gathered %d elements, want 48", len(got.global))
+	sections := []sectionCase{
+		{name: "multiblock interface column", procs: 4,
+			src:    func() *Layout { return RowBlock2D(group.MustNew([]int{0, 1}), 6, 8) },
+			dst:    func() *Layout { return RowBlock2D(group.MustNew([]int{2, 3}), 6, 10) },
+			srcOff: []int{0, 6}, dstOff: []int{0, 0}, box: []int{6, 1}},
+	}
+	for i := 0; i < 12; i++ {
+		remaps = append(remaps, genCase(13, i))
+		sections = append(sections, genSectionCase(13, i))
+	}
+	// untouched -> untouched, untouched -> touched, touched -> untouched
+	for _, tc := range []touch{0, touchDst, touchSrc} {
+		for _, c := range remaps {
+			checkOracleCase(t, c, tc)
 		}
-		for i, v := range got.global {
-			if v != 0 {
-				t.Fatalf("destination element %d is %v", i, v)
-			}
+		for _, c := range sections {
+			checkSectionCase(t, c, tc)
+		}
+		if t.Failed() {
+			return
 		}
 	}
+}
+
+// TestUntouchedTransposeAllocatesNoStorage: the corner turn of an untouched
+// 256x256 complex128 array over 64 processors allocates no element storage
+// — no send buffers, no destination parts. Its communication sets and
+// message headers are those of the same transpose of an int8 array, so the
+// two allocate the same bytes, where storage would differ by 2 MB.
+func TestUntouchedTransposeAllocatesNoStorage(t *testing.T) {
+	const procs, n = 64, 256
+	c128 := transposeUntouched[complex128](t, procs, n)
+	i8 := transposeUntouched[int8](t, procs, n)
+	t.Logf("untouched %dx%d transpose over %d processors: complex128 %d bytes, int8 %d bytes", n, n, procs, c128, i8)
+	if storage := int64(n * n * 16); !raceEnabled && c128-i8 >= storage/4 {
+		t.Errorf("complex128 transpose allocated %d bytes more than int8's; one array's storage is %d", c128-i8, storage)
+	}
+}
+
+// transposeUntouched returns the bytes a Transpose2D between two untouched
+// n-by-n arrays of T over procs processors allocates, and requires both to
+// stay without storage.
+func transposeUntouched[T any](t *testing.T, procs, n int) int64 {
+	m := testMachine(procs)
+	m.SetEngine(machine.Coop(1))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m.Run(func(p *machine.Proc) {
+		g := group.World(procs)
+		a, b := New[T](p, RowBlock2D(g, n, n)), New[T](p, RowBlock2D(g, n, n))
+		Transpose2D(p, b, a)
+		if a.data != nil || b.data != nil {
+			t.Errorf("processor %d: untouched arrays hold storage after the transpose", p.ID())
+		}
+	})
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc - before.TotalAlloc)
 }
 
 // FuzzNewLayout draws NewLayout and NewAligned arguments — shape, axes,

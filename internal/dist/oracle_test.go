@@ -404,7 +404,13 @@ type remapOps struct {
 }
 
 var (
-	refOps = remapOps{refRemapPerm[float64], refScatterGlobal[float64], refGatherGlobal[float64]}
+	// refOps scatters real zeros where the production code scatters nil.
+	refOps = remapOps{refRemapPerm[float64], func(p *machine.Proc, a *Array[float64], full []float64) {
+		if full == nil && a.rank == 0 {
+			full = make([]float64, a.l.Size())
+		}
+		refScatterGlobal(p, a, full)
+	}, refGatherGlobal[float64]}
 	// newOps reaches remap the way callers do where it can, so the nil
 	// (identity) perm of Assign is covered too.
 	newOps = remapOps{
@@ -443,33 +449,62 @@ type oracleCase struct {
 
 // oracleResult is everything a run can show: each processor's destination
 // part, the gathered destination at its rank 0, the trace and the stats.
+// bare, which only the production code is held to, says per processor
+// whether both arrays were still without storage after the copy.
 type oracleResult struct {
 	local  [][]float64
 	global []float64
 	events []machine.Event
 	stats  machine.RunStats
+	bare   []bool
 }
 
-// runOracleCase scatters a global array of distinct values into src,
-// remaps it into dst and gathers dst, all three through ops.
-func runOracleCase(c oracleCase, ops remapOps, eng machine.Engine) oracleResult {
+// touch says which arrays a run fills before the copy. An untouched array
+// holds no storage and reads as zeros, which remap moves as byte counts.
+type touch uint8
+
+const (
+	touchSrc touch = 1 << iota
+	touchDst
+)
+
+// fillFlat sets every element of a to sign × (its flat global index + 1).
+func fillFlat(a *Array[float64], sign float64) {
+	strides := rowMajorStrides(a.l.shape)
+	a.FillFunc(func(idx []int) float64 {
+		flat := 0
+		for d, x := range idx {
+			flat += x * strides[d]
+		}
+		return sign * float64(flat+1)
+	})
+}
+
+// runOracleCase scatters a global array of distinct values (nil: zeros,
+// without touching src) into src, fills dst with negative values if tc says
+// so, remaps src into dst and gathers dst, all through ops.
+func runOracleCase(c oracleCase, ops remapOps, eng machine.Engine, tc touch) oracleResult {
 	m := testMachine(c.procs)
 	m.SetEngine(eng)
 	var col trace.Collector
 	m.SetTracer(&col)
-	res := oracleResult{local: make([][]float64, c.procs)}
+	res := oracleResult{local: make([][]float64, c.procs), bare: make([]bool, c.procs)}
 	res.stats = m.Run(func(p *machine.Proc) {
 		sl, dl := c.src(), c.dst()
 		src, dst := New[float64](p, sl), New[float64](p, dl)
 		var full []float64
-		if src.rank == 0 {
+		if src.rank == 0 && tc&touchSrc != 0 {
 			full = make([]float64, sl.Size())
 			for i := range full {
 				full[i] = float64(i + 1)
 			}
 		}
 		ops.scatter(p, src, full)
+		if tc&touchDst != 0 {
+			fillFlat(dst, -1)
+		}
 		ops.remap(p, dst, src, c.perm)
+		res.bare[p.ID()] = src.data == nil && dst.data == nil
 		res.local[p.ID()] = append([]float64(nil), dst.local()...)
 		if out := ops.gather(p, dst); out != nil {
 			res.global = out
@@ -511,20 +546,22 @@ func matchesOracle(t *testing.T, where string, got, want oracleResult) bool {
 }
 
 // checkOracleCase requires the reference and the production code to agree
-// on everything under both engines, and the gathered destination to be the
-// permuted source.
-func checkOracleCase(t *testing.T, c oracleCase) {
+// on everything under both engines, the gathered destination to be the
+// permuted source, and arrays nothing touched to hold no storage.
+func checkOracleCase(t *testing.T, c oracleCase, tc touch) {
 	t.Helper()
 	for _, eng := range []machine.Engine{machine.Goroutine(), machine.Coop(1)} {
-		where := fmt.Sprintf("%s under %s", c.name, eng.Name())
-		if !matchesOracle(t, where, runOracleCase(c, newOps, eng), runOracleCase(c, refOps, eng)) {
+		where := fmt.Sprintf("%s (touch %d) under %s", c.name, tc, eng.Name())
+		got := runOracleCase(c, newOps, eng, tc)
+		if !matchesOracle(t, where, got, runOracleCase(c, refOps, eng, tc)) {
 			t.Logf("%s: src %v over %v, dst %v over %v, perm %v", where, c.src(), c.src().g, c.dst(), c.dst().g, c.perm)
 			return
 		}
+		checkBare(t, where, got, tc)
 	}
 	// The reference agrees with itself; pin it to the specification once.
 	sl, dl := c.src(), c.dst()
-	got := runOracleCase(c, newOps, machine.Coop(1)).global
+	got := runOracleCase(c, newOps, machine.Coop(1), tc).global
 	sstr := rowMajorStrides(sl.shape)
 	idx := make([]int, dl.Rank())
 	for flat := range got {
@@ -534,8 +571,23 @@ func checkOracleCase(t *testing.T, c oracleCase) {
 			rem /= dl.shape[d]
 			sflat += idx[d] * sstr[c.perm[d]]
 		}
-		if got[flat] != float64(sflat+1) {
-			t.Fatalf("%s: dst%v = %v, want src element %d", c.name, idx, got[flat], sflat+1)
+		want := float64(sflat + 1)
+		if tc&touchSrc == 0 {
+			want = 0
+		}
+		if got[flat] != want {
+			t.Fatalf("%s: dst%v = %v, want %v", c.name, idx, got[flat], want)
+		}
+	}
+}
+
+// checkBare requires a run that touched neither array to leave both without
+// storage on every processor.
+func checkBare(t *testing.T, where string, got oracleResult, tc touch) {
+	t.Helper()
+	for id, bare := range got.bare {
+		if tc == 0 && !bare {
+			t.Fatalf("%s: processor %d allocated storage for untouched arrays", where, id)
 		}
 	}
 }
@@ -654,7 +706,7 @@ func genCase(seed int64, i int) oracleCase {
 func TestRemapMatchesPerElementOracle(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 5, 8} {
 		for i := 0; i < 40; i++ {
-			checkOracleCase(t, genCase(seed, i))
+			checkOracleCase(t, genCase(seed, i), touchSrc)
 			if t.Failed() {
 				return
 			}
@@ -687,7 +739,7 @@ func TestRemapOracleNamedCases(t *testing.T) {
 			dst: func() *Layout { return MustLayout(world(4), []int{10}, []Axis{BlockCyclicAxis(3)}, []int{4}) }, perm: []int{0}},
 	}
 	for _, c := range cases {
-		checkOracleCase(t, c)
+		checkOracleCase(t, c, touchSrc)
 	}
 }
 
@@ -702,30 +754,25 @@ type sectionCase struct {
 }
 
 // runSectionCase fills src with its flat index + 1 and dst with minus its
-// flat index + 1 (so untouched elements show), copies the section through
-// copySection and gathers dst.
-func runSectionCase(c sectionCase, eng machine.Engine,
+// flat index + 1 (so elements outside the box show), each if tc says so,
+// copies the section through copySection and gathers dst.
+func runSectionCase(c sectionCase, eng machine.Engine, tc touch,
 	copySection func(p *machine.Proc, dst *Array[float64], dstOff []int, src *Array[float64], srcOff, shape []int)) oracleResult {
 	m := testMachine(c.procs)
 	m.SetEngine(eng)
 	var col trace.Collector
 	m.SetTracer(&col)
-	res := oracleResult{local: make([][]float64, c.procs)}
+	res := oracleResult{local: make([][]float64, c.procs), bare: make([]bool, c.procs)}
 	res.stats = m.Run(func(p *machine.Proc) {
 		src, dst := New[float64](p, c.src()), New[float64](p, c.dst())
-		fill := func(a *Array[float64], sign float64) {
-			strides := rowMajorStrides(a.l.shape)
-			a.FillFunc(func(idx []int) float64 {
-				flat := 0
-				for d, x := range idx {
-					flat += x * strides[d]
-				}
-				return sign * float64(flat+1)
-			})
+		if tc&touchSrc != 0 {
+			fillFlat(src, 1)
 		}
-		fill(src, 1)
-		fill(dst, -1)
+		if tc&touchDst != 0 {
+			fillFlat(dst, -1)
+		}
 		copySection(p, dst, c.dstOff, src, c.srcOff, c.box)
+		res.bare[p.ID()] = src.data == nil && dst.data == nil
 		res.local[p.ID()] = append([]float64(nil), dst.local()...)
 		if out := GatherGlobal(p, dst); out != nil {
 			res.global = out
@@ -736,20 +783,23 @@ func runSectionCase(c sectionCase, eng machine.Engine,
 }
 
 // checkSectionCase requires CopySection to agree with the per-element
-// reference on everything under both engines, and the gathered destination
-// to hold the source box inside its own box and its initial values outside.
-func checkSectionCase(t *testing.T, c sectionCase) {
+// reference on everything under both engines, the gathered destination to
+// hold the source box inside its own box and its initial values outside,
+// and arrays nothing touched to hold no storage.
+func checkSectionCase(t *testing.T, c sectionCase, tc touch) {
 	t.Helper()
 	for _, eng := range []machine.Engine{machine.Goroutine(), machine.Coop(1)} {
-		where := fmt.Sprintf("%s under %s", c.name, eng.Name())
-		if !matchesOracle(t, where, runSectionCase(c, eng, CopySection[float64]), runSectionCase(c, eng, refCopySection[float64])) {
+		where := fmt.Sprintf("%s (touch %d) under %s", c.name, tc, eng.Name())
+		got := runSectionCase(c, eng, tc, CopySection[float64])
+		if !matchesOracle(t, where, got, runSectionCase(c, eng, tc, refCopySection[float64])) {
 			t.Logf("%s: src %v over %v at %v, dst %v over %v at %v, box %v",
 				where, c.src(), c.src().g, c.srcOff, c.dst(), c.dst().g, c.dstOff, c.box)
 			return
 		}
+		checkBare(t, where, got, tc)
 	}
 	sl, dl := c.src(), c.dst()
-	got := runSectionCase(c, machine.Coop(1), CopySection[float64]).global
+	got := runSectionCase(c, machine.Coop(1), tc, CopySection[float64]).global
 	sstr := rowMajorStrides(sl.shape)
 	idx := make([]int, dl.Rank())
 	for flat := range got {
@@ -761,9 +811,12 @@ func checkSectionCase(t *testing.T, c sectionCase) {
 			in = in && rel >= 0 && rel < c.box[d]
 			sflat += (c.srcOff[d] + rel) * sstr[d]
 		}
-		want := -float64(flat + 1)
-		if in {
+		want := 0.0
+		switch {
+		case in && tc&touchSrc != 0:
 			want = float64(sflat + 1)
+		case !in && tc&touchDst != 0:
+			want = -float64(flat + 1)
 		}
 		if got[flat] != want {
 			t.Fatalf("%s: dst%v = %v, want %v", c.name, idx, got[flat], want)
@@ -813,11 +866,11 @@ func TestCopySectionMatchesPerElementOracle(t *testing.T) {
 		{name: "multiblock: B's first interior column to A's right halo", procs: 4,
 			src: blockB, dst: blockA, srcOff: []int{0, 1}, dstOff: []int{0, 7}, box: []int{6, 1}},
 	} {
-		checkSectionCase(t, c)
+		checkSectionCase(t, c, touchSrc|touchDst)
 	}
 	for _, seed := range []int64{1, 2, 3, 5, 8} {
 		for i := 0; i < 40; i++ {
-			checkSectionCase(t, genSectionCase(seed, i))
+			checkSectionCase(t, genSectionCase(seed, i), touchSrc|touchDst)
 			if t.Failed() {
 				return
 			}
