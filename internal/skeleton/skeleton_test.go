@@ -3,6 +3,7 @@ package skeleton_test
 import (
 	"bytes"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -284,9 +285,13 @@ func TestWriteReadFile(t *testing.T) {
 	if err := sk.WriteFile(path); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	got, err := skeleton.ReadFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("skeleton.ReadFile: %v", err)
+		t.Fatal(err)
+	}
+	got, err := skeleton.Decode(data)
+	if err != nil {
+		t.Fatalf("skeleton.Decode: %v", err)
 	}
 	if got.Makespan != sk.Makespan || got.Ops() != sk.Ops() || got.P != sk.P {
 		t.Fatalf("file round trip changed the skeleton: %+v vs %+v", got, sk)

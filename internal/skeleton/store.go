@@ -18,6 +18,7 @@ package skeleton
 // check against the stored skeleton's own Chaos stamp on every hit.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -103,32 +104,38 @@ func (st *Store) Stats() StoreStats {
 	return StoreStats{Memory: s.Memory, Disk: s.Disk, Captured: s.Computed}
 }
 
-// storeFile is the on-disk envelope: the store key for collision/staleness
-// detection around the canonical (self-keyed) skeleton encoding.
-type storeFile struct {
-	StoreKey string          `json:"storeKey"`
-	Skeleton json.RawMessage `json:"skeleton"`
-}
-
-// storeCodec files a skeleton as its storeFile envelope; decoding verifies
-// the skeleton's own content key (Decode).
+// storeCodec files a skeleton inside an envelope that carries the store key
+// for collision/staleness detection: the bytes encoding/json's indenter
+// writes for {"storeKey": key, "skeleton": <the canonical encoding>}.
+// Decoding accepts only those bytes and verifies the skeleton's own content
+// key (Decode).
 var storeCodec = cas.Codec[*Skeleton]{
 	Prefix: "fxskel-",
 	Encode: func(key string, sk *Skeleton) ([]byte, error) {
-		inner, err := sk.Encode()
+		own, err := sk.Key()
 		if err != nil {
 			return nil, err
 		}
-		data, err := json.MarshalIndent(&storeFile{StoreKey: key, Skeleton: inner}, "", " ")
-		return append(data, '\n'), err
+		k, _ := json.Marshal(key) // a string always marshals
+		data := append(append([]byte("{\n \"storeKey\": "), k...), ",\n \"skeleton\": "...)
+		data, err = sk.appendFile(data, own, " ")
+		return append(data, "}\n"...), err
 	},
 	Decode: func(data []byte) (string, *Skeleton, error) {
-		var f storeFile
-		if err := json.Unmarshal(data, &f); err != nil {
-			return "", nil, err
+		rest, ok := bytes.CutPrefix(data, []byte("{\n \"storeKey\": "))
+		k, rest, _ := bytes.Cut(rest, []byte(",\n \"skeleton\": "))
+		inner, ok2 := bytes.CutSuffix(rest, []byte("}\n"))
+		var key string
+		// Every line of the nested skeleton but its first is indented once.
+		if !ok || !ok2 || json.Unmarshal(k, &key) != nil ||
+			bytes.Count(inner, []byte("\n")) != bytes.Count(inner, []byte("\n "))+1 {
+			return "", nil, fmt.Errorf("skeleton: malformed store file")
 		}
-		sk, err := Decode(f.Skeleton)
-		return f.StoreKey, sk, err
+		if canon, _ := json.Marshal(key); !bytes.Equal(canon, k) { // a string always marshals
+			return "", nil, fmt.Errorf("skeleton: store key not in canonical form")
+		}
+		sk, err := Decode(bytes.ReplaceAll(inner, []byte("\n "), []byte("\n")))
+		return key, sk, err
 	},
 }
 

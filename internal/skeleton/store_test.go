@@ -2,6 +2,7 @@ package skeleton_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -11,7 +12,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"fxpar/internal/experiments"
 	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
 	"fxpar/internal/skeleton"
 )
@@ -150,6 +153,99 @@ func TestStoreDiskTamperIsMiss(t *testing.T) {
 		}
 		if _, _, ok := skeleton.NewStore(dir).Get(k); ok {
 			t.Errorf("%s: tampered cache file served as a hit", tc.name)
+		}
+	}
+}
+
+// TestStoreNonCanonicalIsRecaptured: a store file Encode did not write is a
+// miss even when it is valid JSON with the right content, and GetOrCapture
+// replaces it by one capture whose file has the canonical bytes again.
+func TestStoreNonCanonicalIsRecaptured(t *testing.T) {
+	sk, _, _ := smallRun(t)
+	k := storeKeyFor(sk, "")
+	edits := []struct {
+		name string
+		edit func(data []byte) []byte
+	}{
+		{"re-indented with tabs", func(data []byte) []byte {
+			var b bytes.Buffer
+			if err := json.Indent(&b, data, "", "\t"); err != nil {
+				t.Fatal(err)
+			}
+			return b.Bytes()
+		}},
+		{"row edited", func(data []byte) []byte {
+			return bytes.Replace(data, []byte(`"compute d=`), []byte(`"compute d=1`), 1)
+		}},
+		{"storeKey edited", func(data []byte) []byte {
+			return bytes.Replace(data, []byte(`"storeKey": "app=ffthist`), []byte(`"storeKey": "app=ffthisT`), 1)
+		}},
+		// The same key and skeleton, spelled in bytes Encode never writes.
+		{"storeKey escaped", func(data []byte) []byte {
+			return bytes.Replace(data, []byte(`"storeKey": "app=`), []byte(`"storeKey": "\u0061pp=`), 1)
+		}},
+		{"skeleton's closing brace unindented", func(data []byte) []byte {
+			return append(bytes.TrimSuffix(data, []byte("\n }\n}\n")), "\n}\n}\n"...)
+		}},
+	}
+	for _, tc := range edits {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := skeleton.NewStore(dir).Put(k, sk); err != nil {
+				t.Fatal(err)
+			}
+			ents, err := os.ReadDir(dir)
+			if err != nil || len(ents) != 1 {
+				t.Fatalf("cache dir: %d entries, err %v", len(ents), err)
+			}
+			path := filepath.Join(dir, ents[0].Name())
+			canon, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := tc.edit(bytes.Clone(canon))
+			if bytes.Equal(bad, canon) {
+				t.Fatal("the edit left the file unchanged")
+			}
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok := skeleton.NewStore(dir).Get(k); ok {
+				t.Fatal("edited store file served as a hit")
+			}
+			st := skeleton.NewStore(dir)
+			if _, src, err := st.GetOrCapture(k, func() (*skeleton.Skeleton, error) { return sk, nil }); err != nil || src != skeleton.SourceCaptured {
+				t.Fatalf("GetOrCapture: source %v, err %v", src, err)
+			}
+			if n := st.Stats().Captured; n != 1 {
+				t.Fatalf("%d captures, want 1", n)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, canon) {
+				t.Fatalf("recapture did not rewrite the canonical bytes (err %v)", err)
+			}
+		})
+	}
+}
+
+// TestQuickTable1StoreMatchesOracle: every file a quick Table 1 writes to its
+// skeleton store has the bytes the encoding/json codec would write for its
+// content.
+func TestQuickTable1StoreMatchesOracle(t *testing.T) {
+	dir := t.TempDir()
+	cfg := experiments.QuickTable1()
+	cfg.Replay = &mapping.ReplayOptions{Store: skeleton.NewStore(dir)}
+	experiments.Table1(cfg)
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) == 0 {
+		t.Fatalf("store dir: %d files, err %v", len(ents), err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err := skeleton.OracleStoreFile(data); err != nil || !bytes.Equal(data, want) {
+			t.Fatalf("%s differs from the oracle's bytes (err %v)", e.Name(), err)
 		}
 	}
 }
