@@ -1,11 +1,40 @@
 package main
 
 import (
+	"flag"
 	"math"
+	"os"
+	"os/exec"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// TestBadSizeExitsWithError: a data-set size the program cannot run — a
+// radar gate count or FFT-Hist edge that is not a power of two, under a
+// fixed mapping or -auto, or a negative -n — ends fxprof with a non-zero
+// exit and an error line, not a panic. The test binary re-runs itself as
+// fxprof with the arguments after "--".
+func TestBadSizeExitsWithError(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		os.Args = append([]string{"fxprof"}, args...)
+		flag.CommandLine = flag.NewFlagSet("fxprof", flag.ExitOnError)
+		main()
+		return
+	}
+	for _, args := range [][]string{
+		{"-app", "radar", "-n", "100", "-stages", "2,2,2,2"},
+		{"-app", "ffthist", "-n", "100"},
+		{"-app", "radar", "-n", "100", "-auto", "-procs", "8"},
+		{"-app", "stereo", "-n", "-1"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-test.run=^TestBadSizeExitsWithError$", "--", "-out", ""}, args...)...)
+		out, err := cmd.CombinedOutput()
+		if _, exited := err.(*exec.ExitError); !exited || strings.Contains(string(out), "panic:") || !strings.Contains(string(out), "fxprof: ") {
+			t.Errorf("fxprof %s: err %v, output:\n%s", strings.Join(args, " "), err, out)
+		}
+	}
+}
 
 // TestParseFactors pins the strict parse: valid lists round-trip, and
 // malformed input — above all empty segments from stray or trailing

@@ -26,8 +26,10 @@ import (
 	"fxpar/internal/dist"
 	"fxpar/internal/fft"
 	"fxpar/internal/fx"
+	"fxpar/internal/group"
 	"fxpar/internal/machine"
 	"fxpar/internal/mapping"
+	"fxpar/internal/sim"
 	"fxpar/internal/stats"
 )
 
@@ -118,25 +120,8 @@ func Run(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
 	if cfg.SketchStats {
 		meter = stats.NewSketchStream()
 	}
-	res := Result{Hists: make(map[int][]int64)}
-	var histMu chan struct{} = make(chan struct{}, 1)
-	histMu <- struct{}{}
-	record := func(set int, h []int64) {
-		<-histMu
-		res.Hists[set] = h
-		histMu <- struct{}{}
-	}
-
-	sizes := mp.ModuleSizes()
-	runStats := fx.Run(mach, func(p *fx.Proc) {
-		streams.RunModules(p, sizes, func(p *fx.Proc, module int) {
-			runModule(p, cfg, mp.ModuleStages(module), module, mp.Modules, meter, record)
-		})
-	})
-	res.Stream = meter.Summarize()
-	res.Makespan = runStats.MakespanTime()
-	res.Stats = runStats
-	return res
+	hists, st := program(cfg).Run(mach, mp, cfg.Sets, meter)
+	return Result{Stream: meter.Summarize(), Hists: hists, Makespan: st.MakespanTime(), Stats: st}
 }
 
 // Simulate is Run charging every kernel from shape (see Config.charge): the
@@ -146,15 +131,60 @@ func Simulate(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
 	return Run(mach, cfg, mp)
 }
 
-// runModule processes data sets first, first+stride, ... < cfg.Sets on the
-// current group.
-func runModule(p *fx.Proc, cfg Config, stages []int, first, stride int,
-	meter *stats.Stream, record func(int, []int64)) {
-	if len(stages) == 1 {
-		runDataParallel(p, cfg, first, stride, meter, record)
-		return
+// done reports a data set's histogram (see streams.Stage.New).
+type done = func(p *fx.Proc, set int, hist []int64)
+
+// stageNames name the stages in the cost tables, in order; Spec reads
+// them without building the program.
+var stageNames = []string{"cffts", "rffts", "hist"}
+
+// program is FFT-Hist's stage table. Stage 1 holds the data set transposed
+// (column j of the data set is local row j), so its column FFTs are local
+// row FFTs and the corner turn into stage 2 is the paper's A2 = A1.
+func program(cfg Config) streams.Program[complex128, []int64] {
+	layout := func(g *group.Group) *dist.Layout { return dist.RowBlock2D(g, cfg.N, cfg.N) }
+	return streams.Program[complex128, []int64]{
+		{Name: stageNames[0], Group: "G1", Cap: cfg.N, Layout: layout,
+			New: func(p *fx.Proc, a *dist.Array[complex128], _ done) func(int) {
+				full := streams.Frame(a, cfg.charge)
+				return func(set int) {
+					inputSet(p, a, full, cfg, set)
+					fftLocalRows(p, a, cfg.charge)
+				}
+			}},
+		{Name: stageNames[1], Group: "G2", Cap: cfg.N, Turn: true, Layout: layout,
+			New: func(p *fx.Proc, a *dist.Array[complex128], _ done) func(int) {
+				return func(int) { fftLocalRows(p, a, cfg.charge) }
+			}},
+		{Name: stageNames[2], Group: "G3", Cap: cfg.N, Layout: layout,
+			New: func(p *fx.Proc, a *dist.Array[complex128], done done) func(int) {
+				return func(set int) { histSet(p, a, cfg, set, done) }
+			}},
 	}
-	runPipeline(p, cfg, stages, first, stride, meter, record)
+}
+
+// ident is the content identity FFT-Hist's cost tables and cell skeletons
+// are filed under.
+func ident(cfg Config) mapping.Ident {
+	return mapping.Ident{App: "ffthist", Params: fmt.Sprintf("N=%d,Bins=%d", cfg.N, cfg.Bins)}
+}
+
+// Spec returns the content-keyed table spec MeasuredModel memoizes its cost
+// tables under. It is exported so the serving layer (internal/serve) can
+// dedupe identical optimize requests on exactly the key the cache uses.
+func Spec(cost sim.CostModel, cfg Config, maxP int, opt mapping.BuildOptions) mapping.TableSpec {
+	return ident(cfg).Spec(cost, maxP, stageNames, opt.Replay)
+}
+
+// MeasuredModel builds the mapper's cost model for FFT-Hist from isolated
+// stage simulations, memoized by content key and replay-first under
+// opt.Replay; see mapping.Cells.Measure. A cell reads nothing but virtual
+// time, and every kernel's flop charge is a function of shape, so the cells
+// charge instead of computing.
+func MeasuredModel(cost sim.CostModel, cfg Config, maxP int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
+	cfg.charge = true
+	pr := program(cfg)
+	return pr.Cells(ident(cfg)).Measure(cost, pr.Model(cost, maxP), opt)
 }
 
 // inputSet models reading one data set from the sensor stream: rank 0 of g
@@ -195,10 +225,9 @@ func fftLocalRows(p *fx.Proc, a *dist.Array[complex128], charge bool) {
 }
 
 // histSet computes the distributed histogram of a (all zeros under
-// cfg.charge), reduces it to the group's rank 0, which writes it out and
-// records completion.
-func histSet(p *fx.Proc, a *dist.Array[complex128], cfg Config, set int,
-	meter *stats.Stream, record func(int, []int64)) {
+// cfg.charge) and reduces it to the group's rank 0, which writes it out and
+// completes the set.
+func histSet(p *fx.Proc, a *dist.Array[complex128], cfg Config, set int, done done) {
 	if !a.IsMember() {
 		return
 	}
@@ -214,65 +243,6 @@ func histSet(p *fx.Proc, a *dist.Array[complex128], cfg Config, set int,
 	total := comm.ReduceSlice(p.Proc, g, 0, counts, func(x, y int64) int64 { return x + y })
 	if a.Rank() == 0 {
 		p.IO(cfg.Bins * 8)
-		meter.Complete(set, p.Now())
-		record(set, total)
+		done(p, set, total)
 	}
-}
-
-// Data-parallel module: every phase on the whole current group (Figure 2(a),
-// and one module of Figure 3).
-func runDataParallel(p *fx.Proc, cfg Config, first, stride int,
-	meter *stats.Stream, record func(int, []int64)) {
-	g := p.Group()
-	// aT holds the data set transposed (stage-1 orientation); b holds it in
-	// natural row orientation after the corner turn.
-	aT := dist.New[complex128](p.Proc, dist.RowBlock2D(g, cfg.N, cfg.N))
-	b := dist.New[complex128](p.Proc, dist.RowBlock2D(g, cfg.N, cfg.N))
-	full := streams.Frame(aT, cfg.charge)
-	for set := first; set < cfg.Sets; set += stride {
-		if aT.Rank() == 0 {
-			meter.Inject(set, p.Now())
-		}
-		inputSet(p, aT, full, cfg, set)
-		fftLocalRows(p, aT, cfg.charge) // column FFTs (transposed orientation)
-		dist.Transpose2D(p.Proc, b, aT) // corner turn
-		fftLocalRows(p, b, cfg.charge)  // row FFTs
-		histSet(p, b, cfg, set, meter, record)
-	}
-}
-
-// Pipeline module: Figure 2(c). Three subgroups connected by parent-scope
-// assignments; the corner turn is the G1->G2 transfer.
-func runPipeline(p *fx.Proc, cfg Config, stages []int, first, stride int,
-	meter *stats.Stream, record func(int, []int64)) {
-	g := p.Group()
-	g1 := g.Subrange(0, stages[0])
-	g2 := g.Subrange(stages[0], stages[0]+stages[1])
-	g3 := g.Subrange(stages[0]+stages[1], stages[0]+stages[1]+stages[2])
-	a1 := dist.New[complex128](p.Proc, dist.RowBlock2D(g1, cfg.N, cfg.N)) // transposed orientation
-	a2 := dist.New[complex128](p.Proc, dist.RowBlock2D(g2, cfg.N, cfg.N))
-	a3 := dist.New[complex128](p.Proc, dist.RowBlock2D(g3, cfg.N, cfg.N))
-	full := streams.Frame(a1, cfg.charge)
-	fx.PipelineLoop(p, fx.PipelineSpec{
-		Sets: cfg.Sets, First: first, Stride: stride,
-		Stages: []fx.Stage{
-			{Name: "G1", Procs: stages[0], Body: func(set int) {
-				if a1.Rank() == 0 {
-					meter.Inject(set, p.Now())
-				}
-				inputSet(p, a1, full, cfg, set)
-				fftLocalRows(p, a1, cfg.charge) // cffts
-			}},
-			{Name: "G2", Procs: stages[1], Body: func(set int) {
-				fftLocalRows(p, a2, cfg.charge) // rffts
-			}},
-			{Name: "G3", Procs: stages[2], Body: func(set int) {
-				histSet(p, a3, cfg, set, meter, record) // hist
-			}},
-		},
-		Transfer: []func(int){
-			func(int) { dist.Transpose2D(p.Proc, a2, a1) }, // A2 = A1 (corner turn)
-			func(int) { dist.Assign(p.Proc, a3, a2) },      // A3 = A2
-		},
-	})
 }

@@ -1,6 +1,8 @@
 package ffthist
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"fxpar/internal/machine"
@@ -33,7 +35,7 @@ func TestMappingValidate(t *testing.T) {
 		{mapping.Mapping{Modules: 1, Stages: []int{0, 4, 4}}, 8, false},
 	}
 	for _, tc := range cases {
-		err := tc.mp.Validate(tc.procs, len(stageNames))
+		err := tc.mp.Validate(tc.procs, len(program(smallConfig())))
 		if (err == nil) != tc.ok {
 			t.Errorf("%v on %d procs: err=%v, want ok=%v", tc.mp, tc.procs, err, tc.ok)
 		}
@@ -73,42 +75,36 @@ func TestDataParallelCompletesAllSets(t *testing.T) {
 	}
 }
 
+// runCase is a mapping on a machine of procs processors.
+type runCase struct {
+	procs int
+	mp    mapping.Mapping
+}
+
+// agree runs cfg under every case and checks that each completes the stream
+// with ref's histograms.
+func agree(t *testing.T, cfg Config, ref Result, cases []runCase) {
+	t.Helper()
+	for _, tc := range cases {
+		res := run(t, tc.procs, cfg, tc.mp)
+		if res.Stream.Sets != cfg.Sets || !maps.EqualFunc(res.Hists, ref.Hists, slices.Equal) {
+			t.Errorf("%v: completed %d of %d sets, histograms %v, want %v", tc.mp, res.Stream.Sets, cfg.Sets, res.Hists, ref.Hists)
+		}
+	}
+}
+
 // All mappings must compute identical histograms: the directives are
 // assertions, not semantics (Section 2.2).
 func TestMappingsAgree(t *testing.T) {
 	cfg := smallConfig()
-	ref := run(t, 4, cfg, mapping.DataParallel(4))
-	mappings := []struct {
-		procs int
-		mp    mapping.Mapping
-	}{
+	agree(t, cfg, run(t, 4, cfg, mapping.DataParallel(4)), []runCase{
 		{1, mapping.DataParallel(1)},
 		{6, Pipeline(2, 3, 1)},
 		{3, Pipeline(1, 1, 1)},
 		{8, mapping.Mapping{Modules: 2, Stages: []int{4}}},
 		{8, mapping.Mapping{Modules: 2, Stages: []int{2, 1, 1}}},
 		{6, mapping.Mapping{Modules: 3, Stages: []int{2}}},
-	}
-	for _, tc := range mappings {
-		res := run(t, tc.procs, cfg, tc.mp)
-		if res.Stream.Sets != cfg.Sets {
-			t.Errorf("%v: completed %d sets", tc.mp, res.Stream.Sets)
-			continue
-		}
-		for set := 0; set < cfg.Sets; set++ {
-			want, got := ref.Hists[set], res.Hists[set]
-			if len(got) != len(want) {
-				t.Errorf("%v set %d: missing histogram", tc.mp, set)
-				continue
-			}
-			for b := range want {
-				if got[b] != want[b] {
-					t.Errorf("%v set %d bin %d: %d != %d", tc.mp, set, b, got[b], want[b])
-					break
-				}
-			}
-		}
-	}
+	})
 }
 
 func TestPipelineImprovesThroughput(t *testing.T) {

@@ -3,6 +3,7 @@ package ffthist
 import (
 	"testing"
 
+	"fxpar/internal/machine"
 	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
 )
@@ -12,45 +13,23 @@ import (
 // just finishes its share faster.
 func TestHeterogeneousModulesAgree(t *testing.T) {
 	cfg := smallConfig()
-	ref := run(t, 4, cfg, mapping.DataParallel(4))
-	cases := []struct {
-		procs int
-		mp    mapping.Mapping
-	}{
+	agree(t, cfg, run(t, 4, cfg, mapping.DataParallel(4)), []runCase{
 		{7, mapping.Mapping{Modules: 2, Stages: []int{3}, WideModules: 1, WideStages: []int{4}}},
 		{9, mapping.Mapping{Modules: 2, Stages: []int{1, 2, 1}, WideModules: 1, WideStages: []int{2, 2, 1}}},
 		{10, mapping.Mapping{Modules: 3, Stages: []int{3}, WideModules: 1, WideStages: []int{4}}},
-	}
-	for _, tc := range cases {
-		res := run(t, tc.procs, cfg, tc.mp)
-		if res.Stream.Sets != cfg.Sets {
-			t.Errorf("%v: completed %d of %d sets", tc.mp, res.Stream.Sets, cfg.Sets)
-			continue
-		}
-		for set := 0; set < cfg.Sets; set++ {
-			want, got := ref.Hists[set], res.Hists[set]
-			if len(got) != len(want) {
-				t.Errorf("%v set %d: missing histogram", tc.mp, set)
-				continue
-			}
-			for b := range want {
-				if got[b] != want[b] {
-					t.Errorf("%v set %d bin %d: %d != %d", tc.mp, set, b, got[b], want[b])
-					break
-				}
-			}
-		}
-	}
+	})
 }
 
 // TestMeasuredModelTracksClosedForm: the simulation-measured tables must
-// stay within a factor-2 band of the closed forms they replace — same
-// constants, same kernels, so a larger drift means one of the two is wrong.
+// stay within a factor-2 band of the closed-form oracle — same constants,
+// same kernels, so a larger drift means one of the two is wrong. The
+// oracle's data-parallel time stays in the band of a simulated stream's
+// per-set latency too.
 func TestMeasuredModelTracksClosedForm(t *testing.T) {
 	cfg := Config{N: 16, Sets: 1, Bins: 8}
 	const maxP = 8
 	cost := sim.Paragon()
-	closed := BuildModel(cost, cfg, maxP)
+	closed := closedModel(cost, cfg, maxP)
 	mapping.ResetTableMemo()
 	measured, src, err := MeasuredModel(cost, cfg, maxP, mapping.BuildOptions{Workers: 2})
 	if err != nil {
@@ -76,6 +55,15 @@ func TestMeasuredModelTracksClosedForm(t *testing.T) {
 	for p := 1; p <= maxP; p++ {
 		if r := measured.DPT[p] / closed.DPT[p]; r < 0.5 || r > 2 {
 			t.Errorf("DPT p=%d: measured %.6f vs closed %.6f (ratio %.2f)", p, measured.DPT[p], closed.DPT[p], r)
+		}
+	}
+
+	stream := Config{N: 64, Sets: 6, Bins: 32}
+	oracle := closedModel(cost, stream, 16)
+	for _, p := range []int{1, 4, 16} {
+		lat := Run(machine.New(p, cost), stream, mapping.DataParallel(p)).Stream.Latency
+		if r := oracle.DPT[p] / lat; r < 0.5 || r > 2 {
+			t.Errorf("N=64 DPT p=%d: closed %.6f vs simulated latency %.6f (ratio %.2f)", p, oracle.DPT[p], lat, r)
 		}
 	}
 

@@ -3,6 +3,7 @@ package radar
 import (
 	"testing"
 
+	"fxpar/internal/machine"
 	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
 )
@@ -11,21 +12,13 @@ import (
 // the same detections per data set as the reference.
 func TestHeterogeneousModulesAgree(t *testing.T) {
 	cfg := smallConfig()
-	ref := run(t, 1, cfg, mapping.DataParallel(1))
-	mp := mapping.Mapping{Modules: 2, Stages: []int{2}, WideModules: 1, WideStages: []int{3}}
-	res := run(t, 5, cfg, mp)
-	if res.Stream.Sets != cfg.Sets {
-		t.Fatalf("%v: completed %d of %d sets", mp, res.Stream.Sets, cfg.Sets)
-	}
-	for set := 0; set < cfg.Sets; set++ {
-		if res.Kept[set] != ref.Kept[set] {
-			t.Errorf("set %d: kept %d, reference %d", set, res.Kept[set], ref.Kept[set])
-		}
-	}
+	agree(t, cfg, run(t, 1, cfg, mapping.DataParallel(1)), []runCase{{5, mapping.Mapping{Modules: 2, Stages: []int{2}, WideModules: 1, WideStages: []int{3}}}})
 }
 
 // TestMeasuredModelFeasible: the measured radar model validates, stays
-// positive, respects the row cap structure, and supports optimization.
+// positive, tracks the closed-form oracle, respects the row cap structure,
+// and supports optimization. The oracle's data-parallel time stays within a
+// factor 2 of a simulated stream's per-set latency.
 func TestMeasuredModelFeasible(t *testing.T) {
 	cfg := smallConfig()
 	cost := sim.Paragon()
@@ -38,7 +31,7 @@ func TestMeasuredModelFeasible(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	closed := BuildModel(cost, cfg, maxP)
+	closed := closedModel(cost, cfg, maxP)
 	for s := range m.StageT {
 		for p := 1; p <= maxP; p++ {
 			if m.StageT[s][p] <= 0 {
@@ -56,5 +49,13 @@ func TestMeasuredModelFeasible(t *testing.T) {
 	}
 	if _, err := mapping.Optimize(m, 0); err != nil {
 		t.Fatal(err)
+	}
+	stream := Config{Gates: 128, Rows: 16, Sets: 6, Scale: 1.0 / 128, Threshold: 0.05}
+	oracle := closedModel(cost, stream, 16)
+	for _, p := range []int{1, 4, 16} {
+		lat := Run(machine.New(p, cost), stream, mapping.DataParallel(p)).Stream.Latency
+		if r := oracle.DPT[p] / lat; r < 0.5 || r > 2 {
+			t.Errorf("Gates=128 DPT p=%d: closed %.6f vs simulated latency %.6f (ratio %.2f)", p, oracle.DPT[p], lat, r)
+		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"fxpar/internal/group"
 	"fxpar/internal/machine"
 	"fxpar/internal/mapping"
+	"fxpar/internal/sim"
 	"fxpar/internal/stats"
 )
 
@@ -41,7 +42,7 @@ type Config struct {
 	// their local shape and skip the arithmetic: the same messages and
 	// virtual times, no values. Thresholding always computes, since the
 	// report it writes is one record per detection. Only the cost-table
-	// cells set it (see cells).
+	// stage cells set it (see MeasuredModel).
 	charge bool
 }
 
@@ -110,33 +111,80 @@ func Run(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
 		panic(fmt.Sprintf("radar: Gates must be a power of two, got %d", cfg.Gates))
 	}
 	meter := stats.NewStream()
-	res := Result{Kept: make(map[int]int)}
-	mu := make(chan struct{}, 1)
-	mu <- struct{}{}
-	record := func(set, kept int) {
-		<-mu
-		res.Kept[set] = kept
-		mu <- struct{}{}
-	}
-	sizes := mp.ModuleSizes()
-	runStats := fx.Run(mach, func(p *fx.Proc) {
-		streams.RunModules(p, sizes, func(p *fx.Proc, module int) {
-			runModule(p, cfg, mp.ModuleStages(module), module, mp.Modules, meter, record)
-		})
-	})
-	res.Stream = meter.Summarize()
-	res.Makespan = runStats.MakespanTime()
-	res.runStats = runStats
-	return res
+	kept, st := program(cfg).Run(mach, mp, cfg.Sets, meter)
+	return Result{Stream: meter.Summarize(), Kept: kept, Makespan: st.MakespanTime(), runStats: st}
 }
 
-func runModule(p *fx.Proc, cfg Config, stages []int, first, stride int,
-	meter *stats.Stream, record func(int, int)) {
-	if len(stages) == 1 {
-		runDataParallel(p, cfg, stages[0], first, stride, meter, record)
-		return
+// done reports a data set's detection count (see streams.Stage.New).
+type done = func(p *fx.Proc, set int, kept int)
+
+// stageNames name the stages in the cost tables, in order; Spec reads
+// them without building the program.
+var stageNames = []string{"input", "fft", "scale", "threshold"}
+
+// program is the radar stage table. The input stage holds a data set as it
+// arrives, gate-major over Gates rows; the corner turn into the FFT stage
+// makes it Rows-by-Gates, and no later stage can use more processors than
+// those Rows.
+func program(cfg Config) streams.Program[complex128, int] {
+	byRow := func(g *group.Group) *dist.Layout { return dist.RowBlock2D(g, cfg.Rows, cfg.Gates) }
+	return streams.Program[complex128, int]{
+		{Name: stageNames[0], Group: "Gin", Cap: cfg.Gates,
+			Layout: func(g *group.Group) *dist.Layout { return dist.RowBlock2D(g, cfg.Gates, cfg.Rows) },
+			New: func(p *fx.Proc, a *dist.Array[complex128], _ done) func(int) {
+				full := streams.Frame(a, cfg.charge)
+				return func(set int) { inputSet(p, a, full, cfg, set) }
+			}},
+		{Name: stageNames[1], Group: "Gfft", Cap: cfg.Rows, Turn: true, Layout: byRow,
+			New: func(p *fx.Proc, a *dist.Array[complex128], _ done) func(int) {
+				return func(int) { fftRows(p, a, cfg.charge) }
+			}},
+		{Name: stageNames[2], Group: "Gscale", Cap: cfg.Rows, Layout: byRow,
+			New: func(p *fx.Proc, a *dist.Array[complex128], _ done) func(int) {
+				return func(int) { scaleLocal(p, a, cfg) }
+			}},
+		{Name: stageNames[3], Group: "Gthr", Cap: cfg.Rows, Layout: byRow,
+			New: func(p *fx.Proc, a *dist.Array[complex128], done done) func(int) {
+				// The report I/O counts the detections found. Real data sets
+				// yield one per row by construction, so the array starts with
+				// one per local row: the stage run alone as a cost-table cell
+				// writes a representative report. In a run, the transfer into
+				// the stage overwrites them.
+				if a.IsMember() {
+					rows := a.LocalShape()[0]
+					for r := 0; r < rows; r++ {
+						a.Local()[r*cfg.Gates] = complex(1, 0)
+					}
+				}
+				return func(set int) { thresholdAndReport(p, a, cfg, set, done) }
+			}},
 	}
-	runPipeline(p, cfg, stages, first, stride, meter, record)
+}
+
+// ident is the content identity the radar cost tables and cell skeletons are
+// filed under.
+func ident(cfg Config) mapping.Ident {
+	return mapping.Ident{App: "radar",
+		Params: fmt.Sprintf("Gates=%d,Rows=%d,Scale=%g,Thr=%g", cfg.Gates, cfg.Rows, cfg.Scale, cfg.Threshold)}
+}
+
+// Spec returns the content-keyed table spec MeasuredModel memoizes its cost
+// tables under; exported for the serving layer's request dedupe.
+func Spec(cost sim.CostModel, cfg Config, maxP int, opt mapping.BuildOptions) mapping.TableSpec {
+	return ident(cfg).Spec(cost, maxP, stageNames, opt.Replay)
+}
+
+// MeasuredModel builds the radar cost model from isolated stage simulations,
+// memoized by content key and replay-first under opt.Replay; see
+// mapping.Cells.Measure. The stage cells charge instead of computing (see
+// Config.charge); the data-parallel cell, whose report I/O counts
+// detections, computes.
+func MeasuredModel(cost sim.CostModel, cfg Config, maxP int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
+	pr, charged := program(cfg), cfg
+	charged.charge = true
+	cells := program(charged).Cells(ident(cfg))
+	cells.DP = pr.Cells(ident(cfg)).DP
+	return cells.Measure(cost, pr.Model(cost, maxP), opt)
 }
 
 // inputSet reads one gate-major data set into full (see streams.Frame) on
@@ -181,10 +229,9 @@ func scaleLocal(p *fx.Proc, a *dist.Array[complex128], cfg Config) {
 	p.Compute(fft.Scale(a.Local(), cfg.Scale))
 }
 
-// thresholdAndReport thresholds locally, reduces the detection count to
+// thresholdAndReport thresholds locally and reduces the detection count to
 // rank 0, which writes the detections out and completes the set.
-func thresholdAndReport(p *fx.Proc, a *dist.Array[complex128], cfg Config,
-	set int, meter *stats.Stream, record func(int, int)) {
+func thresholdAndReport(p *fx.Proc, a *dist.Array[complex128], cfg Config, set int, done done) {
 	if !a.IsMember() {
 		return
 	}
@@ -194,74 +241,6 @@ func thresholdAndReport(p *fx.Proc, a *dist.Array[complex128], cfg Config,
 	total := comm.Reduce(p.Proc, g, 0, kept, func(x, y int) int { return x + y })
 	if a.Rank() == 0 {
 		p.IO(total * 8)
-		meter.Complete(set, p.Now())
-		record(set, total)
+		done(p, set, total)
 	}
-}
-
-func runDataParallel(p *fx.Proc, cfg Config, procs, first, stride int,
-	meter *stats.Stream, record func(int, int)) {
-	// The data-parallel program cannot exploit more processors than rows.
-	useful := procs
-	if useful > cfg.Rows {
-		useful = cfg.Rows
-	}
-	body := func() {
-		g := p.Group()
-		a0 := dist.New[complex128](p.Proc, dist.RowBlock2D(g, cfg.Gates, cfg.Rows))
-		a1 := dist.New[complex128](p.Proc, dist.RowBlock2D(g, cfg.Rows, cfg.Gates))
-		full := streams.Frame(a0, cfg.charge)
-		for set := first; set < cfg.Sets; set += stride {
-			if a0.Rank() == 0 {
-				meter.Inject(set, p.Now())
-			}
-			inputSet(p, a0, full, cfg, set)
-			dist.Transpose2D(p.Proc, a1, a0) // corner turn
-			fftRows(p, a1, cfg.charge)
-			scaleLocal(p, a1, cfg)
-			thresholdAndReport(p, a1, cfg, set, meter, record)
-		}
-	}
-	if useful < p.NumberOfProcessors() {
-		p.OnProcs(0, useful, body)
-	} else {
-		body()
-	}
-}
-
-func runPipeline(p *fx.Proc, cfg Config, stages []int, first, stride int,
-	meter *stats.Stream, record func(int, int)) {
-	g := p.Group()
-	lo := 0
-	subs := make([]*group.Group, 4)
-	for i, q := range stages {
-		subs[i] = g.Subrange(lo, lo+q)
-		lo += q
-	}
-	a0 := dist.New[complex128](p.Proc, dist.RowBlock2D(subs[0], cfg.Gates, cfg.Rows))
-	a1 := dist.New[complex128](p.Proc, dist.RowBlock2D(subs[1], cfg.Rows, cfg.Gates))
-	a2 := dist.New[complex128](p.Proc, dist.RowBlock2D(subs[2], cfg.Rows, cfg.Gates))
-	a3 := dist.New[complex128](p.Proc, dist.RowBlock2D(subs[3], cfg.Rows, cfg.Gates))
-	full := streams.Frame(a0, cfg.charge)
-	fx.PipelineLoop(p, fx.PipelineSpec{
-		Sets: cfg.Sets, First: first, Stride: stride,
-		Stages: []fx.Stage{
-			{Name: "Gin", Procs: stages[0], Body: func(set int) {
-				if a0.Rank() == 0 {
-					meter.Inject(set, p.Now())
-				}
-				inputSet(p, a0, full, cfg, set)
-			}},
-			{Name: "Gfft", Procs: stages[1], Body: func(set int) { fftRows(p, a1, cfg.charge) }},
-			{Name: "Gscale", Procs: stages[2], Body: func(set int) { scaleLocal(p, a2, cfg) }},
-			{Name: "Gthr", Procs: stages[3], Body: func(set int) {
-				thresholdAndReport(p, a3, cfg, set, meter, record)
-			}},
-		},
-		Transfer: []func(int){
-			func(int) { dist.Transpose2D(p.Proc, a1, a0) }, // corner turn
-			func(int) { dist.Assign(p.Proc, a2, a1) },
-			func(int) { dist.Assign(p.Proc, a3, a2) },
-		},
-	})
 }

@@ -1,6 +1,7 @@
 package radar
 
 import (
+	"maps"
 	"testing"
 
 	"fxpar/internal/machine"
@@ -53,29 +54,32 @@ func TestDataParallelCompletes(t *testing.T) {
 	}
 }
 
+// runCase is a mapping on a machine of procs processors.
+type runCase struct {
+	procs int
+	mp    mapping.Mapping
+}
+
+// agree runs cfg under every case and checks that each completes the stream
+// with ref's detection counts.
+func agree(t *testing.T, cfg Config, ref Result, cases []runCase) {
+	t.Helper()
+	for _, tc := range cases {
+		res := run(t, tc.procs, cfg, tc.mp)
+		if res.Stream.Sets != cfg.Sets || !maps.Equal(res.Kept, ref.Kept) {
+			t.Errorf("%v: completed %d of %d sets, Kept %v, want %v", tc.mp, res.Stream.Sets, cfg.Sets, res.Kept, ref.Kept)
+		}
+	}
+}
+
 func TestMappingsAgree(t *testing.T) {
 	cfg := smallConfig()
-	ref := run(t, 1, cfg, mapping.DataParallel(1))
-	for _, tc := range []struct {
-		procs int
-		mp    mapping.Mapping
-	}{
+	agree(t, cfg, run(t, 1, cfg, mapping.DataParallel(1)), []runCase{
 		{4, mapping.DataParallel(4)},
 		{6, mapping.Mapping{Modules: 1, Stages: []int{1, 3, 1, 1}}},
 		{8, mapping.Mapping{Modules: 2, Stages: []int{4}}},
 		{12, mapping.Mapping{Modules: 2, Stages: []int{1, 3, 1, 1}}},
-	} {
-		res := run(t, tc.procs, cfg, tc.mp)
-		if res.Stream.Sets != cfg.Sets {
-			t.Errorf("%v completed %d sets", tc.mp, res.Stream.Sets)
-			continue
-		}
-		for set := 0; set < cfg.Sets; set++ {
-			if res.Kept[set] != ref.Kept[set] {
-				t.Errorf("%v set %d: kept %d != %d", tc.mp, set, res.Kept[set], ref.Kept[set])
-			}
-		}
-	}
+	})
 }
 
 func TestIdleProcessorsCapDataParallel(t *testing.T) {
@@ -109,7 +113,7 @@ func TestReplicationUsesIdleProcessors(t *testing.T) {
 
 func TestModelOptimizeFeasible(t *testing.T) {
 	cfg := smallConfig()
-	model := BuildModel(sim.Paragon(), cfg, 16)
+	model := closedModel(sim.Paragon(), cfg, 16)
 	c, err := mapping.Optimize(model, 0)
 	if err != nil {
 		t.Fatal(err)

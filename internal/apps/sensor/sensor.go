@@ -114,8 +114,13 @@ func Stereo(cfg stereo.Config) App {
 // Table 1 size — FFT-Hist 256x256, radar 512x10x4, stereo 256x240 — or,
 // with quick, at the reduced size of the same structure that answers in well
 // under a second (32x32, 64x8, 64x24). n > 0 overrides the leading extent:
-// the FFT-Hist edge, the radar gate count, the stereo image width.
+// the FFT-Hist edge, the radar gate count, the stereo image width. A size
+// the program cannot run — a negative n, an FFT-Hist edge or radar gate
+// count that is not a power of two — is an error.
 func ByName(name string, quick bool, sets, n int) (App, error) {
+	if n < 0 {
+		return App{}, fmt.Errorf("%s: n must not be negative, got %d", name, n)
+	}
 	switch name {
 	case "ffthist":
 		cfg := ffthist.Config{N: 256, Sets: sets, Bins: 64}
@@ -124,6 +129,9 @@ func ByName(name string, quick bool, sets, n int) (App, error) {
 		}
 		if n > 0 {
 			cfg.N = n
+		}
+		if err := cfg.Validate(); err != nil {
+			return App{}, err
 		}
 		return FFTHist(cfg), nil
 	case "radar":
@@ -135,6 +143,9 @@ func ByName(name string, quick bool, sets, n int) (App, error) {
 			cfg.Gates = n
 		}
 		cfg.Sets = sets
+		if cfg.Gates&(cfg.Gates-1) != 0 {
+			return App{}, fmt.Errorf("radar: Gates must be a power of two, got %d", cfg.Gates)
+		}
 		return Radar(cfg), nil
 	case "stereo":
 		cfg := stereo.DefaultConfig()

@@ -42,6 +42,24 @@ func TestByNameSizes(t *testing.T) {
 	}
 }
 
+// TestByNameRejectsSizesItCannotRun: a size the program cannot run is an
+// error from ByName, not a panic in a later run.
+func TestByNameRejectsSizesItCannotRun(t *testing.T) {
+	for _, tc := range []struct {
+		app   string
+		quick bool
+		n     int
+	}{
+		{"ffthist", false, 100}, {"ffthist", true, 12}, {"ffthist", true, -1},
+		{"radar", false, 100}, {"radar", true, 48}, {"radar", true, -1},
+		{"stereo", false, -1}, {"stereo", true, -64},
+	} {
+		if _, err := ByName(tc.app, tc.quick, 2, tc.n); err == nil {
+			t.Errorf("ByName(%s, quick=%v, n=%d) accepted a size the program cannot run", tc.app, tc.quick, tc.n)
+		}
+	}
+}
+
 // TestQuickStereoOptimizesPastErrorCap: the Table 1 cell for quick stereo
 // runs on a machine wider than its error stage can use — data-parallel
 // baseline, cost tables and chosen mapping alike.

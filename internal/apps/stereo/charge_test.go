@@ -3,8 +3,10 @@ package stereo
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"fxpar/internal/dist"
 	"fxpar/internal/fx"
 	"fxpar/internal/machine"
 	"fxpar/internal/mapping"
@@ -22,8 +24,9 @@ type cellRun struct {
 	skeleton []byte
 }
 
-// runCell runs the cell cells measures — stage s in isolation, or the whole
-// program data parallel for one data set when s < 0 — on procs processors.
+// runCell runs the cell MeasuredModel measures — stage s of the stage table
+// in isolation, or the whole program data parallel for one data set when
+// s < 0 — on procs processors.
 func runCell(t *testing.T, cfg Config, s, procs int, eng machine.Engine) cellRun {
 	t.Helper()
 	m := machine.New(procs, sim.Paragon())
@@ -37,7 +40,10 @@ func runCell(t *testing.T, cfg Config, s, procs int, eng machine.Engine) cellRun
 		res := Run(m, cfg, mapping.DataParallel(procs))
 		r.value, r.stats = res.Stream.Latency, res.runStats
 	} else {
-		r.stats = fx.Run(m, stageBody(cfg, s))
+		st := program(cfg)[s]
+		r.stats = fx.Run(m, func(p *fx.Proc) {
+			st.New(p, dist.New[float64](p.Proc, st.Layout(p.Group())), func(*fx.Proc, int, int64) {})(0)
+		})
 		r.value = r.stats.MakespanTime()
 	}
 	r.events = col.Events()
@@ -56,7 +62,7 @@ func runCell(t *testing.T, cfg Config, s, procs int, eng machine.Engine) cellRun
 // charged from shape returns the value, and records the events, statistics
 // and skeleton, of the same cell computing its values, under both engine
 // families: at the quick size for every p ≤ 20, at the paper size from 1 to
-// 64 processors. The value cells(cfg) itself returns agrees too.
+// 64 processors. The value MeasuredModel tabulates agrees too.
 func TestChargedCellsMatchComputed(t *testing.T) {
 	quick := make([]int, 20)
 	for i := range quick {
@@ -69,15 +75,18 @@ func TestChargedCellsMatchComputed(t *testing.T) {
 		{Config{W: 64, H: 24, Disparities: 8, Window: 2}, quick},
 		{DefaultConfig(), []int{1, 2, 7, 16, 33, 64}},
 	} {
-		cs := cells(tc.cfg)
-		closed := BuildModel(sim.Paragon(), tc.cfg, 64)
+		mapping.ResetTableMemo()
+		model, _, err := MeasuredModel(sim.Paragon(), tc.cfg, slices.Max(tc.ps), mapping.BuildOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
 		charged := tc.cfg
 		charged.charge = true
 		for _, p := range tc.ps {
-			for s := -1; s < len(stageNames); s++ {
-				procs := min(p, cs.DPCap)
-				if s >= 0 && closed.Caps[s] > 0 {
-					procs = min(p, closed.Caps[s])
+			for s := -1; s < len(model.StageNames); s++ {
+				procs, v := min(p, slices.Min(model.Caps)), model.DPT[p]
+				if s >= 0 {
+					procs, v = min(p, model.Caps[s]), model.StageT[s][p]
 				}
 				for _, eng := range []machine.Engine{machine.Goroutine(), machine.Coop(1)} {
 					where := fmt.Sprintf("W=%d cell %d on %d procs under %s", tc.cfg.W, s, procs, eng.Name())
@@ -87,16 +96,8 @@ func TestChargedCellsMatchComputed(t *testing.T) {
 							where, got.value, want.value, len(got.events), len(want.events),
 							reflect.DeepEqual(got.stats, want.stats), reflect.DeepEqual(got.skeleton, want.skeleton))
 					}
-					m := machine.New(procs, sim.Paragon())
-					m.SetEngine(eng)
-					v := 0.0
-					if s < 0 {
-						v = cs.DP(m)
-					} else {
-						v = cs.Stage(m, s)
-					}
 					if v != want.value {
-						t.Fatalf("%s: cells returns %v, computed %v", where, v, want.value)
+						t.Fatalf("%s: MeasuredModel tabulates %v, computed %v", where, v, want.value)
 					}
 				}
 			}

@@ -3,6 +3,7 @@ package stereo
 import (
 	"testing"
 
+	"fxpar/internal/machine"
 	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
 )
@@ -11,21 +12,13 @@ import (
 // the same depth checksums as the reference mapping.
 func TestHeterogeneousModulesAgree(t *testing.T) {
 	cfg := smallConfig()
-	ref := run(t, 4, cfg, mapping.DataParallel(4))
-	mp := mapping.Mapping{Modules: 2, Stages: []int{3}, WideModules: 1, WideStages: []int{4}}
-	res := run(t, 7, cfg, mp)
-	if res.Stream.Sets != cfg.Sets {
-		t.Fatalf("%v: completed %d of %d sets", mp, res.Stream.Sets, cfg.Sets)
-	}
-	for set := 0; set < cfg.Sets; set++ {
-		if res.DepthSum[set] != ref.DepthSum[set] {
-			t.Errorf("set %d: depth sum %d, reference %d", set, res.DepthSum[set], ref.DepthSum[set])
-		}
-	}
+	agree(t, cfg, run(t, 4, cfg, mapping.DataParallel(4)), []runCase{{7, mapping.Mapping{Modules: 2, Stages: []int{3}, WideModules: 1, WideStages: []int{4}}}})
 }
 
 // TestMeasuredModelFeasible: the measured stereo model validates and
-// supports optimization; entries stay positive.
+// supports optimization; entries stay positive. The closed-form oracle's
+// data-parallel time stays within a factor 2 of a simulated stream's per-set
+// latency.
 func TestMeasuredModelFeasible(t *testing.T) {
 	cfg := smallConfig()
 	cost := sim.Paragon()
@@ -47,6 +40,14 @@ func TestMeasuredModelFeasible(t *testing.T) {
 	}
 	if _, err := mapping.Optimize(m, 0); err != nil {
 		t.Fatal(err)
+	}
+	stream := Config{W: 64, H: 32, Disparities: 8, Window: 2, Sets: 6}
+	oracle := closedModel(cost, stream, 16)
+	for _, p := range []int{1, 4, 16} {
+		lat := Run(machine.New(p, cost), stream, mapping.DataParallel(p)).Stream.Latency
+		if r := oracle.DPT[p] / lat; r < 0.5 || r > 2 {
+			t.Errorf("W=64 H=32 DPT p=%d: closed %.6f vs simulated latency %.6f (ratio %.2f)", p, oracle.DPT[p], lat, r)
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ func windowSumMismatch(cfg Config, procs, set int) string {
 	}
 	fx.Run(machine.New(procs, sim.Paragon()), func(p *fx.Proc) {
 		g := p.Group()
-		vol, want := newVolume(p, g, cfg), newVolume(p, g, cfg)
+		vol, want := dist.New[float64](p.Proc, volume(g, cfg)), dist.New[float64](p.Proc, volume(g, cfg))
 		in := newFrames(p, g, cfg)
 		diffStage(p, vol, in, cfg, set)
 		if in.fRef != nil {
@@ -249,7 +249,7 @@ func benchmarkErrorStage(b *testing.B, stage func(*fx.Proc, *dist.Array[float64]
 	cfg := DefaultConfig()
 	fx.Run(machine.New(4, sim.Paragon()), func(p *fx.Proc) {
 		g := p.Group()
-		vol, work := newVolume(p, g, cfg), newVolume(p, g, cfg)
+		vol, work := dist.New[float64](p.Proc, volume(g, cfg)), dist.New[float64](p.Proc, volume(g, cfg))
 		diffStage(p, vol, newFrames(p, g, cfg), cfg, 0)
 		if vol.Rank() == 0 {
 			b.ResetTimer()

@@ -21,6 +21,7 @@ import (
 	"fxpar/internal/group"
 	"fxpar/internal/machine"
 	"fxpar/internal/mapping"
+	"fxpar/internal/sim"
 	"fxpar/internal/stats"
 )
 
@@ -35,7 +36,7 @@ type Config struct {
 	// charge makes every stage charge its flops from its local shape and
 	// skip the arithmetic: the same messages — nil payloads of the same
 	// byte counts — and virtual times, no values. Only the cost-table cells
-	// and Simulate set it.
+	// (see MeasuredModel) and Simulate set it.
 	charge bool
 }
 
@@ -124,24 +125,8 @@ func Run(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
 		panic(err)
 	}
 	meter := stats.NewStream()
-	res := Result{DepthSum: make(map[int]int64)}
-	mu := make(chan struct{}, 1)
-	mu <- struct{}{}
-	record := func(set int, sum int64) {
-		<-mu
-		res.DepthSum[set] = sum
-		mu <- struct{}{}
-	}
-	sizes := mp.ModuleSizes()
-	runStats := fx.Run(mach, func(p *fx.Proc) {
-		streams.RunModules(p, sizes, func(p *fx.Proc, module int) {
-			runModule(p, cfg, mp.ModuleStages(module), module, mp.Modules, meter, record)
-		})
-	})
-	res.Stream = meter.Summarize()
-	res.Makespan = runStats.MakespanTime()
-	res.runStats = runStats
-	return res
+	sums, st := program(cfg).Run(mach, mp, cfg.Sets, meter)
+	return Result{Stream: meter.Summarize(), DepthSum: sums, Makespan: st.MakespanTime(), runStats: st}
 }
 
 // Simulate is Run charging every stage from shape (see Config.charge): the
@@ -151,85 +136,65 @@ func Simulate(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
 	return Run(mach, cfg, mp)
 }
 
-// RunCaptureDepth processes data set 0 data-parallel on the whole machine
-// and returns the full depth image in row-major order — used by tests and
-// diagnostics to validate the stereo pipeline against the generating scene.
-func RunCaptureDepth(mach *machine.Machine, cfg Config) []int32 {
-	var captured []int32
-	meter := stats.NewStream()
-	fx.Run(mach, func(p *fx.Proc) {
-		g := p.Group()
-		vol := newVolume(p, g, cfg)
-		depth := dist.New[int32](p.Proc, dist.RowBlock2D(g, cfg.H, cfg.W))
-		if vol.Rank() == 0 {
-			meter.Inject(0, p.Now())
-		}
-		diffStage(p, vol, newFrames(p, g, cfg), cfg, 0)
-		errorStage(p, vol, cfg)
-		depthStage(p, vol, depth, cfg, 0, meter, func(int, int64) {})
-		full := dist.GatherGlobal(p.Proc, depth)
-		if full != nil {
-			captured = full
-		}
-	})
-	return captured
-}
+// done reports a data set's depth checksum (see streams.Stage.New).
+type done = func(p *fx.Proc, set int, sum int64)
 
-func runModule(p *fx.Proc, cfg Config, stages []int, first, stride int,
-	meter *stats.Stream, record func(int, int64)) {
-	if len(stages) == 1 {
-		g := p.Group()
-		vol := newVolume(p, g, cfg)
-		in := newFrames(p, g, cfg)
-		depth := dist.New[int32](p.Proc, dist.RowBlock2D(g, cfg.H, cfg.W))
-		for set := first; set < cfg.Sets; set += stride {
-			if vol.Rank() == 0 {
-				meter.Inject(set, p.Now())
-			}
-			diffStage(p, vol, in, cfg, set)
-			errorStage(p, vol, cfg)
-			depthStage(p, vol, depth, cfg, set, meter, record)
-		}
-		return
+// stageNames name the stages in the cost tables, in order; Spec reads
+// them without building the program.
+var stageNames = []string{"diff", "error", "depth"}
+
+// program is the stereo stage table: every stage works on the difference
+// volume and hands it on by assignment.
+func program(cfg Config) streams.Program[float64, int64] {
+	layout := func(g *group.Group) *dist.Layout { return volume(g, cfg) }
+	return streams.Program[float64, int64]{
+		{Name: stageNames[0], Group: "Gdiff", Cap: cfg.H, Layout: layout,
+			New: func(p *fx.Proc, vol *dist.Array[float64], _ done) func(int) {
+				in := newFrames(p, vol.Layout().Group(), cfg)
+				return func(set int) { diffStage(p, vol, in, cfg, set) }
+			}},
+		{Name: stageNames[1], Group: "Gerr", Cap: cfg.ErrorCap(), Layout: layout,
+			New: func(p *fx.Proc, vol *dist.Array[float64], _ done) func(int) {
+				return func(int) { errorStage(p, vol, cfg) }
+			}},
+		{Name: stageNames[2], Group: "Gdep", Cap: cfg.H, Layout: layout,
+			New: func(p *fx.Proc, vol *dist.Array[float64], done done) func(int) {
+				depth := dist.New[int32](p.Proc, dist.RowBlock2D(vol.Layout().Group(), cfg.H, cfg.W))
+				return func(set int) { depthStage(p, vol, depth, cfg, set, done) }
+			}},
 	}
-	g := p.Group()
-	g1 := g.Subrange(0, stages[0])
-	g2 := g.Subrange(stages[0], stages[0]+stages[1])
-	g3 := g.Subrange(stages[0]+stages[1], stages[0]+stages[1]+stages[2])
-	vol1 := newVolume(p, g1, cfg)
-	in := newFrames(p, g1, cfg)
-	vol2 := newVolume(p, g2, cfg)
-	vol3 := newVolume(p, g3, cfg)
-	depth := dist.New[int32](p.Proc, dist.RowBlock2D(g3, cfg.H, cfg.W))
-	fx.PipelineLoop(p, fx.PipelineSpec{
-		Sets: cfg.Sets, First: first, Stride: stride,
-		Stages: []fx.Stage{
-			{Name: "Gdiff", Procs: stages[0], Body: func(set int) {
-				if vol1.Rank() == 0 {
-					meter.Inject(set, p.Now())
-				}
-				diffStage(p, vol1, in, cfg, set)
-			}},
-			{Name: "Gerr", Procs: stages[1], Body: func(set int) { errorStage(p, vol2, cfg) }},
-			{Name: "Gdep", Procs: stages[2], Body: func(set int) {
-				depthStage(p, vol3, depth, cfg, set, meter, record)
-			}},
-		},
-		Transfer: []func(int){
-			func(int) { dist.Assign(p.Proc, vol2, vol1) },
-			func(int) { dist.Assign(p.Proc, vol3, vol2) },
-		},
-	})
 }
 
-// newVolume allocates the (Disparities, H, W) difference volume distributed
-// over the image rows.
-func newVolume(p *fx.Proc, g *group.Group, cfg Config) *dist.Array[float64] {
-	l := dist.MustLayout(g,
+// ident is the content identity the stereo cost tables and cell skeletons
+// are filed under.
+func ident(cfg Config) mapping.Ident {
+	return mapping.Ident{App: "stereo",
+		Params: fmt.Sprintf("W=%d,H=%d,D=%d,Win=%d", cfg.W, cfg.H, cfg.Disparities, cfg.Window)}
+}
+
+// Spec returns the content-keyed table spec MeasuredModel memoizes its cost
+// tables under; exported for the serving layer's request dedupe.
+func Spec(cost sim.CostModel, cfg Config, maxP int, opt mapping.BuildOptions) mapping.TableSpec {
+	return ident(cfg).Spec(cost, maxP, stageNames, opt.Replay)
+}
+
+// MeasuredModel builds the stereo cost model from isolated stage
+// simulations, memoized by content key and replay-first under opt.Replay;
+// see mapping.Cells.Measure. A cell reads nothing but virtual time, so its
+// stages charge instead of computing (see Config.charge).
+func MeasuredModel(cost sim.CostModel, cfg Config, maxP int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
+	cfg.charge = true
+	pr := program(cfg)
+	return pr.Cells(ident(cfg)).Measure(cost, pr.Model(cost, maxP), opt)
+}
+
+// volume distributes the (Disparities, H, W) difference volume over the
+// image rows.
+func volume(g *group.Group, cfg Config) *dist.Layout {
+	return dist.MustLayout(g,
 		[]int{cfg.Disparities, cfg.H, cfg.W},
 		[]dist.Axis{dist.CollapsedAxis(), dist.BlockAxis(), dist.CollapsedAxis()},
 		[]int{1, g.Size(), 1})
-	return dist.New[float64](p.Proc, l)
 }
 
 // frames is one diff stage's camera staging, allocated once per module and
@@ -487,8 +452,7 @@ func clamp(x, lo, hi int) int {
 // depthStage computes the per-pixel argmin over disparities, checksums the
 // depth image (0 under cfg.charge, which skips the argmin), and completes
 // the data set on the stage's rank 0.
-func depthStage(p *fx.Proc, vol *dist.Array[float64], depth *dist.Array[int32],
-	cfg Config, set int, meter *stats.Stream, record func(int, int64)) {
+func depthStage(p *fx.Proc, vol *dist.Array[float64], depth *dist.Array[int32], cfg Config, set int, done done) {
 	if !vol.IsMember() {
 		return
 	}
@@ -519,7 +483,6 @@ func depthStage(p *fx.Proc, vol *dist.Array[float64], depth *dist.Array[int32],
 	total := comm.Reduce(p.Proc, g, 0, sum, func(x, y int64) int64 { return x + y })
 	if vol.Rank() == 0 {
 		p.IO(cfg.H * cfg.W * 4)
-		meter.Complete(set, p.Now())
-		record(set, total)
+		done(p, set, total)
 	}
 }

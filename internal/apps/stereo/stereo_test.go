@@ -1,11 +1,15 @@
 package stereo
 
 import (
+	"maps"
 	"testing"
 
+	"fxpar/internal/dist"
+	"fxpar/internal/fx"
 	"fxpar/internal/machine"
 	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
+	"fxpar/internal/stats"
 )
 
 func smallConfig() Config {
@@ -43,14 +47,25 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestDepthRecoversScene: with noise-free shifted match images and
+// block-constant disparities, the argmin depth must match the generating
+// scene away from block and image boundaries. The program runs data
+// parallel on one processor for one set, its depth stage gathering the
+// image it computed.
 func TestDepthRecoversScene(t *testing.T) {
-	// With noise-free shifted match images and block-constant disparities,
-	// the argmin depth must match the generating scene away from block and
-	// image boundaries. Single processor, single set.
 	cfg := Config{W: 64, H: 48, Disparities: 4, Window: 1, Sets: 1}
-	m := machine.New(1, sim.Paragon())
 	var captured []int32
-	fxRunCapture(m, cfg, &captured)
+	pr := program(cfg)
+	pr[2].New = func(p *fx.Proc, vol *dist.Array[float64], done done) func(int) {
+		depth := dist.New[int32](p.Proc, dist.RowBlock2D(vol.Layout().Group(), cfg.H, cfg.W))
+		return func(set int) {
+			depthStage(p, vol, depth, cfg, set, done)
+			if full := dist.GatherGlobal(p.Proc, depth); full != nil {
+				captured = full
+			}
+		}
+	}
+	pr.Run(machine.New(1, sim.Paragon()), mapping.DataParallel(1), cfg.Sets, stats.NewStream())
 	errs := 0
 	checked := 0
 	for i := 8; i < cfg.H-8; i++ {
@@ -74,38 +89,34 @@ func TestDepthRecoversScene(t *testing.T) {
 	}
 }
 
-// fxRunCapture runs the data-parallel program on one processor and captures
-// the depth image of set 0 via the package internals.
-func fxRunCapture(m *machine.Machine, cfg Config, out *[]int32) {
-	res := RunCaptureDepth(m, cfg)
-	*out = res
+// runCase is a mapping on a machine of procs processors.
+type runCase struct {
+	procs int
+	mp    mapping.Mapping
+}
+
+// agree runs cfg under every case and checks that each completes the stream
+// with ref's depth checksums.
+func agree(t *testing.T, cfg Config, ref Result, cases []runCase) {
+	t.Helper()
+	for _, tc := range cases {
+		res := run(t, tc.procs, cfg, tc.mp)
+		if res.Stream.Sets != cfg.Sets || !maps.Equal(res.DepthSum, ref.DepthSum) {
+			t.Errorf("%v: completed %d of %d sets, DepthSum %v, want %v", tc.mp, res.Stream.Sets, cfg.Sets, res.DepthSum, ref.DepthSum)
+		}
+	}
 }
 
 func TestMappingsAgree(t *testing.T) {
 	cfg := smallConfig()
-	ref := run(t, 1, cfg, mapping.DataParallel(1))
-	for _, tc := range []struct {
-		procs int
-		mp    mapping.Mapping
-	}{
+	agree(t, cfg, run(t, 1, cfg, mapping.DataParallel(1)), []runCase{
 		{4, mapping.DataParallel(4)},
 		{6, mapping.Mapping{Modules: 1, Stages: []int{2, 2, 2}}},
 		{8, mapping.Mapping{Modules: 2, Stages: []int{4}}},
 		{10, mapping.Mapping{Modules: 2, Stages: []int{2, 2, 1}}},
 		{3, mapping.DataParallel(3)},                                // uneven rows
 		{38, mapping.Mapping{Modules: 1, Stages: []int{24, 12, 2}}}, // 1-row blocks outside the error stage
-	} {
-		res := run(t, tc.procs, cfg, tc.mp)
-		if res.Stream.Sets != cfg.Sets {
-			t.Errorf("%v completed %d sets", tc.mp, res.Stream.Sets)
-			continue
-		}
-		for set := 0; set < cfg.Sets; set++ {
-			if res.DepthSum[set] != ref.DepthSum[set] {
-				t.Errorf("%v set %d: depth checksum %d != %d", tc.mp, set, res.DepthSum[set], ref.DepthSum[set])
-			}
-		}
-	}
+	})
 }
 
 func TestPipelineAndReplicationImproveThroughput(t *testing.T) {
@@ -126,7 +137,7 @@ func TestPipelineAndReplicationImproveThroughput(t *testing.T) {
 
 func TestModelOptimizeFeasible(t *testing.T) {
 	cfg := smallConfig()
-	model := BuildModel(sim.Paragon(), cfg, 8)
+	model := closedModel(sim.Paragon(), cfg, 8)
 	c, err := mapping.Optimize(model, 0)
 	if err != nil {
 		t.Fatal(err)

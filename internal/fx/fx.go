@@ -61,7 +61,8 @@ type frame struct {
 // processor, so low-level Send/Recv/Compute are directly available.
 type Proc struct {
 	*machine.Proc
-	stack []frame
+	stack  []frame
+	inline [3]frame // stack's first frames (world, module, stage), allocated with the Proc
 }
 
 // Run executes body as an SPMD program over all processors of m, with the
@@ -70,7 +71,8 @@ type Proc struct {
 func Run(m *machine.Machine, body func(*Proc)) machine.RunStats {
 	world := group.World(m.N())
 	return m.Run(func(mp *machine.Proc) {
-		p := &Proc{Proc: mp, stack: []frame{{g: world}}}
+		p := &Proc{Proc: mp}
+		p.stack = append(p.inline[:0], frame{g: world})
 		body(p)
 		if len(p.stack) != 1 {
 			panic(fmt.Sprintf("fx: processor %d finished with %d mapping frames on the stack", mp.ID(), len(p.stack)))

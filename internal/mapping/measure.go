@@ -35,8 +35,6 @@ func (id Ident) Spec(cost sim.CostModel, maxP int, stages []string, r *ReplayOpt
 // on a fresh machine.
 type Cells struct {
 	Ident
-	// DPCap bounds the processors the data-parallel program can use.
-	DPCap int
 	// Stage runs stage s in isolation on m and returns the virtual makespan.
 	Stage func(m *machine.Machine, s int) float64
 	// DP runs the whole program data parallel on all of m for one data set
@@ -71,9 +69,10 @@ func (c Cells) cell(cost sim.CostModel, s, p int, eng machine.Engine, capture bo
 }
 
 // Measure builds the mapper's cost model by simulating every stage at every
-// candidate processor count (and the data-parallel whole program) instead of
-// using closed's closed forms; closed supplies what is not measured — machine
-// size, stage names, parallelism caps and the transfer-cost function. The
+// candidate processor count (and the data-parallel whole program, on no more
+// processors than the narrowest stage cap); closed supplies what is not
+// measured — machine size, stage names, parallelism caps and the
+// transfer-cost function. The
 // campaign fans out over opt.Workers host workers and is memoized under the
 // content key of Spec (see BuildTables), so repeated builds, in-process or
 // across invocations with opt.CacheDir set, skip the simulations entirely.
@@ -88,7 +87,7 @@ func (c Cells) Measure(cost sim.CostModel, closed Model, opt BuildOptions) (Mode
 	spec := c.Spec(cost, closed.P, closed.StageNames, opt.Replay)
 	measure := func(s, p int) float64 {
 		key := skeleton.StoreKey{App: c.App + ".dp", Params: c.Params, Mapping: "dp", P: p}
-		procs := min(p, c.DPCap)
+		procs := closed.dpCap(p)
 		if s >= 0 {
 			key = skeleton.StoreKey{App: c.App + ".stage", Params: fmt.Sprintf("%s,s=%d", c.Params, s), Mapping: "isolated", P: p}
 			procs = closed.cap(s, p)
