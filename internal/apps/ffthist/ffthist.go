@@ -149,12 +149,12 @@ func program(cfg Config) streams.Program[complex128, []int64] {
 				full := streams.Frame(a, cfg.charge)
 				return func(set int) {
 					inputSet(p, a, full, cfg, set)
-					fftLocalRows(p, a, cfg.charge)
+					fftLocalRows(p, a, cfg.N, cfg.charge)
 				}
 			}},
 		{Name: stageNames[1], Group: "G2", Cap: cfg.N, Turn: true, Layout: layout,
 			New: func(p *fx.Proc, a *dist.Array[complex128], _ done) func(int) {
-				return func(int) { fftLocalRows(p, a, cfg.charge) }
+				return func(int) { fftLocalRows(p, a, cfg.N, cfg.charge) }
 			}},
 		{Name: stageNames[2], Group: "G3", Cap: cfg.N, Layout: layout,
 			New: func(p *fx.Proc, a *dist.Array[complex128], done done) func(int) {
@@ -210,18 +210,18 @@ func inputSet(p *fx.Proc, a *dist.Array[complex128], full []complex128, cfg Conf
 	dist.ScatterGlobal(p.Proc, a, full)
 }
 
-// fftLocalRows runs forward FFTs over every local row, unless charge is set,
-// and charges the cost.
-func fftLocalRows(p *fx.Proc, a *dist.Array[complex128], charge bool) {
+// fftLocalRows runs forward FFTs over every local row of the n-by-n array
+// a, unless charge is set, and charges the cost.
+func fftLocalRows(p *fx.Proc, a *dist.Array[complex128], n int, charge bool) {
 	if !a.IsMember() || a.Layout().LocalCount(a.Rank()) == 0 {
 		return
 	}
-	shape := a.LocalShape()
+	rows := a.Layout().LocalCount(a.Rank()) / n // columns are collapsed
 	if charge {
-		p.Compute(float64(shape[0]) * fft.Flops(shape[1]))
+		p.Compute(float64(rows) * fft.Flops(n))
 		return
 	}
-	p.Compute(fft.Rows(a.Local(), shape[1]))
+	p.Compute(fft.Rows(a.Local(), n))
 }
 
 // histSet computes the distributed histogram of a (all zeros under

@@ -63,6 +63,7 @@ func (pr Program[T, R]) Run(mach *machine.Machine, mp mapping.Mapping, sets int,
 		mu.Unlock()
 	}
 	sizes := mp.ModuleSizes()
+	idle := checkModules(sizes, mach.N())
 	module := func(p *fx.Proc, i int) {
 		if stages := mp.ModuleStages(i); len(stages) > 1 {
 			pr.pipeline(p, stages, i, mp.Modules, sets, meter, done)
@@ -70,7 +71,7 @@ func (pr Program[T, R]) Run(mach *machine.Machine, mp mapping.Mapping, sets int,
 			pr.dataParallel(p, i, mp.Modules, sets, meter, done)
 		}
 	}
-	st := fx.Run(mach, func(p *fx.Proc) { runModules(p, sizes, module) })
+	st := fx.Run(mach, func(p *fx.Proc) { runModules(p, sizes, idle, module) })
 	return vals, st
 }
 
@@ -222,18 +223,10 @@ func sharedPartition(p *fx.Proc, sizes []int, idle int) *group.Partition {
 	return part
 }
 
-// runModules partitions the current group into one subgroup per entry of
-// sizes — sizes[i] processors for module i, not necessarily equal, so the
-// optimizer can hand leftover processors to some modules — with any
-// remaining processors idling (like the nodes the paper's data-parallel
-// radar could not exploit), and runs body on each module with its index.
-// With one module and no idle processors the body runs directly on the
-// current group, avoiding a needless partition level. The sizes must be
-// positive and sum to at most the current group size; processors passing
-// the same slice share one partition (see partCache).
-func runModules(p *fx.Proc, sizes []int, body func(p *fx.Proc, module int)) {
-	np := p.NumberOfProcessors()
-	modules := len(sizes)
+// checkModules panics unless sizes are one or more positive entries summing
+// to at most np, and returns how many of np they leave idle. Run checks once
+// per run, not once per processor.
+func checkModules(sizes []int, np int) (idle int) {
 	used := 0
 	for _, s := range sizes {
 		if s < 1 {
@@ -241,10 +234,23 @@ func runModules(p *fx.Proc, sizes []int, body func(p *fx.Proc, module int)) {
 		}
 		used += s
 	}
-	if modules < 1 || used > np {
+	if len(sizes) < 1 || used > np {
 		panic(fmt.Sprintf("streams: cannot run modules %v on %d processors", sizes, np))
 	}
-	idle := np - used
+	return np - used
+}
+
+// runModules partitions the current group into one subgroup per entry of
+// sizes — sizes[i] processors for module i, not necessarily equal, so the
+// optimizer can hand leftover processors to some modules — with the idle
+// processors that remain doing nothing (like the nodes the paper's
+// data-parallel radar could not exploit), and runs body on each module with
+// its index. With one module and no idle processors the body runs directly
+// on the current group, avoiding a needless partition level. sizes and idle
+// are what checkModules accepted and returned for the current group size;
+// processors passing the same slice share one partition (see partCache).
+func runModules(p *fx.Proc, sizes []int, idle int, body func(p *fx.Proc, module int)) {
+	modules := len(sizes)
 	if modules == 1 && idle == 0 {
 		body(p, 0)
 		return

@@ -16,7 +16,7 @@ func testMachine(n int) *machine.Machine {
 func TestSingleModuleNoPartition(t *testing.T) {
 	m := testMachine(4)
 	fx.Run(m, func(p *fx.Proc) {
-		runModules(p, []int{4}, func(p *fx.Proc, mod int) {
+		runModules(p, []int{4}, 0, func(p *fx.Proc, mod int) {
 			if mod != 0 || p.NumberOfProcessors() != 4 || p.Depth() != 1 {
 				t.Errorf("mod=%d np=%d depth=%d", mod, p.NumberOfProcessors(), p.Depth())
 			}
@@ -29,7 +29,7 @@ func TestModulesSplitEvenly(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int]int{}
 	fx.Run(m, func(p *fx.Proc) {
-		runModules(p, Uniform(3, 2), func(p *fx.Proc, mod int) {
+		runModules(p, Uniform(3, 2), 0, func(p *fx.Proc, mod int) {
 			if p.NumberOfProcessors() != 2 {
 				t.Errorf("module %d np=%d", mod, p.NumberOfProcessors())
 			}
@@ -48,7 +48,7 @@ func TestModulesSplitEvenly(t *testing.T) {
 func TestIdleProcessorsSkip(t *testing.T) {
 	m := testMachine(5)
 	stats := fx.Run(m, func(p *fx.Proc) {
-		runModules(p, []int{2, 2}, func(p *fx.Proc, mod int) {
+		runModules(p, []int{2, 2}, 1, func(p *fx.Proc, mod int) {
 			p.Compute(1000)
 		})
 	})
@@ -62,7 +62,7 @@ func TestSingleModuleWithIdle(t *testing.T) {
 	var mu sync.Mutex
 	ran := 0
 	fx.Run(m, func(p *fx.Proc) {
-		runModules(p, []int{3}, func(p *fx.Proc, mod int) {
+		runModules(p, []int{3}, 2, func(p *fx.Proc, mod int) {
 			if p.NumberOfProcessors() != 3 {
 				t.Errorf("np = %d", p.NumberOfProcessors())
 			}
@@ -81,7 +81,7 @@ func TestUnevenModuleSizes(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int]int{}
 	fx.Run(m, func(p *fx.Proc) {
-		runModules(p, []int{3, 2, 2}, func(p *fx.Proc, mod int) {
+		runModules(p, []int{3, 2, 2}, 0, func(p *fx.Proc, mod int) {
 			want := 2
 			if mod == 0 {
 				want = 3
@@ -114,10 +114,7 @@ func TestInvalidArgsPanic(t *testing.T) {
 					t.Errorf("sizes=%v accepted", sizes)
 				}
 			}()
-			m := testMachine(4)
-			fx.Run(m, func(p *fx.Proc) {
-				runModules(p, sizes, func(*fx.Proc, int) {})
-			})
+			checkModules(sizes, 4)
 		}()
 	}
 }

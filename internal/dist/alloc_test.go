@@ -3,101 +3,144 @@ package dist
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
+	"fxpar/internal/comm"
 	"fxpar/internal/group"
 	"fxpar/internal/machine"
 )
 
-// Allocation guards for the communication sets: what a remap allocates must
-// depend on how many messages it sends, never on how many elements or peers
-// it looks at.
+// Allocation guards for data movement: what a call allocates must be a
+// constant per call, never one object per message, element or peer.
 
-const (
-	allocProcs = 16
-	allocCalls = 20
-)
+const allocCalls = 20
 
-// remapMallocs returns the host allocations, per processor, of calls
-// invocations of op on n-by-n arrays over allocProcs processors, and the
-// messages one processor sent on average, as the difference between a run
-// of 2*calls and a run of calls.
-func remapMallocs(n, calls int, op func(p *machine.Proc, rows, cols, rows2 *Array[float64], full []float64)) (mallocs, msgs float64) {
-	run := func(calls int) (float64, float64) {
-		m := testMachine(allocProcs)
-		m.SetEngine(machine.Coop(1))
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		stats := m.Run(func(p *machine.Proc) {
-			g := group.World(allocProcs)
-			rows := New[float64](p, RowBlock2D(g, n, n))
-			cols := New[float64](p, ColBlock2D(g, n, n))
-			rows2 := New[float64](p, RowBlock2D(g, n, n))
-			var full []float64
-			if p.ID() == 0 {
-				full = make([]float64, n*n)
-			}
-			for i := 0; i < calls; i++ {
-				op(p, rows, cols, rows2, full)
-			}
-		})
-		runtime.ReadMemStats(&after)
-		sent := int64(0)
-		for _, ps := range stats.Procs {
-			sent += ps.MsgsSent
-		}
-		return float64(after.Mallocs-before.Mallocs) / allocProcs, float64(sent) / allocProcs
-	}
-	// Set-up and the mailboxes' growth to their steady depth (which follows
-	// the virtual-time schedule, so it moves with n) are in both readings.
-	// The runtime's own background allocations only ever add: keep the
-	// smallest of three readings of each.
-	base, with := math.Inf(1), math.Inf(1)
-	for i := 0; i < 3; i++ {
-		b, bm := run(calls)
-		w, wm := run(2 * calls)
-		base, with, msgs = min(base, b), min(with, w), wm-bm
-	}
-	return with - base, msgs
+// allocFixture is what one processor's op works on. The n-by-n arrays are
+// row-BLOCK (rows, rows2) and column-BLOCK (cols); vec and half are n·n
+// elements BLOCK over the whole group and over its first half. full is rank
+// 0's global buffer.
+type allocFixture struct {
+	rows, cols, rows2 *Array[float64]
+	vec, half         *Array[float64]
+	full              []float64
 }
 
-// TestRemapAllocsFlatInElements: twenty Transpose2D / Assign / ScatterGlobal
-// / CopySection calls (the last with a box that grows with n) allocate the
-// same (± 2 per processor) at n = 64 and n = 256, and
-// per call no more than one allocation per message sent (the payload's
-// interface header) plus the stated slack: the two sides' index and list
-// arrays, the identity permutation, the one send buffer and, for
-// ScatterGlobal, the root view's layout. The per-element code this replaced allocated three
-// slices per element.
+// remapMallocs returns the host allocations, per processor, of calls
+// invocations of op on n-by-n arrays over procs processors, and the
+// messages one processor sent per calls calls. touched fills every array
+// and full first, so payloads carry data; otherwise they travel as byte
+// counts.
+//
+// A barrier after every call (no allocation; its messages are counted) holds
+// each mailbox at its steady depth: a sender left to run ahead grows its
+// receivers' queues, a cost of the machine that follows the schedule. Under
+// a one-slot coop engine one processor runs at a time, so processor 0 reads
+// the counter while every other one waits in the next barrier: after calls
+// warm-up calls and after calls more. Set-up and the machine's goroutines
+// stay out of the reading; the mark's barrier is in it.
+func remapMallocs(procs, n, calls int, touched bool, op func(p *machine.Proc, f *allocFixture)) (mallocs, msgs float64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no collector cycles in the reading
+	m := testMachine(procs)
+	m.SetEngine(machine.Coop(1))
+	var at [2]uint64
+	stats := m.Run(func(p *machine.Proc) {
+		g := group.World(procs)
+		f := &allocFixture{
+			rows:  New[float64](p, RowBlock2D(g, n, n)),
+			cols:  New[float64](p, ColBlock2D(g, n, n)),
+			rows2: New[float64](p, RowBlock2D(g, n, n)),
+			vec:   New[float64](p, MustLayout(g, []int{n * n}, []Axis{BlockAxis()}, []int{procs})),
+			half:  New[float64](p, MustLayout(g.Subrange(0, procs/2), []int{n * n}, []Axis{BlockAxis()}, []int{procs / 2})),
+		}
+		if touched {
+			for _, a := range []*Array[float64]{f.rows, f.cols, f.rows2, f.vec, f.half} {
+				a.FillFunc(func(idx []int) float64 { return float64(idx[0] + 1) })
+			}
+			if p.ID() == 0 {
+				f.full = make([]float64, n*n)
+				for i := range f.full {
+					f.full[i] = float64(i)
+				}
+			}
+		}
+		mark := func(k int) {
+			if p.ID() == 0 {
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				at[k] = ms.Mallocs
+			}
+			comm.Barrier(p, g)
+		}
+		for k := range at { // warm-up, then the window
+			for i := 0; i < calls; i++ {
+				op(p, f)
+				comm.Barrier(p, g)
+			}
+			mark(k)
+		}
+	})
+	sent := int64(0)
+	for _, ps := range stats.Procs {
+		sent += ps.MsgsSent
+	}
+	return float64(at[1]-at[0]) / float64(procs), float64(sent) / float64(2*procs)
+}
+
+// TestRemapAllocsFlatInElements: twenty calls of every data movement
+// allocate, per processor, the same (± spread) at P = 16 and 64 and at
+// n = 64 and 256, with untouched and with touched data, and no more than
+// slack per call, however many messages they send. A remap call's four are
+// the two sides' shared index and list arrays, the one send buffer and the
+// one slab of slice headers its messages point into. The per-element code
+// this replaced allocated three slices per element, and the earlier wire
+// format one interface box per message.
 func TestRemapAllocsFlatInElements(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation changes allocation counts")
 	}
 	ops := []struct {
-		name  string
-		slack float64 // allocations one processor may make per call beyond its messages
-		op    func(p *machine.Proc, rows, cols, rows2 *Array[float64], full []float64)
+		name          string
+		slack, spread float64 // allocations one processor may make per call; their range over P and n
+		op            func(p *machine.Proc, f *allocFixture)
 	}{
-		{"Transpose2D", 8, func(p *machine.Proc, rows, _, rows2 *Array[float64], _ []float64) { Transpose2D(p, rows2, rows) }},
-		{"Assign", 8, func(p *machine.Proc, rows, cols, _ *Array[float64], _ []float64) { Assign(p, cols, rows) }},
-		{"ScatterGlobal", 14, func(p *machine.Proc, rows, _, _ *Array[float64], full []float64) { ScatterGlobal(p, rows, full) }},
+		{"Transpose2D", 4, 2, func(p *machine.Proc, f *allocFixture) { Transpose2D(p, f.rows2, f.rows) }},
+		{"Assign", 4, 2, func(p *machine.Proc, f *allocFixture) { Assign(p, f.cols, f.rows) }},
+		// Rank 0's two more objects per call are spread over P processors.
+		{"ScatterGlobal", 4, 2, func(p *machine.Proc, f *allocFixture) { ScatterGlobal(p, f.rows, f.full) }},
 		// Assign's slack plus the three offset and box slices passed in.
-		{"CopySection", 11, func(p *machine.Proc, rows, cols, _ *Array[float64], _ []float64) {
+		{"CopySection", 7, 2, func(p *machine.Proc, f *allocFixture) {
 			// The middle half of rows' columns into cols' right half.
-			n := rows.l.shape[0]
-			CopySection(p, cols, []int{0, n / 2}, rows, []int{0, n / 4}, []int{n, n / 2})
+			n := f.rows.l.shape[0]
+			CopySection(p, f.cols, []int{0, n / 2}, f.rows, []int{0, n / 4}, []int{n, n / 2})
 		}},
+		// The counts' gather and broadcast, the prefix sums, the kept
+		// elements and the slab. comm boxes one []int per message, and the
+		// gather root's share of those shrinks as 1/P.
+		{"PackInto", 8, 4, func(p *machine.Proc, f *allocFixture) {
+			PackInto(p, f.half, f.vec, 0, func(v float64) bool { return int(v)%2 == 0 })
+		}},
+		// One buffer and one slab for both rows.
+		{"HaloRows", 2, 2, func(p *machine.Proc, f *allocFixture) { HaloRows(p, f.rows, 1) }},
 	}
 	for _, o := range ops {
-		small, msgs := remapMallocs(64, allocCalls, o.op)
-		big, _ := remapMallocs(256, allocCalls, o.op)
-		t.Logf("%s: mallocs/proc for %d calls: n=64 %.1f, n=256 %.1f; %.1f messages/proc", o.name, allocCalls, small, big, msgs)
-		if d := big - small; d > 2 || d < -2 {
-			t.Errorf("%s: mallocs per processor moved from %.1f (n=64) to %.1f (n=256)", o.name, small, big)
-		}
-		if limit := msgs + allocCalls*o.slack; big > limit {
-			t.Errorf("%s: %.1f mallocs per processor for %.1f messages and %d calls, limit %.1f", o.name, big, msgs, allocCalls, limit)
+		for _, touched := range []bool{false, true} {
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for _, procs := range []int{16, 64} {
+				for _, n := range []int{64, 256} {
+					got, msgs := remapMallocs(procs, n, allocCalls, touched, o.op)
+					t.Logf("%s touched=%v P=%d n=%d: %.1f mallocs/proc for %d calls, %.1f messages/proc", o.name, touched, procs, n, got, allocCalls, msgs)
+					lo, hi = min(lo, got), max(hi, got)
+					// Plus one per processor for what the window costs
+					// once, however long: the mark, the machine's own.
+					if limit := allocCalls*o.slack + 1; got > limit {
+						t.Errorf("%s touched=%v P=%d n=%d: %.1f mallocs per processor for %d calls, limit %.1f", o.name, touched, procs, n, got, allocCalls, limit)
+					}
+				}
+			}
+			if hi-lo > o.spread {
+				t.Errorf("%s touched=%v: mallocs per processor range over %.1f–%.1f across P and n", o.name, touched, lo, hi)
+			}
 		}
 	}
 }

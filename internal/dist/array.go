@@ -20,6 +20,7 @@ type Array[T any] struct {
 	// data is the local part in row-major order of local indices; nil until
 	// local first touches it.
 	data []T
+	root *Array[T] // see rootView; nil until the first gather or scatter
 }
 
 // New returns a distributed array with the given layout. It records the

@@ -27,8 +27,12 @@ func Assign[T any](p *machine.Proc, dst, src *Array[T]) {
 // Transpose2D implements dst[i][j] = src[j][i] for rank-2 arrays — the
 // "corner turn" of the radar benchmark and the middle step of the 2D FFT.
 func Transpose2D[T any](p *machine.Proc, dst, src *Array[T]) {
-	remap(p, dst, nil, src, nil, nil, []int{1, 0})
+	remap(p, dst, nil, src, nil, nil, transposed)
 }
+
+// transposed and identity are read-only permutations, so no call allocates
+// one: Transpose2D's, and identity prefixes up to rank len(identity).
+var transposed, identity = []int{1, 0}, []int{0, 1, 2, 3, 4, 5, 6, 7}
 
 // CopySection copies the box of the given shape starting at srcOff in src
 // to the box starting at dstOff in dst — the array-section assignment
@@ -86,9 +90,9 @@ func remap[T any](p *machine.Proc, dst *Array[T], dstOff []int, src *Array[T], s
 	if src.rank < 0 && dst.rank < 0 {
 		return // minimal processor subset: not a participant
 	}
-	ident := make([]int, nd)
-	for d := range ident {
-		ident[d] = d
+	ident := identity[:min(nd, len(identity))]
+	for d := len(ident); d < nd; d++ {
+		ident = append(ident, d)
 	}
 	if perm == nil {
 		perm = ident
@@ -98,43 +102,52 @@ func remap[T any](p *machine.Proc, dst *Array[T], dstOff []int, src *Array[T], s
 	// of the same byte count, and leaves an untouched destination untouched.
 	srcData := src.data
 
+	// Both sides' splits share one index array and one list array.
+	sending := src.rank >= 0 && src.l.LocalCount(src.rank) > 0
+	receiving := dst.rank >= 0 && dst.l.LocalCount(dst.rank) > 0
+	nOut := sideInts(sending, src.localShape, dst.l)
+	ints, lists := make([]int, nOut+sideInts(receiving, dst.localShape, src.l)), make([][]int, 6*nd)
+
 	var out side
-	if src.rank >= 0 && src.l.LocalCount(src.rank) > 0 {
+	if sending {
 		// Every in-box source element has exactly one destination owner, so
-		// what I do not keep I send: one buffer holds every outgoing payload,
-		// and messages go in destination-rank order (determinism).
-		out = newSide(src.l, src.rank, src.localShape, perm, srcOff, dst.l, ident, dstOff, box)
+		// what I do not keep I send: one buffer holds every outgoing payload
+		// and one slab their headers, a message is a pointer into the slab
+		// (no heap box), and messages go in destination-rank order.
+		out = newSide(ints[:nOut], lists[:3*nd], src.l, src.rank, src.localShape, perm, srcOff, dst.l, ident, dstOff, box)
 		var buf []T
+		var hdrs [][]T
+		size := dst.l.g.Size()
 		if srcData != nil {
-			total := 1
-			for _, offs := range out.offs {
-				total *= len(offs)
+			total, peers := 0, 0
+			for r := 0; r < size; r++ {
+				if n := out.peerParts(r); n > 0 && r != dst.rank {
+					total, peers = total+n, peers+1
+				}
 			}
-			if dst.rank >= 0 {
-				total -= out.peerParts(dst.rank) // mine
-			}
-			buf = make([]T, total)
+			buf, hdrs = make([]T, total), make([][]T, 0, peers)
 		}
-		for r, size := 0, dst.l.g.Size(); r < size; r++ {
+		for r := 0; r < size; r++ {
 			n := out.peerParts(r)
 			if n == 0 || r == dst.rank {
 				continue
 			}
-			var msg []T
+			var msg *[]T // nil: untouched
 			if buf != nil {
 				copyParts(buf[:n], nil, srcData, out.parts, out.idx)
-				msg, buf = buf[:n:n], buf[n:]
+				hdrs = append(hdrs, buf[:n:n]) // within capacity: earlier pointers hold
+				msg, buf = &hdrs[len(hdrs)-1], buf[n:]
 			}
 			p.Send(dst.l.g.Phys(r), msg, n*elemBytes)
 		}
 	}
 
-	if dst.rank >= 0 && dst.l.LocalCount(dst.rank) > 0 {
+	if receiving {
 		// Receive from senders in ascending source-rank order. Senders are
 		// distinct physical processors, so per-pair FIFO plus identical
 		// enumeration order guarantees a sender's k-th value is the k-th
 		// element of the pair's set.
-		in := newSide(dst.l, dst.rank, dst.localShape, ident, dstOff, src.l, perm, srcOff, box)
+		in := newSide(ints[nOut:], lists[3*nd:], dst.l, dst.rank, dst.localShape, ident, dstOff, src.l, perm, srcOff, box)
 		for s, size := 0, src.l.g.Size(); s < size; s++ {
 			n := in.peerParts(s)
 			if n == 0 {
@@ -158,13 +171,18 @@ func remap[T any](p *machine.Proc, dst *Array[T], dstOff []int, src *Array[T], s
 	}
 }
 
+// recvSlice receives the next payload from srcPhys: a *[]T into its
+// sender's header slab (see remap), nil for an untouched part.
 func recvSlice[T any](p *machine.Proc, srcPhys int) []T {
 	msg := p.Recv(srcPhys)
-	vals, ok := msg.Data.([]T)
+	vals, ok := msg.Data.(*[]T)
 	if !ok {
-		panic(fmt.Sprintf("dist: processor %d expected []%T from %d, got %T", p.ID(), *new(T), srcPhys, msg.Data))
+		panic(fmt.Sprintf("dist: processor %d expected *[]%T from %d, got %T", p.ID(), *new(T), srcPhys, msg.Data))
 	}
-	return vals
+	if vals != nil {
+		return *vals
+	}
+	return nil
 }
 
 // AssignFullGroup is the ablation counterpart of Assign: it performs the
@@ -193,6 +211,7 @@ func GatherGlobal[T any](p *machine.Proc, a *Array[T]) []T {
 		out = make([]T, a.l.Size())
 	}
 	Assign(p, rootView(a, out), a)
+	a.root.data = nil // keep no caller slice between calls
 	return out
 }
 
@@ -207,21 +226,28 @@ func ScatterGlobal[T any](p *machine.Proc, a *Array[T], full []T) {
 		panic(fmt.Sprintf("dist: ScatterGlobal got %d elements for %v", len(full), a.l))
 	}
 	Assign(p, a, rootView(a, full))
+	a.root.data = nil
 }
 
 // rootView presents global (row-major, significant at rank 0 of a's group)
 // as an array of a's shape that rank 0 owns whole — every dimension
 // collapsed over the one-processor group — so gathering to and scattering
-// from the root are assignments like any other.
+// from the root are assignments like any other. The view is built on a's
+// first gather or scatter and kept on a; each call only swaps global in.
 func rootView[T any](a *Array[T], global []T) *Array[T] {
-	axes := make([]Axis, a.l.Rank()) // the zero Axis is collapsed
-	ones := make([]int, a.l.Rank())
-	for d := range ones {
-		ones[d] = 1
+	if a.root == nil {
+		axes := make([]Axis, a.l.Rank()) // the zero Axis is collapsed
+		ones := make([]int, a.l.Rank())
+		for d := range ones {
+			ones[d] = 1
+		}
+		a.root = &Array[T]{p: a.p, rank: -1, l: MustLayout(a.l.g.Subrange(0, 1), a.l.shape, axes, ones)}
+		if a.rank == 0 {
+			a.root.rank, a.root.localShape = 0, a.l.shape
+		}
 	}
-	v := &Array[T]{p: a.p, rank: -1, l: MustLayout(a.l.g.Subrange(0, 1), a.l.shape, axes, ones)}
 	if a.rank == 0 {
-		v.rank, v.localShape, v.data = 0, a.l.shape, global
+		a.root.data = global
 	}
-	return v
+	return a.root
 }

@@ -27,23 +27,27 @@ type side struct {
 	idx   []int
 }
 
-// newSide splits rank's local index space (extents shape) of layout me
-// against peer. myAxis[d] and peerAxis[d] are the axes of me and peer that
-// destination dimension d ranges over. A nil box takes every index; else
-// only global indices in [myOff[a], myOff[a]+box[d]) count, and the peer's
-// index is mine minus myOff[a] plus peerOff[peerAxis[d]]. The cost is
-// O(Σ local extents + Σ peer grid extents) and three allocations, whatever
-// the peer count.
-func newSide(me *Layout, rank int, shape, myAxis, myOff []int, peer *Layout, peerAxis, peerOff, box []int) side {
-	nd := len(myAxis)
-	n := nd
-	for d, a := range myAxis {
-		n += shape[a] + peer.grid[peerAxis[d]]
+// sideInts is the index array length newSide needs for local extents shape
+// against peer, in any axis order; 0 unless take. Lists take 3·len(shape).
+func sideInts(take bool, shape []int, peer *Layout) int {
+	n := 0
+	for d := 0; take && d < len(shape); d++ {
+		n += 1 + shape[d] + peer.grid[d]
 	}
-	ints := make([]int, n)
-	lists := make([][]int, 3*nd)
+	return n
+}
+
+// newSide splits rank's local index space (extents shape) of layout me
+// against peer in the zeroed arrays ints and lists (see sideInts), which the
+// two sides of a remap share. myAxis[d] and peerAxis[d] are the axes of me
+// and peer that destination dimension d ranges over. A nil box takes every
+// index; else only global indices in [myOff[a], myOff[a]+box[d]) count, and
+// the peer's index is mine minus myOff[a] plus peerOff[peerAxis[d]]. The
+// cost is O(Σ local extents + Σ peer grid extents), whatever the peer count.
+func newSide(ints []int, lists [][]int, me *Layout, rank int, shape, myAxis, myOff []int, peer *Layout, peerAxis, peerOff, box []int) side {
+	nd := len(myAxis)
 	s := side{peer: peer, peerAxis: peerAxis,
-		offs: lists[:nd], end: lists[nd : 2*nd], parts: lists[2*nd:], idx: ints[:nd]}
+		offs: lists[:nd], end: lists[nd : 2*nd], parts: lists[2*nd : 3*nd], idx: ints[:nd]}
 	ints = ints[nd:]
 	for d, a := range myAxis {
 		md, pd := me.dims[a], peer.dims[peerAxis[d]]

@@ -44,33 +44,21 @@ func HaloRows[T any](p *machine.Proc, a *Array[T], h int) (above, below []T) {
 	if size == 1 {
 		return nil, nil
 	}
-	elem := comm.ElemBytes[T]()
-	clampRow := func(r int) int {
-		if r < 0 {
-			return 0
+	// Both messages are packed into one buffer and travel as pointers into
+	// one slab of slice headers (see remap); rows past an edge are clamped.
+	buf, hdrs := make([]T, 0, 2*h*w), make([][]T, 0, 2)
+	send := func(to, first int) {
+		for r := first; r < first+h; r++ {
+			buf = append(buf, data[min(max(r, 0), rows-1)*w:][:w]...)
 		}
-		if r >= rows {
-			return rows - 1
-		}
-		return r
-	}
-	pack := func(top bool) []T {
-		buf := make([]T, 0, h*w)
-		for k := 0; k < h; k++ {
-			r := k
-			if !top {
-				r = rows - h + k
-			}
-			r = clampRow(r)
-			buf = append(buf, data[r*w:(r+1)*w]...)
-		}
-		return buf
+		hdrs = append(hdrs, buf[len(buf)-h*w:len(buf):len(buf)])
+		p.Send(l.g.Phys(to), &hdrs[len(hdrs)-1], h*w*comm.ElemBytes[T]())
 	}
 	if rank > 0 {
-		p.Send(l.g.Phys(rank-1), pack(true), h*w*elem)
+		send(rank-1, 0)
 	}
 	if rank < size-1 {
-		p.Send(l.g.Phys(rank+1), pack(false), h*w*elem)
+		send(rank+1, rows-h)
 	}
 	if rank > 0 {
 		above = recvSlice[T](p, l.g.Phys(rank-1))

@@ -206,6 +206,31 @@ type Layout struct {
 	gridStride []int
 }
 
+// allocLayout returns a layout over g holding copies of shape, axes and
+// grid, with dims and gridStride allocated for the caller to fill: all in
+// one allocation up to rank 2, which every sensor program's layout has.
+func allocLayout(g *group.Group, shape []int, axes []Axis, grid []int) *Layout {
+	nd := len(shape)
+	var l *Layout
+	var ints []int
+	if nd <= 2 {
+		b := new(struct {
+			Layout
+			i [6]int
+			a [2]Axis
+			d [2]dim
+		})
+		l, ints, b.axes, b.dims = &b.Layout, b.i[:3*nd], b.a[:nd:nd], b.d[:nd:nd]
+	} else {
+		l, ints = &Layout{axes: make([]Axis, nd), dims: make([]dim, nd)}, make([]int, 3*nd)
+	}
+	l.g, l.shape, l.grid, l.gridStride = g, ints[:nd:nd], ints[nd:2*nd:2*nd], ints[2*nd:]
+	copy(l.shape, shape)
+	copy(l.axes, axes)
+	copy(l.grid, grid)
+	return l
+}
+
 // NewLayout creates a layout of the given global shape over g, with one
 // Axis and one grid extent per dimension. The product of grid extents must
 // equal the group size.
@@ -216,6 +241,7 @@ func NewLayout(g *group.Group, shape []int, axes []Axis, grid []int) (*Layout, e
 	if len(shape) == 0 || len(shape) != len(axes) || len(shape) != len(grid) {
 		return nil, fmt.Errorf("dist: shape/axes/grid rank mismatch: %d/%d/%d", len(shape), len(axes), len(grid))
 	}
+	l := allocLayout(g, shape, axes, grid)
 	prod := 1
 	for _, q := range grid {
 		if q <= 0 {
@@ -224,15 +250,9 @@ func NewLayout(g *group.Group, shape []int, axes []Axis, grid []int) (*Layout, e
 		prod *= q
 	}
 	if prod != g.Size() {
-		return nil, fmt.Errorf("dist: grid %v has %d cells but group has %d processors", grid, prod, g.Size())
+		// l.grid, not grid: a caller's literal then stays on its stack.
+		return nil, fmt.Errorf("dist: grid %v has %d cells but group has %d processors", l.grid, prod, g.Size())
 	}
-	l := &Layout{
-		shape: append([]int(nil), shape...),
-		axes:  append([]Axis(nil), axes...),
-		grid:  append([]int(nil), grid...),
-		g:     g,
-	}
-	l.dims = make([]dim, len(shape))
 	for i := range shape {
 		d, err := newDim(shape[i], grid[i], axes[i])
 		if err != nil {
@@ -240,7 +260,6 @@ func NewLayout(g *group.Group, shape []int, axes []Axis, grid []int) (*Layout, e
 		}
 		l.dims[i] = d
 	}
-	l.gridStride = make([]int, len(grid))
 	s := 1
 	for i := len(grid) - 1; i >= 0; i-- {
 		l.gridStride[i] = s
@@ -283,14 +302,8 @@ func NewAligned(base *Layout, shape, offsets []int) (*Layout, error) {
 	if len(shape) != nd || len(offsets) != nd {
 		return nil, fmt.Errorf("dist: NewAligned rank mismatch: base %d, shape %d, offsets %d", nd, len(shape), len(offsets))
 	}
-	l := &Layout{
-		shape:      append([]int(nil), shape...),
-		axes:       append([]Axis(nil), base.axes...),
-		grid:       append([]int(nil), base.grid...),
-		g:          base.g,
-		gridStride: append([]int(nil), base.gridStride...),
-		dims:       make([]dim, nd),
-	}
+	l := allocLayout(base.g, shape, base.axes, base.grid)
+	copy(l.gridStride, base.gridStride)
 	for d := 0; d < nd; d++ {
 		if shape[d] <= 0 {
 			return nil, fmt.Errorf("dist: NewAligned non-positive extent %d in dimension %d", shape[d], d)

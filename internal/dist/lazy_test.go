@@ -136,43 +136,108 @@ func FuzzNewLayout(f *testing.F) {
 	f.Add([]byte{1, 0xfb, 1, 0, 1, 1, 0})                          // negative extent
 	f.Add([]byte{1, 8, 1, 0, 3, 4, 0})                             // grid 3 over 4 processors
 	f.Fuzz(func(t *testing.T, data []byte) {
-		next := func() int {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int(int8(b))
-		}
-		nd := next() & 3
-		shape, axes, grid := make([]int, nd), make([]Axis, nd), make([]int, nd)
-		for d := 0; d < nd; d++ {
-			shape[d] = next() % 24
-			axes[d] = Axis{Kind: Kind(next() % 5), B: next() % 6}
-			grid[d] = next() % 6
-		}
-		var g *group.Group
-		if size := next() & 15; size > 0 {
-			g = group.World(size)
-		}
-		l, err := NewLayout(g, shape, axes, grid)
+		next := fuzzReader(data)
+		l, err := fuzzLayout(next)
 		if err != nil {
 			return
 		}
 		if align := next(); align&1 == 1 {
-			ashape, offs := make([]int, nd+(align>>1)&1), make([]int, nd)
-			for d := range ashape {
-				ashape[d] = next() % 24
-			}
-			for d := range offs {
-				offs[d] = next() % 8
-			}
-			if l, err = NewAligned(l, ashape, offs); err != nil {
+			if l, _, err = fuzzAligned(next, l, align); err != nil {
 				return
 			}
 		}
 		checkLayout(t, l)
 	})
+}
+
+// FuzzNewAligned aligns into a valid base layout drawn from bytes, with
+// shapes and offsets drawn from the same bytes, any of them out of range,
+// once and then again into the result. NewAligned must never panic on a
+// valid base. Every layout it accepts must place each index on the rank
+// that owns the index plus the offsets in its base, and pass checkLayout.
+func FuzzNewAligned(f *testing.F) {
+	// FuzzNewLayout's base bytes; then per alignment a flag (bit 0: align,
+	// bit 1: one extent too many), the extents and the offsets.
+	f.Add([]byte{2, 10, 1, 0, 2, 9, 2, 0, 2, 4, 1, 6, 5, 2, 3, 1, 3, 2, 1, 1}) // 6x5 at (2,3) into 10x9, then 3x2 at (1,1)
+	f.Add([]byte{1, 16, 1, 0, 4, 4, 1, 6, 5, 1, 4, 1})                         // BLOCK 16 over 4: 6 at 5, then 4 at 1
+	f.Add([]byte{1, 12, 2, 0, 3, 3, 1, 7, 2})                                  // CYCLIC 12 over 3: 7 at 2
+	f.Add([]byte{1, 10, 3, 2, 2, 2, 1, 4, 1})                                  // BLOCK_CYCLIC(2): offset refused
+	f.Add([]byte{2, 8, 1, 0, 2, 6, 0, 0, 1, 2, 3, 8, 6, 0, 0})                 // rank mismatch
+	f.Add([]byte{3, 5, 2, 0, 2, 7, 1, 0, 3, 4, 0, 0, 1, 6, 1, 5, 7, 4, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := fuzzReader(data)
+		base, err := fuzzLayout(next)
+		if err != nil {
+			return
+		}
+		for i := 0; i < 2; i++ {
+			align := next()
+			if align&1 == 0 {
+				return
+			}
+			l, offs, err := fuzzAligned(next, base, align)
+			if err != nil {
+				return
+			}
+			idx, at := make([]int, len(offs)), make([]int, len(offs))
+			for k, n := 0, l.Size(); k < n; k++ {
+				for d, rem := len(idx)-1, k; d >= 0; d-- {
+					idx[d], rem = rem%l.shape[d], rem/l.shape[d]
+					at[d] = idx[d] + offs[d]
+				}
+				if got, want := l.OwnerRank(idx...), base.OwnerRank(at...); got != want {
+					t.Fatalf("%v aligned at %v into %v: index %v on rank %d, base index %v on rank %d", l, offs, base, idx, got, at, want)
+				}
+			}
+			checkLayout(t, l)
+			base = l
+		}
+	})
+}
+
+// fuzzReader returns a reader of data's bytes as signed ints, zero once it
+// runs out.
+func fuzzReader(data []byte) func() int {
+	return func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(int8(b))
+	}
+}
+
+// fuzzLayout draws NewLayout's arguments: rank; per dimension extent, kind,
+// block size, grid extent; group size.
+func fuzzLayout(next func() int) (*Layout, error) {
+	nd := next() & 3
+	shape, axes, grid := make([]int, nd), make([]Axis, nd), make([]int, nd)
+	for d := 0; d < nd; d++ {
+		shape[d] = next() % 24
+		axes[d] = Axis{Kind: Kind(next() % 5), B: next() % 6}
+		grid[d] = next() % 6
+	}
+	var g *group.Group
+	if size := next() & 15; size > 0 {
+		g = group.World(size)
+	}
+	return NewLayout(g, shape, axes, grid)
+}
+
+// fuzzAligned draws NewAligned's extents (one too many if align's bit 1 is
+// set) and offsets for base, and returns the layout and the offsets.
+func fuzzAligned(next func() int, base *Layout, align int) (*Layout, []int, error) {
+	nd := base.Rank()
+	shape, offs := make([]int, nd+(align>>1)&1), make([]int, nd)
+	for d := range shape {
+		shape[d] = next() % 24
+	}
+	for d := range offs {
+		offs[d] = next() % 8
+	}
+	l, err := NewAligned(base, shape, offs)
+	return l, offs, err
 }
 
 // checkLayout holds an accepted layout to the properties every distribution

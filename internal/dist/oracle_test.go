@@ -167,7 +167,7 @@ func refRemapPerm[T any](p *machine.Proc, dst, src *Array[T], perm []int) {
 		// Send non-empty buckets in destination-rank order (determinism).
 		for r := 0; r < dst.l.g.Size(); r++ {
 			if vals := buckets[r]; len(vals) > 0 {
-				p.Send(dst.l.g.Phys(r), vals, len(vals)*elemBytes)
+				p.Send(dst.l.g.Phys(r), &vals, len(vals)*elemBytes)
 			}
 		}
 	}
@@ -263,7 +263,7 @@ func refRemap[T any](p *machine.Proc, dst, src *Array[T], mapIdx func(srcIdx []i
 		})
 		for r := 0; r < dst.l.g.Size(); r++ {
 			if vals := buckets[r]; len(vals) > 0 {
-				p.Send(dst.l.g.Phys(r), vals, len(vals)*elemBytes)
+				p.Send(dst.l.g.Phys(r), &vals, len(vals)*elemBytes)
 			}
 		}
 	}
@@ -331,7 +331,8 @@ func refGatherGlobal[T any](p *machine.Proc, a *Array[T]) []T {
 	g := a.l.g
 	if a.rank != 0 {
 		if len(a.local()) > 0 {
-			p.Send(g.Phys(0), append([]T(nil), a.local()...), len(a.local())*comm.ElemBytes[T]())
+			vals := append([]T(nil), a.local()...)
+			p.Send(g.Phys(0), &vals, len(vals)*comm.ElemBytes[T]())
 		}
 		return nil
 	}
@@ -386,7 +387,7 @@ func refScatterGlobal[T any](p *machine.Proc, a *Array[T], full []T) {
 			if r == 0 {
 				copy(a.local(), vals)
 			} else {
-				p.Send(g.Phys(r), vals, cnt*comm.ElemBytes[T]())
+				p.Send(g.Phys(r), &vals, cnt*comm.ElemBytes[T]())
 			}
 		}
 		return

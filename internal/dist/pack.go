@@ -89,7 +89,9 @@ func PackInto[T any](p *machine.Proc, dst, src *Array[T], dstStart int, keep fun
 		}
 		gLo := dstStart + prefix[src.rank]
 		gHi := gLo + len(kept)
-		// Split [gLo, gHi) over destination block owners, ascending.
+		// Split [gLo, gHi) over destination block owners, ascending; each
+		// message points into one slab of headers into kept (see remap).
+		hdrs := make([][]T, 0, (gHi-1)/dstDim.b-gLo/dstDim.b+1)
 		for r := 0; r < dst.l.g.Size(); r++ {
 			bLo := r * dstDim.b
 			bHi := bLo + dstDim.b
@@ -100,12 +102,12 @@ func PackInto[T any](p *machine.Proc, dst, src *Array[T], dstStart int, keep fun
 			if lo >= hi {
 				continue
 			}
-			seg := kept[lo-gLo : hi-gLo]
+			seg := kept[lo-gLo : hi-gLo : hi-gLo]
 			if dst.l.g.Phys(r) == myID {
 				placeLocal(lo, seg)
 			} else {
-				buf := append([]T(nil), seg...)
-				p.Send(dst.l.g.Phys(r), buf, len(buf)*elemBytes)
+				hdrs = append(hdrs, seg)
+				p.Send(dst.l.g.Phys(r), &hdrs[len(hdrs)-1], len(seg)*elemBytes)
 			}
 		}
 	}
