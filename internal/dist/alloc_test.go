@@ -17,13 +17,13 @@ import (
 const allocCalls = 20
 
 // allocFixture is what one processor's op works on. The n-by-n arrays are
-// row-BLOCK (rows, rows2) and column-BLOCK (cols); vec and half are n·n
+// row-BLOCK (rows, rows2, bare) and column-BLOCK (cols); vec and half are n·n
 // elements BLOCK over the whole group and over its first half. full is rank
-// 0's global buffer.
+// 0's global buffer. Nothing touches bare.
 type allocFixture struct {
-	rows, cols, rows2 *Array[float64]
-	vec, half         *Array[float64]
-	full              []float64
+	rows, cols, rows2, bare *Array[float64]
+	vec, half               *Array[float64]
+	full                    []float64
 }
 
 // remapMallocs returns the host allocations, per processor, of calls
@@ -50,6 +50,7 @@ func remapMallocs(procs, n, calls int, touched bool, op func(p *machine.Proc, f 
 			rows:  New[float64](p, RowBlock2D(g, n, n)),
 			cols:  New[float64](p, ColBlock2D(g, n, n)),
 			rows2: New[float64](p, RowBlock2D(g, n, n)),
+			bare:  New[float64](p, RowBlock2D(g, n, n)),
 			vec:   New[float64](p, MustLayout(g, []int{n * n}, []Axis{BlockAxis()}, []int{procs})),
 			half:  New[float64](p, MustLayout(g.Subrange(0, procs/2), []int{n * n}, []Axis{BlockAxis()}, []int{procs / 2})),
 		}
@@ -90,9 +91,10 @@ func remapMallocs(procs, n, calls int, touched bool, op func(p *machine.Proc, f 
 // TestRemapAllocsFlatInElements: twenty calls of every data movement
 // allocate, per processor, the same (± spread) at P = 16 and 64 and at
 // n = 64 and 256, with untouched and with touched data, and no more than
-// slack per call, however many messages they send. A remap call's four are
-// the two sides' shared index and list arrays, the one send buffer and the
-// one slab of slice headers its messages point into. The per-element code
+// slack per call, however many messages they send. A remap call's two are
+// the one send buffer and the one slab of slice headers its messages point
+// into; its index and list arrays are borrowed from a pool, and zeros from
+// an untouched source are written through the walk. The per-element code
 // this replaced allocated three slices per element, and the earlier wire
 // format one interface box per message.
 func TestRemapAllocsFlatInElements(t *testing.T) {
@@ -104,20 +106,22 @@ func TestRemapAllocsFlatInElements(t *testing.T) {
 		slack, spread float64 // allocations one processor may make per call; their range over P and n
 		op            func(p *machine.Proc, f *allocFixture)
 	}{
-		{"Transpose2D", 4, 2, func(p *machine.Proc, f *allocFixture) { Transpose2D(p, f.rows2, f.rows) }},
-		{"Assign", 4, 2, func(p *machine.Proc, f *allocFixture) { Assign(p, f.cols, f.rows) }},
+		{"Transpose2D", 2, 2, func(p *machine.Proc, f *allocFixture) { Transpose2D(p, f.rows2, f.rows) }},
+		{"Assign", 2, 2, func(p *machine.Proc, f *allocFixture) { Assign(p, f.cols, f.rows) }},
+		// Untouched into touched: no buffer, no slab, no zeros allocated.
+		{"AssignZeros", 0, 2, func(p *machine.Proc, f *allocFixture) { Assign(p, f.cols, f.bare) }},
 		// Rank 0's two more objects per call are spread over P processors.
-		{"ScatterGlobal", 4, 2, func(p *machine.Proc, f *allocFixture) { ScatterGlobal(p, f.rows, f.full) }},
+		{"ScatterGlobal", 2, 2, func(p *machine.Proc, f *allocFixture) { ScatterGlobal(p, f.rows, f.full) }},
 		// Assign's slack plus the three offset and box slices passed in.
-		{"CopySection", 7, 2, func(p *machine.Proc, f *allocFixture) {
+		{"CopySection", 5, 2, func(p *machine.Proc, f *allocFixture) {
 			// The middle half of rows' columns into cols' right half.
 			n := f.rows.l.shape[0]
 			CopySection(p, f.cols, []int{0, n / 2}, f.rows, []int{0, n / 4}, []int{n, n / 2})
 		}},
-		// The counts' gather and broadcast, the prefix sums, the kept
-		// elements and the slab. comm boxes one []int per message, and the
-		// gather root's share of those shrinks as 1/P.
-		{"PackInto", 8, 4, func(p *machine.Proc, f *allocFixture) {
+		// The counts' gather and broadcast, the kept elements and the slab;
+		// the prefix sums are borrowed. comm boxes one []int per message,
+		// and the gather root's share of those shrinks as 1/P.
+		{"PackInto", 7, 4, func(p *machine.Proc, f *allocFixture) {
 			PackInto(p, f.half, f.vec, 0, func(v float64) bool { return int(v)%2 == 0 })
 		}},
 		// One buffer and one slab for both rows.

@@ -78,18 +78,6 @@ func remap[T any](p *machine.Proc, dst *Array[T], dstOff []int, src *Array[T], s
 	if src.l.Rank() != nd || (perm != nil && len(perm) != nd) {
 		panic(fmt.Sprintf("dist: remap rank mismatch: src %v dst %v perm %v", src.l, dst.l, perm))
 	}
-	for d := 0; d < nd; d++ {
-		sd := d
-		if perm != nil {
-			sd = perm[d]
-		}
-		if box == nil && src.l.shape[sd] != dst.l.shape[d] {
-			panic(fmt.Sprintf("dist: remap shape mismatch: src %v dst %v perm %v", src.l.shape, dst.l.shape, perm))
-		}
-	}
-	if src.rank < 0 && dst.rank < 0 {
-		return // minimal processor subset: not a participant
-	}
 	ident := identity[:min(nd, len(identity))]
 	for d := len(ident); d < nd; d++ {
 		ident = append(ident, d)
@@ -97,16 +85,26 @@ func remap[T any](p *machine.Proc, dst *Array[T], dstOff []int, src *Array[T], s
 	if perm == nil {
 		perm = ident
 	}
+	for d := 0; d < nd; d++ {
+		if box == nil && src.l.shape[perm[d]] != dst.l.shape[d] {
+			panic(fmt.Sprintf("dist: remap shape mismatch: src %v dst %v perm %v", src.l.shape, dst.l.shape, perm))
+		}
+	}
+	if src.rank < 0 && dst.rank < 0 {
+		return // minimal processor subset: not a participant
+	}
 	elemBytes := comm.ElemBytes[T]()
 	// A part nothing has touched is all zeros: it travels as a nil payload
 	// of the same byte count, and leaves an untouched destination untouched.
 	srcData := src.data
 
-	// Both sides' splits share one index array and one list array.
+	// Both sides' splits share one borrowed index array and list array.
 	sending := src.rank >= 0 && src.l.LocalCount(src.rank) > 0
 	receiving := dst.rank >= 0 && dst.l.LocalCount(dst.rank) > 0
 	nOut := sideInts(sending, src.localShape, dst.l)
-	ints, lists := make([]int, nOut+sideInts(receiving, dst.localShape, src.l)), make([][]int, 6*nd)
+	sc := getScratch(nOut+sideInts(receiving, dst.localShape, src.l), 6*nd)
+	defer scratchPool.Put(sc)
+	ints, lists := sc.ints, sc.lists
 
 	var out side
 	if sending {
@@ -165,7 +163,7 @@ func remap[T any](p *machine.Proc, dst *Array[T], dstOff []int, src *Array[T], s
 			case vals != nil:
 				copyParts(dst.local(), in.parts, vals, sp, in.idx)
 			case dst.data != nil: // zeros into a touched destination
-				copyParts(dst.data, in.parts, make([]T, n), nil, in.idx)
+				copyParts(dst.data, in.parts, nil, nil, in.idx)
 			}
 		}
 	}

@@ -1,5 +1,10 @@
 package dist
 
+import (
+	"slices"
+	"sync"
+)
+
 // Communication sets in closed form.
 //
 // In dst[dstOff+I] = src[srcOff+J] with J[perm[d]] = I[d] over a box of I,
@@ -27,7 +32,7 @@ type side struct {
 	idx   []int
 }
 
-// sideInts is the index array length newSide needs for local extents shape
+// sideInts is the scratch ints newSide needs for local extents shape
 // against peer, in any axis order; 0 unless take. Lists take 3·len(shape).
 func sideInts(take bool, shape []int, peer *Layout) int {
 	n := 0
@@ -37,54 +42,108 @@ func sideInts(take bool, shape []int, peer *Layout) int {
 	return n
 }
 
+// scratch is what one remap or PackInto call borrows from scratchPool and
+// returns when it ends: calls reuse index arrays instead of allocating
+// them, and none are kept per array or per processor.
+type scratch struct {
+	ints  []int
+	lists [][]int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch borrows scratch of n zeroed ints and k lists.
+func getScratch(n, k int) *scratch {
+	s := scratchPool.Get().(*scratch)
+	s.ints, s.lists = slices.Grow(s.ints[:0], n)[:n], slices.Grow(s.lists[:0], k)[:k]
+	clear(s.ints)
+	return s
+}
+
 // newSide splits rank's local index space (extents shape) of layout me
 // against peer in the zeroed arrays ints and lists (see sideInts), which the
 // two sides of a remap share. myAxis[d] and peerAxis[d] are the axes of me
 // and peer that destination dimension d ranges over. A nil box takes every
 // index; else only global indices in [myOff[a], myOff[a]+box[d]) count, and
-// the peer's index is mine minus myOff[a] plus peerOff[peerAxis[d]]. The
-// cost is O(Σ local extents + Σ peer grid extents), whatever the peer count.
+// the peer's index is mine minus myOff[a] plus peerOff[peerAxis[d]]. A
+// BLOCK or collapsed peer axis splits in one ordered pass, a CYCLIC or
+// BLOCK_CYCLIC one by counting sort: O(local extent + peer grid extent)
+// per axis either way, whatever the peer count.
 func newSide(ints []int, lists [][]int, me *Layout, rank int, shape, myAxis, myOff []int, peer *Layout, peerAxis, peerOff, box []int) side {
 	nd := len(myAxis)
 	s := side{peer: peer, peerAxis: peerAxis,
 		offs: lists[:nd], end: lists[nd : 2*nd], parts: lists[2*nd : 3*nd], idx: ints[:nd]}
 	ints = ints[nd:]
 	for d, a := range myAxis {
-		md, pd := me.dims[a], peer.dims[peerAxis[d]]
-		c := me.coord(rank, a)
-		stride := 1
+		x := axisSplit{md: me.dims[a], pd: peer.dims[peerAxis[d]], c: me.coord(rank, a), stride: 1, hi: me.dims[a].n}
 		for _, e := range shape[a+1:] {
-			stride *= e
+			x.stride *= e
 		}
-		lo, hi, shift := 0, md.n, 0
 		if box != nil {
-			lo, hi, shift = myOff[a], myOff[a]+box[d], peerOff[peerAxis[d]]-myOff[a]
+			x.lo, x.hi, x.shift = myOff[a], myOff[a]+box[d], peerOff[peerAxis[d]]-myOff[a]
 		}
-		// Counting sort of my in-box local indices by owning peer coordinate.
-		end, in := ints[:pd.q], 0
-		for l := 0; l < shape[a]; l++ {
-			if g := md.globalOf(c, l); g >= lo && g < hi {
-				end[pd.ownerOf(g+shift)]++
-				in++
-			}
-		}
-		offs := ints[pd.q : pd.q+in]
-		ints = ints[pd.q+shape[a]:]
-		sum := 0
-		for k, cnt := range end {
-			end[k] = sum
-			sum += cnt
-		}
-		for l := 0; l < shape[a]; l++ {
-			if g := md.globalOf(c, l); g >= lo && g < hi {
-				k := pd.ownerOf(g + shift)
-				offs[end[k]] = l * stride
-				end[k]++
-			}
-		}
-		s.offs[d], s.end[d] = offs, end
+		end, offs := ints[:x.pd.q], ints[x.pd.q:x.pd.q+shape[a]]
+		ints = ints[x.pd.q+shape[a]:]
+		s.end[d], s.offs[d] = end, offs[:x.split(end, offs)]
 	}
 	return s
+}
+
+// axisSplit is one axis of newSide: my local indices l < len(offs) on
+// coordinate c of md whose global index g lies in [lo, hi), grouped by the
+// coordinate of pd that owns g+shift. split and counting write their
+// offsets l·stride to offs, those coordinate k owns ending at end[k] and
+// starting where k-1's end, and return how many there are.
+type axisSplit struct {
+	md, pd                   dim
+	c, stride, lo, hi, shift int
+}
+
+// split sorts by counting against a CYCLIC or BLOCK_CYCLIC pd. A BLOCK or
+// collapsed pd's owner never decreases as g grows, and g grows with l: one
+// pass writes offs in local order, and k's part ends at the first g+shift
+// past k's interval.
+func (x axisSplit) split(end, offs []int) int {
+	if x.pd.kind == Cyclic || x.pd.kind == BlockCyclic {
+		return x.counting(end, offs)
+	}
+	in, k := 0, 0
+	for l := range offs {
+		if g := x.md.globalOf(x.c, l); g >= x.lo && g < x.hi {
+			for ; k < len(end)-1 && g+x.shift >= (k+1)*x.pd.b-x.pd.off; k++ {
+				end[k] = in
+			}
+			offs[in] = l * x.stride
+			in++
+		}
+	}
+	for ; k < len(end); k++ {
+		end[k] = in
+	}
+	return in
+}
+
+// counting splits against any pd, a stable counting sort by owner; end
+// must be zeros.
+func (x axisSplit) counting(end, offs []int) int {
+	for l := range offs {
+		if g := x.md.globalOf(x.c, l); g >= x.lo && g < x.hi {
+			end[x.pd.ownerOf(g+x.shift)]++
+		}
+	}
+	in := 0
+	for k, cnt := range end {
+		end[k] = in
+		in += cnt
+	}
+	for l := range offs {
+		if g := x.md.globalOf(x.c, l); g >= x.lo && g < x.hi {
+			k := x.pd.ownerOf(g + x.shift)
+			offs[end[k]] = l * x.stride
+			end[k]++
+		}
+	}
+	return in
 }
 
 // peerParts selects what I exchange with peer rank r — s.parts, one part
@@ -106,9 +165,10 @@ func (s *side) peerParts(r int) int {
 // copyParts performs dst[Σ dp[d][i_d]] = src[Σ sp[d][i_d]] over the cross
 // product of the parts, i_0 outermost: destination row-major order on both
 // sides. A nil part list stands for a packed message, whose k-th element is
-// the k-th visited. The parts must be non-empty, of equal lengths on both
-// sides, and idx all zeros (it is again on return). Where the innermost
-// parts are stride-1 runs the elements move by copy.
+// the k-th visited; a nil src with nil sp for zeros. The parts must be
+// non-empty, of equal lengths on both sides, and idx all zeros (it is again
+// on return). Where the innermost parts are stride-1 runs the elements move
+// by copy.
 func copyParts[T any](dst []T, dp [][]int, src []T, sp [][]int, idx []int) {
 	shape := dp
 	if shape == nil {
@@ -139,6 +199,10 @@ func copyParts[T any](dst []T, dp [][]int, src []T, sp [][]int, idx []int) {
 			}
 		}
 		switch {
+		case src == nil:
+			for _, o := range di {
+				dst[db+o] = *new(T)
+			}
 		case runs:
 			if di != nil {
 				db += di[0]

@@ -123,11 +123,7 @@ func (d dim) cycStart(c int) int {
 // blkStart returns, for a Block dim, the smallest array index owned by c
 // (may exceed n when c owns nothing).
 func (d dim) blkStart(c int) int {
-	lo := c*d.b - d.off
-	if lo < 0 {
-		lo = 0
-	}
-	return lo
+	return max(c*d.b-d.off, 0)
 }
 
 // localOf returns the local index of global index i on its owner.
@@ -166,15 +162,7 @@ func (d dim) localCount(c int) int {
 	case Collapsed:
 		return d.n
 	case Block:
-		lo := d.blkStart(c)
-		hi := (c+1)*d.b - d.off
-		if hi > d.n {
-			hi = d.n
-		}
-		if hi <= lo {
-			return 0
-		}
-		return hi - lo
+		return max(min((c+1)*d.b-d.off, d.n)-d.blkStart(c), 0)
 	case Cyclic:
 		f := d.cycStart(c)
 		if f >= d.n {

@@ -52,7 +52,9 @@ func PackInto[T any](p *machine.Proc, dst, src *Array[T], dstStart int, keep fun
 		panic("dist: union group missing source root")
 	}
 	counts = comm.Bcast(p, u, rootU, counts)
-	prefix := make([]int, srcSize+1)
+	sc := getScratch(srcSize+1, 0)
+	defer scratchPool.Put(sc)
+	prefix := sc.ints
 	for i, c := range counts {
 		prefix[i+1] = prefix[i] + c
 	}
@@ -93,12 +95,7 @@ func PackInto[T any](p *machine.Proc, dst, src *Array[T], dstStart int, keep fun
 		// message points into one slab of headers into kept (see remap).
 		hdrs := make([][]T, 0, (gHi-1)/dstDim.b-gLo/dstDim.b+1)
 		for r := 0; r < dst.l.g.Size(); r++ {
-			bLo := r * dstDim.b
-			bHi := bLo + dstDim.b
-			if bHi > dst.l.shape[0] {
-				bHi = dst.l.shape[0]
-			}
-			lo, hi := max(gLo, bLo), min(gHi, bHi)
+			lo, hi := max(gLo, r*dstDim.b), min(gHi, (r+1)*dstDim.b, dst.l.shape[0])
 			if lo >= hi {
 				continue
 			}
@@ -113,11 +110,7 @@ func PackInto[T any](p *machine.Proc, dst, src *Array[T], dstStart int, keep fun
 	}
 
 	if isDst && len(dstData) > 0 {
-		myLo := dst.rank * dstDim.b
-		myHi := myLo + dstDim.b
-		if myHi > dst.l.shape[0] {
-			myHi = dst.l.shape[0]
-		}
+		myLo, myHi := dst.rank*dstDim.b, min((dst.rank+1)*dstDim.b, dst.l.shape[0])
 		for s := 0; s < srcSize; s++ {
 			gLo := dstStart + prefix[s]
 			gHi := gLo + counts[s]
@@ -152,12 +145,7 @@ func FillRange1D[T any](dst *Array[T], lo, hi int, v T) {
 		return
 	}
 	d := dst.l.dims[0]
-	myLo := dst.rank * d.b
-	myHi := myLo + d.b
-	if myHi > dst.l.shape[0] {
-		myHi = dst.l.shape[0]
-	}
-	lo, hi = max(lo, myLo), min(hi, myHi)
+	lo, hi = max(lo, dst.rank*d.b), min(hi, (dst.rank+1)*d.b, dst.l.shape[0])
 	for i := lo; i < hi; i++ {
 		data[d.localOf(i)] = v
 	}
