@@ -56,7 +56,13 @@ func Send[T any](p *machine.Proc, g *group.Group, dstRank int, data []T) {
 	if len(data) > 0 {
 		buf = append([]T(nil), data...)
 	}
-	p.Send(g.Phys(dstRank), buf, len(data)*ElemBytes[T]())
+	sendOwned(p, g, dstRank, buf)
+}
+
+// sendOwned transmits data itself, without Send's copy: the caller hands
+// over a slice nobody else holds.
+func sendOwned[T any](p *machine.Proc, g *group.Group, dstRank int, data []T) {
+	p.Send(g.Phys(dstRank), data, len(data)*ElemBytes[T]())
 }
 
 // Recv receives a []T from the processor with virtual id srcRank in g.
@@ -72,7 +78,7 @@ func Recv[T any](p *machine.Proc, g *group.Group, srcRank int) []T {
 
 // SendVal transmits a single value.
 func SendVal[T any](p *machine.Proc, g *group.Group, dstRank int, v T) {
-	Send(p, g, dstRank, []T{v})
+	sendOwned(p, g, dstRank, []T{v})
 }
 
 // RecvVal receives a single value.
@@ -216,7 +222,7 @@ func ReduceSlice[T any](p *machine.Proc, g *group.Group, rootRank int, x []T, op
 			}
 		} else {
 			dst := (rel - mask + rootRank) % n
-			Send(p, g, dst, acc)
+			sendOwned(p, g, dst, acc)
 			return nil
 		}
 		mask <<= 1

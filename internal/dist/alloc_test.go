@@ -33,7 +33,7 @@ type allocFixture struct {
 // counts.
 //
 // A barrier after every call (no allocation; its messages are counted) holds
-// each mailbox at its steady depth: a sender left to run ahead grows its
+// each inbox at its steady depth: a sender left to run ahead grows its
 // receivers' queues, a cost of the machine that follows the schedule. Under
 // a one-slot coop engine one processor runs at a time, so processor 0 reads
 // the counter while every other one waits in the next barrier: after calls

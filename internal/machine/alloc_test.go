@@ -6,7 +6,7 @@ import (
 )
 
 // Allocation guards for the scale-tier machine core: the panics bookkeeping
-// must cost nothing on a clean run, the mailbox must reuse its backing array
+// must cost nothing on a clean run, the inbox must reuse its backing array
 // at steady state, and whole-run allocations must stay proportional to P
 // (flat per processor) so a P=1M machine is P=16K times a constant, not
 // something worse.
@@ -59,11 +59,11 @@ func TestPanicRecorderCapturesAndSorts(t *testing.T) {
 }
 
 // TestMailboxSteadyStateAllocFree: after the queue has grown to a cycle's
-// depth once, a send/receive cycle through the mailbox reuses the drained
+// depth once, a send/receive cycle through the inbox reuses the drained
 // backing array instead of allocating — under every engine family, since
-// they all share the one mailbox. On a 4097-processor machine one processor
-// cycles through 20 peers spread over the machine: every lookup there probes
-// a table that has doubled, and must stay allocation-free too.
+// they all share the one inbox. On a 4097-processor machine one processor
+// cycles through 20 peers spread over the machine, so its inbox holds 20
+// sources at once, and must stay allocation-free too.
 func TestMailboxSteadyStateAllocFree(t *testing.T) {
 	for _, e := range []Engine{Goroutine(), Coop(1), Coop(2)} {
 		t.Run(e.Name(), func(t *testing.T) {
@@ -106,7 +106,7 @@ func TestMailboxSteadyStateAllocFree(t *testing.T) {
 						}
 					}
 				}
-				cycle() // warmup: create the 40 pairs
+				cycle() // warmup: grow the 21 inboxes
 				if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 					t.Errorf("steady-state 20-peer cycle allocates %.1f, want 0", allocs)
 				}
@@ -130,10 +130,9 @@ func runMallocs(n int) float64 {
 }
 
 // TestRunAllocsPerProcFlat: allocations per processor must not grow with P —
-// the arena proc state, the per-processor pair tables and their mailbox
-// slabs, the mailbox's inline first buffer, and allocation-free panics
-// bookkeeping exist to make a clean large run cost a flat number of
-// allocations per processor.
+// the arena proc state, one inbox per receiver sized to its messages in
+// flight, and allocation-free panics bookkeeping exist to make a clean large
+// run cost a flat number of allocations per processor.
 func TestRunAllocsPerProcFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation changes allocation counts")

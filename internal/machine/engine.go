@@ -10,7 +10,7 @@ import (
 // Engine is a pluggable execution core: the strategy that runs the simulated
 // processors of a Machine on the host. The virtual-time semantics — clock
 // advancement, the timestamp max-rule, per-pair FIFO delivery — and the
-// mailboxes themselves live in the Machine/Proc layer and are identical
+// inboxes themselves live in the Machine/Proc layer and are identical
 // under every engine, so two engines running the same program produce
 // byte-identical traces, metrics, and RunStats; an engine only decides *how*
 // the host executes the processors (one goroutine each vs a cooperative run
@@ -31,14 +31,14 @@ type Engine interface {
 	// processor has finished or panicked.
 	run(m *Machine, procs []Proc, body func(*Proc), rec *panicRecorder)
 
-	// park suspends the calling processor p, which has just registered as
-	// the waiter of the empty mailbox from src (Proc.wait), until wake(p, _)
-	// is called. The wake may already have happened when park is entered.
+	// park suspends the calling processor p, which has just parked on src
+	// with nothing from src queued (Proc.wait), until wake(p, _) is
+	// called. The wake may already have happened when park is entered.
 	park(p *Proc, src int)
 
 	// wake resumes a parked (or about-to-park) processor p; at is the
 	// virtual clock p resumes at, which a scheduling engine orders by. It is
-	// called once per registration, by the depositor or terminating sender
+	// called once per parking, by the depositor or terminating sender
 	// that claimed it.
 	wake(p *Proc, at float64)
 }

@@ -10,11 +10,11 @@ import (
 
 // coopEngine is the cooperative, dependency-driven execution core. All
 // simulated processors are multiplexed onto a bounded set of host worker
-// slots (default one): a processor runs uninterrupted until it blocks on an
-// empty mailbox or finishes, then hands its slot directly to the ready
+// slots (default one): a processor runs uninterrupted until it blocks on a
+// receive with nothing queued or finishes, then hands its slot directly to the ready
 // processor with the lowest virtual clock — the cooperative analogue of a
 // discrete-event scheduler. A blocked receiver parks in the scheduler, and
-// a deposit into its mailbox moves it to the ready heap; there is no host
+// a deposit into its inbox moves it to the ready heap; there is no host
 // wakeup for messages whose receiver is still running.
 //
 // The scheduler is one ready heap and two counters under one mutex, at every
@@ -165,6 +165,7 @@ func (e *coopEngine) park(p *Proc, src int) {
 		<-p.wake
 	}
 	if cp.poison {
+		p.unpark()
 		panic(&DeadlockError{Proc: p.id, Src: src, Blocked: cp.run.blockedCount()})
 	}
 }

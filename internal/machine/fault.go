@@ -95,8 +95,8 @@ func (e *ProcDeathError) Error() string {
 }
 
 // DeadSenderError is the panic value of a receive that can never complete:
-// the sender terminated — died, panicked, or exited — with the mailbox
-// empty. It is how failure propagates: each processor blocked on a dead one
+// the sender terminated — died, panicked, or exited — with nothing from it
+// queued. It is how failure propagates: each processor blocked on a dead one
 // fails in turn, so a chaotic run unwinds instead of hanging.
 type DeadSenderError struct {
 	// Proc is the receiving processor; Src the terminated sender.

@@ -94,42 +94,43 @@ func TestTryRecvMatchesRecvAccounting(t *testing.T) {
 	}
 }
 
-// TestLargeMachineConstructionIsLazy guards the lazy-mailbox allocation:
-// constructing a machine must not materialize any of its n^2 ordered pairs
-// up front, nor anything per pair. The directory and termination slices plus
-// the Machine header stay within a handful of O(n) allocations at every
-// size, and the directory costs each processor at most 48 bytes.
+// TestLargeMachineConstructionIsLazy guards machine construction: nothing
+// per pair and no message queue is made up front. The inbox and termination
+// slices plus the Machine header stay within a handful of O(n) allocations
+// at every size, and an empty inbox costs each processor at most 48 bytes.
 func TestLargeMachineConstructionIsLazy(t *testing.T) {
 	for _, n := range []int{8, 1024, 2049, 65536} {
 		allocs := testing.AllocsPerRun(3, func() {
 			_ = New(n, testCost())
 		})
 		if allocs > 5 {
-			t.Errorf("New(%d) performs %.0f allocations, want <= 5 (mailboxes must be lazy)", n, allocs)
+			t.Errorf("New(%d) performs %.0f allocations, want <= 5 (queues must be lazy)", n, allocs)
 		}
 	}
-	if size := unsafe.Sizeof(outbox{}); size > 48 {
-		t.Errorf("per-processor directory state is %d B, want <= 48", size)
+	if size := unsafe.Sizeof(inbox{}); size > 48 {
+		t.Errorf("per-processor inbox state is %d B, want <= 48", size)
 	}
 }
 
-// TestLazyMailboxesMaterializeOnlyUsedPairs checks that after a run touching
-// k ordered pairs, exactly those pairs have mailboxes.
-func TestLazyMailboxesMaterializeOnlyUsedPairs(t *testing.T) {
-	for _, n := range []int{8, 2049} {
+// TestIdleInboxAllocatesNothing: after a run in which the even processors
+// pass a ring message and the odd ones only compute, every odd processor's
+// inbox still has no queue, and every even one a single slot.
+func TestIdleInboxAllocatesNothing(t *testing.T) {
+	for _, n := range []int{8, 2050} {
 		m := New(n, testCost())
-		m.Run(ringBody(n))
-		live := 0
-		for src := 0; src < n; src++ {
-			for _, mb := range liveFrom(m, src) {
-				live++
-				if mb.dst != (src+1)%n {
-					t.Errorf("P=%d: mailbox %d->%d materialized outside the ring", n, src, mb.dst)
-				}
+		m.Run(func(p *Proc) {
+			if p.ID()%2 == 1 {
+				p.Compute(10)
+				return
 			}
-		}
-		if live != n {
-			t.Errorf("P=%d: %d mailboxes materialized for a %d-pair ring", n, live, n)
+			p.Send((p.ID()+2)%n, p.ID(), 8)
+			p.Recv((p.ID() + n - 2) % n)
+		})
+		for dst := range m.in {
+			want := 1 - dst%2
+			if got := cap(m.in[dst].q); got != want {
+				t.Fatalf("P=%d: processor %d's inbox has capacity %d, want %d", n, dst, got, want)
+			}
 		}
 	}
 }

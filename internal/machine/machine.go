@@ -2,7 +2,8 @@
 // that stands in for the paper's 64-node Intel Paragon.
 //
 // Each processor is a goroutine with a private virtual clock. Processors
-// exchange messages over per-ordered-pair FIFO mailboxes. A message carries
+// exchange messages through per-receiver inboxes that deliver each ordered
+// pair's messages in FIFO order. A message carries
 // the virtual time at which it becomes available at the receiver
 // (send-injection time plus alpha + bytes*beta from the cost model); the
 // receiver's clock advances to at least that time when it receives. Compute
@@ -17,6 +18,8 @@ package machine
 
 import (
 	"fmt"
+	"math"
+	"sync"
 	"sync/atomic"
 
 	"fxpar/internal/sim"
@@ -38,6 +41,9 @@ type Message struct {
 	// receive path discards duplicates (recording an EvFault marker) instead
 	// of delivering them to the application.
 	Dup bool
+	// seq is the per-pair sequence number EvRecv reports as PairSeq, set
+	// while a tracer is installed. 32 bits keep a Message at 48 bytes.
+	seq uint32
 }
 
 // Machine is a simulated multicomputer with a fixed number of processors.
@@ -51,10 +57,11 @@ type Machine struct {
 	// hops returns the network distance between two physical processors;
 	// nil models a flat (distance-free) network.
 	hops func(a, b int) int
-	// out[src] is src's side of the pair directory: the mailboxes of every
-	// ordered pair (src, dst) touched so far, created lazily on the pair's
-	// first send or receive (see mailboxFor).
-	out []outbox
+	// in[dst] is dst's inbox: every message deposited for it and not yet
+	// consumed.
+	in []inbox
+	// procs is the processor arena of the Run in progress, nil outside Run.
+	procs []Proc
 	// term[i]/termAt[i] record whether and when processor i's SPMD body
 	// terminated in the current Run, so a receiver blocked on it can fail
 	// with DeadSenderError instead of waiting forever.
@@ -109,7 +116,7 @@ func New(n int, cost sim.CostModel) *Machine {
 	}
 	m := &Machine{
 		n: n, cost: cost, eng: defaultEngine,
-		out:    make([]outbox, n),
+		in:     make([]inbox, n),
 		term:   make([]atomic.Uint32, n),
 		termAt: make([]float64, n),
 	}
@@ -163,9 +170,20 @@ type Proc struct {
 	// wake is the processor's parking spot, made by Run: Engine.park receives
 	// from it and Engine.wake (or a coop slot grant) sends. Buffered so a
 	// wake-up that arrives before the processor parks is not lost; each
-	// registration as a mailbox's waiter is claimed, and so woken, exactly
-	// once, so one slot suffices. nil on a hand-built Proc (some tests).
+	// parking is claimed, and so woken, exactly once, so one slot suffices.
+	// nil on a hand-built Proc (some tests).
 	wake chan struct{}
+	// parkMu guards parked, the receivers parked on this processor, listed
+	// through their parkPrev/parkNext links (see Proc.wait).
+	parkMu             sync.Mutex
+	parked             *Proc
+	parkPrev, parkNext *Proc
+	// sendSeq numbers the messages to each destination in program order:
+	// the per-pair key of fault decisions and EvSend's PairSeq. Made only
+	// while a fault plan or a tracer is installed.
+	sendSeq map[int]int64
+	// probes counts the queued messages this processor's receives compared.
+	probes int64
 	// cp is the coop engine's scheduling state for this processor; nil under
 	// other engines.
 	cp *coopProc
@@ -294,12 +312,14 @@ func (p *Proc) Send(dst int, data any, bytes int) {
 	if p.m.hops != nil {
 		wire += float64(p.m.hops(p.id, dst)) * p.m.cost.PerHop
 	}
-	mb := p.m.mailboxFor(dst, p.id)
 	var mf MessageFault
 	var seq int64
 	if p.m.tracer != nil || p.m.faults != nil {
-		seq = mb.sendSeq
-		mb.sendSeq++
+		if p.sendSeq == nil {
+			p.sendSeq = make(map[int]int64)
+		}
+		seq = p.sendSeq[dst]
+		p.sendSeq[dst] = seq + 1
 	}
 	if p.m.faults != nil {
 		mf = p.m.faults.MessageFault(p.id, dst, seq)
@@ -308,6 +328,9 @@ func (p *Proc) Send(dst int, data any, bytes int) {
 		}
 	}
 	if p.m.tracer != nil {
+		if seq > math.MaxUint32 {
+			panic(fmt.Sprintf("machine: traced pair %d->%d passed 2^32 messages", p.id, dst))
+		}
 		// Recorded even when SendOverhead is zero: trace analysis matches
 		// send events to recv markers to reconstruct dependency edges.
 		if eseq, ok := p.keep(EvSend); ok {
@@ -329,13 +352,14 @@ func (p *Proc) Send(dst int, data any, bytes int) {
 		Data:     data,
 		Bytes:    bytes,
 		ArriveAt: p.clock + wire,
+		seq:      uint32(seq),
 	}
-	p.m.put(mb, msg)
+	p.m.put(dst, msg)
 	if mf.Duplicate {
 		p.marker(EvFault, dst, bytes, FaultDup)
 		dup := msg
 		dup.Dup = true
-		p.m.put(mb, dup)
+		p.m.put(dst, dup)
 	}
 	p.sent++
 	p.bytes += int64(bytes)
@@ -351,9 +375,8 @@ func (p *Proc) Recv(src int) Message {
 		panic(fmt.Sprintf("machine: Recv from invalid processor %d (machine has %d)", src, p.m.n))
 	}
 	p.checkAlive()
-	mb := p.m.mailboxFor(p.id, src)
 	for {
-		msg, ok := p.waitMsg(mb, src)
+		msg, ok := p.waitMsg(src)
 		if !ok {
 			fate, exitAt := p.m.senderFate(src)
 			panic(&DeadSenderError{Proc: p.id, Src: src, At: p.clock,
@@ -363,21 +386,21 @@ func (p *Proc) Recv(src int) Message {
 			p.dropDup(src, msg)
 			continue
 		}
-		p.finishRecv(mb, src, msg)
+		p.finishRecv(src, msg)
 		return msg
 	}
 }
 
-// waitMsg blocks until a message from src is consumed from mb or src's
-// termination proves none is coming (ok == false). The separation between
-// wait (block until deposit or termination, don't consume) and tryGet
-// (consume) is safe because each mailbox has a single consumer.
-func (p *Proc) waitMsg(mb *mailbox, src int) (Message, bool) {
+// waitMsg blocks until a message from src is consumed from p's inbox or
+// src's termination proves none is coming (ok == false). The separation
+// between wait (block until deposit or termination, don't consume) and
+// tryGet (consume) is safe because each inbox has a single consumer.
+func (p *Proc) waitMsg(src int) (Message, bool) {
 	for {
-		if msg, ok := mb.tryGet(); ok {
+		if msg, ok := p.tryGet(src); ok {
 			return msg, true
 		}
-		if !p.wait(mb, src) {
+		if !p.wait(src) {
 			return Message{}, false
 		}
 	}
@@ -396,9 +419,8 @@ func (p *Proc) dropDup(src int, msg Message) {
 // EvWait/EvRecv markers trace analysis matches against EvSend events.
 func (p *Proc) TryRecv(src int) (Message, bool) {
 	p.checkAlive()
-	mb := p.m.mailboxFor(p.id, src)
 	for {
-		msg, ok := mb.tryGet()
+		msg, ok := p.tryGet(src)
 		if !ok {
 			return Message{}, false
 		}
@@ -406,15 +428,15 @@ func (p *Proc) TryRecv(src int) (Message, bool) {
 			p.dropDup(src, msg)
 			continue
 		}
-		p.finishRecv(mb, src, msg)
+		p.finishRecv(src, msg)
 		return msg, true
 	}
 }
 
 // finishRecv is the post-receive bookkeeping shared by Recv and TryRecv:
 // wait-time accounting with its EvWait interval, the EvRecv marker (stamped
-// with the pair's FIFO sequence number), and the received-message counter.
-func (p *Proc) finishRecv(mb *mailbox, src int, msg Message) {
+// with the PairSeq its send recorded), and the received-message counter.
+func (p *Proc) finishRecv(src int, msg Message) {
 	if msg.ArriveAt > p.clock {
 		if p.m.tracer != nil {
 			if seq, ok := p.keep(EvWait); ok {
@@ -426,14 +448,9 @@ func (p *Proc) finishRecv(mb *mailbox, src int, msg Message) {
 		p.clock = msg.ArriveAt
 	}
 	if p.m.tracer != nil {
-		// The pair's FIFO counter advances for every receive, sampled or
-		// not, so a kept EvRecv always carries the PairSeq its matching
-		// EvSend recorded.
-		seq := mb.recvSeq
-		mb.recvSeq++
 		if eseq, ok := p.keep(EvRecv); ok {
 			p.m.tracer.Record(Event{Proc: p.id, Kind: EvRecv, Start: p.clock, End: p.clock,
-				Seq: eseq, Peer: src, Bytes: msg.Bytes, PairSeq: seq})
+				Seq: eseq, Peer: src, Bytes: msg.Bytes, PairSeq: int64(msg.seq)})
 		}
 	}
 	p.recvd++

@@ -44,7 +44,7 @@ func (s RunStats) TotalBusy() float64 {
 // Run executes fn as an SPMD program on the machine's execution engine
 // (goroutine-per-processor by default; see SetEngine), each invocation
 // receiving its own Proc. It returns per-processor statistics after all
-// processors finish. A Machine may be Run only once; mailboxes must be empty
+// processors finish. A Machine may be Run only once; inboxes must be empty
 // at exit (leftover messages indicate a protocol bug and cause a panic
 // naming every undrained sender→receiver pair). If any processor panics —
 // an application bug, a fault-plan death, or the resulting cascade of
@@ -64,6 +64,7 @@ func (m *Machine) Run(fn func(*Proc)) RunStats {
 		}
 	})
 	m.applyProcFaults(procs)
+	m.procs = procs
 	var rec panicRecorder
 	m.eng.run(m, procs, func(p *Proc) {
 		// Mark termination — and wake every receiver blocked on this
@@ -80,7 +81,7 @@ func (m *Machine) Run(fn func(*Proc)) RunStats {
 			} else {
 				m.term[p.id].Store(termExited)
 			}
-			m.senderTerminated(p.id)
+			m.senderTerminated(p)
 			if r != nil {
 				panic(r)
 			}
@@ -94,6 +95,7 @@ func (m *Machine) Run(fn func(*Proc)) RunStats {
 				p.id, len(p.spans), p.spans[len(p.spans)-1]))
 		}
 	}, &rec)
+	m.procs = nil
 	if failed := rec.failed(); failed != nil {
 		panic(&RunError{Panics: failed})
 	}

@@ -149,8 +149,8 @@ func sortEventsForTest(evs []Event) {
 }
 
 // TestSparseMailboxDirectoryRing: a full-machine ring, on 8 and on 2049
-// processors, must run, drain, deliver
-// each payload, and leave exactly one mailbox in every source's table.
+// processors, must run, drain, deliver each payload, and leave every inbox
+// empty with a single slot (ring in-degree 1).
 func TestSparseMailboxDirectoryRing(t *testing.T) {
 	for _, n := range []int{8, 2049} {
 		m := New(n, testCost())
@@ -165,9 +165,9 @@ func TestSparseMailboxDirectoryRing(t *testing.T) {
 		if len(stats.Procs) != n {
 			t.Fatalf("got %d proc stats, want %d", len(stats.Procs), n)
 		}
-		for src := 0; src < n; src++ {
-			if got := len(liveFrom(m, src)); got != 1 {
-				t.Fatalf("P=%d: proc %d has %d mailboxes, want 1 (ring out-degree)", n, src, got)
+		for dst := range m.in {
+			if in := &m.in[dst]; len(in.q) != 0 || cap(in.q) != 1 {
+				t.Fatalf("P=%d: proc %d's inbox holds %d of %d slots, want 0 of 1", n, dst, len(in.q), cap(in.q))
 			}
 		}
 	}
