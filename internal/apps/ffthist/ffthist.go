@@ -110,9 +110,6 @@ func histMax(n int) float64 { return float64(n) }
 // Run executes the stream under the given mapping and returns metered
 // results. Processors the mapping leaves unused idle.
 func Run(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
-	if err := mp.Validate(mach.N(), len(stageNames)); err != nil {
-		panic(fmt.Errorf("ffthist: %w", err))
-	}
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -120,7 +117,7 @@ func Run(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
 	if cfg.SketchStats {
 		meter = stats.NewSketchStream()
 	}
-	hists, st := program(cfg).Run(mach, mp, cfg.Sets, meter)
+	hists, st := program(cfg).Run("ffthist", mach, mp, cfg.Sets, meter)
 	return Result{Stream: meter.Summarize(), Hists: hists, Makespan: st.MakespanTime(), Stats: st}
 }
 
@@ -130,6 +127,9 @@ func Simulate(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
 	cfg.charge = true
 	return Run(mach, cfg, mp)
 }
+
+// Caps returns the stages' processor caps (see streams.Program.Caps).
+func (cfg Config) Caps() []int { return program(cfg).Caps() }
 
 // done reports a data set's histogram (see streams.Stage.New).
 type done = func(p *fx.Proc, set int, hist []int64)

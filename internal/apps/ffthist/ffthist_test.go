@@ -35,7 +35,7 @@ func TestMappingValidate(t *testing.T) {
 		{mapping.Mapping{Modules: 1, Stages: []int{0, 4, 4}}, 8, false},
 	}
 	for _, tc := range cases {
-		err := tc.mp.Validate(tc.procs, len(program(smallConfig())))
+		err := tc.mp.Validate(tc.procs, smallConfig().Caps())
 		if (err == nil) != tc.ok {
 			t.Errorf("%v on %d procs: err=%v, want ok=%v", tc.mp, tc.procs, err, tc.ok)
 		}

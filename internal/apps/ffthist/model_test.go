@@ -82,7 +82,7 @@ func TestModelOptimizeAndRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	mp := c.Mapping
-	if err := mp.Validate(12, len(program(cfg))); err != nil {
+	if err := mp.Validate(12, cfg.Caps()); err != nil {
 		t.Fatalf("invalid mapping %v: %v", mp, err)
 	}
 	// A tight goal must produce a different mapping with more predicted

@@ -58,24 +58,6 @@ func DataParallel(p int) mapping.Mapping { return mapping.DataParallel(p) }
 // ChoiceToMapping returns the mapping c selected.
 func ChoiceToMapping(c mapping.Choice) mapping.Mapping { return c.Mapping }
 
-// ValidateMapping checks mp on a total-processor machine: the shape check
-// for a 4-stage pipeline (input/corner-turn, FFT, scale, threshold), and no
-// stage wider than the Rows the program distributes — except the pipeline's
-// input stage, which scatters Gates rows.
-func (cfg Config) ValidateMapping(mp mapping.Mapping, total int) error {
-	if err := mp.Validate(total, len(stageNames)); err != nil {
-		return fmt.Errorf("radar: %w", err)
-	}
-	for _, stages := range [][]int{mp.Stages, mp.WideStages} {
-		for i, q := range stages {
-			if (len(stages) == 1 || i > 0) && q > cfg.Rows {
-				return fmt.Errorf("radar: stage %d uses %d processors but only %d rows exist", i, q, cfg.Rows)
-			}
-		}
-	}
-	return nil
-}
-
 // Result of a run. Kept maps data set index to the number of
 // above-threshold detections, for cross-mapping verification.
 type Result struct {
@@ -104,16 +86,16 @@ func sample(s, gate, row, gates int) complex128 {
 
 // Run executes the stream under the mapping.
 func Run(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
-	if err := cfg.ValidateMapping(mp, mach.N()); err != nil {
-		panic(err)
-	}
 	if cfg.Gates&(cfg.Gates-1) != 0 || cfg.Gates <= 0 {
 		panic(fmt.Sprintf("radar: Gates must be a power of two, got %d", cfg.Gates))
 	}
 	meter := stats.NewStream()
-	kept, st := program(cfg).Run(mach, mp, cfg.Sets, meter)
+	kept, st := program(cfg).Run("radar", mach, mp, cfg.Sets, meter)
 	return Result{Stream: meter.Summarize(), Kept: kept, Makespan: st.MakespanTime(), runStats: st}
 }
+
+// Caps returns the stages' processor caps (see streams.Program.Caps).
+func (cfg Config) Caps() []int { return program(cfg).Caps() }
 
 // done reports a data set's detection count (see streams.Stage.New).
 type done = func(p *fx.Proc, set int, kept int)

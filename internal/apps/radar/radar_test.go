@@ -34,7 +34,7 @@ func TestValidate(t *testing.T) {
 		{mapping.DataParallel(9), 16, false},                                // dp over row cap
 	}
 	for _, tc := range cases {
-		err := cfg.ValidateMapping(tc.mp, tc.procs)
+		err := tc.mp.Validate(tc.procs, cfg.Caps())
 		if (err == nil) != tc.ok {
 			t.Errorf("%v on %d: err=%v want ok=%v", tc.mp, tc.procs, err, tc.ok)
 		}
@@ -119,7 +119,7 @@ func TestModelOptimizeFeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	mp := c.Mapping
-	if err := cfg.ValidateMapping(mp, 16); err != nil {
+	if err := mp.Validate(16, cfg.Caps()); err != nil {
 		t.Fatalf("mapper produced invalid mapping %v: %v", mp, err)
 	}
 	res := run(t, 16, cfg, mp)

@@ -129,7 +129,7 @@ func TestChargedRunsMatchComputed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dp := mapping.DataParallel(min(64, a.Rows))
+		dp := a.DataParallel(64)
 		cases = append(cases, runCase{a, pr.run, pr.twin, dp, row.DPThroughput, row.DPLatency, nil},
 			runCase{a, pr.run, pr.twin, pr.chosen, row.TaskThroughput, row.TaskLatency, nil})
 	}

@@ -80,8 +80,8 @@ func digestCells(t *testing.T, h hash.Hash64, eng machine.Engine, name string) {
 			h.Write(b)
 		}
 		fmt.Fprintf(h, "dp p=%d %x\n", p, math.Float64bits(model.DPT[p]))
-		procs := min(p, a.Rows)
-		digestRun(t, h, eng, procs, func(m *machine.Machine) Out { return a.Run(m, mapping.DataParallel(procs)) })
+		dp := a.DataParallel(p)
+		digestRun(t, h, eng, dp.Stages[0], func(m *machine.Machine) Out { return a.Run(m, dp) })
 	}
 }
 

@@ -3,7 +3,7 @@
 // campaign: a program is a chain of data-parallel stages with a measured
 // cost model, a mapping is modules x per-stage processors, and the Table 1
 // cell is App.Optimize. experiments.Table1, the serving layer and fxprof all
-// go through App; each program's typed Config stays inside its closures.
+// go through App; each program's typed Config stays behind it.
 package sensor
 
 import (
@@ -31,83 +31,109 @@ type App struct {
 	Name   string // "ffthist" | "radar" | "stereo"
 	Size   string // Table 1's size column
 	Params string // canonical parameters, stream length included
-	Rows   int    // data-parallel width cap: the rows it distributes over (stereo: Config.ErrorCap)
-
-	// Spec is the content key the cost tables for a p-processor machine are
-	// memoized under, and Model builds them (see mapping.Cells.Measure).
-	Spec  func(cost sim.CostModel, p int, opt mapping.BuildOptions) mapping.TableSpec
-	Model func(cost sim.CostModel, p int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error)
-	// Run simulates the stream through m under mp for callers that read only
-	// virtual time: FFT-Hist and stereo charge from shape (ffthist.Simulate,
-	// stereo.Simulate), radar computes (one report record per detection).
-	// It panics on a mapping Validate rejects.
-	Run func(m *machine.Machine, mp mapping.Mapping) Out
-	// Validate checks mp on a p-processor machine: its shape for the
-	// program's stage count and the program's own stage-width caps.
-	Validate func(mp mapping.Mapping, p int) error
+	prog   program
 }
+
+// program is one sensor program's typed Config behind what App asks of it.
+type program interface {
+	spec(cost sim.CostModel, p int, opt mapping.BuildOptions) mapping.TableSpec
+	model(cost sim.CostModel, p int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error)
+	run(m *machine.Machine, mp mapping.Mapping) Out
+	caps() []int
+}
+
+type (
+	fftHistProg ffthist.Config
+	radarProg   radar.Config
+	stereoProg  stereo.Config
+)
+
+func (c fftHistProg) spec(cost sim.CostModel, p int, opt mapping.BuildOptions) mapping.TableSpec {
+	return ffthist.Spec(cost, ffthist.Config(c), p, opt)
+}
+func (c fftHistProg) model(cost sim.CostModel, p int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
+	return ffthist.MeasuredModel(cost, ffthist.Config(c), p, opt)
+}
+func (c fftHistProg) run(m *machine.Machine, mp mapping.Mapping) Out {
+	res := ffthist.Simulate(m, ffthist.Config(c), mp)
+	return Out{res.Stream, res.Makespan}
+}
+func (c fftHistProg) caps() []int { return ffthist.Config(c).Caps() }
+
+func (c radarProg) spec(cost sim.CostModel, p int, opt mapping.BuildOptions) mapping.TableSpec {
+	return radar.Spec(cost, radar.Config(c), p, opt)
+}
+func (c radarProg) model(cost sim.CostModel, p int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
+	return radar.MeasuredModel(cost, radar.Config(c), p, opt)
+}
+func (c radarProg) run(m *machine.Machine, mp mapping.Mapping) Out {
+	res := radar.Run(m, radar.Config(c), mp)
+	return Out{res.Stream, res.Makespan}
+}
+func (c radarProg) caps() []int { return radar.Config(c).Caps() }
+
+func (c stereoProg) spec(cost sim.CostModel, p int, opt mapping.BuildOptions) mapping.TableSpec {
+	return stereo.Spec(cost, stereo.Config(c), p, opt)
+}
+func (c stereoProg) model(cost sim.CostModel, p int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
+	return stereo.MeasuredModel(cost, stereo.Config(c), p, opt)
+}
+func (c stereoProg) run(m *machine.Machine, mp mapping.Mapping) Out {
+	res := stereo.Simulate(m, stereo.Config(c), mp)
+	return Out{res.Stream, res.Makespan}
+}
+func (c stereoProg) caps() []int { return stereo.Config(c).Caps() }
 
 // FFTHist is the FFT-Hist program under cfg.
 func FFTHist(cfg ffthist.Config) App {
-	return App{
-		Name: "ffthist", Size: fmt.Sprintf("%dx%d", cfg.N, cfg.N), Rows: cfg.N,
-		Params: fmt.Sprintf("N=%d,Bins=%d,Sets=%d", cfg.N, cfg.Bins, cfg.Sets),
-		Spec: func(cost sim.CostModel, p int, opt mapping.BuildOptions) mapping.TableSpec {
-			return ffthist.Spec(cost, cfg, p, opt)
-		},
-		Model: func(cost sim.CostModel, p int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
-			return ffthist.MeasuredModel(cost, cfg, p, opt)
-		},
-		Run: func(m *machine.Machine, mp mapping.Mapping) Out {
-			res := ffthist.Simulate(m, cfg, mp)
-			return Out{res.Stream, res.Makespan}
-		},
-		// FFT-Hist has no width cap: the shape check for its 3 stages is all.
-		Validate: func(mp mapping.Mapping, p int) error {
-			if err := mp.Validate(p, 3); err != nil {
-				return fmt.Errorf("ffthist: %w", err)
-			}
-			return nil
-		},
-	}
+	return App{Name: "ffthist", Size: fmt.Sprintf("%dx%d", cfg.N, cfg.N),
+		Params: fmt.Sprintf("N=%d,Bins=%d,Sets=%d", cfg.N, cfg.Bins, cfg.Sets), prog: fftHistProg(cfg)}
 }
 
 // Radar is the radar program under cfg.
 func Radar(cfg radar.Config) App {
-	return App{
-		Name: "radar", Size: fmt.Sprintf("%dx%d", cfg.Gates, cfg.Rows), Rows: cfg.Rows,
+	return App{Name: "radar", Size: fmt.Sprintf("%dx%d", cfg.Gates, cfg.Rows),
 		Params: fmt.Sprintf("Gates=%d,Rows=%d,Scale=%g,Thr=%g,Sets=%d", cfg.Gates, cfg.Rows, cfg.Scale, cfg.Threshold, cfg.Sets),
-		Spec: func(cost sim.CostModel, p int, opt mapping.BuildOptions) mapping.TableSpec {
-			return radar.Spec(cost, cfg, p, opt)
-		},
-		Model: func(cost sim.CostModel, p int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
-			return radar.MeasuredModel(cost, cfg, p, opt)
-		},
-		Run: func(m *machine.Machine, mp mapping.Mapping) Out {
-			res := radar.Run(m, cfg, mp)
-			return Out{res.Stream, res.Makespan}
-		},
-		Validate: func(mp mapping.Mapping, p int) error { return cfg.ValidateMapping(mp, p) },
-	}
+		prog:   radarProg(cfg)}
 }
 
 // Stereo is the stereo program under cfg.
 func Stereo(cfg stereo.Config) App {
-	return App{
-		Name: "stereo", Size: fmt.Sprintf("%dx%d", cfg.W, cfg.H), Rows: cfg.ErrorCap(),
+	return App{Name: "stereo", Size: fmt.Sprintf("%dx%d", cfg.W, cfg.H),
 		Params: fmt.Sprintf("W=%d,H=%d,D=%d,Win=%d,Sets=%d", cfg.W, cfg.H, cfg.Disparities, cfg.Window, cfg.Sets),
-		Spec: func(cost sim.CostModel, p int, opt mapping.BuildOptions) mapping.TableSpec {
-			return stereo.Spec(cost, cfg, p, opt)
-		},
-		Model: func(cost sim.CostModel, p int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
-			return stereo.MeasuredModel(cost, cfg, p, opt)
-		},
-		Run: func(m *machine.Machine, mp mapping.Mapping) Out {
-			res := stereo.Simulate(m, cfg, mp)
-			return Out{res.Stream, res.Makespan}
-		},
-		Validate: func(mp mapping.Mapping, p int) error { return cfg.ValidateMapping(mp, p) },
+		prog:   stereoProg(cfg)}
+}
+
+// Spec is the content key the cost tables for a p-processor machine are
+// memoized under, and Model builds them (see mapping.Cells.Measure).
+func (a App) Spec(cost sim.CostModel, p int, opt mapping.BuildOptions) mapping.TableSpec {
+	return a.prog.spec(cost, p, opt)
+}
+
+// Model builds the program's measured cost model for a p-processor machine.
+func (a App) Model(cost sim.CostModel, p int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
+	return a.prog.model(cost, p, opt)
+}
+
+// Run simulates the stream through m under mp for callers that read only
+// virtual time: FFT-Hist and stereo charge from shape (ffthist.Simulate,
+// stereo.Simulate), radar computes (one report record per detection).
+// It panics on a mapping Validate rejects.
+func (a App) Run(m *machine.Machine, mp mapping.Mapping) Out { return a.prog.run(m, mp) }
+
+// Validate checks mp on a p-processor machine against the program's stage
+// caps, the same caps its cost model prices (see mapping.Mapping.Validate).
+func (a App) Validate(mp mapping.Mapping, p int) error {
+	if err := mp.Validate(p, a.prog.caps()); err != nil {
+		return fmt.Errorf("%s: %w", a.Name, err)
 	}
+	return nil
+}
+
+// DataParallel is the widest data-parallel mapping the program runs on a
+// p-processor machine: the Table 1 baseline.
+func (a App) DataParallel(p int) mapping.Mapping {
+	return mapping.WidestDataParallel(p, a.prog.caps())
 }
 
 // ByName returns the named program streaming sets data sets at the paper's
@@ -186,7 +212,7 @@ func (a App) Optimize(cost sim.CostModel, p int, goal, goalRatio float64, opt ma
 		return r, fmt.Errorf("model: %w", err)
 	}
 	r.ModelSource = src.String()
-	r.DP = a.Run(newMachine(), mapping.DataParallel(min(p, a.Rows)))
+	r.DP = a.Run(newMachine(), a.DataParallel(p))
 	r.Goal = goal
 	if goal == 0 && goalRatio > 0 {
 		r.Goal = goalRatio / model.DPT[p]

@@ -3,6 +3,7 @@ package sensor
 import (
 	"testing"
 
+	"fxpar/internal/apps/stereo"
 	"fxpar/internal/machine"
 	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
@@ -16,7 +17,7 @@ func TestByNameSizes(t *testing.T) {
 		quick    bool
 		n        int
 		size     string
-		rows     int
+		dpWidth  int
 		wantPars string
 	}{
 		{"ffthist", false, 0, "256x256", 256, "N=256,Bins=64,Sets=8"},
@@ -33,8 +34,9 @@ func TestByNameSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Name != tc.app || a.Size != tc.size || a.Rows != tc.rows || a.Params != tc.wantPars {
-			t.Errorf("ByName(%s, quick=%v, n=%d) = %s %s rows %d %q", tc.app, tc.quick, tc.n, a.Name, a.Size, a.Rows, a.Params)
+		dp := a.DataParallel(1024)
+		if a.Name != tc.app || a.Size != tc.size || dp.Stages[0] != tc.dpWidth || a.Params != tc.wantPars {
+			t.Errorf("ByName(%s, quick=%v, n=%d) = %s %s %v %q", tc.app, tc.quick, tc.n, a.Name, a.Size, dp, a.Params)
 		}
 	}
 	if _, err := ByName("sonar", false, 8, 0); err == nil {
@@ -79,6 +81,54 @@ func TestQuickStereoOptimizesPastErrorCap(t *testing.T) {
 	}
 	if r.DP.Stream.Sets != 4 || r.Task.Stream.Sets != 4 {
 		t.Errorf("completed %d (DP) and %d (task) of 4 sets", r.DP.Stream.Sets, r.Task.Stream.Sets)
+	}
+}
+
+// TestOptimizerChoicesPassValidate holds the mapper and Validate to one cap
+// rule: on machines wider than each quick program's narrowest cap, every
+// mapping the optimizer picks from the program's measured model — for goals
+// up to 8x the data-parallel rate — and the data-parallel baseline pass
+// App.Validate, and a baseline one processor wider does not. Quick stereo (H=24, Window=2) is the case where 24 one-row
+// error blocks would undercut the window.
+func TestOptimizerChoicesPassValidate(t *testing.T) {
+	if got := (stereo.Config{W: 64, H: 24, Disparities: 8, Window: 2}).ErrorCap(); got != 23 {
+		t.Fatalf("quick stereo ErrorCap = %d, want 23", got)
+	}
+	for _, tc := range []struct {
+		app string
+		p   int
+	}{{"ffthist", 40}, {"radar", 16}, {"stereo", 32}} {
+		t.Run(tc.app, func(t *testing.T) {
+			a, err := ByName(tc.app, true, 8, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dp := a.DataParallel(tc.p)
+			if w := dp.Stages[0]; w >= tc.p || a.Validate(dp, tc.p) != nil || a.Validate(mapping.DataParallel(w+1), tc.p) == nil {
+				t.Fatalf("baseline %v on %d processors: %v, and one wider is not rejected", dp, tc.p, a.Validate(dp, tc.p))
+			}
+			m, _, err := a.Model(sim.Paragon(), tc.p, mapping.BuildOptions{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			feasible := 0
+			for _, ratio := range []float64{0, 1, 1.5, 2, 3, 4, 6, 8} {
+				for _, optimize := range []func(mapping.Model, float64) (mapping.Choice, error){mapping.Optimize, mapping.OptimizePipeline} {
+					c, err := optimize(m, ratio/m.DPT[tc.p])
+					if err != nil {
+						continue
+					}
+					feasible++
+					t.Logf("goal %gx DP: %v", ratio, c.Mapping)
+					if err := a.Validate(c.Mapping, tc.p); err != nil {
+						t.Errorf("goal %gx DP: optimizer chose %v: %v", ratio, c, err)
+					}
+				}
+			}
+			if feasible < 2 {
+				t.Errorf("only %d goals feasible", feasible)
+			}
+		})
 	}
 }
 

@@ -50,33 +50,3 @@ func TestMeasuredModelFeasible(t *testing.T) {
 		}
 	}
 }
-
-// TestMeasuredModelPastErrorCap: quick stereo (H=24, Window=2) builds its
-// cost tables at P=32, where 24 one-row error blocks would undercut the
-// window, and every mapping the optimizer returns there passes
-// ValidateMapping.
-func TestMeasuredModelPastErrorCap(t *testing.T) {
-	cfg := Config{W: 64, H: 24, Disparities: 8, Window: 2, Sets: 8}
-	const p = 32
-	if got := cfg.ErrorCap(); got != 23 {
-		t.Fatalf("ErrorCap = %d, want 23", got)
-	}
-	m, _, err := MeasuredModel(sim.Paragon(), cfg, p, mapping.BuildOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feasible := 0
-	for _, ratio := range []float64{0, 1, 1.5, 2, 3, 4, 6, 8} {
-		c, err := mapping.Optimize(m, ratio/m.DPT[p])
-		if err != nil {
-			continue
-		}
-		feasible++
-		if err := cfg.ValidateMapping(c.Mapping, p); err != nil {
-			t.Errorf("goal %gx DP: optimizer chose %v: %v", ratio, c, err)
-		}
-	}
-	if feasible < 2 {
-		t.Errorf("only %d goals feasible", feasible)
-	}
-}

@@ -64,28 +64,6 @@ func (cfg Config) ErrorCap() int {
 	return q
 }
 
-// ValidateMapping checks mp on a total-processor machine: the shape check
-// for a 3-stage pipeline (diff, error, depth), no stage wider than the H
-// image rows every stage distributes, and no error stage wider than
-// ErrorCap.
-func (cfg Config) ValidateMapping(mp mapping.Mapping, total int) error {
-	if err := mp.Validate(total, len(stageNames)); err != nil {
-		return fmt.Errorf("stereo: %w", err)
-	}
-	errCap := cfg.ErrorCap()
-	for _, stages := range [][]int{mp.Stages, mp.WideStages} {
-		for i, q := range stages {
-			if q > cfg.H {
-				return fmt.Errorf("stereo: stage of %d processors exceeds %d image rows", q, cfg.H)
-			}
-			if (len(stages) == 1 || i == 1) && q > errCap {
-				return fmt.Errorf("stereo: error stage of %d processors holds %d rows per block, under the window's %d", q, (cfg.H+q-1)/q, cfg.Window)
-			}
-		}
-	}
-	return nil
-}
-
 // Result of a run. DepthSum maps data set index to the sum of the depth
 // image's disparity indices — a checksum verified across mappings.
 type Result struct {
@@ -121,11 +99,8 @@ func refPixel(s, i, j int) float64 {
 
 // Run executes the stream under the mapping.
 func Run(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
-	if err := cfg.ValidateMapping(mp, mach.N()); err != nil {
-		panic(err)
-	}
 	meter := stats.NewStream()
-	sums, st := program(cfg).Run(mach, mp, cfg.Sets, meter)
+	sums, st := program(cfg).Run("stereo", mach, mp, cfg.Sets, meter)
 	return Result{Stream: meter.Summarize(), DepthSum: sums, Makespan: st.MakespanTime(), runStats: st}
 }
 
@@ -135,6 +110,9 @@ func Simulate(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
 	cfg.charge = true
 	return Run(mach, cfg, mp)
 }
+
+// Caps returns the stages' processor caps (see streams.Program.Caps).
+func (cfg Config) Caps() []int { return program(cfg).Caps() }
 
 // done reports a data set's depth checksum (see streams.Stage.New).
 type done = func(p *fx.Proc, set int, sum int64)

@@ -40,7 +40,7 @@ func TestValidate(t *testing.T) {
 		{mapping.DataParallel(5), 4, false},
 	}
 	for _, tc := range cases {
-		err := cfg.ValidateMapping(tc.mp, tc.procs)
+		err := tc.mp.Validate(tc.procs, cfg.Caps())
 		if (err == nil) != tc.ok {
 			t.Errorf("%v on %d: err=%v want ok=%v", tc.mp, tc.procs, err, tc.ok)
 		}
@@ -65,7 +65,7 @@ func TestDepthRecoversScene(t *testing.T) {
 			}
 		}
 	}
-	pr.Run(machine.New(1, sim.Paragon()), mapping.DataParallel(1), cfg.Sets, stats.NewStream())
+	pr.Run("stereo", machine.New(1, sim.Paragon()), mapping.DataParallel(1), cfg.Sets, stats.NewStream())
 	errs := 0
 	checked := 0
 	for i := 8; i < cfg.H-8; i++ {
@@ -143,7 +143,7 @@ func TestModelOptimizeFeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	mp := c.Mapping
-	if err := cfg.ValidateMapping(mp, 8); err != nil {
+	if err := mp.Validate(8, cfg.Caps()); err != nil {
 		t.Fatalf("mapper produced invalid mapping %v: %v", mp, err)
 	}
 	res := run(t, 8, cfg, mp)

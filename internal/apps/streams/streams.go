@@ -49,11 +49,25 @@ type Stage[T, R any] struct {
 // it computes.
 type Program[T, R any] []Stage[T, R]
 
+// Caps returns the stages' caps, in order: what mapping.Mapping.Validate
+// admits the program under and what the mapper prices it with.
+func (pr Program[T, R]) Caps() []int {
+	caps := make([]int, len(pr))
+	for s, st := range pr {
+		caps[s] = st.Cap
+	}
+	return caps
+}
+
 // Run streams data sets 0 … sets-1 through pr under mp on mach, metering
 // each set from its injection by the first stage's rank 0 to its
-// completion, and returns the results the last stage reported. mp must fit
-// mach (see mapping.Mapping.Validate).
-func (pr Program[T, R]) Run(mach *machine.Machine, mp mapping.Mapping, sets int, meter *stats.Stream) (map[int]R, machine.RunStats) {
+// completion, and returns the results the last stage reported. It panics,
+// prefixed with the program's name, on a mapping mapping.Mapping.Validate
+// rejects for mach and pr's caps.
+func (pr Program[T, R]) Run(name string, mach *machine.Machine, mp mapping.Mapping, sets int, meter *stats.Stream) (map[int]R, machine.RunStats) {
+	if err := mp.Validate(mach.N(), pr.Caps()); err != nil {
+		panic(fmt.Errorf("%s: %w", name, err))
+	}
 	vals := make(map[int]R)
 	var mu sync.Mutex
 	done := func(p *fx.Proc, set int, r R) {
@@ -62,8 +76,7 @@ func (pr Program[T, R]) Run(mach *machine.Machine, mp mapping.Mapping, sets int,
 		vals[set] = r
 		mu.Unlock()
 	}
-	sizes := mp.ModuleSizes()
-	idle := checkModules(sizes, mach.N())
+	sizes, idle := mp.ModuleSizes(), mach.N()-mp.Procs()
 	module := func(p *fx.Proc, i int) {
 		if stages := mp.ModuleStages(i); len(stages) > 1 {
 			pr.pipeline(p, stages, i, mp.Modules, sets, meter, done)
@@ -155,7 +168,7 @@ func (pr Program[T, R]) Cells(id mapping.Ident) mapping.Cells {
 		},
 		DP: func(m *machine.Machine) float64 {
 			meter := stats.NewStream()
-			pr.Run(m, mapping.DataParallel(m.N()), 1, meter)
+			pr.Run(id.App, m, mapping.DataParallel(m.N()), 1, meter)
 			return meter.Summarize().Latency
 		},
 	}
@@ -167,10 +180,10 @@ func (pr Program[T, R]) Cells(id mapping.Ident) mapping.Cells {
 // b·o + α + bytes/(a·b)·β, each of a senders splitting its share of stage
 // s+1's array into b messages.
 func (pr Program[T, R]) Model(cost sim.CostModel, maxP int) mapping.Model {
-	m := mapping.Model{P: maxP, StageNames: make([]string, len(pr)), Caps: make([]int, len(pr))}
+	m := mapping.Model{P: maxP, StageNames: make([]string, len(pr)), Caps: pr.Caps()}
 	bytes := make([]float64, len(pr))
 	for s, st := range pr {
-		m.StageNames[s], m.Caps[s] = st.Name, st.Cap
+		m.StageNames[s] = st.Name
 		bytes[s] = float64(st.Layout(group.World(1)).Size() * comm.ElemBytes[T]())
 	}
 	m.Xfer = func(s, a, b int) float64 {
@@ -223,23 +236,6 @@ func sharedPartition(p *fx.Proc, sizes []int, idle int) *group.Partition {
 	return part
 }
 
-// checkModules panics unless sizes are one or more positive entries summing
-// to at most np, and returns how many of np they leave idle. Run checks once
-// per run, not once per processor.
-func checkModules(sizes []int, np int) (idle int) {
-	used := 0
-	for _, s := range sizes {
-		if s < 1 {
-			panic(fmt.Sprintf("streams: non-positive module size in %v", sizes))
-		}
-		used += s
-	}
-	if len(sizes) < 1 || used > np {
-		panic(fmt.Sprintf("streams: cannot run modules %v on %d processors", sizes, np))
-	}
-	return np - used
-}
-
 // runModules partitions the current group into one subgroup per entry of
 // sizes — sizes[i] processors for module i, not necessarily equal, so the
 // optimizer can hand leftover processors to some modules — with the idle
@@ -247,8 +243,8 @@ func checkModules(sizes []int, np int) (idle int) {
 // data-parallel radar could not exploit), and runs body on each module with
 // its index. With one module and no idle processors the body runs directly
 // on the current group, avoiding a needless partition level. sizes and idle
-// are what checkModules accepted and returned for the current group size;
-// processors passing the same slice share one partition (see partCache).
+// come from a mapping Run validated for the current group size; processors
+// passing the same slice share one partition (see partCache).
 func runModules(p *fx.Proc, sizes []int, idle int, body func(p *fx.Proc, module int)) {
 	modules := len(sizes)
 	if modules == 1 && idle == 0 {
@@ -270,16 +266,6 @@ func runModules(p *fx.Proc, sizes []int, idle int, body func(p *fx.Proc, module 
 			body(p, module)
 		})
 	})
-}
-
-// Uniform returns the sizes slice of modules equal modules of per
-// processors each.
-func Uniform(modules, per int) []int {
-	sizes := make([]int, modules)
-	for i := range sizes {
-		sizes[i] = per
-	}
-	return sizes
 }
 
 // Frame returns the full-size buffer rank 0 of a's group reads a data set

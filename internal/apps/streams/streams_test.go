@@ -1,12 +1,15 @@
 package streams
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
 	"fxpar/internal/fx"
 	"fxpar/internal/machine"
+	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
+	"fxpar/internal/stats"
 )
 
 func testMachine(n int) *machine.Machine {
@@ -29,7 +32,7 @@ func TestModulesSplitEvenly(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int]int{}
 	fx.Run(m, func(p *fx.Proc) {
-		runModules(p, Uniform(3, 2), 0, func(p *fx.Proc, mod int) {
+		runModules(p, []int{2, 2, 2}, 0, func(p *fx.Proc, mod int) {
 			if p.NumberOfProcessors() != 2 {
 				t.Errorf("module %d np=%d", mod, p.NumberOfProcessors())
 			}
@@ -99,29 +102,25 @@ func TestUnevenModuleSizes(t *testing.T) {
 	}
 }
 
+// TestInvalidArgsPanic: Run rejects, before running anything, a mapping
+// whose modules do not fit the machine.
 func TestInvalidArgsPanic(t *testing.T) {
-	cases := [][]int{
-		{},        // no modules
-		{3, 2},    // uses 5 of 4
-		{2, 2, 2}, // uses 6 of 4
-		{0, 2},    // non-positive size
-		{-1},      // non-positive size
+	pr := Program[int, int]{{Name: "s"}}
+	cases := []mapping.Mapping{
+		{}, // no modules
+		{Modules: 2, Stages: []int{2}, WideModules: 1, WideStages: []int{3}}, // uses 5 of 4
+		{Modules: 3, Stages: []int{2}},                                       // uses 6 of 4
+		{Modules: 2, Stages: []int{2}, WideModules: 1, WideStages: []int{0}}, // non-positive size
+		{Modules: 1, Stages: []int{-1}},                                      // non-positive size
 	}
-	for _, sizes := range cases {
+	for _, mp := range cases {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("sizes=%v accepted", sizes)
+				if err, ok := recover().(error); !ok || !strings.HasPrefix(err.Error(), "test: ") {
+					t.Errorf("%+v: Run panicked with %v, want the mapping check's error", mp, err)
 				}
 			}()
-			checkModules(sizes, 4)
+			pr.Run("test", testMachine(4), mp, 1, stats.NewStream())
 		}()
-	}
-}
-
-func TestUniform(t *testing.T) {
-	got := Uniform(3, 2)
-	if len(got) != 3 || got[0] != 2 || got[2] != 2 {
-		t.Errorf("Uniform(3,2) = %v", got)
 	}
 }

@@ -426,33 +426,6 @@ func (l *Layout) checkIndex(idx []int) {
 	}
 }
 
-// SameDistribution reports whether two layouts place every global index on
-// the same *physical* processor (groups may differ as objects).
-func SameDistribution(a, b *Layout) bool {
-	if len(a.shape) != len(b.shape) {
-		return false
-	}
-	for i := range a.shape {
-		if a.shape[i] != b.shape[i] {
-			return false
-		}
-	}
-	if a.g.Size() != b.g.Size() {
-		return false
-	}
-	for r := 0; r < a.g.Size(); r++ {
-		if a.g.Phys(r) != b.g.Phys(r) {
-			return false
-		}
-	}
-	for i := range a.dims {
-		if a.dims[i] != b.dims[i] || a.grid[i] != b.grid[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func (l *Layout) String() string {
 	return fmt.Sprintf("layout(shape=%v dist=%v grid=%v over %d procs)", l.shape, l.axes, l.grid, l.g.Size())
 }

@@ -227,21 +227,3 @@ func TestLayoutPartitionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSameDistribution(t *testing.T) {
-	g := group.World(4)
-	a := RowBlock2D(g, 8, 4)
-	b := RowBlock2D(g, 8, 4)
-	if !SameDistribution(a, b) {
-		t.Error("identical layouts reported different")
-	}
-	c := ColBlock2D(g, 8, 4)
-	if SameDistribution(a, c) {
-		t.Error("row vs col block reported same")
-	}
-	h := group.MustNew([]int{3, 2, 1, 0})
-	d := RowBlock2D(h, 8, 4)
-	if SameDistribution(a, d) {
-		t.Error("different physical mapping reported same")
-	}
-}

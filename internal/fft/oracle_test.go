@@ -6,6 +6,9 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"fxpar/internal/machine"
+	"fxpar/internal/sim"
 )
 
 // oracleInPlace is the unplanned radix-2 FFT InPlace replaced: bit reversal
@@ -121,4 +124,31 @@ func BenchmarkOracleInPlace256(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		oracleInPlace(x, i&1 == 1)
 	}
+}
+
+// TestPlanFirstUseConcurrent: processors of the goroutine engine race to
+// build the same, not yet cached plans (length 8192 is used by no other
+// test); every one of them gets the oracle's bits. Run under -race.
+func TestPlanFirstUseConcurrent(t *testing.T) {
+	const n, procs = 8192, 8
+	in := make([]complex128, n)
+	for i := range in {
+		in[i] = complex(math.Sin(float64(i)), math.Cos(float64(3*i)))
+	}
+	want := [2][]complex128{append([]complex128(nil), in...), append([]complex128(nil), in...)}
+	oracleInPlace(want[0], false)
+	oracleInPlace(want[1], true)
+	m := machine.New(procs, sim.Paragon())
+	m.SetEngine(machine.Goroutine())
+	m.Run(func(p *machine.Proc) {
+		inverse := p.ID()%2 == 1
+		x := append([]complex128(nil), in...)
+		InPlace(x, inverse)
+		for i := range x {
+			if !sameBits(x[i], want[p.ID()%2][i]) {
+				t.Errorf("processor %d (inverse=%v): element %d = %v, oracle %v", p.ID(), inverse, i, x[i], want[p.ID()%2][i])
+				return
+			}
+		}
+	})
 }

@@ -226,8 +226,12 @@ func TestStatsAccumulate(t *testing.T) {
 	if got := stats.MakespanTime(); got < p0.Finish {
 		t.Errorf("makespan %g < proc0 finish %g", got, p0.Finish)
 	}
-	if stats.TotalBusy() <= 0 {
-		t.Error("TotalBusy should be positive")
+	totalBusy := 0.0
+	for _, p := range stats.Procs {
+		totalBusy += p.Busy
+	}
+	if totalBusy <= 0 {
+		t.Error("total busy time should be positive")
 	}
 }
 

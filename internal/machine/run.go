@@ -32,15 +32,6 @@ func (s RunStats) MakespanTime() float64 {
 	return max
 }
 
-// TotalBusy returns the sum of busy times over processors.
-func (s RunStats) TotalBusy() float64 {
-	sum := 0.0
-	for _, p := range s.Procs {
-		sum += p.Busy
-	}
-	return sum
-}
-
 // Run executes fn as an SPMD program on the machine's execution engine
 // (goroutine-per-processor by default; see SetEngine), each invocation
 // receiving its own Proc. It returns per-processor statistics after all

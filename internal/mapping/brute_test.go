@@ -15,7 +15,7 @@ func bruteModuleBest(m Model, q int, moduleGoal float64) (procs []int, lat, peri
 	nS := len(m.StageNames)
 	lat = math.Inf(1)
 
-	pdp := m.dpCap(q)
+	pdp := widest(m.Caps, -1, q)
 	if t := m.DPT[pdp]; t > 0 && (moduleGoal == 0 || 1/t >= moduleGoal) {
 		procs, lat, period, ok = []int{pdp}, t, t, true
 	}
@@ -48,7 +48,7 @@ func bruteModuleBest(m Model, q int, moduleGoal float64) (procs []int, lat, peri
 			}
 			return
 		}
-		capS := m.cap(s, q)
+		capS := widest(m.Caps, s, q)
 		for c := 1; c <= capS && used+c <= q-(nS-1-s); c++ {
 			cur[s] = c
 			rec(s+1, used+c, cur)

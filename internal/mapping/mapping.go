@@ -64,22 +64,18 @@ func (m Model) Validate() error {
 	return nil
 }
 
-func (m Model) cap(s, p int) int {
-	c := m.Caps[s]
-	if c == 0 || c > p {
-		return p
-	}
-	return c
-}
-
-func (m Model) dpCap(p int) int {
-	c := p
-	for s := range m.Caps {
-		if m.Caps[s] != 0 && m.Caps[s] < c {
-			c = m.Caps[s]
+// widest returns how many of q processors stage s may use under caps (0 =
+// no cap); s < 0 asks for a data-parallel module, which runs every stage on
+// its one group and so is held to the narrowest cap. It is the one place a
+// stage width meets a cap: the optimizer prices, and Mapping.Validate
+// admits, exactly the widths it allows.
+func widest(caps []int, s, q int) int {
+	for i, c := range caps {
+		if (s < 0 || s == i) && c != 0 && c < q {
+			q = c
 		}
 	}
-	return c
+	return q
 }
 
 // Mapping is how a streaming program's processors are applied (Section
@@ -104,6 +100,10 @@ type Mapping struct {
 
 // DataParallel is the one-module data-parallel mapping on p processors.
 func DataParallel(p int) Mapping { return Mapping{Modules: 1, Stages: []int{p}} }
+
+// WidestDataParallel is the one-module data-parallel mapping on as many of
+// p processors as a program with the given stage caps can use.
+func WidestDataParallel(p int, caps []int) Mapping { return DataParallel(widest(caps, -1, p)) }
 
 // ModuleStages returns the per-stage processor counts of module i; the
 // first WideModules modules are the wide ones.
@@ -137,10 +137,12 @@ func (mp Mapping) Procs() int {
 	return sum(mp.Stages)*(mp.Modules-mp.WideModules) + sum(mp.WideStages)*mp.WideModules
 }
 
-// Validate checks the mapping's shape for a program of the given number of
-// pipeline stages on a total-processor machine; processors it leaves unused
-// idle. Programs prefix the error with their name and add their own caps.
-func (mp Mapping) Validate(total, stages int) error {
+// Validate checks the mapping for a program whose pipeline stages have the
+// given caps (0 = no cap) on a total-processor machine: its shape for
+// len(caps) stages, and each stage within its cap — every stage of a
+// data-parallel module within the narrowest. Processors it leaves unused
+// idle. Programs prefix the error with their name.
+func (mp Mapping) Validate(total int, caps []int) error {
 	if mp.Modules < 1 {
 		return fmt.Errorf("need at least 1 module, got %d", mp.Modules)
 	}
@@ -148,15 +150,24 @@ func (mp Mapping) Validate(total, stages int) error {
 		return fmt.Errorf("WideModules = %d of %d", mp.WideModules, mp.Modules)
 	}
 	sizes := func(procs []int) error {
-		if len(procs) != 1 && len(procs) != stages {
-			return fmt.Errorf("need 1 or %d stage sizes, got %v", stages, procs)
+		if len(procs) != 1 && len(procs) != len(caps) {
+			return fmt.Errorf("need 1 or %d stage sizes, got %v", len(caps), procs)
 		}
-		for _, q := range procs {
+		for s, q := range procs {
 			if q < 1 {
 				return fmt.Errorf("non-positive stage size in %v", procs)
 			}
 			if q > total { // fails the Procs check below too, but cannot overflow it
 				return fmt.Errorf("stage of %d processors exceeds the machine's %d", q, total)
+			}
+			if len(procs) == 1 {
+				s = -1
+			}
+			if c := widest(caps, s, q); c < q {
+				if s < 0 {
+					return fmt.Errorf("data-parallel module of %d processors exceeds the narrowest stage cap, %d", q, c)
+				}
+				return fmt.Errorf("stage %d of %d processors exceeds its cap, %d", s, q, c)
 			}
 		}
 		return nil
@@ -245,7 +256,7 @@ func OptimizePipeline(m Model, goal float64) (Choice, error) {
 func (m Model) moduleBest(q int, moduleGoal float64, allowDP bool) (procs []int, lat, period float64, ok bool) {
 	lat = math.Inf(1)
 	if allowDP {
-		pdp := m.dpCap(q)
+		pdp := widest(m.Caps, -1, q)
 		if t := m.DPT[pdp]; t > 0 && (moduleGoal == 0 || 1/t >= moduleGoal) {
 			procs, lat, period, ok = []int{pdp}, t, t, true
 		}
@@ -352,7 +363,7 @@ func (m Model) pipelineDP(q int, goal float64) (Choice, bool) {
 			}
 		}
 	}
-	cap0 := m.cap(0, q)
+	cap0 := widest(m.Caps, 0, q)
 	for p := 1; p <= cap0; p++ {
 		t := m.StageT[0][p]
 		if t <= limit {
@@ -368,7 +379,7 @@ func (m Model) pipelineDP(q int, goal float64) (Choice, bool) {
 				nf[u][p] = inf
 			}
 		}
-		capS := m.cap(s, q)
+		capS := widest(m.Caps, s, q)
 		for u := s; u <= q; u++ { // procs used by stages 0..s-1
 			for pp := 1; pp <= u; pp++ {
 				prev := f[u][pp]

@@ -227,7 +227,7 @@ func TestMappingValidate(t *testing.T) {
 		{Mapping{Modules: 1 << 62, Stages: []int{4}}, 8, "machine has 8"}, // Procs overflows to 0
 	}
 	for _, tc := range cases {
-		err := tc.mp.Validate(tc.procs, 3)
+		err := tc.mp.Validate(tc.procs, []int{0, 0, 0})
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%+v on %d procs: unexpected error %v", tc.mp, tc.procs, err)
@@ -236,6 +236,54 @@ func TestMappingValidate(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v on %d procs: err = %v, want %q", tc.mp, tc.procs, err, tc.want)
+		}
+	}
+}
+
+// TestValidateCaps pins the cap rule at its boundary: a stage exactly at its
+// cap is accepted and one processor more is rejected, for data-parallel
+// modules (held to the narrowest cap), pipeline stages and wide modules; a
+// cap of 0 bounds nothing.
+func TestValidateCaps(t *testing.T) {
+	capped, uncapped, middle := []int{8, 4, 6}, []int{0, 0, 0}, []int{0, 4, 0}
+	pipe := func(procs ...int) Mapping { return Mapping{Modules: 1, Stages: procs} }
+	wide := func(narrow, wide []int) Mapping {
+		return Mapping{Modules: 2, Stages: narrow, WideModules: 1, WideStages: wide}
+	}
+	for _, tc := range []struct {
+		mp    Mapping
+		procs int
+		caps  []int
+		want  string // "" = valid; otherwise a substring of the error
+	}{
+		{DataParallel(4), 32, capped, ""},
+		{DataParallel(5), 32, capped, "data-parallel module of 5 processors exceeds the narrowest stage cap, 4"},
+		{pipe(8, 4, 6), 32, capped, ""},
+		{pipe(9, 4, 6), 32, capped, "stage 0 of 9 processors exceeds its cap, 8"},
+		{pipe(8, 5, 6), 32, capped, "stage 1 of 5 processors exceeds its cap, 4"},
+		{pipe(8, 4, 7), 32, capped, "stage 2 of 7 processors exceeds its cap, 6"},
+		{wide([]int{3}, []int{4}), 32, capped, ""},
+		{wide([]int{3}, []int{5}), 32, capped, "data-parallel module of 5 processors"},
+		{wide([]int{4}, []int{5}), 32, capped, "data-parallel module of 5 processors"},
+		{wide([]int{2, 2, 2}, []int{8, 4, 6}), 32, capped, ""},
+		{wide([]int{2, 2, 2}, []int{8, 5, 6}), 32, capped, "stage 1 of 5 processors"},
+		{wide([]int{8, 5, 6}, []int{8, 4, 6}), 32, capped, "stage 1 of 5 processors"},
+		{DataParallel(32), 32, uncapped, ""},
+		{pipe(30, 1, 1), 32, uncapped, ""},
+		{DataParallel(4), 32, middle, ""},
+		{DataParallel(5), 32, middle, "narrowest stage cap, 4"},
+		{pipe(14, 4, 14), 32, middle, ""},
+		{pipe(14, 5, 13), 32, middle, "stage 1 of 5 processors exceeds its cap, 4"},
+	} {
+		err := tc.mp.Validate(tc.procs, tc.caps)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%v under caps %v: unexpected error %v", tc.mp, tc.caps, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v under caps %v: err = %v, want %q", tc.mp, tc.caps, err, tc.want)
 		}
 	}
 }

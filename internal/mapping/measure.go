@@ -87,11 +87,10 @@ func (c Cells) Measure(cost sim.CostModel, closed Model, opt BuildOptions) (Mode
 	spec := c.Spec(cost, closed.P, closed.StageNames, opt.Replay)
 	measure := func(s, p int) float64 {
 		key := skeleton.StoreKey{App: c.App + ".dp", Params: c.Params, Mapping: "dp", P: p}
-		procs := closed.dpCap(p)
 		if s >= 0 {
 			key = skeleton.StoreKey{App: c.App + ".stage", Params: fmt.Sprintf("%s,s=%d", c.Params, s), Mapping: "isolated", P: p}
-			procs = closed.cap(s, p)
 		}
+		procs := widest(closed.Caps, s, p)
 		if v, ok := opt.Replay.Eval(key, cost, func(base sim.CostModel) (*skeleton.Skeleton, float64, error) {
 			return c.cell(base, s, procs, opt.Engine, true)
 		}); ok {

@@ -22,7 +22,7 @@ func oldOptimize(m Model, goal float64) (Choice, error) {
 			break
 		}
 		moduleGoal := goal / float64(r)
-		pdp := m.dpCap(per)
+		pdp := widest(m.Caps, -1, per)
 		t := m.DPT[pdp]
 		if t > 0 && (moduleGoal == 0 || 1/t >= moduleGoal) {
 			c := Choice{Mapping: Mapping{Modules: r, Stages: []int{pdp}}, PredLatency: t, PredThroughput: float64(r) / t}
@@ -211,7 +211,7 @@ func TestPipelineDPExhaustive(t *testing.T) {
 				}
 				return
 			}
-			capS := m.cap(s, p)
+			capS := widest(m.Caps, s, p)
 			for q := 1; q <= capS && used+q <= p; q++ {
 				procs[s] = q
 				rec(s+1, used+q, procs)

@@ -63,22 +63,6 @@ func (h *Histogram) Count() int64 {
 	return n
 }
 
-// nonZero renders the histogram compactly for the text snapshot:
-// "lo..hi us: count" per occupied bucket.
-func (h *Histogram) nonZero() string {
-	var buf bytes.Buffer
-	for i, c := range h.Buckets {
-		if c == 0 {
-			continue
-		}
-		if buf.Len() > 0 {
-			buf.WriteString("  ")
-		}
-		fmt.Fprintf(&buf, "[%g,%g)us:%d", math.Pow(2, float64(i)), math.Pow(2, float64(i+1)), c)
-	}
-	return buf.String()
-}
-
 // OpMetrics accumulates everything observed for one (group, operation) key.
 type OpMetrics struct {
 	Group string `json:"group"`
@@ -223,16 +207,5 @@ func (s Snapshot) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "%-*s %-*s %7d %11.6f %11.6f %11.6f %11.6f %11.6f %9d %11d %9d %11d\n",
 			wg, m.Group, wo, m.Op, m.Spans, m.Time, m.Compute, m.Wait, m.Send, m.IO,
 			m.MsgsSent, m.BytesSent, m.MsgsRecvd, m.BytesRecvd)
-	}
-}
-
-// WriteHistograms renders the per-operation duration histograms (occupied
-// buckets only), for operations with at least one activation.
-func (s Snapshot) WriteHistograms(w io.Writer) {
-	for _, m := range s.Ops {
-		if m.Dur.Count() == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%s %s: %s\n", m.Group, m.Op, m.Dur.nonZero())
 	}
 }

@@ -142,9 +142,11 @@ func TestSnapshotTextAndHistogramsRender(t *testing.T) {
 	if !strings.Contains(txt.String(), "group") || !strings.Contains(txt.String(), "reduce") {
 		t.Errorf("text snapshot:\n%s", txt.String())
 	}
-	var hist bytes.Buffer
-	snap.WriteHistograms(&hist)
-	if !strings.Contains(hist.String(), ")us:") {
-		t.Errorf("histogram rendering empty:\n%s", hist.String())
+	populated := false
+	for _, m := range snap.Ops {
+		populated = populated || m.Dur.Count() > 0
+	}
+	if !populated {
+		t.Error("no operation's duration histogram survived the JSON round trip")
 	}
 }

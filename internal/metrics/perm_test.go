@@ -56,7 +56,7 @@ func permRunEvents(t *testing.T, eng machine.Engine, chaos bool) []machine.Event
 		}
 		m.SetFaults(fault.New(7, prof))
 	}
-	ffthist.Run(m, ffthist.Config{N: 32, Sets: 8, Bins: 16}, mapping.DataParallel(procs))
+	ffthist.Run(m, ffthist.Config{N: 64, Sets: 8, Bins: 16}, mapping.DataParallel(procs))
 	return col.Events()
 }
 

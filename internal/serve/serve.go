@@ -305,7 +305,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if mp := req.Mapping; mp.Modules == 0 && len(mp.Stages) == 0 && mp.WideModules == 0 && len(mp.WideStages) == 0 {
-		req.Mapping = mapping.DataParallel(min(req.P, a.Rows))
+		req.Mapping = a.DataParallel(req.P)
 	}
 	if err := a.Validate(req.Mapping, req.P); err != nil {
 		httpError(w, http.StatusBadRequest, err)

@@ -204,11 +204,11 @@ func TestBadRequests(t *testing.T) {
 		{"/measure", `{"app":"ffthist","p":8,"quick":true,"mapping":{"modules":2,"stages":[4],"wideModules":2,"wideStages":[4]}}`,
 			"ffthist: WideModules = 2 of 2"},
 		{"/measure", `{"app":"stereo","p":30,"quick":true,"mapping":{"modules":1,"stages":[30]}}`,
-			"stereo: stage of 30 processors exceeds 24 image rows"},
+			"stereo: data-parallel module of 30 processors exceeds the narrowest stage cap, 23"},
 		{"/measure", `{"app":"radar","p":12,"quick":true,"mapping":{"modules":1,"stages":[12]}}`,
-			"radar: stage 0 uses 12 processors but only 8 rows exist"},
+			"radar: data-parallel module of 12 processors exceeds the narrowest stage cap, 8"},
 		{"/measure", `{"app":"radar","p":12,"quick":true,"mapping":{"modules":1,"stages":[1,9,1,1]}}`,
-			"radar: stage 1 uses 9 processors but only 8 rows exist"},
+			"radar: stage 1 of 9 processors exceeds its cap, 8"},
 		{"/chaossweep", `{"profile":"nope"}`, ""},
 		{"/chaossweep", `{"quick":true,"procs":2}`, ""}, // a pipeline stage gets no processor
 		{"/chaossweep", `{"quick":true,"procs":1}`, ""},

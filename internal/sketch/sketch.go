@@ -48,8 +48,7 @@ const (
 var sketchMinValue = math.Ldexp(1, sketchMinExp)
 
 // Sketch accumulates values into fixed log-spaced bins. The zero value is
-// an empty sketch ready for use. Sketch is not concurrency-safe; shard it
-// per writer and Merge the shards.
+// an empty sketch ready for use. Sketch is not concurrency-safe.
 type Sketch struct {
 	Count int64
 	Min   float64
@@ -112,29 +111,6 @@ func (s *Sketch) Add(v float64) {
 	}
 	s.Count++
 	s.Bins[sketchIndex(v)]++
-}
-
-// Merge folds o into s. Integer bin adds and min/max folds commute and
-// associate exactly, so any merge order over any sharding of the same
-// value multiset produces a byte-identical Sketch.
-func (s *Sketch) Merge(o *Sketch) {
-	if o == nil || o.Count == 0 {
-		return
-	}
-	if s.Count == 0 {
-		s.Min, s.Max = o.Min, o.Max
-	} else {
-		if o.Min < s.Min {
-			s.Min = o.Min
-		}
-		if o.Max > s.Max {
-			s.Max = o.Max
-		}
-	}
-	s.Count += o.Count
-	for i := range s.Bins {
-		s.Bins[i] += o.Bins[i]
-	}
 }
 
 // binEstimate is the representative value reported for a bin: the midpoint,

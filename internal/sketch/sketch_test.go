@@ -60,63 +60,6 @@ func TestSketchMeanWithinBinWidthOfExact(t *testing.T) {
 	}
 }
 
-// TestSketchMergePermutationInvariant is the satellite property test at the
-// sketch level: sharding the same values across 64 sketches and merging the
-// shards in every one of a batch of random permutations (plus identity and
-// reversal) must produce byte-identical results.
-func TestSketchMergePermutationInvariant(t *testing.T) {
-	vals := sketchValues()
-	const shards = 64
-	parts := make([]Sketch, shards)
-	for i, v := range vals {
-		parts[i%shards].Add(v)
-	}
-	merge := func(order []int) []byte {
-		var total Sketch
-		for _, i := range order {
-			total.Merge(&parts[i])
-		}
-		b, err := json.Marshal(&total)
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		return b
-	}
-	identity := make([]int, shards)
-	for i := range identity {
-		identity[i] = i
-	}
-	want := merge(identity)
-	reversed := make([]int, shards)
-	for i := range reversed {
-		reversed[i] = shards - 1 - i
-	}
-	r := rand.New(rand.NewSource(7))
-	orders := [][]int{reversed}
-	for k := 0; k < 50; k++ {
-		p := r.Perm(shards)
-		orders = append(orders, p)
-	}
-	for k, order := range orders {
-		if got := merge(order); !bytes.Equal(got, want) {
-			t.Fatalf("merge order %d produced different bytes:\n got %s\nwant %s", k, got, want)
-		}
-	}
-	// Hierarchical (tree) merge must equal the flat fold too.
-	var left, right Sketch
-	for i := 0; i < shards/2; i++ {
-		left.Merge(&parts[i])
-	}
-	for i := shards / 2; i < shards; i++ {
-		right.Merge(&parts[i])
-	}
-	left.Merge(&right)
-	b, _ := json.Marshal(&left)
-	if !bytes.Equal(b, want) {
-		t.Fatalf("tree merge produced different bytes:\n got %s\nwant %s", b, want)
-	}
-}
-
 func TestSketchUnderflowAndOverflow(t *testing.T) {
 	var s Sketch
 	s.Add(math.NaN())

@@ -78,8 +78,8 @@ func TestSketchModeReleasesInFlightEntries(t *testing.T) {
 	if !s.Sketched() {
 		t.Errorf("Sketched() = false on a sketch stream")
 	}
-	if sk := s.LatencySketch(); sk.Count != 90 {
-		t.Errorf("LatencySketch().Count = %d, want 90", sk.Count)
+	if s.sketch.Count != 90 {
+		t.Errorf("latency sketch count = %d, want 90", s.sketch.Count)
 	}
 }
 

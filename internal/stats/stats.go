@@ -202,20 +202,27 @@ func (s *Stream) Summarize() Result {
 		LatencyP50: sketch.ExactQuantile(lats, 0.5),
 		LatencyP99: sketch.ExactQuantile(lats, 0.99),
 	}
+	r.Throughput = throughput(n, firstC, lastC, r.Latency)
+	return r
+}
+
+// throughput is the rate of a stream of n completed sets, the first
+// completing at firstC and the last at lastC, with mean latency lat.
+func throughput(n int, firstC, lastC, lat float64) float64 {
 	switch {
 	case n > 1 && lastC > firstC:
-		r.Throughput = float64(n-1) / (lastC - firstC)
-	case n > 1 && r.Latency > 0:
+		return float64(n-1) / (lastC - firstC)
+	case n > 1 && lat > 0:
 		// Degenerate span: all completions share one virtual timestamp, so
 		// the inter-completion rate is undefined. The stream still delivered
 		// n sets, so account for all of them rather than collapsing to the
 		// single-set rate (which under-reports by up to n×).
-		r.Throughput = float64(n) / r.Latency
-	case r.Latency > 0:
+		return float64(n) / lat
+	case lat > 0:
 		// Single-set convention: one set in one latency.
-		r.Throughput = 1 / r.Latency
+		return 1 / lat
 	}
-	return r
+	return 0
 }
 
 // summarizeSketch derives the Result from the sketch-mode accumulators.
@@ -234,26 +241,8 @@ func (s *Stream) summarizeSketch() Result {
 		LatencyP99: s.sketch.Quantile(0.99),
 		Sketched:   true,
 	}
-	switch {
-	case n > 1 && s.lastC > s.firstC:
-		r.Throughput = float64(n-1) / (s.lastC - s.firstC)
-	case n > 1 && r.Latency > 0:
-		r.Throughput = float64(n) / r.Latency
-	case r.Latency > 0:
-		r.Throughput = 1 / r.Latency
-	}
+	r.Throughput = throughput(n, s.firstC, s.lastC, r.Latency)
 	return r
-}
-
-// LatencySketch returns a copy of the sketch-mode latency sketch (zero-value
-// sketch in retaining mode), for merging module-level meters upward.
-func (s *Stream) LatencySketch() sketch.Sketch {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sketch == nil {
-		return sketch.Sketch{}
-	}
-	return *s.sketch
 }
 
 func (r Result) String() string {
