@@ -52,8 +52,8 @@ func TestCoScheduledApplications(t *testing.T) {
 				}
 				// Constant rows: all energy in bin 0 of each row.
 				ok := true
-				for r := 0; r < a.NumLocalRows(); r++ {
-					row := a.LocalRow(r)
+				for r := 0; r < len(a.Local())/32; r++ {
+					row := a.Local()[r*32 : (r+1)*32]
 					if real(row[0]) != 32 {
 						ok = false
 					}

@@ -93,7 +93,7 @@ func TestAlignedRoundTripProperty(t *testing.T) {
 			total += cnt
 			prev := -1
 			for l := 0; l < cnt; l++ {
-				gi := al.GlobalOfLocal(r, l)
+				gi := refGlobalOfLocal(al, r, l)
 				if gi[0] <= prev || gi[0] < 0 || gi[0] >= n {
 					return false
 				}

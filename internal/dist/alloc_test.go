@@ -91,12 +91,13 @@ func remapMallocs(procs, n, calls int, touched bool, op func(p *machine.Proc, f 
 // TestRemapAllocsFlatInElements: twenty calls of every data movement
 // allocate, per processor, the same (± spread) at P = 16 and 64 and at
 // n = 64 and 256, with untouched and with touched data, and no more than
-// slack per call, however many messages they send. A remap call's two are
-// the one send buffer and the one slab of slice headers its messages point
-// into; its index and list arrays are borrowed from a pool, and zeros from
-// an untouched source are written through the walk. The per-element code
-// this replaced allocated three slices per element, and the earlier wire
-// format one interface box per message.
+// slack per call, however many messages they send. A remap call's payloads
+// are parts of a slab its last receiver returns to a pool, and its index and
+// list arrays are borrowed from another, so at steady state it allocates
+// nothing; zeros from an untouched source are written through the walk. The
+// per-element code this replaced allocated three slices per element, the
+// earlier wire format one interface box per message, and the one before the
+// pool a send buffer and a header slab per call.
 func TestRemapAllocsFlatInElements(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation changes allocation counts")
@@ -106,25 +107,24 @@ func TestRemapAllocsFlatInElements(t *testing.T) {
 		slack, spread float64 // allocations one processor may make per call; their range over P and n
 		op            func(p *machine.Proc, f *allocFixture)
 	}{
-		{"Transpose2D", 2, 2, func(p *machine.Proc, f *allocFixture) { Transpose2D(p, f.rows2, f.rows) }},
-		{"Assign", 2, 2, func(p *machine.Proc, f *allocFixture) { Assign(p, f.cols, f.rows) }},
-		// Untouched into touched: no buffer, no slab, no zeros allocated.
+		{"Transpose2D", 0, 2, func(p *machine.Proc, f *allocFixture) { Transpose2D(p, f.rows2, f.rows) }},
+		{"Assign", 0, 2, func(p *machine.Proc, f *allocFixture) { Assign(p, f.cols, f.rows) }},
+		// Untouched into touched: no slab, no zeros allocated.
 		{"AssignZeros", 0, 2, func(p *machine.Proc, f *allocFixture) { Assign(p, f.cols, f.bare) }},
-		// Rank 0's two more objects per call are spread over P processors.
-		{"ScatterGlobal", 2, 2, func(p *machine.Proc, f *allocFixture) { ScatterGlobal(p, f.rows, f.full) }},
-		// Assign's slack plus the three offset and box slices passed in.
-		{"CopySection", 5, 2, func(p *machine.Proc, f *allocFixture) {
+		{"ScatterGlobal", 0, 2, func(p *machine.Proc, f *allocFixture) { ScatterGlobal(p, f.rows, f.full) }},
+		// The three offset and box slices passed in.
+		{"CopySection", 3, 2, func(p *machine.Proc, f *allocFixture) {
 			// The middle half of rows' columns into cols' right half.
 			n := f.rows.l.shape[0]
 			CopySection(p, f.cols, []int{0, n / 2}, f.rows, []int{0, n / 4}, []int{n, n / 2})
 		}},
-		// The counts' gather and broadcast, the kept elements and the slab;
-		// the prefix sums are borrowed. comm boxes one []int per message,
-		// and the gather root's share of those shrinks as 1/P.
-		{"PackInto", 7, 4, func(p *machine.Proc, f *allocFixture) {
+		// The counts' gather and broadcast; the kept elements are a pooled
+		// slab and the prefix sums are borrowed. comm boxes one []int per
+		// message, and the gather root's share of those shrinks as 1/P.
+		{"PackInto", 5, 4, func(p *machine.Proc, f *allocFixture) {
 			PackInto(p, f.half, f.vec, 0, func(v float64) bool { return int(v)%2 == 0 })
 		}},
-		// One buffer and one slab for both rows.
+		// One buffer and one part array for both rows, kept by the receivers.
 		{"HaloRows", 2, 2, func(p *machine.Proc, f *allocFixture) { HaloRows(p, f.rows, 1) }},
 	}
 	for _, o := range ops {

@@ -63,11 +63,6 @@ func (a *Array[T]) Local() []T { return a.local() }
 // LocalShape returns this processor's local extents; nil on non-members.
 func (a *Array[T]) LocalShape() []int { return append([]int(nil), a.localShape...) }
 
-// Has reports whether this processor owns the global index.
-func (a *Array[T]) Has(idx ...int) bool {
-	return a.rank >= 0 && a.l.OwnerRank(idx...) == a.rank
-}
-
 // At returns the element at a global index; it panics if this processor is
 // not the owner (remote access requires explicit communication, as in any
 // distributed-memory model).
@@ -90,14 +85,6 @@ func (a *Array[T]) ownedOffset(idx []int) int {
 	return a.l.localOffset(idx, a.localShape)
 }
 
-// GlobalOfLocal converts a local row-major offset to its global index.
-func (a *Array[T]) GlobalOfLocal(offset int) []int {
-	if a.rank < 0 {
-		panic("dist: GlobalOfLocal on non-member")
-	}
-	return a.l.GlobalOfLocal(a.rank, offset)
-}
-
 // FillFunc sets every locally owned element to f(globalIndex). Members only;
 // non-members return immediately. The index slice passed to f is reused
 // across calls.
@@ -115,28 +102,6 @@ func (a *Array[T]) FillFunc(f func(idx []int) T) {
 // global index.
 func (a *Array[T]) eachLocal(visit func(off int, idx []int)) {
 	a.l.eachLocalOf(a.rank, visit)
-}
-
-// LocalRow returns the local storage for local row r of a rank-2 array as a
-// mutable slice. It requires the second dimension to be collapsed or the
-// local row to be contiguous (always true for row-major local storage).
-func (a *Array[T]) LocalRow(r int) []T {
-	if len(a.localShape) != 2 {
-		panic("dist: LocalRow on non-2D array")
-	}
-	w := a.localShape[1]
-	return a.local()[r*w : (r+1)*w]
-}
-
-// NumLocalRows returns the number of local rows of a rank-2 array.
-func (a *Array[T]) NumLocalRows() int {
-	if a.rank < 0 {
-		return 0
-	}
-	if len(a.localShape) != 2 {
-		panic("dist: NumLocalRows on non-2D array")
-	}
-	return a.localShape[0]
 }
 
 // GlobalRowOfLocal returns the global row index of local row r (rank-2,

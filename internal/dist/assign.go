@@ -2,6 +2,10 @@ package dist
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"fxpar/internal/comm"
 	"fxpar/internal/group"
@@ -109,12 +113,10 @@ func remap[T any](p *machine.Proc, dst *Array[T], dstOff []int, src *Array[T], s
 	var out side
 	if sending {
 		// Every in-box source element has exactly one destination owner, so
-		// what I do not keep I send: one buffer holds every outgoing payload
-		// and one slab their headers, a message is a pointer into the slab
-		// (no heap box), and messages go in destination-rank order.
+		// what I do not keep I send: every outgoing payload is a part of one
+		// pooled slab, and messages go in destination-rank order.
 		out = newSide(ints[:nOut], lists[:3*nd], src.l, src.rank, src.localShape, perm, srcOff, dst.l, ident, dstOff, box)
-		var buf []T
-		var hdrs [][]T
+		var s *slab[T]
 		size := dst.l.g.Size()
 		if srcData != nil {
 			total, peers := 0, 0
@@ -123,21 +125,23 @@ func remap[T any](p *machine.Proc, dst *Array[T], dstOff []int, src *Array[T], s
 					total, peers = total+n, peers+1
 				}
 			}
-			buf, hdrs = make([]T, total), make([][]T, 0, peers)
+			if peers > 0 {
+				s = newSlab[T](total, peers)
+			}
 		}
 		for r := 0; r < size; r++ {
 			n := out.peerParts(r)
 			if n == 0 || r == dst.rank {
 				continue
 			}
-			var msg *[]T // nil: untouched
-			if buf != nil {
-				copyParts(buf[:n], nil, srcData, out.parts, out.idx)
-				hdrs = append(hdrs, buf[:n:n]) // within capacity: earlier pointers hold
-				msg, buf = &hdrs[len(hdrs)-1], buf[n:]
+			var msg *part[T] // nil: untouched
+			if s != nil {
+				msg = s.part(s.next(n))
+				copyParts(msg.vals, nil, srcData, out.parts, out.idx)
 			}
 			p.Send(dst.l.g.Phys(r), msg, n*elemBytes)
 		}
+		s.release()
 	}
 
 	if receiving {
@@ -151,12 +155,12 @@ func remap[T any](p *machine.Proc, dst *Array[T], dstOff []int, src *Array[T], s
 			if n == 0 {
 				continue
 			}
-			vals, sp := srcData, [][]int(nil)
+			vals, sp, from := srcData, [][]int(nil), (*slab[T])(nil)
 			if s == src.rank {
 				// Local copy path (also covers overlapping groups).
 				out.peerParts(dst.rank)
 				sp = out.parts
-			} else if vals = recvSlice[T](p, src.l.g.Phys(s)); vals != nil && len(vals) != n {
+			} else if vals, from = recvSlice[T](p, src.l.g.Phys(s)); vals != nil && len(vals) != n {
 				panic(fmt.Sprintf("dist: processor %d expected %d elements from rank %d, got %d", p.ID(), n, s, len(vals)))
 			}
 			switch {
@@ -165,22 +169,86 @@ func remap[T any](p *machine.Proc, dst *Array[T], dstOff []int, src *Array[T], s
 			case dst.data != nil: // zeros into a touched destination
 				copyParts(dst.data, in.parts, nil, nil, in.idx)
 			}
+			from.release()
 		}
 	}
 }
 
-// recvSlice receives the next payload from srcPhys: a *[]T into its
-// sender's header slab (see remap), nil for an untouched part.
-func recvSlice[T any](p *machine.Proc, srcPhys int) []T {
-	msg := p.Recv(srcPhys)
-	vals, ok := msg.Data.(*[]T)
+// slab is one call's outgoing payloads, back to back in buf; a message is a
+// *part of it. left counts its holders, the sender until its last send and
+// each receiver until it has copied out; the last release pools the slab by
+// element type and power-of-two size, so it is never reused while read.
+type slab[T any] struct {
+	buf   []T
+	used  int
+	parts []part[T]
+	left  atomic.Int32
+	pool  *sync.Pool
+	back  *slab[T] // the slab itself; nil: never pooled (HaloRows' callers keep it)
+}
+
+type part[T any] struct {
+	vals []T
+	s    *slab[T]
+}
+
+// slabPools maps an element type, keyed by a nil *T, to its size classes.
+var slabPools sync.Map
+
+// newSlab returns a pooled slab of n > 0 elements and room for peers parts,
+// held by the caller until it calls release.
+func newSlab[T any](n, peers int) *slab[T] {
+	classes, ok := slabPools.Load((*T)(nil))
 	if !ok {
-		panic(fmt.Sprintf("dist: processor %d expected *[]%T from %d, got %T", p.ID(), *new(T), srcPhys, msg.Data))
+		classes, _ = slabPools.LoadOrStore((*T)(nil), new([64]sync.Pool))
 	}
-	if vals != nil {
-		return *vals
+	k := bits.Len(uint(n - 1))
+	pool := &classes.(*[64]sync.Pool)[k]
+	s, _ := pool.Get().(*slab[T])
+	if s == nil {
+		s = &slab[T]{buf: make([]T, 1<<k), pool: pool}
+		s.back = s
 	}
-	return nil
+	s.used, s.parts = 0, slices.Grow(s.parts[:0], peers)
+	s.left.Store(1)
+	return s
+}
+
+// next returns the next n elements of buf, for a payload the caller fills.
+func (s *slab[T]) next(n int) []T {
+	s.used += n
+	return s.buf[s.used-n : s.used : s.used]
+}
+
+// part makes vals, which lie in buf, a message's payload. Parts stay within
+// the capacity the slab was made with, so earlier messages' pointers hold.
+func (s *slab[T]) part(vals []T) *part[T] {
+	if s.back != nil {
+		s.left.Add(1)
+	}
+	s.parts = append(s.parts, part[T]{vals, s.back})
+	return &s.parts[len(s.parts)-1]
+}
+
+// release drops one hold on a pooled slab (nil: none).
+func (s *slab[T]) release() {
+	if s != nil && s.left.Add(-1) == 0 {
+		s.pool.Put(s)
+	}
+}
+
+// recvSlice receives the next payload from srcPhys: its values (nil for an
+// untouched part) and the slab the caller releases once it has copied them.
+func recvSlice[T any](p *machine.Proc, srcPhys int) ([]T, *slab[T]) {
+	msg := p.Recv(srcPhys)
+	pt, ok := msg.Data.(*part[T])
+	if !ok {
+		panic(fmt.Sprintf("dist: processor %d expected *part[%T] from %d, got %T", p.ID(), *new(T), srcPhys, msg.Data))
+	}
+	if pt == nil {
+		return nil, nil
+	}
+	return pt.vals, pt.s
 }
 
 // AssignFullGroup is the ablation counterpart of Assign: it performs the

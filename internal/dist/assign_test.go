@@ -57,20 +57,20 @@ func TestArrayBasics(t *testing.T) {
 			t.Fatalf("proc %d not a member", p.ID())
 		}
 		row0 := p.ID() * 2
-		if !a.Has(row0, 0) {
+		if a.l.OwnerRank(row0, 0) != a.rank {
 			t.Errorf("proc %d should own row %d", p.ID(), row0)
 		}
 		a.Set(42.0, row0, 3)
 		if got := a.At(row0, 3); got != 42.0 {
 			t.Errorf("At = %v", got)
 		}
-		if a.NumLocalRows() != 2 {
-			t.Errorf("local rows = %d", a.NumLocalRows())
+		if a.localShape[0] != 2 {
+			t.Errorf("local rows = %d", a.localShape[0])
 		}
 		if got := a.GlobalRowOfLocal(1); got != row0+1 {
 			t.Errorf("GlobalRowOfLocal(1) = %d", got)
 		}
-		r := a.LocalRow(0)
+		r := a.Local()[:a.localShape[1]]
 		if len(r) != 4 || r[3] != 42.0 {
 			t.Errorf("LocalRow = %v", r)
 		}

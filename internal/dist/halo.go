@@ -44,15 +44,15 @@ func HaloRows[T any](p *machine.Proc, a *Array[T], h int) (above, below []T) {
 	if size == 1 {
 		return nil, nil
 	}
-	// Both messages are packed into one buffer and travel as pointers into
-	// one slab of slice headers (see remap); rows past an edge are clamped.
-	buf, hdrs := make([]T, 0, 2*h*w), make([][]T, 0, 2)
+	// Both messages are parts of one slab (see slab) that is never
+	// recycled: the receivers keep them. Rows past an edge are clamped.
+	s := slab[T]{buf: make([]T, 2*h*w), parts: make([]part[T], 0, 2)}
 	send := func(to, first int) {
+		vals := s.next(h * w)
 		for r := first; r < first+h; r++ {
-			buf = append(buf, data[min(max(r, 0), rows-1)*w:][:w]...)
+			copy(vals[(r-first)*w:], data[min(max(r, 0), rows-1)*w:][:w])
 		}
-		hdrs = append(hdrs, buf[len(buf)-h*w:len(buf):len(buf)])
-		p.Send(l.g.Phys(to), &hdrs[len(hdrs)-1], h*w*comm.ElemBytes[T]())
+		p.Send(l.g.Phys(to), s.part(vals), h*w*comm.ElemBytes[T]())
 	}
 	if rank > 0 {
 		send(rank-1, 0)
@@ -61,10 +61,10 @@ func HaloRows[T any](p *machine.Proc, a *Array[T], h int) (above, below []T) {
 		send(rank+1, rows-h)
 	}
 	if rank > 0 {
-		above = recvSlice[T](p, l.g.Phys(rank-1))
+		above, _ = recvSlice[T](p, l.g.Phys(rank-1))
 	}
 	if rank < size-1 {
-		below = recvSlice[T](p, l.g.Phys(rank+1))
+		below, _ = recvSlice[T](p, l.g.Phys(rank+1))
 	}
 	return above, below
 }

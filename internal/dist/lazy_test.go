@@ -21,7 +21,7 @@ func TestNewDefersStorage(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		a := New[float64](p, l)
-		_, _, _ = a.LocalShape(), a.NumLocalRows(), a.Has(0, 0)
+		_, _, _ = a.LocalShape(), a.localShape[0], a.l.OwnerRank(0, 0) == a.rank
 		runtime.ReadMemStats(&after)
 		if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<10 {
 			t.Errorf("processor %d: New and the descriptor queries allocated %d bytes", p.ID(), d)
@@ -252,7 +252,7 @@ func checkLayout(t *testing.T, l *Layout) {
 		n := l.LocalCount(r)
 		total += n
 		for i := 0; i < n; i++ {
-			if idx := l.GlobalOfLocal(r, i); l.OwnerRank(idx...) != r {
+			if idx := refGlobalOfLocal(l, r, i); l.OwnerRank(idx...) != r {
 				t.Fatalf("%v: rank %d's local %d is %v, owned by rank %d", l, r, i, idx, l.OwnerRank(idx...))
 			}
 		}

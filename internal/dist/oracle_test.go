@@ -167,7 +167,7 @@ func refRemapPerm[T any](p *machine.Proc, dst, src *Array[T], perm []int) {
 		// Send non-empty buckets in destination-rank order (determinism).
 		for r := 0; r < dst.l.g.Size(); r++ {
 			if vals := buckets[r]; len(vals) > 0 {
-				p.Send(dst.l.g.Phys(r), &vals, len(vals)*elemBytes)
+				p.Send(dst.l.g.Phys(r), &part[T]{vals: vals}, len(vals)*elemBytes)
 			}
 		}
 	}
@@ -207,7 +207,7 @@ func refRemapPerm[T any](p *machine.Proc, dst, src *Array[T], perm []int) {
 		// enumeration order guarantees the k-th value from a sender is for
 		// the k-th offset recorded for it.
 		for _, s := range sortedInts(srcOrder) {
-			vals := recvSlice[T](p, src.l.g.Phys(s))
+			vals, _ := recvSlice[T](p, src.l.g.Phys(s))
 			offs := want[s].offsets
 			if len(vals) != len(offs) {
 				panic(fmt.Sprintf("dist: processor %d expected %d elements from rank %d, got %d", myID, len(offs), s, len(vals)))
@@ -263,7 +263,7 @@ func refRemap[T any](p *machine.Proc, dst, src *Array[T], mapIdx func(srcIdx []i
 		})
 		for r := 0; r < dst.l.g.Size(); r++ {
 			if vals := buckets[r]; len(vals) > 0 {
-				p.Send(dst.l.g.Phys(r), &vals, len(vals)*elemBytes)
+				p.Send(dst.l.g.Phys(r), &part[T]{vals: vals}, len(vals)*elemBytes)
 			}
 		}
 	}
@@ -284,7 +284,7 @@ func refRemap[T any](p *machine.Proc, dst, src *Array[T], mapIdx func(srcIdx []i
 			if len(offs) == 0 {
 				continue
 			}
-			vals := recvSlice[T](p, src.l.g.Phys(s))
+			vals, _ := recvSlice[T](p, src.l.g.Phys(s))
 			if len(vals) != len(offs) {
 				panic(fmt.Sprintf("dist: Remap expected %d elements from rank %d, got %d", len(offs), s, len(vals)))
 			}
@@ -332,7 +332,7 @@ func refGatherGlobal[T any](p *machine.Proc, a *Array[T]) []T {
 	if a.rank != 0 {
 		if len(a.local()) > 0 {
 			vals := append([]T(nil), a.local()...)
-			p.Send(g.Phys(0), &vals, len(vals)*comm.ElemBytes[T]())
+			p.Send(g.Phys(0), &part[T]{vals: vals}, len(vals)*comm.ElemBytes[T]())
 		}
 		return nil
 	}
@@ -355,7 +355,8 @@ func refGatherGlobal[T any](p *machine.Proc, a *Array[T]) []T {
 		if refLocalCount(a.l, r) == 0 {
 			continue
 		}
-		place(r, recvSlice[T](p, g.Phys(r)))
+		vals, _ := recvSlice[T](p, g.Phys(r))
+		place(r, vals)
 	}
 	return out
 }
@@ -387,13 +388,14 @@ func refScatterGlobal[T any](p *machine.Proc, a *Array[T], full []T) {
 			if r == 0 {
 				copy(a.local(), vals)
 			} else {
-				p.Send(g.Phys(r), &vals, cnt*comm.ElemBytes[T]())
+				p.Send(g.Phys(r), &part[T]{vals: vals}, cnt*comm.ElemBytes[T]())
 			}
 		}
 		return
 	}
 	if len(a.local()) > 0 {
-		copy(a.local(), recvSlice[T](p, g.Phys(0)))
+		vals, _ := recvSlice[T](p, g.Phys(0))
+		copy(a.local(), vals)
 	}
 }
 
@@ -874,6 +876,63 @@ func TestCopySectionMatchesPerElementOracle(t *testing.T) {
 			checkSectionCase(t, genSectionCase(seed, i), touchSrc|touchDst)
 			if t.Failed() {
 				return
+			}
+		}
+	}
+}
+
+// TestRemapSlabOutlivesSlowReceivers: a sender's payload slab goes back to
+// the pool only once its last receiver has copied out. The senders, on one
+// subgroup, run K touched copies back to back with fresh values every call;
+// the receivers, on the other, compute before every receive, so a sender
+// wants a slab for its next call while its earlier parts are still unread.
+// Every destination must match the per-element oracle under every engine.
+func TestRemapSlabOutlivesSlowReceivers(t *testing.T) {
+	const procs, n, calls = 8, 16, 6
+	type copyOp = func(p *machine.Proc, dst, src *Array[float64])
+	ops := []struct {
+		name    string
+		op, ref copyOp
+	}{
+		{"Transpose2D", Transpose2D[float64], func(p *machine.Proc, dst, src *Array[float64]) {
+			refRemapPerm(p, dst, src, transposed)
+		}},
+		{"Assign", Assign[float64], func(p *machine.Proc, dst, src *Array[float64]) {
+			refRemapPerm(p, dst, src, identity[:2])
+		}},
+		{"CopySection", func(p *machine.Proc, dst, src *Array[float64]) {
+			CopySection(p, dst, []int{0, n / 2}, src, []int{0, n / 4}, []int{n, n / 2})
+		}, func(p *machine.Proc, dst, src *Array[float64]) {
+			refCopySection(p, dst, []int{0, n / 2}, src, []int{0, n / 4}, []int{n, n / 2})
+		}},
+	}
+	run := func(eng machine.Engine, op copyOp) [][]float64 {
+		m := testMachine(procs)
+		m.SetEngine(eng)
+		got := make([][]float64, procs)
+		m.Run(func(p *machine.Proc) {
+			w := group.World(procs)
+			src := New[float64](p, RowBlock2D(w.Subrange(0, procs/2), n, n))
+			for k := 0; k < calls; k++ {
+				dst := New[float64](p, ColBlock2D(w.Subrange(procs/2, procs), n, n))
+				src.FillFunc(func(idx []int) float64 { return float64((k*n+idx[0])*n + idx[1] + 1) })
+				if dst.IsMember() {
+					p.Compute(1e6)
+				}
+				op(p, dst, src)
+				got[p.ID()] = append(got[p.ID()], dst.local()...)
+			}
+		})
+		return got
+	}
+	for _, name := range []string{"goroutine", "coop", "coop:4", "coop:4+shuffle@7"} {
+		eng, err := machine.EngineByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range ops {
+			if got, want := run(eng, o.op), run(eng, o.ref); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s under %s: destinations differ from the oracle\n got %v\nwant %v", o.name, name, got, want)
 			}
 		}
 	}

@@ -64,7 +64,6 @@ func PackInto[T any](p *machine.Proc, dst, src *Array[T], dstStart int, keep fun
 			dstStart, dstStart+total, dst.l.shape[0]))
 	}
 
-	elemBytes := comm.ElemBytes[T]()
 	myID := p.ID()
 	dstDim := dst.l.dims[0]
 
@@ -79,21 +78,17 @@ func PackInto[T any](p *machine.Proc, dst, src *Array[T], dstStart int, keep fun
 	}
 
 	if isSrc && counts[src.rank] > 0 {
-		kept := make([]T, 0, counts[src.rank])
-		if keep == nil {
-			kept = append(kept, srcData...)
-		} else {
-			for _, v := range srcData {
-				if keep(v) {
-					kept = append(kept, v)
-				}
+		gLo := dstStart + prefix[src.rank]
+		gHi := gLo + counts[src.rank]
+		// The kept elements are one slab (see slab); each message is a part
+		// of it, to the destination block owners in ascending order.
+		s := newSlab[T](gHi-gLo, (gHi-1)/dstDim.b-gLo/dstDim.b+1)
+		kept := s.next(gHi - gLo)[:0]
+		for _, v := range srcData {
+			if keep == nil || keep(v) {
+				kept = append(kept, v)
 			}
 		}
-		gLo := dstStart + prefix[src.rank]
-		gHi := gLo + len(kept)
-		// Split [gLo, gHi) over destination block owners, ascending; each
-		// message points into one slab of headers into kept (see remap).
-		hdrs := make([][]T, 0, (gHi-1)/dstDim.b-gLo/dstDim.b+1)
 		for r := 0; r < dst.l.g.Size(); r++ {
 			lo, hi := max(gLo, r*dstDim.b), min(gHi, (r+1)*dstDim.b, dst.l.shape[0])
 			if lo >= hi {
@@ -103,10 +98,10 @@ func PackInto[T any](p *machine.Proc, dst, src *Array[T], dstStart int, keep fun
 			if dst.l.g.Phys(r) == myID {
 				placeLocal(lo, seg)
 			} else {
-				hdrs = append(hdrs, seg)
-				p.Send(dst.l.g.Phys(r), &hdrs[len(hdrs)-1], len(seg)*elemBytes)
+				p.Send(dst.l.g.Phys(r), s.part(seg), len(seg)*comm.ElemBytes[T]())
 			}
 		}
+		s.release()
 	}
 
 	if isDst && len(dstData) > 0 {
@@ -121,11 +116,12 @@ func PackInto[T any](p *machine.Proc, dst, src *Array[T], dstStart int, keep fun
 			if src.l.g.Phys(s) == myID {
 				continue // placed locally in the sender phase
 			}
-			vals := recvSlice[T](p, src.l.g.Phys(s))
+			vals, from := recvSlice[T](p, src.l.g.Phys(s))
 			if len(vals) != hi-lo {
 				panic(fmt.Sprintf("dist: PackInto expected %d elements from source rank %d, got %d", hi-lo, s, len(vals)))
 			}
 			placeLocal(lo, vals)
+			from.release()
 		}
 	}
 	return total

@@ -57,9 +57,8 @@ func soakLevel(t *testing.T, p *Proc, seed int64, depth int) {
 			})
 			if dst.IsMember() {
 				bad := false
-				for off, v := range dst.Local() {
-					gi := dst.GlobalOfLocal(off)
-					if v != seed^int64(gi[0]*2654435761) {
+				for i := 0; i < n; i++ {
+					if dst.Layout().OwnerRank(i) == dst.Rank() && dst.At(i) != seed^int64(i*2654435761) {
 						bad = true
 					}
 				}

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -143,5 +144,67 @@ func TestRunAllocsPerProcFlat(t *testing.T) {
 	if big > small*1.25 {
 		t.Errorf("allocs per proc grew from %.2f (P=4096) to %.2f (P=16384): spread %.2f > 1.25",
 			small, big, big/small)
+	}
+}
+
+// TestSecondRunReusesQueueArrays: the queue arrays a 63-way fan-in grows at
+// its root go back to the process-wide pool, when outgrown and when the run
+// has drained, cleared, so a second run on a fresh machine allocates none
+// and no pooled array holds a payload. One P and no collector keep every
+// pooled array where the next Get finds it; a pool miss is counted through
+// the pool's New.
+func TestSecondRunReusesQueueArrays(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops a random share of sync.Pool puts")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	runtime.GC() // empties the pools
+	var misses int
+	for k := range queuePool {
+		queuePool[k].New = func() any { misses++; return nil }
+	}
+	defer func() {
+		for k := range queuePool {
+			queuePool[k].New = nil
+		}
+	}()
+	fanIn := func() int {
+		misses = 0
+		m := New(64, testCost())
+		m.SetEngine(Coop(1))
+		m.Run(func(p *Proc) {
+			if p.ID() > 0 {
+				p.Send(0, &p.id, 8)
+				return
+			}
+			for s := 1; s < 64; s++ {
+				if msg := p.Recv(s); msg.Data != &p.m.procs[s].id {
+					panic("wrong payload")
+				}
+			}
+		})
+		return misses
+	}
+	first := fanIn()
+	if first == 0 {
+		t.Fatal("the first run made no queue array")
+	}
+	misses = 0
+	for k := 0; k < 7; k++ { // 1 to 64 slots
+		q := getQueue(k)
+		if misses != 0 {
+			t.Fatalf("no pooled %d-slot array after the first run", cap(q))
+		}
+		for i, msg := range q[:cap(q)] {
+			if msg != (Message{}) {
+				t.Fatalf("slot %d of a pooled %d-slot array holds %+v", i, cap(q), msg)
+			}
+		}
+		putQueue(q)
+	}
+	if second := fanIn(); second != 0 {
+		t.Errorf("second run on a fresh machine made %d queue arrays, the first %d", second, first)
 	}
 }

@@ -83,7 +83,7 @@ func TestTryRecvMatchesRecvAccounting(t *testing.T) {
 				} else {
 					p.Recv(0)
 				}
-				o = obs{clock: p.Now(), idle: p.IdleTime(), recvd: 1}
+				o = obs{clock: p.Now(), idle: p.idle, recvd: 1}
 			}
 		})
 		return o
@@ -112,23 +112,28 @@ func TestLargeMachineConstructionIsLazy(t *testing.T) {
 	}
 }
 
-// TestIdleInboxAllocatesNothing: after a run in which the even processors
+// TestIdleInboxAllocatesNothing: in a run in which the even processors
 // pass a ring message and the odd ones only compute, every odd processor's
-// inbox still has no queue, and every even one a single slot.
+// inbox has no queue, and every even one a single slot, read by each
+// processor after its last receive (Run returns the arrays to the pool).
 func TestIdleInboxAllocatesNothing(t *testing.T) {
 	for _, n := range []int{8, 2050} {
 		m := New(n, testCost())
+		caps := make([]int, n)
 		m.Run(func(p *Proc) {
 			if p.ID()%2 == 1 {
 				p.Compute(10)
-				return
+			} else {
+				p.Send((p.ID()+2)%n, p.ID(), 8)
+				p.Recv((p.ID() + n - 2) % n)
 			}
-			p.Send((p.ID()+2)%n, p.ID(), 8)
-			p.Recv((p.ID() + n - 2) % n)
+			in := &m.in[p.ID()]
+			in.mu.Lock()
+			caps[p.ID()] = cap(in.q)
+			in.mu.Unlock()
 		})
-		for dst := range m.in {
-			want := 1 - dst%2
-			if got := cap(m.in[dst].q); got != want {
+		for dst, got := range caps {
+			if want := 1 - dst%2; got != want {
 				t.Fatalf("P=%d: processor %d's inbox has capacity %d, want %d", n, dst, got, want)
 			}
 		}

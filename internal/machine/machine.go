@@ -208,9 +208,6 @@ func (p *Proc) Machine() *Machine { return p.m }
 // Now returns the processor's current virtual time in seconds.
 func (p *Proc) Now() float64 { return p.clock }
 
-// IdleTime returns accumulated virtual time spent waiting for messages.
-func (p *Proc) IdleTime() float64 { return p.idle }
-
 // MsgsSent returns the number of messages this processor has sent.
 func (p *Proc) MsgsSent() int64 { return p.sent }
 
@@ -250,9 +247,6 @@ func (p *Proc) die() {
 	p.marker(EvFault, -1, 0, FaultDeath)
 	panic(&ProcDeathError{Proc: p.id, At: p.clock})
 }
-
-// SpanDepth returns the number of currently open spans (0 when untraced).
-func (p *Proc) SpanDepth() int { return len(p.spans) }
 
 // Compute advances the clock by the time to execute flops floating point
 // operations.

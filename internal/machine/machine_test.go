@@ -61,8 +61,8 @@ func TestRecvDoesNotRewindClock(t *testing.T) {
 			if p.Now() != before {
 				t.Errorf("clock moved from %g to %g on late recv", before, p.Now())
 			}
-			if p.IdleTime() != 0 {
-				t.Errorf("idle time %g for a message that was already there", p.IdleTime())
+			if p.idle != 0 {
+				t.Errorf("idle time %g for a message that was already there", p.idle)
 			}
 		}
 	})
@@ -78,7 +78,7 @@ func TestIdleAccounting(t *testing.T) {
 			p.Send(1, nil, 0)
 		case 1:
 			p.Recv(0)
-			idle = p.IdleTime()
+			idle = p.idle
 		}
 	})
 	want := 5e-3 + 1e-4 + 1e-3 // sender compute + overhead + alpha

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"fxpar/internal/forkjoin"
 )
@@ -97,24 +97,44 @@ func (in *inbox) take(i int) Message {
 // push appends msg. A full queue is compacted in place when at most half of
 // it is live, and moved to an array twice its size otherwise, so the
 // capacity stays under four times the most messages ever in flight, however
-// the receiver drains it.
+// the receiver drains it. Arrays come from and go back to queuePool.
 func (in *inbox) push(msg Message) {
 	if len(in.q) == cap(in.q) {
-		live := in.q[in.head:]
-		q := in.q[:len(live)]
-		if 2*len(live) > cap(in.q) {
-			q = make([]Message, len(live), 2*cap(in.q))
+		old, live := in.q, in.q[in.head:]
+		if cap(old) == 0 || 2*len(live) > cap(old) {
+			in.q = append(getQueue(bits.Len(uint(cap(old)))), live...)
+			putQueue(old)
+		} else {
+			in.q = append(old[:0], live...)
+			clear(old[len(live):])
 		}
-		copy(q, live)
-		if cap(q) == cap(in.q) {
-			clear(in.q[len(q):])
-		}
-		in.q, in.head = q, 0
+		in.head = 0
 	}
 	if n := len(in.q); in.sorted && n > in.head && in.q[n-1].Src > msg.Src {
 		in.sorted = false
 	}
 	in.q = append(in.q, msg)
+}
+
+// queuePool[k] holds cleared queue arrays of 1<<k messages for every
+// machine of the process, as pointers to their first element, so getting
+// and putting one allocates nothing. Arrays go back when a queue outgrows
+// them and when a run has drained its inbox, so the next machine reuses them.
+var queuePool [64]sync.Pool
+
+func getQueue(k int) []Message {
+	if p, _ := queuePool[k].Get().(*Message); p != nil {
+		return unsafe.Slice(p, 1<<k)[:0]
+	}
+	return make([]Message, 0, 1<<k)
+}
+
+// putQueue clears q, so no payload stays reachable, and pools it.
+func putQueue(q []Message) {
+	if q = q[:cap(q)]; len(q) > 0 {
+		clear(q)
+		queuePool[bits.Len(uint(len(q)))-1].Put(unsafe.SliceData(q))
+	}
 }
 
 // tryGet removes and returns p's next message from src if one is queued.
@@ -256,13 +276,15 @@ func (m *Machine) senderTerminated(s *Proc) {
 type leftover struct{ dst, src, count int }
 
 // pending appends the pairs with messages left in dst's inbox, in no
-// particular order. Only valid when no processor goroutines are running
-// (Run's exit check). Transport duplicates injected by a fault plan are
-// excluded: a receiver consumes a pair's real traffic without necessarily
-// touching trailing duplicates, and leftovers of the transport layer are not
-// a protocol bug.
+// particular order; a drained inbox returns its array to the pool. Only
+// valid when no processor goroutines are running (Run's exit check).
+// Transport duplicates injected by a fault plan are excluded: a receiver
+// consumes a pair's real traffic without necessarily touching trailing
+// duplicates, and leftovers of the transport layer are not a protocol bug.
 func (in *inbox) pending(dst int, out []leftover) []leftover {
 	if in.head == len(in.q) {
+		putQueue(in.q)
+		in.q, in.head = nil, 0
 		return out
 	}
 	counts := map[int]int{}
@@ -306,12 +328,7 @@ func (m *Machine) drainReport() string {
 	if total == 0 {
 		return ""
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].dst != pairs[j].dst {
-			return pairs[i].dst < pairs[j].dst
-		}
-		return pairs[i].src < pairs[j].src
-	})
+	slices.SortFunc(pairs, func(a, b leftover) int { return cmp.Or(cmp.Compare(a.dst, b.dst), cmp.Compare(a.src, b.src)) })
 	var list []string
 	for i, p := range pairs {
 		if i == maxPairs {

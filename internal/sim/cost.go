@@ -17,10 +17,7 @@
 // speedup shapes) is.
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // CostModel holds the machine parameters for virtual-time accounting.
 // The zero value is not useful; use a preset or fill every field.
@@ -90,15 +87,6 @@ func (c CostModel) FlopTime(n float64) float64 {
 // between send injection and availability at the receiver.
 func (c CostModel) WireTime(bytes int) float64 {
 	return c.Alpha + float64(bytes)*c.Beta
-}
-
-// BarrierTime returns the virtual seconds a dissemination barrier over p
-// processors costs each participant.
-func (c CostModel) BarrierTime(p int) float64 {
-	if p <= 1 {
-		return 0
-	}
-	return c.BarrierAlpha * math.Ceil(math.Log2(float64(p)))
 }
 
 // IOTime returns the virtual seconds to read or write bytes through the

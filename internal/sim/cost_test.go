@@ -71,22 +71,6 @@ func TestWireTimeMonotonic(t *testing.T) {
 	}
 }
 
-func TestBarrierTime(t *testing.T) {
-	c := CostModel{BarrierAlpha: 1e-5}
-	if got := c.BarrierTime(1); got != 0 {
-		t.Errorf("BarrierTime(1) = %g, want 0", got)
-	}
-	if got := c.BarrierTime(2); got != 1e-5 {
-		t.Errorf("BarrierTime(2) = %g, want 1 round", got)
-	}
-	if got := c.BarrierTime(64); math.Abs(got-6e-5) > 1e-18 {
-		t.Errorf("BarrierTime(64) = %g, want 6 rounds", got)
-	}
-	if got := c.BarrierTime(65); math.Abs(got-7e-5) > 1e-18 {
-		t.Errorf("BarrierTime(65) = %g, want 7 rounds", got)
-	}
-}
-
 func TestIOTime(t *testing.T) {
 	c := CostModel{IORate: 1e6}
 	if got := c.IOTime(2e6); got != 2.0 {

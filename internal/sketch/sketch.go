@@ -243,12 +243,6 @@ func ExactQuantile(values []float64, q float64) float64 {
 	return sorted[rank-1]
 }
 
-// SameBin reports whether two values land in the same sketch bin — the
-// "within one bin" acceptance predicate for sketch-vs-exact comparisons.
-func SameBin(a, b float64) bool {
-	return sketchIndex(a) == sketchIndex(b)
-}
-
 // WriteSketchText renders a labeled multi-line view of one or more named
 // sketches, aligned for terminal output.
 func WriteSketchText(w *strings.Builder, name string, s *Sketch) {

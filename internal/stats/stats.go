@@ -56,9 +56,6 @@ func NewSketchStream() *Stream {
 	return &Stream{inject: make(map[int]float64), sketch: &sketch.Sketch{}, firstC: math.Inf(1)}
 }
 
-// Sketched reports whether the meter is in sketch mode.
-func (s *Stream) Sketched() bool { return s.sketch != nil }
-
 // Inject records that data set i entered the system at virtual time t.
 // Recording the same set twice keeps the earlier time (several processors
 // of the first stage may record the same set).
@@ -113,14 +110,6 @@ func (s *Stream) Count() int {
 		return s.count
 	}
 	return len(s.complete)
-}
-
-// InFlight returns the number of injected-but-uncompleted data sets — the
-// sketch mode's memory footprint.
-func (s *Stream) InFlight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.inject)
 }
 
 // Result summarizes a metered stream.
