@@ -42,7 +42,7 @@ func runCell(t *testing.T, cfg Config, s, procs int, eng machine.Engine) cellRun
 	} else {
 		st := program(cfg)[s]
 		r.stats = fx.Run(m, func(p *fx.Proc) {
-			st.New(p, dist.New[complex128](p.Proc, st.Layout(p.Group())), func(*fx.Proc, int, []int64) {})(0)
+			st.New(p, dist.New[complex128](p.Proc, st.Layout(p.Group())), nil)(0)
 		})
 		r.value = r.stats.MakespanTime()
 	}

@@ -243,6 +243,8 @@ func histSet(p *fx.Proc, a *dist.Array[complex128], cfg Config, set int, done do
 	total := comm.ReduceSlice(p.Proc, g, 0, counts, func(x, y int64) int64 { return x + y })
 	if a.Rank() == 0 {
 		p.IO(cfg.Bins * 8)
-		done(p, set, total)
+		if done != nil {
+			done(p, set, total)
+		}
 	}
 }

@@ -14,6 +14,7 @@ package radar
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"fxpar/internal/apps/streams"
 	"fxpar/internal/comm"
@@ -38,11 +39,12 @@ type Config struct {
 	Scale     float64 // scaling factor applied after the FFTs
 	Threshold float64 // detection threshold
 
-	// charge makes the input, FFT and scale kernels charge their flops from
-	// their local shape and skip the arithmetic: the same messages and
-	// virtual times, no values. Thresholding always computes, since the
-	// report it writes is one record per detection. Only the cost-table
-	// stage cells set it (see MeasuredModel).
+	// charge makes every kernel charge its flops from its local shape and
+	// skip the arithmetic: the same messages and virtual times, no values.
+	// The report the threshold stage writes is one record per detection, so
+	// its count comes from a detection table the reference kernel fills per
+	// data set (see detections). Only the cost-table cells and Simulate set
+	// it.
 	charge bool
 }
 
@@ -94,6 +96,13 @@ func Run(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
 	return Result{Stream: meter.Summarize(), Kept: kept, Makespan: st.MakespanTime(), runStats: st}
 }
 
+// Simulate is Run charging every kernel from shape (see Config.charge): the
+// same Stream, Kept, Makespan, statistics and events, no data moved.
+func Simulate(mach *machine.Machine, cfg Config, mp mapping.Mapping) Result {
+	cfg.charge = true
+	return Run(mach, cfg, mp)
+}
+
 // Caps returns the stages' processor caps (see streams.Program.Caps).
 func (cfg Config) Caps() []int { return program(cfg).Caps() }
 
@@ -107,8 +116,13 @@ var stageNames = []string{"input", "fft", "scale", "threshold"}
 // program is the radar stage table. The input stage holds a data set as it
 // arrives, gate-major over Gates rows; the corner turn into the FFT stage
 // makes it Rows-by-Gates, and no later stage can use more processors than
-// those Rows.
+// those Rows. Under charge, every run of the program shares one detection
+// table.
 func program(cfg Config) streams.Program[complex128, int] {
+	var det *detections
+	if cfg.charge {
+		det = &detections{cfg: cfg, rows: map[int][]int{}}
+	}
 	byRow := func(g *group.Group) *dist.Layout { return dist.RowBlock2D(g, cfg.Rows, cfg.Gates) }
 	return streams.Program[complex128, int]{
 		{Name: stageNames[0], Group: "Gin", Cap: cfg.Gates,
@@ -119,7 +133,7 @@ func program(cfg Config) streams.Program[complex128, int] {
 			}},
 		{Name: stageNames[1], Group: "Gfft", Cap: cfg.Rows, Turn: true, Layout: byRow,
 			New: func(p *fx.Proc, a *dist.Array[complex128], _ done) func(int) {
-				return func(int) { fftRows(p, a, cfg.charge) }
+				return func(int) { fftRows(p, a, cfg) }
 			}},
 		{Name: stageNames[2], Group: "Gscale", Cap: cfg.Rows, Layout: byRow,
 			New: func(p *fx.Proc, a *dist.Array[complex128], _ done) func(int) {
@@ -128,17 +142,15 @@ func program(cfg Config) streams.Program[complex128, int] {
 		{Name: stageNames[3], Group: "Gthr", Cap: cfg.Rows, Layout: byRow,
 			New: func(p *fx.Proc, a *dist.Array[complex128], done done) func(int) {
 				// The report I/O counts the detections found. Real data sets
-				// yield one per row by construction, so the array starts with
-				// one per local row: the stage run alone as a cost-table cell
-				// writes a representative report. In a run, the transfer into
-				// the stage overwrites them.
-				if a.IsMember() {
-					rows := a.LocalShape()[0]
-					for r := 0; r < rows; r++ {
+				// yield one per row by construction, so the stage run alone as
+				// a cost-table cell (done == nil) starts with one per local
+				// row and writes a representative report.
+				if done == nil && a.IsMember() {
+					for r := range a.LocalShape()[0] {
 						a.Local()[r*cfg.Gates] = complex(1, 0)
 					}
 				}
-				return func(set int) { thresholdAndReport(p, a, cfg, set, done) }
+				return func(set int) { thresholdAndReport(p, a, cfg, det, set, done) }
 			}},
 	}
 }
@@ -158,15 +170,12 @@ func Spec(cost sim.CostModel, cfg Config, maxP int, opt mapping.BuildOptions) ma
 
 // MeasuredModel builds the radar cost model from isolated stage simulations,
 // memoized by content key and replay-first under opt.Replay; see
-// mapping.Cells.Measure. The stage cells charge instead of computing (see
-// Config.charge); the data-parallel cell, whose report I/O counts
-// detections, computes.
+// mapping.Cells.Measure. The cells charge instead of computing (see
+// Config.charge), and the data-parallel cells share one detection table.
 func MeasuredModel(cost sim.CostModel, cfg Config, maxP int, opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error) {
-	pr, charged := program(cfg), cfg
-	charged.charge = true
-	cells := program(charged).Cells(ident(cfg))
-	cells.DP = pr.Cells(ident(cfg)).DP
-	return cells.Measure(cost, pr.Model(cost, maxP), opt)
+	cfg.charge = true
+	pr := program(cfg)
+	return pr.Cells(ident(cfg)).Measure(cost, pr.Model(cost, maxP), opt)
 }
 
 // inputSet reads one gate-major data set into full (see streams.Frame) on
@@ -188,16 +197,15 @@ func inputSet(p *fx.Proc, a *dist.Array[complex128], full []complex128, cfg Conf
 	dist.ScatterGlobal(p.Proc, a, full)
 }
 
-func fftRows(p *fx.Proc, a *dist.Array[complex128], charge bool) {
+func fftRows(p *fx.Proc, a *dist.Array[complex128], cfg Config) {
 	if !a.IsMember() || a.Layout().LocalCount(a.Rank()) == 0 {
 		return
 	}
-	shape := a.LocalShape()
-	if charge {
-		p.Compute(float64(shape[0]) * fft.Flops(shape[1]))
+	if cfg.charge {
+		p.Compute(float64(a.Layout().LocalCount(a.Rank())/cfg.Gates) * fft.Flops(cfg.Gates))
 		return
 	}
-	p.Compute(fft.Rows(a.Local(), shape[1]))
+	p.Compute(fft.Rows(a.Local(), cfg.Gates))
 }
 
 func scaleLocal(p *fx.Proc, a *dist.Array[complex128], cfg Config) {
@@ -212,17 +220,62 @@ func scaleLocal(p *fx.Proc, a *dist.Array[complex128], cfg Config) {
 }
 
 // thresholdAndReport thresholds locally and reduces the detection count to
-// rank 0, which writes the detections out and completes the set.
-func thresholdAndReport(p *fx.Proc, a *dist.Array[complex128], cfg Config, set int, done done) {
+// rank 0, which writes the detections out and completes the set. Under
+// charge in a run (det set, done not nil) each local row's count comes from
+// det.
+func thresholdAndReport(p *fx.Proc, a *dist.Array[complex128], cfg Config, det *detections, set int, done done) {
 	if !a.IsMember() {
 		return
 	}
-	kept, flops := fft.Threshold(a.Local(), cfg.Threshold)
-	p.Compute(flops)
+	n, kept := a.Layout().LocalCount(a.Rank()), 0
+	if det != nil && done != nil {
+		rows := det.of(set)
+		for r := range n / cfg.Gates {
+			kept += rows[a.GlobalRowOfLocal(r)]
+		}
+	} else {
+		kept, _ = fft.Threshold(a.Local(), cfg.Threshold)
+	}
+	p.Compute(float64(n) * fft.ThresholdFlops)
 	g := a.Layout().Group()
 	total := comm.Reduce(p.Proc, g, 0, kept, func(x, y int) int { return x + y })
 	if a.Rank() == 0 {
 		p.IO(total * 8)
-		done(p, set, total)
+		if done != nil {
+			done(p, set, total)
+		}
 	}
+}
+
+// detections holds, per data set, the number of detections in each row,
+// found by the reference kernel one row at a time: sample, fft.Rows,
+// fft.Scale, fft.Threshold. A row lives whole on one processor through
+// every stage, so the counts equal the distributed path's bit for bit.
+// A table is filled lazily, once per set, by whichever processor asks
+// first; it never blocks on the simulated machine, so it cannot stall a
+// cooperative engine.
+type detections struct {
+	cfg  Config
+	mu   sync.Mutex
+	rows map[int][]int
+}
+
+// of returns set's per-row detection counts, filling them on first use.
+func (d *detections) of(set int) []int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if rows, ok := d.rows[set]; ok {
+		return rows
+	}
+	rows, row := make([]int, d.cfg.Rows), make([]complex128, d.cfg.Gates)
+	for r := range rows {
+		for g := range row {
+			row[g] = sample(set, g, r, d.cfg.Gates)
+		}
+		fft.Rows(row, d.cfg.Gates)
+		fft.Scale(row, d.cfg.Scale)
+		rows[r], _ = fft.Threshold(row, d.cfg.Threshold)
+	}
+	d.rows[set] = rows
+	return rows
 }

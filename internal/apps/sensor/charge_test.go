@@ -75,11 +75,11 @@ func goldenRows(t *testing.T) []struct {
 
 // TestChargedRunsMatchComputed: the eight runs behind the golden Table 1 —
 // each row's data-parallel baseline and chosen mapping at paper size — and
-// the stereo row again under a chaos plan give, through App.Run, the
-// golden's Stream and the computing package Run's Stream and Makespan, and
-// record its events and skeleton, under both engine families. The charged
-// twins' statistics match too. Radar's App.Run computes: its threshold
-// stage writes one record per detection, so the report needs the values.
+// the radar and stereo rows again under a chaos plan give, through App.Run,
+// the golden's Stream and the computing package Run's Stream and Makespan,
+// and record its events and skeleton, under both engine families. The
+// charged twins' statistics match too, and radar's twin reports the
+// computing run's detection counts.
 func TestChargedRunsMatchComputed(t *testing.T) {
 	ff := func(n int) (run, twin runner) {
 		cfg := ffthist.Config{N: n, Sets: 8, Bins: 64}
@@ -102,7 +102,10 @@ func TestChargedRunsMatchComputed(t *testing.T) {
 		{name: "radar", chosen: mapping.Mapping{Modules: 3, Stages: []int{21}},
 			run: func(m *machine.Machine, mp mapping.Mapping) (Out, any) {
 				r := radar.Run(m, radar.DefaultConfig(), mp)
-				r.Kept = nil
+				return Out{r.Stream, r.Makespan}, r
+			},
+			twin: func(m *machine.Machine, mp mapping.Mapping) (Out, any) {
+				r := radar.Simulate(m, radar.DefaultConfig(), mp)
 				return Out{r.Stream, r.Makespan}, r
 			}},
 		{name: "stereo", chosen: mapping.Mapping{Modules: 3, Stages: []int{21}, WideModules: 1, WideStages: []int{22}},
@@ -137,7 +140,7 @@ func TestChargedRunsMatchComputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range cases[6:8] {
+	for _, c := range append(cases[4:6:6], cases[6:8]...) {
 		c.thr, c.lat, c.plan = 0, 0, chaos
 		cases = append(cases, c)
 	}

@@ -67,7 +67,7 @@ func (c radarProg) model(cost sim.CostModel, p int, opt mapping.BuildOptions) (m
 	return radar.MeasuredModel(cost, radar.Config(c), p, opt)
 }
 func (c radarProg) run(m *machine.Machine, mp mapping.Mapping) Out {
-	res := radar.Run(m, radar.Config(c), mp)
+	res := radar.Simulate(m, radar.Config(c), mp)
 	return Out{res.Stream, res.Makespan}
 }
 func (c radarProg) caps() []int { return radar.Config(c).Caps() }
@@ -116,9 +116,8 @@ func (a App) Model(cost sim.CostModel, p int, opt mapping.BuildOptions) (mapping
 }
 
 // Run simulates the stream through m under mp for callers that read only
-// virtual time: FFT-Hist and stereo charge from shape (ffthist.Simulate,
-// stereo.Simulate), radar computes (one report record per detection).
-// It panics on a mapping Validate rejects.
+// virtual time: every program charges from shape (ffthist.Simulate,
+// radar.Simulate, stereo.Simulate). It panics on a mapping Validate rejects.
 func (a App) Run(m *machine.Machine, mp mapping.Mapping) Out { return a.prog.run(m, mp) }
 
 // Validate checks mp on a p-processor machine against the program's stage

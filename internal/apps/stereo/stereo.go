@@ -461,6 +461,8 @@ func depthStage(p *fx.Proc, vol *dist.Array[float64], depth *dist.Array[int32], 
 	total := comm.Reduce(p.Proc, g, 0, sum, func(x, y int64) int64 { return x + y })
 	if vol.Rank() == 0 {
 		p.IO(cfg.H * cfg.W * 4)
-		done(p, set, total)
+		if done != nil {
+			done(p, set, total)
+		}
 	}
 }

@@ -40,7 +40,8 @@ type Stage[T, R any] struct {
 	Layout func(g *group.Group) *dist.Layout
 	// New allocates the stage's private state for its array a on p and
 	// returns the body that processes one data set. The last stage's body
-	// calls done on the processor that completes the set.
+	// calls done on the processor that completes the set; done is nil when
+	// the stage runs alone as a cost-table cell (see Cells).
 	New func(p *fx.Proc, a *dist.Array[T], done func(p *fx.Proc, set int, r R)) func(set int)
 }
 
@@ -155,15 +156,15 @@ func (pr Program[T, R]) pipeline(p *fx.Proc, stages []int, first, stride, sets i
 }
 
 // Cells describes pr to the cost-table measurer under id: stage s alone on
-// all of a machine for one data set, and the data-parallel program on all
-// of a machine for one set.
+// all of a machine for one data set, reporting to no one (done is nil), and
+// the data-parallel program on all of a machine for one set.
 func (pr Program[T, R]) Cells(id mapping.Ident) mapping.Cells {
 	return mapping.Cells{
 		Ident: id,
 		Stage: func(m *machine.Machine, s int) float64 {
-			st, discard := pr[s], func(*fx.Proc, int, R) {}
+			st := pr[s]
 			return fx.Run(m, func(p *fx.Proc) {
-				st.New(p, dist.New[T](p.Proc, st.Layout(p.Group())), discard)(0)
+				st.New(p, dist.New[T](p.Proc, st.Layout(p.Group())), nil)(0)
 			}).MakespanTime()
 		},
 		DP: func(m *machine.Machine) float64 {

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"fxpar/internal/comm"
-	"fxpar/internal/group"
 	"fxpar/internal/machine"
 )
 
@@ -249,20 +248,6 @@ func recvSlice[T any](p *machine.Proc, srcPhys int) ([]T, *slab[T]) {
 		return nil, nil
 	}
 	return pt.vals, pt.s
-}
-
-// AssignFullGroup is the ablation counterpart of Assign: it performs the
-// same data movement but makes *every* processor of the union of both
-// groups synchronize on a barrier afterwards, modeling an implementation
-// that cannot identify minimal processor subsets. Section 4 predicts this
-// destroys pipelined task parallelism; BenchmarkAblationAssign
-// demonstrates it.
-func AssignFullGroup[T any](p *machine.Proc, dst, src *Array[T]) {
-	u := group.Union(src.l.g, dst.l.g)
-	Assign(p, dst, src)
-	if u.Contains(p.ID()) {
-		comm.Barrier(p, u)
-	}
 }
 
 // GatherGlobal collects the whole array in global row-major order at the

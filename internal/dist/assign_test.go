@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fxpar/internal/comm"
 	"fxpar/internal/group"
 	"fxpar/internal/machine"
 	"fxpar/internal/sim"
@@ -334,5 +335,19 @@ func TestAssignFullGroupSynchronizes(t *testing.T) {
 		if ps.MsgsSent == 0 {
 			t.Errorf("proc %d did not participate in the synchronizing assign", ps.ID)
 		}
+	}
+}
+
+// AssignFullGroup is the ablation counterpart of Assign: it performs the
+// same data movement but makes *every* processor of the union of both
+// groups synchronize on a barrier afterwards, modeling an implementation
+// that cannot identify minimal processor subsets. Section 4 predicts this
+// destroys pipelined task parallelism; BenchmarkAblationAssign
+// demonstrates it.
+func AssignFullGroup[T any](p *machine.Proc, dst, src *Array[T]) {
+	u := group.Union(src.l.g, dst.l.g)
+	Assign(p, dst, src)
+	if u.Contains(p.ID()) {
+		comm.Barrier(p, u)
 	}
 }

@@ -131,12 +131,6 @@ func InPlace(x []complex128, inverse bool) {
 	planFor(len(x), inverse).apply(x, inverse)
 }
 
-// Forward is InPlace(x, false).
-func Forward(x []complex128) { InPlace(x, false) }
-
-// Inverse is InPlace(x, true).
-func Inverse(x []complex128) { InPlace(x, true) }
-
 // Rows applies a forward FFT to each length-w row of a row-major matrix
 // stored in data (len must be a multiple of w) and returns the total flop
 // count for cost accounting.

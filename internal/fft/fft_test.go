@@ -247,3 +247,9 @@ func TestThreshold(t *testing.T) {
 		t.Errorf("flops = %g", flops)
 	}
 }
+
+// Forward is InPlace(x, false).
+func Forward(x []complex128) { InPlace(x, false) }
+
+// Inverse is InPlace(x, true).
+func Inverse(x []complex128) { InPlace(x, true) }

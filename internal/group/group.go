@@ -264,20 +264,8 @@ func NewPartition(parent *Group, specs ...Spec) (*Partition, error) {
 	return p, nil
 }
 
-// MustPartition is NewPartition but panics on error.
-func MustPartition(parent *Group, specs ...Spec) *Partition {
-	p, err := NewPartition(parent, specs...)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Parent returns the partitioned group.
 func (p *Partition) Parent() *Group { return p.parent }
-
-// Names returns subgroup names in declaration order.
-func (p *Partition) Names() []string { return append([]string(nil), p.order...) }
 
 // Group returns the named subgroup; it panics on an unknown name since that
 // is a programming error analogous to referencing an undeclared subgroup.

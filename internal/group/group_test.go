@@ -282,3 +282,15 @@ func TestEqualSplit(t *testing.T) {
 		t.Error("k=0 accepted")
 	}
 }
+
+// MustPartition is NewPartition but panics on error.
+func MustPartition(parent *Group, specs ...Spec) *Partition {
+	p, err := NewPartition(parent, specs...)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// Names returns subgroup names in declaration order.
+func (p *Partition) Names() []string { return append([]string(nil), p.order...) }

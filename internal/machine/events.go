@@ -6,7 +6,7 @@ import "fmt"
 type EventKind uint8
 
 const (
-	// EvCompute is local computation (Compute, Elapse).
+	// EvCompute is local computation (Compute).
 	EvCompute EventKind = iota
 	// EvSend is message injection overhead.
 	EvSend

@@ -258,20 +258,6 @@ func (p *Proc) Compute(flops float64) {
 	p.busy += t
 }
 
-// Elapse advances the clock by an explicit number of virtual seconds,
-// counted as busy time. Applications use it for phases whose cost is modeled
-// rather than counted in flops (e.g. table lookups, I/O post-processing).
-func (p *Proc) Elapse(seconds float64) {
-	if seconds < 0 {
-		panic("machine: Elapse with negative duration")
-	}
-	p.checkAlive()
-	seconds = p.scale(seconds)
-	p.trace(EvCompute, seconds)
-	p.clock += seconds
-	p.busy += seconds
-}
-
 // IO charges the cost of reading or writing n bytes through the I/O
 // subsystem to this processor's clock. Serialization of I/O is a property of
 // the program structure (the paper designates I/O processors), not of this
@@ -407,27 +393,7 @@ func (p *Proc) dropDup(src int, msg Message) {
 	p.marker(EvFault, src, msg.Bytes, FaultDupDrop)
 }
 
-// TryRecv receives a message from src if one has already been deposited.
-// Used by tests; SPMD programs use Recv. It performs the same post-receive
-// bookkeeping as Recv, so traced programs using it still emit the
-// EvWait/EvRecv markers trace analysis matches against EvSend events.
-func (p *Proc) TryRecv(src int) (Message, bool) {
-	p.checkAlive()
-	for {
-		msg, ok := p.tryGet(src)
-		if !ok {
-			return Message{}, false
-		}
-		if msg.Dup {
-			p.dropDup(src, msg)
-			continue
-		}
-		p.finishRecv(src, msg)
-		return msg, true
-	}
-}
-
-// finishRecv is the post-receive bookkeeping shared by Recv and TryRecv:
+// finishRecv is the post-receive bookkeeping of Recv and the tests' TryRecv:
 // wait-time accounting with its EvWait interval, the EvRecv marker (stamped
 // with the PairSeq its send recorded), and the received-message counter.
 func (p *Proc) finishRecv(src int, msg Message) {

@@ -142,7 +142,7 @@ func TestParentCacheFilesHit(t *testing.T) {
 	}
 
 	mapping.ResetTableMemo()
-	tab, src, err := mapping.BuildTables(spec, mapping.BuildOptions{CacheDir: dir},
+	tab, src, err := mapping.BuildTables(spec, mapping.BuildOptions{CacheDir: dir}, nil,
 		func(s, p int) float64 { t.Errorf("measured stage %d on %d procs", s, p); return 0 },
 		func(p int) float64 { t.Errorf("measured data-parallel on %d procs", p); return 0 })
 	if err != nil || src != mapping.SourceDisk {
@@ -156,7 +156,7 @@ func TestParentCacheFilesHit(t *testing.T) {
 
 	out := t.TempDir()
 	mapping.ResetTableMemo()
-	if _, src, err := mapping.BuildTables(spec, mapping.BuildOptions{CacheDir: out},
+	if _, src, err := mapping.BuildTables(spec, mapping.BuildOptions{CacheDir: out}, nil,
 		func(s, p int) float64 { return tab.StageT[s][p] },
 		func(p int) float64 { return tab.DPT[p] }); err != nil || src != mapping.SourceComputed {
 		t.Fatalf("re-filing tables: source %v, err %v", src, err)

@@ -69,10 +69,9 @@ func (c Cells) cell(cost sim.CostModel, s, p int, eng machine.Engine, capture bo
 }
 
 // Measure builds the mapper's cost model by simulating every stage at every
-// candidate processor count (and the data-parallel whole program, on no more
-// processors than the narrowest stage cap); closed supplies what is not
-// measured — machine size, stage names, parallelism caps and the
-// transfer-cost function. The
+// width up to its cap (and the data-parallel whole program up to the
+// narrowest cap) once; closed supplies what is not measured — machine size,
+// stage names, parallelism caps and the transfer-cost function. The
 // campaign fans out over opt.Workers host workers and is memoized under the
 // content key of Spec (see BuildTables), so repeated builds, in-process or
 // across invocations with opt.CacheDir set, skip the simulations entirely.
@@ -85,21 +84,20 @@ func (c Cells) cell(cost sim.CostModel, s, p int, eng machine.Engine, capture bo
 // the ones that are not also DAG makespans on the live path by itself.
 func (c Cells) Measure(cost sim.CostModel, closed Model, opt BuildOptions) (Model, TableSource, error) {
 	spec := c.Spec(cost, closed.P, closed.StageNames, opt.Replay)
-	measure := func(s, p int) float64 {
-		key := skeleton.StoreKey{App: c.App + ".dp", Params: c.Params, Mapping: "dp", P: p}
+	measure := func(s, w int) float64 {
+		key := skeleton.StoreKey{App: c.App + ".dp", Params: c.Params, Mapping: "dp", P: w}
 		if s >= 0 {
-			key = skeleton.StoreKey{App: c.App + ".stage", Params: fmt.Sprintf("%s,s=%d", c.Params, s), Mapping: "isolated", P: p}
+			key = skeleton.StoreKey{App: c.App + ".stage", Params: fmt.Sprintf("%s,s=%d", c.Params, s), Mapping: "isolated", P: w}
 		}
-		procs := widest(closed.Caps, s, p)
 		if v, ok := opt.Replay.Eval(key, cost, func(base sim.CostModel) (*skeleton.Skeleton, float64, error) {
-			return c.cell(base, s, procs, opt.Engine, true)
+			return c.cell(base, s, w, opt.Engine, true)
 		}); ok {
 			return v
 		}
-		_, v, _ := c.cell(cost, s, procs, opt.Engine, false)
+		_, v, _ := c.cell(cost, s, w, opt.Engine, false)
 		return v
 	}
-	tab, src, err := BuildTables(spec, opt, measure, func(p int) float64 { return measure(-1, p) })
+	tab, src, err := BuildTables(spec, opt, closed.Caps, measure, func(w int) float64 { return measure(-1, w) })
 	if err != nil {
 		return Model{}, src, err
 	}

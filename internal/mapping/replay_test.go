@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fxpar/internal/apps/ffthist"
+	"fxpar/internal/apps/radar"
 	"fxpar/internal/machine"
 	"fxpar/internal/mapping"
 	"fxpar/internal/sim"
@@ -101,5 +102,67 @@ func TestEvalSharesOneCapture(t *testing.T) {
 	}
 	if _, ok := r.Eval(key, cost, latency); ok || captures.Load() != 2 || r.Store.Stats().Captured != 1 {
 		t.Errorf("non-makespan cell was replayed or re-captured (ok %v, %d captures, store %d)", ok, captures.Load(), r.Store.Stats().Captured)
+	}
+}
+
+// TestCappedCellsMeasuredOnce: a stage on more processors than its cap runs
+// on the cap, so BuildTables measures each distinct (stage, width) and
+// data-parallel width once and gives the tables a build measuring every
+// column would. A replay build of radar then captures one skeleton per
+// distinct cell: 20 input widths and 8 for each row-capped stage and for
+// the data-parallel program at the quick size on 20 processors, 64 + 4·40
+// at the paper size on 64.
+func TestCappedCellsMeasuredOnce(t *testing.T) {
+	const P = 8
+	caps := []int{3, 0}
+	spec := mapping.TableSpec{App: "capped", P: P, Stages: []string{"s0", "s1"}, Cost: sim.Paragon()}
+	var mu sync.Mutex
+	calls := map[[2]int]int{}
+	count := func(s, w int) float64 {
+		mu.Lock()
+		calls[[2]int{s, w}]++
+		mu.Unlock()
+		return float64(s+2) / float64(w*w+1)
+	}
+	mapping.ResetTableMemo()
+	tab, _, err := mapping.BuildTables(spec, mapping.BuildOptions{Workers: 3}, caps, count,
+		func(w int) float64 { return count(-1, w) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 3+P+3 {
+		t.Errorf("measured %d distinct cells, want %d", len(calls), 3+P+3)
+	}
+	for c, n := range calls {
+		if n != 1 || c[1] > P || (c[0] != 1 && c[1] > 3) {
+			t.Errorf("cell %v measured %d times", c, n)
+		}
+	}
+	for p := 1; p <= P; p++ {
+		for s, w := range []int{min(p, 3), p} {
+			if want := float64(s+2) / float64(w*w+1); tab.StageT[s][p] != want {
+				t.Errorf("StageT[%d][%d] = %v, want %v", s, p, tab.StageT[s][p], want)
+			}
+		}
+		if w := min(p, 3); tab.DPT[p] != 1/float64(w*w+1) {
+			t.Errorf("DPT[%d] = %v, want %v", p, tab.DPT[p], 1/float64(w*w+1))
+		}
+	}
+
+	quick := radar.Config{Gates: 64, Rows: 8, Sets: 8, Scale: 1.0 / 64, Threshold: 0.05}
+	for _, c := range []struct {
+		cfg  radar.Config
+		p    int
+		want int64
+	}{{quick, 20, 20 + 4*8}, {radar.DefaultConfig(), 64, 64 + 4*40}} {
+		store := skeleton.NewStore("")
+		mapping.ResetTableMemo()
+		if _, _, err := radar.MeasuredModel(sim.Paragon(), c.cfg, c.p,
+			mapping.BuildOptions{Workers: 2, Replay: &mapping.ReplayOptions{Store: store}}); err != nil {
+			t.Fatal(err)
+		}
+		if got := store.Stats().Captured; got != c.want {
+			t.Errorf("radar Gates=%d on %d procs: %d skeletons captured, want %d", c.cfg.Gates, c.p, got, c.want)
+		}
 	}
 }

@@ -204,18 +204,22 @@ var tables = cas.New(cas.Codec[Tables]{
 var errShape = errors.New("mapping: stored tables do not fit the spec")
 
 // BuildTables returns the cost tables for spec from the process-wide store —
-// in memory, then in opt.CacheDir — measuring them on a miss. A miss fans the
-// nStages·P stage measurements and P data-parallel measurements out over a
-// sweep worker pool — each job is one isolated simulation — and the
-// assembled tables are stored in both tiers.
+// in memory, then in opt.CacheDir — measuring them on a miss. A stage on p
+// processors runs on the widest(caps, s, p) of them its cap allows (nil caps:
+// no cap), and the data-parallel program on as many as the narrowest cap
+// allows, so every column past a cap repeats the simulation at the cap. A
+// miss therefore measures each distinct (stage, width) and data-parallel
+// width once, fanned out over a sweep worker pool — each job is one isolated
+// simulation — fills every column of that width from its one result, and
+// stores the assembled tables in both tiers.
 //
-// stage(s, p) must return the per-set time of stage s on p processors and
-// dp(p) the whole-program data-parallel per-set time; both must be pure
+// stage(s, w) must return the per-set time of stage s on w processors and
+// dp(w) the whole-program data-parallel per-set time; both must be pure
 // functions of the spec (the memoization contract). Simulations are
 // deterministic in virtual time, so parallel and serial builds produce
 // identical tables.
-func BuildTables(spec TableSpec, opt BuildOptions,
-	stage func(s, p int) float64, dp func(p int) float64) (Tables, TableSource, error) {
+func BuildTables(spec TableSpec, opt BuildOptions, caps []int,
+	stage func(s, w int) float64, dp func(w int) float64) (Tables, TableSource, error) {
 	key := spec.Key()
 	nStages := len(spec.Stages)
 	if nStages == 0 || spec.P < 1 {
@@ -233,34 +237,40 @@ func BuildTables(spec TableSpec, opt BuildOptions,
 		return nil
 	}
 	return tables.GetOrCompute(opt.CacheDir, key, shape, func() (Tables, error) {
-		// One job per (stage, procs) cell plus one per DP processor count,
-		// indexed so results land in deterministic submission order.
-		n := nStages*spec.P + spec.P
-		results := sweep.MapNamed("cost-tables", opt.Workers, n, func(i int) (float64, error) {
-			if i < nStages*spec.P {
-				s, p := i/spec.P, i%spec.P+1
-				return stage(s, p), nil
+		// Stage s (s < 0: data parallel) takes widths 1 … widest(caps, s, P),
+		// one job each, from first[s+1] on, in deterministic submission order.
+		type job struct{ s, w int }
+		var jobs []job
+		first := make([]int, nStages+1)
+		for s := -1; s < nStages; s++ {
+			first[s+1] = len(jobs)
+			for w := 1; w <= widest(caps, s, spec.P); w++ {
+				jobs = append(jobs, job{s, w})
 			}
-			return dp(i - nStages*spec.P + 1), nil
+		}
+		results := sweep.MapNamed("cost-tables", opt.Workers, len(jobs), func(i int) (float64, error) {
+			if j := jobs[i]; j.s >= 0 {
+				return stage(j.s, j.w), nil
+			}
+			return dp(jobs[i].w), nil
 		})
-
+		for i, r := range results {
+			switch j := jobs[i]; {
+			case r.Err != nil && j.s >= 0:
+				return Tables{}, fmt.Errorf("mapping: stage %s on %d procs: %w", spec.Stages[j.s], j.w, r.Err)
+			case r.Err != nil:
+				return Tables{}, fmt.Errorf("mapping: data-parallel on %d procs: %w", j.w, r.Err)
+			}
+		}
+		at := func(s, p int) float64 { return results[first[s+1]+widest(caps, s, p)-1].Value }
 		t := Tables{Key: key, StageT: make([][]float64, nStages), DPT: make([]float64, spec.P+1)}
+		for p := 1; p <= spec.P; p++ {
+			t.DPT[p] = at(-1, p)
+		}
 		for s := range t.StageT {
 			t.StageT[s] = make([]float64, spec.P+1)
-		}
-		for i, r := range results {
-			if r.Err != nil {
-				if i < nStages*spec.P {
-					return Tables{}, fmt.Errorf("mapping: stage %s on %d procs: %w",
-						spec.Stages[i/spec.P], i%spec.P+1, r.Err)
-				}
-				return Tables{}, fmt.Errorf("mapping: data-parallel on %d procs: %w",
-					i-nStages*spec.P+1, r.Err)
-			}
-			if i < nStages*spec.P {
-				t.StageT[i/spec.P][i%spec.P+1] = r.Value
-			} else {
-				t.DPT[i-nStages*spec.P+1] = r.Value
+			for p := 1; p <= spec.P; p++ {
+				t.StageT[s][p] = at(s, p)
 			}
 		}
 		return t, nil

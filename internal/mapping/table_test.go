@@ -50,7 +50,7 @@ func TestBuildTablesComputesAndMemoizes(t *testing.T) {
 	var calls atomic.Int64
 	stage, dp := countingFns(&calls)
 
-	tab, src, err := BuildTables(spec, BuildOptions{Workers: 4}, stage, dp)
+	tab, src, err := BuildTables(spec, BuildOptions{Workers: 4}, nil, stage, dp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestBuildTablesComputesAndMemoizes(t *testing.T) {
 	}
 
 	// Second build: in-process memo hit, zero new simulations.
-	tab2, src2, err := BuildTables(spec, BuildOptions{Workers: 4}, stage, dp)
+	tab2, src2, err := BuildTables(spec, BuildOptions{Workers: 4}, nil, stage, dp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestBuildTablesDiskCache(t *testing.T) {
 	stage, dp := countingFns(&calls)
 
 	ResetTableMemo()
-	if _, src, err := BuildTables(spec, BuildOptions{CacheDir: dir}, stage, dp); err != nil || src != SourceComputed {
+	if _, src, err := BuildTables(spec, BuildOptions{CacheDir: dir}, nil, stage, dp); err != nil || src != SourceComputed {
 		t.Fatalf("cold build: src=%v err=%v", src, err)
 	}
 	first := calls.Load()
@@ -98,7 +98,7 @@ func TestBuildTablesDiskCache(t *testing.T) {
 	// Fresh process simulated by clearing the in-process memo: the disk
 	// cache must satisfy the build with zero simulations.
 	ResetTableMemo()
-	tab, src, err := BuildTables(spec, BuildOptions{CacheDir: dir}, stage, dp)
+	tab, src, err := BuildTables(spec, BuildOptions{CacheDir: dir}, nil, stage, dp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestBuildTablesDiskCache(t *testing.T) {
 	other := spec
 	other.Params = "N=32"
 	ResetTableMemo()
-	if _, src, err := BuildTables(other, BuildOptions{CacheDir: dir}, stage, dp); err != nil || src != SourceComputed {
+	if _, src, err := BuildTables(other, BuildOptions{CacheDir: dir}, nil, stage, dp); err != nil || src != SourceComputed {
 		t.Errorf("different params: src=%v err=%v, want computed", src, err)
 	}
 }
@@ -143,12 +143,12 @@ func TestBuildTablesRejectsCorruptCacheFile(t *testing.T) {
 		}
 		ResetTableMemo()
 		before := calls.Load()
-		if _, src, err := BuildTables(spec, BuildOptions{CacheDir: dir}, stage, dp); err != nil || src != SourceComputed || calls.Load() == before {
+		if _, src, err := BuildTables(spec, BuildOptions{CacheDir: dir}, nil, stage, dp); err != nil || src != SourceComputed || calls.Load() == before {
 			t.Errorf("misshapen cache %v: src=%v err=%v, want recompute", bad, src, err)
 		}
 		// The rebuild must have repaired the file.
 		ResetTableMemo()
-		if _, src, err := BuildTables(spec, BuildOptions{CacheDir: dir}, stage, dp); err != nil || src != SourceDisk {
+		if _, src, err := BuildTables(spec, BuildOptions{CacheDir: dir}, nil, stage, dp); err != nil || src != SourceDisk {
 			t.Errorf("after repair: src=%v err=%v, want disk hit", src, err)
 		}
 	}
@@ -164,7 +164,7 @@ func TestBuildTablesPropagatesJobPanic(t *testing.T) {
 		return 1
 	}
 	dp := func(p int) float64 { return 1 }
-	_, _, err := BuildTables(spec, BuildOptions{}, stage, dp)
+	_, _, err := BuildTables(spec, BuildOptions{}, nil, stage, dp)
 	if err == nil {
 		t.Fatal("panicking measurement did not fail the build")
 	}
@@ -201,7 +201,7 @@ func TestTablesModelAssembly(t *testing.T) {
 	spec := testSpec(4)
 	var calls atomic.Int64
 	stage, dp := countingFns(&calls)
-	tab, _, err := BuildTables(spec, BuildOptions{}, stage, dp)
+	tab, _, err := BuildTables(spec, BuildOptions{}, nil, stage, dp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestBuildTablesSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			launched <- struct{}{}
-			tab, src, err := BuildTables(spec, BuildOptions{Workers: 2}, stage, dp)
+			tab, src, err := BuildTables(spec, BuildOptions{Workers: 2}, nil, stage, dp)
 			if err != nil {
 				t.Errorf("client %d: %v", i, err)
 				return
@@ -282,12 +282,12 @@ func TestBuildTablesParallelEqualsSerial(t *testing.T) {
 	stage := func(s, p int) float64 { return float64((s+1)*1000+p) * 1e-6 }
 	dp := func(p int) float64 { return float64(p) * 1e-3 }
 	ResetTableMemo()
-	serial, _, err := BuildTables(spec, BuildOptions{Workers: 1}, stage, dp)
+	serial, _, err := BuildTables(spec, BuildOptions{Workers: 1}, nil, stage, dp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ResetTableMemo()
-	par, _, err := BuildTables(spec, BuildOptions{Workers: 8}, stage, dp)
+	par, _, err := BuildTables(spec, BuildOptions{Workers: 8}, nil, stage, dp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func FuzzTablesFile(f *testing.F) {
 		ResetTableMemo()
 		var calls atomic.Int64
 		stage, dp := countingFns(&calls)
-		tab, src, err := BuildTables(spec, BuildOptions{Workers: 1, CacheDir: dir}, stage, dp)
+		tab, src, err := BuildTables(spec, BuildOptions{Workers: 1, CacheDir: dir}, nil, stage, dp)
 		if err != nil {
 			t.Fatal(err)
 		}

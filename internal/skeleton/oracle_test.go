@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"fxpar/internal/cas"
 	"fxpar/internal/machine"
 	"fxpar/internal/sim"
 )
@@ -312,3 +313,6 @@ func TestEncodeMatchesOracle(t *testing.T) {
 		t.Error("store Encode accepted a NaN makespan")
 	}
 }
+
+// SourceCaptured: the skeleton was captured by a live traced run.
+const SourceCaptured = cas.SourceComputed

@@ -20,7 +20,7 @@ package skeleton
 //
 // Approximations, by construction:
 //   - all EvCompute time scales with the flop-rate ratio, including
-//     modelled Elapse phases and local copies;
+//     local copies;
 //   - changing PerHop is unsupported (hop counts are folded into Wire).
 
 import (

@@ -61,8 +61,6 @@ func (k StoreKey) Key() string {
 type Source = cas.Source
 
 const (
-	// SourceCaptured: the skeleton was captured by a live traced run.
-	SourceCaptured = cas.SourceComputed
 	// SourceMemory: in-process hit, no simulation ran.
 	SourceMemory = cas.SourceMemory
 	// SourceDisk: on-disk hit, no simulation ran.

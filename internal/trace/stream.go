@@ -345,23 +345,6 @@ func TopCommEdges(edges []CommEdge, k int) []CommEdge {
 	return ordered
 }
 
-// CommFromEvents computes the same communication matrix post-hoc from a
-// recorded event slice (typically Collector.Events()); the reference
-// implementation the streaming matrix is tested against.
-func CommFromEvents(evs []machine.Event) []CommEdge {
-	maxProc := 0
-	for _, e := range evs {
-		if e.Proc > maxProc {
-			maxProc = e.Proc
-		}
-	}
-	m := NewCommMatrix(maxProc + 1)
-	for _, e := range evs {
-		m.Record(e)
-	}
-	return m.Snapshot()
-}
-
 // WriteCommMatrix renders the edges as an aligned table, heaviest byte
 // traffic first (ties by src, dst).
 func WriteCommMatrix(w io.Writer, edges []CommEdge) {

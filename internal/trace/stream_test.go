@@ -165,3 +165,20 @@ func TestTeeFanOut(t *testing.T) {
 		t.Error("empty Tee should be nil")
 	}
 }
+
+// CommFromEvents computes the same communication matrix post-hoc from a
+// recorded event slice (typically Collector.Events()); the reference
+// implementation the streaming matrix is tested against.
+func CommFromEvents(evs []machine.Event) []CommEdge {
+	maxProc := 0
+	for _, e := range evs {
+		if e.Proc > maxProc {
+			maxProc = e.Proc
+		}
+	}
+	m := NewCommMatrix(maxProc + 1)
+	for _, e := range evs {
+		m.Record(e)
+	}
+	return m.Snapshot()
+}
