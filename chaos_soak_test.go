@@ -57,8 +57,11 @@ func TestChaosSoakP256AllProfiles(t *testing.T) {
 	}
 
 	seeds := []uint64{1, 7, 42}
-	for _, prof := range fault.Profiles() {
-		prof := prof
+	for _, name := range fault.ProfileNames() {
+		prof, err := fault.ProfileByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Run(prof.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range seeds {

@@ -29,7 +29,7 @@ import (
 type soakOutputs struct {
 	res     ffthist.Result
 	events  []machine.Event
-	metrics []byte // metrics.FromTrace snapshot JSON
+	metrics []byte // metrics.StreamSink snapshot JSON
 }
 
 func runEngineSoak(t *testing.T, eng machine.Engine, cfg ffthist.Config, mp mapping.Mapping) soakOutputs {
@@ -39,14 +39,14 @@ func runEngineSoak(t *testing.T, eng machine.Engine, cfg ffthist.Config, mp mapp
 func runEngineSoakFaults(t *testing.T, eng machine.Engine, cfg ffthist.Config, mp mapping.Mapping,
 	procs int, fp machine.FaultPlan) soakOutputs {
 	t.Helper()
-	col := &trace.Collector{}
+	col, sink := &trace.Collector{}, metrics.NewStreamSink(procs)
 	m := machine.New(procs, sim.Paragon())
 	m.SetEngine(eng)
-	m.SetTracer(col)
+	m.SetTracer(trace.Tee(col, sink))
 	m.SetFaults(fp)
 	res := ffthist.Run(m, cfg, mp)
 	evs := col.Events()
-	js, err := metrics.FromTrace(evs).Snapshot().JSON()
+	js, err := sink.Snapshot().JSON()
 	if err != nil {
 		t.Fatalf("%s metrics: %v", eng.Name(), err)
 	}
@@ -56,7 +56,7 @@ func runEngineSoakFaults(t *testing.T, eng machine.Engine, cfg ffthist.Config, m
 // TestEngineSoakP1024 runs the FFT-Hist pipeline on 1024 simulated
 // processors — 8 replicated modules of a 64/32/32 three-stage pipeline —
 // under the goroutine and the coop engine, and requires identical Events()
-// streams, RunStats, and metrics.FromTrace snapshots.
+// streams, RunStats, and metrics.StreamSink snapshots.
 func TestEngineSoakP1024(t *testing.T) {
 	cfg := ffthist.Config{N: 64, Sets: 16, Bins: 64}
 	if testing.Short() {
@@ -242,11 +242,15 @@ func TestEngineCampaignMakespans(t *testing.T) {
 func TestSweepCampaignMakespans(t *testing.T) {
 	const procs, jobs = 256, 24
 	run := func(workers int) []float64 {
-		vals, err := sweep.Values(sweep.Map(workers, jobs, func(j int) (float64, error) {
+		results := sweep.Map(workers, jobs, func(j int) (float64, error) {
 			return ringJob(procs, j, 4, false, nil), nil
-		}))
-		if err != nil {
-			t.Fatal(err)
+		})
+		vals := make([]float64, len(results))
+		for j, r := range results {
+			if r.Err != nil {
+				t.Fatalf("job %d: %v", j, r.Err)
+			}
+			vals[j] = r.Value
 		}
 		return vals
 	}

@@ -5,6 +5,7 @@
 package fxpar_test
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -36,10 +37,10 @@ func TestCoScheduledApplications(t *testing.T) {
 					[]dist.Axis{dist.BlockAxis()}, []int{4}))
 				a.FillFunc(func(idx []int) int64 { return int64((idx[0] * 2654435761) % 99991) })
 				qsort.Sort(p, a)
-				ok := qsort.IsSorted(p, a)
+				full := dist.GatherGlobal(p.Proc, a)
 				if p.VP() == 0 {
 					mu.Lock()
-					sorted = ok
+					sorted = len(full) == 5000 && slices.IsSorted(full)
 					mu.Unlock()
 				}
 			}},

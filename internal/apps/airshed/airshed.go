@@ -135,7 +135,7 @@ func transport(p *fx.Proc, a *dist.Array[float64], cfg Config) {
 		return
 	}
 	g := a.Layout().Group()
-	localG := a.LocalShape()[1]
+	localG := a.Layout().LocalCount(a.Rank()) / (cfg.Layers * cfg.Species)
 	if localG == 0 {
 		return
 	}

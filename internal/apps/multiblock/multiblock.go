@@ -177,9 +177,9 @@ func jacobiStep(p *fx.Proc, cur, next *dist.Array[float64]) {
 		return
 	}
 	above, below := dist.HaloRows(p.Proc, cur, 1)
-	w := cur.LocalShape()[1]
-	rows := cur.LocalShape()[0]
-	h := cur.Layout().Shape()[0]
+	shape := cur.Layout().Shape()
+	h, w := shape[0], shape[1]
+	rows := cur.Layout().LocalCount(cur.Rank()) / w
 	local := cur.Local()
 	out := next.Local()
 	rowAt := func(r int) []float64 {

@@ -213,40 +213,3 @@ func sortedAndSameMultiset(full []int64, n int, seed int64) bool {
 	}
 	return true
 }
-
-// IsSorted checks order of a block-distributed array: each processor checks
-// its local run and the boundary with its right neighbour, and the verdicts
-// are combined across the group.
-func IsSorted[T cmp.Ordered](p *fx.Proc, a *dist.Array[T]) bool {
-	g := a.Layout().Group()
-	if a.Rank() < 0 {
-		return true
-	}
-	local := a.Local()
-	ok := 1
-	for i := 1; i < len(local); i++ {
-		if local[i-1] > local[i] {
-			ok = 0
-		}
-	}
-	// Boundary exchange: send my first element left.
-	size := 0
-	for r := 0; r < g.Size(); r++ {
-		if a.Layout().LocalCount(r) > 0 {
-			size++
-		}
-	}
-	rank := a.Rank()
-	if rank < size && len(local) > 0 {
-		if rank > 0 {
-			comm.Send(p.Proc, g, rank-1, []T{local[0]})
-		}
-		if rank < size-1 {
-			next := comm.Recv[T](p.Proc, g, rank+1)
-			if local[len(local)-1] > next[0] {
-				ok = 0
-			}
-		}
-	}
-	return comm.AllReduce(p.Proc, g, ok, func(x, y int) int { return x * y }) == 1
-}

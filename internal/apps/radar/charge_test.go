@@ -62,8 +62,9 @@ func runCell(t *testing.T, cfg Config, s, procs int, eng machine.Engine) cellRun
 // run as cells runs it, charged from shape, returns the value, and records
 // the events, statistics and skeleton, of the same cell computing its
 // values, under both engine families: at the quick size for every p ≤ 20,
-// at the paper size from 1 to 64 processors. The value MeasuredModel
-// tabulates agrees too.
+// at the paper size from 1 to 64 processors, and at the thresholds 0 and 2
+// that keep every element of the threshold cell and none. The value
+// MeasuredModel tabulates agrees too.
 func TestChargedCellsMatchComputed(t *testing.T) {
 	quick := make([]int, 20)
 	for i := range quick {
@@ -75,6 +76,8 @@ func TestChargedCellsMatchComputed(t *testing.T) {
 	}{
 		{Config{Gates: 64, Rows: 8, Scale: 1.0 / 64, Threshold: 0.05}, quick},
 		{DefaultConfig(), []int{1, 2, 7, 16, 33, 64}},
+		{Config{Gates: 64, Rows: 8, Scale: 1.0 / 64, Threshold: 0}, []int{1, 3, 8}},
+		{Config{Gates: 64, Rows: 8, Scale: 1.0 / 64, Threshold: 2}, []int{1, 3, 8}},
 	} {
 		mapping.ResetTableMemo()
 		model, _, err := MeasuredModel(sim.Paragon(), tc.cfg, slices.Max(tc.ps), mapping.BuildOptions{Workers: 2})

@@ -143,10 +143,11 @@ func program(cfg Config) streams.Program[complex128, int] {
 			New: func(p *fx.Proc, a *dist.Array[complex128], done done) func(int) {
 				// The report I/O counts the detections found. Real data sets
 				// yield one per row by construction, so the stage run alone as
-				// a cost-table cell (done == nil) starts with one per local
-				// row and writes a representative report.
-				if done == nil && a.IsMember() {
-					for r := range a.LocalShape()[0] {
+				// a cost-table cell (done == nil) starts with a 1 at the head
+				// of each local row and writes a representative report; under
+				// charge it counts them without storage (thresholdAndReport).
+				if done == nil && !cfg.charge && a.IsMember() {
+					for r := range a.Layout().LocalCount(a.Rank()) / cfg.Gates {
 						a.Local()[r*cfg.Gates] = complex(1, 0)
 					}
 				}
@@ -221,19 +222,25 @@ func scaleLocal(p *fx.Proc, a *dist.Array[complex128], cfg Config) {
 
 // thresholdAndReport thresholds locally and reduces the detection count to
 // rank 0, which writes the detections out and completes the set. Under
-// charge in a run (det set, done not nil) each local row's count comes from
-// det.
+// charge, in a run (done not nil) each local row's count comes from det,
+// and in a cell it is the count of the cell's data: a 1 per local row,
+// zeros elsewhere (see program).
 func thresholdAndReport(p *fx.Proc, a *dist.Array[complex128], cfg Config, det *detections, set int, done done) {
 	if !a.IsMember() {
 		return
 	}
 	n, kept := a.Layout().LocalCount(a.Rank()), 0
-	if det != nil && done != nil {
+	switch {
+	case cfg.charge && done != nil:
 		rows := det.of(set)
 		for r := range n / cfg.Gates {
 			kept += rows[a.GlobalRowOfLocal(r)]
 		}
-	} else {
+	case cfg.charge:
+		one, _ := fft.Threshold([]complex128{1}, cfg.Threshold)
+		zero, _ := fft.Threshold([]complex128{0}, cfg.Threshold)
+		kept = n/cfg.Gates*one + (n-n/cfg.Gates)*zero
+	default:
 		kept, _ = fft.Threshold(a.Local(), cfg.Threshold)
 	}
 	p.Compute(float64(n) * fft.ThresholdFlops)

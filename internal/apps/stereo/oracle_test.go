@@ -130,7 +130,7 @@ func oracleErrorStage(p *fx.Proc, vol *dist.Array[float64], cfg Config) {
 	g := vol.Layout().Group()
 	w := cfg.W
 	win := cfg.Window
-	localRows := vol.LocalShape()[1]
+	localRows := vol.Layout().LocalShape(vol.Rank())[1]
 	local := vol.Local()
 	rank := vol.Rank()
 	// BLOCK distribution can leave trailing ranks empty (ceil division);

@@ -228,7 +228,7 @@ func diffStage(p *fx.Proc, vol *dist.Array[float64], in *frames, cfg Config, set
 
 	// vol[d][i][j] = sum over match images m of (ref[i][j-d*m] - match_m[i][j])^2,
 	// following the match geometry above (edge-replicated).
-	localRows := in.ref.LocalShape()[0]
+	localRows := in.ref.Layout().LocalCount(in.ref.Rank()) / w
 	flops := float64(cfg.Disparities*localRows*w) * DiffFlops * 2
 	if cfg.charge {
 		p.Compute(flops)
@@ -276,7 +276,7 @@ func errorStage(p *fx.Proc, vol *dist.Array[float64], cfg Config) {
 	g := vol.Layout().Group()
 	w := cfg.W
 	win := cfg.Window
-	localRows := vol.LocalShape()[1]
+	localRows := vol.Layout().LocalCount(vol.Rank()) / (cfg.Disparities * w)
 	rank := vol.Rank()
 	// BLOCK distribution can leave trailing ranks empty (ceil division);
 	// the non-empty ranks form a contiguous prefix that carries the halo
@@ -435,7 +435,7 @@ func depthStage(p *fx.Proc, vol *dist.Array[float64], depth *dist.Array[int32], 
 		return
 	}
 	w := cfg.W
-	localRows := vol.LocalShape()[1]
+	localRows := vol.Layout().LocalCount(vol.Rank()) / (cfg.Disparities * w)
 	var sum int64
 	if !cfg.charge {
 		local, dlocal := vol.Local(), depth.Local()

@@ -61,12 +61,13 @@ func TestSingletonCollectivesAllocFree(t *testing.T) {
 	})
 }
 
-// TestOwnedPayloadsSentWithoutCopy pins the sends that hand over a slice
-// comm already owns: SendVal's one-element slice and a non-root ReduceSlice
-// member's accumulator go out as they are, without Send's second copy. The
-// sender runs alone under the one-worker coop engine (sends never block), so
-// the counts are its own: SendVal makes the slice and boxes it (2), a leaf's
-// ReduceSlice copies its input and boxes it (2; Send's copy made it 3).
+// TestOwnedPayloadsSentWithoutCopy pins the sends that hand over what comm
+// already owns: SendVal's value and a non-root ReduceSlice member's
+// accumulator go out as they are, without Send's copy. The sender runs alone
+// under the one-worker coop engine (sends never block), so the counts are
+// its own: SendVal boxes its value (1, for an int past the runtime's
+// allocation-free small ints; a one-element slice made it 2), a
+// leaf's ReduceSlice copies its input and boxes it (2; Send's copy made it 3).
 func TestOwnedPayloadsSentWithoutCopy(t *testing.T) {
 	const runs = 100
 	add := func(a, b int) int { return a + b }
@@ -76,8 +77,8 @@ func TestOwnedPayloadsSentWithoutCopy(t *testing.T) {
 		send func(p *machine.Proc, g *group.Group)
 		recv func(p *machine.Proc, g *group.Group)
 	}{
-		{"SendVal", 2,
-			func(p *machine.Proc, g *group.Group) { SendVal(p, g, 0, 7) },
+		{"SendVal", 1,
+			func(p *machine.Proc, g *group.Group) { SendVal(p, g, 0, 1000) },
 			func(p *machine.Proc, g *group.Group) { RecvVal[int](p, g, 1) }},
 		{"ReduceSlice", 2,
 			func(p *machine.Proc, g *group.Group) { ReduceSlice(p, g, 0, []int{1, 2, 3}, add) },

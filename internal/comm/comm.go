@@ -76,18 +76,15 @@ func Recv[T any](p *machine.Proc, g *group.Group, srcRank int) []T {
 	return data
 }
 
-// SendVal transmits a single value.
+// SendVal transmits a single value: the value itself, with the byte count of
+// a one-element slice, so a send allocates at most its interface box.
 func SendVal[T any](p *machine.Proc, g *group.Group, dstRank int, v T) {
-	sendOwned(p, g, dstRank, []T{v})
+	p.Send(g.Phys(dstRank), v, ElemBytes[T]())
 }
 
-// RecvVal receives a single value.
+// RecvVal receives a single value sent by SendVal.
 func RecvVal[T any](p *machine.Proc, g *group.Group, srcRank int) T {
-	s := Recv[T](p, g, srcRank)
-	if len(s) != 1 {
-		panic(fmt.Sprintf("comm: RecvVal got %d values", len(s)))
-	}
-	return s[0]
+	return p.Recv(g.Phys(srcRank)).Data.(T)
 }
 
 // barrierToken is the tiny payload exchanged by barrier rounds.

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 
 	"fxpar/internal/machine"
 )
@@ -15,8 +16,10 @@ type Array[T any] struct {
 	p *machine.Proc
 	// rank is this processor's rank in the owning group, or -1.
 	rank int
-	// localShape caches LocalShape(rank); nil for non-members.
+	// localShape holds this member's local extents, in ext up to
+	// inlineRank; nil for non-members.
 	localShape []int
+	ext        [inlineRank]int
 	// data is the local part in row-major order of local indices; nil until
 	// local first touches it.
 	data []T
@@ -24,16 +27,16 @@ type Array[T any] struct {
 }
 
 // New returns a distributed array with the given layout. It records the
-// layout and allocates nothing: a member's local part is allocated, zeroed,
-// the first time an accessor or a data movement touches it, so an array
-// that is never read or written costs no storage. Other processors get a
-// storage-less descriptor, mirroring the Fx compiler's dynamic allocation in
-// SPMD code.
+// layout and allocates only the descriptor: a member's local part is
+// allocated, zeroed, the first time an accessor or a data movement touches
+// it, so an array that is never read or written costs no storage. Other
+// processors get a storage-less descriptor, mirroring the Fx compiler's
+// dynamic allocation in SPMD code.
 func New[T any](p *machine.Proc, l *Layout) *Array[T] {
 	a := &Array[T]{l: l, p: p, rank: -1}
 	if r, ok := l.g.RankOf(p.ID()); ok {
 		a.rank = r
-		a.localShape = l.LocalShape(r)
+		a.localShape = l.localShapeInto(slices.Grow(a.ext[:0], len(l.dims))[:len(l.dims)], r)
 	}
 	return a
 }
@@ -59,9 +62,6 @@ func (a *Array[T]) Rank() int { return a.rank }
 // Local returns this processor's local part (row-major local order); nil on
 // non-members. Mutating it mutates the array.
 func (a *Array[T]) Local() []T { return a.local() }
-
-// LocalShape returns this processor's local extents; nil on non-members.
-func (a *Array[T]) LocalShape() []int { return append([]int(nil), a.localShape...) }
 
 // At returns the element at a global index; it panics if this processor is
 // not the owner (remote access requires explicit communication, as in any

@@ -281,18 +281,13 @@ func ScatterGlobal[T any](p *machine.Proc, a *Array[T], full []T) {
 }
 
 // rootView presents global (row-major, significant at rank 0 of a's group)
-// as an array of a's shape that rank 0 owns whole — every dimension
-// collapsed over the one-processor group — so gathering to and scattering
-// from the root are assignments like any other. The view is built on a's
-// first gather or scatter and kept on a; each call only swaps global in.
+// as an array of a's shape that rank 0 owns whole (see Layout.rootLayout),
+// so gathering to and scattering from the root are assignments like any
+// other. The view is built on a's first gather or scatter and kept on a;
+// each call only swaps global in.
 func rootView[T any](a *Array[T], global []T) *Array[T] {
 	if a.root == nil {
-		axes := make([]Axis, a.l.Rank()) // the zero Axis is collapsed
-		ones := make([]int, a.l.Rank())
-		for d := range ones {
-			ones[d] = 1
-		}
-		a.root = &Array[T]{p: a.p, rank: -1, l: MustLayout(a.l.g.Subrange(0, 1), a.l.shape, axes, ones)}
+		a.root = &Array[T]{p: a.p, rank: -1, l: a.l.rootLayout()}
 		if a.rank == 0 {
 			a.root.rank, a.root.localShape = 0, a.l.shape
 		}

@@ -13,6 +13,8 @@ package dist
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"fxpar/internal/group"
 )
@@ -192,37 +194,76 @@ type Layout struct {
 	g     *group.Group
 	// gridStride[d] converts grid coordinates to a group rank, row-major.
 	gridStride []int
+	// root is rootLayout's result, built on first use.
+	root atomic.Pointer[Layout]
 }
 
 // allocLayout returns a layout over g holding copies of shape, axes and
-// grid, with dims and gridStride allocated for the caller to fill: all in
-// one allocation up to rank 2, which every sensor program's layout has.
+// grid, with dims and gridStride allocated for the caller to fill.
 func allocLayout(g *group.Group, shape []int, axes []Axis, grid []int) *Layout {
 	nd := len(shape)
-	var l *Layout
-	var ints []int
-	if nd <= 2 {
-		b := new(struct {
-			Layout
-			i [6]int
-			a [2]Axis
-			d [2]dim
-		})
-		l, ints, b.axes, b.dims = &b.Layout, b.i[:3*nd], b.a[:nd:nd], b.d[:nd:nd]
-	} else {
-		l, ints = &Layout{axes: make([]Axis, nd), dims: make([]dim, nd)}, make([]int, 3*nd)
-	}
-	l.g, l.shape, l.grid, l.gridStride = g, ints[:nd:nd], ints[nd:2*nd:2*nd], ints[2*nd:]
-	copy(l.shape, shape)
-	copy(l.axes, axes)
-	copy(l.grid, grid)
-	return l
+	ints := make([]int, 3*nd)
+	copy(ints, shape)
+	copy(ints[nd:], grid)
+	return &Layout{g: g, shape: ints[:nd:nd], grid: ints[nd : 2*nd : 2*nd], gridStride: ints[2*nd:],
+		axes: append([]Axis(nil), axes...), dims: make([]dim, nd)}
 }
 
-// NewLayout creates a layout of the given global shape over g, with one
+// NewLayout returns a layout of the given global shape over g, with one
 // Axis and one grid extent per dimension. The product of grid extents must
-// equal the group size.
+// equal the group size. A layout is immutable, and every member of a group
+// asks for the same one, so over a contiguous group up to rank inlineRank
+// all callers share one (see layouts); an error is never stored.
 func NewLayout(g *group.Group, shape []int, axes []Axis, grid []int) (*Layout, error) {
+	k := layoutKey{rank: len(shape)}
+	contig := false
+	if g != nil {
+		k.base, contig = g.Contiguous()
+		k.size = g.Size()
+	}
+	if !contig || k.rank > inlineRank || len(axes) != k.rank || len(grid) != k.rank {
+		return buildLayout(g, shape, axes, grid)
+	}
+	copy(k.shape[:], shape)
+	copy(k.grid[:], grid)
+	copy(k.axes[:], axes)
+	layouts.Lock()
+	defer layouts.Unlock()
+	if l := layouts.m[k]; l != nil {
+		return l, nil
+	}
+	l, err := buildLayout(g, shape, axes, grid)
+	if err == nil {
+		if len(layouts.m) >= 4096 { // far above a campaign's working set
+			layouts.m = make(map[layoutKey]*Layout)
+		}
+		layouts.m[k] = l
+	}
+	return l, err
+}
+
+// layouts holds the shared layouts: every member of a group asks for the
+// same one, once per array per run, and one build serves them all. It is
+// process-wide and bounded: it starts over when full.
+var layouts = struct {
+	sync.Mutex
+	m map[layoutKey]*Layout
+}{m: make(map[layoutKey]*Layout)}
+
+// inlineRank is the highest rank whose extents a layout key, and an array's
+// local extents, hold inline.
+const inlineRank = 3
+
+// layoutKey names a layout by contents. A contiguous group is named by
+// (base, size), not by its pointer: Subrange builds a Group per caller.
+type layoutKey struct {
+	base, size, rank int
+	shape, grid      [inlineRank]int
+	axes             [inlineRank]Axis
+}
+
+// buildLayout is NewLayout without the table.
+func buildLayout(g *group.Group, shape []int, axes []Axis, grid []int) (*Layout, error) {
 	if g == nil || g.Size() == 0 {
 		return nil, fmt.Errorf("dist: layout needs a non-empty group")
 	}
@@ -309,6 +350,22 @@ func NewAligned(base *Layout, shape, offsets []int) (*Layout, error) {
 	return l, nil
 }
 
+// rootLayout returns the layout rootView presents a global array through:
+// l's shape with every dimension collapsed over the one-processor group of
+// l's rank 0. It is built once per layout and shared by every member.
+func (l *Layout) rootLayout() *Layout {
+	if r := l.root.Load(); r != nil {
+		return r
+	}
+	ones := make([]int, len(l.shape))
+	for d := range ones {
+		ones[d] = 1
+	}
+	// The zero Axis is collapsed. A concurrent first build may win the swap.
+	l.root.CompareAndSwap(nil, MustLayout(l.g.Subrange(0, 1), l.shape, make([]Axis, len(ones)), ones))
+	return l.root.Load()
+}
+
 // Rank returns the number of dimensions.
 func (l *Layout) Rank() int { return len(l.shape) }
 
@@ -348,7 +405,11 @@ func (l *Layout) OwnerRank(idx ...int) int {
 
 // LocalShape returns the local extents on the given group rank.
 func (l *Layout) LocalShape(rank int) []int {
-	out := make([]int, len(l.dims))
+	return l.localShapeInto(make([]int, len(l.dims)), rank)
+}
+
+// localShapeInto writes the local extents on the given rank into out.
+func (l *Layout) localShapeInto(out []int, rank int) []int {
 	for i, d := range l.dims {
 		out[i] = d.localCount(l.coord(rank, i))
 	}

@@ -1,10 +1,12 @@
 package dist
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"fxpar/internal/group"
+	"fxpar/internal/machine"
 )
 
 func mkDim(t *testing.T, n, q int, a Axis) dim {
@@ -133,6 +135,94 @@ func TestNewLayoutErrors(t *testing.T) {
 	if _, err := NewLayout(g, []int{4}, []Axis{BlockCyclicAxis(0)}, []int{4}); err == nil {
 		t.Error("zero block size accepted")
 	}
+}
+
+// arraySink keeps the arrays an allocation count makes on the heap.
+var arraySink *Array[float64]
+
+// TestLayoutSharedPerGroup: every caller of NewLayout with equal arguments
+// over a contiguous group gets one layout, whichever Group value names the
+// group, and any other argument gets another; an invalid layout is never
+// stored; concurrent first builds, and their root views, agree; and New on
+// a warm layout allocates only the array.
+func TestLayoutSharedPerGroup(t *testing.T) {
+	world := group.World(8)
+	shape, axes := []int{12, 5}, []Axis{BlockAxis(), CollapsedAxis()}
+	l := MustLayout(group.World(4), shape, axes, []int{4, 1})
+	for name, g := range map[string]*group.Group{
+		"another World(4)":        group.World(4),
+		"Subrange(0, 4)":          world.Subrange(0, 4),
+		"a second Subrange(0, 4)": world.Subrange(0, 8).Subrange(0, 4),
+	} {
+		if got := MustLayout(g, shape, axes, []int{4, 1}); got != l {
+			t.Errorf("%s: a second layout for equal arguments", name)
+		}
+	}
+	for name, other := range map[string]*Layout{
+		"shape": MustLayout(world.Subrange(0, 4), []int{13, 5}, axes, []int{4, 1}),
+		"axis":  MustLayout(world.Subrange(0, 4), shape, []Axis{CyclicAxis(), CollapsedAxis()}, []int{4, 1}),
+		"grid":  MustLayout(world.Subrange(0, 4), shape, []Axis{BlockAxis(), BlockAxis()}, []int{2, 2}),
+		"base":  MustLayout(world.Subrange(1, 5), shape, axes, []int{4, 1}),
+	} {
+		if other == l {
+			t.Errorf("a different %s shares the layout", name)
+		}
+	}
+	shuffled := group.MustNew([]int{3, 1, 2, 0})
+	if MustLayout(shuffled, shape, axes, []int{4, 1}) == MustLayout(shuffled, shape, axes, []int{4, 1}) {
+		t.Error("a non-contiguous group's layout was shared")
+	}
+
+	layouts.Lock()
+	stored := len(layouts.m)
+	layouts.Unlock()
+	for range 2 {
+		if _, err := NewLayout(world, shape, axes, []int{4, 1}); err == nil {
+			t.Fatal("grid of 4 cells over 8 processors accepted")
+		}
+		if _, err := NewLayout(world, []int{0, 5}, axes, []int{8, 1}); err == nil {
+			t.Fatal("zero extent accepted")
+		}
+	}
+	layouts.Lock()
+	if len(layouts.m) != stored {
+		t.Errorf("invalid layouts were stored: %d entries, then %d", stored, len(layouts.m))
+	}
+	layouts.Unlock()
+
+	const callers = 64
+	wide := group.World(callers)
+	var wg sync.WaitGroup
+	got, roots := make([]*Layout, callers), make([]*Layout, callers)
+	start := make(chan struct{})
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i] = RowBlock2D(wide.Subrange(0, callers), 1001, 3)
+			roots[i] = got[i].rootLayout()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := range got {
+		if got[i] != got[0] || roots[i] != roots[0] {
+			t.Fatalf("caller %d of %d concurrent first builds got its own layout or root view", i, callers)
+		}
+	}
+
+	if raceEnabled {
+		return // the race detector's instrumentation allocates
+	}
+	vol := MustLayout(group.World(2), []int{3, 8, 5}, []Axis{CollapsedAxis(), BlockAxis(), CollapsedAxis()}, []int{1, 2, 1})
+	testMachine(1).Run(func(p *machine.Proc) {
+		for _, warm := range []*Layout{RowBlock2D(group.World(1), 8, 5), vol} {
+			if allocs := testing.AllocsPerRun(100, func() { arraySink = New[float64](p, warm) }); allocs != 1 {
+				t.Errorf("New on a warm %v allocates %v times, want 1", warm, allocs)
+			}
+		}
+	})
 }
 
 func TestLayoutOwnerAndLocal2D(t *testing.T) {

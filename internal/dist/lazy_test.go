@@ -21,7 +21,7 @@ func TestNewDefersStorage(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		a := New[float64](p, l)
-		_, _, _ = a.LocalShape(), a.localShape[0], a.l.OwnerRank(0, 0) == a.rank
+		_, _ = a.localShape[0], a.l.OwnerRank(0, 0) == a.rank
 		runtime.ReadMemStats(&after)
 		if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<10 {
 			t.Errorf("processor %d: New and the descriptor queries allocated %d bytes", p.ID(), d)

@@ -88,9 +88,6 @@ var profiles = []Profile{
 // non-lethal fault class at once.
 const DefaultProfile = "flaky"
 
-// Profiles returns the built-in profiles in definition order.
-func Profiles() []Profile { return append([]Profile(nil), profiles...) }
-
 // ProfileNames returns the accepted profile names, for flag help text.
 func ProfileNames() []string {
 	names := make([]string, len(profiles))

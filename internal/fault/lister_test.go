@@ -2,6 +2,9 @@ package fault
 
 import "testing"
 
+// Profiles returns the built-in profiles in definition order.
+func Profiles() []Profile { return append([]Profile(nil), profiles...) }
+
 // TestProcFaultsMatchesProbes: for every built-in profile, ProcFaults must
 // visit exactly the processors SlowFactor or DeathTime afflicts, with the
 // same draws.

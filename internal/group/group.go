@@ -110,6 +110,10 @@ func (g *Group) RankOf(id int) (r int, ok bool) {
 	return
 }
 
+// Contiguous returns base and true when the group maps virtual id r to
+// physical id base+r; such a group is named by (base, Size()) alone.
+func (g *Group) Contiguous() (base int, ok bool) { return g.base, g.contig }
+
 // Contains reports whether physical processor id is a member.
 func (g *Group) Contains(id int) bool {
 	_, ok := g.RankOf(id)

@@ -5,7 +5,27 @@ import (
 	"testing"
 
 	"fxpar/internal/machine"
+	"fxpar/internal/trace"
 )
+
+// FromTrace, the post-hoc oracle the online sink is held to, builds a
+// registry from a run's events (typically Collector.Events(); any order is
+// accepted, the input is not modified) by replaying them, sorted into
+// per-processor program order, into a StreamSink. The result is a pure
+// function of the event values, which are virtual-time deterministic.
+func FromTrace(evs []machine.Event) *Registry {
+	sorted := append([]machine.Event(nil), evs...)
+	trace.SortEvents(sorted)
+	procs := 0
+	if n := len(sorted); n > 0 {
+		procs = max(sorted[n-1].Proc+1, 0)
+	}
+	s := NewStreamSink(procs)
+	for _, e := range sorted {
+		s.Record(e)
+	}
+	return s.Registry()
+}
 
 // TestChaosEventsCounted: EvFault/EvRetry events land in the chaos counters
 // of their owning operation and of the totals, on both the streaming and

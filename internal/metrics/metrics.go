@@ -114,7 +114,7 @@ type Totals struct {
 }
 
 // Registry accumulates per-(group, operation) metrics. The zero value is
-// not ready; use NewRegistry or FromTrace.
+// not ready; use NewRegistry or a StreamSink.
 type Registry struct {
 	ops    map[string]*OpMetrics // key: group + "\x00" + op
 	totals Totals
@@ -144,9 +144,6 @@ func keyOf(label string) (group, op string) {
 	}
 	return group, op
 }
-
-// FromTrace (see stream.go) builds a registry from a run's events by
-// replaying them into the online StreamSink.
 
 // Snapshot is a deterministic, serializable view of a registry: operations
 // sorted by (group, op).

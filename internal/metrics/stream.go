@@ -1,7 +1,7 @@
 package metrics
 
 // Streaming aggregation: the same per-(group, operation) registry the
-// post-hoc FromTrace pipeline produces, maintained online as the run emits
+// tests' post-hoc FromTrace replay produces, maintained online as the run emits
 // events, in O(procs + groups) memory — no event slice is ever retained.
 //
 // Byte-identical snapshots are guaranteed by construction, not by luck: all
@@ -18,7 +18,6 @@ import (
 
 	"fxpar/internal/forkjoin"
 	"fxpar/internal/machine"
-	"fxpar/internal/trace"
 )
 
 // frame is one open span on a processor's stack: where it started and the
@@ -290,23 +289,3 @@ func (s *StreamSink) Registry() *Registry {
 
 // Snapshot merges and materializes the registry in sorted order.
 func (s *StreamSink) Snapshot() Snapshot { return s.Registry().Snapshot() }
-
-// FromTrace builds a registry from a run's events (typically
-// Collector.Events(); any order is accepted, the input is not modified) by
-// replaying them, sorted into per-processor program order, into a
-// StreamSink — the same way trace.CommFromEvents replays into a CommMatrix.
-// The result is a pure function of the event values, which are virtual-time
-// deterministic, and agrees with the online sink byte for byte.
-func FromTrace(evs []machine.Event) *Registry {
-	sorted := append([]machine.Event(nil), evs...)
-	trace.SortEvents(sorted)
-	procs := 0
-	if n := len(sorted); n > 0 {
-		procs = max(sorted[n-1].Proc+1, 0)
-	}
-	s := NewStreamSink(procs)
-	for _, e := range sorted {
-		s.Record(e)
-	}
-	return s.Registry()
-}

@@ -68,16 +68,3 @@ func runJob[T any](i int, fn func(i int) (T, error), out *Result[T]) {
 	}()
 	out.Value, out.Err = fn(i)
 }
-
-// Values unwraps a fully successful campaign into its values. It returns
-// the first error encountered (in submission order) if any job failed.
-func Values[T any](results []Result[T]) ([]T, error) {
-	out := make([]T, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("sweep: job %d: %w", i, r.Err)
-		}
-		out[i] = r.Value
-	}
-	return out, nil
-}

@@ -99,6 +99,19 @@ func TestMapZeroJobs(t *testing.T) {
 	}
 }
 
+// Values unwraps a fully successful campaign into its values. It returns
+// the first error encountered (in submission order) if any job failed.
+func Values[T any](results []Result[T]) ([]T, error) {
+	out := make([]T, len(results))
+	for i, r := range results {
+		if r.Err != nil {
+			return nil, fmt.Errorf("sweep: job %d: %w", i, r.Err)
+		}
+		out[i] = r.Value
+	}
+	return out, nil
+}
+
 func TestValues(t *testing.T) {
 	good := Map(2, 3, func(i int) (int, error) { return i, nil })
 	vals, err := Values(good)
