@@ -40,6 +40,18 @@ func chaosSoakRun(procs int, cfg ffthist.Config, mp mapping.Mapping, pl *fault.P
 	return res, nil
 }
 
+// victims returns the processors pl kills on a machine of n processors,
+// with their death times.
+func victims(pl *fault.Plan, n int) map[int]float64 {
+	v := make(map[int]float64)
+	for i := 0; i < n; i++ {
+		if t, ok := pl.DeathTime(i); ok {
+			v[i] = t
+		}
+	}
+	return v
+}
+
 // TestChaosSoakP256AllProfiles: for every profile and several seeds, the run
 // must finish within a generous host watchdog and either reproduce the
 // healthy output exactly or fail with a RunError whose root cause is a
@@ -85,23 +97,23 @@ func TestChaosSoakP256AllProfiles(t *testing.T) {
 				}
 
 				if out.err != nil {
-					if !prof.Lethal() {
+					if prof.KillProb == 0 {
 						t.Fatalf("plan %s: non-lethal profile failed the run: %v", pl, out.err)
 					}
 					var death *machine.ProcDeathError
 					if !errors.As(out.err, &death) {
 						t.Fatalf("plan %s: failure has no ProcDeathError root: %v", pl, out.err)
 					}
-					victims := pl.Victims(procs)
-					if _, planned := victims[death.Proc]; !planned {
-						t.Fatalf("plan %s: processor %d died but the plan kills %v", pl, death.Proc, victims)
+					planned := victims(pl, procs)
+					if _, ok := planned[death.Proc]; !ok {
+						t.Fatalf("plan %s: processor %d died but the plan kills %v", pl, death.Proc, planned)
 					}
 					continue
 				}
-				if prof.Lethal() && len(pl.Victims(procs)) > 0 {
+				if v := victims(pl, procs); len(v) > 0 {
 					// Victims whose death time lies beyond their last operation
 					// legitimately survive; completing correctly is fine.
-					t.Logf("plan %s: victims %v outlived the run", pl, pl.Victims(procs))
+					t.Logf("plan %s: victims %v outlived the run", pl, v)
 				}
 				if !reflect.DeepEqual(out.res.Hists, healthy.Hists) {
 					t.Fatalf("plan %s: run completed with corrupted output", pl)

@@ -73,14 +73,15 @@ type Result struct {
 // sample generates element (gate, row) of data set s: background noise plus
 // one unit-amplitude tone per row. The row FFT concentrates the tone into a
 // single bin of magnitude ~Gates, so after 1/Gates scaling each row yields
-// exactly one above-threshold detection over the noise floor.
+// exactly one above-threshold detection over the noise floor. The noise
+// terms convert each product to float64, so no CPU fuses a multiply-add.
 func sample(s, gate, row, gates int) complex128 {
 	h := uint32(s*2246822519) ^ uint32(gate*2654435761+row*40503)
 	h ^= h >> 15
 	h *= 2246822519
 	h ^= h >> 13
-	re := (float64(h%2048)/2048 - 0.5) * 0.2
-	im := (float64((h>>11)%2048)/2048 - 0.5) * 0.2
+	re := float64((float64(float64(h%2048)/2048) - 0.5) * 0.2)
+	im := float64((float64(float64((h>>11)%2048)/2048) - 0.5) * 0.2)
 	k0 := (uint32(s*31+row*17) * 2654435761 >> 16) % uint32(gates) // per-row target frequency
 	phase := 2 * math.Pi * float64(k0) * float64(gate) / float64(gates)
 	return complex(re+math.Cos(phase), im+math.Sin(phase))

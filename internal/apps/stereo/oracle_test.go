@@ -130,7 +130,12 @@ func oracleErrorStage(p *fx.Proc, vol *dist.Array[float64], cfg Config) {
 	g := vol.Layout().Group()
 	w := cfg.W
 	win := cfg.Window
-	localRows := vol.Layout().LocalShape(vol.Rank())[1]
+	localRows := 0
+	for y := 0; y < cfg.H; y++ {
+		if vol.Layout().OwnerRank(0, y, 0) == vol.Rank() {
+			localRows++
+		}
+	}
 	local := vol.Local()
 	rank := vol.Rank()
 	// BLOCK distribution can leave trailing ranks empty (ceil division);

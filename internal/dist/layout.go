@@ -403,11 +403,6 @@ func (l *Layout) OwnerRank(idx ...int) int {
 	return r
 }
 
-// LocalShape returns the local extents on the given group rank.
-func (l *Layout) LocalShape(rank int) []int {
-	return l.localShapeInto(make([]int, len(l.dims)), rank)
-}
-
 // localShapeInto writes the local extents on the given rank into out.
 func (l *Layout) localShapeInto(out []int, rank int) []int {
 	for i, d := range l.dims {

@@ -9,6 +9,11 @@ import (
 	"fxpar/internal/machine"
 )
 
+// LocalShape returns the local extents on the given group rank.
+func (l *Layout) LocalShape(rank int) []int {
+	return l.localShapeInto(make([]int, len(l.dims)), rank)
+}
+
 func mkDim(t *testing.T, n, q int, a Axis) dim {
 	t.Helper()
 	d, err := newDim(n, q, a)

@@ -56,10 +56,6 @@ type Profile struct {
 	KillProb, KillFrom, KillUntil float64
 }
 
-// Lethal reports whether the profile can kill processors — the only class
-// of fault that can make a run fail rather than just run slower.
-func (pr Profile) Lethal() bool { return pr.KillProb > 0 }
-
 // The built-in profiles. Magnitudes are sized for the Paragon-like cost
 // models used by the experiments (alpha ~120us, app makespans of
 // milliseconds to seconds).
@@ -255,19 +251,6 @@ func (pl *Plan) ProcFaults(n int, visit func(proc int, slow, deathAt float64)) {
 			visit(i, slow, death)
 		}
 	}
-}
-
-// Victims returns the processors the plan kills on a machine of n
-// processors, with their death times — the ground truth chaos reports and
-// tests compare observed failures against.
-func (pl *Plan) Victims(n int) map[int]float64 {
-	v := make(map[int]float64)
-	for i := 0; i < n; i++ {
-		if t, ok := pl.DeathTime(i); ok {
-			v[i] = t
-		}
-	}
-	return v
 }
 
 // Seeds derives n decorrelated campaign seeds from a base seed, so a chaos

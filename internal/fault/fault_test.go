@@ -5,6 +5,22 @@ import (
 	"testing"
 )
 
+// Lethal reports whether the profile can kill processors — the only class
+// of fault that can make a run fail rather than just run slower.
+func (pr Profile) Lethal() bool { return pr.KillProb > 0 }
+
+// Victims returns the processors the plan kills on a machine of n
+// processors, with their death times.
+func (pl *Plan) Victims(n int) map[int]float64 {
+	v := make(map[int]float64)
+	for i := 0; i < n; i++ {
+		if t, ok := pl.DeathTime(i); ok {
+			v[i] = t
+		}
+	}
+	return v
+}
+
 // TestDeterminism: a plan is a pure function of (seed, key) — two plans
 // with the same seed agree on every decision, different seeds disagree on
 // at least some.

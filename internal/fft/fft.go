@@ -120,17 +120,6 @@ func checkLen(n int) {
 	}
 }
 
-// InPlace performs an in-place decimation-in-time radix-2 FFT of x, whose
-// length must be a power of two. inverse selects the inverse transform
-// (including the 1/n scaling).
-func InPlace(x []complex128, inverse bool) {
-	if len(x) == 0 {
-		return
-	}
-	checkLen(len(x))
-	planFor(len(x), inverse).apply(x, inverse)
-}
-
 // Rows applies a forward FFT to each length-w row of a row-major matrix
 // stored in data (len must be a multiple of w) and returns the total flop
 // count for cost accounting.
@@ -182,11 +171,13 @@ func Histogram(data []complex128, bins int, max float64) ([]int64, float64) {
 // ScaleFlops is the per-element cost of the radar scaling step.
 const ScaleFlops = 2
 
-// Scale multiplies every element by s and returns the flop cost.
+// Scale multiplies every element by s and returns the flop cost. It spells
+// out the product by complex(s, 0), converting each term to float64 so no
+// CPU fuses a multiply-add: every target gets amd64's data[i] *= complex(s, 0).
 func Scale(data []complex128, s float64) float64 {
-	c := complex(s, 0)
-	for i := range data {
-		data[i] *= c
+	for i, v := range data {
+		re, im := real(v), imag(v)
+		data[i] = complex(float64(re*s)-float64(im*0), float64(re*0)+float64(im*s))
 	}
 	return float64(len(data)) * ScaleFlops
 }
@@ -195,12 +186,13 @@ func Scale(data []complex128, s float64) float64 {
 const ThresholdFlops = 3
 
 // Threshold zeroes elements with magnitude below t, returning the number of
-// surviving elements and the flop cost.
+// surviving elements and the flop cost. Each square is converted to float64,
+// so no CPU fuses a multiply-add that could move an element across t.
 func Threshold(data []complex128, t float64) (kept int, flops float64) {
 	t2 := t * t
 	for i, v := range data {
 		re, im := real(v), imag(v)
-		if re*re+im*im < t2 {
+		if float64(re*re)+float64(im*im) < t2 {
 			data[i] = 0
 		} else {
 			kept++

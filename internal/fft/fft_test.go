@@ -248,6 +248,17 @@ func TestThreshold(t *testing.T) {
 	}
 }
 
+// InPlace performs an in-place decimation-in-time radix-2 FFT of x, whose
+// length must be a power of two. inverse selects the inverse transform
+// (including the 1/n scaling).
+func InPlace(x []complex128, inverse bool) {
+	if len(x) == 0 {
+		return
+	}
+	checkLen(len(x))
+	planFor(len(x), inverse).apply(x, inverse)
+}
+
 // Forward is InPlace(x, false).
 func Forward(x []complex128) { InPlace(x, false) }
 

@@ -62,7 +62,7 @@ type frame struct {
 type Proc struct {
 	*machine.Proc
 	stack  []frame
-	inline [3]frame // stack's first frames (world, module, stage), allocated with the Proc
+	inline [3]frame // stack's first frames (world, module, stage), held in the Proc
 }
 
 // Run executes body as an SPMD program over all processors of m, with the
@@ -70,8 +70,11 @@ type Proc struct {
 // of Section 4), and returns per-processor virtual-time statistics.
 func Run(m *machine.Machine, body func(*Proc)) machine.RunStats {
 	world := group.World(m.N())
+	// One arena of per-processor states, parallel to the machine's own.
+	ps := make([]Proc, m.N())
 	return m.Run(func(mp *machine.Proc) {
-		p := &Proc{Proc: mp}
+		p := &ps[mp.ID()]
+		p.Proc = mp
 		p.stack = append(p.inline[:0], frame{g: world})
 		body(p)
 		if len(p.stack) != 1 {

@@ -405,3 +405,23 @@ func TestFigure1ParallelSections(t *testing.T) {
 		}
 	})
 }
+
+// TestRunAllocsFlatInP: fx.Run keeps every processor's state in one arena
+// parallel to the machine's, so New plus an empty fx.Run on the goroutine
+// engine allocates the same handful of objects at every P.
+func TestRunAllocsFlatInP(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation changes allocation counts")
+	}
+	for _, n := range []int{64, 1024, 4096} {
+		allocs := testing.AllocsPerRun(50, func() {
+			m := testMachine(n)
+			m.SetEngine(machine.Goroutine())
+			Run(m, func(*Proc) {})
+		})
+		t.Logf("P=%d: %.0f allocations", n, allocs)
+		if allocs > 32 {
+			t.Errorf("New(%d) plus an empty fx.Run performs %.0f allocations, want <= 32", n, allocs)
+		}
+	}
+}

@@ -147,6 +147,59 @@ func TestRunAllocsPerProcFlat(t *testing.T) {
 	}
 }
 
+// TestRunAllocsFlatInP: a processor costs no heap object of its own. The
+// proc arena holds everything a processor needs to start, leaves are
+// spawned without a closure each, and a wake channel is made only on a
+// first park, so an empty run on the goroutine engine allocates the same
+// handful of objects at every P.
+func TestRunAllocsFlatInP(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation changes allocation counts")
+	}
+	for _, n := range []int{64, 1024, 4096} {
+		allocs := testing.AllocsPerRun(50, func() {
+			m := New(n, testCost())
+			m.SetEngine(Goroutine())
+			m.Run(func(*Proc) {})
+		})
+		t.Logf("P=%d: %.0f allocations", n, allocs)
+		if allocs > 32 {
+			t.Errorf("New(%d) plus an empty Run performs %.0f allocations, want <= 32", n, allocs)
+		}
+	}
+}
+
+// TestWakeChannelOnlyWhenParked: under the goroutine engine a processor
+// that never blocks ends its run with no wake channel, and one that parks
+// has made its own. Processor 0 sends only once processor 1 is parked on
+// it, so the park is certain.
+func TestWakeChannelOnlyWhenParked(t *testing.T) {
+	m := New(3, testCost())
+	m.SetEngine(Goroutine())
+	procs := make([]*Proc, 3)
+	m.Run(func(p *Proc) {
+		procs[p.ID()] = p
+		switch p.ID() {
+		case 0:
+			in := &m.in[1]
+			for parked := false; !parked; {
+				runtime.Gosched()
+				in.mu.Lock()
+				parked = in.waitSrc != 0
+				in.mu.Unlock()
+			}
+			p.Send(1, nil, 8)
+		case 1:
+			p.Recv(0)
+		}
+	})
+	for id, want := range []bool{false, true, false} {
+		if got := procs[id].HasWake(); got != want {
+			t.Errorf("processor %d has a wake channel: %v, want %v", id, got, want)
+		}
+	}
+}
+
 // TestSecondRunReusesQueueArrays: the queue arrays a 63-way fan-in grows at
 // its root go back to the process-wide pool, when outgrown and when the run
 // has drained, cleared, so a second run on a fresh machine allocates none

@@ -115,7 +115,9 @@ func (e *coopEngine) run(m *Machine, procs []Proc, body func(*Proc), rec *panicR
 	// broken by ascending id, an id-ordered slice already satisfies the heap
 	// property, so the heap is built by direct placement instead of n
 	// pushes; shuffle mode perturbs the tie keys and sorts by the full
-	// comparator instead — a sorted slice is a valid heap too.
+	// comparator instead — a sorted slice is a valid heap too. Every
+	// processor gets its wake channel here: it waits on it for its first
+	// slot grant.
 	forkjoin.For(n, initGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			cp := &r.cps[i]
@@ -125,6 +127,7 @@ func (e *coopEngine) run(m *Machine, procs []Proc, body func(*Proc), rec *panicR
 				cp.tie = mix64(e.shuffleSeed ^ uint64(i))
 			}
 			procs[i].cp = cp
+			procs[i].wake = make(chan struct{}, 1)
 			r.ready[i] = cp
 		}
 	})

@@ -36,3 +36,7 @@ func (p *Proc) TryRecv(src int) (Message, bool) {
 		return msg, true
 	}
 }
+
+// HasWake reports whether p has made its wake channel, which it does on its
+// first park.
+func (p *Proc) HasWake() bool { return p.wake != nil }

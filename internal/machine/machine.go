@@ -167,11 +167,17 @@ type Proc struct {
 	sent  int64
 	recvd int64
 	bytes int64
-	// wake is the processor's parking spot, made by Run: Engine.park receives
-	// from it and Engine.wake (or a coop slot grant) sends. Buffered so a
-	// wake-up that arrives before the processor parks is not lost; each
-	// parking is claimed, and so woken, exactly once, so one slot suffices.
-	// nil on a hand-built Proc (some tests).
+	// wake is the processor's parking spot: Engine.park receives from it and
+	// Engine.wake (or a coop slot grant) sends. Buffered so a wake-up that
+	// arrives before the processor parks is not lost; each parking is
+	// claimed, and so woken, exactly once, so one slot suffices. The coop
+	// engine makes every processor's channel before the run, since its first
+	// slot grant arrives on it. Otherwise Proc.wait makes it on the first
+	// park, under the processor's inbox lock and before linking itself on
+	// the sender's parked list; put and senderTerminated read it only after
+	// claiming the processor under that inbox lock or under that list's
+	// parkMu, so the write happens before every send. A processor that never
+	// blocks never has one.
 	wake chan struct{}
 	// parkMu guards parked, the receivers parked on this processor, listed
 	// through their parkPrev/parkNext links (see Proc.wait).

@@ -196,7 +196,7 @@ func (p *Proc) wait(src int) bool {
 		in.mu.Unlock()
 		panic(&DeadlockError{Proc: p.id, Src: p.id, Blocked: 1})
 	}
-	if p.wake == nil {
+	if procs := p.m.procs; len(procs) == 0 || &procs[p.id] != p {
 		// A hand-built Proc (tests) has nobody to park it and nobody to
 		// wake it: only the already-deposited case can succeed.
 		in.mu.Unlock()
@@ -208,6 +208,9 @@ func (p *Proc) wait(src int) bool {
 		s.parkMu.Unlock()
 		in.mu.Unlock()
 		return false
+	}
+	if p.wake == nil {
+		p.wake = make(chan struct{}, 1)
 	}
 	p.parkNext = s.parked
 	if s.parked != nil {

@@ -45,13 +45,13 @@ func (m *Machine) Run(fn func(*Proc)) RunStats {
 	// All P processor states live in one arena slice: one allocation instead
 	// of P, initialized by a parallel fold instead of a serial O(P) loop.
 	// Engines index into the arena directly and RunStats streams out of it
-	// at the end, so no second O(P) pointer structure ever exists.
+	// at the end, so no second O(P) pointer structure ever exists. A
+	// processor allocates nothing else until it first parks (Proc.wait).
 	procs := make([]Proc, m.n)
 	forkjoin.For(m.n, initGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			procs[i].m = m
 			procs[i].id = i
-			procs[i].wake = make(chan struct{}, 1)
 		}
 	})
 	m.applyProcFaults(procs)

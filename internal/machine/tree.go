@@ -38,10 +38,19 @@ const (
 // O(log(n/grain)) sequential steps on the critical path instead of an O(n)
 // serial loop. It does not wait for the leaves (callers sequence on their
 // own WaitGroup); with n <= grain it is the seed spawn loop.
+//
+// Leaves claim their index from a counter shared by the run, so every leaf
+// is started as the same no-argument closure, which a go statement passes
+// through without wrapping: no leaf has a heap object of its own. Only the
+// O(n/grain) interior spawners carry a range. Each index is claimed by
+// exactly one leaf, in host order; callers address their work by the index,
+// so which goroutine runs it is invisible.
 func treeSpawn(n, grain int, leaf func(i int)) {
+	var next atomic.Int64
+	start := func() { leaf(int(next.Add(1) - 1)) }
 	if n <= grain {
 		for i := 0; i < n; i++ {
-			go leaf(i)
+			go start()
 		}
 		return
 	}
@@ -53,7 +62,7 @@ func treeSpawn(n, grain int, leaf func(i int)) {
 			hi = mid
 		}
 		for i := lo; i < hi; i++ {
-			go leaf(i)
+			go start()
 		}
 	}
 	spawn(0, n)

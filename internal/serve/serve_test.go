@@ -311,21 +311,22 @@ func TestAsyncAndJobEvents(t *testing.T) {
 	}
 }
 
-// TestJobEventsDrainOnClose: closing the server while a client streams a
-// running job's events drains the job, and the stream ends on a frame
-// boundary whose last frame says done. No handler goroutine is left.
+// TestJobEventsDrainOnClose: closing the server while a client streams an
+// unfinished job's events drains the job, and the stream ends on a frame
+// boundary whose last frame says done. No handler goroutine is left. The
+// one worker holds the job until Close begins, so the job is not done when
+// the client attaches, on any host.
 func TestJobEventsDrainOnClose(t *testing.T) {
 	s, err := serve.New(serve.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.HoldJobsUntilClose()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	before := runtime.NumGoroutine()
 	client := &http.Client{Transport: &http.Transport{}}
 
-	// Paper-size FFT-Hist over a long stream: still running when the client
-	// attaches.
 	body, _ := json.Marshal(map[string]any{"app": "ffthist", "p": 8, "sets": 64, "async": true})
 	resp, err := client.Post(ts.URL+"/measure", "application/json", bytes.NewReader(body))
 	if err != nil {

@@ -15,8 +15,14 @@ import (
 // real run.
 func chaosScenario(n int, baseline float64) func(*fault.Plan) (float64, error) {
 	return func(pl *fault.Plan) (float64, error) {
-		if v := pl.Victims(n); len(v) > 0 {
-			return 0, fmt.Errorf("scenario: %d processors dead", len(v))
+		dead := 0
+		for i := 0; i < n; i++ {
+			if _, ok := pl.DeathTime(i); ok {
+				dead++
+			}
+		}
+		if dead > 0 {
+			return 0, fmt.Errorf("scenario: %d processors dead", dead)
 		}
 		return baseline * pl.SlowFactor(0), nil
 	}
